@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gendpr/internal/combin"
@@ -84,6 +85,10 @@ func RunAssessmentWithOptions(members []Provider, reference *genome.Matrix, cfg 
 	for i, m := range members {
 		run.members[i] = newCachedProvider(m)
 	}
+	// Count vectors and pair statistics stay accounted for the whole run and
+	// have no release point of their own; on a long-lived leader enclave they
+	// must not outlive it, whichever way the run ends.
+	defer run.releaseHeld()
 
 	chainsPerBlock := 1
 	if cfg.ParallelCombinations {
@@ -184,6 +189,7 @@ type assessmentRun struct {
 	cfg     Config
 	ref     *genome.Matrix
 	acct    *enclave.Enclave
+	held    atomic.Int64 // bytes accounted on acct and not yet freed
 	members []*cachedProvider
 	report  *Report
 	pool    *workPool
@@ -246,13 +252,23 @@ func (r *assessmentRun) alloc(n int64) error {
 	if r.acct == nil {
 		return nil
 	}
-	return r.acct.Alloc(n)
+	if err := r.acct.Alloc(n); err != nil {
+		return err
+	}
+	r.held.Add(n)
+	return nil
 }
 
 func (r *assessmentRun) free(n int64) {
 	if r.acct != nil {
 		r.acct.Free(n)
+		r.held.Add(-n)
 	}
+}
+
+// releaseHeld returns every byte the run still has accounted to the enclave.
+func (r *assessmentRun) releaseHeld() {
+	r.free(r.held.Load())
 }
 
 // allocLR accounts protected memory that holds LR-matrices, tracking the
@@ -359,12 +375,10 @@ func (r *assessmentRun) collectSummaries() error {
 	}
 	r.cs.recordSummaries(r.counts, r.caseNs)
 	// The reference panel is queried for thousands of pair counts in Phase 2;
-	// the column-major view turns each into a stride-1 AND+popcount.
-	r.refCols = r.ref.Transpose()
-	r.refCounts = make([]int64, l)
-	for snp := range r.refCounts {
-		r.refCounts[snp] = r.refCols.AlleleCount(snp)
-	}
+	// its column-major view (built once per panel, not per run) turns each
+	// into a stride-1 AND+popcount.
+	r.refCols = r.ref.Columns()
+	r.refCounts = r.refCols.AlleleCounts()
 	r.refN = int64(r.ref.N())
 	r.pairsSeen = make(map[uint64]bool)
 	if len(r.members) <= 64 {

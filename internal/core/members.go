@@ -57,13 +57,13 @@ type PatternProvider interface {
 	LRPattern(cols []int) (*lrtest.BitMatrix, error)
 }
 
-// LocalMember is an in-process Provider over a private genotype shard.
+// LocalMember is an in-process Provider over a private genotype shard. It
+// answers every query from the shard's column-major view (Matrix.Columns),
+// which the matrix builds once and shares: a pair-statistics request is a
+// stride-1 AND+popcount and a Phase-3 pattern a copy of whole columns. The
+// member itself holds no state, so one value serves concurrent assessments.
 type LocalMember struct {
 	shard *genome.Matrix
-
-	viewOnce sync.Once
-	cols     *genome.ColumnBits
-	counts   []int64
 }
 
 var (
@@ -72,31 +72,16 @@ var (
 	_ PatternProvider   = (*LocalMember)(nil)
 )
 
-// NewLocalMember wraps a genotype shard.
+// NewLocalMember wraps a genotype shard. The shard must not be written
+// afterwards (see DESIGN.md, "Prepared views").
 func NewLocalMember(shard *genome.Matrix) *LocalMember {
 	return &LocalMember{shard: shard}
-}
-
-// view lazily builds the shard's column-major bitset and count vector once:
-// with them, each pair-statistics request is a stride-1 AND+popcount instead
-// of three cache-hostile row scans — the LD phase asks for thousands.
-func (m *LocalMember) view() (*genome.ColumnBits, []int64) {
-	m.viewOnce.Do(func() {
-		m.cols = m.shard.Transpose()
-		counts := make([]int64, m.shard.L())
-		for l := range counts {
-			counts[l] = m.cols.AlleleCount(l)
-		}
-		m.counts = counts
-	})
-	return m.cols, m.counts
 }
 
 // Counts implements Provider. The returned slice is the member's cached count
 // vector and must be treated as read-only.
 func (m *LocalMember) Counts() ([]int64, error) {
-	_, counts := m.view()
-	return counts, nil
+	return m.shard.Columns().AlleleCounts(), nil
 }
 
 // CaseN implements Provider.
@@ -110,7 +95,8 @@ func (m *LocalMember) PairStats(a, b int) (genome.PairStats, error) {
 		//gendpr:allow(secretflow): the pair indices echo the requester's own query (protocol metadata), not cohort data
 		return genome.PairStats{}, fmt.Errorf("core: pair (%d,%d) out of range for %d SNPs", a, b, m.shard.L())
 	}
-	cols, counts := m.view()
+	cols := m.shard.Columns()
+	counts := cols.AlleleCounts()
 	return genome.PairStatsFromCounts(int64(m.shard.N()), counts[a], counts[b], cols.PairCount(a, b)), nil
 }
 
@@ -137,7 +123,8 @@ func (m *LocalMember) LRPattern(cols []int) (*lrtest.BitMatrix, error) {
 	if err := checkPatternRequest(m.shard.L(), cols); err != nil {
 		return nil, err
 	}
-	p, err := lrtest.BuildBitPattern(m.shard.SelectColumns(cols))
+	zero := make([]float64, len(cols))
+	p, err := gatherLR(m.shard, cols, lrtest.LogRatios{Minor: zero, Major: zero})
 	if err != nil {
 		return nil, fmt.Errorf("core: build genotype pattern: %w", err)
 	}
@@ -204,19 +191,32 @@ func BuildLRMatrix(g *genome.Matrix, cols []int, caseFreq, refFreq []float64) (*
 	return m, nil
 }
 
-// BuildLRBitMatrix is BuildLRMatrix without the dense materialization: the
-// column-restricted genotypes pack straight into a BitMatrix, one bit per
-// cell plus two representatives per column.
+// BuildLRBitMatrix is BuildLRMatrix without the dense materialization: one
+// bit per cell plus two representatives per column, gathered from the
+// matrix's column-major view.
 func BuildLRBitMatrix(g *genome.Matrix, cols []int, caseFreq, refFreq []float64) (*lrtest.BitMatrix, error) {
 	ratios, err := checkLRRequest(g, cols, caseFreq, refFreq)
 	if err != nil {
 		return nil, err
 	}
-	m, err := lrtest.BuildBit(g.SelectColumns(cols), ratios)
+	m, err := gatherLR(g, cols, ratios)
 	if err != nil {
 		return nil, fmt.Errorf("core: build LR matrix: %w", err)
 	}
 	return m, nil
+}
+
+// gatherLR builds g's bit-packed LR-matrix over cols. Column j of a BitMatrix
+// and column cols[j] of g's column-major view are the same (N+63)/64 words,
+// so the matrix is a copy of whole columns — bit-identical to
+// lrtest.BuildBit(g.SelectColumns(cols), ratios), which re-derives the same
+// layout cell by cell and stays as the test reference.
+func gatherLR(g *genome.Matrix, cols []int, ratios lrtest.LogRatios) (*lrtest.BitMatrix, error) {
+	words, err := g.Columns().Gather(cols)
+	if err != nil {
+		return nil, err
+	}
+	return lrtest.BitFromColumnWords(g.N(), words, ratios)
 }
 
 // cachedProvider memoizes member responses so that, as the paper describes,

@@ -28,8 +28,10 @@ var ErrMemberReported = errors.New("federation: member reported an error")
 // aggregates the other members' encrypted intermediate results and runs the
 // assessment pipeline.
 type Leader struct {
-	id        string
-	shard     *genome.Matrix
+	id string
+	// local serves the leader's own shard to every run, sequential or
+	// concurrent: the shard's prepared view is built once, not per request.
+	local     *core.LocalMember
 	enclave   *enclave.Enclave
 	authority *attest.Authority
 }
@@ -43,7 +45,7 @@ func NewLeader(id string, shard *genome.Matrix, platform *enclave.Platform, auth
 	if err != nil {
 		return nil, fmt.Errorf("federation: leader %s: %w", id, err)
 	}
-	return &Leader{id: id, shard: shard, enclave: enc, authority: authority}, nil
+	return &Leader{id: id, local: core.NewLocalMember(shard), enclave: enc, authority: authority}, nil
 }
 
 // ID returns the leader identifier.
@@ -136,7 +138,7 @@ func (l *Leader) RunLinksContext(ctx context.Context, links []MemberLink, refere
 
 	providers := make([]core.Provider, 0, len(remotes)+1)
 	names := make([]string, 0, len(remotes)+1)
-	providers = append(providers, core.NewLocalMember(l.shard))
+	providers = append(providers, l.local)
 	names = append(names, l.id)
 	for _, r := range remotes {
 		providers = append(providers, r)

@@ -11,6 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
+	"sync/atomic"
 )
 
 // wordBits is the number of genotype cells packed into one storage word.
@@ -36,6 +38,11 @@ type Matrix struct {
 	// analyzer taints every read of it (STATIC_ANALYSIS.md).
 	//gendpr:secret(individual)
 	words []uint64
+
+	// cols memoizes the column-major view (see Columns): built once under
+	// colsMu on first use, shared by every reader, dropped by Set.
+	colsMu sync.Mutex
+	cols   atomic.Pointer[ColumnBits]
 }
 
 // NewMatrix allocates an n-by-l genotype matrix initialized to the major
@@ -86,6 +93,9 @@ func (m *Matrix) Set(i, l int, minor bool) {
 		m.words[idx] |= mask
 	} else {
 		m.words[idx] &^= mask
+	}
+	if m.cols.Load() != nil {
+		m.cols.Store(nil)
 	}
 }
 
@@ -360,19 +370,48 @@ func getUint64(b []byte) uint64 {
 // this view the difference between a memory-bound and a compute-bound scan.
 //
 // The view is a snapshot: mutations to the source matrix after Transpose are
-// not reflected.
+// not reflected. Unused tail bits of each column's last word are zero.
 type ColumnBits struct {
 	n, l int
 	wpc  int // words per column: (n+63)/64
 	//gendpr:secret(individual)
 	bits []uint64
+	// counts is the per-SNP minor-allele count vector (the popcount of each
+	// column) — the caseLocalCounts a GDO outsources in Phase 1.
+	//gendpr:secret(aggregate)
+	counts []int64
 }
 
-// Transpose builds the column-major view in one pass over the matrix's set
-// bits.
+// Columns returns the matrix's column-major view, building it on first use
+// and returning the same view afterwards: the transpose is the per-GDO
+// preprocessing step, paid once per matrix rather than once per assessment.
+// Set drops the memo, so a view obtained after a write reflects it; a matrix
+// that is being read through its view must not be written concurrently, the
+// same rule every other accessor already imposes — and here the damage would
+// outlive the race: a Set that lands while the first Columns call is still
+// transposing is not seen by it, and the stale view stays memoized until the
+// next Set. Clone, SelectRows, SelectColumns and Concat return fresh matrices
+// without a memo.
+func (m *Matrix) Columns() *ColumnBits {
+	if t := m.cols.Load(); t != nil {
+		return t
+	}
+	m.colsMu.Lock()
+	defer m.colsMu.Unlock()
+	t := m.cols.Load()
+	if t == nil {
+		t = m.Transpose()
+		m.cols.Store(t)
+	}
+	return t
+}
+
+// Transpose builds a fresh column-major view, and its count vector, in one
+// pass over the matrix's set bits. Protocol code shares the memoized view
+// from Columns instead.
 func (m *Matrix) Transpose() *ColumnBits {
 	wpc := (m.n + wordBits - 1) / wordBits
-	t := &ColumnBits{n: m.n, l: m.l, wpc: wpc, bits: make([]uint64, m.l*wpc)}
+	t := &ColumnBits{n: m.n, l: m.l, wpc: wpc, bits: make([]uint64, m.l*wpc), counts: make([]int64, m.l)}
 	var blk [wordBits]uint64
 	for bi := 0; bi < wpc; bi++ {
 		i0 := bi * wordBits
@@ -402,6 +441,7 @@ func (m *Matrix) Transpose() *ColumnBits {
 			}
 			for j := 0; j < cmax; j++ {
 				t.bits[(c0+j)*wpc+bi] = blk[j]
+				t.counts[c0+j] += int64(bits.OnesCount64(blk[j]))
 			}
 		}
 	}
@@ -444,6 +484,28 @@ func (t *ColumnBits) AlleleCount(l int) int64 {
 		c += bits.OnesCount64(w)
 	}
 	return int64(c)
+}
+
+// AlleleCounts returns the per-SNP minor-allele counts, equal to
+// Matrix.AlleleCounts on the source matrix. The slice is the view's own
+// vector, computed with the transpose, and must be treated as read-only.
+func (t *ColumnBits) AlleleCounts() []int64 { return t.counts }
+
+// Gather returns the packed words of the given columns, in the given order:
+// column cols[j] occupies words [j*wpc, (j+1)*wpc) of the result, wpc =
+// (N()+63)/64, row i at bit i of that span — the layout lrtest.BitMatrix
+// stores, so a Phase-3 pattern over cols is this copy and nothing else. Bits
+// N()..64·wpc of every span are zero, as in the view. The result is freshly
+// allocated and owned by the caller.
+func (t *ColumnBits) Gather(cols []int) ([]uint64, error) {
+	out := make([]uint64, len(cols)*t.wpc)
+	for j, l := range cols {
+		if l < 0 || l >= t.l {
+			return nil, fmt.Errorf("%w: gathered SNP outside the view's %d columns", ErrIndexOutOfRange, t.l)
+		}
+		copy(out[j*t.wpc:(j+1)*t.wpc], t.bits[l*t.wpc:(l+1)*t.wpc])
+	}
+	return out, nil
 }
 
 // PairCount returns the number of individuals carrying the minor allele at

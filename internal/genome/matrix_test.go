@@ -1,7 +1,9 @@
 package genome
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -312,3 +314,129 @@ func TestTransposeMatchesRowMajor(t *testing.T) {
 		}
 	}
 }
+
+func TestColumnsIsBuiltOnceAndDroppedBySet(t *testing.T) {
+	m := randomMatrix(t, 70, 40, 3)
+	view := m.Columns()
+	if again := m.Columns(); again != view {
+		t.Fatal("second Columns() call built a new view")
+	}
+	if got, want := view.AlleleCounts(), m.AlleleCounts(); !slices.Equal(got, want) {
+		t.Fatalf("view counts %v, want %v", got, want)
+	}
+
+	before := m.Get(69, 39)
+	m.Set(69, 39, !before)
+	fresh := m.Columns()
+	if fresh == view {
+		t.Fatal("Set did not drop the memoized view")
+	}
+	delta := int64(1)
+	if before {
+		delta = -1
+	}
+	if got, want := fresh.AlleleCount(39), view.AlleleCount(39)+delta; got != want {
+		t.Fatalf("view after Set counts %d at the written SNP, want %d", got, want)
+	}
+	if got, want := fresh.AlleleCounts()[39], m.AlleleCount(39); got != want {
+		t.Fatalf("count vector after Set has %d at the written SNP, want %d", got, want)
+	}
+}
+
+func TestDerivedMatricesDoNotInheritColumns(t *testing.T) {
+	m := randomMatrix(t, 20, 30, 5)
+	view := m.Columns()
+	concat, err := Concat(m, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived := map[string]*Matrix{
+		"Clone":         m.Clone(),
+		"SelectRows":    m.SelectRows(0, 20),
+		"SelectColumns": m.SelectColumns([]int{0, 1, 2}),
+		"Concat":        concat,
+	}
+	for name, d := range derived {
+		if d.cols.Load() != nil {
+			t.Errorf("%s result carries a memoized view", name)
+		}
+		if d.Columns() == view {
+			t.Errorf("%s result shares the source's view", name)
+		}
+	}
+	// A clone's own view is independent of later writes to the source.
+	clone := derived["Clone"]
+	m.Set(0, 0, !m.Get(0, 0))
+	if clone.Columns().AlleleCount(0) != clone.AlleleCount(0) {
+		t.Error("clone's view changed with the source")
+	}
+}
+
+func TestColumnsConcurrentFirstUse(t *testing.T) {
+	m := randomMatrix(t, 130, 90, 9)
+	views := make(chan *ColumnBits, 8)
+	for g := 0; g < cap(views); g++ {
+		go func() { views <- m.Columns() }()
+	}
+	first := <-views
+	for g := 1; g < cap(views); g++ {
+		if v := <-views; v != first {
+			t.Fatal("concurrent first calls observed different views")
+		}
+	}
+}
+
+func TestGatherCopiesWholeColumns(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 130} {
+		m := randomMatrix(t, n, 50, int64(n)+1)
+		view := m.Columns()
+		wpc := (n + 63) / 64
+		for _, cols := range [][]int{{}, {49}, {7, 3, 49, 0}, {12, 12}} {
+			words, err := view.Gather(cols)
+			if err != nil {
+				t.Fatalf("n=%d Gather(%v): %v", n, cols, err)
+			}
+			if len(words) != len(cols)*wpc {
+				t.Fatalf("n=%d Gather(%v) returned %d words, want %d", n, cols, len(words), len(cols)*wpc)
+			}
+			for j, l := range cols {
+				for i := 0; i < n; i++ {
+					bit := words[j*wpc+i/64]>>(uint(i)%64)&1 == 1
+					if bit != m.Get(i, l) {
+						t.Fatalf("n=%d Gather(%v): column %d row %d is %v, matrix has %v", n, cols, j, i, bit, m.Get(i, l))
+					}
+				}
+				if tail := n % 64; tail != 0 && words[(j+1)*wpc-1]>>uint(tail) != 0 {
+					t.Fatalf("n=%d Gather(%v): column %d has tail bits set", n, cols, j)
+				}
+			}
+		}
+		for _, cols := range [][]int{{50}, {-1}, {0, 50}} {
+			if _, err := view.Gather(cols); !errors.Is(err, ErrIndexOutOfRange) {
+				t.Errorf("n=%d Gather(%v) = %v, want ErrIndexOutOfRange", n, cols, err)
+			}
+		}
+	}
+}
+
+// BenchmarkColumns prices the prepared view at the fed3_base member shape:
+// "first" is what a matrix pays once (the transpose and its count vector),
+// "memo" what every later caller pays.
+func BenchmarkColumns(b *testing.B) {
+	m := randomMatrix(b, 4953, 10000, 1)
+	b.Run("first", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m.cols.Store(nil)
+			benchView = m.Columns()
+		}
+	})
+	b.Run("memo", func(b *testing.B) {
+		m.Columns()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchView = m.Columns()
+		}
+	})
+}
+
+var benchView *ColumnBits

@@ -146,6 +146,24 @@ func BuildBit(g Genotypes, ratios LogRatios) (*BitMatrix, error) {
 	return m, nil
 }
 
+// BitFromColumnWords is BuildBit for genotypes that are already packed
+// column-major: words holds len(ratios.Minor) columns of (rows+63)/64 words
+// each, row i at bit i of its column's span, a set bit recording the minor
+// allele — the layout genome.ColumnBits.Gather returns. The matrix adopts
+// words without copying, so the caller must not retain it, and each column's
+// tail bits (rows..64·wpc) must already be zero, as ColumnBits keeps them;
+// the result is then bit-identical to BuildBit over the same genotypes.
+func BitFromColumnWords(rows int, words []uint64, ratios LogRatios) (*BitMatrix, error) {
+	m := &BitMatrix{rows: rows, cols: len(ratios.Minor), wpc: (rows + 63) / 64, bits: words}
+	if rows < 0 || len(ratios.Major) != m.cols || len(words) != m.cols*m.wpc {
+		return nil, fmt.Errorf("%w: %d column words for %d rows x %d/%d frequency entries",
+			ErrShapeMismatch, len(words), rows, len(ratios.Minor), len(ratios.Major))
+	}
+	m.zero = append([]float64(nil), ratios.Major...)
+	m.one = append([]float64(nil), ratios.Minor...)
+	return m, nil
+}
+
 // Reskin returns a matrix sharing this matrix's cell bits but decoding them
 // through a different frequency vector's log ratios: one[j] = Minor[j],
 // zero[j] = Major[j]. It is only meaningful on matrices whose bits carry

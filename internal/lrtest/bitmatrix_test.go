@@ -414,3 +414,39 @@ func TestEvaluateBitMatchesDense(t *testing.T) {
 		t.Error("column mismatch must fail")
 	}
 }
+
+func TestBitFromColumnWordsAdopts(t *testing.T) {
+	// 65 rows: two words per column, one live bit in the second.
+	ratios := LogRatios{Minor: []float64{0.5, -0.25}, Major: []float64{-0.125, 2}}
+	words := []uint64{^uint64(0), 1, 1, 0}
+	m, err := BitFromColumnWords(65, words, ratios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Rows() != 65 || m.Cols() != 2 {
+		t.Fatalf("shape %dx%d, want 65x2", m.Rows(), m.Cols())
+	}
+	if got := m.ColumnOnes(0); got != 65 {
+		t.Errorf("column 0 has %d set bits, want 65", got)
+	}
+	if m.At(64, 0) != 0.5 || m.At(0, 1) != -0.25 || m.At(1, 1) != 2 {
+		t.Error("cells decode through the wrong representatives")
+	}
+	ratios.Minor[0] = 99
+	if m.At(0, 0) != 0.5 {
+		t.Error("matrix aliases the caller's ratio slices")
+	}
+
+	for name, bad := range map[string]func() (*BitMatrix, error){
+		"short words": func() (*BitMatrix, error) { return BitFromColumnWords(65, words[:3], ratios) },
+		"ragged ratios": func() (*BitMatrix, error) {
+			return BitFromColumnWords(65, words, LogRatios{Minor: ratios.Minor, Major: ratios.Major[:1]})
+		},
+		"negative rows":  func() (*BitMatrix, error) { return BitFromColumnWords(-1, nil, LogRatios{}) },
+		"words, no cols": func() (*BitMatrix, error) { return BitFromColumnWords(65, words, LogRatios{}) },
+	} {
+		if _, err := bad(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}

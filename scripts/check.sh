@@ -2,6 +2,12 @@
 # CI gate for the GenDPR repo: formatting, vet, build, project-invariant
 # lint (see STATIC_ANALYSIS.md), and the race-enabled test suite.
 # Run from anywhere inside the repo; exits non-zero on the first failure.
+#
+# This gate checks that the benchmarks still build and run; it measures
+# nothing. A change that claims (or risks) a speed difference is measured
+# with scripts/ab.sh <ref> [workload…], which runs the end-to-end benchmark
+# on <ref> and on the working tree in alternating pairs and prints the
+# verdict per metric (benchmark/README.md § "Measuring a change").
 set -eu
 
 cd "$(dirname "$0")/.."
