@@ -14,6 +14,7 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -167,13 +168,23 @@ type State struct {
 // smaller.
 const maxElems = 1 << 24
 
+// headerLen is the envelope ahead of the payload: magic, version, length.
+const headerLen = len(magic) + 4 + 8
+
 // Encode serializes the state into the versioned CRC-guarded envelope:
 //
 //	magic(8) | version u32 | payload length u64 | payload | crc32(IEEE) u32
 //
-// The CRC covers version, length, and payload.
+// The CRC covers version, length, and payload. The record is built in one
+// buffer sized up front from the state (a paper-scale record is megabytes of
+// pair statistics; growing to that by append and then copying the payload
+// into the envelope cost more than the encoding itself): the payload is
+// encoded behind a reserved header, which is filled in once its length is
+// known.
 func Encode(st *State) []byte {
-	e := wire.NewEncoder(1024)
+	out := make([]byte, headerLen, headerLen+payloadLen(st)+4)
+	copy(out, magic)
+	e := wire.NewEncoderBuffer(out)
 	e.Blob(st.Fingerprint)
 	e.Uint64(uint64(len(st.Providers)))
 	for _, name := range st.Providers {
@@ -222,24 +233,55 @@ func Encode(st *State) []byte {
 		e.Blob(b.Prior)
 		e.Blob(b.Observed)
 	}
-	payload := e.Bytes()
-
-	out := make([]byte, 0, len(magic)+16+len(payload))
-	out = append(out, magic...)
-	out = appendUint32(out, Version)
-	out = appendUint64(out, uint64(len(payload)))
-	out = append(out, payload...)
-	crc := crc32.ChecksumIEEE(out[len(magic):])
-	return appendUint32(out, crc)
+	out = e.Bytes()
+	binary.BigEndian.PutUint32(out[len(magic):], Version)
+	binary.BigEndian.PutUint64(out[len(magic)+4:], uint64(len(out)-headerLen))
+	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out[len(magic):]))
 }
 
-func appendUint32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func appendUint64(b []byte, v uint64) []byte {
-	return append(b, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+// payloadLen is the exact number of bytes Encode writes for the state's
+// payload: 8 per fixed-width value and length prefix, plus the bytes of every
+// string and blob. It mirrors Encode field for field; TestEncodeAllocatesExactly
+// fails when the two drift apart.
+func payloadLen(st *State) int {
+	words := func(n int) int { return 8 + 8*n } // a length-prefixed slice of n 8-byte values
+	perCombination := func(per [][]int) int {
+		n := 8
+		for _, sel := range per {
+			n += words(len(sel))
+		}
+		return n
+	}
+	n := words(0) + len(st.Fingerprint)
+	n += 8
+	for _, name := range st.Providers {
+		n += words(0) + len(name)
+	}
+	n += 8
+	for _, counts := range st.Counts {
+		n += words(len(counts))
+	}
+	n += words(len(st.CaseNs))
+	n += 8 // stage
+	n += words(len(st.LPrime)) + perCombination(st.PerMAF)
+	n += words(len(st.LDouble)) + perCombination(st.PerLD)
+	n += 8
+	for _, recs := range st.Pairs {
+		n += words(8 * len(recs)) // A, B and the six sums of each record
+	}
+	n += 8
+	for _, c := range st.Combinations {
+		n += 8
+		for _, m := range c.Members {
+			n += words(0) + len(m)
+		}
+		n += words(len(c.Safe)) + 8 + words(len(c.Order))
+	}
+	n += 8
+	for _, b := range st.Blamed {
+		n += 6*words(0) + len(b.Member) + len(b.Phase) + len(b.Query) + len(b.Kind) + len(b.Prior) + len(b.Observed)
+	}
+	return n
 }
 
 func encodePerCombination(e *wire.Encoder, per [][]int) {

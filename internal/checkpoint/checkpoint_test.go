@@ -1,7 +1,9 @@
 package checkpoint
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"reflect"
 	"testing"
@@ -40,6 +42,48 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// blamedState is sampleState with every optional section present.
+func blamedState() *State {
+	st := sampleState()
+	st.Blamed = []BlameRecord{
+		{Member: "gdo-2", Phase: "LD (phase 2)", Query: "pair (1,2)", Kind: "invalid-payload"},
+		{Member: "gdo-1", Phase: "summary collection", Query: "summary", Kind: "equivocation",
+			Prior: []byte{1, 2, 3}, Observed: []byte{4, 5, 6}},
+	}
+	return st
+}
+
+// TestEncodeBytesPinned pins the record format: the digests are of the bytes
+// the append-and-copy encoder produced for the same states, so building the
+// record in place changed nothing a stored checkpoint or a peer can see.
+func TestEncodeBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		st     *State
+		length int
+		sha256 string
+	}{
+		{"full", blamedState(), 934, "b3da50db5f404daf99781408452bd670fb1f916c6a423c2a212e00d9f10308f4"},
+		{"zero", &State{}, 120, "d26ed15cd7c0c0353a421d4e8ccdd3f787ff05cd464e966cd328e77bd364fd4e"},
+	} {
+		b := Encode(tc.st)
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); len(b) != tc.length || got != tc.sha256 {
+			t.Errorf("%s: %d bytes, sha256 %s; want %d bytes, %s", tc.name, len(b), got, tc.length, tc.sha256)
+		}
+	}
+}
+
+// TestEncodeAllocatesExactly holds payloadLen to Encode: the record fills the
+// buffer sized from the state to the byte, so it was never regrown and has no
+// slack.
+func TestEncodeAllocatesExactly(t *testing.T) {
+	for name, st := range map[string]*State{"zero": {}, "sample": sampleState(), "blamed": blamedState()} {
+		if b := Encode(st); cap(b) != len(b) {
+			t.Errorf("%s: record of %d bytes sits in a buffer of %d", name, len(b), cap(b))
+		}
 	}
 }
 

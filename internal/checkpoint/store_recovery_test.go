@@ -160,12 +160,7 @@ func TestFileStoreFaultHook(t *testing.T) {
 // through the codec, and a record written before the section existed decodes
 // with no blame at all.
 func TestBlameSectionRoundTrip(t *testing.T) {
-	want := sampleState()
-	want.Blamed = []BlameRecord{
-		{Member: "gdo-2", Phase: "LD (phase 2)", Query: "pair (1,2)", Kind: "invalid-payload"},
-		{Member: "gdo-1", Phase: "summary collection", Query: "summary", Kind: "equivocation",
-			Prior: []byte{1, 2, 3}, Observed: []byte{4, 5, 6}},
-	}
+	want := blamedState()
 	got, err := Decode(Encode(want))
 	if err != nil {
 		t.Fatalf("Decode: %v", err)

@@ -28,7 +28,7 @@ import (
 // to the dense path.
 type BitMatrix struct {
 	rows, cols int
-	wpc        int // words per column: (rows+63)/64
+	wpc        int // column stride in words: wpc ≥ (rows+63)/64, more on a PatternStack view
 	// zero/one are per-column decode values derived from the candidate
 	// release's frequencies: cohort-level, aggregate-class secrets.
 	//gendpr:secret(aggregate)
@@ -197,14 +197,36 @@ func (m *BitMatrix) ScoreSubset(cols []int) []float64 {
 	return scores
 }
 
+// The column kernels below walk a column one 64-row word at a time: the word
+// is loaded once and shifted, so the inner loop carries no per-row index
+// arithmetic into the bit span. The words to visit follow from rows, not from
+// the stride — a PatternStack view's wpc covers its capacity — and rows are
+// still visited in ascending order, which the float accumulations depend on.
+
+// colWords returns the (rows+63)/64 words holding column j's cell bits.
+func (m *BitMatrix) colWords(j int) []uint64 {
+	return m.bits[j*m.wpc:][:(m.rows+63)>>6]
+}
+
+// wordRows returns the up to 64 entries of a per-row vector that word wi of a
+// column covers.
+func wordRows(s []float64, wi int) []float64 {
+	s = s[wi<<6:]
+	return s[:min(64, len(s))]
+}
+
 // addColumn writes base + column j into dst (dst and base may alias). The
-// loop is branchless — the cell bit indexes a two-element lookup — and walks
-// the column's words stride-1.
+// loop is branchless: the cell bit indexes a two-element lookup.
 func (m *BitMatrix) addColumn(dst, base []float64, j int) {
 	v := [2]float64{m.zero[j], m.one[j]}
-	w := m.bits[j*m.wpc : (j+1)*m.wpc]
-	for i := 0; i < m.rows; i++ {
-		dst[i] = base[i] + v[(w[i>>6]>>(uint(i)&63))&1]
+	base, dst = base[:m.rows], dst[:m.rows]
+	for wi, word := range m.colWords(j) {
+		x := wordRows(base, wi)
+		d := wordRows(dst, wi)[:len(x)]
+		for i, b := range x {
+			d[i] = b + v[word&1]
+			word >>= 1
+		}
 	}
 }
 
@@ -214,16 +236,62 @@ func (m *BitMatrix) addColumn(dst, base []float64, j int) {
 // comparisons are exactly Power's `score > tau` on the same values.
 func (m *BitMatrix) addColumnCount(dst, base []float64, j int, tau float64) int {
 	v := [2]float64{m.zero[j], m.one[j]}
-	w := m.bits[j*m.wpc : (j+1)*m.wpc]
+	base, dst = base[:m.rows], dst[:m.rows]
 	hits := 0
-	for i := 0; i < m.rows; i++ {
-		s := base[i] + v[(w[i>>6]>>(uint(i)&63))&1]
-		dst[i] = s
-		if s > tau {
-			hits++
+	for wi, word := range m.colWords(j) {
+		x := wordRows(base, wi)
+		d := wordRows(dst, wi)[:len(x)]
+		for i, b := range x {
+			s := b + v[word&1]
+			word >>= 1
+			d[i] = s
+			hit := 0
+			if s > tau {
+				hit = 1
+			}
+			hits += hit
 		}
 	}
 	return hits
+}
+
+// addColumnKth is addColumn fused with the reference side's threshold: it
+// writes base + column j into dst and returns the k-th smallest (0-indexed)
+// of the written scores, given tau, the k-th smallest of base. No score is
+// sorted. At least rows−k rows have base ≥ tau and at least k+1 have
+// base ≤ tau, and rounded addition is monotone in each operand, so the
+// wanted order statistic lies in the band [tau+min(rep), tau+max(rep)]: one
+// pass counts the scores below the band and compacts the ones inside it into
+// band (len ≥ rows, clobbered), and a quickselect over those — a few percent
+// of the rows once some columns are in — finds the exact value. DESIGN.md §5b
+// has the argument in full. rows must be positive and 0 ≤ k < rows.
+func (m *BitMatrix) addColumnKth(dst, base []float64, j, k int, tau float64, band []float64) float64 {
+	v := [2]float64{m.zero[j], m.one[j]}
+	lo, hi := tau+min(v[0], v[1]), tau+max(v[0], v[1])
+	base, dst, band = base[:m.rows], dst[:m.rows], band[:m.rows]
+	below, nb := 0, 0
+	for wi, word := range m.colWords(j) {
+		x := wordRows(base, wi)
+		d := wordRows(dst, wi)[:len(x)]
+		for i, b := range x {
+			s := b + v[word&1]
+			word >>= 1
+			d[i] = s
+			// The store is unconditional and nb advances only for a score
+			// inside the band, so the compaction has no data-dependent branch.
+			band[nb] = s
+			lt, le := 0, 0
+			if s < lo {
+				lt = 1
+			}
+			if s <= hi {
+				le = 1
+			}
+			below += lt
+			nb += le - lt
+		}
+	}
+	return kthSmallest(band[:nb], k-below)
 }
 
 // ColumnOnes returns the number of set bits in column j. On matrices whose

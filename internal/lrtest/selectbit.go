@@ -8,61 +8,51 @@ import (
 	"gendpr/internal/oblivious"
 )
 
-// powerEval computes detection powers across the greedy admission loop while
-// reusing its scratch buffers: the seed implementation allocated and fully
-// sorted a fresh copy of the reference scores for every candidate, turning
-// the search into O(L·N log N) with 2L allocations; this evaluator is
-// O(L·N) with none. On the bit-matrix path only oblivious mode still routes
-// through it — direct mode uses the sorted-base selection in
-// selectSafeBitOrdered — but the quickselect branch is kept as the generic
-// fallback.
+// This file is the greedy admission search over bit-packed LR-matrices. It
+// finds each candidate's (1−α)-quantile threshold in one of two ways. Direct
+// mode (selectSafeBitBand) fuses the threshold into the reference-side
+// accumulate pass: BitMatrix.addColumnKth narrows the k-th order statistic to
+// a band of scores around the previous threshold and runs kthSmallest
+// (quickselect.go) over that band only, so quickselect is on the protocol
+// path, over a few percent of the rows. Oblivious mode (powerEval) may not
+// compare score values to pick what it touches and streams every candidate
+// score vector through a fixed-shape top-k filter instead.
+
+// powerEval computes oblivious-mode detection powers across the greedy
+// admission loop, reusing one streaming top-k filter: the seed implementation
+// allocated and fully sorted a fresh copy of the reference scores for every
+// candidate. Direct mode never routes through it.
 type powerEval struct {
-	params  Params
-	scratch []float64       // quickselect working copy of the reference scores
-	topk    *oblivious.TopK // oblivious-mode streaming quantile filter
-	kth     int             // oblivious-mode rank: the k-th largest is τ
+	topk *oblivious.TopK // streaming quantile filter
+	kth  int             // the kth largest reference score is τ
 }
 
 // newPowerEval sizes the evaluator for reference score vectors of length n.
 func newPowerEval(params Params, n int) *powerEval {
-	e := &powerEval{params: params}
-	if params.Oblivious {
-		if n > 0 {
-			// The (1−α) quantile at ascending index idx is the (n−idx)-th
-			// largest score.
-			e.kth = n - thresholdIndex(n, params.Alpha)
-			e.topk = oblivious.NewTopK(e.kth)
-		}
-		return e
+	e := new(powerEval)
+	if n > 0 {
+		// The (1−α) quantile at ascending index idx is the (n−idx)-th
+		// largest score.
+		e.kth = n - thresholdIndex(n, params.Alpha)
+		e.topk = oblivious.NewTopK(e.kth)
 	}
-	e.scratch = make([]float64, n)
 	return e
 }
 
 // power returns Power(case, Threshold(ref, α)), bit-identical to the
-// sort-based detectionPower on both the direct and the oblivious path: the
-// quickselect and the streaming top-k filter both return the exact k-th
-// order statistic the full sorts returned.
+// sort-based detectionPower: the streaming top-k filter returns the exact
+// k-th order statistic the full sort returned.
 func (e *powerEval) power(caseScores, refScores []float64) float64 {
 	if len(caseScores) == 0 {
 		return 0
 	}
-	var tau float64
-	switch {
-	case len(refScores) == 0:
-		tau = math.Inf(1)
-	case e.params.Oblivious:
+	tau := math.Inf(1)
+	if len(refScores) > 0 {
 		e.topk.Reset()
 		e.topk.Push(refScores)
 		tau = e.topk.KthLargest(e.kth)
-	default:
-		copy(e.scratch, refScores)
-		tau = kthSmallest(e.scratch, thresholdIndex(len(e.scratch), e.params.Alpha))
 	}
-	if e.params.Oblivious {
-		return float64(oblivious.CountGreater(caseScores, tau)) / float64(len(caseScores))
-	}
-	return Power(caseScores, tau)
+	return float64(oblivious.CountGreater(caseScores, tau)) / float64(len(caseScores))
 }
 
 // SelectSafeBit performs the safe-subset search of SelectSafe over
@@ -95,10 +85,10 @@ func SelectSafeBitWithOrder(caseLR, refLR *BitMatrix, params Params, order []int
 type Selector struct {
 	caseScores, refScores []float64
 	candCase, candRef     []float64
-	ord                   *refOrder
-	eval                  *powerEval
+	band                  []float64  // direct mode: addColumnKth's compaction scratch
+	eval                  *powerEval // oblivious mode's evaluator, for evalRows and evalAlpha
 	evalRows              int
-	evalParams            Params
+	evalAlpha             float64
 }
 
 // NewSelector returns an empty Selector; buffers grow on first use.
@@ -112,23 +102,16 @@ func sized(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// powerEval returns the cached threshold evaluator, rebuilding it when the
-// reference height or the parameters changed since the last call.
+// powerEval returns the cached oblivious-mode evaluator, rebuilding it when
+// the reference height or α — the two things its quantile rank depends on —
+// changed since the last call.
 func (s *Selector) powerEval(params Params, refRows int) *powerEval {
-	if s.eval == nil || s.evalRows != refRows || !paramsIdentical(s.evalParams, params) {
+	if s.eval == nil || s.evalRows != refRows || math.Float64bits(s.evalAlpha) != math.Float64bits(params.Alpha) {
 		s.eval = newPowerEval(params, refRows)
 		s.evalRows = refRows
-		s.evalParams = params
+		s.evalAlpha = params.Alpha
 	}
 	return s.eval
-}
-
-// paramsIdentical compares parameters by representation: any difference
-// invalidates the cached evaluator's quantile rank and scratch sizing.
-func paramsIdentical(a, b Params) bool {
-	return math.Float64bits(a.Alpha) == math.Float64bits(b.Alpha) &&
-		math.Float64bits(a.PowerThreshold) == math.Float64bits(b.PowerThreshold) &&
-		a.Oblivious == b.Oblivious
 }
 
 // SelectSafeBitWithOrder is the package-level function over this Selector's
@@ -148,7 +131,7 @@ func (s *Selector) SelectSafeBitWithOrder(caseLR, refLR *BitMatrix, params Param
 		return Result{}, err
 	}
 	if !params.Oblivious {
-		return s.selectSafeBitOrdered(caseLR, refLR, params, order), nil
+		return s.selectSafeBitBand(caseLR, refLR, params, order), nil
 	}
 
 	caseScores := sized(s.caseScores, caseLR.Rows())
@@ -180,49 +163,45 @@ func (s *Selector) SelectSafeBitWithOrder(caseLR, refLR *BitMatrix, params Param
 	return res, nil
 }
 
-// selectSafeBitOrdered is the direct-mode admission loop. Instead of
-// re-deriving every candidate threshold by quickselect over a fresh copy of
-// the reference scores — the dominant cost of Phase 3 under collusion — it
-// keeps the accumulated reference scores sorted: a candidate column shifts
-// each score by one of just two representatives, so the candidate's score
-// multiset is the disjoint union of two value-shifted sorted runs and its
-// exact (1−α)-quantile comes from a two-sorted-runs order-statistic search.
-// Admitting a candidate is a buffer swap. The case side keeps the dense
-// branchless accumulate-and-count kernels — its per-candidate work is two
-// stride-1 passes either way, and those kernels vectorize where the sorted
-// machinery's data-dependent branches do not.
+// selectSafeBitBand is the direct-mode admission loop. Both sides run one
+// dense, branchless accumulate pass per candidate: the reference side's
+// addColumnKth also yields the candidate's exact (1−α)-quantile, located from
+// the previous threshold instead of by selection over all rows (see
+// addColumnKth), and the case side's addColumnCount counts the scores above
+// it. Admitting a candidate is a buffer swap.
 //
-// The result is bit-identical to the quickselect path: every row's score is
-// produced by the same sequence of float additions (base plus one
+// tau is the k-th smallest of the accumulated reference scores: 0 while they
+// are all zero, the candidate's threshold once a candidate is admitted, and
+// unchanged by a rejection, which leaves the accumulated scores as they were.
+//
+// The result is bit-identical to thresholding a sorted copy: every row's
+// score is produced by the same sequence of float additions (base plus one
 // representative per admitted column, in admission order), and the k-th
-// order statistic of a multiset is a single well-defined value no matter
-// how it is found. The oblivious path keeps the streaming top-k filter —
-// this loop's comparisons branch on score values, which oblivious mode
-// forbids.
-func (s *Selector) selectSafeBitOrdered(caseLR, refLR *BitMatrix, params Params, order []int) Result {
+// order statistic of a multiset is a single well-defined value no matter how
+// it is found. The oblivious path keeps the streaming top-k filter — the
+// band is chosen by comparing score values, which oblivious mode forbids.
+func (s *Selector) selectSafeBitBand(caseLR, refLR *BitMatrix, params Params, order []int) Result {
 	caseScores := sized(s.caseScores, caseLR.Rows())
 	candCase := sized(s.candCase, caseLR.Rows())
 	clear(caseScores)
 	refN := refLR.Rows()
-	var k int
-	var refOrd *refOrder
+	refScores := sized(s.refScores, refN)
+	candRef := sized(s.candRef, refN)
+	s.band = sized(s.band, refN)
+	clear(refScores)
+	k := 0
 	if refN > 0 {
 		k = thresholdIndex(refN, params.Alpha)
-		if s.ord == nil {
-			s.ord = new(refOrder)
-		}
-		refOrd = s.ord
-		refOrd.reset(refN)
 	}
+	tau := 0.0
 
 	res := Result{Safe: make([]int, 0, caseLR.Cols())}
 	for _, j := range order {
-		tau := math.Inf(1)
+		candTau := math.Inf(1)
 		if refN > 0 {
-			refOrd.split(refLR, j)
-			tau = refOrd.kth(k)
+			candTau = refLR.addColumnKth(candRef, refScores, j, k, tau, s.band)
 		}
-		hits := caseLR.addColumnCount(candCase, caseScores, j, tau)
+		hits := caseLR.addColumnCount(candCase, caseScores, j, candTau)
 		var power float64
 		if len(candCase) > 0 {
 			power = float64(hits) / float64(len(candCase))
@@ -230,158 +209,16 @@ func (s *Selector) selectSafeBitOrdered(caseLR, refLR *BitMatrix, params Params,
 		res.Iterations++
 		if power < params.PowerThreshold {
 			caseScores, candCase = candCase, caseScores
-			if refN > 0 {
-				refOrd.admit()
-			}
+			refScores, candRef = candRef, refScores
+			tau = candTau
 			res.Safe = append(res.Safe, j)
 			res.Power = power
 		}
 	}
 	s.caseScores, s.candCase = caseScores, candCase
+	s.refScores, s.candRef = refScores, candRef
 	sort.Ints(res.Safe)
 	return res
-}
-
-// refOrder is the sorted view of the admission loop's accumulated reference
-// scores, held as two ascending runs (valsA/rowsA and valsB/rowsB) whose
-// merge — ties resolved A-first — is the sorted score vector. split
-// merge-walks the runs while repartitioning by the candidate column's bits,
-// emitting each position's candidate score (the same base-plus-
-// representative addition the dense kernel performs for that row) into the
-// candidate run for its bit. The runs never need materializing into one
-// array: kth binary-searches the two candidate runs directly, and admitting
-// a candidate is a buffer swap — the candidate runs simply become the
-// state. Everything is contiguous, nothing is re-sorted.
-type refOrder struct {
-	valsA, valsB         []float64 // accumulated scores, two ascending runs
-	rowsA, rowsB         []int32   // original row of each run position
-	nA, nB               int
-	candValsA, candValsB []float64 // candidate runs from the last split
-	candRowsA, candRowsB []int32
-	candNA, candNB       int
-}
-
-// reset prepares the state for n accumulated-zero scores: one run holding
-// all rows in identity order (ties never matter — only the value multiset
-// does), the other empty.
-func (o *refOrder) reset(n int) {
-	o.valsA = sized(o.valsA, n)
-	clear(o.valsA)
-	o.rowsA = sizedInt32(o.rowsA, n)
-	for t := range o.rowsA {
-		o.rowsA[t] = int32(t)
-	}
-	o.valsB = sized(o.valsB, n)
-	o.rowsB = sizedInt32(o.rowsB, n)
-	o.nA, o.nB = n, 0
-	o.candValsA = sized(o.candValsA, n)
-	o.candValsB = sized(o.candValsB, n)
-	o.candRowsA = sizedInt32(o.candRowsA, n)
-	o.candRowsB = sizedInt32(o.candRowsB, n)
-	o.candNA, o.candNB = 0, 0
-}
-
-func sizedInt32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
-}
-
-// split walks the state runs in merged (ascending) order and partitions the
-// positions by column j's cell bit into the candidate runs, each value
-// shifted by its bit's representative. Both candidate runs inherit the
-// walk's ascending order.
-func (o *refOrder) split(m *BitMatrix, j int) {
-	w := m.bits[j*m.wpc : (j+1)*m.wpc]
-	z, one := m.zero[j], m.one[j]
-	a, b := o.valsA[:o.nA], o.valsB[:o.nB]
-	ra, rb := o.rowsA[:o.nA], o.rowsB[:o.nB]
-	cvA, cvB := o.candValsA, o.candValsB
-	crA, crB := o.candRowsA, o.candRowsB
-	ca, cb := 0, 0
-	emit := func(v float64, r int32) {
-		if (w[uint32(r)>>6]>>(uint32(r)&63))&1 == 0 {
-			cvA[ca], crA[ca] = v+z, r
-			ca++
-		} else {
-			cvB[cb], crB[cb] = v+one, r
-			cb++
-		}
-	}
-	ia, ib := 0, 0
-	for ia < len(a) && ib < len(b) {
-		if a[ia] <= b[ib] {
-			emit(a[ia], ra[ia])
-			ia++
-		} else {
-			emit(b[ib], rb[ib])
-			ib++
-		}
-	}
-	for ; ia < len(a); ia++ {
-		emit(a[ia], ra[ia])
-	}
-	for ; ib < len(b); ib++ {
-		emit(b[ib], rb[ib])
-	}
-	o.candNA, o.candNB = ca, cb
-}
-
-// kth returns the k-th smallest (0-indexed) of the candidate score multiset
-// candValsA ∪ candValsB: both runs ascend, so a binary search over how many
-// elements the first run contributes finds the exact order statistic
-// without materializing the merge.
-func (o *refOrder) kth(k int) float64 {
-	a, b := o.candValsA[:o.candNA], o.candValsB[:o.candNB]
-	aV := func(i int) float64 {
-		switch {
-		case i < 0:
-			return math.Inf(-1)
-		case i >= len(a):
-			return math.Inf(1)
-		}
-		return a[i]
-	}
-	bV := func(i int) float64 {
-		switch {
-		case i < 0:
-			return math.Inf(-1)
-		case i >= len(b):
-			return math.Inf(1)
-		}
-		return b[i]
-	}
-	// i elements come from a and k+1−i from b; find the largest feasible i.
-	// The lower bound is always feasible (its boundary value is a −∞/+∞
-	// sentinel), and at the largest feasible i the complementary boundary
-	// condition holds by maximality, so the partition is exact.
-	lo, hi := k+1-len(b), len(a)
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > k+1 {
-		hi = k + 1
-	}
-	for lo < hi {
-		i := int(uint(lo+hi+1) >> 1)
-		if aV(i-1) <= bV(k+1-i) {
-			lo = i
-		} else {
-			hi = i - 1
-		}
-	}
-	return math.Max(aV(lo-1), bV(k-lo))
-}
-
-// admit makes the candidate runs from the last split the accumulated state:
-// a four-way buffer swap, no data movement.
-func (o *refOrder) admit() {
-	o.valsA, o.candValsA = o.candValsA, o.valsA
-	o.valsB, o.candValsB = o.candValsB, o.valsB
-	o.rowsA, o.candRowsA = o.candRowsA, o.rowsA
-	o.rowsB, o.candRowsB = o.candRowsB, o.rowsB
-	o.nA, o.nB = o.candNA, o.candNB
 }
 
 // DiscriminabilityOrderBit ranks columns exactly as DiscriminabilityOrder
@@ -418,10 +255,12 @@ func columnMeanBit(m *BitMatrix, j int) float64 {
 		return 0
 	}
 	v := [2]float64{m.zero[j], m.one[j]}
-	w := m.bits[j*m.wpc : (j+1)*m.wpc]
 	var sum float64
-	for i := 0; i < m.rows; i++ {
-		sum += v[(w[i>>6]>>(uint(i)&63))&1]
+	for wi, word := range m.colWords(j) {
+		for n := min(64, m.rows-wi<<6); n > 0; n-- {
+			sum += v[word&1]
+			word >>= 1
+		}
 	}
 	return sum / float64(m.rows)
 }

@@ -7,106 +7,96 @@ import (
 	"testing"
 )
 
-// mergeRuns materializes a refOrder's two-run state into one sorted
-// value/row sequence, merging exactly as split walks it (ties A-first).
-func mergeRuns(o *refOrder) ([]float64, []int32) {
-	a, b := o.valsA[:o.nA], o.valsB[:o.nB]
-	ra, rb := o.rowsA[:o.nA], o.rowsB[:o.nB]
-	vals := make([]float64, 0, o.nA+o.nB)
-	rows := make([]int32, 0, o.nA+o.nB)
-	ia, ib := 0, 0
-	for ia < len(a) || ib < len(b) {
-		if ib >= len(b) || (ia < len(a) && a[ia] <= b[ib]) {
-			vals, rows = append(vals, a[ia]), append(rows, ra[ia])
-			ia++
-		} else {
-			vals, rows = append(vals, b[ib]), append(rows, rb[ib])
-			ib++
-		}
-	}
-	return vals, rows
-}
-
-// TestRefOrderMatchesSort pins the sorted-base threshold machinery — split,
-// the two-sorted-lists order statistic, and the admission merge — against a
-// naive sort of the same score multiset, across random admission sequences
-// with heavy ties, degenerate all-zero/all-one columns, equal
-// representatives, and boundary ranks.
-func TestRefOrderMatchesSort(t *testing.T) {
+// TestAddColumnKthMatchesSort pins the band-selection threshold kernel
+// against a full sort of the same candidate scores, across random
+// admit/reject sequences: heavy ties, equal representatives (a zero-width
+// band), all-zero and all-one columns, the boundary ranks, row counts on both
+// sides of a word edge, and PatternStack-backed views whose column stride
+// exceeds the words the rows need. tau advances only on admission, so a
+// rejected candidate followed by an admitted one checks that it is carried
+// correctly.
+func TestAddColumnKthMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	// A small value set forces duplicate sums; no value can produce -0.
 	reps := []float64{-2.5, -1.25, 0, 0.5, 0.5, 1.75, 3}
-	ord := new(refOrder)
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(96)
-		cols := 1 + rng.Intn(12)
-		m := NewBitMatrix(n, cols)
+	rowChoices := []int{1, 63, 64, 65, 140}
+	for trial := 0; trial < 400; trial++ {
+		n := rowChoices[trial%len(rowChoices)]
+		cols := 2 + rng.Intn(12)
+		pattern := NewBitMatrix(n, cols)
 		for j := 0; j < cols; j++ {
-			m.zero[j] = reps[rng.Intn(len(reps))]
-			m.one[j] = reps[rng.Intn(len(reps))]
-			if rng.Intn(5) == 0 {
-				m.one[j] = m.zero[j]
-			}
 			switch rng.Intn(5) {
 			case 0: // all-zero column: bits stay clear
 			case 1: // all-one column
 				for i := 0; i < n; i++ {
-					m.bits[j*m.wpc+i>>6] |= 1 << (uint(i) & 63)
+					pattern.bits[j*pattern.wpc+i>>6] |= 1 << (uint(i) & 63)
 				}
 			default:
 				for i := 0; i < n; i++ {
 					if rng.Intn(2) == 1 {
-						m.bits[j*m.wpc+i>>6] |= 1 << (uint(i) & 63)
+						pattern.bits[j*pattern.wpc+i>>6] |= 1 << (uint(i) & 63)
 					}
 				}
 			}
 		}
-
-		ord.reset(n)
-		naive := make([]float64, n)
-		cand := make([]float64, n)
+		m := pattern
+		if trial%2 == 1 {
+			// The same bits behind a stack sized for more rows: wpc is the
+			// capacity stride, larger than (n+63)/64.
+			stack := NewPatternStack(n+64+rng.Intn(200), cols)
+			if err := stack.Push(0, pattern); err != nil {
+				t.Fatal(err)
+			}
+			m = stack.Matrix()
+			if m.wpc <= (n+63)/64 {
+				t.Fatalf("stack view has no spare stride: wpc %d for %d rows", m.wpc, n)
+			}
+		}
+		ratios := LogRatios{Minor: make([]float64, cols), Major: make([]float64, cols)}
 		for j := 0; j < cols; j++ {
-			ord.split(m, j)
-			if ord.candNA+ord.candNB != n {
-				t.Fatalf("trial %d col %d: split covers %d+%d of %d positions",
-					trial, j, ord.candNA, ord.candNB, n)
+			ratios.Major[j] = reps[rng.Intn(len(reps))]
+			ratios.Minor[j] = reps[rng.Intn(len(reps))]
+			if rng.Intn(5) == 0 {
+				ratios.Minor[j] = ratios.Major[j]
 			}
+		}
+		m, err := m.Reskin(ratios)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		k := []int{0, n - 1, rng.Intn(n)}[trial%3]
+		base := make([]float64, n)
+		cand := make([]float64, n)
+		want := make([]float64, n)
+		band := make([]float64, n)
+		tau := 0.0
+		for j := 0; j < cols; j++ {
+			got := m.addColumnKth(cand, base, j, k, tau, band)
 			for i := 0; i < n; i++ {
-				if m.bit(i, j) != 0 {
-					cand[i] = naive[i] + m.one[j]
-				} else {
-					cand[i] = naive[i] + m.zero[j]
+				want[i] = base[i] + m.At(i, j)
+				if math.Float64bits(cand[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d col %d: row %d scores %v, want %v", trial, j, i, cand[i], want[i])
 				}
 			}
-			sorted := append([]float64(nil), cand...)
-			sort.Float64s(sorted)
-			for _, k := range []int{0, n - 1, rng.Intn(n)} {
-				if got := ord.kth(k); math.Float64bits(got) != math.Float64bits(sorted[k]) {
-					t.Fatalf("trial %d col %d: kth(%d)=%v, sort gives %v", trial, j, k, got, sorted[k])
-				}
+			sort.Float64s(want)
+			if math.Float64bits(got) != math.Float64bits(want[k]) {
+				t.Fatalf("trial %d col %d (n=%d k=%d tau=%v): kth=%v, sort gives %v", trial, j, n, k, tau, got, want[k])
 			}
-			if rng.Intn(2) == 1 {
-				ord.admit()
-				naive, cand = cand, naive
-				vals, rows := mergeRuns(ord)
-				for p := 0; p < n; p++ {
-					if math.Float64bits(vals[p]) != math.Float64bits(sorted[p]) {
-						t.Fatalf("trial %d col %d: admitted vals[%d]=%v, sorted %v",
-							trial, j, p, vals[p], sorted[p])
-					}
-					if got := naive[rows[p]]; math.Float64bits(got) != math.Float64bits(vals[p]) {
-						t.Fatalf("trial %d col %d: rows[%d]=%d carries %v, vals %v",
-							trial, j, p, rows[p], got, vals[p])
-					}
-				}
+			// Column 0 is always rejected and column 1 always admitted, so every
+			// trial carries tau across a rejection into an admission.
+			if j == 1 || (j > 1 && rng.Intn(2) == 1) {
+				base, cand = cand, base
+				tau = got
 			}
 		}
 	}
 }
 
-// TestSelectorDirectMatchesQuickselect pins the direct-mode sorted-base
-// admission loop against the quickselect evaluator it replaced, per
-// candidate: same safe set, same iteration count, bit-identical power.
+// TestSelectorDirectMatchesQuickselect pins the direct-mode band-selection
+// admission loop against the copy-and-quickselect oracle, per candidate:
+// Threshold copies the reference scores and quickselects the (1−α)-quantile
+// from scratch. Same safe set, same iteration count, bit-identical power.
 func TestSelectorDirectMatchesQuickselect(t *testing.T) {
 	for _, seed := range []int64{3, 17, 51} {
 		cohort, ratios := testRatios(t, 60, 240, seed)
@@ -126,19 +116,17 @@ func TestSelectorDirectMatchesQuickselect(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Reference run through the quickselect evaluator, mirroring the
-		// pre-sorted-base loop.
+		// Reference run, thresholding every candidate from scratch.
 		n := refBit.Rows()
 		caseScores := make([]float64, caseBit.Rows())
 		refScores := make([]float64, n)
 		candCase := make([]float64, caseBit.Rows())
 		candRef := make([]float64, n)
-		eval := newPowerEval(params, n)
 		want := Result{Safe: []int{}}
 		for _, j := range order {
 			caseBit.addColumn(candCase, caseScores, j)
 			refBit.addColumn(candRef, refScores, j)
-			power := eval.power(candCase, candRef)
+			power := Power(candCase, Threshold(candRef, params.Alpha))
 			want.Iterations++
 			if power < params.PowerThreshold {
 				caseScores, candCase = candCase, caseScores
@@ -161,5 +149,72 @@ func TestSelectorDirectMatchesQuickselect(t *testing.T) {
 		if math.Float64bits(got.Power) != math.Float64bits(want.Power) {
 			t.Fatalf("seed %d: power %v vs %v not bit-identical", seed, got.Power, want.Power)
 		}
+	}
+}
+
+// phase3BenchInputs builds LR-matrices at the paper's Phase-3 shape: 390
+// candidate columns (what the MAF and LD phases leave of 10,000 SNPs) over
+// the 14,860-genome case population and the 13,035-genome reference panel,
+// with synthetic genotypes.
+func phase3BenchInputs(b *testing.B) (caseLR, refLR *BitMatrix) {
+	b.Helper()
+	cohort, ratios := testRatios(b, 390, 14860, 42)
+	caseLR, err := BuildBit(cohort.Case, ratios)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if refLR, err = BuildBit(cohort.Reference, ratios); err != nil {
+		b.Fatal(err)
+	}
+	return caseLR, refLR
+}
+
+var benchSink float64
+
+// BenchmarkSelectSafeBit prices one direct-mode Phase-3 selection, the unit
+// the collusion driver repeats once per presumed-honest combination.
+func BenchmarkSelectSafeBit(b *testing.B) {
+	caseLR, refLR := phase3BenchInputs(b)
+	order := DiscriminabilityOrderBit(caseLR, refLR)
+	sel := NewSelector()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := sel.SelectSafeBitWithOrder(caseLR, refLR, DefaultParams(), order)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = res.Power
+	}
+}
+
+// BenchmarkAddColumnKth prices the reference-side kernel per candidate
+// column, on the accumulated scores a real selection leaves: the band it
+// selects over is as narrow as it gets on the protocol path.
+func BenchmarkAddColumnKth(b *testing.B) {
+	caseLR, refLR := phase3BenchInputs(b)
+	res, err := SelectSafeBit(caseLR, refLR, DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := refLR.Rows()
+	k := thresholdIndex(n, DefaultParams().Alpha)
+	base := refLR.ScoreSubset(res.Safe)
+	tau := Threshold(base, DefaultParams().Alpha)
+	dst, band := make([]float64, n), make([]float64, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = refLR.addColumnKth(dst, base, i%refLR.Cols(), k, tau, band)
+	}
+}
+
+// BenchmarkAddColumnCount prices the case-side kernel per candidate column.
+func BenchmarkAddColumnCount(b *testing.B) {
+	caseLR, _ := phase3BenchInputs(b)
+	base := make([]float64, caseLR.Rows())
+	dst := make([]float64, caseLR.Rows())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = float64(caseLR.addColumnCount(dst, base, i%caseLR.Cols(), 0.25))
 	}
 }

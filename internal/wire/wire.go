@@ -35,6 +35,12 @@ func NewEncoder(sizeHint int) *Encoder {
 	return &Encoder{buf: make([]byte, 0, sizeHint)}
 }
 
+// NewEncoderBuffer returns an encoder that appends to buf, which it takes
+// over: Bytes returns buf's contents followed by everything encoded since. A
+// caller that frames the payload reserves the frame's header in buf and, with
+// spare capacity for the rest, gets frame and payload in one allocation.
+func NewEncoderBuffer(buf []byte) *Encoder { return &Encoder{buf: buf} }
+
 // Bytes returns the encoded payload.
 func (e *Encoder) Bytes() []byte { return e.buf }
 

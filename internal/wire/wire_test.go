@@ -189,3 +189,25 @@ func TestEncoderDeterministic(t *testing.T) {
 		t.Fatal("encoder is not deterministic")
 	}
 }
+
+// TestEncoderBufferAppends checks the framing contract of NewEncoderBuffer:
+// the reserved prefix survives, the payload follows it as NewEncoder would
+// have produced it, and spare capacity is used in place.
+func TestEncoderBufferAppends(t *testing.T) {
+	plain := NewEncoder(0)
+	plain.String("gendpr")
+	plain.Ints([]int{7, 8})
+
+	buf := make([]byte, 4, 4+len(plain.Bytes()))
+	copy(buf, "HEAD")
+	e := NewEncoderBuffer(buf)
+	e.String("gendpr")
+	e.Ints([]int{7, 8})
+	got := e.Bytes()
+	if !bytes.Equal(got[:4], []byte("HEAD")) || !bytes.Equal(got[4:], plain.Bytes()) {
+		t.Fatalf("framed encoding %q, want HEAD + %q", got, plain.Bytes())
+	}
+	if &got[0] != &buf[0] {
+		t.Error("encoder reallocated a buffer that had room")
+	}
+}

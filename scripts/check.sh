@@ -154,5 +154,9 @@ echo "== bench smoke (1 iteration, tiny scale) =="
 GENDPR_BENCH_SCALE=0.01 go test -run '^$' \
     -bench '^(BenchmarkTable4Selection|BenchmarkTable5Collusion|BenchmarkAblationObliviousLRTest|BenchmarkAblationLRWireFormat|BenchmarkAblationCollusionParallel)$' \
     -benchtime 1x . >/dev/null
+# The per-layer Phase-3 benchmarks build their own paper-shape inputs (390
+# columns x 13,035 + 14,860 rows), which takes well under a second.
+go test -run '^$' -bench '^(BenchmarkSelectSafeBit|BenchmarkAddColumnKth|BenchmarkAddColumnCount)$' \
+    -benchtime 1x ./internal/lrtest >/dev/null
 
 echo "ALL CHECKS PASSED"
