@@ -205,15 +205,12 @@ type assessmentRun struct {
 	refCols   *genome.ColumnBits
 	refN      int64
 
-	timingMu  sync.Mutex
-	pairMu    sync.Mutex
-	pairsSeen map[uint64]bool
-	// pairWarm maps a pair to the bitmask of members already asked to warm it
-	// (guarded by pairMu, nil for federations past 64 members). Evaluation
-	// chains consult it before forwarding an announcement, so a member
-	// receives each pair at most once per assessment no matter how many
-	// chains' survivor windows cover it.
-	pairWarm map[uint64]uint64
+	timingMu sync.Mutex
+	pairMu   sync.Mutex
+	// refPairs holds the reference panel's statistics for every pair Phase 2
+	// has touched (guarded by pairMu): the predictor computes them and the
+	// pooled functions add the members' contributions to the same values.
+	refPairs map[uint64]genome.PairStats
 
 	lrMu    sync.Mutex
 	lrBytes int64
@@ -294,18 +291,35 @@ func (r *assessmentRun) freeLR(n int64) {
 	r.lrMu.Unlock()
 }
 
-// notePair marks a pair as touched by this assessment, reporting whether it
-// was fresh — the signal for accounting the leader-side pair-statistics
-// footprint exactly once per pair.
-func (r *assessmentRun) notePair(a, b int) bool {
+// refPair returns the reference panel's statistics for a pair. The first
+// touch computes them — the single counts are known from Phase 1, so that is
+// one PairCount column pass — and accounts the pair's leader-side footprint
+// once: this entry plus one per member's pair cache.
+func (r *assessmentRun) refPair(a, b int) (genome.PairStats, error) {
 	key := pairKey(a, b)
 	r.pairMu.Lock()
-	fresh := !r.pairsSeen[key]
-	if fresh {
-		r.pairsSeen[key] = true
+	defer r.pairMu.Unlock()
+	if s, ok := r.refPairs[key]; ok {
+		return s, nil
 	}
-	r.pairMu.Unlock()
-	return fresh
+	if err := r.alloc(bytesPerPairStat * int64(len(r.members)+1)); err != nil {
+		return genome.PairStats{}, err
+	}
+	s := genome.PairStatsFromCounts(r.refN, r.refCounts[a], r.refCounts[b], r.refCols.PairCount(a, b))
+	r.refPairs[key] = s
+	return s, nil
+}
+
+// predictPair is the run's PairPredictor: the LD decision taken on the
+// reference panel alone. A pair it cannot account is predicted independent;
+// the pooled function meets the same error and reports it.
+func (r *assessmentRun) predictPair(a, b int) bool {
+	s, err := r.refPair(a, b)
+	if err != nil {
+		return false
+	}
+	dependent, err := ldDependent(s, r.cfg.LDCutoff)
+	return err == nil && dependent
 }
 
 // collectSummaries gathers each member's count vector and population size —
@@ -380,10 +394,7 @@ func (r *assessmentRun) collectSummaries() error {
 	r.refCols = r.ref.Columns()
 	r.refCounts = r.refCols.AlleleCounts()
 	r.refN = int64(r.ref.N())
-	r.pairsSeen = make(map[uint64]bool)
-	if len(r.members) <= 64 {
-		r.pairWarm = make(map[uint64]uint64)
-	}
+	r.refPairs = make(map[uint64]genome.PairStats)
 	return nil
 }
 
@@ -482,51 +493,20 @@ func (r *assessmentRun) phase1MAF(plan *latticePlan) ([]int, [][]int, error) {
 	return intersected, per, nil
 }
 
-// ldBatchWindow is how many upcoming survivor-chain pairs one batch hint
-// covers. Chains longer than the window re-announce; a window of one would
-// degenerate to the per-pair path with extra round trips.
-const ldBatchWindow = 16
-
-// prefetchAdjacentPairs warms every member's pair cache with the adjacent
-// pairs of L' in one batched request per member. The greedy LD scan examines
-// exactly these pairs when no SNP is removed; removals trigger lazy
-// single-pair fetches for the survivor chains.
-func (r *assessmentRun) prefetchAdjacentPairs(lPrime []int) error {
-	if len(lPrime) < 2 {
+// prefetchPairs has each member of the subset warm its pair cache with the
+// given pairs: one batched request per member, in parallel, for the pairs
+// that member's cache does not hold yet (cachedProvider.Prefetch).
+func (r *assessmentRun) prefetchPairs(subset []int, pairs [][2]int) error {
+	if len(pairs) == 0 {
 		return nil
 	}
-	start := time.Now()
-	defer r.addTiming(&r.report.Timings.DataAggregation, start)
-
-	allMembers := uint64(1)<<uint(len(r.members)) - 1
-	pairs := make([][2]int, 0, len(lPrime)-1)
-	for i := 0; i+1 < len(lPrime); i++ {
-		pairs = append(pairs, [2]int{lPrime[i], lPrime[i+1]})
-		key := pairKey(lPrime[i], lPrime[i+1])
-		r.pairMu.Lock()
-		fresh := !r.pairsSeen[key]
-		if fresh {
-			r.pairsSeen[key] = true
-		}
-		if r.pairWarm != nil {
-			// Every member receives the adjacent pairs below, so later
-			// survivor-window announcements need not forward them again.
-			r.pairWarm[key] = allMembers
-		}
-		r.pairMu.Unlock()
-		if fresh {
-			if err := r.alloc(bytesPerPairStat * int64(len(r.members))); err != nil {
-				return err
-			}
-		}
-	}
-	errs := make([]error, len(r.members))
+	errs := make([]error, len(subset))
 	var wg sync.WaitGroup
-	for i, m := range r.members {
-		i, m := i, m
+	for slot, i := range subset {
+		slot, i := slot, i
 		r.pool.Go(&wg, func() {
-			if err := m.Prefetch(pairs); err != nil {
-				errs[i] = memberErr(i, PhaseLD, "pair prefetch: %w", err)
+			if err := r.members[i].Prefetch(pairs); err != nil {
+				errs[slot] = memberErr(i, PhaseLD, "pair prefetch: %w", err)
 			}
 		})
 	}
@@ -536,22 +516,16 @@ func (r *assessmentRun) prefetchAdjacentPairs(lPrime []int) error {
 
 // subsetPairStats returns the chain-free pooled pair-statistics function for
 // one combination: member contributions (fetched in parallel) plus the
-// reference panel, with nothing cached leader-side beyond the providers' own
-// pair caches. Single-combination chains use it — they have no later
+// reference panel's (refPair), with nothing cached leader-side beyond that
+// and the providers' own pair caches. Single-combination chains use it — they have no later
 // positions to share a decomposition with, so the chain cache would only add
 // leader memory.
 func (r *assessmentRun) subsetPairStats(subset []int) PairStatsFunc {
 	return func(a, b int) (genome.PairStats, error) {
-		if r.notePair(a, b) {
-			if err := r.alloc(bytesPerPairStat * int64(len(r.members))); err != nil {
-				return genome.PairStats{}, err
-			}
+		pooled, err := r.refPair(a, b)
+		if err != nil {
+			return genome.PairStats{}, err
 		}
-
-		// The reference panel's single counts are already known (Phase 1
-		// computed them), so its contribution costs one PairCount column
-		// pass instead of three full scans.
-		pooled := genome.PairStatsFromCounts(r.refN, r.refCounts[a], r.refCounts[b], r.refCols.PairCount(a, b))
 
 		// Fast path: after the prefetch, almost every pair the LD scan asks
 		// for is in every member's cache — aggregate synchronously instead of
@@ -598,67 +572,6 @@ func (r *assessmentRun) subsetPairStats(subset []int) PairStatsFunc {
 	}
 }
 
-// subsetPrefetch returns the chain-free survivor-chain batch hook for one
-// combination: announced pairs are fetched from the combination's members in
-// parallel, one batched request each, and land in the providers' caches where
-// the pooled PairStatsFunc reads them.
-func (r *assessmentRun) subsetPrefetch(subset []int) PairBatchFunc {
-	return func(pairs [][2]int) error {
-		fresh := 0
-		var perMember map[int][][2]int
-		r.pairMu.Lock()
-		for _, p := range pairs {
-			key := pairKey(p[0], p[1])
-			if !r.pairsSeen[key] {
-				r.pairsSeen[key] = true
-				fresh++
-			}
-			var mask uint64
-			if r.pairWarm != nil {
-				mask = r.pairWarm[key]
-			}
-			for _, i := range subset {
-				if mask&(1<<uint(i)) != 0 {
-					continue
-				}
-				mask |= 1 << uint(i)
-				if perMember == nil {
-					perMember = make(map[int][][2]int, len(subset))
-				}
-				perMember[i] = append(perMember[i], p)
-			}
-			if r.pairWarm != nil {
-				r.pairWarm[key] = mask
-			}
-		}
-		r.pairMu.Unlock()
-		if fresh > 0 {
-			if err := r.alloc(bytesPerPairStat * int64(len(r.members)) * int64(fresh)); err != nil {
-				return err
-			}
-		}
-		if len(perMember) == 0 {
-			return nil
-		}
-		idx := make([]int, 0, len(perMember))
-		for i := range perMember {
-			idx = append(idx, i)
-		}
-		errs := make([]error, len(idx))
-		var wg sync.WaitGroup
-		for slot, i := range idx {
-			slot, i := slot, i
-			r.pool.Go(&wg, func() {
-				if err := r.members[i].Prefetch(perMember[i]); err != nil {
-					errs[slot] = memberErr(i, PhaseLD, "survivor-chain prefetch: %w", err)
-				}
-			})
-		}
-		wg.Wait()
-		return errors.Join(errs...)
-	}
-}
-
 func (r *assessmentRun) phase2LD(plan *latticePlan, lPrime []int) ([]int, [][]int, error) {
 	if err := r.ctxErr(); err != nil {
 		return nil, nil, err
@@ -673,9 +586,6 @@ func (r *assessmentRun) phase2LD(plan *latticePlan, lPrime []int) ([]int, [][]in
 			return nil, nil, err
 		}
 		return lDouble, perLD, nil
-	}
-	if err := r.prefetchAdjacentPairs(lPrime); err != nil {
-		return nil, nil, err
 	}
 
 	// The association ranking used by getMostRanked is study-wide: the
@@ -692,6 +602,24 @@ func (r *assessmentRun) phase2LD(plan *latticePlan, lPrime []int) ([]int, [][]in
 		return nil, nil, err
 	}
 
+	// The reference panel and the ranking are both in hand, so the scan can
+	// be run ahead on the panel alone: its path is fetched from every member
+	// in one round trip and shared by all combinations, which then fetch only
+	// where their exact statistics lead them off it.
+	pathBytes := int64(len(lPrime)) * bytesPerCount
+	if err := r.alloc(pathBytes); err != nil {
+		return nil, nil, err
+	}
+	start = time.Now()
+	path, pairs := predictLDPath(lPrime, r.predictPair, pvals)
+	r.addTiming(&r.report.Timings.LD, start)
+	start = time.Now()
+	err = r.prefetchPairs(plan.chains[0].head, pairs)
+	r.addTiming(&r.report.Timings.DataAggregation, start)
+	if err != nil {
+		return nil, nil, err
+	}
+
 	per := make([][]int, plan.count)
 	err = r.runChains(plan.chains, func(ch *latticeChain) error {
 		// The chain-local pooling cache survives across the chain's
@@ -701,19 +629,24 @@ func (r *assessmentRun) phase2LD(plan *latticePlan, lPrime []int) ([]int, [][]in
 		// the chain-free path and carries no extra leader memory — this
 		// keeps the no-collusion footprint identical to the pre-lattice
 		// protocol.
-		single := ch.length() == 1
 		var cache *chainPairCache
-		if !single {
+		if ch.length() > 1 {
 			cache = newChainPairCache(r)
 			defer cache.release()
 		}
 		return ch.walk(func(pos, slot int, subset []int, rem, add int) error {
-			pooled, prefetch := r.subsetPairStats(subset), r.subsetPrefetch(subset)
-			if !single {
-				pooled, prefetch = cache.pooledFunc(subset), cache.prefetchFunc(subset)
+			pooled := r.subsetPairStats(subset)
+			if cache != nil {
+				pooled = cache.pooledFunc(subset)
 			}
+			prefetch := func(pairs [][2]int) error { return r.prefetchPairs(subset, pairs) }
+			// The scan works on its own copy of the path.
+			if err := r.alloc(pathBytes); err != nil {
+				return err
+			}
+			defer r.free(pathBytes)
 			start := time.Now()
-			lDouble, err := LDPhaseBatch(lPrime, pooled, prefetch, ldBatchWindow, pvals, r.cfg.LDCutoff)
+			lDouble, err := LDPhaseBatch(lPrime, pooled, r.predictPair, prefetch, path, pvals, r.cfg.LDCutoff)
 			r.addTiming(&r.report.Timings.LD, start)
 			if err != nil {
 				return err

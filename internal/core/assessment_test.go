@@ -412,6 +412,7 @@ type countingBatchMember struct {
 	mu      sync.Mutex
 	singles int
 	batches int
+	pairs   int // pairs asked for across the batches
 }
 
 func (c *countingBatchMember) PairStats(a, b int) (genome.PairStats, error) {
@@ -424,40 +425,47 @@ func (c *countingBatchMember) PairStats(a, b int) (genome.PairStats, error) {
 func (c *countingBatchMember) PairStatsBatch(pairs [][2]int) ([]genome.PairStats, error) {
 	c.mu.Lock()
 	c.batches++
+	c.pairs += len(pairs)
 	c.mu.Unlock()
 	return c.LocalMember.PairStatsBatch(pairs)
 }
 
-// TestPhase2LDUsesBatchPath is the survivor-chain batching regression test:
-// every pair the LD scan examines — the adjacent pairs warmed up front AND
-// the non-adjacent survivor-chain pairs a dependence removal creates — must
-// reach members through PairStatsBatch, never through per-pair fallbacks.
+// TestPhase2LDUsesBatchPath is the Phase-2 batching regression test: every
+// pair the LD scan examines — the predicted path fetched up front AND the
+// stretches where the exact statistics lead the scan off it — must reach
+// members through PairStatsBatch, never through per-pair fallbacks. Seed 17 is
+// a cohort whose reference panel predicts the whole scan (one request per
+// member); on seed 10 the prediction misses six times.
 func TestPhase2LDUsesBatchPath(t *testing.T) {
-	cohort := testCohort(t, 150, 360, 17)
-	members := make([]Provider, 0, 3)
-	var counters []*countingBatchMember
-	for _, shard := range shardsOf(t, cohort, 3) {
-		c := &countingBatchMember{LocalMember: NewLocalMember(shard)}
-		counters = append(counters, c)
-		members = append(members, c)
-	}
-	report, err := RunAssessment(members, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil)
-	if err != nil {
-		t.Fatalf("RunAssessment: %v", err)
-	}
-	if len(report.Selection.AfterLD) >= len(report.Selection.AfterMAF) {
-		t.Fatal("degenerate test data: LD phase pruned nothing, no survivor chain to batch")
-	}
-	for i, c := range counters {
-		c.mu.Lock()
-		singles, batches := c.singles, c.batches
-		c.mu.Unlock()
-		if singles != 0 {
-			t.Errorf("member %d: %d single-pair request(s) escaped the batch path", i, singles)
+	for _, tc := range []struct {
+		seed    int64
+		batches int
+	}{{17, 1}, {10, 7}} {
+		cohort := testCohort(t, 150, 360, tc.seed)
+		members := make([]Provider, 0, 3)
+		var counters []*countingBatchMember
+		for _, shard := range shardsOf(t, cohort, 3) {
+			c := &countingBatchMember{LocalMember: NewLocalMember(shard)}
+			counters = append(counters, c)
+			members = append(members, c)
 		}
-		// At least the adjacency warm-up plus one survivor-chain hint.
-		if batches < 2 {
-			t.Errorf("member %d: %d batched request(s), want >= 2 (warm-up + survivor chain)", i, batches)
+		report, err := RunAssessment(members, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil)
+		if err != nil {
+			t.Fatalf("RunAssessment: %v", err)
+		}
+		if len(report.Selection.AfterLD) >= len(report.Selection.AfterMAF) {
+			t.Fatal("degenerate test data: LD phase pruned nothing, no survivor chain to batch")
+		}
+		for i, c := range counters {
+			c.mu.Lock()
+			singles, batches := c.singles, c.batches
+			c.mu.Unlock()
+			if singles != 0 {
+				t.Errorf("seed %d, member %d: %d single-pair request(s) escaped the batch path", tc.seed, i, singles)
+			}
+			if batches != tc.batches {
+				t.Errorf("seed %d, member %d: %d batched request(s), want %d", tc.seed, i, batches, tc.batches)
+			}
 		}
 	}
 }

@@ -171,7 +171,7 @@ func (r *assessmentRun) runChains(chains []latticeChain, fn func(ch *latticeChai
 // chain consecutive combinations share all but one member, so the cache keeps
 // the decomposition per pair and a pooled query is one map lookup plus at
 // most k integer adds. Member contributions come from the providers' own
-// caches (warmed by the batched survivor-chain prefetch); the chain cache
+// caches (warmed by the scan's batched prefetches); the chain cache
 // exists so the hot LD loop pays the per-member map-and-mutex cost once per
 // chain instead of once per combination.
 //
@@ -197,10 +197,9 @@ type pairSlot struct {
 }
 
 type chainPairEntry struct {
-	ref       genome.PairStats // reference-panel contribution
-	per       []genome.PairStats
-	have      []bool
-	announced []bool // members already asked to warm this pair this chain
+	ref  genome.PairStats // reference-panel contribution
+	per  []genome.PairStats
+	have []bool
 }
 
 func newChainPairCache(r *assessmentRun) *chainPairCache {
@@ -231,12 +230,9 @@ func (cc *chainPairCache) entry(a, b int) (*chainPairEntry, error) {
 	}
 	r := cc.r
 	g := len(r.members)
-	if r.notePair(a, b) {
-		// First touch anywhere in the run: account the per-member provider
-		// caches this pair will occupy, exactly as the flat path did.
-		if err := r.alloc(bytesPerPairStat * int64(g)); err != nil {
-			return nil, err
-		}
+	ref, err := r.refPair(a, b)
+	if err != nil {
+		return nil, err
 	}
 	// The chain's own decomposition entry is additional leader memory, freed
 	// when the chain completes.
@@ -245,12 +241,7 @@ func (cc *chainPairCache) entry(a, b int) (*chainPairEntry, error) {
 		return nil, err
 	}
 	cc.bytes += n
-	e := &chainPairEntry{
-		ref:       genome.PairStatsFromCounts(r.refN, r.refCounts[a], r.refCounts[b], r.refCols.PairCount(a, b)),
-		per:       make([]genome.PairStats, g),
-		have:      make([]bool, g),
-		announced: make([]bool, g),
-	}
+	e := &chainPairEntry{ref: ref, per: make([]genome.PairStats, g), have: make([]bool, g)}
 	cc.entries[key] = e
 	s.a, s.e = int32(a+1), e
 	return e, nil
@@ -307,94 +298,6 @@ func (cc *chainPairCache) pooledFunc(subset []int) PairStatsFunc {
 			pooled = pooled.Add(e.per[i])
 		}
 		return pooled, nil
-	}
-}
-
-// prefetchFunc returns the survivor-chain batch hook for one combination:
-// announced pairs are warmed into the combination members' provider caches in
-// one batched request each — the chain cache picks them up lazily on the next
-// pooled query. Unlike the flat path, each pair reaches each member at most
-// once per assessment: the entries' announced flags dedupe within the chain
-// (consecutive combinations announce heavily-overlapping windows), and the
-// run-wide warm masks dedupe across chains, whose survivor windows mostly
-// coincide. Re-forwarding either way would make the members' cache maps the
-// LD phase's hot path.
-func (cc *chainPairCache) prefetchFunc(subset []int) PairBatchFunc {
-	r := cc.r
-	type cand struct {
-		key [2]int
-		e   *chainPairEntry
-	}
-	var cands []cand
-	return func(pairs [][2]int) error {
-		// First pass, lock-free: per-chain dedup through the announced flags.
-		// After the chain's first combination almost every announcement dies
-		// here, on a slot-index probe and a handful of flag reads. Global
-		// fresh-pair accounting happens exactly once per pair inside entry().
-		cands = cands[:0]
-		for _, key := range pairs {
-			e, err := cc.entry(key[0], key[1])
-			if err != nil {
-				return err
-			}
-			for _, i := range subset {
-				if !e.have[i] && !e.announced[i] {
-					cands = append(cands, cand{key, e})
-					break
-				}
-			}
-		}
-		if len(cands) == 0 {
-			return nil
-		}
-		// Second pass, one lock: consult and update the run-wide warm masks,
-		// forwarding each pair only to members no chain has warmed it for.
-		var perMember map[int][][2]int
-		r.pairMu.Lock()
-		for _, c := range cands {
-			pk := pairKey(c.key[0], c.key[1])
-			var mask uint64
-			if r.pairWarm != nil {
-				mask = r.pairWarm[pk]
-			}
-			for _, i := range subset {
-				if c.e.have[i] || c.e.announced[i] {
-					continue
-				}
-				c.e.announced[i] = true
-				if mask&(1<<uint(i)) != 0 {
-					continue
-				}
-				mask |= 1 << uint(i)
-				if perMember == nil {
-					perMember = make(map[int][][2]int, len(subset))
-				}
-				perMember[i] = append(perMember[i], c.key)
-			}
-			if r.pairWarm != nil {
-				r.pairWarm[pk] = mask
-			}
-		}
-		r.pairMu.Unlock()
-		if len(perMember) == 0 {
-			return nil
-		}
-		idx := make([]int, 0, len(perMember))
-		for i := range perMember {
-			idx = append(idx, i)
-		}
-		errs := make([]error, len(idx))
-		var wg sync.WaitGroup
-		for slot, i := range idx {
-			slot, i := slot, i
-			r.pool.Go(&wg, func() {
-				if err := r.members[i].Prefetch(perMember[i]); err != nil {
-					errs[slot] = memberErr(i, PhaseLD, "survivor-chain prefetch: %w", err)
-				}
-			})
-		}
-		wg.Wait()
-		return errors.Join(errs...)
 	}
 }
 

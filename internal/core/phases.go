@@ -58,113 +58,154 @@ func AssociationPValues(caseCounts []int64, caseN int64, refCounts []int64, refN
 
 // PairBatchFunc announces pairs the LD scan is about to examine, so a
 // distributed pair-statistics provider can fetch them in one round trip per
-// member instead of one request per pair. Implementations may over-fetch
-// (announced pairs are a lookahead window, not a promise) and must tolerate
+// member instead of one request per pair. Implementations must tolerate
 // pairs they have already seen. The slice is only valid for the duration of
 // the call — the scan reuses the buffer between announcements.
 type PairBatchFunc func(pairs [][2]int) error
 
-// ldBatchRamp is the lookahead of a survivor chain's first announcement.
-// Most chains end after a removal or two, so announcing the full window up
-// front warms mostly-unused pairs into every member's cache; the ramp bounds
-// that waste while a chain that persists past it still gets full windows.
-const ldBatchRamp = 4
+// PairPredictor guesses whether the LD scan will find a pair dependent, from
+// data the caller holds before any pooled statistics exist (the assessment
+// driver uses the reference panel alone). A wrong guess costs a round trip,
+// never a decision: LDPhaseBatch decides every pair on its exact pooled
+// statistics.
+type PairPredictor func(a, b int) bool
 
 // LDPhase is Phase 2: a greedy scan over the retained SNPs in positional
 // order. The current survivor is tested against the next SNP using pooled
 // correlation statistics; when the pair's independence p-value falls below
 // the cutoff the pair is dependent and only the higher-ranked SNP (smaller
 // association p-value, ties to the lower index) survives. The result L”
-// contains pairwise-independent SNPs in ascending order.
+// contains pairwise-independent SNPs in ascending order. Pairs are fetched
+// one at a time as the scan reaches them; LDPhaseBatch is the same scan with
+// its fetches batched, and is tested against this one.
 func LDPhase(retained []int, pool PairStatsFunc, assocPValues []float64, cutoff float64) ([]int, error) {
-	return LDPhaseBatch(retained, pool, nil, 0, assocPValues, cutoff)
-}
-
-// LDPhaseBatch is LDPhase with a survivor-chain batch hint. The adjacent
-// pairs of the retained list are assumed prefetched (phase2LD warms them
-// before the scan); the pairs that miss that warm-up are the survivor
-// chains — after a dependence removal the survivor is re-tested against each
-// following SNP, and those pairs are not adjacent in the original list. When
-// a chain starts, the scan announces up to window upcoming (survivor, next)
-// pairs through prefetch so the provider can batch them, re-announcing if a
-// chain outlives its window. A nil prefetch or zero window degrades to the
-// lazy per-pair path.
-func LDPhaseBatch(retained []int, pool PairStatsFunc, prefetch PairBatchFunc, window int, assocPValues []float64, cutoff float64) ([]int, error) {
-	switch len(retained) {
-	case 0:
+	if len(retained) == 0 {
 		return []int{}, nil
-	case 1:
-		return []int{retained[0]}, nil
 	}
 	out := make([]int, 0, len(retained))
 	current := retained[0]
-	hinted := 0 // retained index (exclusive) covered by the current chain's announcements
-	// The announcement buffer is reused across windows: hooks receive a view
-	// that is only valid for the duration of the call (PairBatchFunc's
-	// contract), so the scan does not allocate per chain.
-	var pairs [][2]int
-	lastCur := -1 // survivor of the most recent announcement
-	for idx := 1; idx < len(retained); idx++ {
-		next := retained[idx]
-		if prefetch != nil && window > 0 && current != retained[idx-1] && idx >= hinted {
-			// Ramp the window: most survivor chains end after one or two
-			// removals, so a chain's first announcement covers only
-			// ldBatchRamp pairs; re-announcements for a chain that outlives
-			// it use the full window. This keeps the over-fetch of short
-			// chains bounded without costing long chains round trips.
-			w := window
-			if current != lastCur {
-				if w > ldBatchRamp {
-					w = ldBatchRamp
-				}
-				lastCur = current
-			}
-			end := idx + w
-			if end > len(retained) {
-				end = len(retained)
-			}
-			pairs = pairs[:0]
-			for j := idx; j < end; j++ {
-				pairs = append(pairs, [2]int{current, retained[j]})
-			}
-			if err := prefetch(pairs); err != nil {
-				return nil, fmt.Errorf("core: survivor-chain prefetch: %w", err)
-			}
-			hinted = end
-		}
-		ps, err := pool(current, next)
+	for _, next := range retained[1:] {
+		dependent, err := pairDependent(pool, current, next, cutoff)
 		if err != nil {
-			//gendpr:allow(secretflow): the pair indices echo the scan's own query (protocol metadata), not cohort data
-			return nil, fmt.Errorf("core: pair stats (%d,%d): %w", current, next, err)
+			return nil, err
 		}
-		p, err := stats.LDPValue(ps)
-		if errors.Is(err, stats.ErrDegeneratePair) {
-			// A monomorphic SNP carries no correlation signal; treat the
-			// pair as independent rather than failing the scan (MAF does
-			// not fold frequencies above 0.5, so all-ones SNPs can reach
-			// this phase legitimately).
-			p, err = 1, nil
-		}
-		if err != nil {
-			//gendpr:allow(secretflow): the pair indices echo the scan's own query (protocol metadata), not cohort data
-			return nil, fmt.Errorf("core: LD p-value (%d,%d): %w", current, next, err)
-		}
-		if p < cutoff {
-			// Dependent: keep the most-ranked SNP and continue scanning
-			// with it as the survivor. A change of survivor starts a new
-			// chain, so the announcement window resets.
-			survivor := mostRanked(current, next, assocPValues)
-			if survivor != current {
-				hinted = 0
-			}
-			current = survivor
+		if dependent {
+			current = mostRanked(current, next, assocPValues)
 		} else {
 			out = append(out, current)
 			current = next
-			hinted = 0
 		}
 	}
 	return append(out, current), nil
+}
+
+// LDPhaseBatch is LDPhase fetching along a predicted path. The scan's state
+// is (survivor, position) and the position advances by one per step, so a
+// path is one survivor per position: path[i] is the survivor whose pair with
+// retained[i] has been announced, −1 for none. Before the scan examines a
+// pair that is not on its path it predicts its own way forward from where it
+// stands (extendLDPath) and announces exactly that stretch through prefetch;
+// with an exact predictor that is one announcement of exactly the pairs the
+// scan examines. announced is a path the caller has already had fetched
+// (predictLDPath), nil for none; it is copied, so concurrent scans can share
+// one. Every decision is taken on pool's exact statistics: the result is
+// LDPhase's whatever the predictor says.
+func LDPhaseBatch(retained []int, pool PairStatsFunc, predict PairPredictor, prefetch PairBatchFunc, announced []int, assocPValues []float64, cutoff float64) ([]int, error) {
+	if len(retained) == 0 {
+		return []int{}, nil
+	}
+	path := newLDPath(len(retained))
+	copy(path, announced)
+	var pairs [][2]int
+	out := make([]int, 0, len(retained))
+	current := retained[0]
+	for idx := 1; idx < len(retained); idx++ {
+		next := retained[idx]
+		if path[idx] != current {
+			pairs = extendLDPath(path, retained, predict, assocPValues, idx, current, pairs[:0])
+			if err := prefetch(pairs); err != nil {
+				return nil, fmt.Errorf("core: pair prefetch: %w", err)
+			}
+		}
+		dependent, err := pairDependent(pool, current, next, cutoff)
+		if err != nil {
+			return nil, err
+		}
+		if dependent {
+			current = mostRanked(current, next, assocPValues)
+		} else {
+			out = append(out, current)
+			current = next
+		}
+	}
+	return append(out, current), nil
+}
+
+// newLDPath returns a path over n retained SNPs with nothing announced.
+func newLDPath(n int) []int {
+	path := make([]int, n)
+	for i := range path {
+		path[i] = -1
+	}
+	return path
+}
+
+// predictLDPath runs the scan over retained on the predictor alone and
+// returns its path together with the pairs it examined, in scan order.
+func predictLDPath(retained []int, predict PairPredictor, assocPValues []float64) ([]int, [][2]int) {
+	path := newLDPath(len(retained))
+	if len(retained) < 2 {
+		return path, nil
+	}
+	return path, extendLDPath(path, retained, predict, assocPValues, 1, retained[0], make([][2]int, 0, len(retained)-1))
+}
+
+// extendLDPath predicts the scan onward from (current, idx) until it meets
+// the path — from where the same predictor would only retrace it — or the
+// list ends; it records the stretch in path and appends its pairs to pairs.
+func extendLDPath(path, retained []int, predict PairPredictor, assocPValues []float64, idx, current int, pairs [][2]int) [][2]int {
+	for ; idx < len(retained) && path[idx] != current; idx++ {
+		next := retained[idx]
+		path[idx] = current
+		pairs = append(pairs, [2]int{current, next})
+		if predict(current, next) {
+			current = mostRanked(current, next, assocPValues)
+		} else {
+			current = next
+		}
+	}
+	return pairs
+}
+
+// pairDependent is the scan's decision on one pair: whether the independence
+// p-value of its pooled statistics falls below the cutoff.
+func pairDependent(pool PairStatsFunc, a, b int, cutoff float64) (bool, error) {
+	ps, err := pool(a, b)
+	if err != nil {
+		//gendpr:allow(secretflow): the pair indices echo the scan's own query (protocol metadata), not cohort data
+		return false, fmt.Errorf("core: pair stats (%d,%d): %w", a, b, err)
+	}
+	dependent, err := ldDependent(ps, cutoff)
+	if err != nil {
+		//gendpr:allow(secretflow): the pair indices echo the scan's own query (protocol metadata), not cohort data
+		return false, fmt.Errorf("core: LD p-value (%d,%d): %w", a, b, err)
+	}
+	return dependent, nil
+}
+
+// ldDependent reports whether pair statistics reject independence at the
+// cutoff. A monomorphic SNP carries no correlation signal; the pair counts as
+// independent rather than failing the scan (MAF does not fold frequencies
+// above 0.5, so all-ones SNPs can reach this phase legitimately).
+func ldDependent(ps genome.PairStats, cutoff float64) (bool, error) {
+	p, err := stats.LDPValue(ps)
+	if errors.Is(err, stats.ErrDegeneratePair) {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	return p < cutoff, nil
 }
 
 // mostRanked picks the SNP with the smaller association p-value; ties go to

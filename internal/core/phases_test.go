@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -153,50 +155,204 @@ func TestLDPhaseSmallInputs(t *testing.T) {
 	}
 }
 
-func TestLDPhaseBatchAnnouncesSurvivorChains(t *testing.T) {
-	// 1 eliminates 2, 3 and 4 (a survivor chain), then 5 is independent.
-	retained := []int{1, 2, 3, 4, 5}
-	dep := map[[2]int]bool{{1, 2}: true, {1, 3}: true, {1, 4}: true}
-	pvals := []float64{0, 0.01, 0.5, 0.6, 0.7, 0.8}
+// scriptedPredictor is the exact predictor for scriptedPairs' table.
+func scriptedPredictor(dependent map[[2]int]bool) PairPredictor {
+	return func(a, b int) bool { return dependent[[2]int{a, b}] || dependent[[2]int{b, a}] }
+}
 
-	var announced [][][2]int
+// recordedScan runs LDPhaseBatch and returns its result with the pairs the
+// scan examined (pool calls, in order) and the announcements it made.
+func recordedScan(t *testing.T, retained []int, pool PairStatsFunc, predict PairPredictor, announced []int, pvals []float64, cutoff float64) (out []int, examined [][2]int, announcements [][][2]int) {
+	t.Helper()
+	fetched := map[[2]int]bool{}
+	for i, cur := range announced {
+		if cur >= 0 {
+			fetched[[2]int{cur, retained[i]}] = true
+		}
+	}
+	recording := func(a, b int) (genome.PairStats, error) {
+		if !fetched[[2]int{a, b}] {
+			t.Errorf("pair (%d,%d) examined before it was announced", a, b)
+		}
+		examined = append(examined, [2]int{a, b})
+		return pool(a, b)
+	}
 	prefetch := func(pairs [][2]int) error {
-		cp := make([][2]int, len(pairs))
-		copy(cp, pairs)
-		announced = append(announced, cp)
+		if len(pairs) == 0 {
+			t.Error("empty announcement")
+		}
+		for _, p := range pairs {
+			fetched[p] = true
+		}
+		announcements = append(announcements, append([][2]int(nil), pairs...))
 		return nil
 	}
-	got, err := LDPhaseBatch(retained, scriptedPairs(1000, dep), prefetch, 2, pvals, 1e-5)
+	out, err := LDPhaseBatch(retained, recording, predict, prefetch, announced, pvals, cutoff)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("LDPhaseBatch: %v", err)
 	}
-	if !equalInts(got, []int{1, 5}) {
-		t.Fatalf("got %v, want [1 5]", got)
+	return out, examined, announcements
+}
+
+func equalPairs(a, b [][2]int) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	// The chain starts after (1,2) removes 2: a window of 2 announces
-	// (1,3),(1,4); the chain outlives it, so (1,5) is announced next.
-	want := [][][2]int{{{1, 3}, {1, 4}}, {{1, 5}}}
-	if len(announced) != len(want) {
-		t.Fatalf("announced %v, want %v", announced, want)
-	}
-	for i := range want {
-		if len(announced[i]) != len(want[i]) {
-			t.Fatalf("announcement %d: %v, want %v", i, announced[i], want[i])
+	for i := range a {
+		if a[i] != b[i] {
+			return false
 		}
-		for j := range want[i] {
-			if announced[i][j] != want[i][j] {
-				t.Fatalf("announcement %d: %v, want %v", i, announced[i], want[i])
-			}
-		}
+	}
+	return true
+}
+
+func TestLDPhaseBatchAnnouncesExactlyThePredictedPath(t *testing.T) {
+	// 1 eliminates 2, 3 and 4, then 5 is independent of 1 and 6 of 5.
+	retained := []int{1, 2, 3, 4, 5, 6}
+	dep := map[[2]int]bool{{1, 2}: true, {1, 3}: true, {1, 4}: true}
+	pvals := []float64{0, 0.01, 0.5, 0.6, 0.7, 0.8, 0.9}
+	pool := scriptedPairs(1000, dep)
+	path := [][2]int{{1, 2}, {1, 3}, {1, 4}, {1, 5}, {5, 6}}
+
+	// An exact predictor: one announcement, of exactly the examined pairs.
+	got, examined, announcements := recordedScan(t, retained, pool, scriptedPredictor(dep), nil, pvals, 1e-5)
+	if !equalInts(got, []int{1, 5, 6}) {
+		t.Fatalf("got %v, want [1 5 6]", got)
+	}
+	if !equalPairs(examined, path) {
+		t.Fatalf("examined %v, want %v", examined, path)
+	}
+	if len(announcements) != 1 || !equalPairs(announcements[0], path) {
+		t.Fatalf("announced %v, want one announcement of %v", announcements, path)
 	}
 
-	// Adjacent-only scans never announce.
-	announced = nil
-	if _, err := LDPhaseBatch(retained, scriptedPairs(1000, nil), prefetch, 2, pvals, 1e-5); err != nil {
-		t.Fatal(err)
+	// The same path handed in as already announced: nothing left to announce.
+	announced, pairs := predictLDPath(retained, scriptedPredictor(dep), pvals)
+	if !equalPairs(pairs, path) {
+		t.Fatalf("predicted pairs %v, want %v", pairs, path)
 	}
-	if len(announced) != 0 {
-		t.Fatalf("independent scan announced %v, want none", announced)
+	before := append([]int(nil), announced...)
+	got, _, announcements = recordedScan(t, retained, pool, scriptedPredictor(dep), announced, pvals, 1e-5)
+	if !equalInts(got, []int{1, 5, 6}) || len(announcements) != 0 {
+		t.Fatalf("pre-announced path: got %v with announcements %v, want [1 5 6] and none", got, announcements)
+	}
+
+	// A predictor that misses (1,3): the prediction runs 1,2 → 1,3 → 3,4 → 4,5
+	// → 5,6. The scan leaves it at position 3 (survivor 1, not 3) and announces
+	// only the stretch up to where its own prediction meets the path again —
+	// (1,4), (1,5), then survivor 5 at position 5 is already on it.
+	miss := map[[2]int]bool{{1, 2}: true, {1, 4}: true}
+	got, _, announcements = recordedScan(t, retained, pool, scriptedPredictor(miss), nil, pvals, 1e-5)
+	want := [][][2]int{{{1, 2}, {1, 3}, {3, 4}, {4, 5}, {5, 6}}, {{1, 4}, {1, 5}}}
+	if !equalInts(got, []int{1, 5, 6}) {
+		t.Fatalf("got %v, want [1 5 6]", got)
+	}
+	if len(announcements) != len(want) || !equalPairs(announcements[0], want[0]) || !equalPairs(announcements[1], want[1]) {
+		t.Fatalf("announced %v, want %v", announcements, want)
+	}
+	if !equalInts(announced, before) {
+		t.Fatalf("the caller's announced path was written: %v, was %v", announced, before)
+	}
+}
+
+// TestLDPhaseBatchMatchesLDPhaseUnderAnyPredictor is the differential test of
+// the predicted scan: whatever the predictor answers, LDPhaseBatch returns
+// LDPhase's list, examines LDPhase's pairs, and never examines a pair it has
+// not announced (recordedScan checks that).
+func TestLDPhaseBatchMatchesLDPhaseUnderAnyPredictor(t *testing.T) {
+	type scan struct {
+		name     string
+		retained []int
+		pool     PairStatsFunc
+		exact    PairPredictor
+		pvals    []float64
+		cutoff   float64
+	}
+	var scans []scan
+
+	// Scripted tables: random dependence between nearby SNPs, random ranking.
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(60)
+		var retained []int
+		for snp := 0; len(retained) < n; snp += 1 + rng.Intn(3) {
+			retained = append(retained, snp)
+		}
+		last := retained[n-1]
+		dep := map[[2]int]bool{}
+		for i, a := range retained {
+			for _, b := range retained[i+1 : min(n, i+6)] {
+				if rng.Float64() < 0.4 {
+					dep[[2]int{a, b}] = true
+				}
+			}
+		}
+		pvals := make([]float64, last+1)
+		for i := range pvals {
+			pvals[i] = float64(rng.Intn(4)) / 4 // ties on purpose
+		}
+		scans = append(scans, scan{fmt.Sprintf("scripted/%d", seed), retained, scriptedPairs(1000, dep), scriptedPredictor(dep), pvals, 1e-5})
+	}
+
+	// Seeded cohorts: the pooled statistics of case plus reference genomes,
+	// with the reference panel alone as the "exact" predictor's stand-in.
+	for _, seed := range []int64{17, 23, 42} {
+		cohort := testCohort(t, 200, 400, seed)
+		cfg := DefaultConfig()
+		caseCols, refCols := cohort.Case.Columns(), cohort.Reference.Columns()
+		caseN, refN := int64(cohort.Case.N()), int64(cohort.Reference.N())
+		retained, err := MAFPhase(caseCols.AlleleCounts(), caseN, refCols.AlleleCounts(), refN, cfg.MAFCutoff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pvals, err := AssociationPValues(caseCols.AlleleCounts(), caseN, refCols.AlleleCounts(), refN, cfg.PaperChiSquare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refPair := func(a, b int) genome.PairStats {
+			return genome.PairStatsFromCounts(refN, refCols.AlleleCounts()[a], refCols.AlleleCounts()[b], refCols.PairCount(a, b))
+		}
+		pool := func(a, b int) (genome.PairStats, error) {
+			return refPair(a, b).Add(genome.PairStatsFromCounts(caseN, caseCols.AlleleCounts()[a], caseCols.AlleleCounts()[b], caseCols.PairCount(a, b))), nil
+		}
+		onReference := func(a, b int) bool {
+			dependent, err := ldDependent(refPair(a, b), cfg.LDCutoff)
+			return err == nil && dependent
+		}
+		scans = append(scans, scan{fmt.Sprintf("cohort/%d", seed), retained, pool, onReference, pvals, cfg.LDCutoff})
+	}
+
+	for _, sc := range scans {
+		var lazy [][2]int
+		want, err := LDPhase(sc.retained, func(a, b int) (genome.PairStats, error) {
+			lazy = append(lazy, [2]int{a, b})
+			return sc.pool(a, b)
+		}, sc.pvals, sc.cutoff)
+		if err != nil {
+			t.Fatalf("%s: LDPhase: %v", sc.name, err)
+		}
+		rng := rand.New(rand.NewSource(99))
+		predictors := map[string]PairPredictor{
+			"exact":              sc.exact,
+			"always-dependent":   func(a, b int) bool { return true },
+			"always-independent": func(a, b int) bool { return false },
+			"inverted":           func(a, b int) bool { return !sc.exact(a, b) },
+			"random":             func(a, b int) bool { return rng.Intn(2) == 0 },
+		}
+		// Both from scratch and from a path some other predictor had
+		// announced, as the collusion combinations share one.
+		shared, _ := predictLDPath(sc.retained, sc.exact, sc.pvals)
+		for name, predict := range predictors {
+			for _, announced := range [][]int{nil, shared} {
+				got, examined, _ := recordedScan(t, sc.retained, sc.pool, predict, announced, sc.pvals, sc.cutoff)
+				if !equalInts(got, want) {
+					t.Errorf("%s/%s: got %v, LDPhase %v", sc.name, name, got, want)
+				}
+				if !equalPairs(examined, lazy) {
+					t.Errorf("%s/%s: examined %v, LDPhase examined %v", sc.name, name, examined, lazy)
+				}
+			}
+		}
 	}
 }
 
@@ -206,7 +362,7 @@ func TestLDPhaseBatchPropagatesPrefetchErrors(t *testing.T) {
 	pvals := []float64{0, 0.01, 0.5, 0.6}
 	wantErr := errors.New("member offline")
 	prefetch := func([][2]int) error { return wantErr }
-	if _, err := LDPhaseBatch(retained, scriptedPairs(1000, dep), prefetch, 4, pvals, 1e-5); !errors.Is(err, wantErr) {
+	if _, err := LDPhaseBatch(retained, scriptedPairs(1000, dep), scriptedPredictor(dep), prefetch, nil, pvals, 1e-5); !errors.Is(err, wantErr) {
 		t.Fatalf("got %v, want prefetch error", err)
 	}
 }
@@ -372,5 +528,48 @@ func TestCollusionPolicyValidate(t *testing.T) {
 	}
 	if err := (CollusionPolicy{}).Validate(0); err == nil {
 		t.Error("empty federation must fail")
+	}
+}
+
+// BenchmarkLDPhase prices one Phase 2 as the assessment driver runs it — the
+// prediction on the reference panel, the batched fetches from three
+// in-process members with cold pair caches, and the exact scan — at
+// fed3_base's shape and at a tenth of it (check.sh's smoke). announcements/op
+// and pairs-announced/op are what one member is asked: over a network the
+// first is round trips and the second sets the bytes.
+func BenchmarkLDPhase(b *testing.B) {
+	for _, shape := range []struct{ snps, genomes int }{{10000, 14860}, {1000, 1486}} {
+		b.Run(fmt.Sprintf("%dx%d", shape.snps, shape.genomes), func(b *testing.B) {
+			cohort := testCohort(b, shape.snps, shape.genomes, 42)
+			shards := shardsOf(b, cohort, 3)
+			plan, err := buildLatticePlan(len(shards), CollusionPolicy{}, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var asked *countingBatchMember
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				run := &assessmentRun{cfg: DefaultConfig(), ref: cohort.Reference, report: &Report{}, pool: defaultWorkPool()}
+				asked = &countingBatchMember{LocalMember: NewLocalMember(shards[0])}
+				run.members = []*cachedProvider{newCachedProvider(asked), newCachedProvider(NewLocalMember(shards[1])), newCachedProvider(NewLocalMember(shards[2]))}
+				if err := run.collectSummaries(); err != nil {
+					b.Fatal(err)
+				}
+				lPrime, _, err := run.phase1MAF(plan)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, _, err := run.phase2LD(plan, lPrime); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if asked.singles != 0 {
+				b.Fatalf("%d single-pair request(s) escaped the batch path", asked.singles)
+			}
+			b.ReportMetric(float64(asked.batches), "announcements/op")
+			b.ReportMetric(float64(asked.pairs), "pairs-announced/op")
+		})
 	}
 }

@@ -430,3 +430,73 @@ func TestRunInProcessEmpty(t *testing.T) {
 		t.Fatalf("got %v, want ErrNoMembers", err)
 	}
 }
+
+// kindCounter counts the messages crossing one leader-side channel by wire
+// kind (kinds are plaintext below the AEAD layer, where injectors sit).
+type kindCounter struct {
+	transport.Conn
+	mu    *sync.Mutex
+	kinds map[uint16]int
+}
+
+func (c kindCounter) Send(m transport.Message) error {
+	c.mu.Lock()
+	c.kinds[m.Kind]++
+	c.mu.Unlock()
+	return c.Conn.Send(m)
+}
+
+func (c kindCounter) Recv() (transport.Message, error) {
+	m, err := c.Conn.Recv()
+	if err == nil {
+		c.mu.Lock()
+		c.kinds[m.Kind]++
+		c.mu.Unlock()
+	}
+	return m, err
+}
+
+// TestFederationPhase2MessageCount pins what Phase 2 puts on the wire. On
+// this cohort (the one core.TestPhase2LDUsesBatchPath pins from the inside)
+// the reference panel's prediction of the LD scan misses six times, so each
+// of the two remote members answers seven pair batches — the predicted path
+// and six off-path stretches — and never a single-pair request.
+func TestFederationPhase2MessageCount(t *testing.T) {
+	cohort := testCohort(t, 150, 360, 10)
+	shards, err := cohort.Partition(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	var mu sync.Mutex
+	kinds := map[uint16]int{}
+	count := func(_ int, conn transport.Conn) transport.Conn {
+		return kindCounter{Conn: conn, mu: &mu, kinds: kinds}
+	}
+	res, err := runInProcessInjected(shards, cohort.Reference, cfg, core.CollusionPolicy{}, RunOptions{}, true, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	central, err := core.RunCentralized(cohort, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Report.Selection.Equal(central.Selection) {
+		t.Fatalf("federated %v != centralized %v", res.Report.Selection, central.Selection)
+	}
+	for kind, want := range map[uint16]int{
+		KindPairBatchRequest: 14,
+		KindPairBatchReply:   14,
+		KindPairRequest:      0,
+		KindPairReply:        0,
+		KindCountsRequest:    2,
+		KindLRRequest:        2,
+	} {
+		if kinds[kind] != want {
+			t.Errorf("kind %d: %d message(s), want %d", kind, kinds[kind], want)
+		}
+	}
+	if got := res.Traffic.TotalMessages; got != 44 {
+		t.Errorf("transport.Meter counted %d messages in all, want 44", got)
+	}
+}

@@ -83,6 +83,8 @@ func FuzzDecodePairBatchRequest(f *testing.F) {
 	f.Add(encodePairBatchRequest(nil))
 	// Claims 2^63 pairs with no bodies: must fail fast.
 	f.Add([]byte{0x80, 0, 0, 0, 0, 0, 0, 0})
+	// Claims 2^24 pairs — inside the old size bound — with no bodies.
+	f.Add(claimedPairBatch(1 << 24))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pairs, err := decodePairBatchRequest(data)
 		if err != nil {
@@ -98,6 +100,7 @@ func FuzzDecodePairBatchRequest(f *testing.F) {
 func FuzzDecodePairBatchReply(f *testing.F) {
 	f.Add(encodePairBatchReply([]genome.PairStats{{N: 1}, {N: 2, SumXY: -3}}))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add(claimedPairBatch(1 << 24))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		stats, err := decodePairBatchReply(data)
 		if err != nil {

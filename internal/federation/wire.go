@@ -176,7 +176,9 @@ func encodePairBatchRequest(pairs [][2]int) []byte {
 func decodePairBatchRequest(b []byte) ([][2]int, error) {
 	d := wire.NewDecoder(b)
 	n := int(d.Uint64())
-	if d.Err() != nil || n < 0 || n > 1<<24 {
+	// The count is the sender's claim: hold it against the bytes that
+	// actually arrived (16 per pair) before allocating for it.
+	if d.Err() != nil || n < 0 || n > d.Remaining()/16 {
 		return nil, fmt.Errorf("%w: pair batch size", ErrProtocol)
 	}
 	pairs := make([][2]int, n)
@@ -207,7 +209,8 @@ func encodePairBatchReply(stats []genome.PairStats) []byte {
 func decodePairBatchReply(b []byte) ([]genome.PairStats, error) {
 	d := wire.NewDecoder(b)
 	n := int(d.Uint64())
-	if d.Err() != nil || n < 0 || n > 1<<24 {
+	// As in the request: 48 bytes per entry must be there before the make.
+	if d.Err() != nil || n < 0 || n > d.Remaining()/48 {
 		return nil, fmt.Errorf("%w: pair batch size", ErrProtocol)
 	}
 	stats := make([]genome.PairStats, n)

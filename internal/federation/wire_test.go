@@ -1,11 +1,14 @@
 package federation
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 
 	"gendpr/internal/enclave"
 	"gendpr/internal/enclave/attest"
 	"gendpr/internal/genome"
+	"gendpr/internal/wire"
 )
 
 func TestOfferCodecRoundTrip(t *testing.T) {
@@ -120,6 +123,41 @@ func TestPairBatchCodecs(t *testing.T) {
 	}
 	if _, err := decodePairBatchReply(huge); err == nil {
 		t.Error("hostile batch reply size accepted")
+	}
+}
+
+// claimedPairBatch is a pair-batch payload that is nothing but a length
+// prefix: 8 bytes claiming n entries.
+func claimedPairBatch(n uint64) []byte {
+	e := wire.NewEncoder(8)
+	e.Uint64(n)
+	return e.Bytes()
+}
+
+// TestPairBatchDecodersCheckLengthBeforeAllocating: a Byzantine peer's 8-byte
+// message claiming 1<<24 entries used to cost the receiving enclave a 768 MB
+// allocation (256 MB for the request form) and seconds of zeroing before the
+// decoder noticed the payload was short.
+func TestPairBatchDecodersCheckLengthBeforeAllocating(t *testing.T) {
+	payload := claimedPairBatch(1 << 24)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, reqErr := decodePairBatchRequest(payload)
+	_, repErr := decodePairBatchReply(payload)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(reqErr, ErrProtocol) || !errors.Is(repErr, ErrProtocol) {
+		t.Fatalf("claimed-length payload: request error %v, reply error %v, want ErrProtocol from both", reqErr, repErr)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting an 8-byte payload allocated %d bytes", grew)
+	}
+	// One entry short is still short; exactly enough decodes.
+	short := append(claimedPairBatch(2), make([]byte, 2*48-1)...)
+	if _, err := decodePairBatchReply(short); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("reply one byte short: %v", err)
+	}
+	if stats, err := decodePairBatchReply(append(claimedPairBatch(2), make([]byte, 2*48)...)); err != nil || len(stats) != 2 {
+		t.Fatalf("exact reply: %v, %v", stats, err)
 	}
 }
 

@@ -11,12 +11,14 @@
 #   scripts/ab.sh HEAD                  # uncommitted work against its base, all four workloads
 #   scripts/ab.sh main~1 fed3_base      # one workload
 #
-# <ref> is checked out into a temporary git worktree (removed on exit) and
-# given this tree's benchmark/ directory, so both sides are measured by the
-# same files. Every run's record is appended to parent.jsonl / change.jsonl
-# under artifacts/ab/<time>-<ref>/ (gitignored), next to one log per run; the
-# script ends with the benchmark's own `-compare parent.jsonl change.jsonl`
-# verdicts and a pairs-won count per timing metric.
+# <ref> is checked out into a temporary git worktree — where `git worktree
+# add` fails, into a temporary clone of this repository instead; the script
+# says which — and given this tree's benchmark/ directory, so both sides are
+# measured by the same files; the checkout is removed on exit. Every run's
+# record is appended to parent.jsonl / change.jsonl under
+# artifacts/ab/<time>-<ref>/ (gitignored), next to one log per run; the script
+# ends with the benchmark's own `-compare parent.jsonl change.jsonl` verdicts
+# and a pairs-won count per timing metric.
 #
 # Both sides of a pair get the same --seed, --seconds and -cohort-seed. The
 # seed rotates from pair to pair: 42 and 7 are the pairs golden.json pins on
@@ -53,8 +55,15 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "== parent $rev in a temporary worktree, change = this tree; results in ${out#"$PWD"/}"
-git worktree add --quiet --detach "$tmp/parent" "$rev"
+if git worktree add --quiet --detach "$tmp/parent" "$rev" 2>"$tmp/worktree.err"; then
+    how="a temporary worktree"
+else
+    echo "ab.sh: git worktree add failed ($(tr '\n' ' ' <"$tmp/worktree.err")); cloning instead" >&2
+    rm -rf "$tmp/parent"
+    git clone --quiet . "$tmp/parent" && git -C "$tmp/parent" checkout --quiet --detach "$rev"
+    how="a temporary clone"
+fi
+echo "== parent $rev in $how, change = this tree; results in ${out#"$PWD"/}"
 rm -rf "$tmp/parent/benchmark"
 cp -R benchmark "$tmp/parent/benchmark"
 (cd "$tmp/parent" && go build -o "$out/bench-parent" ./benchmark)

@@ -158,5 +158,8 @@ GENDPR_BENCH_SCALE=0.01 go test -run '^$' \
 # columns x 13,035 + 14,860 rows), which takes well under a second.
 go test -run '^$' -bench '^(BenchmarkSelectSafeBit|BenchmarkAddColumnKth|BenchmarkAddColumnCount)$' \
     -benchtime 1x ./internal/lrtest >/dev/null
+# The Phase-2 layer benchmark at a tenth of the paper's shape (1,000 SNPs x
+# 1,486 genomes; the full-size sub-benchmark is for measuring, not for CI).
+go test -run '^$' -bench '^BenchmarkLDPhase$/^1000x1486$' -benchtime 1x ./internal/core >/dev/null
 
 echo "ALL CHECKS PASSED"
