@@ -212,10 +212,8 @@ func BenchmarkTable5Collusion(b *testing.B) {
 
 	// The G=10 tiers exist because of the combination lattice: conservative
 	// mode evaluates 2^10−1 subsets, far past what the per-combination path
-	// could sustain. They run with parallel combinations, the intended
-	// deployment mode at this federation size.
-	parCfg := core.DefaultConfig()
-	parCfg.ParallelCombinations = true
+	// could sustain. Phase 3 spreads its chains over GOMAXPROCS workers, so
+	// compare core counts with -cpu (e.g. -cpu 1,2).
 	for _, p := range []struct {
 		label  string
 		policy core.CollusionPolicy
@@ -229,7 +227,7 @@ func BenchmarkTable5Collusion(b *testing.B) {
 			var safe, combos int
 			var lrPeak int64
 			for i := 0; i < b.N; i++ {
-				rep, err := bench.RunGenDPRConfig(w, 10, p.policy, parCfg)
+				rep, err := bench.RunGenDPR(w, 10, p.policy)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -431,38 +429,6 @@ func BenchmarkAblationLRWireFormat(b *testing.B) {
 		}
 		b.ReportMetric(float64(n), "wire-bytes")
 	})
-}
-
-// BenchmarkAblationCollusionParallel measures the paper's Section 5.6
-// observation that the per-combination evaluations can run in parallel
-// inside the leader enclave: sequential vs concurrent combination loops for
-// the conservative G=4 policy.
-func BenchmarkAblationCollusionParallel(b *testing.B) {
-	w := bench.Workload{SNPs: 1000, Genomes: 14860, Scale: benchScale()}
-	cohort, err := bench.Cohort(w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	shards, err := cohort.Partition(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	policy := core.CollusionPolicy{Conservative: true}
-	for _, mode := range []struct {
-		name     string
-		parallel bool
-	}{{"Sequential", false}, {"Parallel", true}} {
-		cfg := core.DefaultConfig()
-		cfg.ParallelCombinations = mode.parallel
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.RunDistributed(shards, cohort.Reference, cfg, policy); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAblationEncryption measures the AES-256-GCM transport wrapper's

@@ -124,13 +124,6 @@ func RunCentralized(w Workload) (*core.Report, error) {
 
 // RunGenDPR executes the distributed protocol on a workload.
 func RunGenDPR(w Workload, gdos int, policy core.CollusionPolicy) (*core.Report, error) {
-	return RunGenDPRConfig(w, gdos, policy, core.DefaultConfig())
-}
-
-// RunGenDPRConfig is RunGenDPR under an explicit protocol configuration —
-// the G=10 tiers flip ParallelCombinations on, everything else runs the
-// default sequential mode.
-func RunGenDPRConfig(w Workload, gdos int, policy core.CollusionPolicy, cfg core.Config) (*core.Report, error) {
 	cohort, err := Cohort(w)
 	if err != nil {
 		return nil, err
@@ -139,7 +132,7 @@ func RunGenDPRConfig(w Workload, gdos int, policy core.CollusionPolicy, cfg core
 	if err != nil {
 		return nil, err
 	}
-	return core.RunDistributed(shards, cohort.Reference, cfg, policy)
+	return core.RunDistributed(shards, cohort.Reference, core.DefaultConfig(), policy)
 }
 
 // RunNaive executes the naïve baseline on a workload.

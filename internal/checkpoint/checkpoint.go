@@ -3,9 +3,9 @@
 // GenDPR run instead of recomputing every phase from zero. A checkpoint is a
 // single self-contained record: the provider roster it was taken over, the
 // collected summary statistics, the selections surviving each completed
-// phase, the pair statistics the LD scan aggregated, and the per-combination
-// Phase 3 results (including the merged LR BitMatrix for the canonical
-// combination, which seeds the admission order on resume).
+// phase, and the per-combination Phase 3 results (including the canonical
+// admission order of the full-membership combination, which anchors every
+// other combination on resume).
 //
 // The on-disk/on-wire form is a versioned, length-prefixed, CRC-guarded
 // envelope over the project's deterministic wire codec. Decoding is
@@ -20,7 +20,6 @@ import (
 	"hash/crc32"
 	"math"
 
-	"gendpr/internal/genome"
 	"gendpr/internal/wire"
 )
 
@@ -29,11 +28,12 @@ import (
 // correctness hazard, not a migration opportunity.
 //
 // Version 2 replaced the full-membership combination's wire-encoded merged
-// LR-matrix (per-individual data) with the derived admission order. Version 2
-// records may additionally carry a trailing blame section (absent in records
-// written before it existed); decoders treat a missing section as empty, so
-// both generations round-trip under one version.
-const Version = 2
+// LR-matrix (per-individual data) with the derived admission order. Version 3
+// dropped the per-provider pair statistics the LD scan aggregated: a resume
+// at StageLD skips Phase 2 entirely, so no resume ever read them. Records may
+// carry a trailing blame section (absent in records written before it
+// existed); decoders treat a missing section as empty.
+const Version = 3
 
 // magic identifies a checkpoint record; anything else is not even parsed.
 const magic = "GDPRCKPT"
@@ -59,7 +59,7 @@ const (
 	StageNone Stage = iota
 	// StageMAF means Phase 1 is complete: LPrime and PerMAF are valid.
 	StageMAF
-	// StageLD means Phase 2 is complete: LDouble, PerLD and Pairs are valid.
+	// StageLD means Phase 2 is complete: LDouble and PerLD are valid.
 	StageLD
 )
 
@@ -74,13 +74,6 @@ func (s Stage) String() string {
 	default:
 		return fmt.Sprintf("stage(%d)", uint8(s))
 	}
-}
-
-// PairRecord is one aggregated pair-statistics entry collected from a
-// provider during the LD phase.
-type PairRecord struct {
-	A, B  int
-	Stats genome.PairStats
 }
 
 // Combination is the completed Phase 3 result for one collusion combination,
@@ -129,7 +122,7 @@ type BlameRecord struct {
 }
 
 // State is one checkpoint: everything a leader needs to resume an assessment
-// at the recorded stage. Per-provider arrays (Counts, CaseNs, Pairs) are
+// at the recorded stage. Per-provider arrays (Counts, CaseNs) are
 // indexed like Providers; a resuming leader remaps them onto its own
 // provider order by name.
 type State struct {
@@ -151,11 +144,6 @@ type State struct {
 	// LDouble and PerLD are the Phase 2 outputs (valid from StageLD).
 	LDouble []int
 	PerLD   [][]int
-	// Pairs holds each provider's pair statistics aggregated during the LD
-	// scan, indexed like Providers (valid from StageLD). Seeding them back
-	// into the provider caches lets a resumed run answer any residual LD
-	// queries without re-contacting members.
-	Pairs [][]PairRecord
 	// Combinations lists the Phase 3 combinations completed so far.
 	Combinations []Combination
 	// Blamed lists the members quarantined for detectably-wrong behavior up
@@ -177,8 +165,8 @@ const headerLen = len(magic) + 4 + 8
 //
 // The CRC covers version, length, and payload. The record is built in one
 // buffer sized up front from the state (a paper-scale record is megabytes of
-// pair statistics; growing to that by append and then copying the payload
-// into the envelope cost more than the encoding itself): the payload is
+// selections; growing to that by append and then copying the payload into
+// the envelope cost more than the encoding itself): the payload is
 // encoded behind a reserved header, which is filled in once its length is
 // known.
 func Encode(st *State) []byte {
@@ -200,20 +188,6 @@ func Encode(st *State) []byte {
 	encodePerCombination(e, st.PerMAF)
 	e.Ints(st.LDouble)
 	encodePerCombination(e, st.PerLD)
-	e.Uint64(uint64(len(st.Pairs)))
-	for _, recs := range st.Pairs {
-		e.Uint64(uint64(len(recs)))
-		for _, r := range recs {
-			e.Int(r.A)
-			e.Int(r.B)
-			e.Int64(r.Stats.N)
-			e.Int64(r.Stats.SumX)
-			e.Int64(r.Stats.SumY)
-			e.Int64(r.Stats.SumXY)
-			e.Int64(r.Stats.SumXX)
-			e.Int64(r.Stats.SumYY)
-		}
-	}
 	e.Uint64(uint64(len(st.Combinations)))
 	for _, c := range st.Combinations {
 		e.Uint64(uint64(len(c.Members)))
@@ -265,10 +239,6 @@ func payloadLen(st *State) int {
 	n += 8 // stage
 	n += words(len(st.LPrime)) + perCombination(st.PerMAF)
 	n += words(len(st.LDouble)) + perCombination(st.PerLD)
-	n += 8
-	for _, recs := range st.Pairs {
-		n += words(8 * len(recs)) // A, B and the six sums of each record
-	}
 	n += 8
 	for _, c := range st.Combinations {
 		n += 8
@@ -338,33 +308,6 @@ func Decode(b []byte) (*State, error) {
 	st.PerMAF = decodePerCombination(d)
 	st.LDouble = d.Ints()
 	st.PerLD = decodePerCombination(d)
-	nPairs, ok := decodeLen(d)
-	if !ok {
-		return nil, fmt.Errorf("%w: pairs length", ErrCorrupt)
-	}
-	st.Pairs = make([][]PairRecord, 0, nPairs)
-	for i := 0; i < nPairs; i++ {
-		n, ok := decodeLen(d)
-		if !ok {
-			return nil, fmt.Errorf("%w: pair record length", ErrCorrupt)
-		}
-		recs := make([]PairRecord, 0, n)
-		for j := 0; j < n; j++ {
-			recs = append(recs, PairRecord{
-				A: d.Int(),
-				B: d.Int(),
-				Stats: genome.PairStats{
-					N:     d.Int64(),
-					SumX:  d.Int64(),
-					SumY:  d.Int64(),
-					SumXY: d.Int64(),
-					SumXX: d.Int64(),
-					SumYY: d.Int64(),
-				},
-			})
-		}
-		st.Pairs = append(st.Pairs, recs)
-	}
 	nCombos, ok := decodeLen(d)
 	if !ok {
 		return nil, fmt.Errorf("%w: combination length", ErrCorrupt)
@@ -421,9 +364,6 @@ func (st *State) validate() error {
 	if len(st.Counts) != g || len(st.CaseNs) != g {
 		return fmt.Errorf("%w: %d providers with %d count vectors and %d population sizes",
 			ErrCorrupt, g, len(st.Counts), len(st.CaseNs))
-	}
-	if len(st.Pairs) != 0 && len(st.Pairs) != g {
-		return fmt.Errorf("%w: %d pair caches for %d providers", ErrCorrupt, len(st.Pairs), g)
 	}
 	if st.Stage > StageLD {
 		return fmt.Errorf("%w: stage %d", ErrCorrupt, st.Stage)

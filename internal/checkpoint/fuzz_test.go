@@ -82,19 +82,6 @@ func statesEqual(a, b *State) bool {
 	if !intsEqual(a.LDouble, b.LDouble) || !intMatrixEqual(a.PerLD, b.PerLD) {
 		return false
 	}
-	if len(a.Pairs) != len(b.Pairs) {
-		return false
-	}
-	for i := range a.Pairs {
-		if len(a.Pairs[i]) != len(b.Pairs[i]) {
-			return false
-		}
-		for j := range a.Pairs[i] {
-			if a.Pairs[i][j] != b.Pairs[i][j] {
-				return false
-			}
-		}
-	}
 	if len(a.Combinations) != len(b.Combinations) {
 		return false
 	}

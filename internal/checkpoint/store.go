@@ -137,9 +137,11 @@ type Recoverer interface {
 // a temporary file, fsync it, rotate current → previous, rename the
 // temporary into place, and fsync the directory, so a crash or power loss at
 // any instant leaves at least one valid, durable boundary on disk. A Load
-// that finds the current snapshot corrupt (torn write, bit rot, version
-// skew) quarantines it under a ".corrupt" name for post-mortem inspection
-// and falls back to the previous boundary instead of failing the run.
+// that finds the current snapshot corrupt (torn write, bit rot) quarantines
+// it under a ".corrupt" name for post-mortem inspection and falls back to
+// the previous boundary instead of failing the run. A snapshot written by a
+// build with another format version is not corrupt: Load reports ErrVersion
+// and leaves it in place for the next Save to replace.
 type FileStore struct {
 	path string
 	dir  string
@@ -263,7 +265,10 @@ func (s *FileStore) syncDir() error {
 // Load implements Store. A corrupt current snapshot is quarantined (renamed
 // with a ".corrupt" suffix) and the previous boundary is returned instead;
 // RecoveredCorruption reports the fallback. Only when no generation decodes
-// does Load surface the corruption error.
+// does Load surface the corruption error. A current snapshot of another
+// format version returns ErrVersion with no quarantine and no fallback: the
+// previous boundary is no newer, so it cannot be of this version either, and
+// the bytes are intact — an upgrade, not evidence of a fault.
 func (s *FileStore) Load() (*State, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -282,7 +287,7 @@ func (s *FileStore) Load() (*State, error) {
 		}
 		s.recovered = "current snapshot missing; resumed from previous boundary"
 		return st, nil
-	case errors.Is(err, ErrCorrupt) || errors.Is(err, ErrVersion):
+	case errors.Is(err, ErrCorrupt):
 		// Keep the bad bytes for post-mortem inspection, out of the way of
 		// future saves.
 		_ = os.Rename(s.path, s.path+corruptSuffix)
@@ -291,7 +296,7 @@ func (s *FileStore) Load() (*State, error) {
 			s.recovered = "quarantined corrupt snapshot; resumed from previous boundary"
 			return st, nil
 		}
-		if !errors.Is(perr, ErrNotFound) {
+		if errors.Is(perr, ErrCorrupt) {
 			_ = os.Rename(s.path+prevSuffix, s.path+prevSuffix+corruptSuffix)
 		}
 		return nil, err

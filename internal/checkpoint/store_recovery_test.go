@@ -18,7 +18,7 @@ func twoBoundaryStore(t *testing.T) (*FileStore, *State, *State) {
 	}
 	older := sampleState()
 	older.Stage = StageMAF
-	older.LDouble, older.PerLD, older.Pairs, older.Combinations = nil, nil, nil, nil
+	older.LDouble, older.PerLD, older.Combinations = nil, nil, nil
 	if err := s.Save(older); err != nil {
 		t.Fatalf("Save older: %v", err)
 	}
@@ -186,5 +186,43 @@ func TestBlameSectionRoundTrip(t *testing.T) {
 	}
 	if got.Blamed != nil {
 		t.Errorf("pre-section record decoded with blame: %+v", got.Blamed)
+	}
+}
+
+// TestFileStoreVersionSkewIsNotCorruption covers an upgrade: both generations
+// were written by a build with an older format version. Load must report
+// ErrVersion without quarantining either file or falling back, and the next
+// Save must replace them.
+func TestFileStoreVersionSkewIsNotCorruption(t *testing.T) {
+	s, _, _ := twoBoundaryStore(t)
+	for _, p := range []string{s.Path(), s.Path() + prevSuffix} {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(magic)+3] = Version - 1
+		restitchCRC(b)
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Load(); !errors.Is(err, ErrVersion) {
+		t.Fatalf("Load error = %v, want ErrVersion", err)
+	}
+	if _, ok := s.RecoveredCorruption(); ok {
+		t.Error("version skew reported as a recovery")
+	}
+	for _, p := range []string{s.Path() + corruptSuffix, s.Path() + prevSuffix + corruptSuffix} {
+		if _, err := os.Stat(p); err == nil {
+			t.Errorf("version-skewed generation quarantined at %s", p)
+		}
+	}
+	want := sampleState()
+	if err := s.Save(want); err != nil {
+		t.Fatalf("Save over the old version: %v", err)
+	}
+	got, err := s.Load()
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Load after Save = (%+v, %v), want the new state", got, err)
 	}
 }

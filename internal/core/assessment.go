@@ -85,16 +85,13 @@ func RunAssessmentWithOptions(members []Provider, reference *genome.Matrix, cfg 
 	for i, m := range members {
 		run.members[i] = newCachedProvider(m)
 	}
-	// Count vectors and pair statistics stay accounted for the whole run and
-	// have no release point of their own; on a long-lived leader enclave they
-	// must not outlive it, whichever way the run ends.
+	// Count vectors stay accounted for the whole run and have no release
+	// point of their own, and a failed run leaves whatever its phase held; on
+	// a long-lived leader enclave none of it may outlive the run, whichever
+	// way the run ends.
 	defer run.releaseHeld()
 
-	chainsPerBlock := 1
-	if cfg.ParallelCombinations {
-		chainsPerBlock = run.pool.size()
-	}
-	plan, err := buildLatticePlan(g, policy, chainsPerBlock)
+	plan, err := buildLatticePlan(g, policy, run.pool.size())
 	if err != nil {
 		return nil, err
 	}
@@ -130,6 +127,7 @@ func RunAssessmentWithOptions(members []Provider, reference *genome.Matrix, cfg 
 	if err != nil {
 		return nil, err
 	}
+	run.releasePairs()
 	safe, perSafe, power, err := run.phase3LR(plan, lDouble)
 	if err != nil {
 		return nil, err
@@ -210,6 +208,7 @@ type assessmentRun struct {
 	// refPairs holds the reference panel's statistics for every pair Phase 2
 	// has touched (guarded by pairMu): the predictor computes them and the
 	// pooled functions add the members' contributions to the same values.
+	// It lives exactly as long as Phase 2 (releasePairs).
 	refPairs map[uint64]genome.PairStats
 
 	lrMu    sync.Mutex
@@ -218,7 +217,7 @@ type assessmentRun struct {
 }
 
 // markResumed records that at least one phase replayed from a checkpoint.
-// Locked: parallel-combination mode replays combinations concurrently.
+// Locked: Phase 3's chains replay combinations concurrently.
 func (r *assessmentRun) markResumed() {
 	r.timingMu.Lock()
 	r.resumed = true
@@ -237,7 +236,8 @@ func (r *assessmentRun) ctxErr() error {
 }
 
 // addTiming accumulates wall time into one breakdown bucket; the accessor is
-// locked because parallel-combination mode updates buckets concurrently.
+// locked because Phase 3's chains update buckets concurrently (so a bucket
+// is a sum over workers and can exceed the wall time).
 func (r *assessmentRun) addTiming(bucket *time.Duration, start time.Time) {
 	elapsed := time.Since(start)
 	r.timingMu.Lock()
@@ -308,6 +308,22 @@ func (r *assessmentRun) refPair(a, b int) (genome.PairStats, error) {
 	s := genome.PairStatsFromCounts(r.refN, r.refCounts[a], r.refCounts[b], r.refCols.PairCount(a, b))
 	r.refPairs[key] = s
 	return s, nil
+}
+
+// releasePairs ends the pair statistics' life at the Phase-2 boundary, once
+// recordLD has taken L″: Phase 3 never reads a pair, so the reference memo
+// and this run's member pair caches are dropped and the bytes refPair
+// accounted for them are returned. The resilient runner's outer caches,
+// which replay survivor data across restarts, keep their pairs.
+func (r *assessmentRun) releasePairs() {
+	r.pairMu.Lock()
+	n := int64(len(r.refPairs))
+	r.refPairs = nil
+	r.pairMu.Unlock()
+	r.free(n * bytesPerPairStat * int64(len(r.members)+1))
+	for _, m := range r.members {
+		m.dropPairs()
+	}
 }
 
 // predictPair is the run's PairPredictor: the LD decision taken on the
@@ -455,7 +471,7 @@ func (r *assessmentRun) phase1MAF(plan *latticePlan) ([]int, [][]int, error) {
 		return lPrime, perMAF, nil
 	}
 	per := make([][]int, plan.count)
-	err := r.runChains(plan.chains, func(ch *latticeChain) error {
+	err := walkInOrder(plan.chains, func(ch *latticeChain) error {
 		// The chain's running aggregates: a revolving-door step updates them
 		// by one member's delta — exact, because counts are integers.
 		var counts []int64
@@ -576,13 +592,11 @@ func (r *assessmentRun) phase2LD(plan *latticePlan, lPrime []int) ([]int, [][]in
 	if err := r.ctxErr(); err != nil {
 		return nil, nil, err
 	}
-	if lDouble, perLD, pairs, ok := r.cs.seededLD(); ok && len(perLD) == plan.count {
-		// Resume: Phase 2 outputs come from the checkpoint; the aggregated
-		// pair statistics seed the provider caches so any residual pooled
-		// query (Phase 3 never issues one, but callers may) replays locally.
+	if lDouble, perLD, ok := r.cs.seededLD(); ok && len(perLD) == plan.count {
+		// Resume: Phase 2 outputs come from the checkpoint and Phase 3 needs
+		// nothing else from it — no pair is fetched or computed.
 		r.resumed = true
-		seedPairCaches(r.members, pairs)
-		if err := r.cs.recordLD(lDouble, perLD, r.members, false); err != nil {
+		if err := r.cs.recordLD(lDouble, perLD, false); err != nil {
 			return nil, nil, err
 		}
 		return lDouble, perLD, nil
@@ -621,7 +635,7 @@ func (r *assessmentRun) phase2LD(plan *latticePlan, lPrime []int) ([]int, [][]in
 	}
 
 	per := make([][]int, plan.count)
-	err = r.runChains(plan.chains, func(ch *latticeChain) error {
+	err = walkInOrder(plan.chains, func(ch *latticeChain) error {
 		// The chain-local pooling cache survives across the chain's
 		// combinations: each Gray step adds at most one member's
 		// contributions to the decompositions already on hand. A chain with
@@ -661,7 +675,7 @@ func (r *assessmentRun) phase2LD(plan *latticePlan, lPrime []int) ([]int, [][]in
 	start = time.Now()
 	intersected := IntersectSorted(per...)
 	r.addTiming(&r.report.Timings.LD, start)
-	if err := r.cs.recordLD(intersected, per, r.members, true); err != nil {
+	if err := r.cs.recordLD(intersected, per, true); err != nil {
 		return nil, nil, err
 	}
 	return intersected, per, nil
@@ -863,18 +877,16 @@ func (r *assessmentRun) phase3Legacy(plan *latticePlan, lDouble []int, per [][]i
 	}
 
 	// The full-membership subset runs first (it defines the canonical
-	// order); the combinations may then run sequentially or in parallel.
+	// order); the collusion chains then run on the pool, as in phase3Lattice.
 	if err := evalSubset(0, plan.chains[0].head); err != nil {
 		return err
 	}
-	if len(plan.chains) > 1 {
-		return r.runChains(plan.chains[1:], func(ch *latticeChain) error {
-			return ch.walk(func(pos, slot int, subset []int, rem, add int) error {
-				return evalSubset(slot, subset)
-			})
+	chains := plan.chains[1:]
+	return r.pool.RunStealing(len(chains), r.pool.size(), func(i int) error {
+		return chains[i].walk(func(pos, slot int, subset []int, rem, add int) error {
+			return evalSubset(slot, subset)
 		})
-	}
-	return nil
+	})
 }
 
 // phase3Lattice is the incremental Phase 3 over the combination lattice.
@@ -994,16 +1006,23 @@ func (r *assessmentRun) phase3Lattice(plan *latticePlan, lDouble []int, per [][]
 	if err := evalFull(plan.chains[0].head); err != nil {
 		return err
 	}
-	if len(plan.chains) == 1 {
-		return nil
-	}
 
 	// Collusion chains: one pattern stack, one selector, and one running
 	// count vector per chain, each updated by one member's delta per Gray
 	// step. Seeded (checkpoint-replayed) steps update only the counts and
 	// mark the stack stale — no member contact, no splicing — and the next
 	// live step rebuilds the stack from the patterns already on hand.
-	return r.runChains(plan.chains[1:], func(ch *latticeChain) error {
+	//
+	// The chains run concurrently on every worker: the paper's §5.6 notes the
+	// leader enclave can evaluate the combinations "efficiently ... in
+	// parallel ... as it already stores all necessary data". After the
+	// full-membership evaluation every chain reads the same order, reference
+	// pattern and member patterns and writes only its own result slots, so
+	// the selections do not depend on the schedule; only the order in which
+	// combination records reach the checkpoint does.
+	chains := plan.chains[1:]
+	return r.pool.RunStealing(len(chains), r.pool.size(), func(i int) error {
+		ch := &chains[i]
 		sel := lrtest.NewSelector()
 		var stack *lrtest.PatternStack
 		var stackBytes int64

@@ -205,35 +205,6 @@ func TestObliviousMemberPrimitives(t *testing.T) {
 	}
 }
 
-func TestParallelCombinationsSameSelection(t *testing.T) {
-	cohort := testCohort(t, 120, 360, 61)
-	shards := shardsOf(t, cohort, 4)
-	seqCfg := DefaultConfig()
-	parCfg := DefaultConfig()
-	parCfg.ParallelCombinations = true
-	for _, policy := range []CollusionPolicy{{F: 2}, {Conservative: true}} {
-		seq, err := RunDistributed(shards, cohort.Reference, seqCfg, policy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := RunDistributed(shards, cohort.Reference, parCfg, policy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !seq.Selection.Equal(par.Selection) {
-			t.Errorf("policy %+v: parallel %v != sequential %v", policy, par.Selection, seq.Selection)
-		}
-		if len(seq.PerCombination) != len(par.PerCombination) {
-			t.Fatalf("combination counts differ")
-		}
-		for c := range seq.PerCombination {
-			if !seq.PerCombination[c].Equal(par.PerCombination[c]) {
-				t.Errorf("combination %d differs between modes", c)
-			}
-		}
-	}
-}
-
 func TestNaiveDivergesFromCentralized(t *testing.T) {
 	cohort := testCohort(t, 150, 360, 17)
 	cfg := DefaultConfig()

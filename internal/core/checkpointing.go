@@ -51,9 +51,9 @@ type AssessmentOptions struct {
 // Fingerprint binds a checkpoint to one run shape: every input that changes
 // the assessment's output — configuration cutoffs and LR parameters, the
 // collusion policy, the provider name set, and the reference dimensions —
-// contributes to the hash. ParallelCombinations is deliberately excluded (it
-// changes scheduling, never results), so a sequential leader can resume a
-// parallel one's checkpoint.
+// contributes to the hash. The leader's core count is deliberately not an
+// input (it changes how Phase 3's chains are scheduled, never results), so a
+// leader on one core can resume a checkpoint written on four.
 func Fingerprint(cfg Config, policy CollusionPolicy, names []string, refN, refL int) []byte {
 	h := sha256.New()
 	writeF := func(f float64) {
@@ -257,12 +257,6 @@ func remapState(prior *checkpoint.State, names []string, g int, policy Collusion
 		out.Counts[i] = prior.Counts[perm[i]]
 		out.CaseNs[i] = prior.CaseNs[perm[i]]
 	}
-	if len(prior.Pairs) == g {
-		out.Pairs = make([][]checkpoint.PairRecord, g)
-		for i := range names {
-			out.Pairs[i] = prior.Pairs[perm[i]]
-		}
-	}
 
 	// Per-combination selections are positional in the saving leader's
 	// enumeration; translate via the name sets both enumerations define.
@@ -349,27 +343,18 @@ func (cs *ckState) recordMAF(lPrime []int, perMAF [][]int, persist bool) error {
 	return cs.saveLocked()
 }
 
-// recordLD records the Phase 2 boundary together with each provider's
-// aggregated pair statistics.
-func (cs *ckState) recordLD(lDouble []int, perLD [][]int, members []*cachedProvider, persist bool) error {
+// recordLD records the Phase 2 boundary. The pair statistics the scan
+// aggregated are not part of it: a resume at StageLD skips Phase 2 entirely,
+// and Phase 3 never reads a pair.
+func (cs *ckState) recordLD(lDouble []int, perLD [][]int, persist bool) error {
 	if cs == nil {
 		return nil
-	}
-	pairs := make([][]checkpoint.PairRecord, len(members))
-	for i, m := range members {
-		keys, stats := m.snapshotPairs()
-		recs := make([]checkpoint.PairRecord, len(keys))
-		for j, k := range keys {
-			recs[j] = checkpoint.PairRecord{A: k[0], B: k[1], Stats: stats[j]}
-		}
-		pairs[i] = recs
 	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	cs.ck.Stage = checkpoint.StageLD
 	cs.ck.LDouble = lDouble
 	cs.ck.PerLD = perLD
-	cs.ck.Pairs = pairs
 	if !persist {
 		return nil
 	}
@@ -437,11 +422,11 @@ func (cs *ckState) seededMAF() ([]int, [][]int, bool) {
 }
 
 // seededLD returns the seed's Phase 2 outputs when the stage covers them.
-func (cs *ckState) seededLD() ([]int, [][]int, [][]checkpoint.PairRecord, bool) {
+func (cs *ckState) seededLD() ([]int, [][]int, bool) {
 	if cs == nil || cs.seed == nil || cs.seed.Stage < checkpoint.StageLD {
-		return nil, nil, nil, false
+		return nil, nil, false
 	}
-	return cs.seed.LDouble, cs.seed.PerLD, cs.seed.Pairs, true
+	return cs.seed.LDouble, cs.seed.PerLD, true
 }
 
 // seededCombination returns a completed Phase 3 record for the given member
@@ -452,22 +437,6 @@ func (cs *ckState) seededCombination(members []string) (checkpoint.Combination, 
 	}
 	c, ok := cs.seedCombos[nameKey(members)]
 	return c, ok
-}
-
-// seedPairCaches primes the providers' pair caches from checkpointed records
-// so residual LD queries replay from memory.
-func seedPairCaches(members []*cachedProvider, pairs [][]checkpoint.PairRecord) {
-	if len(pairs) != len(members) {
-		return
-	}
-	for i, recs := range pairs {
-		for _, r := range recs {
-			if validatePairStats(r.Stats) != nil {
-				continue
-			}
-			members[i].seedPair(r.A, r.B, r.Stats)
-		}
-	}
 }
 
 // seedSummaryCaches primes the providers' summary caches from a checkpoint.

@@ -26,11 +26,6 @@ type Config struct {
 	// PaperChiSquare selects the paper's simplified association statistic
 	// for SNP ranking instead of the standard Pearson 2x2 form.
 	PaperChiSquare bool
-	// ParallelCombinations evaluates collusion combinations concurrently
-	// inside the leader enclave, the optimization Section 5.6 notes
-	// ("efficiently conducted in parallel ... as it already stores all
-	// necessary data"). The selection outcome is identical either way.
-	ParallelCombinations bool
 }
 
 // DefaultConfig returns the paper's evaluation settings.

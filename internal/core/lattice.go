@@ -79,10 +79,10 @@ func applyExchange(sub []int, rem, add int) {
 
 // buildLatticePlan lays out the evaluation chains for a federation of g
 // members under the given policy. chainsPerBlock bounds how many chains each
-// f-block is split into: 1 yields maximal incremental reuse (sequential
-// mode); the worker count yields enough chains for the stealing scheduler to
-// balance. Slot numbering matches evaluationSubsets: slot 0 is the full
-// membership, then each f-block's subsets in lexicographic order.
+// f-block is split into; the assessment passes its worker count, so Phase 3's
+// stealing scheduler has a chain per worker to balance. Slot numbering
+// matches evaluationSubsets: slot 0 is the full membership, then each
+// f-block's subsets in lexicographic order.
 func buildLatticePlan(g int, policy CollusionPolicy, chainsPerBlock int) (*latticePlan, error) {
 	if chainsPerBlock < 1 {
 		chainsPerBlock = 1
@@ -152,17 +152,21 @@ func buildLatticePlan(g int, policy CollusionPolicy, chainsPerBlock int) (*latti
 	return plan, nil
 }
 
-// runChains schedules fn over the given chains: sequentially (in order) by
-// default, through the work-stealing pool when the configuration enables
-// parallel combinations.
-func (r *assessmentRun) runChains(chains []latticeChain, fn func(ch *latticeChain) error) error {
-	workers := 1
-	if r.cfg.ParallelCombinations {
-		workers = r.pool.size()
+// walkInOrder evaluates fn over the chains one after another on the calling
+// goroutine — how Phases 1 and 2 run. Their chains share the members' pair
+// caches: concurrent LD scans would race cachedProvider.Prefetch's "already
+// cached" filter and fetch some pairs twice, so what a run sends would depend
+// on timing. A failed chain does not stop the next; the errors are joined.
+// Phase 3's chains touch no pair cache and run on the work-stealing pool
+// instead (phase3Lattice).
+func walkInOrder(chains []latticeChain, fn func(ch *latticeChain) error) error {
+	var errs []error
+	for i := range chains {
+		if err := fn(&chains[i]); err != nil {
+			errs = append(errs, err)
+		}
 	}
-	return r.pool.RunStealing(len(chains), workers, func(i int) error {
-		return fn(&chains[i])
-	})
+	return errors.Join(errs...)
 }
 
 // chainPairCache is the Phase 2 per-chain pooling cache. The pooled pair

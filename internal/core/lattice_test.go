@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -60,27 +62,24 @@ func TestLatticeMatchesLegacyGolden(t *testing.T) {
 		policies = append(policies, CollusionPolicy{Conservative: true})
 
 		for _, policy := range policies {
-			for _, parallel := range []bool{false, true} {
-				cfg := DefaultConfig()
-				cfg.ParallelCombinations = parallel
-				legacy := runWithProviders(t, shards, cohort.Reference, cfg, policy, true)
-				lattice := runWithProviders(t, shards, cohort.Reference, cfg, policy, false)
+			cfg := DefaultConfig()
+			legacy := runWithProviders(t, shards, cohort.Reference, cfg, policy, true)
+			lattice := runWithProviders(t, shards, cohort.Reference, cfg, policy, false)
 
-				label := fmt.Sprintf("g=%d policy=%+v parallel=%v", g, policy, parallel)
-				if !lattice.Selection.Equal(legacy.Selection) {
-					t.Errorf("%s: lattice %v != legacy %v", label, lattice.Selection, legacy.Selection)
-				}
-				if lattice.Selection.Power != legacy.Selection.Power {
-					t.Errorf("%s: lattice power %v != legacy %v", label, lattice.Selection.Power, legacy.Selection.Power)
-				}
-				if len(lattice.PerCombination) != len(legacy.PerCombination) {
-					t.Fatalf("%s: combination counts differ: %d vs %d", label, len(lattice.PerCombination), len(legacy.PerCombination))
-				}
-				for c := range legacy.PerCombination {
-					if !lattice.PerCombination[c].Equal(legacy.PerCombination[c]) {
-						t.Errorf("%s: combination %d: lattice %v != legacy %v",
-							label, c, lattice.PerCombination[c], legacy.PerCombination[c])
-					}
+			label := fmt.Sprintf("g=%d policy=%+v", g, policy)
+			if !lattice.Selection.Equal(legacy.Selection) {
+				t.Errorf("%s: lattice %v != legacy %v", label, lattice.Selection, legacy.Selection)
+			}
+			if lattice.Selection.Power != legacy.Selection.Power {
+				t.Errorf("%s: lattice power %v != legacy %v", label, lattice.Selection.Power, legacy.Selection.Power)
+			}
+			if len(lattice.PerCombination) != len(legacy.PerCombination) {
+				t.Fatalf("%s: combination counts differ: %d vs %d", label, len(lattice.PerCombination), len(legacy.PerCombination))
+			}
+			for c := range legacy.PerCombination {
+				if !lattice.PerCombination[c].Equal(legacy.PerCombination[c]) {
+					t.Errorf("%s: combination %d: lattice %v != legacy %v",
+						label, c, lattice.PerCombination[c], legacy.PerCombination[c])
 				}
 			}
 		}
@@ -196,59 +195,147 @@ func containsError(err error, msg string) bool {
 	return false
 }
 
-// TestLatticeResumeConservativeParallel composes the sharded Phase 3 with
-// checkpoint resume: a conservative G=4 run crashes mid-combination-sweep,
-// resumes with parallel combinations enabled, and must reproduce the
+// conservativeG5 is the fixture of the scheduling and pair-lifetime tests:
+// five named members under the conservative policy, 31 combinations, so
+// Phase 3 has collusion chains in every f-block. On this cohort Phase 2
+// keeps 59 of 648 SNPs and every combination's LR test withholds some of
+// them (30 distinct per-combination selections).
+func conservativeG5(t testing.TB) ([]Provider, *genome.Matrix, []string) {
+	t.Helper()
+	cohort := testCohort(t, 1500, 100, 3)
+	shards := shardsOf(t, cohort, 5)
+	providers := make([]Provider, len(shards))
+	for i, s := range shards {
+		providers[i] = NewLocalMember(s)
+	}
+	return providers, cohort.Reference, []string{"gdo-a", "gdo-b", "gdo-c", "gdo-d", "gdo-e"}
+}
+
+// withProcs runs fn at runtime.GOMAXPROCS(n) — the leader's worker count,
+// and so the number of chains each f-block is cut into — and restores the
+// previous setting.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
+// boundaryStore is a MemStore that counts saves and shows each state to
+// onSave before persisting it. The run serializes its saves, so the wrapper
+// needs no lock of its own.
+type boundaryStore struct {
+	*checkpoint.MemStore
+	saves  int
+	onSave func(st *checkpoint.State)
+}
+
+func (s *boundaryStore) Save(st *checkpoint.State) error {
+	s.saves++
+	if s.onSave != nil {
+		s.onSave(st)
+	}
+	return s.MemStore.Save(st)
+}
+
+// TestPhase3ScheduleDeterministic runs one conservative G=5 assessment on
+// one worker (one chain per f-block, walked in order) and on four (Phase 3's
+// chains stolen across the pool) and requires the same outcome: selections,
+// every per-combination selection, the combination count, the number of
+// checkpoint saves, and the same final set of combination records — only the
+// order in which the records reached the store may differ.
+func TestPhase3ScheduleDeterministic(t *testing.T) {
+	providers, ref, names := conservativeG5(t)
+	policy := CollusionPolicy{Conservative: true}
+	type outcome struct {
+		report *Report
+		saves  int
+		combos map[string]checkpoint.Combination
+	}
+	run := func(procs int) outcome {
+		var out outcome
+		withProcs(procs, func() {
+			store := &boundaryStore{MemStore: checkpoint.NewMemStore()}
+			rep, err := RunAssessmentWithOptions(providers, ref, DefaultConfig(), policy, nil, AssessmentOptions{
+				ProviderNames:     names,
+				Checkpoints:       store,
+				RetainCheckpoints: true,
+			})
+			if err != nil {
+				t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+			}
+			final, err := store.Load()
+			if err != nil {
+				t.Fatalf("GOMAXPROCS %d: final snapshot: %v", procs, err)
+			}
+			out = outcome{report: rep, saves: store.saves, combos: map[string]checkpoint.Combination{}}
+			for _, c := range final.Combinations {
+				out.combos[nameKey(c.Members)] = c
+			}
+		})
+		return out
+	}
+	one, four := run(1), run(4)
+
+	if one.report.Combinations != 31 || four.report.Combinations != 31 {
+		t.Fatalf("combinations %d / %d, want 31", one.report.Combinations, four.report.Combinations)
+	}
+	if !four.report.Selection.Equal(one.report.Selection) || four.report.Selection.Power != one.report.Selection.Power {
+		t.Errorf("selection on 4 workers %v (power %v) != on 1 %v (power %v)",
+			four.report.Selection, four.report.Selection.Power, one.report.Selection, one.report.Selection.Power)
+	}
+	for c := range one.report.PerCombination {
+		if !four.report.PerCombination[c].Equal(one.report.PerCombination[c]) {
+			t.Errorf("combination %d: %v on 4 workers, %v on 1", c, four.report.PerCombination[c], one.report.PerCombination[c])
+		}
+	}
+	if want := 2 + 31; one.saves != want || four.saves != want {
+		t.Errorf("checkpoint saves %d on 1 worker, %d on 4, want %d (MAF, LD, one per combination)", one.saves, four.saves, want)
+	}
+	if !reflect.DeepEqual(four.combos, one.combos) {
+		t.Errorf("final combination records differ between 1 and 4 workers:\n 1: %v\n 4: %v", one.combos, four.combos)
+	}
+}
+
+// TestLatticeResumeConservativeConcurrent composes the concurrent Phase 3
+// with checkpoint resume: a conservative G=5 run on one worker crashes after
+// the MAF save, mid-sweep, and after the last combination, the resume runs on
+// four workers (and the other way round), and each must reproduce the
 // undisturbed baseline bit for bit.
-func TestLatticeResumeConservativeParallel(t *testing.T) {
-	cohort := testCohort(t, 70, 56, 13)
-	shards := shardsOf(t, cohort, 4)
-	names := []string{"gdo-a", "gdo-b", "gdo-c", "gdo-d"}
+func TestLatticeResumeConservativeConcurrent(t *testing.T) {
+	providers, ref, names := conservativeG5(t)
 	policy := CollusionPolicy{Conservative: true}
 	cfg := DefaultConfig()
-
-	mk := func() []Provider {
-		ps := make([]Provider, len(shards))
-		for i, s := range shards {
-			ps[i] = NewLocalMember(s)
-		}
-		return ps
-	}
-	baseline, err := RunAssessment(mk(), cohort.Reference, cfg, policy, nil)
+	baseline, err := RunAssessment(providers, ref, cfg, policy, nil)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
-
-	subsets, err := evaluationSubsets(len(shards), policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parCfg := DefaultConfig()
-	parCfg.ParallelCombinations = true
-	// Crash after the MAF save, mid-sweep, and after the last combination.
-	for _, keep := range []int{1, 3, 2 + len(subsets)/2, 2 + len(subsets)} {
-		snap := &snapshotStore{inner: checkpoint.NewMemStore(), keep: keep}
-		if _, err := RunAssessmentWithOptions(mk(), cohort.Reference, cfg, policy, nil, AssessmentOptions{
-			ProviderNames: names,
-			Checkpoints:   snap,
-		}); err != nil {
-			t.Fatalf("keep %d: first run: %v", keep, err)
-		}
-		report, err := RunAssessmentWithOptions(mk(), cohort.Reference, parCfg, policy, nil, AssessmentOptions{
-			ProviderNames: names,
-			Checkpoints:   snap.inner,
-		})
-		if err != nil {
-			t.Fatalf("keep %d: resume: %v", keep, err)
-		}
-		if !report.Resumed {
-			t.Errorf("keep %d: Resumed not set", keep)
-		}
-		if !report.Selection.Equal(baseline.Selection) {
-			t.Errorf("keep %d: resumed selection %v != baseline %v", keep, report.Selection, baseline.Selection)
-		}
-		if report.Selection.Power != baseline.Selection.Power {
-			t.Errorf("keep %d: resumed power %v != baseline %v", keep, report.Selection.Power, baseline.Selection.Power)
+	for _, procs := range [][2]int{{1, 4}, {4, 1}} {
+		for _, keep := range []int{1, 3, 2 + 31/2, 2 + 31} {
+			snap := &snapshotStore{inner: checkpoint.NewMemStore(), keep: keep}
+			withProcs(procs[0], func() {
+				if _, err := RunAssessmentWithOptions(providers, ref, cfg, policy, nil, AssessmentOptions{
+					ProviderNames: names,
+					Checkpoints:   snap,
+				}); err != nil {
+					t.Fatalf("procs %v keep %d: first run: %v", procs, keep, err)
+				}
+			})
+			var report *Report
+			withProcs(procs[1], func() {
+				report, err = RunAssessmentWithOptions(providers, ref, cfg, policy, nil, AssessmentOptions{
+					ProviderNames: names,
+					Checkpoints:   snap.inner,
+				})
+			})
+			if err != nil {
+				t.Fatalf("procs %v keep %d: resume: %v", procs, keep, err)
+			}
+			if !report.Resumed {
+				t.Errorf("procs %v keep %d: Resumed not set", procs, keep)
+			}
+			if !report.Selection.Equal(baseline.Selection) || report.Selection.Power != baseline.Selection.Power {
+				t.Errorf("procs %v keep %d: resumed %v (power %v) != baseline %v (power %v)",
+					procs, keep, report.Selection, report.Selection.Power, baseline.Selection, baseline.Selection.Power)
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"gendpr/internal/genome"
@@ -222,8 +221,8 @@ func gatherLR(g *genome.Matrix, cols []int, ratios lrtest.LogRatios) (*lrtest.Bi
 // cachedProvider memoizes member responses so that, as the paper describes,
 // each GDO computes and transmits each intermediate result once even when
 // the leader evaluates many collusion combinations over it. It is safe for
-// concurrent use: the assessment driver queries members (and, in parallel-
-// combination mode, combinations) concurrently.
+// concurrent use: the assessment driver queries members, and evaluates
+// Phase 3's combinations, concurrently.
 // pairKey packs a column pair into one word. The pair maps are the LD
 // phase's hottest data structure — one probe per announced pair per member —
 // and an 8-byte key hashes and compares in registers where the [2]int form
@@ -470,35 +469,11 @@ func (c *cachedProvider) seedSummary(counts []int64, caseN int64) {
 	c.mu.Unlock()
 }
 
-// seedPair primes one pair-statistics cache entry from a checkpoint.
-func (c *cachedProvider) seedPair(a, b int, s genome.PairStats) {
+// dropPairs empties the pair cache (assessmentRun.releasePairs).
+func (c *cachedProvider) dropPairs() {
 	c.mu.Lock()
-	c.pairs[pairKey(a, b)] = s
+	c.pairs = make(map[uint64]genome.PairStats)
 	c.mu.Unlock()
-}
-
-// snapshotPairs returns the cached pair statistics sorted by (a, b) — the
-// deterministic order checkpoints are written in.
-func (c *cachedProvider) snapshotPairs() ([][2]int, []genome.PairStats) {
-	c.mu.Lock()
-	keys := make([][2]int, 0, len(c.pairs))
-	for k := range c.pairs {
-		keys = append(keys, [2]int{int(k >> 32), int(uint32(k))})
-	}
-	c.mu.Unlock()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	out := make([]genome.PairStats, len(keys))
-	c.mu.Lock()
-	for i, k := range keys {
-		out[i] = c.pairs[pairKey(k[0], k[1])]
-	}
-	c.mu.Unlock()
-	return keys, out
 }
 
 // AuditSummary implements SummaryAuditor by forwarding through the cache to

@@ -2,6 +2,7 @@ package federation
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -127,33 +128,6 @@ func TestInProcessFederationWithCollusionPolicy(t *testing.T) {
 	// independent.
 	if !res.Report.Selection.Equal(base.Selection) {
 		t.Errorf("networked %v != in-memory %v", res.Report.Selection, base.Selection)
-	}
-}
-
-func TestFederationParallelCombinations(t *testing.T) {
-	// Parallel combination evaluation issues concurrent requests on the
-	// shared member connections; the remote provider must serialize them
-	// and the selection must match sequential mode.
-	cohort := testCohort(t, 90, 240, 63)
-	shards, err := cohort.Partition(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqCfg := core.DefaultConfig()
-	parCfg := core.DefaultConfig()
-	parCfg.ParallelCombinations = true
-	policy := core.CollusionPolicy{Conservative: true}
-
-	seq, err := RunInProcess(shards, cohort.Reference, seqCfg, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunInProcess(shards, cohort.Reference, parCfg, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seq.Report.Selection.Equal(par.Report.Selection) {
-		t.Errorf("parallel %v != sequential %v", par.Report.Selection, seq.Report.Selection)
 	}
 }
 
@@ -498,5 +472,78 @@ func TestFederationPhase2MessageCount(t *testing.T) {
 	}
 	if got := res.Traffic.TotalMessages; got != 44 {
 		t.Errorf("transport.Meter counted %d messages in all, want 44", got)
+	}
+}
+
+// TestFederationConservativeMessageCount pins what a G=5 conservative
+// assessment (31 combinations) puts on the wire under a fixed leader, on one
+// leader worker and on four. Phases 1 and 2 walk their chains in order
+// however many workers there are, so every pair request meets the same cache
+// state; Phase 3's chains run concurrently but only read the patterns
+// fetched once for the full membership — the count cannot depend on the
+// schedule. The concurrent chains share the member connections, so this also
+// runs the remote providers' serialization under the race detector.
+func TestFederationConservativeMessageCount(t *testing.T) {
+	cohort := testCohort(t, 1500, 100, 3)
+	shards, err := cohort.Partition(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The leader's own shard never touches the wire and each combination's
+	// LD detours go to its own members only, so the count depends on which
+	// member leads: fix it rather than elect it.
+	authority, err := attest.NewAuthority()
+	if err != nil {
+		t.Fatal(err)
+	}
+	platform, err := enclave.NewPlatform()
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader, err := NewLeader("gdo-0", shards[0], platform, authority)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	policy := core.CollusionPolicy{Conservative: true}
+	base, err := core.RunDistributed(shards, cohort.Reference, cfg, policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 4} {
+		var mu sync.Mutex
+		kinds := map[uint16]int{}
+		count := func(_ int, conn transport.Conn) transport.Conn {
+			return kindCounter{Conn: conn, mu: &mu, kinds: kinds}
+		}
+		prev := runtime.GOMAXPROCS(procs)
+		res, err := runWithLeader(nil, leader, authority, 0, shards, cohort.Reference, cfg, policy, RunOptions{}, true, count, nil)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		if !res.Report.Selection.Equal(base.Selection) {
+			t.Errorf("GOMAXPROCS %d: federated %v != in-memory %v", procs, res.Report.Selection, base.Selection)
+		}
+		for kind, want := range map[uint16]int{
+			KindAttestOffer:      8, // four remote members, both directions
+			KindCountsRequest:    4,
+			KindCountsReply:      4,
+			KindPairRequest:      0,
+			KindPairReply:        0,
+			KindPairBatchRequest: 144, // the small panel's predicted path misses often
+			KindPairBatchReply:   144,
+			KindLRRequest:        4,
+			KindLRReply:          4,
+			KindResult:           4,
+			KindShutdown:         4,
+		} {
+			if kinds[kind] != want {
+				t.Errorf("GOMAXPROCS %d: kind %d: %d message(s), want %d", procs, kind, kinds[kind], want)
+			}
+		}
+		if got := res.Traffic.TotalMessages; got != 320 {
+			t.Errorf("GOMAXPROCS %d: transport.Meter counted %d messages in all, want 320", procs, got)
+		}
 	}
 }

@@ -205,7 +205,7 @@ func (l *Leader) RunLinksContext(ctx context.Context, links []MemberLink, refere
 // remoteProvider adapts one attested member connection to the core.Provider
 // interface the assessment pipeline consumes. Calls are synchronous
 // request/response exchanges; the mutex keeps concurrent callers (the
-// driver's parallel fetches and parallel-combination mode) from interleaving
+// driver's parallel fetches and Phase 3's concurrent chains) from interleaving
 // requests on the shared connection, and guards the health state machine
 // (healthy → retrying → failed) plus the reconnect cycle.
 type remoteProvider struct {

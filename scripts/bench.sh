@@ -17,7 +17,7 @@ note="${2:-}"
 scale="${GENDPR_BENCH_SCALE:-0.05}"
 benchtime="${GENDPR_BENCH_TIME:-1x}"
 
-benches='^(BenchmarkTable4Selection|BenchmarkTable5Collusion|BenchmarkAblationObliviousLRTest|BenchmarkAblationLRWireFormat|BenchmarkAblationCollusionParallel)$'
+benches='^(BenchmarkTable4Selection|BenchmarkTable5Collusion|BenchmarkAblationObliviousLRTest|BenchmarkAblationLRWireFormat)$'
 
 out="$(mktemp)"
 trap 'rm -f "$out"' EXIT

@@ -130,8 +130,17 @@ go test -short -run '^TestChaosLeaderFailover$' ./internal/federation/
 echo "== lattice-vs-legacy smoke =="
 # The combination lattice's equivalence contract: the incremental Gray-chain
 # Phase 3 must match the legacy per-combination path bit for bit, across
-# federation sizes, policies, and scheduling modes.
-go test -short -run '^(TestLatticeMatchesLegacyGolden|TestLatticeResumeConservativeParallel)$' ./internal/core/
+# federation sizes and policies.
+go test -short -run '^TestLatticeMatchesLegacyGolden$' ./internal/core/
+
+echo "== concurrent Phase 3 and pair lifetime (race, 10 runs) =="
+# Phase 3's collusion chains run on every core: the same assessment on one
+# worker and on four must agree on selections, checkpoint saves, combination
+# records and wire messages, and the LD pair statistics must leave the enclave
+# and the snapshots at the Phase-2 boundary. Repeated under the race detector
+# because the chains reach shared accounting, timings and checkpoint state.
+go test -race -count=10 -run '^(TestPhase3ScheduleDeterministic|TestLatticeResumeConservativeConcurrent|TestPairBytesReleasedAtPhase2Boundary|TestResumeAtLDAsksNoPairs)$' ./internal/core/
+go test -race -count=10 -run '^TestFederationConservativeMessageCount$' ./internal/federation/
 
 echo "== service smoke (daemon + drain) =="
 # The always-on deployment end to end: member nodes serving concurrent
@@ -152,7 +161,7 @@ echo "== bench smoke (1 iteration, tiny scale) =="
 # One iteration of the Phase-3 suite at a tiny scale: catches benchmarks that
 # no longer compile or crash without paying for a real measurement run.
 GENDPR_BENCH_SCALE=0.01 go test -run '^$' \
-    -bench '^(BenchmarkTable4Selection|BenchmarkTable5Collusion|BenchmarkAblationObliviousLRTest|BenchmarkAblationLRWireFormat|BenchmarkAblationCollusionParallel)$' \
+    -bench '^(BenchmarkTable4Selection|BenchmarkTable5Collusion|BenchmarkAblationObliviousLRTest|BenchmarkAblationLRWireFormat)$' \
     -benchtime 1x . >/dev/null
 # The per-layer Phase-3 benchmarks build their own paper-shape inputs (390
 # columns x 13,035 + 14,860 rows), which takes well under a second.
@@ -161,5 +170,7 @@ go test -run '^$' -bench '^(BenchmarkSelectSafeBit|BenchmarkAddColumnKth|Benchma
 # The Phase-2 layer benchmark at a tenth of the paper's shape (1,000 SNPs x
 # 1,486 genomes; the full-size sub-benchmark is for measuring, not for CI).
 go test -run '^$' -bench '^BenchmarkLDPhase$/^1000x1486$' -benchtime 1x ./internal/core >/dev/null
+# One fsynced checkpoint save at a tenth of the fed5_collusion snapshot.
+go test -run '^$' -bench '^BenchmarkFileStoreSave$/^tenth$' -benchtime 1x ./internal/checkpoint >/dev/null
 
 echo "ALL CHECKS PASSED"
