@@ -49,11 +49,14 @@ func collusionState(snps, afterMAF, afterLD int) *State {
 	return st
 }
 
-// BenchmarkFileStoreSave prices one checkpoint boundary on disk — encode,
-// write, fsync, rotate, rename and directory fsync — at the shape of the
-// last of the 33 saves of the benchmark's fed5_collusion workload (5 × 10,000
-// counts, 31 MAF selections of ~4,400 SNPs, 31 LD selections of ~390, 31
-// combinations), and at a tenth of it. bytes/op is the record's size.
+// BenchmarkFileStoreSave prices one checkpoint boundary on disk at the shape
+// of the last of the 33 saves of the benchmark's fed5_collusion workload (5 ×
+// 10,000 counts, 31 MAF selections of ~4,400 SNPs, 31 LD selections of ~390,
+// 31 combinations), and at a tenth of it, both ways a FileStore saves one:
+// a new base (encode, write, fsync, rotate, rename and directory fsync) and,
+// in the "_append" sub-benchmarks, one Phase-3 combination appended to the
+// log behind a StageLD base (encode a frame, write, fsync). bytes/op is the
+// record's or the frame's size.
 func BenchmarkFileStoreSave(b *testing.B) {
 	for _, shape := range []struct {
 		name                    string
@@ -75,6 +78,36 @@ func BenchmarkFileStoreSave(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(n), "bytes/op")
+		})
+		b.Run(shape.name+"_append", func(b *testing.B) {
+			full := collusionState(shape.snps, shape.afterMAF, shape.afterLD)
+			combos := full.Combinations
+			s, err := NewFileStore(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			st := *full
+			n := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i%len(combos) + 1
+				if k == 1 {
+					// A new run's Phase-2 base, outside the timed appends.
+					b.StopTimer()
+					st.Combinations = combos[:0]
+					if err := s.Save(&st); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				st.Combinations = combos[:k]
+				if err := s.Save(&st); err != nil {
+					b.Fatal(err)
+				}
+				n += len(encodeFrame(combos[k-1 : k]))
+			}
+			b.ReportMetric(float64(n)/float64(b.N), "bytes/op")
 		})
 	}
 }

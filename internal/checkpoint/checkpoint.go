@@ -1,16 +1,20 @@
 // Package checkpoint persists assessment progress at phase boundaries so a
 // re-elected leader (or a restarted one) can resume a partially completed
 // GenDPR run instead of recomputing every phase from zero. A checkpoint is a
-// single self-contained record: the provider roster it was taken over, the
-// collected summary statistics, the selections surviving each completed
-// phase, and the per-combination Phase 3 results (including the canonical
-// admission order of the full-membership combination, which anchors every
-// other combination on resume).
+// State: the provider roster it was taken over, the collected summary
+// statistics, the selections surviving each completed phase, and the
+// per-combination Phase 3 results (including the canonical admission order of
+// the full-membership combination, which anchors every other combination on
+// resume).
 //
-// The on-disk/on-wire form is a versioned, length-prefixed, CRC-guarded
-// envelope over the project's deterministic wire codec. Decoding is
-// all-or-nothing: a truncated, corrupted, or version-skewed record yields an
-// error and no partially applied state, which the fuzz target enforces.
+// A State is stored as a base record plus zero or more log frames. The base
+// is a versioned, length-prefixed, CRC-guarded envelope over the project's
+// deterministic wire codec and is self-contained; each log frame carries the
+// Phase 3 combinations completed since the previous write, under its own
+// length and CRC. Decoding the base is all-or-nothing: a truncated,
+// corrupted, or version-skewed record yields an error and no partially
+// applied state. Decoding the log is all-or-nothing per frame: the first
+// torn or CRC-bad frame ends it. The fuzz targets enforce both.
 package checkpoint
 
 import (
@@ -151,11 +155,6 @@ type State struct {
 	Blamed []BlameRecord
 }
 
-// maxElems bounds decoded element counts before allocation so a hostile
-// length field cannot force a huge allocation; real checkpoints are far
-// smaller.
-const maxElems = 1 << 24
-
 // headerLen is the envelope ahead of the payload: magic, version, length.
 const headerLen = len(magic) + 4 + 8
 
@@ -188,16 +187,7 @@ func Encode(st *State) []byte {
 	encodePerCombination(e, st.PerMAF)
 	e.Ints(st.LDouble)
 	encodePerCombination(e, st.PerLD)
-	e.Uint64(uint64(len(st.Combinations)))
-	for _, c := range st.Combinations {
-		e.Uint64(uint64(len(c.Members)))
-		for _, m := range c.Members {
-			e.String(m)
-		}
-		e.Ints(c.Safe)
-		e.Float64(c.Power)
-		e.Ints(c.Order)
-	}
+	encodeCombinations(e, st.Combinations)
 	e.Uint64(uint64(len(st.Blamed)))
 	for _, b := range st.Blamed {
 		e.String(b.Member)
@@ -239,19 +229,40 @@ func payloadLen(st *State) int {
 	n += 8 // stage
 	n += words(len(st.LPrime)) + perCombination(st.PerMAF)
 	n += words(len(st.LDouble)) + perCombination(st.PerLD)
-	n += 8
-	for _, c := range st.Combinations {
-		n += 8
-		for _, m := range c.Members {
-			n += words(0) + len(m)
-		}
-		n += words(len(c.Safe)) + 8 + words(len(c.Order))
-	}
+	n += combinationsLen(st.Combinations)
 	n += 8
 	for _, b := range st.Blamed {
 		n += 6*words(0) + len(b.Member) + len(b.Phase) + len(b.Query) + len(b.Kind) + len(b.Prior) + len(b.Observed)
 	}
 	return n
+}
+
+// combinationsLen is the exact number of bytes encodeCombinations writes.
+func combinationsLen(cs []Combination) int {
+	n := 8
+	for _, c := range cs {
+		n += 8
+		for _, m := range c.Members {
+			n += 8 + len(m)
+		}
+		n += 8 + 8*len(c.Safe) + 8 + 8 + 8*len(c.Order)
+	}
+	return n
+}
+
+// encodeCombinations writes a count-prefixed list of combinations; the base
+// record and every log frame share it.
+func encodeCombinations(e *wire.Encoder, cs []Combination) {
+	e.Uint64(uint64(len(cs)))
+	for _, c := range cs {
+		e.Uint64(uint64(len(c.Members)))
+		for _, m := range c.Members {
+			e.String(m)
+		}
+		e.Ints(c.Safe)
+		e.Float64(c.Power)
+		e.Ints(c.Order)
+	}
 }
 
 func encodePerCombination(e *wire.Encoder, per [][]int) {
@@ -293,8 +304,11 @@ func Decode(b []byte) (*State, error) {
 	d := wire.NewDecoder(payload)
 	st := &State{}
 	st.Fingerprint = append([]byte(nil), d.Blob()...)
-	st.Providers = decodeStrings(d)
-	nCounts, ok := decodeLen(d)
+	var ok, okMAF, okLD bool
+	if st.Providers, ok = decodeStrings(d); !ok {
+		return nil, fmt.Errorf("%w: provider length", ErrCorrupt)
+	}
+	nCounts, ok := decodeLen(d, 8)
 	if !ok {
 		return nil, fmt.Errorf("%w: counts length", ErrCorrupt)
 	}
@@ -305,31 +319,19 @@ func Decode(b []byte) (*State, error) {
 	st.CaseNs = d.Int64s()
 	st.Stage = Stage(d.Uint64())
 	st.LPrime = d.Ints()
-	st.PerMAF = decodePerCombination(d)
+	st.PerMAF, okMAF = decodePerCombination(d)
 	st.LDouble = d.Ints()
-	st.PerLD = decodePerCombination(d)
-	nCombos, ok := decodeLen(d)
-	if !ok {
-		return nil, fmt.Errorf("%w: combination length", ErrCorrupt)
+	st.PerLD, okLD = decodePerCombination(d)
+	if !okMAF || !okLD {
+		return nil, fmt.Errorf("%w: per-combination length", ErrCorrupt)
 	}
-	st.Combinations = make([]Combination, 0, nCombos)
-	for i := 0; i < nCombos; i++ {
-		c := Combination{
-			Members: decodeStrings(d),
-			Safe:    d.Ints(),
-			Power:   d.Float64(),
-		}
-		// Keep the zero value for an absent order so encode/decode round
-		// trips compare equal (only the full-membership record carries one).
-		if o := d.Ints(); len(o) > 0 {
-			c.Order = o
-		}
-		st.Combinations = append(st.Combinations, c)
+	if st.Combinations, ok = decodeCombinations(d); !ok {
+		return nil, fmt.Errorf("%w: combination length", ErrCorrupt)
 	}
 	// The blame section trails the record and is optional: records written
 	// before it existed simply end here.
 	if d.Remaining() > 0 {
-		nBlamed, ok := decodeLen(d)
+		nBlamed, ok := decodeLen(d, 6*8)
 		if !ok {
 			return nil, fmt.Errorf("%w: blame length", ErrCorrupt)
 		}
@@ -369,12 +371,16 @@ func (st *State) validate() error {
 		return fmt.Errorf("%w: stage %d", ErrCorrupt, st.Stage)
 	}
 	for _, c := range st.Combinations {
-		if math.IsNaN(c.Power) || math.IsInf(c.Power, 0) {
+		if !c.valid() {
 			return fmt.Errorf("%w: non-finite combination power", ErrCorrupt)
 		}
 	}
 	return nil
 }
+
+// valid reports whether the combination's power is finite, the one
+// invariant of a combination the codec cannot express.
+func (c *Combination) valid() bool { return !math.IsNaN(c.Power) && !math.IsInf(c.Power, 0) }
 
 // copyBytes detaches a decoded blob from the payload buffer, keeping the
 // zero value for an absent blob so encode/decode round trips compare equal.
@@ -385,34 +391,128 @@ func copyBytes(b []byte) []byte {
 	return append([]byte(nil), b...)
 }
 
-func decodeLen(d *wire.Decoder) (int, bool) {
+// decodeLen reads an element count and checks it against the bytes left, at
+// minSize bytes per element, before the caller allocates for it: a hostile
+// length field can claim no more elements than the input could hold.
+func decodeLen(d *wire.Decoder, minSize int) (int, bool) {
 	n := d.Uint64()
-	if d.Err() != nil || n > maxElems {
+	if d.Err() != nil || n > uint64(d.Remaining()/minSize) {
 		return 0, false
 	}
 	return int(n), true
 }
 
-func decodeStrings(d *wire.Decoder) []string {
-	n, ok := decodeLen(d)
+// decodeCombinations is the inverse of encodeCombinations.
+func decodeCombinations(d *wire.Decoder) ([]Combination, bool) {
+	// Members, Safe, Power and Order take at least 8 bytes each.
+	n, ok := decodeLen(d, 4*8)
 	if !ok {
-		return nil
+		return nil, false
+	}
+	out := make([]Combination, 0, n)
+	for i := 0; i < n; i++ {
+		members, ok := decodeStrings(d)
+		if !ok {
+			return nil, false
+		}
+		c := Combination{Members: members, Safe: d.Ints(), Power: d.Float64()}
+		// Keep the zero value for an absent order so encode/decode round
+		// trips compare equal (only the full-membership record carries one).
+		if o := d.Ints(); len(o) > 0 {
+			c.Order = o
+		}
+		out = append(out, c)
+	}
+	return out, true
+}
+
+func decodeStrings(d *wire.Decoder) ([]string, bool) {
+	n, ok := decodeLen(d, 8)
+	if !ok {
+		return nil, false
 	}
 	out := make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, d.String())
 	}
-	return out
+	return out, true
 }
 
-func decodePerCombination(d *wire.Decoder) [][]int {
-	n, ok := decodeLen(d)
+func decodePerCombination(d *wire.Decoder) ([][]int, bool) {
+	n, ok := decodeLen(d, 8)
 	if !ok {
-		return nil
+		return nil, false
 	}
 	out := make([][]int, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, d.Ints())
 	}
-	return out
+	return out, true
+}
+
+// frameOverhead is a log frame's length prefix plus its CRC trailer.
+const frameOverhead = 8 + 4
+
+// encodeFrame serializes combinations as one log frame:
+//
+//	length u64 | count u64 | combinations | crc32(IEEE) u32
+//
+// length counts the bytes between itself and the CRC; the CRC covers the
+// length and those bytes. The combinations use the base record's encoding.
+func encodeFrame(cs []Combination) []byte {
+	n := combinationsLen(cs)
+	out := make([]byte, 8, frameOverhead+n)
+	binary.BigEndian.PutUint64(out, uint64(n))
+	e := wire.NewEncoderBuffer(out)
+	encodeCombinations(e, cs)
+	out = e.Bytes()
+	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+}
+
+// readFrame decodes the log frame at the head of b and returns its
+// combinations and its size in bytes. ok is false unless b starts with a
+// whole frame whose CRC matches and whose combinations decode and validate.
+// The claimed length is checked against len(b) before anything is read or
+// allocated for it.
+func readFrame(b []byte) (cs []Combination, size int, ok bool) {
+	if len(b) < frameOverhead {
+		return nil, 0, false
+	}
+	n := binary.BigEndian.Uint64(b)
+	if n > uint64(len(b)-frameOverhead) {
+		return nil, 0, false
+	}
+	size = frameOverhead + int(n)
+	body := b[:size-4]
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(b[size-4:size]) {
+		return nil, 0, false
+	}
+	d := wire.NewDecoder(body[8:])
+	cs, ok = decodeCombinations(d)
+	if !ok || d.Finish() != nil {
+		return nil, 0, false
+	}
+	for i := range cs {
+		if !cs[i].valid() {
+			return nil, 0, false
+		}
+	}
+	return cs, size, true
+}
+
+// decodeLog returns the combinations of the intact frames at the head of b
+// and the number of bytes those frames span. The first frame that is torn,
+// fails its CRC, or does not decode ends the log: it is what a crash during
+// an append leaves behind, so it is not an error.
+func decodeLog(b []byte) ([]Combination, int) {
+	var out []Combination
+	off := 0
+	for {
+		cs, n, ok := readFrame(b[off:])
+		if !ok {
+			return out, off
+		}
+		out = append(out, cs...)
+		off += n
+	}
 }

@@ -90,9 +90,19 @@ func TestFileStoreNamespaceSanitization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Two bases and an append behind each, so the longest name — the
+	// previous generation's log — is on disk.
 	ns := root.Namespace("ten/ant: §" + strings.Repeat("x", 200))
-	if err := ns.Save(stateFor("n")); err != nil {
-		t.Fatal(err)
+	grown := sampleState()
+	base := *grown
+	base.Combinations = grown.Combinations[:1]
+	for _, st := range []*State{&base, grown, &base, grown} {
+		if err := ns.Save(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(ns.(*FileStore).Path() + prevSuffix + logSuffix); err != nil {
+		t.Fatalf("no previous generation's log on disk: %v", err)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -100,7 +110,7 @@ func TestFileStoreNamespaceSanitization(t *testing.T) {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, "assessment") || !strings.HasSuffix(name, ".ckpt") {
+		if !strings.HasPrefix(name, "assessment") || !strings.Contains(name, ".ckpt") {
 			t.Errorf("unexpected file %q in store directory", name)
 		}
 		for _, c := range []byte(name) {
@@ -110,7 +120,7 @@ func TestFileStoreNamespaceSanitization(t *testing.T) {
 				t.Errorf("file name %q contains unsafe byte %q", name, c)
 			}
 		}
-		if len(name) > len("assessment-")+128+len(".ckpt") {
+		if len(name) > len("assessment-")+128+len(".ckpt.prev.log") {
 			t.Errorf("file name %q not truncated", name)
 		}
 	}

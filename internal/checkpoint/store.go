@@ -1,8 +1,10 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -22,7 +24,12 @@ import (
 // replicated storage in a real multi-host deployment).
 type Store interface {
 	// Save persists st as the current checkpoint, replacing any previous
-	// one. The state must not be mutated while Save runs.
+	// one. The state must not be mutated while Save runs. Between two saves
+	// of one Stage, a run's state only grows: the later state carries the
+	// earlier one's Combinations as its prefix and every other field
+	// unchanged. A store may rely on that to persist only the new
+	// combinations; any other sequence of states is still saved correctly,
+	// just in full.
 	Save(st *State) error
 	// Load returns the current checkpoint, or ErrNotFound when none exists.
 	Load() (*State, error)
@@ -132,16 +139,27 @@ type Recoverer interface {
 	RecoveredCorruption() (string, bool)
 }
 
-// FileStore persists the checkpoint in a directory, keeping the current
-// snapshot plus the previous boundary as a fallback generation. Saves write
-// a temporary file, fsync it, rotate current → previous, rename the
-// temporary into place, and fsync the directory, so a crash or power loss at
-// any instant leaves at least one valid, durable boundary on disk. A Load
-// that finds the current snapshot corrupt (torn write, bit rot) quarantines
-// it under a ".corrupt" name for post-mortem inspection and falls back to
-// the previous boundary instead of failing the run. A snapshot written by a
-// build with another format version is not corrupt: Load reports ErrVersion
-// and leaves it in place for the next Save to replace.
+// FileStore persists the checkpoint in a directory as a base snapshot plus
+// an append-only log of the Phase 3 combinations completed since, and keeps
+// the previous base and its log as a fallback generation.
+//
+// A Save that only adds combinations to the state this instance last wrote
+// (same fingerprint, providers, stage and blame count, and the combinations
+// already on disk as its prefix) appends them to the log as one CRC-guarded
+// frame: open with O_APPEND, write, fsync, close. Any other Save writes a new
+// base: write a temporary file, fsync it, rotate the current base and its log
+// to the previous generation, rename the temporary into place, and fsync the
+// directory. A crash or power loss at any instant leaves at least one valid,
+// durable boundary on disk.
+//
+// Load returns the base plus every intact frame of its own log; a torn or
+// CRC-bad frame ends the log (it is what a crash during an append leaves).
+// A Load that finds the current base corrupt (torn write, bit rot)
+// quarantines it and its log under ".corrupt" names for post-mortem
+// inspection and falls back to the previous generation instead of failing
+// the run. A base written by a build with another format version is not
+// corrupt: Load reports ErrVersion and leaves it in place for the next Save
+// to replace.
 type FileStore struct {
 	path string
 	dir  string
@@ -150,6 +168,22 @@ type FileStore struct {
 	recovered string
 	faultHook func(op string) error
 	children  map[string]*FileStore
+	tail      logTail
+}
+
+// logTail is what a FileStore remembers of the state it last persisted
+// itself, enough to recognise a Save that only adds combinations. It is
+// constant-size: a daemon keeps every namespace it has opened.
+type logTail struct {
+	// ok is set once this instance has written the current base and every
+	// frame since; a Load or a failed write clears it.
+	ok bool
+	// logged is the number of combinations on disk, base and log together,
+	// and hash is prefixHash(st, logged) of the state last written.
+	logged int
+	hash   uint64
+	// logExists reports that the log file has been created since the base.
+	logExists bool
 }
 
 // File names used inside the store directory.
@@ -157,6 +191,7 @@ const (
 	checkpointFile = "assessment.ckpt"
 	tmpSuffix      = ".tmp"
 	prevSuffix     = ".prev"
+	logSuffix      = ".log" // a base's log is the base's name plus this
 	corruptSuffix  = ".corrupt"
 )
 
@@ -172,9 +207,10 @@ func NewFileStore(dir string) (*FileStore, error) {
 func (s *FileStore) Path() string { return s.path }
 
 // SetFaultHook installs a hook called before each durability-relevant step
-// of Save ("write", "rotate", "rename", "sync"); a non-nil return aborts the
-// save with that error. Tests use it to simulate disk-full and torn-write
-// conditions at exact points of the persistence sequence.
+// of Save ("write", "rotate", "rename", "sync" for a new base, "append" for a
+// log frame); a non-nil return aborts the save with that error. Tests use it
+// to simulate disk-full and torn-write conditions at exact points of the
+// persistence sequence.
 func (s *FileStore) SetFaultHook(hook func(op string) error) {
 	s.mu.Lock()
 	s.faultHook = hook
@@ -188,33 +224,70 @@ func (s *FileStore) fault(op string) error {
 	return s.faultHook(op)
 }
 
-// Save implements Store with a fsync'd write-rotate-rename sequence. The
-// whole sequence runs under the instance lock: concurrent savers of one
-// store (the service's coalesced requests, a test's parallel writers) are
-// serialized rather than interleaving their rotate/rename steps.
+// Save implements Store, appending a log frame when st only adds
+// combinations to what this instance last persisted and writing a new base
+// otherwise. The whole sequence runs under the instance lock: concurrent
+// savers of one store (the service's coalesced requests, a test's parallel
+// writers) are serialized rather than interleaving their steps.
 func (s *FileStore) Save(st *State) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	t := s.tail
+	s.tail = logTail{} // until this save is durable
+	n := len(st.Combinations)
+	appended := t.ok && n > t.logged && prefixHash(st, t.logged) == t.hash
+	var err error
+	if appended {
+		err = s.appendLog(st.Combinations[t.logged:], !t.logExists)
+	} else {
+		err = s.saveBase(st)
+	}
+	if err != nil {
+		return err
+	}
+	s.tail = logTail{ok: true, logged: n, hash: prefixHash(st, n), logExists: appended}
+	return nil
+}
+
+// appendLog writes cs to the log as one frame and makes it durable. The file
+// is closed again at once: a daemon keeps every namespace it has opened, and
+// an open log per namespace would hold one descriptor each.
+func (s *FileStore) appendLog(cs []Combination, create bool) error {
+	if err := s.fault("append"); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	if err := writeFileSync(s.path+logSuffix, os.O_APPEND, encodeFrame(cs)); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	if create {
+		// The new directory entry must be durable too, or a power loss can
+		// drop the whole log.
+		return s.syncDir()
+	}
+	return nil
+}
+
+// saveBase writes st as a new base with a fsync'd write-rotate-rename
+// sequence, leaving it with an empty log.
+func (s *FileStore) saveBase(st *State) error {
 	tmp := s.path + tmpSuffix
 	if err := s.fault("write"); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if err := writeFileSync(tmp, Encode(st)); err != nil {
+	if err := writeFileSync(tmp, os.O_TRUNC, Encode(st)); err != nil {
 		_ = os.Remove(tmp)
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	// Rotate the old current snapshot into the fallback slot before the new
-	// one lands: between the two renames the previous boundary is still the
+	// Rotate the old current generation into the fallback slot before the
+	// new base lands: between the renames the previous boundary is still the
 	// newest valid snapshot, so no crash instant loses both generations.
 	if err := s.fault("rotate"); err != nil {
 		_ = os.Remove(tmp)
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if _, err := os.Stat(s.path); err == nil {
-		if err := os.Rename(s.path, s.path+prevSuffix); err != nil {
-			_ = os.Remove(tmp)
-			return fmt.Errorf("checkpoint: %w", err)
-		}
+	if err := s.rotate(); err != nil {
+		_ = os.Remove(tmp)
+		return fmt.Errorf("checkpoint: %w", err)
 	}
 	if err := s.fault("rename"); err != nil {
 		_ = os.Remove(tmp)
@@ -232,10 +305,74 @@ func (s *FileStore) Save(st *State) error {
 	return s.syncDir()
 }
 
-// writeFileSync writes b and flushes file contents to stable storage before
-// returning, so the subsequent rename can only ever expose complete bytes.
-func writeFileSync(path string, b []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// rotate moves the current base and its log into the previous generation's
+// slot. The slot's old log goes first, so it never follows the new previous
+// base; a current log without its base is dropped, never moved.
+func (s *FileStore) rotate() error {
+	if _, err := os.Stat(s.path); err != nil {
+		return removeIfExists(s.path + logSuffix)
+	}
+	prev := s.path + prevSuffix
+	if err := removeIfExists(prev + logSuffix); err != nil {
+		return err
+	}
+	if err := os.Rename(s.path, prev); err != nil {
+		return err
+	}
+	if err := os.Rename(s.path+logSuffix, prev+logSuffix); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	return nil
+}
+
+func removeIfExists(path string) error {
+	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	return nil
+}
+
+// hashSeed keys prefixHash; its values never leave the process.
+var hashSeed = maphash.MakeSeed()
+
+// prefixHash hashes what a log append must leave unchanged — fingerprint,
+// providers, stage and blame count — and the member names of the first n
+// combinations. It reads only those cheap fields, never the encoded state.
+// (maphash.Hash writes never fail.)
+func prefixHash(st *State, n int) uint64 {
+	var h maphash.Hash
+	h.SetSeed(hashSeed)
+	var word [8]byte
+	num := func(v int) {
+		binary.LittleEndian.PutUint64(word[:], uint64(v))
+		h.Write(word[:])
+	}
+	str := func(s string) {
+		num(len(s))
+		h.WriteString(s)
+	}
+	num(len(st.Fingerprint))
+	h.Write(st.Fingerprint)
+	num(len(st.Providers))
+	for _, p := range st.Providers {
+		str(p)
+	}
+	num(int(st.Stage))
+	num(len(st.Blamed))
+	for _, c := range st.Combinations[:n] {
+		num(len(c.Members))
+		for _, m := range c.Members {
+			str(m)
+		}
+	}
+	return h.Sum64()
+}
+
+// writeFileSync writes b to the file opened with flag (O_TRUNC or O_APPEND)
+// and flushes its contents to stable storage before returning, so a
+// subsequent rename can only ever expose complete bytes.
+func writeFileSync(path string, flag int, b []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|flag, 0o644)
 	if err != nil {
 		return err
 	}
@@ -262,26 +399,30 @@ func (s *FileStore) syncDir() error {
 	return nil
 }
 
-// Load implements Store. A corrupt current snapshot is quarantined (renamed
-// with a ".corrupt" suffix) and the previous boundary is returned instead;
-// RecoveredCorruption reports the fallback. Only when no generation decodes
-// does Load surface the corruption error. A current snapshot of another
+// Load implements Store. A corrupt current base is quarantined together with
+// its log (renamed with a ".corrupt" suffix) and the previous generation is
+// returned instead; RecoveredCorruption reports the fallback. The current
+// log is never read on top of the previous base. Only when no generation
+// decodes does Load surface the corruption error. A current base of another
 // format version returns ErrVersion with no quarantine and no fallback: the
-// previous boundary is no newer, so it cannot be of this version either, and
-// the bytes are intact — an upgrade, not evidence of a fault.
+// previous generation is no newer, so it cannot be of this version either,
+// and the bytes are intact — an upgrade, not evidence of a fault. Load
+// forgets what this instance wrote, so the next Save writes a new base.
 func (s *FileStore) Load() (*State, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.recovered = ""
+	s.tail = logTail{}
 
-	st, err := loadFile(s.path)
+	prev := s.path + prevSuffix
+	st, err := loadGeneration(s.path)
 	switch {
 	case err == nil:
 		return st, nil
 	case errors.Is(err, ErrNotFound):
-		// A crash between Save's two renames leaves only the rotated
-		// previous boundary; an empty store leaves neither.
-		st, perr := loadFile(s.path + prevSuffix)
+		// A crash between Save's renames leaves only the rotated previous
+		// generation; an empty store leaves neither.
+		st, perr := loadGeneration(prev)
 		if perr != nil {
 			return nil, ErrNotFound
 		}
@@ -290,19 +431,44 @@ func (s *FileStore) Load() (*State, error) {
 	case errors.Is(err, ErrCorrupt):
 		// Keep the bad bytes for post-mortem inspection, out of the way of
 		// future saves.
-		_ = os.Rename(s.path, s.path+corruptSuffix)
-		st, perr := loadFile(s.path + prevSuffix)
+		quarantine(s.path)
+		st, perr := loadGeneration(prev)
 		if perr == nil {
 			s.recovered = "quarantined corrupt snapshot; resumed from previous boundary"
 			return st, nil
 		}
 		if errors.Is(perr, ErrCorrupt) {
-			_ = os.Rename(s.path+prevSuffix, s.path+prevSuffix+corruptSuffix)
+			quarantine(prev)
 		}
 		return nil, err
 	default:
 		return nil, err
 	}
+}
+
+// loadGeneration reads the base at path and appends the combinations of its
+// log's intact frames.
+func loadGeneration(path string) (*State, error) {
+	st, err := loadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	b, err := os.ReadFile(path + logSuffix)
+	if errors.Is(err, fs.ErrNotExist) {
+		return st, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	logged, _ := decodeLog(b)
+	st.Combinations = append(st.Combinations, logged...)
+	return st, nil
+}
+
+// quarantine renames a corrupt base and its log aside.
+func quarantine(path string) {
+	_ = os.Rename(path, path+corruptSuffix)
+	_ = os.Rename(path+logSuffix, path+logSuffix+corruptSuffix)
 }
 
 func loadFile(path string) (*State, error) {
@@ -323,13 +489,16 @@ func (s *FileStore) RecoveredCorruption() (string, bool) {
 	return s.recovered, s.recovered != ""
 }
 
-// Clear implements Store, removing every live generation. Quarantined
-// ".corrupt" files are evidence, not state, and are deliberately kept.
+// Clear implements Store, removing every live generation and its log.
+// Quarantined ".corrupt" files are evidence, not state, and are deliberately
+// kept.
 func (s *FileStore) Clear() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, p := range []string{s.path, s.path + prevSuffix, s.path + tmpSuffix} {
-		if err := os.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	s.tail = logTail{}
+	prev := s.path + prevSuffix
+	for _, p := range []string{s.path, s.path + logSuffix, prev, prev + logSuffix, s.path + tmpSuffix} {
+		if err := removeIfExists(p); err != nil {
 			return fmt.Errorf("checkpoint: %w", err)
 		}
 	}
@@ -363,7 +532,7 @@ func (s *FileStore) Namespace(name string) Store {
 }
 
 // ClearAll removes the root's live generations and every namespaced
-// snapshot in the directory — including ones left behind by earlier
+// snapshot and log in the directory — including ones left behind by earlier
 // processes whose sub-stores this instance never opened. Quarantined
 // ".corrupt" files are kept, as in Clear.
 func (s *FileStore) ClearAll() error {
@@ -376,12 +545,12 @@ func (s *FileStore) ClearAll() error {
 		if !strings.HasPrefix(name, "assessment") || strings.HasSuffix(name, corruptSuffix) {
 			continue
 		}
-		switch {
-		case strings.HasSuffix(name, ".ckpt"),
-			strings.HasSuffix(name, ".ckpt"+prevSuffix),
-			strings.HasSuffix(name, ".ckpt"+tmpSuffix):
-			if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-				return fmt.Errorf("checkpoint: %w", err)
+		for _, suffix := range []string{"", prevSuffix, tmpSuffix, logSuffix, prevSuffix + logSuffix} {
+			if strings.HasSuffix(name, ".ckpt"+suffix) {
+				if err := removeIfExists(filepath.Join(s.dir, name)); err != nil {
+					return fmt.Errorf("checkpoint: %w", err)
+				}
+				break
 			}
 		}
 	}

@@ -1,10 +1,13 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -224,5 +227,265 @@ func TestFileStoreVersionSkewIsNotCorruption(t *testing.T) {
 	got, err := s.Load()
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("Load after Save = (%+v, %v), want the new state", got, err)
+	}
+}
+
+// loggedRun returns a Phase-3 run's states over one saving sequence: the
+// StageLD base with no combinations, then one more completed combination
+// per state, 31 in all.
+func loggedRun() []*State {
+	full := collusionState(100, 40, 12)
+	out := make([]*State, 0, len(full.Combinations)+1)
+	for k := 0; k <= len(full.Combinations); k++ {
+		st := *full
+		st.Combinations = full.Combinations[:k:k]
+		out = append(out, &st)
+	}
+	return out
+}
+
+func openStore(t *testing.T, dir string) *FileStore {
+	t.Helper()
+	s, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatalf("NewFileStore: %v", err)
+	}
+	return s
+}
+
+// recordOps installs a fault hook that records each step Save takes.
+func recordOps(s *FileStore) *[]string {
+	var ops []string
+	s.SetFaultHook(func(op string) error {
+		ops = append(ops, op)
+		return nil
+	})
+	return &ops
+}
+
+// TestFileStoreLogRoundTrip saves one base and 31 appends and, after every
+// Save, loads the directory through a fresh FileStore: it must return the
+// saved state exactly, while the base file is never rewritten.
+func TestFileStoreLogRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	ops := recordOps(s)
+	var base []byte
+	for k, st := range loggedRun() {
+		*ops = nil
+		if err := s.Save(st); err != nil {
+			t.Fatalf("save %d: %v", k, err)
+		}
+		if k == 0 {
+			if base, _ = os.ReadFile(s.Path()); base == nil {
+				t.Fatal("no base written")
+			}
+		} else if want := []string{"append"}; !reflect.DeepEqual(*ops, want) {
+			t.Fatalf("save %d took steps %v, want %v", k, *ops, want)
+		}
+		got, err := openStore(t, dir).Load()
+		if err != nil {
+			t.Fatalf("load after save %d: %v", k, err)
+		}
+		if !reflect.DeepEqual(got, st) {
+			t.Fatalf("load after save %d: %d combinations, want %d, or another field differs", k, len(got.Combinations), len(st.Combinations))
+		}
+	}
+	if now, _ := os.ReadFile(s.Path()); !bytes.Equal(now, base) {
+		t.Error("an append rewrote the base")
+	}
+}
+
+// TestFileStoreTornLogTail cuts the log at every byte offset inside its last
+// frame, as a crash during that append would: Load must return the base plus
+// every earlier frame, and report no recovery — a torn tail is the expected
+// end of an interrupted append, not corruption.
+func TestFileStoreTornLogTail(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	run := loggedRun()[:4]
+	for _, st := range run {
+		if err := s.Save(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log, err := os.ReadFile(s.Path() + logSuffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(log) - len(encodeFrame(run[3].Combinations[2:]))
+	want := run[2]
+	for cut := last; cut < len(log); cut++ {
+		if err := os.WriteFile(s.Path()+logSuffix, log[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r := openStore(t, dir)
+		got, err := r.Load()
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut %d: %d combinations, want the %d of the intact frames", cut, len(got.Combinations), len(want.Combinations))
+		}
+		if desc, ok := r.RecoveredCorruption(); ok {
+			t.Fatalf("cut %d: torn log tail reported as a recovery: %s", cut, desc)
+		}
+	}
+}
+
+// TestFileStoreCorruptBaseIgnoresItsLog corrupts the current base while its
+// log holds frames: the base and its log are quarantined, and Load returns
+// the previous base with the previous log — never a frame of the current
+// log grafted onto the previous base.
+func TestFileStoreCorruptBaseIgnoresItsLog(t *testing.T) {
+	dir := t.TempDir()
+	older := loggedRun()[:3]
+	s := openStore(t, dir)
+	for _, st := range older {
+		if err := s.Save(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A successor's run of another shape: its first save is a new base
+	// (rotating the older one and its log), its second an append.
+	newer := collusionState(100, 40, 12)
+	newer.LPrime = newer.LPrime[1:]
+	for i := range newer.Combinations {
+		newer.Combinations[i].Power = 0.75
+	}
+	s = openStore(t, dir)
+	for k := 0; k <= 2; k++ {
+		st := *newer
+		st.Combinations = newer.Combinations[:k]
+		if err := s.Save(&st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(s.Path(), []byte("torn base"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := s.Load()
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if !reflect.DeepEqual(got, older[2]) {
+		t.Errorf("fallback holds %d combinations (LPrime %d SNPs), want the previous base and its own log (%d)",
+			len(got.Combinations), len(got.LPrime), len(older[2].Combinations))
+	}
+	if _, ok := s.RecoveredCorruption(); !ok {
+		t.Error("fallback not reported")
+	}
+	for _, p := range []string{s.Path() + corruptSuffix, s.Path() + logSuffix + corruptSuffix} {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("not quarantined at %s: %v", p, err)
+		}
+	}
+	if _, err := os.Stat(s.Path() + logSuffix); err == nil {
+		t.Error("the corrupt base's log is still live")
+	}
+}
+
+// TestFileStoreFailedAppend fails an append through the fault hook: Save
+// returns the error, the directory still holds the last good boundary, and
+// the next Save writes a new base instead of appending behind a frame that
+// may be torn.
+func TestFileStoreFailedAppend(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	run := loggedRun()
+	for _, st := range run[:2] {
+		if err := s.Save(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	diskFull := errors.New("simulated disk full at append")
+	s.SetFaultHook(func(op string) error {
+		if op == "append" {
+			return diskFull
+		}
+		return nil
+	})
+	if err := s.Save(run[2]); !errors.Is(err, diskFull) {
+		t.Fatalf("Save error = %v, want the injected fault", err)
+	}
+	if got, err := openStore(t, dir).Load(); err != nil || !reflect.DeepEqual(got, run[1]) {
+		t.Fatalf("after the failed append the directory holds (%v, %v), want the last good boundary", got, err)
+	}
+
+	ops := recordOps(s)
+	if err := s.Save(run[3]); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"write", "rotate", "rename", "sync"}; !reflect.DeepEqual(*ops, want) {
+		t.Errorf("save after a failed append took steps %v, want a new base %v", *ops, want)
+	}
+	if got, err := openStore(t, dir).Load(); err != nil || !reflect.DeepEqual(got, run[3]) {
+		t.Fatalf("Load after the new base = (%v, %v)", got, err)
+	}
+}
+
+// TestFileStoreClearRemovesLogs checks the directory after Clear and after
+// ClearAll when the root and a namespace each hold two generations with
+// logs and quarantined evidence: Clear removes exactly the root's base,
+// previous base and both logs; ClearAll also the namespace's; neither
+// touches a ".corrupt" file.
+func TestFileStoreClearRemovesLogs(t *testing.T) {
+	dir := t.TempDir()
+	root := openStore(t, dir)
+	ns := root.Namespace("cafe")
+	run := loggedRun()[:3]
+	for _, s := range []Store{root, ns} {
+		for _, st := range run {
+			if err := s.Save(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A second base of another stage rotates the first and its log.
+		if err := s.Save(run[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Save(run[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evidence := []string{"assessment.ckpt.corrupt", "assessment.ckpt.log.corrupt"}
+	for _, name := range evidence {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("evidence"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files := func() []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	nsFiles := []string{"assessment-cafe.ckpt", "assessment-cafe.ckpt.log", "assessment-cafe.ckpt.prev", "assessment-cafe.ckpt.prev.log"}
+	want := append(append([]string{}, nsFiles...), evidence...)
+	want = append(want, "assessment.ckpt", "assessment.ckpt.log", "assessment.ckpt.prev", "assessment.ckpt.prev.log")
+	sort.Strings(want)
+	if got := files(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("before Clear the directory holds %v, want %v", got, want)
+	}
+
+	if err := root.Clear(); err != nil {
+		t.Fatal(err)
+	}
+	want = append(append([]string{}, nsFiles...), evidence...)
+	sort.Strings(want)
+	if got := files(); !reflect.DeepEqual(got, want) {
+		t.Errorf("after Clear the directory holds %v, want %v", got, want)
+	}
+	if err := root.ClearAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := files(); !reflect.DeepEqual(got, evidence) {
+		t.Errorf("after ClearAll the directory holds %v, want only %v", got, evidence)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -18,23 +19,64 @@ import (
 // snapshotStore passes the first keep saves through to the inner store and
 // silently drops the rest — the on-disk view of a leader that crashed right
 // after its keep-th phase-boundary save. Clear is dropped too (a crashed
-// leader never cleans up).
+// leader never cleans up). Every save, kept or dropped, is held to the
+// Store.Save contract by contractStore.
 type snapshotStore struct {
-	inner *checkpoint.MemStore
-	keep  int
-	saves int
+	contract contractStore
+	inner    checkpoint.Store
+	keep     int
+}
+
+func newSnapshotStore(t *testing.T, inner checkpoint.Store, keep int) *snapshotStore {
+	return &snapshotStore{contract: contractStore{t: t}, inner: inner, keep: keep}
 }
 
 func (s *snapshotStore) Save(st *checkpoint.State) error {
-	s.saves++
-	if s.saves <= s.keep {
-		return s.inner.Save(st)
+	_ = s.contract.Save(st)
+	if s.contract.saves > s.keep {
+		return nil
 	}
-	return nil
+	return s.inner.Save(st)
 }
 
 func (s *snapshotStore) Load() (*checkpoint.State, error) { return s.inner.Load() }
 func (s *snapshotStore) Clear() error                     { return nil }
+
+// contractStore asserts the Store.Save contract a FileStore's log relies on:
+// between two saves of one Stage the state only grows its Combinations, and
+// every other field is unchanged. It counts saves and passes them to Store
+// when that is set.
+type contractStore struct {
+	checkpoint.Store
+	t     *testing.T
+	prev  *checkpoint.State
+	saves int
+}
+
+func (s *contractStore) Save(st *checkpoint.State) error {
+	s.saves++
+	// A deep copy: the saver keeps appending to st after Save returns. Save
+	// runs on Phase-3 workers, so failures are reported, never fatal.
+	cur, err := checkpoint.Decode(checkpoint.Encode(st))
+	if err != nil {
+		s.t.Errorf("save %d: %v", s.saves, err)
+		return err
+	}
+	if prev := s.prev; prev != nil && prev.Stage == cur.Stage {
+		n := len(prev.Combinations)
+		grown := *cur
+		if len(cur.Combinations) < n {
+			s.t.Errorf("save %d: %d combinations after %d at the same stage", s.saves, len(cur.Combinations), n)
+		} else if grown.Combinations = cur.Combinations[:n]; !reflect.DeepEqual(&grown, prev) {
+			s.t.Errorf("save %d at stage %v changed more than appending combinations", s.saves, cur.Stage)
+		}
+	}
+	s.prev = cur
+	if s.Store == nil {
+		return nil
+	}
+	return s.Store.Save(st)
+}
 
 func checkpointFixture(t *testing.T) ([]*genome.Matrix, *genome.Matrix) {
 	t.Helper()
@@ -73,7 +115,7 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 		}
 		maxSaves := 2 + len(subsets) // MAF, LD, one per combination
 		for keep := 1; keep <= maxSaves; keep++ {
-			snap := &snapshotStore{inner: checkpoint.NewMemStore(), keep: keep}
+			snap := newSnapshotStore(t, checkpoint.NewMemStore(), keep)
 			ps, names := providersFor(shards, []int{0, 1, 2})
 			if _, err := RunAssessmentWithOptions(ps, ref, cfg, policy, nil, AssessmentOptions{
 				ProviderNames: names,
@@ -118,7 +160,7 @@ func TestCheckpointFingerprintMismatchStartsFresh(t *testing.T) {
 	store := checkpoint.NewMemStore()
 
 	ps, names := providersFor(shards, []int{0, 1, 2})
-	snap := &snapshotStore{inner: store, keep: 2}
+	snap := newSnapshotStore(t, store, 2)
 	if _, err := RunAssessmentWithOptions(ps, ref, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{
 		ProviderNames: names, Checkpoints: snap,
 	}); err != nil {
@@ -323,7 +365,7 @@ func TestResumeAtLDAsksNoPairs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
-	snap := &snapshotStore{inner: checkpoint.NewMemStore(), keep: 2} // the MAF and LD saves
+	snap := newSnapshotStore(t, checkpoint.NewMemStore(), 2) // the MAF and LD saves
 	if _, err := RunAssessmentWithOptions(providers, ref, cfg, policy, nil, AssessmentOptions{
 		ProviderNames: names,
 		Checkpoints:   snap,

@@ -310,7 +310,7 @@ func TestLatticeResumeConservativeConcurrent(t *testing.T) {
 	}
 	for _, procs := range [][2]int{{1, 4}, {4, 1}} {
 		for _, keep := range []int{1, 3, 2 + 31/2, 2 + 31} {
-			snap := &snapshotStore{inner: checkpoint.NewMemStore(), keep: keep}
+			snap := newSnapshotStore(t, checkpoint.NewMemStore(), keep)
 			withProcs(procs[0], func() {
 				if _, err := RunAssessmentWithOptions(providers, ref, cfg, policy, nil, AssessmentOptions{
 					ProviderNames: names,
@@ -335,6 +335,65 @@ func TestLatticeResumeConservativeConcurrent(t *testing.T) {
 			if !report.Selection.Equal(baseline.Selection) || report.Selection.Power != baseline.Selection.Power {
 				t.Errorf("procs %v keep %d: resumed %v (power %v) != baseline %v (power %v)",
 					procs, keep, report.Selection, report.Selection.Power, baseline.Selection, baseline.Selection.Power)
+			}
+		}
+	}
+}
+
+// TestFileStoreResumeFromLog kills a conservative G=5 run right after its
+// k-th Phase-3 save into a real FileStore, where Phase 3 is an append-only
+// log behind the Phase-2 base, and resumes it from a fresh FileStore on the
+// same directory. The resume must replay exactly the k logged combinations
+// (it saves the other 31 − k itself) and reproduce the undisturbed run.
+func TestFileStoreResumeFromLog(t *testing.T) {
+	providers, ref, names := conservativeG5(t)
+	policy := CollusionPolicy{Conservative: true}
+	cfg := DefaultConfig()
+	baseline, err := RunAssessment(providers, ref, cfg, policy, nil)
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+	open := func(dir string) *checkpoint.FileStore {
+		fs, err := checkpoint.NewFileStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+	for _, k := range []int{1, 15, 30} {
+		dir := t.TempDir()
+		if _, err := RunAssessmentWithOptions(providers, ref, cfg, policy, nil, AssessmentOptions{
+			ProviderNames: names,
+			Checkpoints:   newSnapshotStore(t, open(dir), 2+k),
+		}); err != nil {
+			t.Fatalf("k=%d: first run: %v", k, err)
+		}
+		seed, err := open(dir).Load()
+		if err != nil || seed.Stage != checkpoint.StageLD || len(seed.Combinations) != k {
+			t.Fatalf("k=%d: seed %v, err %v; want StageLD with %d combinations", k, seed, err, k)
+		}
+
+		resume := &contractStore{Store: open(dir), t: t}
+		report, err := RunAssessmentWithOptions(providers, ref, cfg, policy, nil, AssessmentOptions{
+			ProviderNames: names,
+			Checkpoints:   resume,
+		})
+		if err != nil {
+			t.Fatalf("k=%d: resume: %v", k, err)
+		}
+		if !report.Resumed {
+			t.Errorf("k=%d: Resumed not set", k)
+		}
+		if want := 31 - k; resume.saves != want {
+			t.Errorf("k=%d: resume saved %d combinations, want %d (the rest replayed)", k, resume.saves, want)
+		}
+		if !report.Selection.Equal(baseline.Selection) || report.Selection.Power != baseline.Selection.Power {
+			t.Errorf("k=%d: resumed %v (power %v) != baseline %v (power %v)",
+				k, report.Selection, report.Selection.Power, baseline.Selection, baseline.Selection.Power)
+		}
+		for c := range baseline.PerCombination {
+			if !report.PerCombination[c].Equal(baseline.PerCombination[c]) {
+				t.Errorf("k=%d: combination %d: resumed %v != baseline %v", k, c, report.PerCombination[c], baseline.PerCombination[c])
 			}
 		}
 	}

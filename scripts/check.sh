@@ -142,6 +142,16 @@ echo "== concurrent Phase 3 and pair lifetime (race, 10 runs) =="
 go test -race -count=10 -run '^(TestPhase3ScheduleDeterministic|TestLatticeResumeConservativeConcurrent|TestPairBytesReleasedAtPhase2Boundary|TestResumeAtLDAsksNoPairs)$' ./internal/core/
 go test -race -count=10 -run '^TestFederationConservativeMessageCount$' ./internal/federation/
 
+echo "== checkpoint log: crash consistency and resume (race, 5 runs) =="
+# A FileStore keeps one base snapshot plus an append-only log of Phase-3
+# combinations: torn log tails, a corrupt base with a live log, a failed
+# append, Clear/ClearAll, a load after every save, and a G=5 run killed
+# mid-Phase-3 and resumed from the log by a fresh store instance.
+go test -race -count=5 -run '^(TestFileStoreLogRoundTrip|TestFileStoreTornLogTail|TestFileStoreCorruptBaseIgnoresItsLog|TestFileStoreFailedAppend|TestFileStoreClearRemovesLogs|TestReadFrameBoundsBeforeAllocating)$' ./internal/checkpoint/
+go test -race -count=5 -run '^TestFileStoreResumeFromLog$' ./internal/core/
+# The log decoder on arbitrary bytes: no panic, frames all-or-nothing.
+go test -run '^$' -fuzz '^FuzzDecodeLog$' -fuzztime 10s ./internal/checkpoint/
+
 echo "== service smoke (daemon + drain) =="
 # The always-on deployment end to end: member nodes serving concurrent
 # sessions, the leader daemon with admission control, a duplicate-fingerprint
@@ -170,7 +180,8 @@ go test -run '^$' -bench '^(BenchmarkSelectSafeBit|BenchmarkAddColumnKth|Benchma
 # The Phase-2 layer benchmark at a tenth of the paper's shape (1,000 SNPs x
 # 1,486 genomes; the full-size sub-benchmark is for measuring, not for CI).
 go test -run '^$' -bench '^BenchmarkLDPhase$/^1000x1486$' -benchtime 1x ./internal/core >/dev/null
-# One fsynced checkpoint save at a tenth of the fed5_collusion snapshot.
-go test -run '^$' -bench '^BenchmarkFileStoreSave$/^tenth$' -benchtime 1x ./internal/checkpoint >/dev/null
+# One fsynced checkpoint save at a tenth of the fed5_collusion snapshot, as a
+# new base and as a log append.
+go test -run '^$' -bench '^BenchmarkFileStoreSave$/^tenth(_append)?$' -benchtime 1x ./internal/checkpoint >/dev/null
 
 echo "ALL CHECKS PASSED"
