@@ -150,6 +150,7 @@ func TestCheckpointPlainFixture(t *testing.T) {
 	spec := DefaultTaintSpec()
 	spec.Sinks["fixture/checkpointplain.saveState"] = SinkSpec{Kind: "a checkpoint (saveState)", ConnArg: -1, Checkpoint: true}
 	spec.CheckpointStructPkgs = append(spec.CheckpointStructPkgs, "fixture/checkpointplain")
+	spec.SourceFuncs["fixture/checkpointplain.sumKernel"] = ClassAggregate
 	runFixture(t, NewCheckpointPlain(NewTaintRegistry(spec)), "checkpointplain")
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -142,8 +143,11 @@ func importPathFor(mod *Module, root, dir string) string {
 	return mod.Path + "/" + filepath.ToSlash(rel)
 }
 
-// parseDir parses the non-test Go files of one directory; nil when the
-// directory holds no Go package.
+// parseDir parses the non-test Go files of one directory that the host's
+// build would compile; nil when the directory holds no Go package. Build
+// constraints and _GOOS/_GOARCH file names are honoured as `go build`
+// honours them, so a package with per-architecture files (lrtest's kernels)
+// type-checks as the binary that runs here, not as every variant at once.
 func parseDir(fset *token.FileSet, dir, path string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -153,6 +157,11 @@ func parseDir(fset *token.FileSet, dir, path string) (*Package, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, fmt.Errorf("analysis: %s: %w", filepath.Join(dir, name), err)
+		} else if !ok {
 			continue
 		}
 		names = append(names, name)

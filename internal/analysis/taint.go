@@ -216,6 +216,12 @@ func DefaultTaintSpec() *TaintSpec {
 			"gendpr/internal/lrtest.DiscriminabilityOrderBit":         ClassAggregate,
 			"(*gendpr/internal/lrtest.Adversary).Score":               ClassAggregate,
 			"(*gendpr/internal/lrtest.Adversary).DetectionPower":      ClassAggregate,
+			// Assembly kernels have no Go body to summarize, so without an
+			// entry their results would carry their arguments' per-individual
+			// taint. Each yields counts or column sums over all rows.
+			"gendpr/internal/lrtest.addCountAVX512":   ClassAggregate,
+			"gendpr/internal/lrtest.addBandAVX512":    ClassAggregate,
+			"gendpr/internal/lrtest.columnSumsAVX512": ClassAggregate,
 		},
 		Declassifiers: map[string]DeclassMode{
 			// Sealing: AEAD protection for enclave egress.

@@ -47,3 +47,21 @@ func persistSealed() {
 func persistAggregate() {
 	saveState(encode(counts()))
 }
+
+// countKernel and sumKernel are bodyless, as assembly routines are: the
+// engine has no body to summarize, so a result carries its arguments'
+// taint unless the spec declares the function. The test declares sumKernel
+// an aggregator and leaves countKernel undeclared.
+func countKernel(g *Genomes) []byte
+
+func sumKernel(g *Genomes) []byte
+
+func persistUndeclaredKernel() {
+	g := loadGenomes()
+	saveState(countKernel(g)) // want "per-individual data persisted through a checkpoint"
+}
+
+func persistDeclaredKernel() {
+	g := loadGenomes()
+	saveState(sumKernel(g))
+}

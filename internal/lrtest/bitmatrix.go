@@ -202,6 +202,11 @@ func (m *BitMatrix) ScoreSubset(cols []int) []float64 {
 // arithmetic into the bit span. The words to visit follow from rows, not from
 // the stride — a PatternStack view's wpc covers its capacity — and rows are
 // still visited in ascending order, which the float accumulations depend on.
+// On amd64 with AVX-512F, addColumnCount and addColumnBand first hand the
+// column's whole words to a vector kernel (kernels_amd64.go), eight rows to a
+// vector, each lane doing the same addition and comparisons as the Go loop on
+// its row; the Go loop then continues from the word the kernel stopped at,
+// which is word 0 when useAVX512 is false.
 
 // colWords returns the (rows+63)/64 words holding column j's cell bits.
 func (m *BitMatrix) colWords(j int) []uint64 {
@@ -237,8 +242,10 @@ func (m *BitMatrix) addColumn(dst, base []float64, j int) {
 func (m *BitMatrix) addColumnCount(dst, base []float64, j int, tau float64) int {
 	v := [2]float64{m.zero[j], m.one[j]}
 	base, dst = base[:m.rows], dst[:m.rows]
-	hits := 0
-	for wi, word := range m.colWords(j) {
+	words := m.colWords(j)
+	hits, done := addCountWords(dst, base, words, v[0], v[1], tau)
+	for wi := done; wi < len(words); wi++ {
+		word := words[wi]
 		x := wordRows(base, wi)
 		d := wordRows(dst, wi)[:len(x)]
 		for i, b := range x {
@@ -263,14 +270,25 @@ func (m *BitMatrix) addColumnCount(dst, base []float64, j int, tau float64) int 
 // wanted order statistic lies in the band [tau+min(rep), tau+max(rep)]: one
 // pass counts the scores below the band and compacts the ones inside it into
 // band (len ≥ rows, clobbered), and a quickselect over those — a few percent
-// of the rows once some columns are in — finds the exact value. DESIGN.md §5b
-// has the argument in full. rows must be positive and 0 ≤ k < rows.
+// of the rows once some columns are in — finds the exact value (bandKth).
+// DESIGN.md §5b has the argument in full. rows must be positive and
+// 0 ≤ k < rows.
 func (m *BitMatrix) addColumnKth(dst, base []float64, j, k int, tau float64, band []float64) float64 {
+	lo, hi := tau+min(m.zero[j], m.one[j]), tau+max(m.zero[j], m.one[j])
+	below, nb := m.addColumnBand(dst, base, j, lo, hi, band)
+	return bandKth(band[:nb], k-below, lo, hi)
+}
+
+// addColumnBand is addColumnKth's pass: it writes base + column j into dst,
+// counts the scores below lo and compacts the ones in [lo, hi] into
+// band[:nb], in row order.
+func (m *BitMatrix) addColumnBand(dst, base []float64, j int, lo, hi float64, band []float64) (below, nb int) {
 	v := [2]float64{m.zero[j], m.one[j]}
-	lo, hi := tau+min(v[0], v[1]), tau+max(v[0], v[1])
 	base, dst, band = base[:m.rows], dst[:m.rows], band[:m.rows]
-	below, nb := 0, 0
-	for wi, word := range m.colWords(j) {
+	words := m.colWords(j)
+	below, nb, done := addBandWords(dst, base, band, words, v[0], v[1], lo, hi)
+	for wi := done; wi < len(words); wi++ {
+		word := words[wi]
 		x := wordRows(base, wi)
 		d := wordRows(dst, wi)[:len(x)]
 		for i, b := range x {
@@ -291,7 +309,7 @@ func (m *BitMatrix) addColumnKth(dst, base []float64, j, k int, tau float64, ban
 			nb += le - lt
 		}
 	}
-	return kthSmallest(band[:nb], k-below)
+	return below, nb
 }
 
 // ColumnOnes returns the number of set bits in column j. On matrices whose

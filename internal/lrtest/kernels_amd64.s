@@ -1,0 +1,220 @@
+#include "textflag.h"
+
+// AVX-512F kernels for the direct-mode admission loop (kernels_amd64.go).
+// Every lane performs the scalar loop's operation on one row (or, in
+// columnSumsAVX512, on one column), in the scalar loop's order, so results
+// are bit-identical to the Go loops in bitmatrix.go and selectbit.go.
+
+// lanes holds the qword lane numbers 0..7.
+DATA lanes<>+0(SB)/8, $0
+DATA lanes<>+8(SB)/8, $1
+DATA lanes<>+16(SB)/8, $2
+DATA lanes<>+24(SB)/8, $3
+DATA lanes<>+32(SB)/8, $4
+DATA lanes<>+40(SB)/8, $5
+DATA lanes<>+48(SB)/8, $6
+DATA lanes<>+56(SB)/8, $7
+GLOBL lanes<>(SB), RODATA|NOPTR, $64
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET
+
+// SCORE8 writes dst[off/8 : off/8+8] = base + (bit ? one : zero) into Z0 and
+// memory for the next 8 rows, whose bits are the low byte of R8, and shifts
+// R8 down to the following 8 rows.
+#define SCORE8(off) \
+	KMOVW R8, K1 \
+	SHRQ $8, R8 \
+	VMOVUPD off(SI), Z0 \
+	VBLENDMPD Z31, Z30, K1, Z1 \
+	VADDPD Z1, Z0, Z0 \
+	VMOVUPD Z0, off(DI)
+
+// COUNT8 is SCORE8 plus hits (R9) += #{score > tau (Z29)}.
+#define COUNT8(off) \
+	SCORE8(off) \
+	VCMPPD $0x1e, Z29, Z0, K2 \
+	KMOVW K2, AX \
+	POPCNTL AX, AX \
+	ADDQ AX, R9
+
+// func addCountAVX512(dst, base *float64, words *uint64, n int, zero, one, tau float64) (hits int)
+TEXT ·addCountAVX512(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ base+8(FP), SI
+	MOVQ words+16(FP), BX
+	MOVQ n+24(FP), CX
+	VBROADCASTSD zero+32(FP), Z30
+	VBROADCASTSD one+40(FP), Z31
+	VBROADCASTSD tau+48(FP), Z29
+	XORQ R9, R9
+	TESTQ CX, CX
+	JZ countdone
+
+countword:
+	MOVQ (BX), R8
+	COUNT8(0)
+	COUNT8(64)
+	COUNT8(128)
+	COUNT8(192)
+	COUNT8(256)
+	COUNT8(320)
+	COUNT8(384)
+	COUNT8(448)
+	ADDQ $512, SI
+	ADDQ $512, DI
+	ADDQ $8, BX
+	DECQ CX
+	JNZ countword
+
+countdone:
+	MOVQ R9, hits+56(FP)
+	VZEROUPPER
+	RET
+
+// BAND8 is SCORE8 plus below (R9) += #{score < lo (Z28)} and the scores with
+// lo ≤ score ≤ hi (Z29) compressed, in lane order, to band[nb:] (R10, R11).
+// The store writes all 8 lanes: nb never exceeds the rows scored before this
+// group, so band[nb:nb+8] stays inside band, and the lanes past the kept
+// scores are scratch that later groups overwrite.
+#define BAND8(off) \
+	SCORE8(off) \
+	VCMPPD $0x11, Z28, Z0, K2 \
+	VCMPPD $0x1d, Z28, Z0, K3 \
+	VCMPPD $0x12, Z29, Z0, K3, K3 \
+	VCOMPRESSPD Z0, K3, Z2 \
+	VMOVUPD Z2, (R10)(R11*8) \
+	KMOVW K2, AX \
+	POPCNTL AX, AX \
+	ADDQ AX, R9 \
+	KMOVW K3, AX \
+	POPCNTL AX, AX \
+	ADDQ AX, R11
+
+// func addBandAVX512(dst, base, band *float64, words *uint64, n int, zero, one, lo, hi float64) (below, nb int)
+TEXT ·addBandAVX512(SB), NOSPLIT, $0-88
+	MOVQ dst+0(FP), DI
+	MOVQ base+8(FP), SI
+	MOVQ band+16(FP), R10
+	MOVQ words+24(FP), BX
+	MOVQ n+32(FP), CX
+	VBROADCASTSD zero+40(FP), Z30
+	VBROADCASTSD one+48(FP), Z31
+	VBROADCASTSD lo+56(FP), Z28
+	VBROADCASTSD hi+64(FP), Z29
+	XORQ R9, R9
+	XORQ R11, R11
+	TESTQ CX, CX
+	JZ kthdone
+
+kthword:
+	MOVQ (BX), R8
+	BAND8(0)
+	BAND8(64)
+	BAND8(128)
+	BAND8(192)
+	BAND8(256)
+	BAND8(320)
+	BAND8(384)
+	BAND8(448)
+	ADDQ $512, SI
+	ADDQ $512, DI
+	ADDQ $8, BX
+	DECQ CX
+	JNZ kthword
+
+kthdone:
+	MOVQ R9, below+72(FP)
+	MOVQ R11, nb+80(FP)
+	VZEROUPPER
+	RET
+
+// ROW2 adds one row to both column groups: each lane tests its word's low
+// bit (Z0 group A, Z1 group B), shifts the word down a row, and adds the
+// selected representative to its running sum (Z16, Z17).
+#define ROW2 \
+	VPTESTMQ Z27, Z0, K2 \
+	VPTESTMQ Z27, Z1, K3 \
+	VPSRLQ $1, Z0, Z0 \
+	VPSRLQ $1, Z1, Z1 \
+	VBLENDMPD Z21, Z20, K2, Z2 \
+	VBLENDMPD Z23, Z22, K3, Z3 \
+	VADDPD Z2, Z16, Z16 \
+	VADDPD Z3, Z17, Z17
+
+// func columnSumsAVX512(sums, zero, one *float64, bits *uint64, wpc, n, ja, jb int)
+TEXT ·columnSumsAVX512(SB), NOSPLIT, $0-64
+	MOVQ sums+0(FP), DI
+	MOVQ zero+8(FP), SI
+	MOVQ one+16(FP), DX
+	MOVQ bits+24(FP), BX
+	MOVQ wpc+32(FP), R8
+	MOVQ n+40(FP), CX
+	MOVQ ja+48(FP), R9
+	MOVQ jb+56(FP), R10
+
+	// Representatives of columns ja..ja+7 (A) and jb..jb+7 (B).
+	VMOVUPD (SI)(R9*8), Z20
+	VMOVUPD (DX)(R9*8), Z21
+	VMOVUPD (SI)(R10*8), Z22
+	VMOVUPD (DX)(R10*8), Z23
+
+	// Gather indices: lane l of a group reads word (j+l)·wpc + w.
+	VPBROADCASTQ R8, Z24
+	VMOVDQU64 lanes<>(SB), Z25
+	VPMULUDQ Z25, Z24, Z24
+	MOVQ R9, AX
+	IMULQ R8, AX
+	VPBROADCASTQ AX, Z25
+	VPADDQ Z24, Z25, Z25
+	MOVQ R10, AX
+	IMULQ R8, AX
+	VPBROADCASTQ AX, Z26
+	VPADDQ Z24, Z26, Z26
+
+	MOVQ $1, AX
+	VPBROADCASTQ AX, Z27
+	VPXORQ Z16, Z16, Z16
+	VPXORQ Z17, Z17, Z17
+	TESTQ CX, CX
+	JZ sumsdone
+
+sumsword:
+	KXNORW K1, K1, K1
+	VPGATHERQQ (BX)(Z25*8), K1, Z0
+	KXNORW K1, K1, K1
+	VPGATHERQQ (BX)(Z26*8), K1, Z1
+	MOVQ $16, DX
+
+sumsrows:
+	ROW2
+	ROW2
+	ROW2
+	ROW2
+	DECQ DX
+	JNZ sumsrows
+	ADDQ $8, BX
+	DECQ CX
+	JNZ sumsword
+
+sumsdone:
+	VMOVUPD Z16, (DI)(R9*8)
+	VMOVUPD Z17, (DI)(R10*8)
+	VZEROUPPER
+	RET

@@ -12,11 +12,15 @@ import (
 // finds each candidate's (1−α)-quantile threshold in one of two ways. Direct
 // mode (selectSafeBitBand) fuses the threshold into the reference-side
 // accumulate pass: BitMatrix.addColumnKth narrows the k-th order statistic to
-// a band of scores around the previous threshold and runs kthSmallest
+// a band of scores around the previous threshold and runs bandKth
 // (quickselect.go) over that band only, so quickselect is on the protocol
-// path, over a few percent of the rows. Oblivious mode (powerEval) may not
-// compare score values to pick what it touches and streams every candidate
-// score vector through a fixed-shape top-k filter instead.
+// path, over a bucket of a few percent of the rows. Oblivious mode
+// (powerEval) may not compare score values to pick what it touches and
+// streams every candidate score vector through a fixed-shape top-k filter
+// instead. The row loops of direct mode — the band pass, the case count and
+// the discriminability means — run on AVX-512 kernels where the CPU has
+// them (kernels_amd64.go), with bit-identical results; the Go loops are the
+// fallback and the tests' oracle (kernels_test.go).
 
 // powerEval computes oblivious-mode detection powers across the greedy
 // admission loop, reusing one streaming top-k filter: the seed implementation
@@ -231,8 +235,9 @@ func DiscriminabilityOrderBit(caseLR, refLR *BitMatrix) []int {
 		d float64
 	}
 	rs := make([]ranked, cols)
+	caseMeans, refMeans := columnMeansBit(caseLR), columnMeansBit(refLR)
 	for j := 0; j < cols; j++ {
-		rs[j] = ranked{j: j, d: math.Abs(columnMeanBit(caseLR, j) - columnMeanBit(refLR, j))}
+		rs[j] = ranked{j: j, d: math.Abs(caseMeans[j] - refMeans[j])}
 	}
 	sort.Slice(rs, func(a, b int) bool {
 		// Exact inequality keeps the comparator a strict weak order; see
@@ -250,19 +255,29 @@ func DiscriminabilityOrderBit(caseLR, refLR *BitMatrix) []int {
 	return order
 }
 
-func columnMeanBit(m *BitMatrix, j int) float64 {
+// columnMeansBit returns every column's mean, each summed over the rows in
+// ascending order. The vector kernel sums eight columns per lane group over
+// the whole words; each column's Go loop continues from there.
+func columnMeansBit(m *BitMatrix) []float64 {
+	means := make([]float64, m.cols)
 	if m.rows == 0 {
-		return 0
+		return means
 	}
-	v := [2]float64{m.zero[j], m.one[j]}
-	var sum float64
-	for wi, word := range m.colWords(j) {
-		for n := min(64, m.rows-wi<<6); n > 0; n-- {
-			sum += v[word&1]
-			word >>= 1
+	done := columnSumsWords(m, means)
+	for j := range means {
+		v := [2]float64{m.zero[j], m.one[j]}
+		sum := means[j]
+		words := m.colWords(j)
+		for wi := done; wi < len(words); wi++ {
+			word := words[wi]
+			for n := min(64, m.rows-wi<<6); n > 0; n-- {
+				sum += v[word&1]
+				word >>= 1
+			}
 		}
+		means[j] = sum / float64(m.rows)
 	}
-	return sum / float64(m.rows)
+	return means
 }
 
 // EvaluateBit computes the detection power of the LR-test restricted to the

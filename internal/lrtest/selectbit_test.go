@@ -156,7 +156,7 @@ func TestSelectorDirectMatchesQuickselect(t *testing.T) {
 // candidate columns (what the MAF and LD phases leave of 10,000 SNPs) over
 // the 14,860-genome case population and the 13,035-genome reference panel,
 // with synthetic genotypes.
-func phase3BenchInputs(b *testing.B) (caseLR, refLR *BitMatrix) {
+func phase3BenchInputs(b testing.TB) (caseLR, refLR *BitMatrix) {
 	b.Helper()
 	cohort, ratios := testRatios(b, 390, 14860, 42)
 	caseLR, err := BuildBit(cohort.Case, ratios)
@@ -171,21 +171,41 @@ func phase3BenchInputs(b *testing.B) (caseLR, refLR *BitMatrix) {
 
 var benchSink float64
 
+// benchPaths runs fn as a /go sub-benchmark on the Go loops and as an
+// /avx512 one on the vector kernels, which is skipped on CPUs without
+// AVX-512F, so both paths are priced side by side on the same inputs.
+func benchPaths(b *testing.B, fn func(b *testing.B)) {
+	for _, p := range []struct {
+		name   string
+		vector bool
+	}{{"go", false}, {"avx512", true}} {
+		b.Run(p.name, func(b *testing.B) {
+			if p.vector {
+				requireAVX512(b)
+			}
+			defer setKernels(p.vector)()
+			fn(b)
+		})
+	}
+}
+
 // BenchmarkSelectSafeBit prices one direct-mode Phase-3 selection, the unit
 // the collusion driver repeats once per presumed-honest combination.
 func BenchmarkSelectSafeBit(b *testing.B) {
 	caseLR, refLR := phase3BenchInputs(b)
 	order := DiscriminabilityOrderBit(caseLR, refLR)
-	sel := NewSelector()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := sel.SelectSafeBitWithOrder(caseLR, refLR, DefaultParams(), order)
-		if err != nil {
-			b.Fatal(err)
+	benchPaths(b, func(b *testing.B) {
+		sel := NewSelector()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := sel.SelectSafeBitWithOrder(caseLR, refLR, DefaultParams(), order)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink = res.Power
 		}
-		benchSink = res.Power
-	}
+	})
 }
 
 // BenchmarkAddColumnKth prices the reference-side kernel per candidate
@@ -202,10 +222,11 @@ func BenchmarkAddColumnKth(b *testing.B) {
 	base := refLR.ScoreSubset(res.Safe)
 	tau := Threshold(base, DefaultParams().Alpha)
 	dst, band := make([]float64, n), make([]float64, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink = refLR.addColumnKth(dst, base, i%refLR.Cols(), k, tau, band)
-	}
+	benchPaths(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSink = refLR.addColumnKth(dst, base, i%refLR.Cols(), k, tau, band)
+		}
+	})
 }
 
 // BenchmarkAddColumnCount prices the case-side kernel per candidate column.
@@ -213,8 +234,20 @@ func BenchmarkAddColumnCount(b *testing.B) {
 	caseLR, _ := phase3BenchInputs(b)
 	base := make([]float64, caseLR.Rows())
 	dst := make([]float64, caseLR.Rows())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink = float64(caseLR.addColumnCount(dst, base, i%caseLR.Cols(), 0.25))
-	}
+	benchPaths(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSink = float64(caseLR.addColumnCount(dst, base, i%caseLR.Cols(), 0.25))
+		}
+	})
+}
+
+// BenchmarkDiscriminabilityOrderBit prices the column means and ranking
+// that order the admission scan: every column's mean on both sides.
+func BenchmarkDiscriminabilityOrderBit(b *testing.B) {
+	caseLR, refLR := phase3BenchInputs(b)
+	benchPaths(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSink = float64(DiscriminabilityOrderBit(caseLR, refLR)[0])
+		}
+	})
 }

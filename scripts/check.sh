@@ -26,6 +26,12 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== fallback cross-build (arm64) =="
+# Off amd64 the lrtest kernels are the Go loops alone (kernels_other.go);
+# vet checks that build's declarations, and the module must build there.
+GOARCH=arm64 go vet ./internal/lrtest
+GOARCH=arm64 go build ./...
+
 echo "== analysis fast path =="
 # The lint suite's own unit and fixture tests, -short so the whole-module
 # self-lint is skipped: a broken analyzer fails here in seconds, before the
@@ -152,6 +158,14 @@ go test -race -count=5 -run '^TestFileStoreResumeFromLog$' ./internal/core/
 # The log decoder on arbitrary bytes: no panic, frames all-or-nothing.
 go test -run '^$' -fuzz '^FuzzDecodeLog$' -fuzztime 10s ./internal/checkpoint/
 
+echo "== Phase-3 vector kernels vs the Go loops (race, 3 runs) =="
+# The AVX-512 kernels against the Go loops they replace, bit for bit: the
+# kernels one by one over edge shapes, a paper-shape selection, a G=5
+# conservative assessment, and the fuzzer on arbitrary small matrices. On a
+# CPU without AVX-512F the vector legs skip with a log line.
+go test -race -count=3 -run '^(TestKernelsMatchGoLoops|TestBandKthMatchesSort|TestSelectionMatchesGoLoops|TestAssessmentMatchesGoLoops|FuzzKernels)$' ./internal/lrtest/
+go test -run '^$' -fuzz '^FuzzKernels$' -fuzztime 10s ./internal/lrtest/
+
 echo "== service smoke (daemon + drain) =="
 # The always-on deployment end to end: member nodes serving concurrent
 # sessions, the leader daemon with admission control, a duplicate-fingerprint
@@ -174,8 +188,9 @@ GENDPR_BENCH_SCALE=0.01 go test -run '^$' \
     -bench '^(BenchmarkTable4Selection|BenchmarkTable5Collusion|BenchmarkAblationObliviousLRTest|BenchmarkAblationLRWireFormat)$' \
     -benchtime 1x . >/dev/null
 # The per-layer Phase-3 benchmarks build their own paper-shape inputs (390
-# columns x 13,035 + 14,860 rows), which takes well under a second.
-go test -run '^$' -bench '^(BenchmarkSelectSafeBit|BenchmarkAddColumnKth|BenchmarkAddColumnCount)$' \
+# columns x 13,035 + 14,860 rows), which takes well under a second; each
+# has a /go and an /avx512 sub-benchmark.
+go test -run '^$' -bench '^(BenchmarkSelectSafeBit|BenchmarkAddColumnKth|BenchmarkAddColumnCount|BenchmarkDiscriminabilityOrderBit)$' \
     -benchtime 1x ./internal/lrtest >/dev/null
 # The Phase-2 layer benchmark at a tenth of the paper's shape (1,000 SNPs x
 # 1,486 genomes; the full-size sub-benchmark is for measuring, not for CI).
