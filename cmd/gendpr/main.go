@@ -63,20 +63,11 @@ func run(args []string) error {
 		*gdos, cohort.Case.N(), cohort.Reference.N(), cohort.SNPs())
 
 	opts := ff.Options(*studyID)
-	faultAware := opts.RPCTimeout > 0 || opts.DialTimeout > 0 || opts.MaxRetries > 0 ||
-		opts.MinQuorum > 0 || opts.Byzantine || opts.AllowRejoin || opts.OnEvent != nil
-
-	var res *gendpr.FederationResult
-	switch {
-	case *overTCP && faultAware:
-		res, err = gendpr.AssessFederatedTCPWithOptions(shards, cohort.Reference, cfg, policy, opts)
-	case *overTCP:
-		res, err = gendpr.AssessFederatedTCP(shards, cohort.Reference, cfg, policy)
-	case faultAware:
-		res, err = gendpr.AssessFederatedWithOptions(shards, cohort.Reference, cfg, policy, opts)
-	default:
-		res, err = gendpr.AssessFederated(shards, cohort.Reference, cfg, policy)
+	assess := gendpr.AssessFederated
+	if *overTCP {
+		assess = gendpr.AssessFederatedTCP
 	}
+	res, err := assess(shards, cohort.Reference, cfg, policy, opts)
 	if err != nil {
 		return err
 	}

@@ -38,7 +38,7 @@ func main() {
 	}
 
 	cfg := gendpr.DefaultConfig()
-	res, err := gendpr.AssessFederatedTCP(shards, cohort.Reference, cfg, gendpr.CollusionPolicy{})
+	res, err := gendpr.AssessFederatedTCP(shards, cohort.Reference, cfg, gendpr.CollusionPolicy{}, gendpr.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,6 +25,7 @@
 package gendpr
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -65,8 +66,10 @@ type (
 	FederationResult = federation.Result
 	// RunOptions configures the fault-tolerance envelope of a federation
 	// run: per-exchange deadlines, retry with reconnect and re-attestation,
-	// and quorum-based degradation. The zero value reproduces the base
-	// protocol (no deadlines, no retries, abort on any member failure).
+	// and quorum-based degradation. The run tolerates member failures only
+	// when MaxRetries, MinQuorum or AllowRejoin asks for it; the zero value
+	// reproduces the base protocol (no deadlines, no retries, abort on any
+	// member failure).
 	RunOptions = federation.RunOptions
 	// MemberEvent is one member health transition observed through
 	// RunOptions.OnEvent.
@@ -111,28 +114,18 @@ func AssessNaive(shards []*Matrix, reference *Matrix, cfg Config) (*Report, erro
 
 // AssessFederated runs the full middleware inside one process: per-GDO
 // enclaves, random leader election, mutual remote attestation, and
-// AES-256-GCM-protected in-memory channels.
-func AssessFederated(shards []*Matrix, reference *Matrix, cfg Config, policy CollusionPolicy) (*FederationResult, error) {
-	return federation.RunInProcess(shards, reference, cfg, policy)
+// AES-256-GCM-protected in-memory channels. opts sets the fault-tolerance
+// envelope: deadlines on every member exchange, automatic reconnection with
+// capped exponential backoff, and quorum degradation
+// (FederationResult.Excluded lists members dropped mid-run). The zero
+// RunOptions runs the base protocol.
+func AssessFederated(shards []*Matrix, reference *Matrix, cfg Config, policy CollusionPolicy, opts RunOptions) (*FederationResult, error) {
+	return federation.RunInProcess(context.Background(), shards, reference, cfg, policy, opts)
 }
 
-// AssessFederatedTCP runs the middleware across loopback TCP connections.
-func AssessFederatedTCP(shards []*Matrix, reference *Matrix, cfg Config, policy CollusionPolicy) (*FederationResult, error) {
-	return federation.RunOverTCP(shards, reference, cfg, policy)
-}
-
-// AssessFederatedWithOptions is AssessFederated under explicit
-// fault-tolerance options: deadlines on every member exchange, automatic
-// reconnection with capped exponential backoff, and quorum degradation
-// (FederationResult.Excluded lists members dropped mid-run).
-func AssessFederatedWithOptions(shards []*Matrix, reference *Matrix, cfg Config, policy CollusionPolicy, opts RunOptions) (*FederationResult, error) {
-	return federation.RunInProcessWithOptions(shards, reference, cfg, policy, opts)
-}
-
-// AssessFederatedTCPWithOptions is AssessFederatedTCP with fault-tolerance
-// options.
-func AssessFederatedTCPWithOptions(shards []*Matrix, reference *Matrix, cfg Config, policy CollusionPolicy, opts RunOptions) (*FederationResult, error) {
-	return federation.RunOverTCPWithOptions(shards, reference, cfg, policy, opts)
+// AssessFederatedTCP is AssessFederated across loopback TCP connections.
+func AssessFederatedTCP(shards []*Matrix, reference *Matrix, cfg Config, policy CollusionPolicy, opts RunOptions) (*FederationResult, error) {
+	return federation.RunOverTCP(context.Background(), shards, reference, cfg, policy, opts)
 }
 
 // BuildHybridRelease publishes statistics over every desired SNP: exact over

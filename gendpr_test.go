@@ -51,7 +51,7 @@ func TestPublicFederatedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := gendpr.AssessFederated(shards, cohort.Reference, gendpr.DefaultConfig(), gendpr.CollusionPolicy{F: 1})
+	res, err := gendpr.AssessFederated(shards, cohort.Reference, gendpr.DefaultConfig(), gendpr.CollusionPolicy{F: 1}, gendpr.RunOptions{})
 	if err != nil {
 		t.Fatalf("AssessFederated: %v", err)
 	}

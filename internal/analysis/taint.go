@@ -263,27 +263,19 @@ func DefaultTaintSpec() *TaintSpec {
 			// Assessment entry points: their *Report / result values are the
 			// released product of the protocol (thresholded power figures and
 			// the safe-SNP release), assessed safe to publish by construction.
-			"gendpr/internal/core.RunAssessment":                     DeclassRelease,
-			"gendpr/internal/core.RunAssessmentWithOptions":          DeclassRelease,
-			"gendpr/internal/core.RunAssessmentResilient":            DeclassRelease,
-			"gendpr/internal/core.RunAssessmentResilientWithOptions": DeclassRelease,
-			"gendpr/internal/core.RunCentralized":                    DeclassRelease,
-			"gendpr/internal/core.RunDistributed":                    DeclassRelease,
-			"gendpr/internal/core.RunNaive":                          DeclassRelease,
-			"gendpr.AssessCentralized":                               DeclassRelease,
-			"gendpr.AssessDistributed":                               DeclassRelease,
-			"gendpr.AssessNaive":                                     DeclassRelease,
-			"gendpr.AssessFederated":                                 DeclassRelease,
-			"gendpr.AssessFederatedTCP":                              DeclassRelease,
-			"gendpr.AssessFederatedWithOptions":                      DeclassRelease,
-			"gendpr.AssessFederatedTCPWithOptions":                   DeclassRelease,
-			"gendpr/internal/federation.RunInProcess":                DeclassRelease,
-			"gendpr/internal/federation.RunInProcessWithOptions":     DeclassRelease,
-			"gendpr/internal/federation.RunInProcessWithFailover":    DeclassRelease,
-			"gendpr/internal/federation.RunOverTCP":                  DeclassRelease,
-			"gendpr/internal/federation.RunOverTCPWithOptions":       DeclassRelease,
-			"(*gendpr/internal/federation.Leader).RunLinks":          DeclassRelease,
-			"(*gendpr/internal/federation.Leader).RunLinksContext":   DeclassRelease,
+			"gendpr/internal/core.RunAssessment":                   DeclassRelease,
+			"gendpr/internal/core.RunCentralized":                  DeclassRelease,
+			"gendpr/internal/core.RunDistributed":                  DeclassRelease,
+			"gendpr/internal/core.RunNaive":                        DeclassRelease,
+			"gendpr.AssessCentralized":                             DeclassRelease,
+			"gendpr.AssessDistributed":                             DeclassRelease,
+			"gendpr.AssessNaive":                                   DeclassRelease,
+			"gendpr.AssessFederated":                               DeclassRelease,
+			"gendpr.AssessFederatedTCP":                            DeclassRelease,
+			"gendpr/internal/federation.RunInProcess":              DeclassRelease,
+			"gendpr/internal/federation.RunInProcessWithFailover":  DeclassRelease,
+			"gendpr/internal/federation.RunOverTCP":                DeclassRelease,
+			"(*gendpr/internal/federation.Leader).RunLinksContext": DeclassRelease,
 		},
 		Sinks: map[string]SinkSpec{
 			"fmt.Print":                       logSink("fmt output (host-visible)"),

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -34,7 +35,7 @@ func Bandwidth(scale float64) ([]BandwidthRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := federation.RunInProcess(shards, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{})
+			res, err := federation.RunInProcess(context.Background(), shards, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{}, federation.RunOptions{})
 			if err != nil {
 				return nil, err
 			}

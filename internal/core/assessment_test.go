@@ -9,7 +9,6 @@ import (
 
 	"gendpr/internal/enclave"
 	"gendpr/internal/genome"
-	"gendpr/internal/lrtest"
 )
 
 // testCohort builds a deterministic small cohort.
@@ -160,11 +159,11 @@ func TestObliviousMemberMatchesLocalMember(t *testing.T) {
 		}
 		oblivProviders[i] = om
 	}
-	plain, err := RunAssessment(plainProviders, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil)
+	plain, err := RunAssessment(plainProviders, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	obliv, err := RunAssessment(oblivProviders, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil)
+	obliv, err := RunAssessment(oblivProviders, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,17 +231,17 @@ func TestNaiveDivergesFromCentralized(t *testing.T) {
 func TestRunAssessmentInputValidation(t *testing.T) {
 	cohort := testCohort(t, 40, 60, 3)
 	ref := cohort.Reference
-	if _, err := RunAssessment(nil, ref, DefaultConfig(), CollusionPolicy{}, nil); !errors.Is(err, ErrNoMembers) {
+	if _, err := RunAssessment(nil, ref, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{}); !errors.Is(err, ErrNoMembers) {
 		t.Errorf("no members: %v", err)
 	}
 	member := NewLocalMember(cohort.Case)
-	if _, err := RunAssessment([]Provider{member}, nil, DefaultConfig(), CollusionPolicy{}, nil); err == nil {
+	if _, err := RunAssessment([]Provider{member}, nil, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{}); err == nil {
 		t.Error("nil reference must fail")
 	}
-	if _, err := RunAssessment([]Provider{member}, ref, Config{}, CollusionPolicy{}, nil); err == nil {
+	if _, err := RunAssessment([]Provider{member}, ref, Config{}, CollusionPolicy{}, nil, AssessmentOptions{}); err == nil {
 		t.Error("zero config must fail validation")
 	}
-	if _, err := RunAssessment([]Provider{member}, ref, DefaultConfig(), CollusionPolicy{F: 5}, nil); err == nil {
+	if _, err := RunAssessment([]Provider{member}, ref, DefaultConfig(), CollusionPolicy{F: 5}, nil, AssessmentOptions{}); err == nil {
 		t.Error("excessive f must fail")
 	}
 }
@@ -270,7 +269,7 @@ func TestRunAssessmentRejectsTamperedCounts(t *testing.T) {
 
 	// Count vector longer than the SNP set.
 	bad := &faultyProvider{counts: make([]int64, 41), caseN: 10}
-	if _, err := RunAssessment([]Provider{good, bad}, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil); err == nil {
+	if _, err := RunAssessment([]Provider{good, bad}, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{}); err == nil {
 		t.Error("oversized count vector accepted")
 	}
 
@@ -278,13 +277,13 @@ func TestRunAssessmentRejectsTamperedCounts(t *testing.T) {
 	counts := make([]int64, 40)
 	counts[7] = 11
 	bad = &faultyProvider{counts: counts, caseN: 10}
-	if _, err := RunAssessment([]Provider{good, bad}, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil); err == nil {
+	if _, err := RunAssessment([]Provider{good, bad}, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{}); err == nil {
 		t.Error("count > population accepted")
 	}
 
 	// A member that errors out.
 	bad = &faultyProvider{err: errors.New("member crashed")}
-	if _, err := RunAssessment([]Provider{good, bad}, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil); err == nil ||
+	if _, err := RunAssessment([]Provider{good, bad}, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "member crashed") {
 		t.Errorf("member failure not propagated: %v", err)
 	}
@@ -325,7 +324,7 @@ func TestAssessmentFailsWhenEnclaveTooSmall(t *testing.T) {
 	}
 	_, err = RunAssessment(
 		[]Provider{NewLocalMember(cohort.Case)},
-		cohort.Reference, DefaultConfig(), CollusionPolicy{}, tiny,
+		cohort.Reference, DefaultConfig(), CollusionPolicy{}, tiny, AssessmentOptions{},
 	)
 	if !errors.Is(err, enclave.ErrOutOfMemory) {
 		t.Fatalf("got %v, want enclave OOM", err)
@@ -420,7 +419,7 @@ func TestPhase2LDUsesBatchPath(t *testing.T) {
 			counters = append(counters, c)
 			members = append(members, c)
 		}
-		report, err := RunAssessment(members, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil)
+		report, err := RunAssessment(members, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{})
 		if err != nil {
 			t.Fatalf("RunAssessment: %v", err)
 		}
@@ -443,7 +442,7 @@ func TestPhase2LDUsesBatchPath(t *testing.T) {
 
 func TestCachedProviderFetchesOnce(t *testing.T) {
 	cohort := testCohort(t, 30, 40, 5)
-	counter := &countingProvider{inner: NewLocalMember(cohort.Case)}
+	counter := &countingProvider{Provider: NewLocalMember(cohort.Case)}
 	c := newCachedProvider(counter)
 	for i := 0; i < 3; i++ {
 		if _, err := c.Counts(); err != nil {
@@ -462,23 +461,17 @@ func TestCachedProviderFetchesOnce(t *testing.T) {
 }
 
 type countingProvider struct {
-	inner      Provider
+	Provider
 	countCalls int
 	pairCalls  int
 }
 
 func (c *countingProvider) Counts() ([]int64, error) {
 	c.countCalls++
-	return c.inner.Counts()
+	return c.Provider.Counts()
 }
-
-func (c *countingProvider) CaseN() (int64, error) { return c.inner.CaseN() }
 
 func (c *countingProvider) PairStats(a, b int) (genome.PairStats, error) {
 	c.pairCalls++
-	return c.inner.PairStats(a, b)
-}
-
-func (c *countingProvider) LRMatrix(cols []int, cf, rf []float64) (*lrtest.BitMatrix, error) {
-	return c.inner.LRMatrix(cols, cf, rf)
+	return c.Provider.PairStats(a, b)
 }

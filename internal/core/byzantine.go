@@ -294,13 +294,9 @@ func (b *ByzantineProvider) LRMatrix(cols []int, caseFreq, refFreq []float64) (*
 	return m, nil
 }
 
-// LRPattern implements PatternProvider when the inner provider does.
+// LRPattern implements Provider, flipping one cell in pattern-flip mode.
 func (b *ByzantineProvider) LRPattern(cols []int) (*lrtest.BitMatrix, error) {
-	p, ok := b.inner.(PatternProvider)
-	if !ok {
-		return nil, fmt.Errorf("core: provider cannot ship genotype patterns")
-	}
-	m, err := p.LRPattern(cols)
+	m, err := b.inner.LRPattern(cols)
 	if err != nil {
 		return nil, err
 	}
@@ -342,6 +338,5 @@ func (b *ByzantineProvider) AuditSummary() ([]int64, int64, error) {
 var (
 	_ Provider          = (*ByzantineProvider)(nil)
 	_ BatchPairProvider = (*ByzantineProvider)(nil)
-	_ PatternProvider   = (*ByzantineProvider)(nil)
 	_ SummaryAuditor    = (*ByzantineProvider)(nil)
 )

@@ -54,9 +54,9 @@ func TestByzantineModesQuarantined(t *testing.T) {
 			res := Resilience{MinQuorum: 2, Byzantine: true, OnTransition: func(member, event, phase string) {
 				events = append(events, fmt.Sprintf("%s/%s/%s", member, event, phase))
 			}}
-			rep, err := RunAssessmentResilient(providers, ref, DefaultConfig(), CollusionPolicy{}, nil, res)
+			rep, err := RunAssessment(providers, ref, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{Resilience: res})
 			if err != nil {
-				t.Fatalf("RunAssessmentResilient: %v", err)
+				t.Fatalf("RunAssessment: %v", err)
 			}
 			if len(rep.Excluded) != 1 || rep.Excluded[0] != 1 {
 				t.Fatalf("Excluded = %v, want [1]", rep.Excluded)
@@ -86,7 +86,7 @@ func TestByzantineModesQuarantined(t *testing.T) {
 // enabling quarantine is an explicit operator decision.
 func TestByzantineDisabledStaysFatal(t *testing.T) {
 	providers, ref, _ := byzantineFixture(t, 1, ByzantineCountsOverflow, 1)
-	_, err := RunAssessmentResilient(providers, ref, DefaultConfig(), CollusionPolicy{}, nil, Resilience{MinQuorum: 2})
+	_, err := RunAssessment(providers, ref, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{Resilience: Resilience{MinQuorum: 2}})
 	if err == nil {
 		t.Fatal("expected the invalid payload to abort with Byzantine handling off")
 	}
@@ -166,9 +166,9 @@ func TestRejoinAfterCrash(t *testing.T) {
 	res := Resilience{MinQuorum: 2, Byzantine: true, AllowRejoin: true, OnTransition: func(member, event, phase string) {
 		events = append(events, member+"/"+event)
 	}}
-	rep, err := RunAssessmentResilient(providers, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, res)
+	rep, err := RunAssessment(providers, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{Resilience: res})
 	if err != nil {
-		t.Fatalf("RunAssessmentResilient: %v", err)
+		t.Fatalf("RunAssessment: %v", err)
 	}
 	if len(rep.Excluded) != 0 {
 		t.Fatalf("Excluded = %v, want none after rejoin", rep.Excluded)
@@ -210,9 +210,9 @@ func TestRejoinAuditCatchesEquivocator(t *testing.T) {
 	}
 
 	res := Resilience{MinQuorum: 2, Byzantine: true, AllowRejoin: true}
-	rep, err := RunAssessmentResilient(providers, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, res)
+	rep, err := RunAssessment(providers, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{Resilience: res})
 	if err != nil {
-		t.Fatalf("RunAssessmentResilient: %v", err)
+		t.Fatalf("RunAssessment: %v", err)
 	}
 	if len(rep.Excluded) != 1 || rep.Excluded[0] != 2 {
 		t.Fatalf("Excluded = %v, want [2]", rep.Excluded)
@@ -272,7 +272,7 @@ func TestResumeAuditCatchesEquivocation(t *testing.T) {
 		honest[i] = NewLocalMember(s)
 	}
 	opts := AssessmentOptions{ProviderNames: names, Checkpoints: store}
-	if _, err := RunAssessmentWithOptions(honest, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, opts); err != nil {
+	if _, err := RunAssessment(honest, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, opts); err != nil {
 		t.Fatalf("seeding run: %v", err)
 	}
 
@@ -288,8 +288,8 @@ func TestResumeAuditCatchesEquivocation(t *testing.T) {
 		resumed[i] = NewLocalMember(s)
 		survivors = append(survivors, s)
 	}
-	rep, err := RunAssessmentResilientWithOptions(resumed, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil,
-		Resilience{MinQuorum: 2, Byzantine: true}, opts)
+	opts.Resilience = Resilience{MinQuorum: 2, Byzantine: true}
+	rep, err := RunAssessment(resumed, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, opts)
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}

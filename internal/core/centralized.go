@@ -53,6 +53,7 @@ func RunCentralized(cohort *genome.Cohort, cfg Config) (*Report, error) {
 		cfg,
 		CollusionPolicy{},
 		enc,
+		AssessmentOptions{},
 	)
 	if err != nil {
 		return nil, err
@@ -74,5 +75,5 @@ func RunDistributed(shards []*genome.Matrix, reference *genome.Matrix, cfg Confi
 	if err != nil {
 		return nil, err
 	}
-	return RunAssessment(providers, reference, cfg, policy, enc)
+	return RunAssessment(providers, reference, cfg, policy, enc, AssessmentOptions{})
 }

@@ -15,9 +15,10 @@ import (
 	"gendpr/internal/checkpoint"
 )
 
-// AssessmentOptions extends RunAssessment with cancellation and durability.
-// The zero value reproduces the base protocol exactly: no context checks, no
-// checkpoint reads or writes.
+// AssessmentOptions extends RunAssessment with cancellation, durability and
+// degradation. The zero value reproduces the base protocol exactly: no
+// context checks, no checkpoint reads or writes, and any member failure
+// aborts the run.
 type AssessmentOptions struct {
 	// Context, when non-nil, cancels the assessment at the next phase
 	// boundary. The error returned is ctx.Err().
@@ -37,6 +38,9 @@ type AssessmentOptions struct {
 	// requests should not re-drive the federation. One-shot runs leave this
 	// false so a finished assessment cannot be "resumed".
 	RetainCheckpoints bool
+	// Resilience, when it enables degradation (MinQuorum > 0), excludes
+	// failed members and restarts the run over the survivors.
+	Resilience Resilience
 
 	// blamed carries the resilient runner's accumulated blame records into
 	// the attempt so they persist at every checkpoint boundary and survive a

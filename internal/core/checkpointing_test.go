@@ -104,7 +104,7 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, policy := range []CollusionPolicy{{}, {F: 1}} {
 		baselineProviders, _ := providersFor(shards, []int{0, 1, 2})
-		baseline, err := RunAssessment(baselineProviders, ref, cfg, policy, nil)
+		baseline, err := RunAssessment(baselineProviders, ref, cfg, policy, nil, AssessmentOptions{})
 		if err != nil {
 			t.Fatalf("baseline: %v", err)
 		}
@@ -117,7 +117,7 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 		for keep := 1; keep <= maxSaves; keep++ {
 			snap := newSnapshotStore(t, checkpoint.NewMemStore(), keep)
 			ps, names := providersFor(shards, []int{0, 1, 2})
-			if _, err := RunAssessmentWithOptions(ps, ref, cfg, policy, nil, AssessmentOptions{
+			if _, err := RunAssessment(ps, ref, cfg, policy, nil, AssessmentOptions{
 				ProviderNames: names,
 				Checkpoints:   snap,
 			}); err != nil {
@@ -127,7 +127,7 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 			// Resume with the provider slots shuffled: the new leader claims
 			// the checkpoint by identity name, not position.
 			ps2, names2 := providersFor(shards, []int{2, 0, 1})
-			report, err := RunAssessmentWithOptions(ps2, ref, cfg, policy, nil, AssessmentOptions{
+			report, err := RunAssessment(ps2, ref, cfg, policy, nil, AssessmentOptions{
 				ProviderNames: names2,
 				Checkpoints:   snap.inner,
 			})
@@ -161,7 +161,7 @@ func TestCheckpointFingerprintMismatchStartsFresh(t *testing.T) {
 
 	ps, names := providersFor(shards, []int{0, 1, 2})
 	snap := newSnapshotStore(t, store, 2)
-	if _, err := RunAssessmentWithOptions(ps, ref, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{
+	if _, err := RunAssessment(ps, ref, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{
 		ProviderNames: names, Checkpoints: snap,
 	}); err != nil {
 		t.Fatalf("first run: %v", err)
@@ -170,7 +170,7 @@ func TestCheckpointFingerprintMismatchStartsFresh(t *testing.T) {
 	altered := DefaultConfig()
 	altered.MAFCutoff = 0.10
 	ps2, names2 := providersFor(shards, []int{0, 1, 2})
-	report, err := RunAssessmentWithOptions(ps2, ref, altered, CollusionPolicy{}, nil, AssessmentOptions{
+	report, err := RunAssessment(ps2, ref, altered, CollusionPolicy{}, nil, AssessmentOptions{
 		ProviderNames: names2, Checkpoints: store,
 	})
 	if err != nil {
@@ -180,7 +180,7 @@ func TestCheckpointFingerprintMismatchStartsFresh(t *testing.T) {
 		t.Error("run resumed from a checkpoint with a different fingerprint")
 	}
 
-	ctrl, err := RunAssessment(ps2, ref, altered, CollusionPolicy{}, nil)
+	ctrl, err := RunAssessment(ps2, ref, altered, CollusionPolicy{}, nil, AssessmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestAssessmentContextCancel(t *testing.T) {
 	ps, _ := providersFor(shards, []int{0, 1, 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunAssessmentWithOptions(ps, ref, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{Context: ctx})
+	_, err := RunAssessment(ps, ref, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{Context: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}
@@ -211,7 +211,7 @@ func TestValidationRejectsTamperedSummaries(t *testing.T) {
 	tampered := &tamperedProvider{Provider: ps[1]}
 	ps[1] = tampered
 
-	_, err := RunAssessmentResilient(ps, ref, DefaultConfig(), CollusionPolicy{}, nil, Resilience{MinQuorum: 1})
+	_, err := RunAssessment(ps, ref, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{Resilience: Resilience{MinQuorum: 1}})
 	if err == nil {
 		t.Fatal("tampered counts were accepted")
 	}
@@ -314,7 +314,7 @@ func TestPairBytesReleasedAtPhase2Boundary(t *testing.T) {
 			atFirstLR = leader.MemoryUsed()
 		}
 	}}
-	if _, err := RunAssessmentWithOptions(providers, ref, DefaultConfig(), CollusionPolicy{Conservative: true}, leader, AssessmentOptions{
+	if _, err := RunAssessment(providers, ref, DefaultConfig(), CollusionPolicy{Conservative: true}, leader, AssessmentOptions{
 		ProviderNames: names,
 		Checkpoints:   store,
 	}); err != nil {
@@ -361,12 +361,12 @@ func TestResumeAtLDAsksNoPairs(t *testing.T) {
 	providers, ref, names := conservativeG5(t)
 	policy := CollusionPolicy{Conservative: true}
 	cfg := DefaultConfig()
-	baseline, err := RunAssessment(providers, ref, cfg, policy, nil)
+	baseline, err := RunAssessment(providers, ref, cfg, policy, nil, AssessmentOptions{})
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
 	snap := newSnapshotStore(t, checkpoint.NewMemStore(), 2) // the MAF and LD saves
-	if _, err := RunAssessmentWithOptions(providers, ref, cfg, policy, nil, AssessmentOptions{
+	if _, err := RunAssessment(providers, ref, cfg, policy, nil, AssessmentOptions{
 		ProviderNames: names,
 		Checkpoints:   snap,
 	}); err != nil {
@@ -378,7 +378,7 @@ func TestResumeAtLDAsksNoPairs(t *testing.T) {
 	}
 
 	logged, logs := logPairs(providers)
-	report, err := RunAssessmentWithOptions(logged, ref, cfg, policy, nil, AssessmentOptions{
+	report, err := RunAssessment(logged, ref, cfg, policy, nil, AssessmentOptions{
 		ProviderNames: names,
 		Checkpoints:   snap.inner,
 	})
@@ -430,7 +430,7 @@ func TestVersionSkewedSnapshotStartsFresh(t *testing.T) {
 	shards, ref := checkpointFixture(t)
 	cfg, policy := DefaultConfig(), CollusionPolicy{F: 1}
 	ps, names := providersFor(shards, []int{0, 1, 2})
-	baseline, err := RunAssessment(ps, ref, cfg, policy, nil)
+	baseline, err := RunAssessment(ps, ref, cfg, policy, nil, AssessmentOptions{})
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -444,7 +444,7 @@ func TestVersionSkewedSnapshotStartsFresh(t *testing.T) {
 
 	// Both generations come from a real run of this shape, so apart from
 	// their version label they are resumable records.
-	if _, err := RunAssessmentWithOptions(ps, ref, cfg, policy, nil, opts); err != nil {
+	if _, err := RunAssessment(ps, ref, cfg, policy, nil, opts); err != nil {
 		t.Fatalf("first run: %v", err)
 	}
 	current := ns.(*checkpoint.FileStore).Path()
@@ -452,7 +452,7 @@ func TestVersionSkewedSnapshotStartsFresh(t *testing.T) {
 		relabelVersion(t, p, checkpoint.Version-1)
 	}
 
-	report, err := RunAssessmentWithOptions(ps, ref, cfg, policy, nil, opts)
+	report, err := RunAssessment(ps, ref, cfg, policy, nil, opts)
 	if err != nil {
 		t.Fatalf("run over the old version: %v", err)
 	}

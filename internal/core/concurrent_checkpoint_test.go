@@ -29,7 +29,7 @@ func TestConcurrentAssessmentsSharedFileStore(t *testing.T) {
 
 	baseline := func(cfg Config) *Report {
 		ps, _ := providersFor(shards, []int{0, 1, 2})
-		rep, err := RunAssessment(ps, ref, cfg, policy, nil)
+		rep, err := RunAssessment(ps, ref, cfg, policy, nil, AssessmentOptions{})
 		if err != nil {
 			t.Fatalf("baseline: %v", err)
 		}
@@ -40,7 +40,7 @@ func TestConcurrentAssessmentsSharedFileStore(t *testing.T) {
 	runOnce := func(cfg Config) (*Report, error) {
 		ps, names := providersFor(shards, []int{0, 1, 2})
 		fp := Fingerprint(cfg, policy, names, ref.N(), ref.L())
-		return RunAssessmentWithOptions(ps, ref, cfg, policy, nil, AssessmentOptions{
+		return RunAssessment(ps, ref, cfg, policy, nil, AssessmentOptions{
 			ProviderNames: names,
 			Checkpoints:   root.Namespace(hex.EncodeToString(fp)),
 		})
@@ -88,7 +88,7 @@ func TestRetainCheckpointsEnablesFullReuse(t *testing.T) {
 	run := func(retain bool) *Report {
 		t.Helper()
 		ps, names := providersFor(shards, []int{0, 1, 2})
-		rep, err := RunAssessmentWithOptions(ps, ref, cfg, policy, nil, AssessmentOptions{
+		rep, err := RunAssessment(ps, ref, cfg, policy, nil, AssessmentOptions{
 			ProviderNames:     names,
 			Checkpoints:       store,
 			RetainCheckpoints: retain,

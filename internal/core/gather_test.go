@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -87,21 +88,38 @@ func TestGatherMatchesSelectColumnsBuildBit(t *testing.T) {
 	}
 }
 
-// TestGatherRejectsBadColumns: the request checks still answer out-of-range
-// and duplicate columns with an error, and nothing reaches a panic.
+// TestGatherRejectsBadColumns: both member kinds answer out-of-range and
+// duplicate columns, and NaN or out-of-range frequencies, with an error, and
+// nothing reaches a panic.
 func TestGatherRejectsBadColumns(t *testing.T) {
 	g := seededMatrix(10, 8, 0.5, 1)
-	m := NewLocalMember(g)
-	for _, cols := range [][]int{{8}, {-1}, {0, 8}, {3, 3}} {
-		if _, err := m.LRPattern(cols); err == nil {
-			t.Errorf("LRPattern(%v) accepted", cols)
+	oblivious, err := NewObliviousMember(g, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := map[string]Provider{"local": NewLocalMember(g), "oblivious": oblivious}
+	for name, m := range members {
+		for _, cols := range [][]int{{8}, {-1}, {0, 8}, {3, 3}} {
+			if _, err := m.LRPattern(cols); err == nil {
+				t.Errorf("%s: LRPattern(%v) accepted", name, cols)
+			}
+			freq := make([]float64, len(cols))
+			for j := range freq {
+				freq[j] = 0.5
+			}
+			if _, err := m.LRMatrix(cols, freq, freq); err == nil {
+				t.Errorf("%s: LRMatrix(%v) accepted", name, cols)
+			}
 		}
-		freq := make([]float64, len(cols))
-		for j := range freq {
-			freq[j] = 0.5
-		}
-		if _, err := m.LRMatrix(cols, freq, freq); err == nil {
-			t.Errorf("LRMatrix(%v) accepted", cols)
+		for _, bad := range []float64{math.NaN(), 1.5, -0.5} {
+			good := []float64{0.5, 0.5}
+			worse := []float64{0.5, bad}
+			if _, err := m.LRMatrix([]int{1, 2}, worse, good); err == nil {
+				t.Errorf("%s: LRMatrix accepted case frequency %v", name, bad)
+			}
+			if _, err := m.LRMatrix([]int{1, 2}, good, worse); err == nil {
+				t.Errorf("%s: LRMatrix accepted reference frequency %v", name, bad)
+			}
 		}
 	}
 }

@@ -158,7 +158,7 @@ func buildLatticePlan(g int, policy CollusionPolicy, chainsPerBlock int) (*latti
 // cached" filter and fetch some pairs twice, so what a run sends would depend
 // on timing. A failed chain does not stop the next; the errors are joined.
 // Phase 3's chains touch no pair cache and run on the work-stealing pool
-// instead (phase3Lattice).
+// instead (phase3Chains).
 func walkInOrder(chains []latticeChain, fn func(ch *latticeChain) error) error {
 	var errs []error
 	for i := range chains {
@@ -329,6 +329,16 @@ func (ps *patternSet) release() {
 	ps.bytes = 0
 	ps.mu.Unlock()
 	ps.r.freeLR(bytes)
+}
+
+// rows is the row count of every member's pattern stacked: the case
+// population of the full membership.
+func (ps *patternSet) rows() int64 {
+	var n int64
+	for _, c := range ps.r.caseNs {
+		n += c
+	}
+	return n
 }
 
 // get returns member i's pattern over the phase's columns.

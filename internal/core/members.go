@@ -25,10 +25,12 @@ type Provider interface {
 	PairStats(a, b int) (genome.PairStats, error)
 	// LRMatrix builds the member's local LR-matrix over the given columns
 	// (original SNP indices) using the pooled frequencies broadcast by the
-	// leader (Phase 3). The matrix travels bit-packed end to end: members
-	// build it packed, the wire format ships it packed, and the leader
-	// merges and scores it packed.
+	// leader. The matrix travels bit-packed end to end: members build it
+	// packed and the wire format ships it packed. The assessment itself
+	// asks for patterns (PatternProvider) and skins them leader-side.
 	LRMatrix(cols []int, caseFreq, refFreq []float64) (*lrtest.BitMatrix, error)
+	// PatternProvider ships the member's Phase 3 input.
+	PatternProvider
 }
 
 // BatchPairProvider is an optional Provider extension: the leader prefetches
@@ -41,15 +43,14 @@ type BatchPairProvider interface {
 	PairStatsBatch(pairs [][2]int) ([]genome.PairStats, error)
 }
 
-// PatternProvider is an optional Provider extension: the member ships its
-// genotype bit-pattern over the retained columns — the frequency-independent
-// cell bits of its LR-matrix, with zero representatives. A collusion-tolerant
-// Phase 3 evaluates many combinations over the same columns, and each
-// combination differs only in its pooled frequency vectors; with the pattern
-// in hand the leader derives every combination's member contribution locally
-// via Reskin, so each member is contacted once per assessment instead of once
-// per combination. Providers that cannot ship patterns fall back to the
-// per-combination LRMatrix path.
+// PatternProvider ships a member's genotype bit-pattern over the retained
+// columns — the frequency-independent cell bits of its LR-matrix, with zero
+// representatives. A collusion-tolerant Phase 3 evaluates many combinations
+// over the same columns, and each combination differs only in its pooled
+// frequency vectors; with the pattern in hand the leader derives every
+// combination's member contribution locally via Reskin, so each member is
+// contacted once per assessment instead of once per combination. Every
+// Provider is one.
 type PatternProvider interface {
 	// LRPattern returns the member's genotype bit-pattern over the given
 	// columns (original SNP indices).
@@ -68,7 +69,6 @@ type LocalMember struct {
 var (
 	_ Provider          = (*LocalMember)(nil)
 	_ BatchPairProvider = (*LocalMember)(nil)
-	_ PatternProvider   = (*LocalMember)(nil)
 )
 
 // NewLocalMember wraps a genotype shard. The shard must not be written
@@ -117,7 +117,7 @@ func (m *LocalMember) LRMatrix(cols []int, caseFreq, refFreq []float64) (*lrtest
 	return BuildLRBitMatrix(m.shard, cols, caseFreq, refFreq)
 }
 
-// LRPattern implements PatternProvider.
+// LRPattern implements Provider.
 func (m *LocalMember) LRPattern(cols []int) (*lrtest.BitMatrix, error) {
 	if err := checkPatternRequest(m.shard.L(), cols); err != nil {
 		return nil, err
@@ -149,15 +149,15 @@ func checkPatternRequest(l int, cols []int) error {
 	return nil
 }
 
-// checkLRRequest validates the leader's Phase 3 broadcast against the shard.
-// Members distrust the leader symmetrically: out-of-range or duplicate
-// columns and non-finite frequencies are rejected before any local genotype
-// is touched.
-func checkLRRequest(g *genome.Matrix, cols []int, caseFreq, refFreq []float64) (lrtest.LogRatios, error) {
+// checkLRRequest validates the leader's Phase 3 broadcast against a shard of
+// l SNPs. Members distrust the leader symmetrically: out-of-range or
+// duplicate columns and non-finite or out-of-range frequencies are rejected
+// before any local genotype is touched.
+func checkLRRequest(l int, cols []int, caseFreq, refFreq []float64) (lrtest.LogRatios, error) {
 	if len(cols) != len(caseFreq) || len(cols) != len(refFreq) {
 		return lrtest.LogRatios{}, fmt.Errorf("core: %d columns vs %d/%d frequencies", len(cols), len(caseFreq), len(refFreq))
 	}
-	if err := checkPatternRequest(g.L(), cols); err != nil {
+	if err := checkPatternRequest(l, cols); err != nil {
 		return lrtest.LogRatios{}, err
 	}
 	if err := validateFrequencies(caseFreq, len(cols)); err != nil {
@@ -179,7 +179,7 @@ func checkLRRequest(g *genome.Matrix, cols []int, caseFreq, refFreq []float64) (
 // the bit-packed BuildLRBitMatrix; the dense form remains for test fixtures
 // and equivalence baselines.
 func BuildLRMatrix(g *genome.Matrix, cols []int, caseFreq, refFreq []float64) (*lrtest.Matrix, error) {
-	ratios, err := checkLRRequest(g, cols, caseFreq, refFreq)
+	ratios, err := checkLRRequest(g.L(), cols, caseFreq, refFreq)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +194,7 @@ func BuildLRMatrix(g *genome.Matrix, cols []int, caseFreq, refFreq []float64) (*
 // bit per cell plus two representatives per column, gathered from the
 // matrix's column-major view.
 func BuildLRBitMatrix(g *genome.Matrix, cols []int, caseFreq, refFreq []float64) (*lrtest.BitMatrix, error) {
-	ratios, err := checkLRRequest(g, cols, caseFreq, refFreq)
+	ratios, err := checkLRRequest(g.L(), cols, caseFreq, refFreq)
 	if err != nil {
 		return nil, err
 	}
@@ -409,37 +409,17 @@ func (c *cachedProvider) LRMatrix(cols []int, caseFreq, refFreq []float64) (*lrt
 	return c.inner.LRMatrix(cols, caseFreq, refFreq)
 }
 
-// supportsPatterns reports whether the wrapped provider can ship genotype
-// bit-patterns. The probe recurses through nested cachedProviders: the
-// resilient driver wraps a member once so survivor data replays across
-// restarts, and the assessment driver wraps again — the capability must shine
-// through both layers.
-func (c *cachedProvider) supportsPatterns() bool {
-	switch p := c.inner.(type) {
-	case *cachedProvider:
-		return p.supportsPatterns()
-	case PatternProvider:
-		return true
-	default:
-		return false
-	}
-}
-
-// LRPattern implements PatternProvider over the single-slot pattern cache.
+// LRPattern implements Provider over the single-slot pattern cache.
 // The mutex is held across the fetch deliberately: concurrent evaluation
 // chains all want the same pattern, and single-flighting the round trip keeps
 // the member's work at one pattern build per assessment.
 func (c *cachedProvider) LRPattern(cols []int) (*lrtest.BitMatrix, error) {
-	p, ok := c.inner.(PatternProvider)
-	if !ok {
-		return nil, fmt.Errorf("core: provider cannot ship genotype patterns")
-	}
 	c.patMu.Lock()
 	defer c.patMu.Unlock()
 	if c.pattern != nil && intsEqual(c.patCols, cols) {
 		return c.pattern, nil
 	}
-	pat, err := p.LRPattern(cols)
+	pat, err := c.inner.LRPattern(cols)
 	if err != nil {
 		return nil, err
 	}

@@ -22,10 +22,7 @@ type ObliviousMember struct {
 	caseCount int64
 }
 
-var (
-	_ Provider        = (*ObliviousMember)(nil)
-	_ PatternProvider = (*ObliviousMember)(nil)
-)
+var _ Provider = (*ObliviousMember)(nil)
 
 // NewObliviousMember loads a genotype shard into an ORAM store, one block
 // per SNP column. The rng drives ORAM leaf remapping; production code must
@@ -133,21 +130,19 @@ func (m *ObliviousMember) PairStats(a, b int) (genome.PairStats, error) {
 // LRMatrix implements Provider: the retained columns are fetched through the
 // ORAM, so which SNPs survived to Phase 3 stays hidden from the host. Each
 // ORAM block is already the column's genotype bitset, so it packs into the
-// bit-matrix verbatim — no per-cell decode and no dense intermediate.
+// bit-matrix verbatim — no per-cell decode and no dense intermediate. The
+// request passes the same column and frequency checks as LocalMember's.
 func (m *ObliviousMember) LRMatrix(cols []int, caseFreq, refFreq []float64) (*lrtest.BitMatrix, error) {
-	if len(cols) != len(caseFreq) || len(cols) != len(refFreq) {
-		return nil, fmt.Errorf("core: %d columns vs %d/%d frequencies", len(cols), len(caseFreq), len(refFreq))
-	}
-	ratios, err := lrtest.NewLogRatios(caseFreq, refFreq)
+	ratios, err := checkLRRequest(m.l, cols, caseFreq, refFreq)
 	if err != nil {
-		return nil, fmt.Errorf("core: log ratios: %w", err)
+		return nil, err
 	}
 	return lrtest.BuildBitFromColumnBytes(m.n, ratios, func(j int) ([]byte, error) {
 		return m.column(cols[j])
 	})
 }
 
-// LRPattern implements PatternProvider: the same ORAM column walk as
+// LRPattern implements Provider: the same ORAM column walk as
 // LRMatrix, packed with zero representatives. The access trace is identical
 // to an LRMatrix request over the same columns, so shipping a pattern leaks
 // nothing an LR-matrix would not.

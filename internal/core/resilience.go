@@ -54,7 +54,7 @@ func memberErr(member int, phase string, format string, args ...any) *MemberErro
 }
 
 // Resilience configures quorum-based graceful degradation and, optionally,
-// Byzantine quarantine and member rejoin.
+// Byzantine quarantine and member rejoin (AssessmentOptions.Resilience).
 type Resilience struct {
 	// MinQuorum is the minimum number of members that must survive for the
 	// assessment to continue after exclusions. Zero (or negative) disables
@@ -222,12 +222,15 @@ func mergeBlames(base, add []Blame) []Blame {
 	return out
 }
 
-// RunAssessmentResilient is RunAssessment with quorum-based degradation: when
-// a member is declared failed (its provider reports ErrMemberFailed) and at
-// least res.MinQuorum members survive, the assessment restarts over the
+// runResilient is RunAssessment with quorum-based degradation: when a member
+// is declared failed (its provider reports ErrMemberFailed) and at least
+// opts.Resilience.MinQuorum members survive, the assessment restarts over the
 // surviving providers and the returned Report lists the excluded members.
 // Survivor responses are memoized across restarts, so completed phases replay
-// from cache rather than re-querying the federation.
+// from cache rather than re-querying the federation. Each restart attempt
+// passes the surviving providers' names through, so a checkpoint written
+// before an exclusion (whose fingerprint covers the full name set) is ignored
+// by the shrunken attempt rather than mis-seeded.
 //
 // Degrading to a subset is privacy-conservative: every phase already
 // evaluates honest subsets of the membership under collusion tolerance, and a
@@ -235,23 +238,12 @@ func mergeBlames(base, add []Blame) []Blame {
 // excluded shards never contribute. The collusion policy is re-validated
 // against the shrunken federation and the run aborts if it can no longer be
 // satisfied.
-func RunAssessmentResilient(members []Provider, reference *genome.Matrix, cfg Config, policy CollusionPolicy, leaderEnclave *enclave.Enclave, res Resilience) (*Report, error) {
-	return RunAssessmentResilientWithOptions(members, reference, cfg, policy, leaderEnclave, res, AssessmentOptions{})
-}
-
-// RunAssessmentResilientWithOptions is RunAssessmentResilient with the
-// cancellation and checkpoint durability of RunAssessmentWithOptions. Each
-// restart attempt passes the surviving providers' names through, so a
-// checkpoint written before an exclusion (whose fingerprint covers the full
-// name set) is ignored by the shrunken attempt rather than mis-seeded.
-func RunAssessmentResilientWithOptions(members []Provider, reference *genome.Matrix, cfg Config, policy CollusionPolicy, leaderEnclave *enclave.Enclave, res Resilience, opts AssessmentOptions) (*Report, error) {
-	if !res.Enabled() {
-		return RunAssessmentWithOptions(members, reference, cfg, policy, leaderEnclave, opts)
-	}
+func runResilient(members []Provider, reference *genome.Matrix, cfg Config, policy CollusionPolicy, leaderEnclave *enclave.Enclave, opts AssessmentOptions) (*Report, error) {
+	res := opts.Resilience
 	if opts.Checkpoints != nil && len(opts.ProviderNames) != len(members) {
 		return nil, fmt.Errorf("core: %d provider names for %d members (checkpointing needs stable identities)", len(opts.ProviderNames), len(members))
 	}
-	// Wrap once, outside the per-attempt wrapping RunAssessment does, so the
+	// Wrap once, outside the per-attempt wrapping runOnce does, so the
 	// caches survive restarts: a survivor's counts, pair statistics, and
 	// population size replay from memory on the next attempt.
 	stable := make([]*cachedProvider, len(members))
@@ -297,7 +289,7 @@ func RunAssessmentResilientWithOptions(members []Provider, reference *genome.Mat
 			}
 			attempt.ProviderNames = names
 		}
-		report, err := RunAssessmentWithOptions(current, reference, cfg, policy, leaderEnclave, attempt)
+		report, err := runOnce(current, reference, cfg, policy, leaderEnclave, attempt)
 		if err == nil {
 			report.Excluded = append([]int(nil), excluded...)
 			report.Blamed = mergeBlames(report.Blamed, blames)

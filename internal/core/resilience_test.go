@@ -88,9 +88,9 @@ func TestResilientDegradesPerPhase(t *testing.T) {
 	for _, phase := range []string{PhaseSummary, PhaseLD, PhaseLR} {
 		t.Run(phase, func(t *testing.T) {
 			providers, ref, want := resilienceFixture(t, 1, phase, false)
-			rep, err := RunAssessmentResilient(providers, ref, DefaultConfig(), CollusionPolicy{}, nil, Resilience{MinQuorum: 2})
+			rep, err := RunAssessment(providers, ref, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{Resilience: Resilience{MinQuorum: 2}})
 			if err != nil {
-				t.Fatalf("RunAssessmentResilient: %v", err)
+				t.Fatalf("RunAssessment: %v", err)
 			}
 			if len(rep.Excluded) != 1 || rep.Excluded[0] != 1 {
 				t.Fatalf("Excluded = %v, want [1]", rep.Excluded)
@@ -104,7 +104,7 @@ func TestResilientDegradesPerPhase(t *testing.T) {
 
 func TestResilientFatalErrorAborts(t *testing.T) {
 	providers, ref, _ := resilienceFixture(t, 2, PhaseLD, true)
-	_, err := RunAssessmentResilient(providers, ref, DefaultConfig(), CollusionPolicy{}, nil, Resilience{MinQuorum: 2})
+	_, err := RunAssessment(providers, ref, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{Resilience: Resilience{MinQuorum: 2}})
 	if err == nil {
 		t.Fatal("expected a run-fatal error")
 	}
@@ -119,7 +119,7 @@ func TestResilientFatalErrorAborts(t *testing.T) {
 
 func TestResilientQuorumLost(t *testing.T) {
 	providers, ref, _ := resilienceFixture(t, 0, PhaseSummary, false)
-	_, err := RunAssessmentResilient(providers, ref, DefaultConfig(), CollusionPolicy{}, nil, Resilience{MinQuorum: 4})
+	_, err := RunAssessment(providers, ref, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{Resilience: Resilience{MinQuorum: 4}})
 	if !errors.Is(err, ErrQuorumLost) {
 		t.Fatalf("error = %v, want ErrQuorumLost", err)
 	}
@@ -127,7 +127,7 @@ func TestResilientQuorumLost(t *testing.T) {
 
 func TestResilientDisabledMatchesBase(t *testing.T) {
 	providers, ref, _ := resilienceFixture(t, 3, PhaseLR, false)
-	_, err := RunAssessmentResilient(providers, ref, DefaultConfig(), CollusionPolicy{}, nil, Resilience{})
+	_, err := RunAssessment(providers, ref, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{Resilience: Resilience{}})
 	if err == nil {
 		t.Fatal("expected the member failure to abort with degradation disabled")
 	}
@@ -148,7 +148,7 @@ func TestResilientPolicyUnsatisfiableOverSurvivors(t *testing.T) {
 	}
 	// Conservative collusion tolerance needs >= 2 members; degrading to 1
 	// must abort rather than silently weakening the policy.
-	_, err := RunAssessmentResilient(providers, cohort.Reference, DefaultConfig(), CollusionPolicy{Conservative: true}, nil, Resilience{MinQuorum: 1})
+	_, err := RunAssessment(providers, cohort.Reference, DefaultConfig(), CollusionPolicy{Conservative: true}, nil, AssessmentOptions{Resilience: Resilience{MinQuorum: 1}})
 	if err == nil {
 		t.Fatal("expected policy-unsatisfiable error")
 	}
@@ -171,9 +171,9 @@ func TestResilientWithCollusionPolicy(t *testing.T) {
 		survivors = append(survivors, s)
 	}
 	policy := CollusionPolicy{F: 1}
-	rep, err := RunAssessmentResilient(providers, cohort.Reference, DefaultConfig(), policy, nil, Resilience{MinQuorum: 2})
+	rep, err := RunAssessment(providers, cohort.Reference, DefaultConfig(), policy, nil, AssessmentOptions{Resilience: Resilience{MinQuorum: 2}})
 	if err != nil {
-		t.Fatalf("RunAssessmentResilient: %v", err)
+		t.Fatalf("RunAssessment: %v", err)
 	}
 	if len(rep.Excluded) != 1 || rep.Excluded[0] != 2 {
 		t.Fatalf("Excluded = %v, want [2]", rep.Excluded)

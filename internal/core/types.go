@@ -96,7 +96,7 @@ type Report struct {
 	PerCombination []Selection
 	// Excluded lists the members (by their original indices) that failed and
 	// were excluded under quorum degradation. Empty for a full-membership
-	// run; only ever populated by RunAssessmentResilient.
+	// run; only ever populated under AssessmentOptions.Resilience.
 	Excluded []int
 	// Resumed reports that at least one phase was replayed from a checkpoint
 	// instead of recomputed — set when a (re-elected or restarted) leader

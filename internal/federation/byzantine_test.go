@@ -102,31 +102,6 @@ func (b *byzantinePrep) shard() int {
 	return b.target
 }
 
-// runPreparedGuarded is runGuarded for the prepared-member entry point.
-func runPreparedGuarded(t *testing.T, f *chaosFixture, policy core.CollusionPolicy, opts RunOptions, inject faultInjector, prep memberPrep) (*Result, error) {
-	t.Helper()
-	type outcome struct {
-		res *Result
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := runInProcessPrepared(f.shards, f.cohort.Reference, core.DefaultConfig(), policy, opts, false, inject, prep)
-		done <- outcome{res, err}
-	}()
-	select {
-	case o := <-done:
-		return o.res, o.err
-	case <-time.After(chaosWatchdog):
-		t.Fatalf("prepared chaos run hung past the %v watchdog", chaosWatchdog)
-		return nil, nil
-	}
-}
-
-// TestFederationByzantineQuarantine perturbs one member's answers in each
-// protocol phase and demands containment: the member is excluded with an
-// invalid-payload blame record naming it and the phase, and the selection is
-// bit-identical to an honest run over the survivors.
 func TestFederationByzantineQuarantine(t *testing.T) {
 	f := newChaosFixture(t)
 	cases := []struct {
@@ -143,14 +118,14 @@ func TestFederationByzantineQuarantine(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			prep := &byzantinePrep{mode: tc.mode, n: 1}
 			log := &eventLog{}
-			res, err := runPreparedGuarded(t, f, tc.policy, RunOptions{
+			res, err := runGuarded(t, f, tc.policy, RunOptions{
 				RPCTimeout: chaosRPCTimeout,
 				MaxRetries: 2,
 				Backoff:    5 * time.Millisecond,
 				MinQuorum:  2,
 				Byzantine:  true,
 				OnEvent:    log.record,
-			}, nil, prep.prep)
+			}, chaosHooks{prep: prep.prep})
 			if err != nil {
 				t.Fatalf("run did not contain the byzantine member: %v", err)
 			}
@@ -200,7 +175,7 @@ func TestFederationRetryEquivocation(t *testing.T) {
 		MsgKind: KindPairBatchRequest,
 	}}
 	log := &eventLog{}
-	res, err := runPreparedGuarded(t, f, core.CollusionPolicy{}, RunOptions{
+	res, err := runGuarded(t, f, core.CollusionPolicy{}, RunOptions{
 		RPCTimeout:  chaosRPCTimeout,
 		MaxRetries:  2,
 		Backoff:     5 * time.Millisecond,
@@ -208,7 +183,7 @@ func TestFederationRetryEquivocation(t *testing.T) {
 		Byzantine:   true,
 		AllowRejoin: true,
 		OnEvent:     log.record,
-	}, inj.inject, prep.prep)
+	}, chaosHooks{inject: inj.inject, prep: prep.prep})
 	if err != nil {
 		t.Fatalf("run did not contain the equivocator: %v", err)
 	}
@@ -267,7 +242,7 @@ func TestFederationRejoinAfterCrash(t *testing.T) {
 		Byzantine:   true,
 		AllowRejoin: true,
 		OnEvent:     log.record,
-	}, inj.inject)
+	}, chaosHooks{inject: inj.inject})
 	if err != nil {
 		t.Fatalf("run did not recover through rejoin: %v", err)
 	}
@@ -319,7 +294,7 @@ func TestFederationTamperExcludesWithoutRetry(t *testing.T) {
 		Backoff:    5 * time.Millisecond,
 		MinQuorum:  2,
 		OnEvent:    log.record,
-	}, inj.inject)
+	}, chaosHooks{inject: inj.inject})
 	if err != nil {
 		t.Fatalf("run did not degrade after tampering: %v", err)
 	}

@@ -106,8 +106,9 @@ func (f *chaosFixture) baseline(t *testing.T, excluded int, policy core.Collusio
 }
 
 // runGuarded executes one federated run under a watchdog: a hang is a test
-// failure, never a stuck suite.
-func runGuarded(t *testing.T, f *chaosFixture, policy core.CollusionPolicy, opts RunOptions, inject faultInjector) (*Result, error) {
+// failure, never a stuck suite. A run with a failover hook goes through the
+// failover runner.
+func runGuarded(t *testing.T, f *chaosFixture, policy core.CollusionPolicy, opts RunOptions, hooks chaosHooks) (*Result, error) {
 	t.Helper()
 	type outcome struct {
 		res *Result
@@ -115,8 +116,13 @@ func runGuarded(t *testing.T, f *chaosFixture, policy core.CollusionPolicy, opts
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := runInProcessInjected(f.shards, f.cohort.Reference, core.DefaultConfig(), policy, opts, false, inject)
-		done <- outcome{res, err}
+		var o outcome
+		if hooks.failover != nil {
+			o.res, o.err = runFailover(context.Background(), f.shards, f.cohort.Reference, core.DefaultConfig(), policy, opts, hooks)
+		} else {
+			o.res, o.err = runElected(context.Background(), f.shards, f.cohort.Reference, core.DefaultConfig(), policy, opts, pipeChannel, hooks)
+		}
+		done <- o
 	}()
 	select {
 	case o := <-done:
@@ -184,7 +190,7 @@ func TestChaosRescue(t *testing.T) {
 					RPCTimeout: chaosRPCTimeout,
 					MaxRetries: 3,
 					Backoff:    5 * time.Millisecond,
-				}, inj.inject)
+				}, chaosHooks{inject: inj.inject})
 				if err != nil {
 					t.Fatalf("run did not recover: %v", err)
 				}
@@ -221,7 +227,7 @@ func TestChaosDegrade(t *testing.T) {
 					RPCTimeout: chaosRPCTimeout,
 					MaxRetries: 0,
 					MinQuorum:  2,
-				}, inj.inject)
+				}, chaosHooks{inject: inj.inject})
 				if err != nil {
 					t.Fatalf("run did not degrade: %v", err)
 				}
@@ -270,27 +276,6 @@ func (k *killStore) Save(st *checkpoint.State) error {
 
 func (k *killStore) Load() (*checkpoint.State, error) { return k.inner.Load() }
 func (k *killStore) Clear() error                     { return k.inner.Clear() }
-
-// runFailoverGuarded executes one failover run under the watchdog.
-func runFailoverGuarded(t *testing.T, f *chaosFixture, policy core.CollusionPolicy, opts RunOptions, hook failoverHook) (*Result, error) {
-	t.Helper()
-	type outcome struct {
-		res *Result
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := runInProcessFailover(context.Background(), f.shards, f.cohort.Reference, core.DefaultConfig(), policy, opts, hook)
-		done <- outcome{res, err}
-	}()
-	select {
-	case o := <-done:
-		return o.res, o.err
-	case <-time.After(chaosWatchdog):
-		t.Fatalf("failover run hung past the %v watchdog", chaosWatchdog)
-		return nil, nil
-	}
-}
 
 // TestChaosLeaderFailover kills the first elected leader at every checkpoint
 // boundary in turn and demands the full recovery story: the survivors elect a
@@ -341,11 +326,11 @@ func TestChaosLeaderFailover(t *testing.T) {
 				}
 				return store
 			}
-			res, err := runFailoverGuarded(t, f, tc.policy, RunOptions{
+			res, err := runGuarded(t, f, tc.policy, RunOptions{
 				RPCTimeout: chaosRPCTimeout,
 				MaxRetries: 1,
 				Backoff:    5 * time.Millisecond,
-			}, hook)
+			}, chaosHooks{failover: hook})
 			if err != nil {
 				t.Fatalf("failover run failed: %v", err)
 			}
@@ -392,7 +377,7 @@ func TestChaosQuorumLoss(t *testing.T) {
 		RPCTimeout: chaosRPCTimeout,
 		MaxRetries: 0,
 		MinQuorum:  3,
-	}, inj.inject)
+	}, chaosHooks{inject: inj.inject})
 	if err == nil {
 		t.Fatal("run completed despite quorum loss")
 	}

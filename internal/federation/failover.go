@@ -7,7 +7,6 @@ import (
 
 	"gendpr/internal/checkpoint"
 	"gendpr/internal/core"
-	"gendpr/internal/enclave"
 	"gendpr/internal/enclave/attest"
 	"gendpr/internal/genome"
 )
@@ -16,26 +15,20 @@ import (
 // nobody is left to coordinate the assessment.
 var ErrNoElectableLeader = errors.New("federation: every candidate leader has failed")
 
-// failoverHook lets the chaos harness schedule a leader death for one
-// attempt: it may wrap the attempt's checkpoint store, and it receives the
-// cancel function that stands in for the leader process dying. Production
-// runs pass nil.
-type failoverHook func(attempt, leaderIdx int, cancel context.CancelFunc, store checkpoint.Store) checkpoint.Store
-
-// RunInProcessWithFailover is RunInProcessWithOptions with Section 5.2
-// leader failover layered on top: when the elected leader dies mid-run (its
-// run context is canceled), the survivors re-run the committed-nonce election
-// among themselves — a dead leader is struck from the electable set, though
-// its restarted node keeps contributing its shard as an ordinary member — and
-// the new leader resumes the assessment from the latest checkpoint rather
-// than recomputing completed phases. When opts.Checkpoints is nil the
-// successive leaders share an in-memory store; pass a checkpoint.FileStore to
-// model durable on-disk snapshots.
+// RunInProcessWithFailover is RunInProcess with Section 5.2 leader failover
+// layered on top: when the elected leader dies mid-run (its run context is
+// canceled), the survivors re-run the committed-nonce election among
+// themselves — a dead leader is struck from the electable set, though its
+// restarted node keeps contributing its shard as an ordinary member — and the
+// new leader resumes the assessment from the latest checkpoint rather than
+// recomputing completed phases. When opts.Checkpoints is nil the successive
+// leaders share an in-memory store; pass a checkpoint.FileStore to model
+// durable on-disk snapshots.
 func RunInProcessWithFailover(ctx context.Context, shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions) (*Result, error) {
-	return runInProcessFailover(ctx, shards, reference, cfg, policy, opts, nil)
+	return runFailover(ctx, shards, reference, cfg, policy, opts, chaosHooks{})
 }
 
-func runInProcessFailover(ctx context.Context, shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions, hook failoverHook) (*Result, error) {
+func runFailover(ctx context.Context, shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions, hooks chaosHooks) (*Result, error) {
 	g := len(shards)
 	if g == 0 {
 		return nil, core.ErrNoMembers
@@ -46,6 +39,10 @@ func runInProcessFailover(ctx context.Context, shards []*genome.Matrix, referenc
 	authority, err := attest.NewAuthority()
 	if err != nil {
 		return nil, fmt.Errorf("federation: %w", err)
+	}
+	base := ctx
+	if base == nil {
+		base = context.Background()
 	}
 
 	dead := make(map[int]bool, g)
@@ -60,38 +57,21 @@ func runInProcessFailover(ctx context.Context, shards []*genome.Matrix, referenc
 				electable = append(electable, i)
 			}
 		}
-		if len(electable) == 0 {
-			return nil, ErrNoElectableLeader
-		}
-		nonces, err := randomNonces(len(electable))
+		leaderIdx, err := elect(electable)
 		if err != nil {
 			return nil, err
 		}
-		idx, err := ElectLeader(nonces, len(electable))
-		if err != nil {
-			return nil, err
-		}
-		leaderIdx := electable[idx]
-
-		platform, err := enclave.NewPlatform()
-		if err != nil {
-			return nil, fmt.Errorf("federation: %w", err)
-		}
-		leader, err := NewLeader(fmt.Sprintf("gdo-%d", leaderIdx), shards[leaderIdx], platform, authority)
+		leader, err := newLeaderNode(shards, leaderIdx, authority)
 		if err != nil {
 			return nil, err
 		}
 
-		base := ctx
-		if base == nil {
-			base = context.Background()
-		}
 		runCtx, cancel := context.WithCancel(base)
 		attemptOpts := opts
-		if hook != nil {
-			attemptOpts.Checkpoints = hook(attempt, leaderIdx, cancel, opts.Checkpoints)
+		if hooks.failover != nil {
+			attemptOpts.Checkpoints = hooks.failover(attempt, leaderIdx, cancel, opts.Checkpoints)
 		}
-		res, err := runWithLeader(runCtx, leader, authority, leaderIdx, shards, reference, cfg, policy, attemptOpts, false, nil, nil)
+		res, err := runWithLeader(runCtx, leader, authority, leaderIdx, shards, reference, cfg, policy, attemptOpts, pipeChannel, hooks)
 		cancel()
 		if err == nil {
 			res.FormerLeaders = append([]int(nil), former...)

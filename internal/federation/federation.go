@@ -8,6 +8,7 @@ import (
 	"io"
 	"sync"
 
+	"gendpr/internal/checkpoint"
 	"gendpr/internal/core"
 	"gendpr/internal/enclave"
 	"gendpr/internal/enclave/attest"
@@ -83,34 +84,30 @@ func randomNonces(g int) ([][]byte, error) {
 	return nonces, nil
 }
 
-// electedLeader runs the shared setup of both runners: authority, election,
-// and leader construction.
-func electedLeader(shards []*genome.Matrix) (*Leader, *attest.Authority, int, error) {
-	g := len(shards)
-	if g == 0 {
-		return nil, nil, 0, core.ErrNoMembers
+// elect runs the Section 5.2 committed-nonce election among the candidate
+// shard positions.
+func elect(candidates []int) (int, error) {
+	if len(candidates) == 0 {
+		return 0, ErrNoElectableLeader
 	}
-	authority, err := attest.NewAuthority()
+	nonces, err := randomNonces(len(candidates))
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("federation: %w", err)
+		return 0, err
 	}
-	nonces, err := randomNonces(g)
+	idx, err := ElectLeader(nonces, len(candidates))
 	if err != nil {
-		return nil, nil, 0, err
+		return 0, err
 	}
-	leaderIdx, err := ElectLeader(nonces, g)
+	return candidates[idx], nil
+}
+
+// newLeaderNode builds the elected shard's coordinator on a fresh platform.
+func newLeaderNode(shards []*genome.Matrix, leaderIdx int, authority *attest.Authority) (*Leader, error) {
+	platform, err := enclave.NewPlatform()
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, fmt.Errorf("federation: %w", err)
 	}
-	leaderPlatform, err := enclave.NewPlatform()
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("federation: %w", err)
-	}
-	leader, err := NewLeader(fmt.Sprintf("gdo-%d", leaderIdx), shards[leaderIdx], leaderPlatform, authority)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return leader, authority, leaderIdx, nil
+	return NewLeader(fmt.Sprintf("gdo-%d", leaderIdx), shards[leaderIdx], platform, authority)
 }
 
 // assembleResult maps the leader's report back to shard positions.
@@ -144,125 +141,222 @@ func assembleResult(report *core.Report, leaderIdx int, g int, members []*Member
 // channels, and a full protocol run. It is the reference deployment used by
 // tests, examples and benchmarks; RunOverTCP exercises the same nodes across
 // real sockets.
-func RunInProcess(shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy) (*Result, error) {
-	return runInProcess(shards, reference, cfg, policy, RunOptions{}, true)
+//
+// opts sets the fault-tolerance envelope (RunOptions.faultTolerant): a
+// tolerant run re-establishes dropped member channels (a fresh pipe and
+// serving goroutine, re-attested) and takes the leader's report, including
+// its excluded-member list, as authoritative over member serving errors.
+// Cancelling ctx aborts the run at the next phase boundary.
+func RunInProcess(ctx context.Context, shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions) (*Result, error) {
+	return runElected(ctx, shards, reference, cfg, policy, opts, pipeChannel, chaosHooks{})
 }
 
-// RunInProcessWithOptions is RunInProcess under the fault-tolerance options:
-// deadlines on every exchange, automatic re-establishment of dropped member
-// channels (a fresh pipe and serving goroutine, re-attested), and quorum
-// degradation. Member serving errors do not fail the run — the leader's
-// report, including its excluded-member list, is authoritative.
-func RunInProcessWithOptions(shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions) (*Result, error) {
-	return runInProcess(shards, reference, cfg, policy, opts, false)
+// RunOverTCP runs the same federation across loopback TCP sockets: each
+// member listens on an ephemeral port and keeps accepting connections until
+// it serves a clean shutdown or its listener closes, so a tolerant leader's
+// redial after a connection drop reaches a live serving loop.
+func RunOverTCP(ctx context.Context, shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions) (*Result, error) {
+	return runElected(ctx, shards, reference, cfg, policy, opts, tcpChannel, chaosHooks{})
 }
 
-// faultInjector optionally wraps the leader end of each member channel; the
-// chaos harness installs one via the package-internal test hook.
-type faultInjector func(shardIdx int, conn transport.Conn) transport.Conn
-
-// memberPrep optionally adjusts a freshly built member node before it starts
-// serving — the chaos harness uses it to install a Byzantine provider
-// wrapper via Member.WrapProvider. Production runs pass nil.
-type memberPrep func(shardIdx int, m *Member)
-
-func runInProcess(shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions, strict bool) (*Result, error) {
-	return runInProcessInjected(shards, reference, cfg, policy, opts, strict, nil)
+// chaosHooks are the chaos harness's handles on a run; production runs pass
+// the zero value.
+type chaosHooks struct {
+	// inject wraps the leader end of each member channel, below attestation
+	// and encryption, so injected faults exercise the full recovery path
+	// including re-attestation.
+	inject func(shardIdx int, conn transport.Conn) transport.Conn
+	// prep adjusts a freshly built member node before it starts serving,
+	// e.g. to install a Byzantine provider wrapper via Member.WrapProvider.
+	prep func(shardIdx int, m *Member)
+	// failover schedules a leader death for one attempt of
+	// RunInProcessWithFailover: it may wrap the attempt's checkpoint store,
+	// and it receives the cancel function that stands in for the leader
+	// process dying.
+	failover func(attempt, leaderIdx int, cancel context.CancelFunc, store checkpoint.Store) checkpoint.Store
 }
 
-// runInProcessInjected is runInProcess with a fault-injection hook on the
-// leader-side connections (nil for production use). Injectors wrap the raw
-// end, below attestation and encryption, so injected faults exercise the
-// full recovery path including re-attestation.
-func runInProcessInjected(shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions, strict bool, inject faultInjector) (*Result, error) {
-	return runInProcessPrepared(shards, reference, cfg, policy, opts, strict, inject, nil)
+// sessions tracks the member serving goroutines of one run and the errors
+// they end with.
+type sessions struct {
+	wg   sync.WaitGroup
+	mu   sync.Mutex
+	errs []error
 }
 
-// runInProcessPrepared is runInProcessInjected with an additional member
-// preparation hook, the deepest of the chaos-harness entry points.
-func runInProcessPrepared(shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions, strict bool, inject faultInjector, prep memberPrep) (*Result, error) {
-	leader, authority, leaderIdx, err := electedLeader(shards)
+// spawn runs serve on a new goroutine the run waits for.
+func (s *sessions) spawn(serve func()) {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		serve()
+	}()
+}
+
+// fail records a serving error.
+func (s *sessions) fail(err error) {
+	s.mu.Lock()
+	s.errs = append(s.errs, err)
+	s.mu.Unlock()
+}
+
+// memberChannel connects the leader to one member node. It returns dial,
+// which hands out a fresh raw connection served by the member — the initial
+// link and every redial go through it — and stop, which releases what the
+// channel holds once the run's connections are closed.
+type memberChannel func(m *Member, s *sessions, opts RunOptions) (dial func() (transport.Conn, error), stop func(), err error)
+
+// pipeChannel serves every connection on its own in-memory pipe and serving
+// goroutine, so a redialing leader talks to a live serving loop with fresh
+// AEAD state.
+func pipeChannel(m *Member, s *sessions, _ RunOptions) (func() (transport.Conn, error), func(), error) {
+	dial := func() (transport.Conn, error) {
+		leaderEnd, memberEnd := transport.Pipe()
+		s.spawn(func() {
+			if err := m.ServeContext(context.Background(), memberEnd, ServeOptions{}); err != nil {
+				s.fail(err)
+			}
+		})
+		return leaderEnd, nil
+	}
+	return dial, func() {}, nil
+}
+
+// tcpChannel listens on a loopback port and serves one session at a time
+// until a session ends in a clean shutdown or the listener closes.
+func tcpChannel(m *Member, s *sessions, opts RunOptions) (func() (transport.Conn, error), func(), error) {
+	listener, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		return nil, nil, err
+	}
+	s.spawn(func() {
+		for {
+			conn, err := listener.Accept()
+			if err != nil {
+				return
+			}
+			err = m.ServeContext(context.Background(), conn, ServeOptions{})
+			_ = conn.Close()
+			if err == nil {
+				return
+			}
+			s.fail(err)
+		}
+	})
+	addr := listener.Addr()
+	dial := func() (transport.Conn, error) { return transport.DialTimeout(addr, opts.dialTimeout()) }
+	return dial, func() { _ = listener.Close() }, nil
+}
+
+// runElected elects a leader among all shards and drives one run under it.
+func runElected(ctx context.Context, shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions, channel memberChannel, hooks chaosHooks) (*Result, error) {
+	if len(shards) == 0 {
+		return nil, core.ErrNoMembers
+	}
+	authority, err := attest.NewAuthority()
+	if err != nil {
+		return nil, fmt.Errorf("federation: %w", err)
+	}
+	all := make([]int, len(shards))
+	for i := range all {
+		all[i] = i
+	}
+	leaderIdx, err := elect(all)
 	if err != nil {
 		return nil, err
 	}
-	return runWithLeader(nil, leader, authority, leaderIdx, shards, reference, cfg, policy, opts, strict, inject, prep)
+	leader, err := newLeaderNode(shards, leaderIdx, authority)
+	if err != nil {
+		return nil, err
+	}
+	return runWithLeader(ctx, leader, authority, leaderIdx, shards, reference, cfg, policy, opts, channel, hooks)
 }
 
-// runWithLeader executes one in-process federation run under an
-// already-elected leader: it spawns the member nodes, wires the pipes, and
-// drives the protocol. The failover runner calls it repeatedly — once per
-// elected leader — with a cancellable context standing in for the leader's
-// process lifetime.
-func runWithLeader(ctx context.Context, leader *Leader, authority *attest.Authority, leaderIdx int, shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions, strict bool, inject faultInjector, prep memberPrep) (*Result, error) {
+// runWithLeader is the driver behind every federation runner: under an
+// already-elected leader it builds the member nodes, connects them through
+// channel, runs the protocol, and maps the report back to shard positions.
+// The failover runner calls it once per elected leader, with a cancellable
+// context standing in for the leader's process lifetime.
+func runWithLeader(ctx context.Context, leader *Leader, authority *attest.Authority, leaderIdx int, shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions, channel memberChannel, hooks chaosHooks) (*Result, error) {
 	g := len(shards)
-
+	tolerant := opts.faultTolerant()
 	var (
-		wg           sync.WaitGroup
-		mu           sync.Mutex
-		serveErrs    []error
+		s            sessions
+		stops        []func()
 		members      = make([]*Member, 0, g-1)
 		memberShards = make([]int, 0, g-1)
 		links        = make([]MemberLink, 0, g-1)
 		meters       = make([]*transport.Meter, g)
 	)
+	// shutdown ends every serving session: closing the leader ends makes a
+	// serving loop return, and stopping a channel ends its accept loop.
+	shutdown := func() {
+		for _, l := range links {
+			_ = l.Conn.Close()
+		}
+		for _, stop := range stops {
+			stop()
+		}
+		s.wg.Wait()
+	}
 	for i := 0; i < g; i++ {
 		if i == leaderIdx {
 			continue
 		}
 		platform, err := enclave.NewPlatform()
 		if err != nil {
+			shutdown()
 			return nil, fmt.Errorf("federation: %w", err)
 		}
 		member, err := NewMember(fmt.Sprintf("gdo-%d", i), shards[i], platform, authority)
 		if err != nil {
+			shutdown()
 			return nil, err
 		}
-		if prep != nil {
-			prep(i, member)
+		if hooks.prep != nil {
+			hooks.prep(i, member)
 		}
 		members = append(members, member)
 		memberShards = append(memberShards, i)
-		meters[i] = &transport.Meter{}
 
-		// spawn creates one attestable channel to this member: a fresh pipe
-		// whose far end is served by a new goroutine. The initial connection
-		// and every redial go through it, so a reconnecting leader talks to
-		// a live serving loop with fresh AEAD state.
-		meter, shardIdx := meters[i], i
-		spawn := func() transport.Conn {
-			leaderEnd, memberEnd := transport.Pipe()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := member.Serve(memberEnd); err != nil {
-					mu.Lock()
-					serveErrs = append(serveErrs, err)
-					mu.Unlock()
-				}
-			}()
-			conn := transport.NewMetered(leaderEnd, meter)
-			if inject != nil {
-				conn = inject(shardIdx, conn)
-			}
-			return conn
+		dial, stop, err := channel(member, &s, opts)
+		if err != nil {
+			shutdown()
+			return nil, err
 		}
-		link := MemberLink{Conn: spawn(), Name: member.ID()}
-		if !strict {
-			link.Redial = func() (transport.Conn, error) { return spawn(), nil }
+		stops = append(stops, stop)
+		meter, shardIdx := &transport.Meter{}, i
+		meters[i] = meter
+		connect := func() (transport.Conn, error) {
+			raw, err := dial()
+			if err != nil {
+				return nil, err
+			}
+			var conn transport.Conn = transport.NewMetered(raw, meter)
+			if hooks.inject != nil {
+				conn = hooks.inject(shardIdx, conn)
+			}
+			return conn, nil
+		}
+		conn, err := connect()
+		if err != nil {
+			shutdown()
+			return nil, err
+		}
+		link := MemberLink{Conn: conn, Name: member.ID()}
+		if tolerant {
+			link.Redial = connect
 		}
 		links = append(links, link)
 	}
 
 	report, runErr := leader.RunLinksContext(ctx, links, reference, cfg, policy, opts)
-	for _, l := range links {
-		_ = l.Conn.Close()
-	}
-	wg.Wait()
+	shutdown()
 	if runErr != nil {
 		return nil, runErr
 	}
-	if strict && len(serveErrs) > 0 {
-		return nil, errors.Join(serveErrs...)
+	if !tolerant && len(s.errs) > 0 {
+		return nil, errors.Join(s.errs...)
 	}
 	return assembleResult(report, leaderIdx, g, members, memberShards, meters, shards), nil
 }
@@ -285,139 +379,4 @@ func trafficStats(meters []*transport.Meter, shards []*genome.Matrix, leaderIdx 
 		}
 	}
 	return stats
-}
-
-// RunOverTCP runs the same federation across loopback TCP sockets: each
-// member listens on an ephemeral port and serves one leader connection.
-func RunOverTCP(shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy) (*Result, error) {
-	return runOverTCP(shards, reference, cfg, policy, RunOptions{}, true)
-}
-
-// RunOverTCPWithOptions is RunOverTCP under the fault-tolerance options.
-// Each member keeps accepting connections until it serves a clean shutdown
-// or its listener closes, so a leader redial after a connection drop reaches
-// a live serving loop.
-func RunOverTCPWithOptions(shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions) (*Result, error) {
-	return runOverTCP(shards, reference, cfg, policy, opts, false)
-}
-
-func runOverTCP(shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions, strict bool) (*Result, error) {
-	g := len(shards)
-	leader, authority, leaderIdx, err := electedLeader(shards)
-	if err != nil {
-		return nil, err
-	}
-
-	var (
-		wg           sync.WaitGroup
-		mu           sync.Mutex
-		serveErrs    []error
-		members      = make([]*Member, 0, g-1)
-		memberShards = make([]int, 0, g-1)
-		links        = make([]MemberLink, 0, g-1)
-		listeners    = make([]*transport.Listener, 0, g-1)
-		meters       = make([]*transport.Meter, g)
-	)
-	defer func() {
-		for _, l := range listeners {
-			_ = l.Close()
-		}
-	}()
-
-	for i := 0; i < g; i++ {
-		if i == leaderIdx {
-			continue
-		}
-		platform, err := enclave.NewPlatform()
-		if err != nil {
-			return nil, fmt.Errorf("federation: %w", err)
-		}
-		member, err := NewMember(fmt.Sprintf("gdo-%d", i), shards[i], platform, authority)
-		if err != nil {
-			return nil, err
-		}
-		members = append(members, member)
-		memberShards = append(memberShards, i)
-
-		listener, err := transport.Listen("127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		listeners = append(listeners, listener)
-		wg.Add(1)
-		if strict {
-			// Legacy behavior: one connection, one serving session.
-			go func(m *Member, l *transport.Listener) {
-				defer wg.Done()
-				conn, err := l.Accept()
-				if err != nil {
-					mu.Lock()
-					serveErrs = append(serveErrs, err)
-					mu.Unlock()
-					return
-				}
-				defer conn.Close()
-				if err := m.Serve(conn); err != nil {
-					mu.Lock()
-					serveErrs = append(serveErrs, err)
-					mu.Unlock()
-				}
-			}(member, listener)
-		} else {
-			// Resilient behavior: keep accepting so the leader can redial
-			// after a drop; stop once a session ends in a clean shutdown or
-			// the listener closes.
-			go func(m *Member, l *transport.Listener) {
-				defer wg.Done()
-				for {
-					conn, err := l.Accept()
-					if err != nil {
-						return
-					}
-					err = m.Serve(conn)
-					_ = conn.Close()
-					if err == nil {
-						return
-					}
-					mu.Lock()
-					serveErrs = append(serveErrs, err)
-					mu.Unlock()
-				}
-			}(member, listener)
-		}
-
-		conn, err := transport.DialTimeout(listener.Addr(), opts.dialTimeout())
-		if err != nil {
-			return nil, err
-		}
-		meters[i] = &transport.Meter{}
-		addr, meter := listener.Addr(), meters[i]
-		link := MemberLink{Conn: transport.NewMetered(conn, meter), Name: member.ID()}
-		if !strict {
-			link.Redial = func() (transport.Conn, error) {
-				c, err := transport.DialTimeout(addr, opts.dialTimeout())
-				if err != nil {
-					return nil, err
-				}
-				return transport.NewMetered(c, meter), nil
-			}
-		}
-		links = append(links, link)
-	}
-
-	report, runErr := leader.RunLinks(links, reference, cfg, policy, opts)
-	for _, l := range links {
-		_ = l.Conn.Close()
-	}
-	for _, l := range listeners {
-		_ = l.Close()
-	}
-	wg.Wait()
-	if runErr != nil {
-		return nil, runErr
-	}
-	if strict && len(serveErrs) > 0 {
-		return nil, errors.Join(serveErrs...)
-	}
-	return assembleResult(report, leaderIdx, g, members, memberShards, meters, shards), nil
 }

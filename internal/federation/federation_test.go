@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"strings"
@@ -77,7 +78,7 @@ func TestInProcessFederationMatchesCentralized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunInProcess(shards, cohort.Reference, cfg, core.CollusionPolicy{})
+	res, err := RunInProcess(context.Background(), shards, cohort.Reference, cfg, core.CollusionPolicy{}, RunOptions{})
 	if err != nil {
 		t.Fatalf("RunInProcess: %v", err)
 	}
@@ -111,7 +112,7 @@ func TestInProcessFederationWithCollusionPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunInProcess(shards, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{F: 1})
+	res, err := RunInProcess(context.Background(), shards, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{F: 1}, RunOptions{})
 	if err != nil {
 		t.Fatalf("RunInProcess: %v", err)
 	}
@@ -138,11 +139,11 @@ func TestTCPFederationMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
-	overTCP, err := RunOverTCP(shards, cohort.Reference, cfg, core.CollusionPolicy{})
+	overTCP, err := RunOverTCP(context.Background(), shards, cohort.Reference, cfg, core.CollusionPolicy{}, RunOptions{})
 	if err != nil {
 		t.Fatalf("RunOverTCP: %v", err)
 	}
-	inProc, err := RunInProcess(shards, cohort.Reference, cfg, core.CollusionPolicy{})
+	inProc, err := RunInProcess(context.Background(), shards, cohort.Reference, cfg, core.CollusionPolicy{}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestFederationTrafficAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunInProcess(shards, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{})
+	res, err := RunInProcess(context.Background(), shards, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +225,11 @@ func TestAttestationRejectsForeignAuthority(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if err := member.Serve(memberEnd); err == nil {
+		if err := member.ServeContext(context.Background(), memberEnd, ServeOptions{}); err == nil {
 			t.Error("member accepted a quote from a foreign authority")
 		}
 	}()
-	_, err = leader.Run([]transport.Conn{leaderEnd}, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{})
+	_, err = leader.RunLinksContext(context.Background(), []MemberLink{{Conn: leaderEnd, Name: "0"}}, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{}, RunOptions{})
 	if err == nil {
 		t.Fatal("leader accepted a quote from a foreign authority")
 	}
@@ -286,7 +287,7 @@ func TestMemberRejectsMalformedRequests(t *testing.T) {
 
 	leaderEnd, memberEnd := transport.Pipe()
 	serveDone := make(chan error, 1)
-	go func() { serveDone <- member.Serve(memberEnd) }()
+	go func() { serveDone <- member.ServeContext(context.Background(), memberEnd, ServeOptions{}) }()
 
 	conn, err := attestConn(leaderEnd, authority, leaderEnc, true)
 	if err != nil {
@@ -358,7 +359,7 @@ func TestLeaderSurfacesMemberDropout(t *testing.T) {
 		memberEnd.Close() // crash immediately after the handshake
 	}()
 
-	_, err = leader.Run([]transport.Conn{leaderEnd}, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{})
+	_, err = leader.RunLinksContext(context.Background(), []MemberLink{{Conn: leaderEnd, Name: "0"}}, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{}, RunOptions{})
 	if err == nil {
 		t.Fatal("leader completed despite member dropout")
 	}
@@ -382,7 +383,7 @@ func TestLeaderRejectsUnattestedPeer(t *testing.T) {
 		}
 		_ = peerEnd.Send(transport.Message{Kind: KindCountsReply, Payload: []byte("junk")})
 	}()
-	if _, err := leader.Run([]transport.Conn{leaderEnd}, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{}); !errors.Is(err, ErrProtocol) {
+	if _, err := leader.RunLinksContext(context.Background(), []MemberLink{{Conn: leaderEnd, Name: "0"}}, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{}, RunOptions{}); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("unattested peer: %v, want protocol violation", err)
 	}
 }
@@ -400,7 +401,7 @@ func TestNewMemberValidation(t *testing.T) {
 
 func TestRunInProcessEmpty(t *testing.T) {
 	cohort := testCohort(t, 10, 10, 1)
-	if _, err := RunInProcess(nil, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{}); !errors.Is(err, core.ErrNoMembers) {
+	if _, err := RunInProcess(context.Background(), nil, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{}, RunOptions{}); !errors.Is(err, core.ErrNoMembers) {
 		t.Fatalf("got %v, want ErrNoMembers", err)
 	}
 }
@@ -447,7 +448,7 @@ func TestFederationPhase2MessageCount(t *testing.T) {
 	count := func(_ int, conn transport.Conn) transport.Conn {
 		return kindCounter{Conn: conn, mu: &mu, kinds: kinds}
 	}
-	res, err := runInProcessInjected(shards, cohort.Reference, cfg, core.CollusionPolicy{}, RunOptions{}, true, count)
+	res, err := runElected(context.Background(), shards, cohort.Reference, cfg, core.CollusionPolicy{}, RunOptions{}, pipeChannel, chaosHooks{inject: count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +518,7 @@ func TestFederationConservativeMessageCount(t *testing.T) {
 			return kindCounter{Conn: conn, mu: &mu, kinds: kinds}
 		}
 		prev := runtime.GOMAXPROCS(procs)
-		res, err := runWithLeader(nil, leader, authority, 0, shards, cohort.Reference, cfg, policy, RunOptions{}, true, count, nil)
+		res, err := runWithLeader(nil, leader, authority, 0, shards, cohort.Reference, cfg, policy, RunOptions{}, pipeChannel, chaosHooks{inject: count})
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatalf("GOMAXPROCS %d: %v", procs, err)

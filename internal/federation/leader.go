@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -63,36 +62,23 @@ type MemberLink struct {
 	Redial func() (transport.Conn, error)
 }
 
-// Run attests every member connection, executes the assessment over the
-// federation (leader shard plus remote members), broadcasts the final
-// selection, and shuts the members down. The raw connections are owned by
-// the caller and are not closed. It is RunLinks with the zero RunOptions:
-// no deadlines, no retries, abort on any member failure.
-func (l *Leader) Run(memberConns []transport.Conn, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy) (*core.Report, error) {
-	links := make([]MemberLink, len(memberConns))
-	for i, c := range memberConns {
-		links[i] = MemberLink{Conn: c, Name: strconv.Itoa(i)}
-	}
-	return l.RunLinks(links, reference, cfg, policy, RunOptions{})
-}
-
-// RunLinks is Run with explicit fault-tolerance options: per-exchange
-// deadlines, retry with redial and re-attestation, and quorum degradation.
-// Connections the leader itself re-establishes via link.Redial are closed
-// before returning; the initial link connections stay owned by the caller.
+// RunLinksContext attests every member connection, executes the assessment
+// over the federation (leader shard plus remote members), broadcasts the
+// final selection, and shuts the members down. The initial link connections
+// stay owned by the caller; connections the leader itself re-establishes via
+// link.Redial are closed before returning.
 //
-// When opts.MinQuorum is positive, the returned Report may list excluded
-// members in Report.Excluded; entries are provider indices where 0 is the
-// leader's own shard and i+1 is links[i].
-func (l *Leader) RunLinks(links []MemberLink, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions) (*core.Report, error) {
-	return l.RunLinksContext(nil, links, reference, cfg, policy, opts)
-}
-
-// RunLinksContext is RunLinks under a context: cancellation interrupts
-// in-flight member exchanges and retry backoffs, and the assessment aborts at
-// the next phase boundary with ctx.Err(). A nil or never-canceled context
-// reproduces RunLinks exactly. When opts.Checkpoints is set, link names are
-// the stable identities the checkpoint is keyed by, so a re-elected leader
+// opts sets the fault-tolerance envelope: per-exchange deadlines, retry with
+// redial and re-attestation, and quorum degradation. The zero RunOptions
+// waits forever, never retries, and aborts on any member failure. When
+// opts.MinQuorum is positive, the returned Report may list excluded members
+// in Report.Excluded; entries are provider indices where 0 is the leader's
+// own shard and i+1 is links[i].
+//
+// Cancelling ctx interrupts in-flight member exchanges and retry backoffs,
+// and the assessment aborts at the next phase boundary with ctx.Err(); a nil
+// context never cancels. When opts.Checkpoints is set, link names are the
+// stable identities the checkpoint is keyed by, so a re-elected leader
 // resuming a crashed run must address members by the same names.
 func (l *Leader) RunLinksContext(ctx context.Context, links []MemberLink, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions) (*core.Report, error) {
 	remotes := make([]*remoteProvider, len(links))
@@ -171,10 +157,10 @@ func (l *Leader) RunLinksContext(ctx context.Context, links []MemberLink, refere
 		}
 	}
 
-	report, err := core.RunAssessmentResilientWithOptions(providers, reference, cfg, policy, l.enclave,
-		resilience,
-		core.AssessmentOptions{Context: ctx, ProviderNames: names, Checkpoints: opts.Checkpoints,
-			RetainCheckpoints: opts.RetainCheckpoints})
+	report, err := core.RunAssessment(providers, reference, cfg, policy, l.enclave, core.AssessmentOptions{
+		Context: ctx, ProviderNames: names, Checkpoints: opts.Checkpoints,
+		RetainCheckpoints: opts.RetainCheckpoints, Resilience: resilience,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -254,7 +240,6 @@ type ledgerKey struct {
 var (
 	_ core.Provider           = (*remoteProvider)(nil)
 	_ core.BatchPairProvider  = (*remoteProvider)(nil)
-	_ core.PatternProvider    = (*remoteProvider)(nil)
 	_ core.SummaryAuditor     = (*remoteProvider)(nil)
 	_ core.RejoinableProvider = (*remoteProvider)(nil)
 )
@@ -673,7 +658,7 @@ func (r *remoteProvider) LRMatrix(cols []int, caseFreq, refFreq []float64) (*lrt
 	return m, nil
 }
 
-// LRPattern implements core.PatternProvider over the existing Phase 3 wire
+// LRPattern implements core.Provider over the existing Phase 3 wire
 // kinds: a frequency-free KindLRRequest asks for the genotype bit-pattern.
 func (r *remoteProvider) LRPattern(cols []int) (*lrtest.BitMatrix, error) {
 	if len(cols) == 0 {

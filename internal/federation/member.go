@@ -93,27 +93,19 @@ type ServeOptions struct {
 	IdleTimeout time.Duration
 }
 
-// Serve attests the connection to the leader and answers requests until the
-// leader sends a shutdown or the connection closes. It returns nil on a
-// clean shutdown.
-func (m *Member) Serve(raw transport.Conn) error {
-	return m.ServeWithOptions(raw, ServeOptions{})
-}
-
-// ServeWithOptions is Serve with an idle deadline. Malformed requests —
-// decode failures, protocol violations, out-of-range queries — are answered
-// with KindError and the loop keeps serving: a single bad request must not
-// tear down an attested session the leader may still need. Teardown is
-// reserved for transport failures, where the channel itself is gone.
-func (m *Member) ServeWithOptions(raw transport.Conn, opts ServeOptions) error {
-	return m.ServeContext(nil, raw, opts)
-}
-
-// ServeContext is ServeWithOptions under a context: cancellation interrupts
-// an in-flight attestation step, receive, or reply, and the loop returns
-// ctx.Err(). A nil or never-canceled context reproduces ServeWithOptions
-// exactly. This is how a member node shuts down cleanly on a signal while
-// parked waiting for the next leader request.
+// ServeContext attests the connection to the leader and answers requests
+// until the leader sends a shutdown or the connection closes. It returns nil
+// on a clean shutdown. Malformed requests — decode failures, protocol
+// violations, out-of-range queries — are answered with KindError and the loop
+// keeps serving: a single bad request must not tear down an attested session
+// the leader may still need. Teardown is reserved for transport failures,
+// where the channel itself is gone.
+//
+// opts.IdleTimeout bounds the wait for each leader message. Cancelling ctx
+// interrupts an in-flight attestation step, receive, or reply, and the loop
+// returns ctx.Err(); a nil context never cancels. This is how a member node
+// shuts down cleanly on a signal while parked waiting for the next leader
+// request.
 func (m *Member) ServeContext(ctx context.Context, raw transport.Conn, opts ServeOptions) error {
 	conn, err := attestConnContext(ctx, raw, m.authority, m.enclave, false, opts.IdleTimeout)
 	if err != nil {
@@ -197,11 +189,7 @@ func (m *Member) handle(local core.Provider, msg transport.Message) (*transport.
 			// the genotype bit-pattern: the combination-lattice leader skins
 			// it locally per collusion combination instead of requesting one
 			// full LR-matrix per combination.
-			pp, ok := local.(core.PatternProvider)
-			if !ok {
-				return nil, false, fmt.Errorf("member %s cannot serve genotype patterns", m.id)
-			}
-			p, err := pp.LRPattern(cols)
+			p, err := local.LRPattern(cols)
 			if err != nil {
 				return nil, false, err
 			}

@@ -18,7 +18,10 @@ const maxBackoff = 5 * time.Second
 
 // RunOptions configures the fault-tolerance envelope of a federation run.
 // The zero value reproduces the base protocol exactly: no deadlines, no
-// retries, and any member failure aborts the assessment.
+// retries, and any member failure aborts the assessment. A run tolerates
+// member failures only when MaxRetries, MinQuorum or AllowRejoin asks for it
+// (faultTolerant); deadlines, checkpoints and events alone keep the base
+// protocol's failure semantics.
 type RunOptions struct {
 	// RPCTimeout bounds each request/response exchange with a member,
 	// including each attestation handshake step. Zero waits forever.
@@ -84,6 +87,16 @@ type MemberEvent struct {
 	// Phase is the protocol phase implicated by a runner-level event; empty
 	// for transport-level transitions.
 	Phase string
+}
+
+// faultTolerant reports whether the run tolerates member failures: it
+// retries, degrades, or lets excluded members rejoin. The in-process and TCP
+// runners give a tolerant run's links a redial and take its leader's report
+// as authoritative over member serving errors; any other run — the zero
+// RunOptions included, and deadlines or checkpoints alone — is the base
+// protocol, where any member failure fails the run.
+func (o RunOptions) faultTolerant() bool {
+	return o.MaxRetries > 0 || o.MinQuorum > 0 || o.AllowRejoin
 }
 
 func (o RunOptions) dialTimeout() time.Duration {

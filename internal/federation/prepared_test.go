@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -47,7 +48,7 @@ func TestLeaderReusesPreparedViewsAcrossRuns(t *testing.T) {
 	leader, authority, shards := longLivedLeader(t, cohort)
 	cfg, policy := core.DefaultConfig(), core.CollusionPolicy{F: 1}
 	run := func() (*Result, error) {
-		return runWithLeader(nil, leader, authority, 0, shards, cohort.Reference, cfg, policy, RunOptions{}, true, nil, nil)
+		return runWithLeader(nil, leader, authority, 0, shards, cohort.Reference, cfg, policy, RunOptions{}, pipeChannel, chaosHooks{})
 	}
 
 	idle := leader.enclave.MemoryUsed()
@@ -128,11 +129,11 @@ func TestBadPatternColumnsAreErrorsNotPanics(t *testing.T) {
 			leader, authority, shards := longLivedLeader(t, cohort)
 			rw := rw
 			_, err := runWithLeader(nil, leader, authority, 0, shards, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{},
-				RunOptions{}, true, nil, func(shardIdx int, m *Member) {
+				RunOptions{}, pipeChannel, chaosHooks{prep: func(shardIdx int, m *Member) {
 					if shardIdx == 2 {
 						m.WrapProvider(func(p core.Provider) core.Provider { return rewriteColumns{p, rw.rewrite} })
 					}
-				})
+				}})
 			var me *core.MemberError
 			if !errors.As(err, &me) || me.Member != 2 || me.Phase != core.PhaseLR {
 				t.Fatalf("%s: leader returned %v, want a MemberError for member 2 in %s", name, err, core.PhaseLR)
@@ -163,7 +164,7 @@ func TestBadPatternColumnsAreErrorsNotPanics(t *testing.T) {
 		}
 		leaderEnd, memberEnd := transport.Pipe()
 		serveDone := make(chan error, 1)
-		go func() { serveDone <- member.Serve(memberEnd) }()
+		go func() { serveDone <- member.ServeContext(context.Background(), memberEnd, ServeOptions{}) }()
 		conn, err := attestConn(leaderEnd, authority, leaderEnc, true)
 		if err != nil {
 			t.Fatalf("attest: %v", err)

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -41,7 +42,7 @@ func tcpMember(t *testing.T, id string, shard *genome.Matrix, authority *attest.
 			if err != nil {
 				return
 			}
-			err = member.Serve(conn)
+			err = member.ServeContext(context.Background(), conn, ServeOptions{})
 			_ = conn.Close()
 			if err == nil {
 				return
@@ -55,7 +56,7 @@ func tcpMember(t *testing.T, id string, shard *genome.Matrix, authority *attest.
 }
 
 // tcpLeaderFixture builds a leader plus two TCP members and returns the
-// pieces a test needs to drive RunLinks directly.
+// pieces a test needs to drive RunLinksContext directly.
 func tcpLeaderFixture(t *testing.T) (*Leader, *genome.Cohort, []*genome.Matrix, []MemberLink) {
 	t.Helper()
 	cohort := testCohort(t, 60, 120, 41)
@@ -115,7 +116,7 @@ func TestLeaderNamesMemberAndPhaseOnTCPDrop(t *testing.T) {
 				Kind:    transport.FaultClose,
 				MsgKind: tc.kind,
 			})
-			_, err := leader.RunLinks(links, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{}, RunOptions{RPCTimeout: 2 * time.Second})
+			_, err := leader.RunLinksContext(context.Background(), links, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{}, RunOptions{RPCTimeout: 2 * time.Second})
 			if err == nil {
 				t.Fatal("leader completed despite the dropped member")
 			}
@@ -173,7 +174,8 @@ func TestHungMemberCompletesWithinRPCTimeout(t *testing.T) {
 
 	const rpcTimeout = 300 * time.Millisecond
 	start := time.Now()
-	_, err = leader.RunLinks(
+	_, err = leader.RunLinksContext(
+		context.Background(),
 		[]MemberLink{{Conn: leaderEnd, Name: "silent"}},
 		cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{},
 		RunOptions{RPCTimeout: rpcTimeout},
@@ -209,13 +211,13 @@ func TestTCPReconnectRecoversRun(t *testing.T) {
 	})
 	links[0].Conn = fault
 
-	report, err := leader.RunLinks(links, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{}, RunOptions{
+	report, err := leader.RunLinksContext(context.Background(), links, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{}, RunOptions{
 		RPCTimeout: 2 * time.Second,
 		MaxRetries: 2,
 		Backoff:    10 * time.Millisecond,
 	})
 	if err != nil {
-		t.Fatalf("RunLinks did not recover: %v", err)
+		t.Fatalf("RunLinksContext did not recover: %v", err)
 	}
 	if !fault.Fired() {
 		t.Fatal("fault never fired; the test exercised nothing")
@@ -250,7 +252,7 @@ func TestMemberServeIdleTimeout(t *testing.T) {
 	defer leaderEnd.Close()
 	serveDone := make(chan error, 1)
 	go func() {
-		serveDone <- member.ServeWithOptions(memberEnd, ServeOptions{IdleTimeout: 100 * time.Millisecond})
+		serveDone <- member.ServeContext(context.Background(), memberEnd, ServeOptions{IdleTimeout: 100 * time.Millisecond})
 	}()
 	if _, err := attestConn(leaderEnd, authority, leaderEnc, true); err != nil {
 		t.Fatalf("attest: %v", err)

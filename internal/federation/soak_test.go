@@ -143,11 +143,11 @@ func soakTransport(t *testing.T, f *chaosFixture, rng *rand.Rand) error {
 	inj := &chaosInjector{point: point}
 	policy := core.CollusionPolicy{}
 	res, err := guardSoak(func() (*Result, error) {
-		return runInProcessInjected(f.shards, f.cohort.Reference, core.DefaultConfig(), policy, RunOptions{
+		return runElected(context.Background(), f.shards, f.cohort.Reference, core.DefaultConfig(), policy, RunOptions{
 			RPCTimeout: chaosRPCTimeout,
 			MaxRetries: 3,
 			Backoff:    5 * time.Millisecond,
-		}, false, inj.inject)
+		}, pipeChannel, chaosHooks{inject: inj.inject})
 	})
 	if err != nil {
 		return fmt.Errorf("%s: run did not recover: %w", point, err)
@@ -197,22 +197,21 @@ func soakByzantine(t *testing.T, f *chaosFixture, rng *rand.Rand, tally *soakTal
 		}}
 		label = "wire-tamper"
 	}
-	var inject faultInjector
+	var hooks chaosHooks
 	if inj != nil {
-		inject = inj.inject
+		hooks.inject = inj.inject
 	}
-	var prepFn memberPrep
 	if prep != nil {
-		prepFn = prep.prep
+		hooks.prep = prep.prep
 	}
 	res, err := guardSoak(func() (*Result, error) {
-		return runInProcessPrepared(f.shards, f.cohort.Reference, core.DefaultConfig(), policy, RunOptions{
+		return runElected(context.Background(), f.shards, f.cohort.Reference, core.DefaultConfig(), policy, RunOptions{
 			RPCTimeout: chaosRPCTimeout,
 			MaxRetries: 2,
 			Backoff:    5 * time.Millisecond,
 			MinQuorum:  2,
 			Byzantine:  true,
-		}, false, inject, prepFn)
+		}, pipeChannel, hooks)
 	})
 	if err != nil {
 		return fmt.Errorf("%s: run did not contain the fault: %w", label, err)
@@ -284,12 +283,12 @@ func soakStorage(t *testing.T, f *chaosFixture, rng *rand.Rand) error {
 	}
 	policy := core.CollusionPolicy{}
 	res, err := guardSoak(func() (*Result, error) {
-		return runInProcessFailover(context.Background(), f.shards, f.cohort.Reference, core.DefaultConfig(), policy, RunOptions{
+		return runFailover(context.Background(), f.shards, f.cohort.Reference, core.DefaultConfig(), policy, RunOptions{
 			RPCTimeout:  chaosRPCTimeout,
 			MaxRetries:  1,
 			Backoff:     5 * time.Millisecond,
 			Checkpoints: store,
-		}, hook)
+		}, chaosHooks{failover: hook})
 	})
 	if err != nil {
 		return fmt.Errorf("killAt=%d: failover run failed: %w", killAt, err)
@@ -327,13 +326,13 @@ func soakRejoin(t *testing.T, f *chaosFixture, rng *rand.Rand, tally *soakTally)
 	inj := &chaosInjector{point: point}
 	policy := core.CollusionPolicy{}
 	res, err := guardSoak(func() (*Result, error) {
-		return runInProcessInjected(f.shards, f.cohort.Reference, core.DefaultConfig(), policy, RunOptions{
+		return runElected(context.Background(), f.shards, f.cohort.Reference, core.DefaultConfig(), policy, RunOptions{
 			RPCTimeout:  chaosRPCTimeout,
 			MaxRetries:  0,
 			MinQuorum:   2,
 			Byzantine:   true,
 			AllowRejoin: true,
-		}, false, inj.inject)
+		}, pipeChannel, chaosHooks{inject: inj.inject})
 	})
 	if err != nil {
 		return fmt.Errorf("%s: run did not recover through rejoin: %w", point, err)

@@ -32,7 +32,7 @@ func TestAssessmentMatchesGoLoops(t *testing.T) {
 		for i, s := range shards {
 			providers[i] = core.NewLocalMember(s)
 		}
-		rep, err := core.RunAssessment(providers, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{Conservative: true}, nil)
+		rep, err := core.RunAssessment(providers, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{Conservative: true}, nil, core.AssessmentOptions{})
 		if err != nil {
 			t.Fatalf("vector %v: %v", vector, err)
 		}

@@ -162,7 +162,7 @@ func NewInProcessBackend(shards []*genome.Matrix, reference *genome.Matrix, opts
 	dial := func() ([]federation.MemberLink, func(), error) {
 		links := make([]federation.MemberLink, len(members))
 		// Every spawned serve goroutine is joined by cleanup: the leader ends
-		// are tracked (redials included) so closing them unblocks Serve, and
+		// are tracked (redials included) so closing them unblocks ServeContext, and
 		// the WaitGroup guarantees no session goroutine outlives its run.
 		var (
 			mu    sync.Mutex
@@ -183,7 +183,7 @@ func NewInProcessBackend(shards []*genome.Matrix, reference *genome.Matrix, opts
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					_ = member.Serve(memberEnd)
+					_ = member.ServeContext(context.Background(), memberEnd, federation.ServeOptions{})
 					_ = memberEnd.Close()
 				}()
 				return leaderEnd
