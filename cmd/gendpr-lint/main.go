@@ -6,27 +6,19 @@
 //
 // Usage:
 //
-//	gendpr-lint [-run names] [-skip names] [-json] [-sarif] [-v] [-baseline report.json] [-cache-dir dir] [-nocache] [./...] [dir ...]
+//	gendpr-lint [-run names] [-skip names] [-json] [-v] [-baseline report.json] [./...] [dir ...]
 //
-// With no arguments (or "./..."), the whole module containing the working
-// directory is linted. Directory arguments restrict the report to packages
-// under those paths; the full module is still loaded so cross-package type
-// information stays complete. -run and -skip take comma-separated analyzer
-// names; -json writes the findings as a machine-readable report to stdout
-// (scripts/check.sh archives it as lint-report.json); -sarif writes them as
-// a SARIF 2.1.0 log instead, for code-scanning UIs; -v adds per-package
-// load timing, per-analyzer wall time, and parallel speedup to stderr.
-// -baseline takes a previous -json report and fails only on findings absent
-// from it (matched by file, analyzer, and message — not line, so unrelated
-// edits shifting positions do not resurface acknowledged debt).
-//
-// Results are cached incrementally under -cache-dir (default
-// <module>/.gendpr-lint-cache): a warm run with no content changes skips
-// parsing and type-checking entirely, and a partial change re-analyzes only
-// the changed packages' dependency cones (module-global analyzers re-run on
-// any change). The cache stores post-suppression findings keyed by content
-// hashes, so cached and fresh reports are identical — scripts/check.sh
-// enforces that byte-for-byte. -nocache bypasses it both ways.
+// Every run loads and type-checks the whole module containing the working
+// directory once, runs the selected analyzers once, and writes one report.
+// Directory arguments restrict the report to packages under those paths; the
+// full module is still loaded so cross-package type information stays
+// complete. -run and -skip take comma-separated analyzer names; -json writes
+// the findings as a machine-readable report to stdout (scripts/check.sh
+// archives it as lint-report.json); -v adds per-package load timing and
+// per-analyzer wall time to stderr. -baseline takes a previous -json report
+// and fails only on findings absent from it (matched by file, analyzer, and
+// message — not line, so unrelated edits shifting positions do not resurface
+// acknowledged debt).
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure (including a
 // working directory outside any Go module).
@@ -36,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -49,21 +42,21 @@ import (
 func main() {
 	verbose := flag.Bool("v", false, "list analyzers, packages, and per-analyzer timing")
 	jsonOut := flag.Bool("json", false, "write findings as a JSON report to stdout")
-	sarifOut := flag.Bool("sarif", false, "write findings as a SARIF 2.1.0 log to stdout")
 	runNames := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 	skipNames := flag.String("skip", "", "comma-separated analyzer names to skip")
 	baseline := flag.String("baseline", "", "path to a previous -json report; only findings absent from it fail the run")
-	cacheDir := flag.String("cache-dir", "", "incremental cache directory (default <module>/.gendpr-lint-cache)")
-	noCache := flag.Bool("nocache", false, "neither read nor write the incremental cache")
 	flag.Parse()
 	opts := lintOptions{
-		verbose: *verbose, jsonOut: *jsonOut, sarifOut: *sarifOut,
+		verbose: *verbose, jsonOut: *jsonOut,
 		runNames: *runNames, skipNames: *skipNames, baselinePath: *baseline,
-		cacheDir: *cacheDir, noCache: *noCache,
 	}
-	if err := run(flag.Args(), opts); err != nil {
+	failed, err := run(flag.Args(), opts, os.Stdout, os.Stderr)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "gendpr-lint:", err)
 		os.Exit(2)
+	}
+	if failed {
+		os.Exit(1)
 	}
 }
 
@@ -77,10 +70,10 @@ type jsonFinding struct {
 	Message  string `json:"message"`
 }
 
-// jsonReport is the -json output envelope. It deliberately carries no
-// timings: the report must be a pure function of module content so a cached
-// warm run reproduces a cold run byte for byte (scripts/check.sh diffs the
-// two). Timings go to stderr under -v and to the check.sh timing artifact.
+// jsonReport is the -json output envelope, and the format -baseline reads
+// back. It deliberately carries no timings, so the report is a pure function
+// of the module's content: the committed lint-report.json changes only when
+// a finding or the analyzer list does. Timings go to stderr under -v.
 type jsonReport struct {
 	Module    string        `json:"module"`
 	Analyzers []string      `json:"analyzers"`
@@ -89,88 +82,63 @@ type jsonReport struct {
 
 // lintOptions carries the parsed command line.
 type lintOptions struct {
-	verbose, jsonOut, sarifOut        bool
+	verbose, jsonOut                  bool
 	runNames, skipNames, baselinePath string
-	cacheDir                          string
-	noCache                           bool
 }
 
-func run(args []string, opts lintOptions) error {
-	if opts.jsonOut && opts.sarifOut {
-		return fmt.Errorf("-json and -sarif are mutually exclusive")
-	}
+// run lints the module containing the working directory and writes the
+// report to stdout (and -v timings and summaries to stderr). It reports
+// whether any finding fails the run; err is a usage or load failure.
+func run(args []string, opts lintOptions, stdout, stderr io.Writer) (failed bool, err error) {
 	root, err := moduleRoot()
 	if err != nil {
-		return err
-	}
-	modPath, err := analysis.ModulePath(root)
-	if err != nil {
-		return err
+		return false, err
 	}
 	analyzers, err := selectAnalyzers(analysis.DefaultAnalyzers(), opts.runNames, opts.skipNames)
 	if err != nil {
-		return err
+		return false, err
 	}
-	cacheDir := opts.cacheDir
-	if cacheDir == "" {
-		cacheDir = filepath.Join(root, ".gendpr-lint-cache")
-	}
-
 	keep, err := dirFilter(root, args)
 	if err != nil {
-		return err
+		return false, err
 	}
-	runStart := time.Now()
-	var (
-		diags  []analysis.Diagnostic
-		stats  []analysis.AnalyzerStats
-		cstats analysis.CacheStats
-	)
-	if opts.noCache {
-		var loadLog *os.File
-		if opts.verbose {
-			loadLog = os.Stderr
-		}
-		mod, err := analysis.LoadModuleVerbose(root, loadLog)
-		if err != nil {
-			return err
-		}
-		if opts.verbose {
-			fmt.Fprintf(os.Stderr, "module %s: %d packages, %d analyzers\n",
-				mod.Path, len(mod.Packages), len(analyzers))
-			for _, p := range mod.Packages {
-				if len(p.TypeErrors) > 0 {
-					fmt.Fprintf(os.Stderr, "  %s: %d type errors (syntactic checks only where types are missing)\n",
-						p.Path, len(p.TypeErrors))
-				}
+
+	var loadLog io.Writer
+	if opts.verbose {
+		loadLog = stderr
+	}
+	mod, err := analysis.LoadModuleVerbose(root, loadLog)
+	if err != nil {
+		return false, err
+	}
+	if opts.verbose {
+		fmt.Fprintf(stderr, "module %s: %d packages, %d analyzers\n",
+			mod.Path, len(mod.Packages), len(analyzers))
+		for _, p := range mod.Packages {
+			if len(p.TypeErrors) > 0 {
+				fmt.Fprintf(stderr, "  %s: %d type errors (syntactic checks only where types are missing)\n",
+					p.Path, len(p.TypeErrors))
 			}
 		}
-		diags, stats = analysis.RunWithStats(mod, analyzers)
-	} else {
-		diags, stats, cstats, err = analysis.RunWithCache(root, analyzers, cacheDir)
-		if err != nil {
-			return err
-		}
 	}
+	// The wall clock covers the analyzer run alone, so it describes the same
+	// work as the summed per-analyzer CPU time; the load has its own line.
+	runStart := time.Now()
+	diags, stats := analysis.RunWithStats(mod, analyzers)
 	runWall := time.Since(runStart)
 	if opts.verbose {
 		var cpu time.Duration
 		for _, s := range stats {
-			fmt.Fprintf(os.Stderr, "  %-16s %8.1fms  %d finding(s)\n",
+			fmt.Fprintf(stderr, "  %-16s %8.1fms  %d finding(s)\n",
 				s.Name, float64(s.Duration.Microseconds())/1000, s.Findings)
 			cpu += s.Duration
 		}
-		fmt.Fprintf(os.Stderr, "  analyzers total %.1fms wall, %.1fms cpu (%d workers, %.1fx)\n",
+		fmt.Fprintf(stderr, "  analyzers total %.1fms wall, %.1fms cpu (%d workers, %.1fx)\n",
 			float64(runWall.Microseconds())/1000, float64(cpu.Microseconds())/1000,
 			runtime.GOMAXPROCS(0), float64(cpu)/float64(runWall))
-		if !opts.noCache {
-			fmt.Fprintf(os.Stderr, "  cache %s: %d hit(s), %d miss(es)%s\n",
-				cacheDir, cstats.Hits, cstats.Misses,
-				map[bool]string{true: " — full hit, module load skipped", false: ""}[cstats.FullHit])
-		}
 	}
 
-	var kept []jsonFinding
+	kept := []jsonFinding{}
 	for _, d := range diags {
 		if !keep(d.Pos.Filename) {
 			continue
@@ -194,48 +162,37 @@ func run(args []string, opts lintOptions) error {
 	if opts.baselinePath != "" {
 		base, err := loadBaseline(opts.baselinePath)
 		if err != nil {
-			return err
+			return false, err
 		}
 		fail = newFindings(kept, base)
 	}
 
-	switch {
-	case opts.jsonOut:
-		report := jsonReport{Module: modPath, Findings: kept}
-		if report.Findings == nil {
-			report.Findings = []jsonFinding{}
-		}
+	if opts.jsonOut {
+		report := jsonReport{Module: mod.Path, Findings: kept}
 		for _, s := range stats {
 			report.Analyzers = append(report.Analyzers, s.Name)
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(report); err != nil {
-			return err
+			return false, err
 		}
-	case opts.sarifOut:
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(sarifFromFindings(analyzers, kept)); err != nil {
-			return err
-		}
-	default:
+	} else {
 		for _, f := range fail {
-			fmt.Printf("%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Column, f.Analyzer, f.Message)
+			fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Column, f.Analyzer, f.Message)
 		}
 	}
 	if baselined := len(kept) - len(fail); baselined > 0 {
-		fmt.Fprintf(os.Stderr, "gendpr-lint: %d baselined finding(s) suppressed (%s)\n", baselined, opts.baselinePath)
+		fmt.Fprintf(stderr, "gendpr-lint: %d baselined finding(s) suppressed (%s)\n", baselined, opts.baselinePath)
 	}
 	if len(fail) > 0 {
 		if opts.baselinePath != "" {
-			fmt.Fprintf(os.Stderr, "gendpr-lint: %d finding(s) not in baseline\n", len(fail))
+			fmt.Fprintf(stderr, "gendpr-lint: %d finding(s) not in baseline\n", len(fail))
 		} else {
-			fmt.Fprintf(os.Stderr, "gendpr-lint: %d finding(s)\n", len(fail))
+			fmt.Fprintf(stderr, "gendpr-lint: %d finding(s)\n", len(fail))
 		}
-		os.Exit(1)
 	}
-	return nil
+	return len(fail) > 0, nil
 }
 
 // selectAnalyzers applies the -run and -skip name filters. Unknown names are

@@ -77,11 +77,6 @@ type Analyzer struct {
 	// Scopes restricts where the analyzer applies; empty means the whole
 	// module.
 	Scopes []Scope
-	// ModuleGlobal marks analyzers whose findings for one package can change
-	// when any other package changes (the taint suite and lockorder build
-	// module-wide engines). The incremental cache keys their results on the
-	// whole module's content, not just the package's dependency cone.
-	ModuleGlobal bool
 	// Run inspects the files the Pass exposes and reports findings.
 	Run func(*Pass)
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -267,18 +268,32 @@ func f(a, b float64) bool {
 	}
 }
 
+// The repository itself, loaded and type-checked once for every test that
+// needs the whole module (the load dominates this package's test time).
+var (
+	selfOnce sync.Once
+	selfMod  *Module
+	selfErr  error
+)
+
+func loadSelf(t *testing.T) *Module {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("loads and type-checks the whole module")
+	}
+	selfOnce.Do(func() { selfMod, selfErr = LoadModule(filepath.Join("..", "..")) })
+	if selfErr != nil {
+		t.Fatal(selfErr)
+	}
+	return selfMod
+}
+
 // TestLoadModuleSelf loads the real repository and checks the loader's
 // basic guarantees: the module path resolves, dependency order holds, and
 // the privacy-critical packages type-check (analyzers rely on their type
 // information, so silent degradation there would weaken the gate).
 func TestLoadModuleSelf(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
-	mod, err := LoadModule(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mod := loadSelf(t)
 	if mod.Path != "gendpr" {
 		t.Fatalf("module path %q", mod.Path)
 	}
@@ -308,14 +323,7 @@ func TestLoadModuleSelf(t *testing.T) {
 // TestDefaultSuiteCleanOnTree is the in-test version of the CI gate:
 // the default analyzers report nothing on the current repository.
 func TestDefaultSuiteCleanOnTree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
-	mod, err := LoadModule(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range Run(mod, DefaultAnalyzers()) {
+	for _, d := range Run(loadSelf(t), DefaultAnalyzers()) {
 		t.Errorf("finding on clean tree: %s", d)
 	}
 }

@@ -63,21 +63,6 @@ func skipDir(name string) bool {
 
 var moduleLine = regexp.MustCompile(`(?m)^module\s+(\S+)`)
 
-// ModulePath reads the module path from root's go.mod without parsing any
-// Go files. RunWithCache callers use it for report headers when a full
-// cache hit means the module itself is never loaded.
-func ModulePath(root string) (string, error) {
-	modBytes, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return "", fmt.Errorf("%w: %s", ErrNoModule, root)
-	}
-	m := moduleLine.FindSubmatch(modBytes)
-	if m == nil {
-		return "", fmt.Errorf("analysis: no module line in %s/go.mod", root)
-	}
-	return string(m[1]), nil
-}
-
 // LoadModule parses and type-checks every package of the module rooted at
 // dir (the directory containing go.mod). Type-check failures in one package
 // do not fail the load: they are recorded on the package and checking

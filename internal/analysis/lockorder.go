@@ -41,10 +41,9 @@ func NewLockOrder(scopes []Scope) *Analyzer {
 	var mu sync.Mutex
 	cache := make(map[*Module]*lockOrderEngine)
 	a := &Analyzer{
-		Name:         "lockorder",
-		Doc:          "lock acquisition order must be acyclic across the module; a cycle is a potential deadlock",
-		Scopes:       scopes,
-		ModuleGlobal: true,
+		Name:   "lockorder",
+		Doc:    "lock acquisition order must be acyclic across the module; a cycle is a potential deadlock",
+		Scopes: scopes,
 	}
 	a.Run = func(p *Pass) {
 		mu.Lock()

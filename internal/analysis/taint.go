@@ -913,9 +913,8 @@ func (r *TaintRegistry) engine(mod *Module) *taintEngine {
 
 func taintAnalyzer(name, doc string, reg *TaintRegistry) *Analyzer {
 	return &Analyzer{
-		Name:         name,
-		Doc:          doc,
-		ModuleGlobal: true,
+		Name: name,
+		Doc:  doc,
 		Run: func(p *Pass) {
 			if p.Mod == nil {
 				return

@@ -38,48 +38,20 @@ echo "== analysis fast path =="
 # full gendpr-lint run pays for module-wide type-checking.
 go test -short ./internal/analysis/
 
-echo "== gendpr-lint (cold) =="
-# Volatile CI artifacts live under the gitignored artifacts/ dir; only
-# lint-report.json stays at the root and tracked, because -baseline consumes
-# it. The cold run starts from an empty cache so its wall time is the
-# reference for the warm-run gate below; the lint binary is built once so
-# neither measurement pays go-run compilation.
+echo "== gendpr-lint =="
+# Volatile CI artifacts live under the gitignored artifacts/ dir. The JSON
+# report stays at the root and tracked: it is the archived report a developer
+# can pass to -baseline, and regenerating it here shows any drift in the
+# diff. The lint binary is built once so the -v timings do not include
+# go-run compilation.
 mkdir -p artifacts
-rm -rf artifacts/lint-cache
 go build -o artifacts/gendpr-lint ./cmd/gendpr-lint
-cold_start=$(date +%s%N)
-./artifacts/gendpr-lint -v -json -cache-dir artifacts/lint-cache ./... > lint-report.json 2> artifacts/lint-timings.txt || {
+./artifacts/gendpr-lint -v -json ./... > lint-report.json 2> artifacts/lint-timings.txt || {
     echo "gendpr-lint findings (see lint-report.json):" >&2
-    ./artifacts/gendpr-lint -nocache ./... >&2 || true
+    ./artifacts/gendpr-lint ./... >&2 || true
     exit 1
 }
-cold_end=$(date +%s%N)
-grep -E "load total|analyzers total|cache " artifacts/lint-timings.txt || true
-
-echo "== gendpr-lint (warm, cache-correctness gate) =="
-# The incremental cache must be invisible in the output: a warm run over the
-# unchanged tree has to reproduce the cold report byte for byte, and do it in
-# at most half the cold wall time (in practice it skips type-checking
-# entirely and lands near zero).
-warm_start=$(date +%s%N)
-./artifacts/gendpr-lint -v -json -cache-dir artifacts/lint-cache ./... > artifacts/lint-report-warm.json 2>> artifacts/lint-timings.txt || {
-    echo "warm gendpr-lint run failed" >&2
-    exit 1
-}
-warm_end=$(date +%s%N)
-if ! cmp -s lint-report.json artifacts/lint-report-warm.json; then
-    echo "cache-correctness gate failed: warm lint report differs from cold" >&2
-    diff lint-report.json artifacts/lint-report-warm.json >&2 || true
-    exit 1
-fi
-cold_ms=$(( (cold_end - cold_start) / 1000000 ))
-warm_ms=$(( (warm_end - warm_start) / 1000000 ))
-ratio=$(awk "BEGIN{printf \"%.3f\", $warm_ms / ($cold_ms + 0.001)}")
-echo "lint cache: cold ${cold_ms}ms, warm ${warm_ms}ms, warm/cold ratio ${ratio}" | tee -a artifacts/lint-timings.txt
-if ! awk "BEGIN{exit !($warm_ms * 2 <= $cold_ms)}"; then
-    echo "cache gate failed: warm run ${warm_ms}ms exceeds 0.5x cold ${cold_ms}ms" >&2
-    exit 1
-fi
+grep -E "load total|analyzers total" artifacts/lint-timings.txt || true
 
 echo "== suppression budget =="
 # Every //gendpr:allow directive needs a justification in source (enforced
