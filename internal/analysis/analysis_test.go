@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -316,6 +317,73 @@ func TestLoadModuleSelf(t *testing.T) {
 			if len(p.TypeErrors) > 0 {
 				t.Errorf("%s has type errors: %v", p.Path, p.TypeErrors[0])
 			}
+		}
+	}
+}
+
+// TestDefaultTaintSpecNamesResolve checks that every DefaultTaintSpec key
+// resolves to a declared type, function or method in the module or a
+// package it imports, so no entry outlives the symbol it configures.
+func TestDefaultTaintSpecNamesResolve(t *testing.T) {
+	pkgs := make(map[string]*types.Package)
+	var add func(p *types.Package)
+	add = func(p *types.Package) {
+		if pkgs[p.Path()] == nil {
+			pkgs[p.Path()] = p
+			for _, imp := range p.Imports() {
+				add(imp)
+			}
+		}
+	}
+	for _, p := range loadSelf(t).Packages {
+		add(p.Types)
+	}
+	spec := DefaultTaintSpec()
+	keys := append([]string(nil), spec.ReleaseTypes...)
+	for _, m := range []map[string]SecretClass{spec.SecretTypes, spec.SourceFuncs} {
+		for k := range m {
+			keys = append(keys, k)
+		}
+	}
+	for k := range spec.Declassifiers {
+		keys = append(keys, k)
+	}
+	for k := range spec.Sinks {
+		keys = append(keys, k)
+	}
+	for k := range spec.OrderSinks {
+		keys = append(keys, k)
+	}
+	for k := range spec.OrderBarriers {
+		keys = append(keys, k)
+	}
+	for _, key := range keys {
+		// "pkg.Name", "(pkg.Type).Method" or "(*pkg.Type).Method".
+		qual, method, ptr := key, "", false
+		if end := strings.Index(key, ")."); strings.HasPrefix(key, "(") && end > 0 {
+			qual, method = key[1:end], key[end+2:]
+			qual, ptr = strings.TrimPrefix(qual, "*"), strings.HasPrefix(qual, "*")
+		}
+		dot := strings.LastIndex(qual, ".")
+		path, name := qual[:dot], qual[dot+1:]
+		pkg := pkgs[path]
+		if pkg == nil {
+			t.Errorf("%s: package %s not loaded", key, path)
+			continue
+		}
+		obj := pkg.Scope().Lookup(name)
+		if obj != nil && method != "" {
+			typ := obj.Type()
+			if ptr {
+				typ = types.NewPointer(typ)
+			}
+			obj, _, _ = types.LookupFieldOrMethod(typ, true, pkg, method)
+			if _, isFunc := obj.(*types.Func); !isFunc {
+				obj = nil
+			}
+		}
+		if obj == nil {
+			t.Errorf("taint spec key %s names nothing", key)
 		}
 	}
 }

@@ -158,7 +158,6 @@ func DefaultTaintSpec() *TaintSpec {
 			"gendpr/internal/genome.Matrix":     ClassIndividual,
 			"gendpr/internal/genome.ColumnBits": ClassIndividual,
 			"gendpr/internal/genome.Cohort":     ClassIndividual,
-			"gendpr/internal/lrtest.Matrix":     ClassIndividual,
 			"gendpr/internal/lrtest.BitMatrix":  ClassIndividual,
 			"gendpr/internal/lrtest.Genotypes":  ClassIndividual,
 			"gendpr/internal/seal.KeyPair":      ClassIndividual,
@@ -175,11 +174,8 @@ func DefaultTaintSpec() *TaintSpec {
 			"(*gendpr/internal/genome.Matrix).Get":       ClassIndividual,
 			"(*gendpr/internal/genome.Matrix).GetBit":    ClassIndividual,
 			"(*gendpr/internal/genome.Matrix).RowWords":  ClassIndividual,
-			"gendpr/internal/lrtest.FromBytes":           ClassIndividual,
-			"gendpr/internal/lrtest.DecodeWire":          ClassIndividual,
 			"gendpr/internal/lrtest.DecodeWireBit":       ClassIndividual,
 			"gendpr/internal/lrtest.DecodePatternWire":   ClassIndividual,
-			"gendpr/internal/lrtest.BitFromDense":        ClassIndividual,
 			"gendpr/internal/seal.NewKey":                ClassIndividual,
 			"gendpr/internal/seal.HKDF":                  ClassIndividual,
 			"(*gendpr/internal/seal.KeyPair).SessionKey": ClassIndividual,
@@ -210,9 +206,6 @@ func DefaultTaintSpec() *TaintSpec {
 			"gendpr/internal/lrtest.NewLogRatios":                     ClassAggregate,
 			"gendpr/internal/lrtest.Threshold":                        ClassAggregate,
 			"gendpr/internal/lrtest.Power":                            ClassAggregate,
-			"gendpr/internal/lrtest.Evaluate":                         ClassAggregate,
-			"gendpr/internal/lrtest.EvaluateBit":                      ClassAggregate,
-			"gendpr/internal/lrtest.DiscriminabilityOrder":            ClassAggregate,
 			"gendpr/internal/lrtest.DiscriminabilityOrderBit":         ClassAggregate,
 			"(*gendpr/internal/lrtest.Adversary).Score":               ClassAggregate,
 			"(*gendpr/internal/lrtest.Adversary).DetectionPower":      ClassAggregate,
@@ -236,9 +229,6 @@ func DefaultTaintSpec() *TaintSpec {
 			"(*gendpr/internal/enclave.Enclave).UnsealVersioned": DeclassRelease,
 			// Release boundary: the safe-selection result and the release
 			// document are the assessed product the protocol publishes.
-			"gendpr/internal/lrtest.SelectSafe":             DeclassRelease,
-			"gendpr/internal/lrtest.SelectSafeWithOrder":    DeclassRelease,
-			"gendpr/internal/lrtest.SelectSafeBit":          DeclassRelease,
 			"gendpr/internal/lrtest.SelectSafeBitWithOrder": DeclassRelease,
 			"gendpr/internal/release.Build":                 DeclassRelease,
 			// Wire-codec plumbing is class-neutral: the bytes a Decoder walks
@@ -356,15 +346,9 @@ func DefaultTaintSpec() *TaintSpec {
 			"gendpr/internal/stats.LDPValue":                  "stats.LDPValue (LD chi-square p-value)",
 			"gendpr/internal/stats.ChiSquareSurvival":         "stats.ChiSquareSurvival",
 			"gendpr/internal/lrtest.NewLogRatios":             "lrtest.NewLogRatios (Table-4 LR vector)",
-			"gendpr/internal/lrtest.Evaluate":                 "lrtest.Evaluate (detection-power figure)",
-			"gendpr/internal/lrtest.EvaluateBit":              "lrtest.EvaluateBit (detection-power figure)",
 			"gendpr/internal/lrtest.Threshold":                "lrtest.Threshold (LR decision threshold)",
 			"gendpr/internal/lrtest.Power":                    "lrtest.Power (detection-power figure)",
-			"gendpr/internal/lrtest.SelectSafe":               "lrtest.SelectSafe (released SNP selection)",
-			"gendpr/internal/lrtest.SelectSafeWithOrder":      "lrtest.SelectSafeWithOrder (released SNP selection)",
-			"gendpr/internal/lrtest.SelectSafeBit":            "lrtest.SelectSafeBit (released SNP selection)",
 			"gendpr/internal/lrtest.SelectSafeBitWithOrder":   "lrtest.SelectSafeBitWithOrder (released SNP selection)",
-			"gendpr/internal/lrtest.DiscriminabilityOrder":    "lrtest.DiscriminabilityOrder (greedy LD scan order)",
 			"gendpr/internal/lrtest.DiscriminabilityOrderBit": "lrtest.DiscriminabilityOrderBit (greedy LD scan order)",
 		},
 		OrderBarriers: map[string]bool{

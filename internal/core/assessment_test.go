@@ -343,13 +343,13 @@ func TestLocalMemberPairStatsBounds(t *testing.T) {
 
 func TestBuildLRMatrixValidation(t *testing.T) {
 	g := genome.NewMatrix(2, 5)
-	if _, err := BuildLRMatrix(g, []int{0, 1}, []float64{0.1}, []float64{0.1, 0.2}); err == nil {
+	if _, err := BuildLRBitMatrix(g, []int{0, 1}, []float64{0.1}, []float64{0.1, 0.2}); err == nil {
 		t.Error("frequency length mismatch accepted")
 	}
-	if _, err := BuildLRMatrix(g, []int{7}, []float64{0.1}, []float64{0.1}); err == nil {
+	if _, err := BuildLRBitMatrix(g, []int{7}, []float64{0.1}, []float64{0.1}); err == nil {
 		t.Error("out-of-range column accepted")
 	}
-	m, err := BuildLRMatrix(g, []int{4, 0}, []float64{0.2, 0.3}, []float64{0.2, 0.3})
+	m, err := BuildLRBitMatrix(g, []int{4, 0}, []float64{0.2, 0.3}, []float64{0.2, 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}

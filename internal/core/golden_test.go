@@ -3,26 +3,28 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"gendpr/internal/genome"
 	"gendpr/internal/lrtest"
 )
 
-// densePhase3 replicates the seed implementation's Phase 3 exactly: per
-// evaluation subset, merge dense member LR-matrices, rebuild the dense
-// reference LR-matrix, derive the admission order from the full-membership
-// evaluation, run the dense greedy search, and intersect. It is the golden
-// baseline the bit-packed kernel must match bit for bit.
+// densePhase3 is Phase 3 as PAPER.md states it, written for tests only and
+// sharing no code with the bit-packed kernel. Per evaluation subset: the
+// pooled case frequencies of the subset's members and the reference
+// frequencies give Eq. 1's log ratios; every member row (members in subset
+// order) and every reference row gets its per-SNP contributions; columns are
+// considered in discriminability order — |case mean − reference mean|
+// ascending, index tie-break, taken from the full federation and shared by
+// every combination — and admitted while the LR-test's power at α stays
+// below β, with every candidate's scores accumulated in admission order and
+// τ taken from a full sort of the reference scores. The safe sets are then
+// intersected. It ignores Params.Oblivious: both modes must select the same
+// SNPs.
 func densePhase3(t *testing.T, shards []*genome.Matrix, reference *genome.Matrix, subsets [][]int, lDouble []int, params lrtest.Params) ([][]int, []int, float64) {
 	t.Helper()
-	counts := make([][]int64, len(shards))
-	for i, s := range shards {
-		counts[i] = s.AlleleCounts()
-	}
-	refCounts := reference.AlleleCounts()
-	refN := int64(reference.N())
-
+	refFreq := Frequencies(reference.AlleleCounts(), int64(reference.N()), lDouble)
 	var order []int
 	var fullPower float64
 	per := make([][]int, len(subsets))
@@ -30,43 +32,97 @@ func densePhase3(t *testing.T, shards []*genome.Matrix, reference *genome.Matrix
 		sum := make([]int64, reference.L())
 		var n int64
 		for _, i := range subset {
-			for l, v := range counts[i] {
+			for l, v := range shards[i].AlleleCounts() {
 				sum[l] += v
 			}
 			n += int64(shards[i].N())
 		}
-		caseFreq := Frequencies(sum, n, lDouble)
-		refFreq := Frequencies(refCounts, refN, lDouble)
-
-		parts := make([]*lrtest.Matrix, len(subset))
-		for slot, i := range subset {
-			lr, err := BuildLRMatrix(shards[i], lDouble, caseFreq, refFreq)
-			if err != nil {
-				t.Fatalf("dense member %d LR-matrix: %v", i, err)
+		ratios, err := lrtest.NewLogRatios(Frequencies(sum, n, lDouble), refFreq)
+		if err != nil {
+			t.Fatalf("log ratios: %v", err)
+		}
+		var caseLR [][]float64
+		for _, i := range subset {
+			caseLR = append(caseLR, eqOneRows(shards[i], lDouble, ratios)...)
+		}
+		refLR := eqOneRows(reference, lDouble, ratios)
+		if c == 0 {
+			order = discriminabilityOrder(caseLR, refLR, len(lDouble))
+		}
+		var safe []int
+		caseScores := make([]float64, len(caseLR))
+		refScores := make([]float64, len(refLR))
+		for _, j := range order {
+			candCase, candRef := addColumn(caseScores, caseLR, j), addColumn(refScores, refLR, j)
+			sorted := append([]float64(nil), candRef...)
+			sort.Float64s(sorted)
+			idx := min(max(int(math.Ceil(float64(len(sorted))*(1-params.Alpha)))-1, 0), len(sorted)-1)
+			if power := lrtest.Power(candCase, sorted[idx]); power < params.PowerThreshold {
+				caseScores, refScores = candCase, candRef
+				safe = append(safe, j)
+				if c == 0 {
+					fullPower = power
+				}
 			}
-			parts[slot] = lr
 		}
-		merged, err := lrtest.Merge(parts...)
-		if err != nil {
-			t.Fatalf("dense merge: %v", err)
-		}
-		refLR, err := BuildLRMatrix(reference, lDouble, caseFreq, refFreq)
-		if err != nil {
-			t.Fatalf("dense reference LR-matrix: %v", err)
-		}
-		if c == 0 {
-			order = lrtest.DiscriminabilityOrder(merged, refLR)
-		}
-		safe, power, err := LRPhaseOrdered(lDouble, merged, refLR, params, order)
-		if err != nil {
-			t.Fatalf("dense LR phase: %v", err)
-		}
-		per[c] = safe
-		if c == 0 {
-			fullPower = power
+		sort.Ints(safe)
+		per[c] = make([]int, len(safe))
+		for k, j := range safe {
+			per[c][k] = lDouble[j]
 		}
 	}
 	return per, IntersectSorted(per...), fullPower
+}
+
+// eqOneRows returns g's Eq. 1 contributions over cols, one row per
+// individual.
+func eqOneRows(g *genome.Matrix, cols []int, ratios lrtest.LogRatios) [][]float64 {
+	rows := make([][]float64, g.N())
+	for i := range rows {
+		rows[i] = make([]float64, len(cols))
+		for j, l := range cols {
+			if g.Get(i, l) {
+				rows[i][j] = ratios.Minor[j]
+			} else {
+				rows[i][j] = ratios.Major[j]
+			}
+		}
+	}
+	return rows
+}
+
+// discriminabilityOrder ranks the columns by |case mean − reference mean|
+// ascending, index tie-break; each mean sums its rows in order.
+func discriminabilityOrder(caseLR, refLR [][]float64, cols int) []int {
+	mean := func(rows [][]float64, j int) float64 {
+		var s float64
+		for _, r := range rows {
+			s += r[j]
+		}
+		return s / float64(len(rows))
+	}
+	order := make([]int, cols)
+	dist := make([]float64, cols)
+	for j := range order {
+		order[j] = j
+		dist[j] = math.Abs(mean(caseLR, j) - mean(refLR, j))
+	}
+	sort.Slice(order, func(a, b int) bool {
+		if da, db := dist[order[a]], dist[order[b]]; da != db {
+			return da < db
+		}
+		return order[a] < order[b]
+	})
+	return order
+}
+
+// addColumn returns scores plus column j of rows.
+func addColumn(scores []float64, rows [][]float64, j int) []float64 {
+	out := make([]float64, len(scores))
+	for i, r := range rows {
+		out[i] = scores[i] + r[j]
+	}
+	return out
 }
 
 // goldenCase is one Phase-3 fixture checked against densePhase3.
@@ -76,6 +132,9 @@ type goldenCase struct {
 	caseN  int
 	g      int
 	policy CollusionPolicy
+	// beta, when set, replaces the power threshold β, and every combination
+	// must then reject at least one SNP.
+	beta float64
 }
 
 // checkAgainstDense runs the assessment on tc in both oblivious modes and
@@ -89,6 +148,9 @@ func checkAgainstDense(t *testing.T, tc goldenCase) {
 		shards := shardsOf(t, cohort, tc.g)
 		cfg := DefaultConfig()
 		cfg.LR.Oblivious = oblivious
+		if tc.beta != 0 {
+			cfg.LR.PowerThreshold = tc.beta
+		}
 
 		rep, err := RunDistributed(shards, cohort.Reference, cfg, tc.policy)
 		if err != nil {
@@ -117,20 +179,26 @@ func checkAgainstDense(t *testing.T, tc goldenCase) {
 			if !equalInts(rep.PerCombination[c].Safe, per[c]) {
 				t.Errorf("%s: combination %d: lattice %v != dense %v", label, c, rep.PerCombination[c].Safe, per[c])
 			}
+			if tc.beta != 0 && len(rep.PerCombination[c].Safe) >= len(rep.Selection.AfterLD) {
+				t.Errorf("%s: combination %d admits all %d SNPs at β=%v", label, c, len(rep.Selection.AfterLD), tc.beta)
+			}
 		}
 	}
 }
 
 // TestPhase3BitKernelGolden pins the bit-packed incremental kernel (genotype
 // patterns shipped once, stacked and reskinned per combination, quickselect
-// thresholds, reskinned reference pattern) to the seed's dense Phase 3:
-// byte-identical safe subsets and the identical released power, across
-// seeds, shard counts, collusion policies and both oblivious modes.
+// thresholds, reskinned reference pattern) to the dense Phase 3 of
+// densePhase3: byte-identical safe subsets and the identical released power,
+// across seeds, shard counts, collusion policies and both oblivious modes.
+// The cases with a lowered β reject SNPs in every combination.
 func TestPhase3BitKernelGolden(t *testing.T) {
 	for _, tc := range []goldenCase{
 		{seed: 5, snps: 120, caseN: 300, g: 2, policy: CollusionPolicy{}},
 		{seed: 9, snps: 140, caseN: 360, g: 3, policy: CollusionPolicy{F: 2}},
 		{seed: 29, snps: 100, caseN: 280, g: 4, policy: CollusionPolicy{Conservative: true}},
+		{seed: 9, snps: 400, caseN: 300, g: 3, policy: CollusionPolicy{Conservative: true}, beta: 0.1},
+		{seed: 5, snps: 400, caseN: 300, g: 3, policy: CollusionPolicy{F: 1}, beta: 0.05},
 	} {
 		checkAgainstDense(t, tc)
 	}

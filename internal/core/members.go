@@ -173,26 +173,11 @@ func checkLRRequest(l int, cols []int, caseFreq, refFreq []float64) (lrtest.LogR
 	return ratios, nil
 }
 
-// BuildLRMatrix is the dense member-side Phase 3 computation: restrict the
+// BuildLRBitMatrix is the member-side Phase 3 computation: restrict the
 // local genotypes to the broadcast SNP columns and fill in Equation 1
-// contributions using the pooled frequency vectors. The protocol path uses
-// the bit-packed BuildLRBitMatrix; the dense form remains for test fixtures
-// and equivalence baselines.
-func BuildLRMatrix(g *genome.Matrix, cols []int, caseFreq, refFreq []float64) (*lrtest.Matrix, error) {
-	ratios, err := checkLRRequest(g.L(), cols, caseFreq, refFreq)
-	if err != nil {
-		return nil, err
-	}
-	m, err := lrtest.Build(g.SelectColumns(cols), ratios)
-	if err != nil {
-		return nil, fmt.Errorf("core: build LR matrix: %w", err)
-	}
-	return m, nil
-}
-
-// BuildLRBitMatrix is BuildLRMatrix without the dense materialization: one
-// bit per cell plus two representatives per column, gathered from the
-// matrix's column-major view.
+// contributions using the pooled frequency vectors, stored as one bit per
+// cell plus two representatives per column gathered from the matrix's
+// column-major view.
 func BuildLRBitMatrix(g *genome.Matrix, cols []int, caseFreq, refFreq []float64) (*lrtest.BitMatrix, error) {
 	ratios, err := checkLRRequest(g.L(), cols, caseFreq, refFreq)
 	if err != nil {

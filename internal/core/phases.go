@@ -223,45 +223,19 @@ func mostRanked(a, b int, pvals []float64) int {
 	}
 }
 
-// LRPhase is Phase 3: it runs the SecureGenome empirical safe-subset search
-// over merged case and reference LR-matrices whose columns correspond to the
-// SNPs in cols (original indices), and maps the selected columns back to
-// original SNP indices.
-func LRPhase(cols []int, caseLR, refLR *lrtest.Matrix, params lrtest.Params) ([]int, float64, error) {
-	return LRPhaseOrdered(cols, caseLR, refLR, params, nil)
-}
-
-// LRPhaseOrdered is LRPhase with a caller-supplied admission order (a
-// permutation of the column indices); nil derives the order from the given
-// matrices. Collusion-tolerant evaluation passes the canonical full-
-// federation order to every combination, so per-combination selections
-// differ only where the combination's data genuinely fails the power test.
-func LRPhaseOrdered(cols []int, caseLR, refLR *lrtest.Matrix, params lrtest.Params, order []int) ([]int, float64, error) {
-	if caseLR.Cols() != len(cols) || refLR.Cols() != len(cols) {
-		return nil, 0, fmt.Errorf("core: LR matrices have %d/%d columns, want %d",
-			caseLR.Cols(), refLR.Cols(), len(cols))
-	}
-	if order == nil {
-		order = lrtest.DiscriminabilityOrder(caseLR, refLR)
-	}
-	res, err := lrtest.SelectSafeWithOrder(caseLR, refLR, params, order)
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: LR-test: %w", err)
-	}
-	safe := make([]int, len(res.Safe))
-	for i, j := range res.Safe {
-		safe[i] = cols[j]
-	}
-	return safe, res.Power, nil
-}
-
-// LRPhaseBit is LRPhase over bit-packed LR-matrices — the production Phase 3
-// kernel. Results are bit-for-bit identical to the dense LRPhase.
+// LRPhaseBit is Phase 3: it runs the SecureGenome empirical safe-subset
+// search over merged case and reference LR-matrices whose columns correspond
+// to the SNPs in cols (original indices), and maps the selected columns back
+// to original SNP indices.
 func LRPhaseBit(cols []int, caseLR, refLR *lrtest.BitMatrix, params lrtest.Params) ([]int, float64, error) {
 	return LRPhaseBitOrdered(cols, caseLR, refLR, params, nil)
 }
 
-// LRPhaseBitOrdered is LRPhaseOrdered over bit-packed LR-matrices.
+// LRPhaseBitOrdered is LRPhaseBit with a caller-supplied admission order (a
+// permutation of the column indices); nil derives the order from the given
+// matrices. Collusion-tolerant evaluation passes the canonical full-
+// federation order to every combination, so per-combination selections
+// differ only where the combination's data genuinely fails the power test.
 func LRPhaseBitOrdered(cols []int, caseLR, refLR *lrtest.BitMatrix, params lrtest.Params, order []int) ([]int, float64, error) {
 	if caseLR.Cols() != len(cols) || refLR.Cols() != len(cols) {
 		return nil, 0, fmt.Errorf("core: LR matrices have %d/%d columns, want %d",

@@ -377,10 +377,10 @@ func TestLDPhasePropagatesPairErrors(t *testing.T) {
 
 func TestLRPhaseMapsBackToOriginalIndices(t *testing.T) {
 	cols := []int{10, 20, 30}
-	caseLR := lrtest.NewMatrix(4, 3)
-	refLR := lrtest.NewMatrix(4, 3)
+	caseLR := lrtest.NewBitMatrix(4, 3)
+	refLR := lrtest.NewBitMatrix(4, 3)
 	// All-zero matrices: no identification power, everything is safe.
-	safe, power, err := LRPhase(cols, caseLR, refLR, lrtest.DefaultParams())
+	safe, power, err := LRPhaseBit(cols, caseLR, refLR, lrtest.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestLRPhaseMapsBackToOriginalIndices(t *testing.T) {
 	if !equalInts(safe, cols) {
 		t.Fatalf("safe %v, want %v", safe, cols)
 	}
-	if _, _, err := LRPhase([]int{1, 2}, caseLR, refLR, lrtest.DefaultParams()); err == nil {
+	if _, _, err := LRPhaseBit([]int{1, 2}, caseLR, refLR, lrtest.DefaultParams()); err == nil {
 		t.Error("column-count mismatch must fail")
 	}
 }

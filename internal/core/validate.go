@@ -95,8 +95,8 @@ func validatePairConsistency(s genome.PairStats, a, b int, counts []int64, caseN
 // validatePatternCounts cross-checks a genotype bit-pattern against the
 // member's reported Phase 1 counts: a pattern column's popcount is the
 // member's minor-allele carrier count for that SNP. Valid only for
-// genotype-oriented patterns (the LRPattern contract); the dense LRMatrix
-// path cannot use it because that representation's bit polarity is arbitrary.
+// genotype-oriented patterns (the LRPattern contract); the LRMatrix path
+// cannot use it because a wire-decoded matrix's bit polarity is arbitrary.
 func validatePatternCounts(p *lrtest.BitMatrix, cols []int, counts []int64) error {
 	for j, snp := range cols {
 		if snp < 0 || snp >= len(counts) {

@@ -22,18 +22,13 @@ func NewAdversary(releasedCaseFreq, refFreq []float64, reference Genotypes, alph
 	if err != nil {
 		return nil, err
 	}
-	refLR, err := Build(reference, ratios)
+	a := &Adversary{ratios: ratios}
+	refScores, err := a.scores(reference)
 	if err != nil {
-		return nil, fmt.Errorf("build reference LR-matrix: %w", err)
+		return nil, fmt.Errorf("score reference panel: %w", err)
 	}
-	all := make([]int, refLR.Cols())
-	for j := range all {
-		all[j] = j
-	}
-	return &Adversary{
-		ratios: ratios,
-		tau:    Threshold(refLR.ScoreSubset(all), alpha),
-	}, nil
+	a.tau = Threshold(refScores, alpha)
+	return a, nil
 }
 
 // Score computes the victim's LR statistic over the released SNPs. The
@@ -71,26 +66,30 @@ func (a *Adversary) Threshold() float64 { return a.tau }
 // returns the fraction it would (correctly) flag — the empirical power of the
 // membership attack against that release.
 func (a *Adversary) DetectionPower(cohort Genotypes) (float64, error) {
+	scores, err := a.scores(cohort)
+	if err != nil {
+		return 0, err
+	}
+	return Power(scores, a.tau), nil
+}
+
+// scores computes Score for every individual of a cohort.
+func (a *Adversary) scores(cohort Genotypes) ([]float64, error) {
 	if cohort.L() != len(a.ratios.Minor) {
-		return 0, fmt.Errorf("%w: cohort has %d SNPs, release has %d",
+		return nil, fmt.Errorf("%w: cohort has %d SNPs, release has %d",
 			ErrShapeMismatch, cohort.L(), len(a.ratios.Minor))
 	}
-	if cohort.N() == 0 {
-		return 0, nil
-	}
+	out := make([]float64, cohort.N())
 	victim := make([]bool, cohort.L())
-	hits := 0
-	for i := 0; i < cohort.N(); i++ {
+	for i := range out {
 		for l := range victim {
 			victim[l] = cohort.Get(i, l)
 		}
-		claims, err := a.ClaimsMembership(victim)
+		s, err := a.Score(victim)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		if claims {
-			hits++
-		}
+		out[i] = s
 	}
-	return float64(hits) / float64(cohort.N()), nil
+	return out, nil
 }

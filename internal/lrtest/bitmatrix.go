@@ -7,12 +7,23 @@ import (
 	"math/bits"
 )
 
-// BitMatrix is the bit-packed twin of Matrix, exploiting the structure of
-// Equation 1: every column of an LR-matrix holds at most two distinct values
-// (the minor- and major-allele contributions), so the matrix stores as one
-// bit per cell plus two float64 representatives per column — the in-memory
-// analogue of the compact wire format, roughly 60x smaller than the dense
-// form for the paper's cohort sizes.
+// Wire-format tags for serialized LR-matrices. Tag 1 was a dense float64
+// encoding; nothing writes it, and DecodeWireBit rejects it as unknown.
+const (
+	wireDense   = 1
+	wireCompact = 2
+)
+
+// ErrNotCompactable is returned when a column holds more than two distinct
+// values and so cannot be stored one bit per cell.
+var ErrNotCompactable = errors.New("lrtest: matrix column has more than two distinct values")
+
+// BitMatrix is the LR-matrix, stored by exploiting the structure of
+// Equation 1: every column holds at most two distinct values (the minor- and
+// major-allele contributions), so the matrix stores as one bit per cell plus
+// two float64 representatives per column — the in-memory analogue of the
+// compact wire format, roughly 60x smaller than a float64 per cell for the
+// paper's cohort sizes.
 //
 // Bits are stored column-major (column j occupies the words
 // bits[j*wpc:(j+1)*wpc], row i at bit i of that span) so the kernel's hot
@@ -23,9 +34,9 @@ import (
 //
 // Cell (i,j) decodes to one[j] when its bit is set and zero[j] otherwise.
 // All per-cell arithmetic iterates rows in ascending order and decodes cells
-// branchlessly through a two-element lookup, so sums accumulate in exactly
-// the order the dense kernel uses and every score is bit-for-bit identical
-// to the dense path.
+// branchlessly through a two-element lookup, so every score is the same
+// sequence of float additions as summing a float64-per-cell matrix row by
+// row in column order, and bit-for-bit identical to it.
 type BitMatrix struct {
 	rows, cols int
 	wpc        int // column stride in words: wpc ≥ (rows+63)/64, more on a PatternStack view
@@ -111,10 +122,10 @@ type RowBitSource interface {
 }
 
 // BuildBit computes the bit-packed LR-matrix for a genotype matrix given
-// pooled frequencies — the member-side Phase 3 computation of Build without
-// ever materializing the dense form. A set bit records the minor allele, so
-// one[j] = ratios.Minor[j] and zero[j] = ratios.Major[j]; this genotype
-// orientation is what makes Reskin valid.
+// pooled frequencies — the member-side Phase 3 computation. A set bit
+// records the minor allele, so one[j] = ratios.Minor[j] and
+// zero[j] = ratios.Major[j]; this genotype orientation is what makes Reskin
+// valid.
 func BuildBit(g Genotypes, ratios LogRatios) (*BitMatrix, error) {
 	if g.L() != len(ratios.Minor) {
 		return nil, fmt.Errorf("%w: %d genotype columns vs %d frequency entries",
@@ -184,8 +195,8 @@ func (m *BitMatrix) Reskin(ratios LogRatios) (*BitMatrix, error) {
 }
 
 // ScoreSubset sums each row's contributions over the given column subset,
-// producing per-individual LR statistics bit-identical to the dense
-// Matrix.ScoreSubset: columns accumulate in subset order and rows ascending.
+// producing per-individual LR statistics: columns accumulate in subset order
+// and rows ascending.
 func (m *BitMatrix) ScoreSubset(cols []int) []float64 {
 	scores := make([]float64, m.rows)
 	for _, j := range cols {
@@ -317,7 +328,7 @@ func (m *BitMatrix) addColumnBand(dst, base []float64, j int, lo, hi float64, ba
 // the minor allele) this is the column's minor-allele carrier count, which
 // the leader cross-checks against the member's reported Phase 1 counts. The
 // count is representation-dependent and meaningless on matrices from
-// BitFromDense, whose bit polarity follows row-scan first-seen order.
+// DecodeWireBit, whose bit polarity follows row-scan first-seen order.
 func (m *BitMatrix) ColumnOnes(j int) int {
 	if j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("lrtest: column %d out of range for %d columns", j, m.cols))
@@ -348,65 +359,10 @@ func (m *BitMatrix) Column(j int) []float64 {
 	return col
 }
 
-// Dense materializes the dense Matrix with bit-identical cells. It exists
-// for tests and the dense fallback path; production kernels never call it.
-func (m *BitMatrix) Dense() *Matrix {
-	out := NewMatrix(m.rows, m.cols)
-	for j := 0; j < m.cols; j++ {
-		v := [2]float64{m.zero[j], m.one[j]}
-		w := m.bits[j*m.wpc : (j+1)*m.wpc]
-		for i := 0; i < m.rows; i++ {
-			out.data[i*m.cols+j] = v[(w[i>>6]>>(uint(i)&63))&1]
-		}
-	}
-	return out
-}
-
-// BitFromDense packs a dense matrix, detecting each column's two
-// representatives in row-scan order. Cells compare against the
-// representatives with the same float equality the compact wire codec uses,
-// so the conversion accepts exactly the matrices CompactBytes accepts and
-// fails with ErrNotCompactable otherwise.
-func BitFromDense(d *Matrix) (*BitMatrix, error) {
-	m := NewBitMatrix(d.rows, d.cols)
-	for j := 0; j < d.cols; j++ {
-		span := m.bits[j*m.wpc : (j+1)*m.wpc]
-		lo, hi := 0.0, 0.0
-		seen := 0
-		for i := 0; i < d.rows; i++ {
-			v := d.data[i*d.cols+j]
-			if v != v {
-				return nil, fmt.Errorf("%w: column %d contains NaN", ErrNotCompactable, j)
-			}
-			switch {
-			case seen == 0:
-				lo = v
-				seen = 1
-			//gendpr:allow(floateq): exact-representation dictionary check, values are verbatim copies
-			case v == lo:
-			case seen == 1:
-				hi = v
-				seen = 2
-				span[i>>6] |= 1 << (uint(i) & 63)
-			//gendpr:allow(floateq): exact-representation dictionary check, values are verbatim copies
-			case v == hi:
-				span[i>>6] |= 1 << (uint(i) & 63)
-			default:
-				return nil, fmt.Errorf("%w: column %d", ErrNotCompactable, j)
-			}
-		}
-		if seen < 2 {
-			hi = lo
-		}
-		m.zero[j], m.one[j] = lo, hi
-	}
-	return m, nil
-}
-
 // Equal reports whether two bit matrices decode to identical cells. The
 // comparison is representation-independent (two matrices with swapped
 // representatives and inverted bits are equal) but value-exact: cells must
-// match bit for bit, matching Matrix.Equal's contract.
+// match bit for bit.
 func (m *BitMatrix) Equal(o *BitMatrix) bool {
 	if m.rows != o.rows || m.cols != o.cols {
 		return false
@@ -424,8 +380,7 @@ func (m *BitMatrix) Equal(o *BitMatrix) bool {
 }
 
 // MergeBits concatenates bit-packed LR-matrices row-wise — the
-// leader-enclave merge of Phase 3 Step 3 — without decoding any part to the
-// dense form. Parts may disagree on which representative a set bit denotes
+// leader-enclave merge of Phase 3 Step 3 — without decoding any cell. Parts may disagree on which representative a set bit denotes
 // (the compact wire format records them in row-scan first-seen order, which
 // varies per shard), so each part's column is first normalized: its *used*
 // values — zero[j] if any bit is clear, one[j] if any is set — are matched
@@ -567,11 +522,13 @@ func spliceWords(dst []uint64, off int, src []uint64, n int, invert bool) {
 	}
 }
 
-// EncodeWire serializes the matrix in the compact wire format,
-// byte-identical to EncodeWire(m.Dense()): representatives are recorded in
-// row-scan first-seen order and cell bits follow row-major, so members that
-// build bit matrices interoperate with peers (and recorded traffic) from
-// the dense implementation.
+// EncodeWire serializes the matrix in the compact wire format: the tag,
+// rows and cols as 8-byte big-endian integers, each column's two
+// representatives in row-scan first-seen order (a column with one effective
+// value repeats it), then one bit per cell in row-major order, set when the
+// cell holds the second representative. For a matrix with rows, the bytes
+// depend only on the cell values, not on which representative a set bit
+// denotes in memory.
 func (m *BitMatrix) EncodeWire() []byte {
 	bitBytes := (m.rows*m.cols + 7) / 8
 	buf := make([]byte, 0, 17+16*m.cols+bitBytes)
@@ -599,10 +556,10 @@ func (m *BitMatrix) EncodeWire() []byte {
 			span := m.bits[j*m.wpc : (j+1)*m.wpc]
 			set := popcount(span)
 			switch {
-			//gendpr:allow(floateq): mirrors the dense compact codec, which collapses float-equal representatives
+			//gendpr:allow(floateq): the wire format collapses float-equal representatives into one value
 			case set == 0 || set == m.rows || lo == hi:
-				// Single effective value: the dense encoder records the
-				// row-0 cell as lo and emits no set bits.
+				// Single effective value: the row-0 cell is recorded as lo
+				// and no bit is set.
 				v := [2]float64{lo, hi}
 				lo = v[m.bit(0, j)]
 				hi = lo
@@ -642,26 +599,16 @@ func (m *BitMatrix) EncodeWire() []byte {
 	return append(buf, wire...)
 }
 
-// DecodeWireBit decodes a wire-format LR-matrix (compact or dense tag)
-// directly into the bit-packed form, without materializing the dense matrix
-// for compact payloads. Dense payloads whose columns are not two-valued
-// return ErrNotCompactable.
+// DecodeWireBit decodes a compact wire-format LR-matrix (EncodeWire's
+// output) into the bit-packed form. Any other tag is an error.
 func DecodeWireBit(b []byte) (*BitMatrix, error) {
 	if len(b) == 0 {
 		return nil, errors.New("lrtest: empty wire encoding")
 	}
-	switch b[0] {
-	case wireDense:
-		d, err := FromBytes(b[1:])
-		if err != nil {
-			return nil, err
-		}
-		return BitFromDense(d)
-	case wireCompact:
-		return bitFromCompactBytes(b[1:])
-	default:
+	if b[0] != wireCompact {
 		return nil, fmt.Errorf("lrtest: unknown wire tag %d", b[0])
 	}
+	return bitFromCompactBytes(b[1:])
 }
 
 func bitFromCompactBytes(b []byte) (*BitMatrix, error) {

@@ -1,13 +1,12 @@
 package lrtest
 
 import (
-	"errors"
 	"testing"
 
 	"gendpr/internal/genome"
 )
 
-func builtMatrix(t *testing.T, rows, cols int, seed int64) *Matrix {
+func builtMatrix(t *testing.T, rows, cols int, seed int64) *BitMatrix {
 	t.Helper()
 	cohort, err := genome.Generate(genome.DefaultGeneratorConfig(cols, rows, seed))
 	if err != nil {
@@ -19,121 +18,73 @@ func builtMatrix(t *testing.T, rows, cols int, seed int64) *Matrix {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Build(cohort.Case, ratios)
+	m, err := BuildBit(cohort.Case, ratios)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
 }
 
-func TestCompactRoundTripExact(t *testing.T) {
-	m := builtMatrix(t, 60, 45, 13)
-	compact, err := m.CompactBytes()
+// wireRoundTrip encodes m, decodes the bytes and requires the same cells.
+func wireRoundTrip(t *testing.T, m *BitMatrix) {
+	t.Helper()
+	back, err := DecodeWireBit(m.EncodeWire())
 	if err != nil {
-		t.Fatalf("CompactBytes: %v", err)
-	}
-	back, err := DecodeWire(append([]byte{wireCompact}, compact[1:]...))
-	if err != nil {
-		t.Fatalf("DecodeWire: %v", err)
+		t.Fatalf("%dx%d: DecodeWireBit: %v", m.Rows(), m.Cols(), err)
 	}
 	if !back.Equal(m) {
-		t.Fatal("compact round trip is not bit-exact")
+		t.Fatalf("%dx%d: wire round trip is not bit-exact", m.Rows(), m.Cols())
 	}
+}
+
+func TestCompactRoundTripExact(t *testing.T) {
+	wireRoundTrip(t, builtMatrix(t, 60, 45, 13))
 }
 
 func TestCompactMuchSmallerThanDense(t *testing.T) {
 	m := builtMatrix(t, 200, 100, 17)
-	compact, err := m.CompactBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense := m.Bytes()
-	if len(compact)*10 > len(dense) {
-		t.Errorf("compact %d bytes vs dense %d: expected >10x reduction", len(compact), len(dense))
+	compact := len(m.EncodeWire())
+	dense := 16 + 8*m.Rows()*m.Cols()
+	if compact*10 > dense {
+		t.Errorf("compact %d bytes vs dense %d: expected >10x reduction", compact, dense)
 	}
 }
 
 func TestEncodeWirePrefersCompact(t *testing.T) {
 	m := builtMatrix(t, 20, 10, 19)
-	wire := EncodeWire(m)
-	if wire[0] != wireCompact {
+	if wire := m.EncodeWire(); wire[0] != wireCompact {
 		t.Fatalf("wire tag %d, want compact", wire[0])
 	}
-	back, err := DecodeWire(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Equal(m) {
-		t.Fatal("wire round trip lost data")
-	}
-}
-
-func TestEncodeWireFallsBackToDense(t *testing.T) {
-	// Three distinct values in one column cannot compact.
-	m := NewMatrix(3, 1)
-	m.Set(0, 0, 1)
-	m.Set(1, 0, 2)
-	m.Set(2, 0, 3)
-	if _, err := m.CompactBytes(); !errors.Is(err, ErrNotCompactable) {
-		t.Fatalf("CompactBytes: %v, want ErrNotCompactable", err)
-	}
-	wire := EncodeWire(m)
-	if wire[0] != wireDense {
-		t.Fatalf("wire tag %d, want dense", wire[0])
-	}
-	back, err := DecodeWire(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Equal(m) {
-		t.Fatal("dense fallback lost data")
-	}
+	wireRoundTrip(t, m)
 }
 
 func TestCompactEdgeShapes(t *testing.T) {
 	for _, shape := range [][2]int{{0, 0}, {1, 1}, {5, 0}, {0, 5}} {
-		m := NewMatrix(shape[0], shape[1])
-		wire := EncodeWire(m)
-		back, err := DecodeWire(wire)
-		if err != nil {
-			t.Fatalf("shape %v: %v", shape, err)
-		}
-		if !back.Equal(m) {
-			t.Fatalf("shape %v round trip failed", shape)
-		}
+		wireRoundTrip(t, NewBitMatrix(shape[0], shape[1]))
 	}
 }
 
 func TestCompactConstantColumn(t *testing.T) {
 	// A column with a single distinct value (e.g. clamped frequencies).
-	m := NewMatrix(4, 2)
-	for i := 0; i < 4; i++ {
-		m.Set(i, 0, 2.5)
-		m.Set(i, 1, float64(i%2))
-	}
-	wire := EncodeWire(m)
-	back, err := DecodeWire(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Equal(m) {
-		t.Fatal("constant-column round trip failed")
-	}
+	m := NewBitMatrix(4, 2)
+	m.zero[0], m.one[0] = 2.5, 2.5
+	m.zero[1], m.one[1] = 0, 1
+	m.bits[1*m.wpc] = 0b1010
+	wireRoundTrip(t, m)
 }
 
 func TestDecodeWireRejectsGarbage(t *testing.T) {
-	if _, err := DecodeWire(nil); err == nil {
+	if _, err := DecodeWireBit(nil); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := DecodeWire([]byte{99, 1, 2}); err == nil {
+	if _, err := DecodeWireBit([]byte{99, 1, 2}); err == nil {
 		t.Error("unknown tag accepted")
 	}
-	if _, err := DecodeWire([]byte{wireCompact, 1, 2}); err == nil {
+	if _, err := DecodeWireBit([]byte{wireCompact, 1, 2}); err == nil {
 		t.Error("short compact body accepted")
 	}
-	m := builtMatrix(t, 10, 5, 23)
-	wire := EncodeWire(m)
-	if _, err := DecodeWire(wire[:len(wire)-1]); err == nil {
+	wire := builtMatrix(t, 10, 5, 23).EncodeWire()
+	if _, err := DecodeWireBit(wire[:len(wire)-1]); err == nil {
 		t.Error("truncated compact body accepted")
 	}
 }

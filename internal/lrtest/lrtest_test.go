@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"gendpr/internal/genome"
 )
@@ -59,9 +58,9 @@ func TestBuildMatchesEquationOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Build(g, ratios)
+	m, err := BuildBit(g, ratios)
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		t.Fatalf("BuildBit: %v", err)
 	}
 	if m.Rows() != 2 || m.Cols() != 3 {
 		t.Fatalf("shape %dx%d", m.Rows(), m.Cols())
@@ -83,41 +82,41 @@ func TestBuildMatchesEquationOne(t *testing.T) {
 func TestBuildShapeMismatch(t *testing.T) {
 	g := genome.NewMatrix(1, 2)
 	ratios, _ := NewLogRatios([]float64{0.1}, []float64{0.1})
-	if _, err := Build(g, ratios); err == nil {
+	if _, err := BuildBit(g, ratios); err == nil {
 		t.Fatal("expected shape mismatch")
 	}
 }
 
 func TestMergeConcatenatesRows(t *testing.T) {
-	a := NewMatrix(2, 3)
-	b := NewMatrix(1, 3)
-	a.Set(0, 0, 1)
-	a.Set(1, 2, 2)
-	b.Set(0, 1, 3)
-	m, err := Merge(a, b)
+	a := NewBitMatrix(2, 3)
+	b := NewBitMatrix(1, 3)
+	a.one[0], a.bits[0*a.wpc] = 1, 0b01 // (0,0) = 1
+	a.one[2], a.bits[2*a.wpc] = 2, 0b10 // (1,2) = 2
+	b.one[1], b.bits[1*b.wpc] = 3, 0b1  // (0,1) = 3
+	m, err := MergeBits(a, b)
 	if err != nil {
-		t.Fatalf("Merge: %v", err)
+		t.Fatalf("MergeBits: %v", err)
 	}
 	if m.Rows() != 3 || m.Cols() != 3 {
 		t.Fatalf("shape %dx%d", m.Rows(), m.Cols())
 	}
-	if m.At(0, 0) != 1 || m.At(1, 2) != 2 || m.At(2, 1) != 3 {
+	if m.At(0, 0) != 1 || m.At(1, 2) != 2 || m.At(2, 1) != 3 || m.At(1, 0) != 0 {
 		t.Error("merged content wrong")
 	}
-	if _, err := Merge(a, NewMatrix(1, 4)); err == nil {
+	if _, err := MergeBits(a, NewBitMatrix(1, 4)); err == nil {
 		t.Error("column mismatch must fail")
 	}
-	empty, err := Merge()
+	empty, err := MergeBits()
 	if err != nil || empty.Rows() != 0 {
 		t.Errorf("empty merge: %v, %v", empty, err)
 	}
 }
 
 func TestScoreSubset(t *testing.T) {
-	m := NewMatrix(2, 4)
+	m := NewBitMatrix(2, 4)
 	for j := 0; j < 4; j++ {
-		m.Set(0, j, float64(j))
-		m.Set(1, j, float64(j)*10)
+		m.zero[j], m.one[j] = float64(j), float64(j)*10
+		m.bits[j*m.wpc] = 0b10 // row 1 decodes to one[j]
 	}
 	scores := m.ScoreSubset([]int{1, 3})
 	if scores[0] != 4 || scores[1] != 40 {
@@ -177,18 +176,18 @@ func TestSelectSafeBoundsPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	caseLR, err := Build(cohort.Case, ratios)
+	caseLR, err := BuildBit(cohort.Case, ratios)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refLR, err := Build(cohort.Reference, ratios)
+	refLR, err := BuildBit(cohort.Reference, ratios)
 	if err != nil {
 		t.Fatal(err)
 	}
 	params := DefaultParams()
-	res, err := SelectSafe(caseLR, refLR, params)
+	res, err := selectBit(caseLR, refLR, params)
 	if err != nil {
-		t.Fatalf("SelectSafe: %v", err)
+		t.Fatalf("selectBit: %v", err)
 	}
 	if res.Power >= params.PowerThreshold {
 		t.Errorf("selected subset has power %v >= threshold %v", res.Power, params.PowerThreshold)
@@ -200,10 +199,7 @@ func TestSelectSafeBoundsPower(t *testing.T) {
 		t.Error("safe subset must be sorted")
 	}
 	// Re-evaluating the returned subset must reproduce the reported power.
-	p, err := Evaluate(caseLR, refLR, res.Safe, params.Alpha)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Power(caseLR.ScoreSubset(res.Safe), Threshold(refLR.ScoreSubset(res.Safe), params.Alpha))
 	if len(res.Safe) > 0 && !almostEqual(p, res.Power, 1e-12) {
 		t.Errorf("re-evaluated power %v != reported %v", p, res.Power)
 	}
@@ -212,13 +208,13 @@ func TestSelectSafeBoundsPower(t *testing.T) {
 func TestSelectSafeDeterministic(t *testing.T) {
 	cohort, caseFreq, refFreq := buildCohort(t, 80, 300, 9)
 	ratios, _ := NewLogRatios(caseFreq, refFreq)
-	caseLR, _ := Build(cohort.Case, ratios)
-	refLR, _ := Build(cohort.Reference, ratios)
-	a, err := SelectSafe(caseLR, refLR, DefaultParams())
+	caseLR, _ := BuildBit(cohort.Case, ratios)
+	refLR, _ := BuildBit(cohort.Reference, ratios)
+	a, err := selectBit(caseLR, refLR, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SelectSafe(caseLR, refLR, DefaultParams())
+	b, err := selectBit(caseLR, refLR, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +234,7 @@ func TestSelectSafeMergedEqualsPooled(t *testing.T) {
 	// matrix directly.
 	cohort, caseFreq, refFreq := buildCohort(t, 60, 240, 11)
 	ratios, _ := NewLogRatios(caseFreq, refFreq)
-	pooled, err := Build(cohort.Case, ratios)
+	pooled, err := BuildBit(cohort.Case, ratios)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,14 +242,14 @@ func TestSelectSafeMergedEqualsPooled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := make([]*Matrix, len(shards))
+	parts := make([]*BitMatrix, len(shards))
 	for i, s := range shards {
-		parts[i], err = Build(s, ratios)
+		parts[i], err = BuildBit(s, ratios)
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	merged, err := Merge(parts...)
+	merged, err := MergeBits(parts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,16 +261,16 @@ func TestSelectSafeMergedEqualsPooled(t *testing.T) {
 func TestSelectSafeObliviousMatchesDirect(t *testing.T) {
 	cohort, caseFreq, refFreq := buildCohort(t, 90, 350, 29)
 	ratios, _ := NewLogRatios(caseFreq, refFreq)
-	caseLR, _ := Build(cohort.Case, ratios)
-	refLR, _ := Build(cohort.Reference, ratios)
+	caseLR, _ := BuildBit(cohort.Case, ratios)
+	refLR, _ := BuildBit(cohort.Reference, ratios)
 
-	direct, err := SelectSafe(caseLR, refLR, DefaultParams())
+	direct, err := selectBit(caseLR, refLR, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	params := DefaultParams()
 	params.Oblivious = true
-	obliv, err := SelectSafe(caseLR, refLR, params)
+	obliv, err := selectBit(caseLR, refLR, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,76 +288,35 @@ func TestSelectSafeObliviousMatchesDirect(t *testing.T) {
 }
 
 func TestSelectSafeParamsValidation(t *testing.T) {
-	m := NewMatrix(1, 1)
-	if _, err := SelectSafe(m, m, Params{Alpha: 0, PowerThreshold: 0.9}); err == nil {
+	m := NewBitMatrix(1, 1)
+	if _, err := selectBit(m, m, Params{Alpha: 0, PowerThreshold: 0.9}); err == nil {
 		t.Error("alpha=0 must fail")
 	}
-	if _, err := SelectSafe(m, m, Params{Alpha: 0.1, PowerThreshold: 1.5}); err == nil {
+	if _, err := selectBit(m, m, Params{Alpha: 0.1, PowerThreshold: 1.5}); err == nil {
 		t.Error("power>1 must fail")
 	}
-	if _, err := SelectSafe(NewMatrix(1, 2), NewMatrix(1, 3), DefaultParams()); err == nil {
+	if _, err := SelectSafeBitWithOrder(NewBitMatrix(1, 2), NewBitMatrix(1, 3), DefaultParams(), []int{0, 1}); err == nil {
 		t.Error("column mismatch must fail")
 	}
 }
 
 func TestSelectSafeEmptyMatrix(t *testing.T) {
-	res, err := SelectSafe(NewMatrix(0, 0), NewMatrix(0, 0), DefaultParams())
+	res, err := selectBit(NewBitMatrix(0, 0), NewBitMatrix(0, 0), DefaultParams())
 	if err != nil {
-		t.Fatalf("SelectSafe empty: %v", err)
+		t.Fatalf("selectBit empty: %v", err)
 	}
 	if len(res.Safe) != 0 {
 		t.Errorf("empty matrix selected %v", res.Safe)
 	}
 }
 
-func TestMatrixBytesRoundTrip(t *testing.T) {
-	m := NewMatrix(3, 5)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 5; j++ {
-			m.Set(i, j, float64(i)*1.5-float64(j)/3)
-		}
-	}
-	got, err := FromBytes(m.Bytes())
-	if err != nil {
-		t.Fatalf("FromBytes: %v", err)
-	}
-	if !got.Equal(m) {
-		t.Fatal("round trip lost data")
-	}
-	if _, err := FromBytes([]byte{1}); err == nil {
-		t.Error("short encoding must fail")
-	}
-}
-
-func TestQuickMatrixRoundTrip(t *testing.T) {
-	f := func(vals []float64, rawCols uint8) bool {
-		cols := int(rawCols%7) + 1
-		rows := len(vals) / cols
-		m := NewMatrix(rows, cols)
-		for i := 0; i < rows; i++ {
-			for j := 0; j < cols; j++ {
-				v := vals[i*cols+j]
-				if math.IsNaN(v) {
-					v = 0
-				}
-				m.Set(i, j, v)
-			}
-		}
-		back, err := FromBytes(m.Bytes())
-		return err == nil && back.Equal(m)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAdversaryPowerBoundedOnSafeRelease(t *testing.T) {
 	cohort, caseFreq, refFreq := buildCohort(t, 100, 500, 21)
 	ratios, _ := NewLogRatios(caseFreq, refFreq)
-	caseLR, _ := Build(cohort.Case, ratios)
-	refLR, _ := Build(cohort.Reference, ratios)
+	caseLR, _ := BuildBit(cohort.Case, ratios)
+	refLR, _ := BuildBit(cohort.Reference, ratios)
 	params := DefaultParams()
-	res, err := SelectSafe(caseLR, refLR, params)
+	res, err := selectBit(caseLR, refLR, params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,47 +29,6 @@ const freqClamp = 1e-6
 // dimension do not.
 var ErrShapeMismatch = errors.New("lrtest: matrix shape mismatch")
 
-// Matrix is a dense individuals-by-SNPs matrix of LR contributions.
-type Matrix struct {
-	rows, cols int
-	// data holds one LR contribution per individual per SNP; reads are
-	// tainted per-individual by the secretflow analyzer.
-	//gendpr:secret(individual)
-	data []float64
-}
-
-// NewMatrix allocates a rows-by-cols LR-matrix of zeros.
-func NewMatrix(rows, cols int) *Matrix {
-	if rows < 0 || cols < 0 {
-		return &Matrix{}
-	}
-	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// Rows returns the number of individuals.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of SNPs.
-func (m *Matrix) Cols() int { return m.cols }
-
-// At returns the contribution of individual i at SNP column j.
-func (m *Matrix) At(i, j int) float64 {
-	m.mustBound(i, j)
-	return m.data[i*m.cols+j]
-}
-
-// Set stores a contribution.
-func (m *Matrix) Set(i, j int, v float64) {
-	m.mustBound(i, j)
-	m.data[i*m.cols+j] = v
-}
-
-func (m *Matrix) mustBound(i, j int) {
-	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("lrtest: index (%d,%d) out of range for %dx%d matrix", i, j, m.rows, m.cols))
-	}
-}
-
 // Genotypes is the minimal genotype access the LR computation needs; the
 // genome.Matrix type satisfies it.
 type Genotypes interface {
@@ -113,129 +72,6 @@ func clamp(p float64) float64 {
 		return 1 - freqClamp
 	}
 	return p
-}
-
-// Build computes the LR-matrix for a genotype matrix given pooled
-// frequencies. This is the per-GDO local computation of Phase 3 Step 2.
-func Build(g Genotypes, ratios LogRatios) (*Matrix, error) {
-	if g.L() != len(ratios.Minor) {
-		return nil, fmt.Errorf("%w: %d genotype columns vs %d frequency entries",
-			ErrShapeMismatch, g.L(), len(ratios.Minor))
-	}
-	m := NewMatrix(g.N(), g.L())
-	for i := 0; i < g.N(); i++ {
-		base := i * m.cols
-		for l := 0; l < g.L(); l++ {
-			if g.Get(i, l) {
-				m.data[base+l] = ratios.Minor[l]
-			} else {
-				m.data[base+l] = ratios.Major[l]
-			}
-		}
-	}
-	return m, nil
-}
-
-// Merge concatenates LR-matrices row-wise — the leader-enclave merge of
-// Phase 3 Step 3. All matrices must share the SNP dimension.
-func Merge(ms ...*Matrix) (*Matrix, error) {
-	if len(ms) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	cols := ms[0].cols
-	rows := 0
-	for _, m := range ms {
-		if m.cols != cols {
-			return nil, fmt.Errorf("%w: %d vs %d columns", ErrShapeMismatch, m.cols, cols)
-		}
-		rows += m.rows
-	}
-	out := NewMatrix(rows, cols)
-	at := 0
-	for _, m := range ms {
-		copy(out.data[at:], m.data)
-		at += len(m.data)
-	}
-	return out, nil
-}
-
-// ScoreSubset sums each row's contributions over the given column subset,
-// producing per-individual LR statistics.
-func (m *Matrix) ScoreSubset(cols []int) []float64 {
-	scores := make([]float64, m.rows)
-	for _, j := range cols {
-		if j < 0 || j >= m.cols {
-			panic(fmt.Sprintf("lrtest: column %d out of range for %d columns", j, m.cols))
-		}
-		for i := 0; i < m.rows; i++ {
-			scores[i] += m.data[i*m.cols+j]
-		}
-	}
-	return scores
-}
-
-// Column returns a copy of column j.
-func (m *Matrix) Column(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("lrtest: column %d out of range for %d columns", j, m.cols))
-	}
-	col := make([]float64, m.rows)
-	for i := range col {
-		col[i] = m.data[i*m.cols+j]
-	}
-	return col
-}
-
-// Equal reports whether two matrices are identical in shape and content.
-// Identity is bitwise by contract: the wire codec round-trip guarantees
-// (and tests assert) exact reproduction, not approximate equality.
-func (m *Matrix) Equal(o *Matrix) bool {
-	if m.rows != o.rows || m.cols != o.cols {
-		return false
-	}
-	for i := range m.data {
-		//gendpr:allow(floateq): bitwise identity is this method's documented contract
-		if m.data[i] != o.data[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Bytes serializes the matrix: rows, cols as 8-byte big-endian integers
-// followed by IEEE-754 bit patterns in row order. This is the encrypted
-// payload GDOs send to the leader in Phase 3.
-func (m *Matrix) Bytes() []byte {
-	buf := make([]byte, 16+len(m.data)*8)
-	putUint64(buf[0:8], uint64(m.rows))
-	putUint64(buf[8:16], uint64(m.cols))
-	for i, v := range m.data {
-		putUint64(buf[16+i*8:24+i*8], math.Float64bits(v))
-	}
-	return buf
-}
-
-// FromBytes reverses Matrix.Bytes.
-func FromBytes(b []byte) (*Matrix, error) {
-	if len(b) < 16 {
-		return nil, errors.New("lrtest: matrix encoding too short")
-	}
-	rows := int(getUint64(b[0:8]))
-	cols := int(getUint64(b[8:16]))
-	if rows < 0 || cols < 0 || rows > 1<<30 || cols > 1<<30 {
-		return nil, errors.New("lrtest: matrix encoding has implausible shape")
-	}
-	// Validate the payload length before allocating: a hostile header must
-	// not drive a huge allocation.
-	want := 16 + int64(rows)*int64(cols)*8
-	if int64(len(b)) != want {
-		return nil, fmt.Errorf("lrtest: matrix encoding has %d bytes, want %d", len(b), want)
-	}
-	m := NewMatrix(rows, cols)
-	for i := range m.data {
-		m.data[i] = math.Float64frombits(getUint64(b[16+i*8 : 24+i*8]))
-	}
-	return m, nil
 }
 
 func putUint64(b []byte, v uint64) {

@@ -3,9 +3,6 @@ package lrtest
 import (
 	"fmt"
 	"math"
-	"sort"
-
-	"gendpr/internal/oblivious"
 )
 
 // Params configures the safety criterion: a SNP subset is safe to release
@@ -86,30 +83,6 @@ func Power(caseScores []float64, threshold float64) float64 {
 	return float64(hits) / float64(len(caseScores))
 }
 
-// Evaluate computes the detection power of the LR-test restricted to the
-// given column subset of the case and reference LR-matrices.
-func Evaluate(caseLR, refLR *Matrix, subset []int, alpha float64) (float64, error) {
-	if caseLR.Cols() != refLR.Cols() {
-		return 0, fmt.Errorf("%w: case %d vs reference %d columns", ErrShapeMismatch, caseLR.Cols(), refLR.Cols())
-	}
-	caseScores := caseLR.ScoreSubset(subset)
-	refScores := refLR.ScoreSubset(subset)
-	return Power(caseScores, Threshold(refScores, alpha)), nil
-}
-
-// detectionPower computes Power(case, Threshold(ref, alpha)) either directly
-// or with data-oblivious primitives; both paths return identical values.
-func detectionPower(caseScores, refScores []float64, params Params) float64 {
-	if !params.Oblivious {
-		return Power(caseScores, Threshold(refScores, params.Alpha))
-	}
-	tau := oblivious.Quantile(refScores, 1-params.Alpha)
-	if len(caseScores) == 0 {
-		return 0
-	}
-	return float64(oblivious.CountGreater(caseScores, tau)) / float64(len(caseScores))
-}
-
 // Result reports the outcome of a safe-subset search.
 type Result struct {
 	// Safe lists the selected column indices (ascending).
@@ -118,70 +91,6 @@ type Result struct {
 	Power float64
 	// Iterations counts the candidate evaluations performed.
 	Iterations int
-}
-
-// SelectSafe performs the empirical safe-subset search of SecureGenome: SNPs
-// are ranked by discriminability (how much their average contribution
-// separates case from reference individuals) and admitted greedily, least
-// identifying first; a candidate whose admission pushes detection power to
-// PowerThreshold or above is rejected. The search is deterministic, so a
-// centralized evaluation and a distributed evaluation over the merged
-// federation matrices return the same subset.
-func SelectSafe(caseLR, refLR *Matrix, params Params) (Result, error) {
-	if caseLR.Cols() != refLR.Cols() {
-		return Result{}, fmt.Errorf("%w: case %d vs reference %d columns", ErrShapeMismatch, caseLR.Cols(), refLR.Cols())
-	}
-	return SelectSafeWithOrder(caseLR, refLR, params, DiscriminabilityOrder(caseLR, refLR))
-}
-
-// SelectSafeWithOrder runs the greedy admission over a caller-supplied
-// column order. Collusion-tolerant GenDPR evaluates every honest-subset
-// combination with the canonical order derived from the full federation, so
-// the per-combination selections differ only where a combination's data
-// genuinely fails the power test — not because frequency noise reshuffled
-// thousands of near-tied columns.
-func SelectSafeWithOrder(caseLR, refLR *Matrix, params Params, order []int) (Result, error) {
-	if err := params.Validate(); err != nil {
-		return Result{}, err
-	}
-	if caseLR.Cols() != refLR.Cols() {
-		return Result{}, fmt.Errorf("%w: case %d vs reference %d columns", ErrShapeMismatch, caseLR.Cols(), refLR.Cols())
-	}
-	cols := caseLR.Cols()
-	if cols == 0 {
-		return Result{Safe: []int{}}, nil
-	}
-	if err := validateOrder(order, cols); err != nil {
-		return Result{}, err
-	}
-
-	caseScores := make([]float64, caseLR.Rows())
-	refScores := make([]float64, refLR.Rows())
-	candCase := make([]float64, caseLR.Rows())
-	candRef := make([]float64, refLR.Rows())
-
-	res := Result{Safe: make([]int, 0, cols)}
-	for _, j := range order {
-		addColumn(candCase, caseScores, caseLR, j)
-		addColumn(candRef, refScores, refLR, j)
-		power := detectionPower(candCase, candRef, params)
-		res.Iterations++
-		if power < params.PowerThreshold {
-			copy(caseScores, candCase)
-			copy(refScores, candRef)
-			res.Safe = append(res.Safe, j)
-			res.Power = power
-		}
-	}
-	sort.Ints(res.Safe)
-	return res, nil
-}
-
-// addColumn writes base + matrix column j into dst.
-func addColumn(dst, base []float64, m *Matrix, j int) {
-	for i := range dst {
-		dst[i] = base[i] + m.data[i*m.cols+j]
-	}
 }
 
 // validateOrder checks that order is a permutation of [0, cols).
@@ -197,45 +106,4 @@ func validateOrder(order []int, cols int) error {
 		seen[j] = true
 	}
 	return nil
-}
-
-// DiscriminabilityOrder ranks columns by |mean case contribution − mean
-// reference contribution| ascending, tie-broken by index, so the least
-// identifying SNPs are considered first.
-func DiscriminabilityOrder(caseLR, refLR *Matrix) []int {
-	cols := caseLR.Cols()
-	type ranked struct {
-		j int
-		d float64
-	}
-	rs := make([]ranked, cols)
-	for j := 0; j < cols; j++ {
-		rs[j] = ranked{j: j, d: math.Abs(columnMean(caseLR, j) - columnMean(refLR, j))}
-	}
-	sort.Slice(rs, func(a, b int) bool {
-		// Exact inequality keeps the comparator a strict weak order; a
-		// tolerance here would make "equal" intransitive and the ordering
-		// (hence the admission order every combination shares) unstable.
-		//gendpr:allow(floateq): sort tie-break needs exact comparison for a consistent total order
-		if rs[a].d != rs[b].d {
-			return rs[a].d < rs[b].d
-		}
-		return rs[a].j < rs[b].j
-	})
-	order := make([]int, cols)
-	for i, r := range rs {
-		order[i] = r.j
-	}
-	return order
-}
-
-func columnMean(m *Matrix, j int) float64 {
-	if m.rows == 0 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i < m.rows; i++ {
-		sum += m.data[i*m.cols+j]
-	}
-	return sum / float64(m.rows)
 }

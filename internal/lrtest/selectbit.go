@@ -43,9 +43,9 @@ func newPowerEval(params Params, n int) *powerEval {
 	return e
 }
 
-// power returns Power(case, Threshold(ref, α)), bit-identical to the
-// sort-based detectionPower: the streaming top-k filter returns the exact
-// k-th order statistic the full sort returned.
+// power returns Power(case, Threshold(ref, α)) bit for bit: the streaming
+// top-k filter returns the exact k-th order statistic Threshold's
+// quickselect finds.
 func (e *powerEval) power(caseScores, refScores []float64) float64 {
 	if len(caseScores) == 0 {
 		return 0
@@ -59,20 +59,16 @@ func (e *powerEval) power(caseScores, refScores []float64) float64 {
 	return float64(oblivious.CountGreater(caseScores, tau)) / float64(len(caseScores))
 }
 
-// SelectSafeBit performs the safe-subset search of SelectSafe over
-// bit-packed LR-matrices, returning an identical Result without ever
-// materializing the dense form.
-func SelectSafeBit(caseLR, refLR *BitMatrix, params Params) (Result, error) {
-	if caseLR.Cols() != refLR.Cols() {
-		return Result{}, fmt.Errorf("%w: case %d vs reference %d columns", ErrShapeMismatch, caseLR.Cols(), refLR.Cols())
-	}
-	return SelectSafeBitWithOrder(caseLR, refLR, params, DiscriminabilityOrderBit(caseLR, refLR))
-}
-
-// SelectSafeBitWithOrder runs the greedy admission of SelectSafeWithOrder
-// over bit-packed LR-matrices. Candidate scores accumulate columns in the
-// same sequential row order as the dense kernel, so every power — and hence
-// the selected subset — is bit-for-bit identical.
+// SelectSafeBitWithOrder performs the empirical safe-subset search of
+// SecureGenome: columns are considered in the given order (Phase 3 passes
+// DiscriminabilityOrderBit's, least identifying first) and admitted
+// greedily; a candidate whose admission pushes detection power to
+// PowerThreshold or above is rejected. Collusion-tolerant GenDPR evaluates
+// every honest-subset combination with the canonical order derived from the
+// full federation, so the per-combination selections differ only where a
+// combination's data genuinely fails the power test. The search is
+// deterministic, so a centralized evaluation and a distributed one over the
+// merged federation matrices return the same subset.
 func SelectSafeBitWithOrder(caseLR, refLR *BitMatrix, params Params, order []int) (Result, error) {
 	return new(Selector).SelectSafeBitWithOrder(caseLR, refLR, params, order)
 }
@@ -225,9 +221,10 @@ func (s *Selector) selectSafeBitBand(caseLR, refLR *BitMatrix, params Params, or
 	return res
 }
 
-// DiscriminabilityOrderBit ranks columns exactly as DiscriminabilityOrder
-// does, computing the column means from the packed form with the same
-// sequential row-order accumulation.
+// DiscriminabilityOrderBit ranks columns by |mean case contribution − mean
+// reference contribution| ascending, tie-broken by index, so the least
+// identifying SNPs are considered first. Each mean sums its column's rows in
+// ascending order.
 func DiscriminabilityOrderBit(caseLR, refLR *BitMatrix) []int {
 	cols := caseLR.Cols()
 	type ranked struct {
@@ -240,8 +237,9 @@ func DiscriminabilityOrderBit(caseLR, refLR *BitMatrix) []int {
 		rs[j] = ranked{j: j, d: math.Abs(caseMeans[j] - refMeans[j])}
 	}
 	sort.Slice(rs, func(a, b int) bool {
-		// Exact inequality keeps the comparator a strict weak order; see
-		// DiscriminabilityOrder.
+		// Exact inequality keeps the comparator a strict weak order; a
+		// tolerance here would make "equal" intransitive and the ordering
+		// (hence the admission order every combination shares) unstable.
 		//gendpr:allow(floateq): sort tie-break needs exact comparison for a consistent total order
 		if rs[a].d != rs[b].d {
 			return rs[a].d < rs[b].d
@@ -278,16 +276,4 @@ func columnMeansBit(m *BitMatrix) []float64 {
 		means[j] = sum / float64(m.rows)
 	}
 	return means
-}
-
-// EvaluateBit computes the detection power of the LR-test restricted to the
-// given column subset of bit-packed case and reference LR-matrices — the
-// bit-kernel twin of Evaluate.
-func EvaluateBit(caseLR, refLR *BitMatrix, subset []int, alpha float64) (float64, error) {
-	if caseLR.Cols() != refLR.Cols() {
-		return 0, fmt.Errorf("%w: case %d vs reference %d columns", ErrShapeMismatch, caseLR.Cols(), refLR.Cols())
-	}
-	caseScores := caseLR.ScoreSubset(subset)
-	refScores := refLR.ScoreSubset(subset)
-	return Power(caseScores, Threshold(refScores, alpha)), nil
 }

@@ -213,7 +213,7 @@ func BenchmarkSelectSafeBit(b *testing.B) {
 // selects over is as narrow as it gets on the protocol path.
 func BenchmarkAddColumnKth(b *testing.B) {
 	caseLR, refLR := phase3BenchInputs(b)
-	res, err := SelectSafeBit(caseLR, refLR, DefaultParams())
+	res, err := selectBit(caseLR, refLR, DefaultParams())
 	if err != nil {
 		b.Fatal(err)
 	}

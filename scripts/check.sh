@@ -126,8 +126,9 @@ echo "== lattice-vs-legacy smoke =="
 # The combination lattice's equivalence contract: the incremental Gray-chain
 # Phase 3 must match the dense per-combination reference bit for bit — every
 # combination's selection and the power — across federation sizes, every
-# collusion policy, and both oblivious modes.
-go test -short -run '^TestLatticeMatchesLegacyGolden$' ./internal/core/
+# collusion policy, both oblivious modes, and lowered power thresholds that
+# make every combination reject SNPs.
+go test -short -run '^(TestLatticeMatchesLegacyGolden|TestPhase3BitKernelGolden)$' ./internal/core/
 
 echo "== concurrent Phase 3 and pair lifetime (race, 10 runs) =="
 # Phase 3's collusion chains run on every core: the same assessment on one
