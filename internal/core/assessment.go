@@ -211,12 +211,10 @@ type assessmentRun struct {
 	refN      int64
 
 	timingMu sync.Mutex
-	pairMu   sync.Mutex
-	// refPairs holds the reference panel's statistics for every pair Phase 2
-	// has touched (guarded by pairMu): the predictor computes them and the
-	// pooled functions add the members' contributions to the same values.
-	// It lives exactly as long as Phase 2 (releasePairs).
-	refPairs map[uint64]genome.PairStats
+	// pairs holds the statistics of every pair Phase 2 has touched, the
+	// reference panel's and the members' (pairTable). It lives exactly as
+	// long as Phase 2 (releasePairs).
+	pairs *pairTable
 
 	lrMu    sync.Mutex
 	lrBytes int64
@@ -298,51 +296,39 @@ func (r *assessmentRun) freeLR(n int64) {
 	r.lrMu.Unlock()
 }
 
-// refPair returns the reference panel's statistics for a pair. The first
-// touch computes them — the single counts are known from Phase 1, so that is
-// one PairCount column pass — and accounts the pair's leader-side footprint
-// once: this entry plus one per member's pair cache.
-func (r *assessmentRun) refPair(a, b int) (genome.PairStats, error) {
-	key := pairKey(a, b)
-	r.pairMu.Lock()
-	defer r.pairMu.Unlock()
-	if s, ok := r.refPairs[key]; ok {
-		return s, nil
+// pairEntry returns the table index of a pair's entry. The first touch
+// computes the reference panel's statistics — the single counts are known
+// from Phase 1, so that is one PairCount column pass — and the panel's own LD
+// decision, and accounts the pair's leader-side footprint once: the reference
+// contribution plus one per member.
+func (r *assessmentRun) pairEntry(a, b int) (int, error) {
+	if k, ok := r.pairs.lookup(a, b); ok {
+		return k, nil
 	}
 	if err := r.alloc(bytesPerPairStat * int64(len(r.members)+1)); err != nil {
-		return genome.PairStats{}, err
+		return 0, err
 	}
 	s := genome.PairStatsFromCounts(r.refN, r.refCounts[a], r.refCounts[b], r.refCols.PairCount(a, b))
-	r.refPairs[key] = s
-	return s, nil
+	dependent, err := ldDependent(s, r.cfg.LDCutoff)
+	return r.pairs.add(a, b, s, err == nil && dependent), nil
 }
 
 // releasePairs ends the pair statistics' life at the Phase-2 boundary, once
-// recordLD has taken L″: Phase 3 never reads a pair, so the reference memo
-// and this run's member pair caches are dropped and the bytes refPair
-// accounted for them are returned. The resilient runner's outer caches,
-// which replay survivor data across restarts, keep their pairs.
+// recordLD has taken L″: Phase 3 never reads a pair, so the table is dropped
+// and the bytes pairEntry accounted for it are returned. The resilient
+// runner's outer caches, which replay survivor data across restarts, keep
+// their pairs.
 func (r *assessmentRun) releasePairs() {
-	r.pairMu.Lock()
-	n := int64(len(r.refPairs))
-	r.refPairs = nil
-	r.pairMu.Unlock()
-	r.free(n * bytesPerPairStat * int64(len(r.members)+1))
-	for _, m := range r.members {
-		m.dropPairs()
-	}
+	r.free(int64(len(r.pairs.entries)) * bytesPerPairStat * int64(len(r.members)+1))
+	r.pairs = nil
 }
 
 // predictPair is the run's PairPredictor: the LD decision taken on the
 // reference panel alone. A pair it cannot account is predicted independent;
-// the pooled function meets the same error and reports it.
+// the prefetch that announces it meets the same error and reports it.
 func (r *assessmentRun) predictPair(a, b int) bool {
-	s, err := r.refPair(a, b)
-	if err != nil {
-		return false
-	}
-	dependent, err := ldDependent(s, r.cfg.LDCutoff)
-	return err == nil && dependent
+	k, err := r.pairEntry(a, b)
+	return err == nil && r.pairs.entries[k].dependent
 }
 
 // collectSummaries gathers each member's count vector and population size —
@@ -417,7 +403,7 @@ func (r *assessmentRun) collectSummaries() error {
 	r.refCols = r.ref.Columns()
 	r.refCounts = r.refCols.AlleleCounts()
 	r.refN = int64(r.ref.N())
-	r.refPairs = make(map[uint64]genome.PairStats)
+	r.pairs = newPairTable(len(r.refCounts), len(r.members))
 	return nil
 }
 
@@ -516,20 +502,98 @@ func (r *assessmentRun) phase1MAF(plan *latticePlan) ([]int, [][]int, error) {
 	return intersected, per, nil
 }
 
-// prefetchPairs has each member of the subset warm its pair cache with the
-// given pairs: one batched request per member, in parallel, for the pairs
-// that member's cache does not hold yet (cachedProvider.Prefetch).
+// errNeedsFetch stops a scan over the frozen pair table at the first value
+// the table lacks (ldSources).
+var errNeedsFetch = errors.New("core: pair statistics not in the frozen table")
+
+// ldSources returns one combination's pooled statistics, predictor and
+// prefetch for LDPhaseBatch. With fetch set they fill the table from the
+// subset's members as the scan needs: announced stretches as one batch per
+// member (prefetchPairs), and any contribution still missing pair by pair
+// (pooledPair). Without, they only read the table, and the scan stops with
+// errNeedsFetch at the first announcement or pooled query the table cannot
+// serve; a pair the table lacks is predicted independent, and since every
+// predicted pair is announced before it is examined, the stop follows at
+// that announcement.
+func (r *assessmentRun) ldSources(subset []int, fetch bool) (PairStatsFunc, PairPredictor, PairBatchFunc) {
+	if fetch {
+		pooled := func(a, b int) (genome.PairStats, error) { return r.pooledPair(subset, a, b) }
+		prefetch := func(pairs [][2]int) error { return r.prefetchPairs(subset, pairs) }
+		return pooled, r.predictPair, prefetch
+	}
+	t := r.pairs
+	predict := func(a, b int) bool {
+		k, ok := t.lookup(a, b)
+		return ok && t.entries[k].dependent
+	}
+	pooled := func(a, b int) (genome.PairStats, error) {
+		if k, ok := t.lookup(a, b); ok {
+			if s, ok := t.pooled(k, subset); ok {
+				return s, nil
+			}
+		}
+		return genome.PairStats{}, errNeedsFetch
+	}
+	prefetch := func(pairs [][2]int) error {
+		for _, p := range pairs {
+			if _, err := pooled(p[0], p[1]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return pooled, predict, prefetch
+}
+
+// prefetchPairs has each member of the subset send, in one batched request
+// and in parallel, the given pairs the table holds no contribution of it
+// for. A member that cannot batch is skipped; pooledPair fetches its pairs
+// one by one as the scan examines them.
 func (r *assessmentRun) prefetchPairs(subset []int, pairs [][2]int) error {
 	if len(pairs) == 0 {
 		return nil
 	}
+	keys := make([]int, len(pairs))
+	for j, p := range pairs {
+		k, err := r.pairEntry(p[0], p[1])
+		if err != nil {
+			return err
+		}
+		keys[j] = k
+	}
 	errs := make([]error, len(subset))
 	var wg sync.WaitGroup
 	for slot, i := range subset {
+		batcher, ok := r.members[i].inner.(BatchPairProvider)
+		if !ok {
+			continue
+		}
+		var missing [][2]int
+		var slots []*memberPair
+		for j, k := range keys {
+			if m := r.pairs.member(k, i); !m.have {
+				missing = append(missing, pairs[j])
+				slots = append(slots, m)
+			}
+		}
+		if len(missing) == 0 {
+			continue
+		}
 		slot, i := slot, i
 		r.pool.Go(&wg, func() {
-			if err := r.members[i].Prefetch(pairs); err != nil {
+			stats, err := batcher.PairStatsBatch(missing)
+			if err == nil && len(stats) != len(missing) {
+				err = fmt.Errorf("core: batch returned %d entries for %d pairs", len(stats), len(missing))
+			}
+			for j := 0; err == nil && j < len(stats); j++ {
+				err = checkPairStats(stats[j], missing[j][0], missing[j][1], r.counts[i], r.caseNs[i])
+			}
+			if err != nil {
 				errs[slot] = memberErr(i, PhaseLD, "pair prefetch: %w", err)
+				return
+			}
+			for j, m := range slots {
+				m.s, m.have = stats[j], true
 			}
 		})
 	}
@@ -537,62 +601,42 @@ func (r *assessmentRun) prefetchPairs(subset []int, pairs [][2]int) error {
 	return errors.Join(errs...)
 }
 
-// subsetPairStats returns the chain-free pooled pair-statistics function for
-// one combination: member contributions (fetched in parallel) plus the
-// reference panel's (refPair), with nothing cached leader-side beyond that
-// and the providers' own pair caches. Single-combination chains use it — they have no later
-// positions to share a decomposition with, so the chain cache would only add
-// leader memory.
-func (r *assessmentRun) subsetPairStats(subset []int) PairStatsFunc {
-	return func(a, b int) (genome.PairStats, error) {
-		pooled, err := r.refPair(a, b)
-		if err != nil {
-			return genome.PairStats{}, err
-		}
-
-		// Fast path: after the prefetch, almost every pair the LD scan asks
-		// for is in every member's cache — aggregate synchronously instead of
-		// dispatching a goroutine per member.
-		cached := make([]genome.PairStats, len(subset))
-		hit := 0
-		for slot, i := range subset {
-			s, ok := r.members[i].cachedPair(a, b)
-			if !ok {
-				break
-			}
-			cached[slot] = s
-			hit++
-		}
-		if hit == len(subset) {
-			for _, s := range cached {
-				pooled = pooled.Add(s)
-			}
-			return pooled, nil
-		}
-
-		parts := make([]genome.PairStats, len(subset))
-		errs := make([]error, len(subset))
-		var wg sync.WaitGroup
-		for slot, i := range subset {
-			slot, i := slot, i
-			r.pool.Go(&wg, func() {
-				s, err := r.members[i].PairStats(a, b)
-				if err != nil {
-					errs[slot] = memberErr(i, PhaseLD, "pair stats: %w", err)
-					return
-				}
-				parts[slot] = s
-			})
-		}
-		wg.Wait()
-		if err := errors.Join(errs...); err != nil {
-			return genome.PairStats{}, err
-		}
-		for _, s := range parts {
-			pooled = pooled.Add(s)
-		}
-		return pooled, nil
+// pooledPair is the subset's pooled statistics for one pair, fetching in
+// parallel any member contribution the table lacks.
+func (r *assessmentRun) pooledPair(subset []int, a, b int) (genome.PairStats, error) {
+	k, err := r.pairEntry(a, b)
+	if err != nil {
+		return genome.PairStats{}, err
 	}
+	if s, ok := r.pairs.pooled(k, subset); ok {
+		return s, nil
+	}
+	errs := make([]error, len(subset))
+	var wg sync.WaitGroup
+	for slot, i := range subset {
+		m := r.pairs.member(k, i)
+		if m.have {
+			continue
+		}
+		slot, i := slot, i
+		r.pool.Go(&wg, func() {
+			s, err := r.members[i].inner.PairStats(a, b)
+			if err == nil {
+				err = checkPairStats(s, a, b, r.counts[i], r.caseNs[i])
+			}
+			if err != nil {
+				errs[slot] = memberErr(i, PhaseLD, "pair stats: %w", err)
+				return
+			}
+			m.s, m.have = s, true
+		})
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return genome.PairStats{}, err
+	}
+	s, _ := r.pairs.pooled(k, subset)
+	return s, nil
 }
 
 func (r *assessmentRun) phase2LD(plan *latticePlan, lPrime []int) ([]int, [][]int, error) {
@@ -642,32 +686,16 @@ func (r *assessmentRun) phase2LD(plan *latticePlan, lPrime []int) ([]int, [][]in
 	}
 
 	per := make([][]int, plan.count)
-	err = walkInOrder(plan.chains, func(ch *latticeChain) error {
-		// The chain-local pooling cache survives across the chain's
-		// combinations: each Gray step adds at most one member's
-		// contributions to the decompositions already on hand. A chain with
-		// a single position has nothing to share across steps, so it runs
-		// the chain-free path and carries no extra leader memory — this
-		// keeps the no-collusion footprint identical to the pre-lattice
-		// protocol.
-		var cache *chainPairCache
-		if ch.length() > 1 {
-			cache = newChainPairCache(r)
-			defer cache.release()
-		}
+	scan := func(ch *latticeChain, fetch bool) error {
 		return ch.walk(func(pos, slot int, subset []int, rem, add int) error {
-			pooled := r.subsetPairStats(subset)
-			if cache != nil {
-				pooled = cache.pooledFunc(subset)
-			}
-			prefetch := func(pairs [][2]int) error { return r.prefetchPairs(subset, pairs) }
 			// The scan works on its own copy of the path.
 			if err := r.alloc(pathBytes); err != nil {
 				return err
 			}
 			defer r.free(pathBytes)
 			start := time.Now()
-			lDouble, err := LDPhaseBatch(lPrime, pooled, r.predictPair, prefetch, path, pvals, r.cfg.LDCutoff)
+			pooled, predict, prefetch := r.ldSources(subset, fetch)
+			lDouble, err := LDPhaseBatch(lPrime, pooled, predict, prefetch, path, pvals, r.cfg.LDCutoff)
 			r.addTiming(&r.report.Timings.LD, start)
 			if err != nil {
 				return err
@@ -675,8 +703,31 @@ func (r *assessmentRun) phase2LD(plan *latticePlan, lPrime []int) ([]int, [][]in
 			per[slot] = lDouble
 			return nil
 		})
+	}
+	// Two passes, the paper's §5.6 parallel evaluation with the traffic of
+	// an in-order walk. The full membership scans first, fetching as it
+	// goes. The collusion chains then run on every worker against the table
+	// as it stands, frozen: a chain that would need anything the table lacks
+	// stops (errNeedsFetch) and is re-run afterwards, in plan order on this
+	// goroutine, with fetching. What a scan announces and examines depends
+	// only on exact statistics and the predictor, never on what is cached,
+	// and a chain that needs nothing from the frozen table needs nothing
+	// from any larger one; so the re-runs send exactly what the in-order
+	// walk sends, in the same batches and order, whatever the schedule.
+	errs := make([]error, len(plan.chains))
+	errs[0] = scan(&plan.chains[0], true)
+	// Each chain's outcome is kept in its own slot, so the pool's joined
+	// error has nothing to add.
+	_ = r.pool.RunStealing(len(plan.chains)-1, r.pool.size(), func(i int) error {
+		errs[i+1] = scan(&plan.chains[i+1], false)
+		return nil
 	})
-	if err != nil {
+	for i := range plan.chains {
+		if errors.Is(errs[i], errNeedsFetch) {
+			errs[i] = scan(&plan.chains[i], true)
+		}
+	}
+	if err := errors.Join(errs...); err != nil {
 		return nil, nil, err
 	}
 	start = time.Now()

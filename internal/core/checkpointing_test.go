@@ -243,12 +243,13 @@ func (p *tamperedProvider) Counts() ([]int64, error) {
 }
 
 // pairLog is a LocalMember that records every pair the leader asks it for,
-// batched or single.
+// batched or single, and every request in the order it arrived.
 type pairLog struct {
 	*LocalMember
 	mu       sync.Mutex
 	requests int
 	asked    map[[2]int]bool
+	seq      [][][2]int
 }
 
 func (p *pairLog) note(pairs [][2]int) {
@@ -261,6 +262,7 @@ func (p *pairLog) note(pairs [][2]int) {
 	for _, pair := range pairs {
 		p.asked[pair] = true
 	}
+	p.seq = append(p.seq, append([][2]int(nil), pairs...))
 }
 
 func (p *pairLog) PairStats(a, b int) (genome.PairStats, error) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -8,7 +9,66 @@ import (
 
 	"gendpr/internal/genome"
 	"gendpr/internal/lrtest"
+	"gendpr/internal/stats"
 )
+
+// denseLD is Phase 2 as PAPER.md states it, written for tests only and
+// sharing no code with the assessment's scan. Per evaluation subset, every
+// pair's statistics are pooled over the subset's case genomes and the
+// reference panel (genome.Matrix.PairStats on each, summed), and a greedy
+// scan walks L′ in positional order, testing the current survivor against
+// the next SNP: when the pair's LD p-value falls below cfg.LDCutoff the
+// lower-ranked of the two leaves — ranked by the association p-value of the
+// whole study (full membership against the panel), ties to the lower index
+// — and otherwise the survivor is kept and the scan moves on. A pair with no
+// variance carries no dependence. The subsets' lists are then intersected.
+func denseLD(t *testing.T, shards []*genome.Matrix, reference *genome.Matrix, subsets [][]int, lPrime []int, cfg Config) ([][]int, []int) {
+	t.Helper()
+	refCounts := reference.AlleleCounts()
+	caseCounts := make([]int64, reference.L())
+	var caseN int64
+	for _, shard := range shards {
+		for l, c := range shard.AlleleCounts() {
+			caseCounts[l] += c
+		}
+		caseN += int64(shard.N())
+	}
+	rank := make(map[int]float64, len(lPrime))
+	for _, l := range lPrime {
+		tab, err := stats.NewSingleTable(caseN, caseCounts[l], int64(reference.N()), refCounts[l])
+		if err != nil {
+			t.Fatalf("SNP %d: %v", l, err)
+		}
+		if rank[l], err = tab.AssocPValue(cfg.PaperChiSquare); err != nil {
+			t.Fatalf("SNP %d: %v", l, err)
+		}
+	}
+	per := make([][]int, len(subsets))
+	for c, subset := range subsets {
+		var kept []int
+		survivor := lPrime[0]
+		for _, next := range lPrime[1:] {
+			pooled := reference.PairStats(survivor, next)
+			for _, i := range subset {
+				pooled = pooled.Add(shards[i].PairStats(survivor, next))
+			}
+			p, err := stats.LDPValue(pooled)
+			if err != nil && !errors.Is(err, stats.ErrDegeneratePair) {
+				t.Fatalf("pair (%d,%d): %v", survivor, next, err)
+			}
+			switch {
+			case err != nil || p >= cfg.LDCutoff:
+				kept = append(kept, survivor)
+				survivor = next
+			case rank[next] < rank[survivor]:
+				// survivor < next: on a tie the lower index stays.
+				survivor = next
+			}
+		}
+		per[c] = append(kept, survivor)
+	}
+	return per, IntersectSorted(per...)
+}
 
 // densePhase3 is Phase 3 as PAPER.md states it, written for tests only and
 // sharing no code with the bit-packed kernel. Per evaluation subset: the
@@ -138,7 +198,8 @@ type goldenCase struct {
 }
 
 // checkAgainstDense runs the assessment on tc in both oblivious modes and
-// requires the lattice's selection, every combination's safe list and the
+// requires every combination's L″ and the intersected L″ to equal denseLD's,
+// and the lattice's selection, every combination's safe list and the
 // released power to equal densePhase3's bit for bit.
 func checkAgainstDense(t *testing.T, tc goldenCase) {
 	t.Helper()
@@ -175,7 +236,14 @@ func checkAgainstDense(t *testing.T, tc goldenCase) {
 		if len(rep.PerCombination) != len(per) {
 			t.Fatalf("%s: %d combinations, dense has %d", label, len(rep.PerCombination), len(per))
 		}
+		perLD, lDouble := denseLD(t, shards, cohort.Reference, subsets, rep.Selection.AfterMAF, cfg)
+		if !equalInts(rep.Selection.AfterLD, lDouble) {
+			t.Errorf("%s: L″ %v != dense %v", label, rep.Selection.AfterLD, lDouble)
+		}
 		for c := range per {
+			if !equalInts(rep.PerCombination[c].AfterLD, perLD[c]) {
+				t.Errorf("%s: combination %d: L″ %v != dense %v", label, c, rep.PerCombination[c].AfterLD, perLD[c])
+			}
 			if !equalInts(rep.PerCombination[c].Safe, per[c]) {
 				t.Errorf("%s: combination %d: lattice %v != dense %v", label, c, rep.PerCombination[c].Safe, per[c])
 			}

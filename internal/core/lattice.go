@@ -40,9 +40,6 @@ type latticeChain struct {
 	adds  []int // exchange entering before position i+1
 }
 
-// length returns the number of subsets the chain covers.
-func (ch *latticeChain) length() int { return len(ch.slots) }
-
 // walk visits the chain's subsets in order, maintaining the sorted subset
 // incrementally. The first position reports rem = add = −1; the slice passed
 // to fn is reused between positions.
@@ -153,12 +150,11 @@ func buildLatticePlan(g int, policy CollusionPolicy, chainsPerBlock int) (*latti
 }
 
 // walkInOrder evaluates fn over the chains one after another on the calling
-// goroutine — how Phases 1 and 2 run. Their chains share the members' pair
-// caches: concurrent LD scans would race cachedProvider.Prefetch's "already
-// cached" filter and fetch some pairs twice, so what a run sends would depend
-// on timing. A failed chain does not stop the next; the errors are joined.
-// Phase 3's chains touch no pair cache and run on the work-stealing pool
-// instead (phase3Chains).
+// goroutine — how Phase 1 runs: a chain's work there is a few vector adds per
+// step, too little to pay for scheduling. A failed chain does not stop the
+// next; the errors are joined. Phase 2's collusion chains run on the pool
+// against a frozen pair table (phase2LD), Phase 3's on the pool outright
+// (phase3Chains).
 func walkInOrder(chains []latticeChain, fn func(ch *latticeChain) error) error {
 	var errs []error
 	for i := range chains {
@@ -169,140 +165,87 @@ func walkInOrder(chains []latticeChain, fn func(ch *latticeChain) error) error {
 	return errors.Join(errs...)
 }
 
-// chainPairCache is the Phase 2 per-chain pooling cache. The pooled pair
+// pairTable is Phase 2's one store of pair statistics, owned by the run and
+// released at the Phase-2 boundary (assessmentRun.releasePairs). The pooled
 // statistics of a combination decompose into the reference panel's
-// contribution plus one contribution per presumed-honest member; along a Gray
-// chain consecutive combinations share all but one member, so the cache keeps
-// the decomposition per pair and a pooled query is one map lookup plus at
-// most k integer adds. Member contributions come from the providers' own
-// caches (warmed by the scan's batched prefetches); the chain cache
-// exists so the hot LD loop pays the per-member map-and-mutex cost once per
-// chain instead of once per combination.
+// contribution plus one contribution per presumed-honest member, so an entry
+// holds the reference contribution with the panel's own LD decision (the
+// predictor) and one validated contribution per member with a have bit; a
+// pooled query from any combination of any chain is a lookup plus at most k
+// integer adds.
 //
-// A chain is evaluated by exactly one worker, so the cache needs no locking.
-type chainPairCache struct {
-	r       *assessmentRun
-	entries map[uint64]*chainPairEntry
-	// slots is a direct-mapped index over entries keyed by the pair's second
-	// column. The LD scan queries each survivor against the nearest retained
-	// predecessor, so per combination a column appears in (at most) one pair,
-	// and consecutive combinations mostly repeat it: the common case resolves
-	// with one array probe instead of a 16-byte-key map lookup, which
-	// profiling showed dominating the whole LD phase.
-	slots []pairSlot
-	bytes int64 // enclave bytes accounted for the entries
+// Entries are indexed by the pair's second column: the LD scan asks each
+// column with one survivor in the common case, so a lookup is one array
+// probe, and a map holds the rare further pairs sharing a second column.
+//
+// One goroutine at a time writes the table — the full-membership scan, then
+// the re-runs of the chains that stopped — and the collusion chains running
+// concurrently in between only read it (phase2LD).
+type pairTable struct {
+	g        int
+	bySecond []int32          // index+1 of the first entry per second column, 0 for none
+	more     map[uint64]int32 // index of each further entry sharing a second column
+	entries  []pairEntry
+	members  []memberPair // g per entry: entry k's are members[k*g : (k+1)*g]
 }
 
-// pairSlot caches the entry for the pair (a−1, second column); a == 0 marks
-// the slot empty.
-type pairSlot struct {
-	a int32
-	e *chainPairEntry
+type pairEntry struct {
+	a         int32
+	dependent bool // the LD decision on the reference panel alone
+	ref       genome.PairStats
 }
 
-type chainPairEntry struct {
-	ref  genome.PairStats // reference-panel contribution
-	per  []genome.PairStats
-	have []bool
+type memberPair struct {
+	s    genome.PairStats
+	have bool
 }
 
-func newChainPairCache(r *assessmentRun) *chainPairCache {
-	return &chainPairCache{
-		r:       r,
-		entries: make(map[uint64]*chainPairEntry),
-		slots:   make([]pairSlot, len(r.refCounts)),
+func newPairTable(cols, g int) *pairTable {
+	return &pairTable{g: g, bySecond: make([]int32, cols)}
+}
+
+// lookup returns the index of the entry for the pair (a, b).
+func (t *pairTable) lookup(a, b int) (int, bool) {
+	if k := int(t.bySecond[b]) - 1; k >= 0 && int(t.entries[k].a) == a {
+		return k, true
 	}
+	k, ok := t.more[pairKey(a, b)]
+	return int(k), ok
 }
 
-// release frees the enclave memory accounted to the cache; call at chain end.
-func (cc *chainPairCache) release() {
-	cc.r.free(cc.bytes)
-	cc.bytes = 0
-}
-
-// entry returns the decomposition entry for a pair, creating (and accounting)
-// it on first touch.
-func (cc *chainPairCache) entry(a, b int) (*chainPairEntry, error) {
-	s := &cc.slots[b]
-	if int(s.a) == a+1 {
-		return s.e, nil
-	}
-	key := pairKey(a, b)
-	if e, ok := cc.entries[key]; ok {
-		s.a, s.e = int32(a+1), e
-		return e, nil
-	}
-	r := cc.r
-	g := len(r.members)
-	ref, err := r.refPair(a, b)
-	if err != nil {
-		return nil, err
-	}
-	// The chain's own decomposition entry is additional leader memory, freed
-	// when the chain completes.
-	n := bytesPerPairStat * int64(g)
-	if err := r.alloc(n); err != nil {
-		return nil, err
-	}
-	cc.bytes += n
-	e := &chainPairEntry{ref: ref, per: make([]genome.PairStats, g), have: make([]bool, g)}
-	cc.entries[key] = e
-	s.a, s.e = int32(a+1), e
-	return e, nil
-}
-
-// pooledFunc returns the pooled pair-statistics function for one combination,
-// backed by the chain cache. Member contributions are summed in subset order,
-// so the pooled values are identical to the flat per-combination aggregation.
-func (cc *chainPairCache) pooledFunc(subset []int) PairStatsFunc {
-	r := cc.r
-	return func(a, b int) (genome.PairStats, error) {
-		e, err := cc.entry(a, b)
-		if err != nil {
-			return genome.PairStats{}, err
+// add stores a new entry with no member contribution yet and returns its
+// index.
+func (t *pairTable) add(a, b int, ref genome.PairStats, dependent bool) int {
+	k := len(t.entries)
+	t.entries = append(t.entries, pairEntry{a: int32(a), dependent: dependent, ref: ref})
+	t.members = append(t.members, make([]memberPair, t.g)...)
+	if t.bySecond[b] == 0 {
+		t.bySecond[b] = int32(k + 1)
+	} else {
+		if t.more == nil {
+			t.more = make(map[uint64]int32)
 		}
-		// Fill missing member contributions: almost always a provider-cache
-		// hit after the prefetch; cold entries fetch in parallel.
-		var missing []int
-		for _, i := range subset {
-			if e.have[i] {
-				continue
-			}
-			if s, ok := r.members[i].cachedPair(a, b); ok {
-				e.per[i], e.have[i] = s, true
-				continue
-			}
-			missing = append(missing, i)
-		}
-		if len(missing) > 0 {
-			errs := make([]error, len(missing))
-			parts := make([]genome.PairStats, len(missing))
-			var wg sync.WaitGroup
-			for slot, i := range missing {
-				slot, i := slot, i
-				r.pool.Go(&wg, func() {
-					s, err := r.members[i].PairStats(a, b)
-					if err != nil {
-						errs[slot] = memberErr(i, PhaseLD, "pair stats: %w", err)
-						return
-					}
-					parts[slot] = s
-				})
-			}
-			wg.Wait()
-			if err := errors.Join(errs...); err != nil {
-				return genome.PairStats{}, err
-			}
-			for slot, i := range missing {
-				e.per[i], e.have[i] = parts[slot], true
-			}
-		}
-		pooled := e.ref
-		for _, i := range subset {
-			pooled = pooled.Add(e.per[i])
-		}
-		return pooled, nil
+		t.more[pairKey(a, b)] = int32(k)
 	}
+	return k
+}
+
+// member returns member i's contribution slot in entry k.
+func (t *pairTable) member(k, i int) *memberPair { return &t.members[k*t.g+i] }
+
+// pooled sums entry k over subset: the reference contribution, then the
+// members' in subset order. It reports false when a member's contribution is
+// missing.
+func (t *pairTable) pooled(k int, subset []int) (genome.PairStats, bool) {
+	s := t.entries[k].ref
+	per := t.members[k*t.g : (k+1)*t.g]
+	for _, i := range subset {
+		if !per[i].have {
+			return genome.PairStats{}, false
+		}
+		s = s.Add(per[i].s)
+	}
+	return s, true
 }
 
 // patternSet holds the members' genotype bit-patterns for one Phase 3: each

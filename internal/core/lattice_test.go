@@ -180,24 +180,30 @@ func (s *boundaryStore) Save(st *checkpoint.State) error {
 }
 
 // TestPhase3ScheduleDeterministic runs one conservative G=5 assessment on
-// one worker (one chain per f-block, walked in order) and on four (Phase 3's
-// chains stolen across the pool) and requires the same outcome: selections,
-// every per-combination selection, the combination count, the number of
-// checkpoint saves, and the same final set of combination records — only the
-// order in which the records reached the store may differ.
+// one worker (one chain per f-block) and on four (the collusion chains of
+// Phases 2 and 3 stolen across the pool) and requires the same outcome:
+// selections, every per-combination selection, the combination count, the
+// number of checkpoint saves, and the same final set of combination records —
+// only the order in which the records reached the store may differ. Phase 2's
+// traffic must not depend on the schedule either: each member receives the
+// same pair requests in the same order on one worker and on four, and no pair
+// twice. On this cohort collusion chains need pairs the full-membership scan
+// did not fetch, so the in-order re-run of stopped chains is exercised.
 func TestPhase3ScheduleDeterministic(t *testing.T) {
 	providers, ref, names := conservativeG5(t)
 	policy := CollusionPolicy{Conservative: true}
 	type outcome struct {
-		report *Report
-		saves  int
-		combos map[string]checkpoint.Combination
+		report   *Report
+		saves    int
+		combos   map[string]checkpoint.Combination
+		requests [][][][2]int // per member, its pair requests in order
 	}
 	run := func(procs int) outcome {
 		var out outcome
 		withProcs(procs, func() {
 			store := &boundaryStore{MemStore: checkpoint.NewMemStore()}
-			rep, err := RunAssessment(providers, ref, DefaultConfig(), policy, nil, AssessmentOptions{
+			logged, logs := logPairs(providers)
+			rep, err := RunAssessment(logged, ref, DefaultConfig(), policy, nil, AssessmentOptions{
 				ProviderNames:     names,
 				Checkpoints:       store,
 				RetainCheckpoints: true,
@@ -213,10 +219,44 @@ func TestPhase3ScheduleDeterministic(t *testing.T) {
 			for _, c := range final.Combinations {
 				out.combos[nameKey(c.Members)] = c
 			}
+			for _, l := range logs {
+				out.requests = append(out.requests, l.seq)
+			}
 		})
 		return out
 	}
 	one, four := run(1), run(4)
+
+	// The full-membership scan alone: what the collusion chains add to it is
+	// what they fetched after it.
+	fullOnly, fullLogs := logPairs(providers)
+	if _, err := RunAssessment(fullOnly, ref, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	fullRequests, requests := 0, 0
+	for i, l := range fullLogs {
+		fullRequests += len(l.seq)
+		requests += len(one.requests[i])
+	}
+	if requests <= fullRequests {
+		t.Fatalf("degenerate fixture: %d pair requests under collusion, %d for the full membership alone; no collusion chain fetched", requests, fullRequests)
+	}
+	for i := range one.requests {
+		if !reflect.DeepEqual(four.requests[i], one.requests[i]) {
+			t.Errorf("member %d: pair requests differ between 1 and 4 workers (%d and %d requests)", i, len(one.requests[i]), len(four.requests[i]))
+		}
+	}
+	for i, seq := range one.requests {
+		seen := make(map[[2]int]bool)
+		for _, batch := range seq {
+			for _, pair := range batch {
+				if seen[pair] {
+					t.Errorf("member %d asked for pair %v twice", i, pair)
+				}
+				seen[pair] = true
+			}
+		}
+	}
 
 	if one.report.Combinations != 31 || four.report.Combinations != 31 {
 		t.Fatalf("combinations %d / %d, want 31", one.report.Combinations, four.report.Combinations)

@@ -203,18 +203,36 @@ func gatherLR(g *genome.Matrix, cols []int, ratios lrtest.LogRatios) (*lrtest.Bi
 	return lrtest.BitFromColumnWords(g.N(), words, ratios)
 }
 
+// pairKey packs a column pair into one map key: an 8-byte key hashes and
+// compares in registers where the [2]int form pays a 16-byte hash plus
+// memequal per probe. Column indices are non-negative and far below 2³², so
+// the packing is lossless.
+func pairKey(a, b int) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
+
+// checkPairStats is the leader's check of one member's statistics for the
+// pair (a, b) before they are used: the payload's own invariants, then, when
+// the member's Phase-1 summary is known (counts non-nil), its marginals
+// against that summary — a marginal that contradicts the member's own counts
+// is a Byzantine contribution no single-payload invariant can catch.
+func checkPairStats(s genome.PairStats, a, b int, counts []int64, caseN int64) error {
+	if err := validatePairStats(s); err != nil {
+		//gendpr:allow(secretflow): the pair indices echo the requester's own query (protocol metadata), not cohort data
+		return fmt.Errorf("pair (%d,%d): %w", a, b, err)
+	}
+	if counts == nil {
+		return nil
+	}
+	return validatePairConsistency(s, a, b, counts, caseN)
+}
+
 // cachedProvider memoizes member responses so that, as the paper describes,
 // each GDO computes and transmits each intermediate result once even when
 // the leader evaluates many collusion combinations over it. It is safe for
 // concurrent use: the assessment driver queries members, and evaluates
-// Phase 3's combinations, concurrently.
-// pairKey packs a column pair into one word. The pair maps are the LD
-// phase's hottest data structure — one probe per announced pair per member —
-// and an 8-byte key hashes and compares in registers where the [2]int form
-// pays a 16-byte hash plus memequal per probe. Column indices are
-// non-negative and far below 2³², so the packing is lossless.
-func pairKey(a, b int) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
-
+// Phase 3's combinations, concurrently. A run's own wrapper serves summaries
+// and patterns; its pairs go to the run's pair table (pairTable). The pair
+// memo serves the resilient runner's outer wrapper, which replays survivor
+// data across restarts.
 type cachedProvider struct {
 	inner Provider
 
@@ -287,11 +305,7 @@ func (c *cachedProvider) PairStats(a, b int) (genome.PairStats, error) {
 	if err != nil {
 		return genome.PairStats{}, err
 	}
-	if err := validatePairStats(s); err != nil {
-		//gendpr:allow(secretflow): the pair indices echo the requester's own query (protocol metadata), not cohort data
-		return genome.PairStats{}, fmt.Errorf("pair (%d,%d): %w", a, b, err)
-	}
-	if err := c.pairConsistency(a, b, s); err != nil {
+	if err := c.checkPair(a, b, s); err != nil {
 		return genome.PairStats{}, err
 	}
 	c.mu.Lock()
@@ -300,18 +314,16 @@ func (c *cachedProvider) PairStats(a, b int) (genome.PairStats, error) {
 	return s, nil
 }
 
-// pairConsistency cross-checks freshly fetched pair statistics against the
-// member's cached summary (when one is loaded): a marginal that contradicts
-// the member's own counts is a Byzantine contribution no single-payload
-// invariant can catch.
-func (c *cachedProvider) pairConsistency(a, b int, s genome.PairStats) error {
+// checkPair is checkPairStats against the member's cached summary, once one
+// is loaded.
+func (c *cachedProvider) checkPair(a, b int, s genome.PairStats) error {
 	c.mu.Lock()
 	loaded, counts, caseN := c.loaded, c.counts, c.caseN
 	c.mu.Unlock()
 	if !loaded {
-		return nil
+		counts = nil
 	}
-	return validatePairConsistency(s, a, b, counts, caseN)
+	return checkPairStats(s, a, b, counts, caseN)
 }
 
 // Prefetch warms the pair cache with one batched request when the member
@@ -341,11 +353,7 @@ func (c *cachedProvider) Prefetch(pairs [][2]int) error {
 		return fmt.Errorf("core: batch returned %d entries for %d pairs", len(stats), len(missing))
 	}
 	for i, s := range stats {
-		if err := validatePairStats(s); err != nil {
-			//gendpr:allow(secretflow): the pair indices echo the requester's own query (protocol metadata), not cohort data
-			return fmt.Errorf("pair (%d,%d): %w", missing[i][0], missing[i][1], err)
-		}
-		if err := c.pairConsistency(missing[i][0], missing[i][1], s); err != nil {
+		if err := c.checkPair(missing[i][0], missing[i][1], s); err != nil {
 			return err
 		}
 	}
@@ -375,16 +383,6 @@ func (c *cachedProvider) PairStatsBatch(pairs [][2]int) ([]genome.PairStats, err
 		out[i] = s
 	}
 	return out, nil
-}
-
-// cachedPair returns a pair's statistics when they are already cached. The
-// LD scan's hot loop asks every member for mostly-prefetched pairs; hitting
-// the cache synchronously avoids a goroutine dispatch per member per pair.
-func (c *cachedProvider) cachedPair(a, b int) (genome.PairStats, bool) {
-	c.mu.Lock()
-	s, ok := c.pairs[pairKey(a, b)]
-	c.mu.Unlock()
-	return s, ok
 }
 
 func (c *cachedProvider) LRMatrix(cols []int, caseFreq, refFreq []float64) (*lrtest.BitMatrix, error) {
@@ -431,13 +429,6 @@ func intsEqual(a, b []int) bool {
 func (c *cachedProvider) seedSummary(counts []int64, caseN int64) {
 	c.mu.Lock()
 	c.counts, c.caseN, c.loaded = counts, caseN, true
-	c.mu.Unlock()
-}
-
-// dropPairs empties the pair cache (assessmentRun.releasePairs).
-func (c *cachedProvider) dropPairs() {
-	c.mu.Lock()
-	c.pairs = make(map[uint64]genome.PairStats)
 	c.mu.Unlock()
 }
 

@@ -532,44 +532,57 @@ func TestCollusionPolicyValidate(t *testing.T) {
 }
 
 // BenchmarkLDPhase prices one Phase 2 as the assessment driver runs it — the
-// prediction on the reference panel, the batched fetches from three
-// in-process members with cold pair caches, and the exact scan — at
-// fed3_base's shape and at a tenth of it (check.sh's smoke). announcements/op
-// and pairs-announced/op are what one member is asked: over a network the
-// first is round trips and the second sets the bytes.
+// prediction on the reference panel, the batched fetches from in-process
+// members with an empty pair table, and the exact scans — at fed3_base's
+// shape and at a tenth of it (check.sh's smoke): three members without
+// collusion, and (_g5) fed5_collusion's five members under the conservative
+// policy, 31 combinations whose collusion chains run on GOMAXPROCS workers.
+// announcements/op and pairs-announced/op are what the first member is
+// asked: over a network the first is round trips and the second sets the
+// bytes.
 func BenchmarkLDPhase(b *testing.B) {
 	for _, shape := range []struct{ snps, genomes int }{{10000, 14860}, {1000, 1486}} {
-		b.Run(fmt.Sprintf("%dx%d", shape.snps, shape.genomes), func(b *testing.B) {
-			cohort := testCohort(b, shape.snps, shape.genomes, 42)
-			shards := shardsOf(b, cohort, 3)
-			plan, err := buildLatticePlan(len(shards), CollusionPolicy{}, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var asked *countingBatchMember
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				run := &assessmentRun{cfg: DefaultConfig(), ref: cohort.Reference, report: &Report{}, pool: defaultWorkPool()}
-				asked = &countingBatchMember{LocalMember: NewLocalMember(shards[0])}
-				run.members = []*cachedProvider{newCachedProvider(asked), newCachedProvider(NewLocalMember(shards[1])), newCachedProvider(NewLocalMember(shards[2]))}
-				if err := run.collectSummaries(); err != nil {
-					b.Fatal(err)
-				}
-				lPrime, _, err := run.phase1MAF(plan)
+		for _, fed := range []struct {
+			suffix string
+			g      int
+			policy CollusionPolicy
+		}{{"", 3, CollusionPolicy{}}, {"_g5", 5, CollusionPolicy{Conservative: true}}} {
+			b.Run(fmt.Sprintf("%dx%d%s", shape.snps, shape.genomes, fed.suffix), func(b *testing.B) {
+				cohort := testCohort(b, shape.snps, shape.genomes, 42)
+				shards := shardsOf(b, cohort, fed.g)
+				pool := defaultWorkPool()
+				plan, err := buildLatticePlan(len(shards), fed.policy, pool.size())
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.StartTimer()
-				if _, _, err := run.phase2LD(plan, lPrime); err != nil {
-					b.Fatal(err)
+				var asked *countingBatchMember
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					run := &assessmentRun{cfg: DefaultConfig(), ref: cohort.Reference, report: &Report{}, pool: pool}
+					asked = &countingBatchMember{LocalMember: NewLocalMember(shards[0])}
+					run.members = []*cachedProvider{newCachedProvider(asked)}
+					for _, shard := range shards[1:] {
+						run.members = append(run.members, newCachedProvider(NewLocalMember(shard)))
+					}
+					if err := run.collectSummaries(); err != nil {
+						b.Fatal(err)
+					}
+					lPrime, _, err := run.phase1MAF(plan)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					if _, _, err := run.phase2LD(plan, lPrime); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			if asked.singles != 0 {
-				b.Fatalf("%d single-pair request(s) escaped the batch path", asked.singles)
-			}
-			b.ReportMetric(float64(asked.batches), "announcements/op")
-			b.ReportMetric(float64(asked.pairs), "pairs-announced/op")
-		})
+				if asked.singles != 0 {
+					b.Fatalf("%d single-pair request(s) escaped the batch path", asked.singles)
+				}
+				b.ReportMetric(float64(asked.batches), "announcements/op")
+				b.ReportMetric(float64(asked.pairs), "pairs-announced/op")
+			})
+		}
 	}
 }

@@ -48,7 +48,10 @@ func equalInts(a, b []int) bool {
 }
 
 // Timings is the running-time breakdown of Figures 5 and 6. Each bucket
-// matches one legend entry of the paper's plots.
+// matches one legend entry of the paper's plots. The collusion chains of
+// Phases 2 and 3 run on every worker, so LD and LRTest (and the aggregation
+// and indexing time spent inside those chains) are sums over workers and
+// can exceed the wall time.
 type Timings struct {
 	// DataAggregation covers collecting and summing member contributions
 	// (or pooling genomes, for the centralized baseline).

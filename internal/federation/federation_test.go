@@ -478,9 +478,10 @@ func TestFederationPhase2MessageCount(t *testing.T) {
 
 // TestFederationConservativeMessageCount pins what a G=5 conservative
 // assessment (31 combinations) puts on the wire under a fixed leader, on one
-// leader worker and on four. Phases 1 and 2 walk their chains in order
-// however many workers there are, so every pair request meets the same cache
-// state; Phase 3's chains run concurrently but only read the patterns
+// leader worker and on four. Phase 2's collusion chains run concurrently
+// only against a frozen pair table and every chain that needs a fetch is
+// re-run in plan order, so every pair request meets the state an in-order
+// walk would; Phase 3's chains run concurrently but only read the patterns
 // fetched once for the full membership — the count cannot depend on the
 // schedule. The concurrent chains share the member connections, so this also
 // runs the remote providers' serialization under the race detector.

@@ -630,14 +630,16 @@ func bitFromCompactBytes(b []byte) (*BitMatrix, error) {
 		m.zero[j] = math.Float64frombits(getUint64(b[16+16*j : 24+16*j]))
 		m.one[j] = math.Float64frombits(getUint64(b[24+16*j : 32+16*j]))
 	}
+	// Walk the payload's cells, not the claimed rows: a reply with no columns
+	// carries no cells whatever row count it states, and must decode in
+	// constant time.
 	wire := b[16+16*cols:]
-	for i := 0; i < rows; i++ {
-		word, mask := i>>6, uint64(1)<<(uint(i)&63)
-		for j := 0; j < cols; j++ {
-			idx := i*cols + j
-			if wire[idx/8]&(1<<(uint(idx)%8)) != 0 {
-				m.bits[j*m.wpc+word] |= mask
-			}
+	for idx, i, j := 0, 0, 0; idx < rows*cols; idx++ {
+		if wire[idx>>3]&(1<<(uint(idx)&7)) != 0 {
+			m.bits[j*m.wpc+i>>6] |= 1 << (uint(i) & 63)
+		}
+		if j++; j == cols {
+			i, j = i+1, 0
 		}
 	}
 	return m, nil

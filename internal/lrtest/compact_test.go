@@ -2,6 +2,7 @@ package lrtest
 
 import (
 	"testing"
+	"time"
 
 	"gendpr/internal/genome"
 )
@@ -86,5 +87,35 @@ func TestDecodeWireRejectsGarbage(t *testing.T) {
 	wire := builtMatrix(t, 10, 5, 23).EncodeWire()
 	if _, err := DecodeWireBit(wire[:len(wire)-1]); err == nil {
 		t.Error("truncated compact body accepted")
+	}
+}
+
+// TestDecodeZeroColumnsIsConstantTime: a 17-byte reply stating 2³⁰ rows and
+// no columns is a well-formed empty matrix, and decoding it must not walk the
+// stated rows; a 17-byte pattern stating 2³⁰ × 2³⁰ cells must be rejected
+// before anything the size of that shape is allocated.
+func TestDecodeZeroColumnsIsConstantTime(t *testing.T) {
+	wire := make([]byte, 17)
+	wire[0] = wireCompact
+	putUint64(wire[1:], 1<<30)
+	start := time.Now()
+	m, err := DecodeWireBit(wire)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("DecodeWireBit: %v", err)
+	}
+	if m.Rows() != 1<<30 || m.Cols() != 0 {
+		t.Errorf("decoded %d×%d, want %d×0", m.Rows(), m.Cols(), 1<<30)
+	}
+	if elapsed > 20*time.Millisecond {
+		t.Errorf("decoding a 17-byte zero-column reply took %v", elapsed)
+	}
+
+	pattern := make([]byte, 17)
+	pattern[0] = wirePatternTag
+	putUint64(pattern[1:], 1<<30)
+	putUint64(pattern[9:], 1<<30)
+	if _, err := DecodePatternWire(pattern); err == nil {
+		t.Error("17-byte pattern stating 2³⁰ × 2³⁰ cells accepted")
 	}
 }

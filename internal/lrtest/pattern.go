@@ -269,11 +269,12 @@ func DecodePatternWire(b []byte) (*BitMatrix, error) {
 	if rows < 0 || cols < 0 || rows > 1<<30 || cols > 1<<30 {
 		return nil, errors.New("lrtest: pattern encoding has implausible shape")
 	}
-	m := NewBitMatrix(rows, cols)
-	want := 16 + 8*len(m.bits)
+	// Size check before allocating: the stated shape must match the payload.
+	want := 16 + 8*cols*((rows+63)/64)
 	if len(b) != want {
 		return nil, fmt.Errorf("lrtest: pattern encoding has %d bytes, want %d", len(b)+1, want+1)
 	}
+	m := NewBitMatrix(rows, cols)
 	for i := range m.bits {
 		m.bits[i] = getUint64(b[16+8*i : 24+8*i])
 	}

@@ -131,11 +131,12 @@ echo "== lattice-vs-legacy smoke =="
 go test -short -run '^(TestLatticeMatchesLegacyGolden|TestPhase3BitKernelGolden)$' ./internal/core/
 
 echo "== concurrent Phase 3 and pair lifetime (race, 10 runs) =="
-# Phase 3's collusion chains run on every core: the same assessment on one
-# worker and on four must agree on selections, checkpoint saves, combination
-# records and wire messages, and the LD pair statistics must leave the enclave
-# and the snapshots at the Phase-2 boundary. Repeated under the race detector
-# because the chains reach shared accounting, timings and checkpoint state.
+# The collusion chains of Phases 2 and 3 run on every core: the same
+# assessment on one worker and on four must agree on selections, checkpoint
+# saves, combination records, each member's pair requests and wire messages,
+# and the LD pair statistics must leave the enclave and the snapshots at the
+# Phase-2 boundary. Repeated under the race detector because the chains reach
+# the shared pair table, accounting, timings and checkpoint state.
 go test -race -count=10 -run '^(TestPhase3ScheduleDeterministic|TestLatticeResumeConservativeConcurrent|TestPairBytesReleasedAtPhase2Boundary|TestResumeAtLDAsksNoPairs)$' ./internal/core/
 go test -race -count=10 -run '^TestFederationConservativeMessageCount$' ./internal/federation/
 
@@ -184,8 +185,11 @@ GENDPR_BENCH_SCALE=0.01 go test -run '^$' \
 go test -run '^$' -bench '^(BenchmarkSelectSafeBit|BenchmarkAddColumnKth|BenchmarkAddColumnCount|BenchmarkDiscriminabilityOrderBit)$' \
     -benchtime 1x ./internal/lrtest >/dev/null
 # The Phase-2 layer benchmark at a tenth of the paper's shape (1,000 SNPs x
-# 1,486 genomes; the full-size sub-benchmark is for measuring, not for CI).
+# 1,486 genomes), without collusion and with five members under the
+# conservative policy; the full-size sub-benchmarks are for measuring, not
+# for CI.
 go test -run '^$' -bench '^BenchmarkLDPhase$/^1000x1486$' -benchtime 1x ./internal/core >/dev/null
+go test -run '^$' -bench '^BenchmarkLDPhase$/^1000x1486_g5$' -benchtime 1x ./internal/core >/dev/null
 # One fsynced checkpoint save at a tenth of the fed5_collusion snapshot, as a
 # new base and as a log append.
 go test -run '^$' -bench '^BenchmarkFileStoreSave$/^tenth(_append)?$' -benchtime 1x ./internal/checkpoint >/dev/null
