@@ -171,14 +171,15 @@ func DefaultTaintSpec() *TaintSpec {
 			"gendpr/internal/genome.MatrixFromBytes": ClassIndividual,
 			// Single-genotype accessors: their result IS one individual's
 			// allele, the unit the oblivious machinery exists to hide.
-			"(*gendpr/internal/genome.Matrix).Get":       ClassIndividual,
-			"(*gendpr/internal/genome.Matrix).GetBit":    ClassIndividual,
-			"(*gendpr/internal/genome.Matrix).RowWords":  ClassIndividual,
-			"gendpr/internal/lrtest.DecodeWireBit":       ClassIndividual,
-			"gendpr/internal/lrtest.DecodePatternWire":   ClassIndividual,
-			"gendpr/internal/seal.NewKey":                ClassIndividual,
-			"gendpr/internal/seal.HKDF":                  ClassIndividual,
-			"(*gendpr/internal/seal.KeyPair).SessionKey": ClassIndividual,
+			"(*gendpr/internal/genome.Matrix).Get":         ClassIndividual,
+			"(*gendpr/internal/genome.Matrix).GetBit":      ClassIndividual,
+			"(*gendpr/internal/genome.Matrix).RowWords":    ClassIndividual,
+			"gendpr/internal/lrtest.DecodeWireBit":         ClassIndividual,
+			"gendpr/internal/lrtest.DecodePatternWire":     ClassIndividual,
+			"gendpr/internal/lrtest.DecodePatternWireCols": ClassIndividual,
+			"gendpr/internal/seal.NewKey":                  ClassIndividual,
+			"gendpr/internal/seal.HKDF":                    ClassIndividual,
+			"(*gendpr/internal/seal.KeyPair).SessionKey":   ClassIndividual,
 
 			// Aggregators: these read per-individual data but their result
 			// is a cohort-level statistic — still secret until released,

@@ -298,9 +298,9 @@ func (r *assessmentRun) freeLR(n int64) {
 
 // pairEntry returns the table index of a pair's entry. The first touch
 // computes the reference panel's statistics — the single counts are known
-// from Phase 1, so that is one PairCount column pass — and the panel's own LD
-// decision, and accounts the pair's leader-side footprint once: the reference
-// contribution plus one per member.
+// from Phase 1, so that is one PairCount column pass — and the panel's LD
+// decision across the band, and accounts the pair's leader-side footprint
+// once: the reference contribution plus one per member.
 func (r *assessmentRun) pairEntry(a, b int) (int, error) {
 	if k, ok := r.pairs.lookup(a, b); ok {
 		return k, nil
@@ -309,8 +309,7 @@ func (r *assessmentRun) pairEntry(a, b int) (int, error) {
 		return 0, err
 	}
 	s := genome.PairStatsFromCounts(r.refN, r.refCounts[a], r.refCounts[b], r.refCols.PairCount(a, b))
-	dependent, err := ldDependent(s, r.cfg.LDCutoff)
-	return r.pairs.add(a, b, s, err == nil && dependent), nil
+	return r.pairs.add(a, b, s, r.cfg.LDCutoff), nil
 }
 
 // releasePairs ends the pair statistics' life at the Phase-2 boundary, once
@@ -323,12 +322,14 @@ func (r *assessmentRun) releasePairs() {
 	r.pairs = nil
 }
 
-// predictPair is the run's PairPredictor: the LD decision taken on the
-// reference panel alone. A pair it cannot account is predicted independent;
-// the prefetch that announces it meets the same error and reports it.
-func (r *assessmentRun) predictPair(a, b int) bool {
-	k, err := r.pairEntry(a, b)
-	return err == nil && r.pairs.entries[k].dependent
+// predictPair is the run's PairPredictor, the panel's band decision. A pair
+// it cannot account is settled independent; the prefetch that announces it
+// meets the same error and reports it.
+func (r *assessmentRun) predictPair(a, b int) (dependent, open bool) {
+	if _, err := r.pairEntry(a, b); err != nil {
+		return false, false
+	}
+	return r.pairs.predict(a, b)
 }
 
 // collectSummaries gathers each member's count vector and population size —
@@ -403,7 +404,11 @@ func (r *assessmentRun) collectSummaries() error {
 	r.refCols = r.ref.Columns()
 	r.refCounts = r.refCols.AlleleCounts()
 	r.refN = int64(r.ref.N())
-	r.pairs = newPairTable(len(r.refCounts), len(r.members))
+	fullN := r.refN
+	for _, n := range r.caseNs {
+		fullN += n
+	}
+	r.pairs = newPairTable(len(r.refCounts), len(r.members), fullN)
 	return nil
 }
 
@@ -512,9 +517,9 @@ var errNeedsFetch = errors.New("core: pair statistics not in the frozen table")
 // member (prefetchPairs), and any contribution still missing pair by pair
 // (pooledPair). Without, they only read the table, and the scan stops with
 // errNeedsFetch at the first announcement or pooled query the table cannot
-// serve; a pair the table lacks is predicted independent, and since every
-// predicted pair is announced before it is examined, the stop follows at
-// that announcement.
+// serve; a pair the table lacks is predicted settled independent, and since
+// every predicted pair is announced before it is examined, the stop follows
+// at that announcement.
 func (r *assessmentRun) ldSources(subset []int, fetch bool) (PairStatsFunc, PairPredictor, PairBatchFunc) {
 	if fetch {
 		pooled := func(a, b int) (genome.PairStats, error) { return r.pooledPair(subset, a, b) }
@@ -522,10 +527,6 @@ func (r *assessmentRun) ldSources(subset []int, fetch bool) (PairStatsFunc, Pair
 		return pooled, r.predictPair, prefetch
 	}
 	t := r.pairs
-	predict := func(a, b int) bool {
-		k, ok := t.lookup(a, b)
-		return ok && t.entries[k].dependent
-	}
 	pooled := func(a, b int) (genome.PairStats, error) {
 		if k, ok := t.lookup(a, b); ok {
 			if s, ok := t.pooled(k, subset); ok {
@@ -542,7 +543,7 @@ func (r *assessmentRun) ldSources(subset []int, fetch bool) (PairStatsFunc, Pair
 		}
 		return nil
 	}
-	return pooled, predict, prefetch
+	return pooled, t.predict, prefetch
 }
 
 // prefetchPairs has each member of the subset send, in one batched request
@@ -667,17 +668,17 @@ func (r *assessmentRun) phase2LD(plan *latticePlan, lPrime []int) ([]int, [][]in
 		return nil, nil, err
 	}
 
-	// The reference panel and the ranking are both in hand, so the scan can
-	// be run ahead on the panel alone: its path is fetched from every member
-	// in one round trip and shared by all combinations, which then fetch only
-	// where their exact statistics lead them off it.
-	pathBytes := int64(len(lPrime)) * bytesPerCount
-	if err := r.alloc(pathBytes); err != nil {
+	// With the panel and the ranking in hand the scan runs ahead on the
+	// panel's band decisions: every state a combination's scan can reach
+	// while its statistics stay in the band is fetched from every member in
+	// one round trip, charged one count per state (at least one per
+	// position), and shared by all combinations.
+	start = time.Now()
+	announced, pairs := ldClosure(lPrime, r.predictPair, pvals)
+	r.addTiming(&r.report.Timings.LD, start)
+	if err := r.alloc(int64(max(len(lPrime), announced.n)) * bytesPerCount); err != nil {
 		return nil, nil, err
 	}
-	start = time.Now()
-	path, pairs := predictLDPath(lPrime, r.predictPair, pvals)
-	r.addTiming(&r.report.Timings.LD, start)
 	start = time.Now()
 	err = r.prefetchPairs(plan.chains[0].head, pairs)
 	r.addTiming(&r.report.Timings.DataAggregation, start)
@@ -688,14 +689,25 @@ func (r *assessmentRun) phase2LD(plan *latticePlan, lPrime []int) ([]int, [][]in
 	per := make([][]int, plan.count)
 	scan := func(ch *latticeChain, fetch bool) error {
 		return ch.walk(func(pos, slot int, subset []int, rem, add int) error {
-			// The scan works on its own copy of the path.
-			if err := r.alloc(pathBytes); err != nil {
+			// The scan's own states: one count per position, and one per
+			// state beyond that, charged as its pair is announced.
+			held, states := int64(len(lPrime))*bytesPerCount, int64(0)
+			if err := r.alloc(held); err != nil {
 				return err
 			}
-			defer r.free(pathBytes)
+			defer func() { r.free(held) }()
 			start := time.Now()
 			pooled, predict, prefetch := r.ldSources(subset, fetch)
-			lDouble, err := LDPhaseBatch(lPrime, pooled, predict, prefetch, path, pvals, r.cfg.LDCutoff)
+			charged := func(pairs [][2]int) error {
+				if states += int64(len(pairs)) * bytesPerCount; states > held {
+					if err := r.alloc(states - held); err != nil {
+						return err
+					}
+					held = states
+				}
+				return prefetch(pairs)
+			}
+			lDouble, err := LDPhaseBatch(lPrime, pooled, predict, charged, announced, pvals, r.cfg.LDCutoff)
 			r.addTiming(&r.report.Timings.LD, start)
 			if err != nil {
 				return err
@@ -710,8 +722,9 @@ func (r *assessmentRun) phase2LD(plan *latticePlan, lPrime []int) ([]int, [][]in
 	// as it stands, frozen: a chain that would need anything the table lacks
 	// stops (errNeedsFetch) and is re-run afterwards, in plan order on this
 	// goroutine, with fetching. What a scan announces and examines depends
-	// only on exact statistics and the predictor, never on what is cached,
-	// and a chain that needs nothing from the frozen table needs nothing
+	// only on exact statistics and the predictor — both passes read the same
+	// band decision from the pair's entry — never on what is cached, and a
+	// chain that needs nothing from the frozen table needs nothing
 	// from any larger one; so the re-runs send exactly what the in-order
 	// walk sends, in the same batches and order, whatever the schedule.
 	errs := make([]error, len(plan.chains))

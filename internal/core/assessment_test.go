@@ -382,7 +382,8 @@ type countingBatchMember struct {
 	mu      sync.Mutex
 	singles int
 	batches int
-	pairs   int // pairs asked for across the batches
+	pairs   int      // pairs asked for across the batches
+	first   [][2]int // the pairs of the first batch
 }
 
 func (c *countingBatchMember) PairStats(a, b int) (genome.PairStats, error) {
@@ -394,23 +395,27 @@ func (c *countingBatchMember) PairStats(a, b int) (genome.PairStats, error) {
 
 func (c *countingBatchMember) PairStatsBatch(pairs [][2]int) ([]genome.PairStats, error) {
 	c.mu.Lock()
-	c.batches++
+	if c.batches++; c.first == nil {
+		c.first = append([][2]int(nil), pairs...)
+	}
 	c.pairs += len(pairs)
 	c.mu.Unlock()
 	return c.LocalMember.PairStatsBatch(pairs)
 }
 
 // TestPhase2LDUsesBatchPath is the Phase-2 batching regression test: every
-// pair the LD scan examines — the predicted path fetched up front AND the
-// stretches where the exact statistics lead the scan off it — must reach
+// pair the LD scan examines — the predicted closure fetched up front AND any
+// stretch where the exact statistics lead the scan out of it — must reach
 // members through PairStatsBatch, never through per-pair fallbacks. Seed 17 is
-// a cohort whose reference panel predicts the whole scan (one request per
-// member); on seed 10 the prediction misses six times.
+// a cohort whose reference panel alone predicts the whole scan; on seed 10 the
+// panel's decision at its own size misses six times, and all six pairs are
+// open in the band up to the pooled size, so the closure holds them: one
+// request per member on both.
 func TestPhase2LDUsesBatchPath(t *testing.T) {
 	for _, tc := range []struct {
 		seed    int64
 		batches int
-	}{{17, 1}, {10, 7}} {
+	}{{17, 1}, {10, 1}} {
 		cohort := testCohort(t, 150, 360, tc.seed)
 		members := make([]Provider, 0, 3)
 		var counters []*countingBatchMember
@@ -437,6 +442,108 @@ func TestPhase2LDUsesBatchPath(t *testing.T) {
 				t.Errorf("seed %d, member %d: %d batched request(s), want %d", tc.seed, i, batches, tc.batches)
 			}
 		}
+	}
+}
+
+// inflatedMember claims k times its case population, with every count and
+// pair statistic scaled to match: consistent with itself, so every check on
+// its replies passes, yet large enough to widen the panel's LD band to
+// nearly every pair and to dominate the pooled ranking.
+type inflatedMember struct {
+	*countingBatchMember
+	k int64
+}
+
+func (m *inflatedMember) Counts() ([]int64, error) {
+	counts, err := m.countingBatchMember.Counts()
+	scaled := make([]int64, len(counts))
+	for i, c := range counts {
+		scaled[i] = c * m.k
+	}
+	return scaled, err
+}
+
+func (m *inflatedMember) CaseN() (int64, error) {
+	n, err := m.countingBatchMember.CaseN()
+	return n * m.k, err
+}
+
+func (m *inflatedMember) scale(s genome.PairStats) genome.PairStats {
+	return genome.PairStats{N: s.N * m.k, SumX: s.SumX * m.k, SumY: s.SumY * m.k, SumXY: s.SumXY * m.k, SumXX: s.SumXX * m.k, SumYY: s.SumYY * m.k}
+}
+
+func (m *inflatedMember) PairStats(a, b int) (genome.PairStats, error) {
+	s, err := m.countingBatchMember.PairStats(a, b)
+	return m.scale(s), err
+}
+
+func (m *inflatedMember) PairStatsBatch(pairs [][2]int) ([]genome.PairStats, error) {
+	stats, err := m.countingBatchMember.PairStatsBatch(pairs)
+	for i := range stats {
+		stats[i] = m.scale(stats[i])
+	}
+	return stats, err
+}
+
+// TestPhase2BoundedUnderInflatedCaseN: one member claims a case population
+// 2²⁰ times its own. Nearly every pair is then open in the band, and the
+// earliest SNPs win every tie of the pooled ranking, so the unbounded closure
+// would hold about |L′|²/2 states. Bounded, no member's first batch exceeds
+// three pairs per SNP of L′, and the run either finishes or blames the liar.
+func TestPhase2BoundedUnderInflatedCaseN(t *testing.T) {
+	const liar = 0
+	cohort := testCohort(t, 150, 360, 17)
+	shards := shardsOf(t, cohort, 3)
+	newMembers := func() ([]Provider, []*countingBatchMember) {
+		var members []Provider
+		var counters []*countingBatchMember
+		for i, shard := range shards {
+			c := &countingBatchMember{LocalMember: NewLocalMember(shard)}
+			counters = append(counters, c)
+			if i == liar {
+				members = append(members, &inflatedMember{c, 1 << 20})
+			} else {
+				members = append(members, c)
+			}
+		}
+		return members, counters
+	}
+	blamesLiar := func(err error) bool {
+		var me *MemberError
+		return err == nil || errors.As(err, &me) && me.Member == liar
+	}
+
+	members, counters := newMembers()
+	run := &assessmentRun{cfg: DefaultConfig(), ref: cohort.Reference, report: &Report{}, pool: defaultWorkPool()}
+	for _, m := range members {
+		run.members = append(run.members, newCachedProvider(m))
+	}
+	if err := run.collectSummaries(); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := buildLatticePlan(len(members), CollusionPolicy{}, run.pool.size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lPrime, _, err := run.phase1MAF(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := run.phase2LD(plan, lPrime); !blamesLiar(err) {
+		t.Fatalf("phase 2: %v, want success or member %d blamed", err, liar)
+	}
+	if first := len(counters[liar].first); first <= len(lPrime) {
+		t.Fatalf("degenerate test data: first batch of %d pairs over |L′| = %d, the band did not widen", first, len(lPrime))
+	}
+	for i, c := range counters {
+		if len(c.first) > 3*len(lPrime) {
+			t.Errorf("member %d: first batch of %d pairs, want at most %d (three per SNP of L′ = %d)", i, len(c.first), 3*len(lPrime), len(lPrime))
+		}
+	}
+
+	members, _ = newMembers()
+	if _, err := RunAssessment(members, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{}); !blamesLiar(err) {
+		t.Fatalf("RunAssessment: %v, want success or member %d blamed", err, liar)
 	}
 }
 

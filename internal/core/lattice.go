@@ -169,7 +169,8 @@ func walkInOrder(chains []latticeChain, fn func(ch *latticeChain) error) error {
 // released at the Phase-2 boundary (assessmentRun.releasePairs). The pooled
 // statistics of a combination decompose into the reference panel's
 // contribution plus one contribution per presumed-honest member, so an entry
-// holds the reference contribution with the panel's own LD decision (the
+// holds the reference contribution with the panel's LD decision across the
+// pooled sizes from the panel's to the full membership's (bandDecision, the
 // predictor) and one validated contribution per member with a have bit; a
 // pooled query from any combination of any chain is a lookup plus at most k
 // integer adds.
@@ -183,6 +184,7 @@ func walkInOrder(chains []latticeChain, fn func(ch *latticeChain) error) error {
 // concurrently in between only read it (phase2LD).
 type pairTable struct {
 	g        int
+	fullN    int64            // the full membership's pooled size, the band's top
 	bySecond []int32          // index+1 of the first entry per second column, 0 for none
 	more     map[uint64]int32 // index of each further entry sharing a second column
 	entries  []pairEntry
@@ -191,7 +193,8 @@ type pairTable struct {
 
 type pairEntry struct {
 	a         int32
-	dependent bool // the LD decision on the reference panel alone
+	dependent bool // the panel's LD decision at its own size
+	open      bool // whether that decision flips by the full membership's size
 	ref       genome.PairStats
 }
 
@@ -200,8 +203,8 @@ type memberPair struct {
 	have bool
 }
 
-func newPairTable(cols, g int) *pairTable {
-	return &pairTable{g: g, bySecond: make([]int32, cols)}
+func newPairTable(cols, g int, fullN int64) *pairTable {
+	return &pairTable{g: g, fullN: fullN, bySecond: make([]int32, cols)}
 }
 
 // lookup returns the index of the entry for the pair (a, b).
@@ -215,9 +218,10 @@ func (t *pairTable) lookup(a, b int) (int, bool) {
 
 // add stores a new entry with no member contribution yet and returns its
 // index.
-func (t *pairTable) add(a, b int, ref genome.PairStats, dependent bool) int {
+func (t *pairTable) add(a, b int, ref genome.PairStats, cutoff float64) int {
 	k := len(t.entries)
-	t.entries = append(t.entries, pairEntry{a: int32(a), dependent: dependent, ref: ref})
+	dependent, open := bandDecision(ref, t.fullN, cutoff)
+	t.entries = append(t.entries, pairEntry{a: int32(a), dependent: dependent, open: open, ref: ref})
 	t.members = append(t.members, make([]memberPair, t.g)...)
 	if t.bySecond[b] == 0 {
 		t.bySecond[b] = int32(k + 1)
@@ -228,6 +232,16 @@ func (t *pairTable) add(a, b int, ref genome.PairStats, dependent bool) int {
 		t.more[pairKey(a, b)] = int32(k)
 	}
 	return k
+}
+
+// predict is the predictor over the table as it stands: a pair without an
+// entry is settled independent.
+func (t *pairTable) predict(a, b int) (dependent, open bool) {
+	k, ok := t.lookup(a, b)
+	if !ok {
+		return false, false
+	}
+	return t.entries[k].dependent, t.entries[k].open
 }
 
 // member returns member i's contribution slot in entry k.

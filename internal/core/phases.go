@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"gendpr/internal/genome"
 	"gendpr/internal/lrtest"
@@ -63,12 +64,11 @@ func AssociationPValues(caseCounts []int64, caseN int64, refCounts []int64, refN
 // the call — the scan reuses the buffer between announcements.
 type PairBatchFunc func(pairs [][2]int) error
 
-// PairPredictor guesses whether the LD scan will find a pair dependent, from
-// data the caller holds before any pooled statistics exist (the assessment
-// driver uses the reference panel alone). A wrong guess costs a round trip,
-// never a decision: LDPhaseBatch decides every pair on its exact pooled
-// statistics.
-type PairPredictor func(a, b int) bool
+// PairPredictor classifies a pair before any pooled statistics exist (the
+// assessment driver: bandDecision on the reference panel). A settled pair is
+// predicted dependent or not; an open one could go either way, and both
+// branches are announced. A wrong guess costs a round trip, never a decision.
+type PairPredictor func(a, b int) (dependent, open bool)
 
 // LDPhase is Phase 2: a greedy scan over the retained SNPs in positional
 // order. The current survivor is tested against the next SNP using pooled
@@ -99,30 +99,26 @@ func LDPhase(retained []int, pool PairStatsFunc, assocPValues []float64, cutoff 
 	return append(out, current), nil
 }
 
-// LDPhaseBatch is LDPhase fetching along a predicted path. The scan's state
-// is (survivor, position) and the position advances by one per step, so a
-// path is one survivor per position: path[i] is the survivor whose pair with
-// retained[i] has been announced, −1 for none. Before the scan examines a
-// pair that is not on its path it predicts its own way forward from where it
-// stands (extendLDPath) and announces exactly that stretch through prefetch;
-// with an exact predictor that is one announcement of exactly the pairs the
-// scan examines. announced is a path the caller has already had fetched
-// (predictLDPath), nil for none; it is copied, so concurrent scans can share
-// one. Every decision is taken on pool's exact statistics: the result is
-// LDPhase's whatever the predictor says.
-func LDPhaseBatch(retained []int, pool PairStatsFunc, predict PairPredictor, prefetch PairBatchFunc, announced []int, assocPValues []float64, cutoff float64) ([]int, error) {
+// LDPhaseBatch is LDPhase fetching along predicted states (survivor,
+// position). Before the scan examines a pair from a state not yet announced,
+// it expands the predictor's closure from there (ldStates.expand) and
+// announces the new states' pairs through prefetch: with an exact, settled
+// predictor, one announcement of exactly the pairs examined. announced is a
+// closure the caller has had fetched (ldClosure), zero for none; the scan
+// only reads it, so concurrent scans share one. Every decision is taken on
+// pool's exact statistics: the result is LDPhase's whatever the predictor says.
+func LDPhaseBatch(retained []int, pool PairStatsFunc, predict PairPredictor, prefetch PairBatchFunc, announced ldStates, assocPValues []float64, cutoff float64) ([]int, error) {
 	if len(retained) == 0 {
 		return []int{}, nil
 	}
-	path := newLDPath(len(retained))
-	copy(path, announced)
+	var own ldStates
 	var pairs [][2]int
 	out := make([]int, 0, len(retained))
 	current := retained[0]
 	for idx := 1; idx < len(retained); idx++ {
 		next := retained[idx]
-		if path[idx] != current {
-			pairs = extendLDPath(path, retained, predict, assocPValues, idx, current, pairs[:0])
+		if !announced.has(idx, current) && !own.has(idx, current) {
+			pairs = own.expand(announced, retained, predict, assocPValues, idx, current, pairs[:0])
 			if err := prefetch(pairs); err != nil {
 				return nil, fmt.Errorf("core: pair prefetch: %w", err)
 			}
@@ -141,40 +137,81 @@ func LDPhaseBatch(retained []int, pool PairStatsFunc, predict PairPredictor, pre
 	return append(out, current), nil
 }
 
-// newLDPath returns a path over n retained SNPs with nothing announced.
-func newLDPath(n int) []int {
-	path := make([]int, n)
-	for i := range path {
-		path[i] = -1
-	}
-	return path
+// ldStates is a set of scan states: at[idx] lists the survivors at position
+// idx, one in the common case — only open pairs make more — and n counts
+// them. The zero value is empty.
+type ldStates struct {
+	at [][]int
+	n  int
 }
 
-// predictLDPath runs the scan over retained on the predictor alone and
-// returns its path together with the pairs it examined, in scan order.
-func predictLDPath(retained []int, predict PairPredictor, assocPValues []float64) ([]int, [][2]int) {
-	path := newLDPath(len(retained))
+func (s ldStates) has(idx, survivor int) bool {
+	return s.at != nil && slices.Contains(s.at[idx], survivor)
+}
+
+// ldClosure runs the scan on the predictor alone, down both branches of open
+// pairs (within expand's bound), and returns the states and their pairs.
+func ldClosure(retained []int, predict PairPredictor, assocPValues []float64) (ldStates, [][2]int) {
+	states := ldStates{at: make([][]int, len(retained))}
 	if len(retained) < 2 {
-		return path, nil
+		return states, nil
 	}
-	return path, extendLDPath(path, retained, predict, assocPValues, 1, retained[0], make([][2]int, 0, len(retained)-1))
+	pairs := states.expand(ldStates{}, retained, predict, assocPValues, 1, retained[0], make([][2]int, 0, len(retained)-1))
+	return states, pairs
 }
 
-// extendLDPath predicts the scan onward from (current, idx) until it meets
-// the path — from where the same predictor would only retrace it — or the
-// list ends; it records the stretch in path and appends its pairs to pairs.
-func extendLDPath(path, retained []int, predict PairPredictor, assocPValues []float64, idx, current int, pairs [][2]int) [][2]int {
-	for ; idx < len(retained) && path[idx] != current; idx++ {
-		next := retained[idx]
-		path[idx] = current
-		pairs = append(pairs, [2]int{current, next})
-		if predict(current, next) {
-			current = mostRanked(current, next, assocPValues)
-		} else {
-			current = next
+// expand adds to s the states reachable on the predictor from (current, idx)
+// that neither s nor known holds, and appends their pairs to pairs. From each
+// new state it follows the panel-size branch up to a held state, so s and
+// known stay closed under it and hold the panel's single path from (current,
+// idx). An open pair's other branch is queued, and followed only while s holds
+// fewer than two states per position: whatever sizes members claim, s grows
+// past that by single paths alone.
+func (s *ldStates) expand(known ldStates, retained []int, predict PairPredictor, assocPValues []float64, idx, current int, pairs [][2]int) [][2]int {
+	if s.at == nil {
+		s.at = make([][]int, len(retained))
+	}
+	branches := [][2]int{{idx, current}}
+	for len(branches) > 0 {
+		b := branches[len(branches)-1]
+		branches = branches[:len(branches)-1]
+		for idx, cur := b[0], b[1]; idx < len(retained) && !known.has(idx, cur) && !s.has(idx, cur); idx++ {
+			next := retained[idx]
+			s.at[idx] = append(s.at[idx], cur)
+			s.n++
+			pairs = append(pairs, [2]int{cur, next})
+			dependent, open := predict(cur, next)
+			kept, other := next, mostRanked(cur, next, assocPValues)
+			if dependent {
+				kept, other = other, kept
+			}
+			if open && other != kept {
+				branches = append(branches, [2]int{idx + 1, other})
+			}
+			cur = kept
+		}
+		if s.n >= 2*len(retained) {
+			break
 		}
 	}
 	return pairs
+}
+
+// bandDecision is the panel's LD decision on a pair at every pooled size from
+// its own, s.N, to fullN: ldDependent's at s.N, settled if it holds at fullN
+// too (N·r² grows with N), open if it flips. A pair ldDependent cannot decide
+// is settled independent.
+func bandDecision(s genome.PairStats, fullN int64, cutoff float64) (dependent, open bool) {
+	dependent, err := ldDependent(s, cutoff)
+	if err != nil {
+		return false, false
+	}
+	r2, err := stats.R2FromStatsChecked(s)
+	if err != nil {
+		return dependent, false
+	}
+	p, err := stats.ChiSquareSurvival(float64(fullN)*r2, 1)
+	return dependent, err == nil && (p < cutoff) != dependent
 }
 
 // pairDependent is the scan's decision on one pair: whether the independence

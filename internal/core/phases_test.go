@@ -155,20 +155,25 @@ func TestLDPhaseSmallInputs(t *testing.T) {
 	}
 }
 
-// scriptedPredictor is the exact predictor for scriptedPairs' table.
+// scriptedPredictor is the exact predictor for scriptedPairs' table, every
+// pair settled.
 func scriptedPredictor(dependent map[[2]int]bool) PairPredictor {
-	return func(a, b int) bool { return dependent[[2]int{a, b}] || dependent[[2]int{b, a}] }
+	return settled(func(a, b int) bool { return dependent[[2]int{a, b}] || dependent[[2]int{b, a}] })
+}
+
+// settled turns a decider into a predictor that calls no pair open.
+func settled(decide func(a, b int) bool) PairPredictor {
+	return func(a, b int) (bool, bool) { return decide(a, b), false }
 }
 
 // recordedScan runs LDPhaseBatch and returns its result with the pairs the
 // scan examined (pool calls, in order) and the announcements it made.
-func recordedScan(t *testing.T, retained []int, pool PairStatsFunc, predict PairPredictor, announced []int, pvals []float64, cutoff float64) (out []int, examined [][2]int, announcements [][][2]int) {
+// announced is a shared closure handed in as already fetched, with its pairs.
+func recordedScan(t *testing.T, retained []int, pool PairStatsFunc, predict PairPredictor, announced ldStates, announcedPairs [][2]int, pvals []float64, cutoff float64) (out []int, examined [][2]int, announcements [][][2]int) {
 	t.Helper()
 	fetched := map[[2]int]bool{}
-	for i, cur := range announced {
-		if cur >= 0 {
-			fetched[[2]int{cur, retained[i]}] = true
-		}
+	for _, p := range announcedPairs {
+		fetched[p] = true
 	}
 	recording := func(a, b int) (genome.PairStats, error) {
 		if !fetched[[2]int{a, b}] {
@@ -215,7 +220,7 @@ func TestLDPhaseBatchAnnouncesExactlyThePredictedPath(t *testing.T) {
 	path := [][2]int{{1, 2}, {1, 3}, {1, 4}, {1, 5}, {5, 6}}
 
 	// An exact predictor: one announcement, of exactly the examined pairs.
-	got, examined, announcements := recordedScan(t, retained, pool, scriptedPredictor(dep), nil, pvals, 1e-5)
+	got, examined, announcements := recordedScan(t, retained, pool, scriptedPredictor(dep), ldStates{}, nil, pvals, 1e-5)
 	if !equalInts(got, []int{1, 5, 6}) {
 		t.Fatalf("got %v, want [1 5 6]", got)
 	}
@@ -226,15 +231,15 @@ func TestLDPhaseBatchAnnouncesExactlyThePredictedPath(t *testing.T) {
 		t.Fatalf("announced %v, want one announcement of %v", announcements, path)
 	}
 
-	// The same path handed in as already announced: nothing left to announce.
-	announced, pairs := predictLDPath(retained, scriptedPredictor(dep), pvals)
+	// The same closure handed in as already announced: nothing left to
+	// announce, and the shared closure is not written.
+	announced, pairs := ldClosure(retained, scriptedPredictor(dep), pvals)
 	if !equalPairs(pairs, path) {
 		t.Fatalf("predicted pairs %v, want %v", pairs, path)
 	}
-	before := append([]int(nil), announced...)
-	got, _, announcements = recordedScan(t, retained, pool, scriptedPredictor(dep), announced, pvals, 1e-5)
+	got, _, announcements = recordedScan(t, retained, pool, scriptedPredictor(dep), announced, pairs, pvals, 1e-5)
 	if !equalInts(got, []int{1, 5, 6}) || len(announcements) != 0 {
-		t.Fatalf("pre-announced path: got %v with announcements %v, want [1 5 6] and none", got, announcements)
+		t.Fatalf("pre-announced closure: got %v with announcements %v, want [1 5 6] and none", got, announcements)
 	}
 
 	// A predictor that misses (1,3): the prediction runs 1,2 → 1,3 → 3,4 → 4,5
@@ -242,29 +247,70 @@ func TestLDPhaseBatchAnnouncesExactlyThePredictedPath(t *testing.T) {
 	// only the stretch up to where its own prediction meets the path again —
 	// (1,4), (1,5), then survivor 5 at position 5 is already on it.
 	miss := map[[2]int]bool{{1, 2}: true, {1, 4}: true}
-	got, _, announcements = recordedScan(t, retained, pool, scriptedPredictor(miss), nil, pvals, 1e-5)
-	want := [][][2]int{{{1, 2}, {1, 3}, {3, 4}, {4, 5}, {5, 6}}, {{1, 4}, {1, 5}}}
+	missPath := [][2]int{{1, 2}, {1, 3}, {3, 4}, {4, 5}, {5, 6}}
+	detour := [][2]int{{1, 4}, {1, 5}}
+	got, _, announcements = recordedScan(t, retained, pool, scriptedPredictor(miss), ldStates{}, nil, pvals, 1e-5)
+	want := [][][2]int{missPath, detour}
 	if !equalInts(got, []int{1, 5, 6}) {
 		t.Fatalf("got %v, want [1 5 6]", got)
 	}
 	if len(announcements) != len(want) || !equalPairs(announcements[0], want[0]) || !equalPairs(announcements[1], want[1]) {
 		t.Fatalf("announced %v, want %v", announcements, want)
 	}
-	if !equalInts(announced, before) {
-		t.Fatalf("the caller's announced path was written: %v, was %v", announced, before)
+
+	// The same miss from the shared closure of that predictor: the closure is
+	// its path, and the scan announces the same detour, stopping at the shared
+	// state; the shared closure is not written.
+	shared, sharedPairs := ldClosure(retained, scriptedPredictor(miss), pvals)
+	if !equalPairs(sharedPairs, missPath) {
+		t.Fatalf("shared closure %v, want %v", sharedPairs, missPath)
+	}
+	before := fmt.Sprint(shared)
+	got, _, announcements = recordedScan(t, retained, pool, scriptedPredictor(miss), shared, sharedPairs, pvals, 1e-5)
+	if !equalInts(got, []int{1, 5, 6}) {
+		t.Fatalf("got %v, want [1 5 6]", got)
+	}
+	if len(announcements) != 1 || !equalPairs(announcements[0], detour) {
+		t.Fatalf("announced %v, want one detour %v", announcements, detour)
+	}
+	if fmt.Sprint(shared) != before {
+		t.Fatalf("the caller's announced closure was written: %v, was %v", shared, before)
+	}
+
+	// The same predictor with (1,3) open: the closure follows the panel's
+	// branch to the end, then the other branch of (1,3) — survivor 1 at
+	// position 3 — until it meets survivor 5 at position 5. It holds every
+	// pair the scan examines, so it is the only announcement.
+	open := func(a, b int) (bool, bool) {
+		dependent, _ := scriptedPredictor(miss)(a, b)
+		return dependent, a == 1 && b == 3
+	}
+	_, pairs = ldClosure(retained, open, pvals)
+	openPairs := append(append([][2]int(nil), missPath...), detour...)
+	if !equalPairs(pairs, openPairs) {
+		t.Fatalf("open closure %v, want %v", pairs, openPairs)
+	}
+	got, examined, announcements = recordedScan(t, retained, pool, open, ldStates{}, nil, pvals, 1e-5)
+	if !equalInts(got, []int{1, 5, 6}) || !equalPairs(examined, path) {
+		t.Fatalf("open: got %v examining %v, want [1 5 6] examining %v", got, examined, path)
+	}
+	if len(announcements) != 1 || !equalPairs(announcements[0], openPairs) {
+		t.Fatalf("open: announced %v, want one announcement of %v", announcements, openPairs)
 	}
 }
 
-// TestLDPhaseBatchMatchesLDPhaseUnderAnyPredictor is the differential test of
-// the predicted scan: whatever the predictor answers, LDPhaseBatch returns
-// LDPhase's list, examines LDPhase's pairs, and never examines a pair it has
-// not announced (recordedScan checks that).
+// TestLDPhaseBatchMatchesLDPhaseUnderAnyPredictor is the protocol law "a
+// wrong LD predictor changes message counts but never L″": whatever the
+// predictor decides, and whether it calls every pair open or none,
+// LDPhaseBatch returns LDPhase's list, examines LDPhase's pairs, and never
+// examines a pair it has not announced (recordedScan checks that).
 func TestLDPhaseBatchMatchesLDPhaseUnderAnyPredictor(t *testing.T) {
 	type scan struct {
 		name     string
 		retained []int
 		pool     PairStatsFunc
-		exact    PairPredictor
+		exact    func(a, b int) bool
+		band     PairPredictor // the assessment's predictor, where there is a panel
 		pvals    []float64
 		cutoff   float64
 	}
@@ -291,11 +337,12 @@ func TestLDPhaseBatchMatchesLDPhaseUnderAnyPredictor(t *testing.T) {
 		for i := range pvals {
 			pvals[i] = float64(rng.Intn(4)) / 4 // ties on purpose
 		}
-		scans = append(scans, scan{fmt.Sprintf("scripted/%d", seed), retained, scriptedPairs(1000, dep), scriptedPredictor(dep), pvals, 1e-5})
+		exact := func(a, b int) bool { return dep[[2]int{a, b}] || dep[[2]int{b, a}] }
+		scans = append(scans, scan{fmt.Sprintf("scripted/%d", seed), retained, scriptedPairs(1000, dep), exact, nil, pvals, 1e-5})
 	}
 
 	// Seeded cohorts: the pooled statistics of case plus reference genomes,
-	// with the reference panel alone as the "exact" predictor's stand-in.
+	// with the reference panel alone as the "exact" decider's stand-in.
 	for _, seed := range []int64{17, 23, 42} {
 		cohort := testCohort(t, 200, 400, seed)
 		cfg := DefaultConfig()
@@ -319,7 +366,8 @@ func TestLDPhaseBatchMatchesLDPhaseUnderAnyPredictor(t *testing.T) {
 			dependent, err := ldDependent(refPair(a, b), cfg.LDCutoff)
 			return err == nil && dependent
 		}
-		scans = append(scans, scan{fmt.Sprintf("cohort/%d", seed), retained, pool, onReference, pvals, cfg.LDCutoff})
+		band := func(a, b int) (bool, bool) { return bandDecision(refPair(a, b), refN+caseN, cfg.LDCutoff) }
+		scans = append(scans, scan{fmt.Sprintf("cohort/%d", seed), retained, pool, onReference, band, pvals, cfg.LDCutoff})
 	}
 
 	for _, sc := range scans {
@@ -332,19 +380,32 @@ func TestLDPhaseBatchMatchesLDPhaseUnderAnyPredictor(t *testing.T) {
 			t.Fatalf("%s: LDPhase: %v", sc.name, err)
 		}
 		rng := rand.New(rand.NewSource(99))
-		predictors := map[string]PairPredictor{
+		deciders := map[string]func(a, b int) bool{
 			"exact":              sc.exact,
 			"always-dependent":   func(a, b int) bool { return true },
 			"always-independent": func(a, b int) bool { return false },
 			"inverted":           func(a, b int) bool { return !sc.exact(a, b) },
 			"random":             func(a, b int) bool { return rng.Intn(2) == 0 },
 		}
-		// Both from scratch and from a path some other predictor had
+		predictors := map[string]PairPredictor{}
+		for name, decide := range deciders {
+			predictors[name+"/none-open"] = settled(decide)
+			predictors[name+"/all-open"] = func(a, b int) (bool, bool) { return decide(a, b), true }
+		}
+		if sc.band != nil {
+			predictors["band"] = sc.band
+		}
+		// Both from scratch and from a closure some other predictor had
 		// announced, as the collusion combinations share one.
-		shared, _ := predictLDPath(sc.retained, sc.exact, sc.pvals)
+		shared, sharedPairs := ldClosure(sc.retained, settled(sc.exact), sc.pvals)
 		for name, predict := range predictors {
-			for _, announced := range [][]int{nil, shared} {
-				got, examined, _ := recordedScan(t, sc.retained, sc.pool, predict, announced, sc.pvals, sc.cutoff)
+			for _, pre := range []bool{false, true} {
+				var announced ldStates
+				var announcedPairs [][2]int
+				if pre {
+					announced, announcedPairs = shared, sharedPairs
+				}
+				got, examined, _ := recordedScan(t, sc.retained, sc.pool, predict, announced, announcedPairs, sc.pvals, sc.cutoff)
 				if !equalInts(got, want) {
 					t.Errorf("%s/%s: got %v, LDPhase %v", sc.name, name, got, want)
 				}
@@ -362,7 +423,7 @@ func TestLDPhaseBatchPropagatesPrefetchErrors(t *testing.T) {
 	pvals := []float64{0, 0.01, 0.5, 0.6}
 	wantErr := errors.New("member offline")
 	prefetch := func([][2]int) error { return wantErr }
-	if _, err := LDPhaseBatch(retained, scriptedPairs(1000, dep), scriptedPredictor(dep), prefetch, nil, pvals, 1e-5); !errors.Is(err, wantErr) {
+	if _, err := LDPhaseBatch(retained, scriptedPairs(1000, dep), scriptedPredictor(dep), prefetch, ldStates{}, pvals, 1e-5); !errors.Is(err, wantErr) {
 		t.Fatalf("got %v, want prefetch error", err)
 	}
 }
@@ -532,14 +593,16 @@ func TestCollusionPolicyValidate(t *testing.T) {
 }
 
 // BenchmarkLDPhase prices one Phase 2 as the assessment driver runs it — the
-// prediction on the reference panel, the batched fetches from in-process
-// members with an empty pair table, and the exact scans — at fed3_base's
-// shape and at a tenth of it (check.sh's smoke): three members without
-// collusion, and (_g5) fed5_collusion's five members under the conservative
-// policy, 31 combinations whose collusion chains run on GOMAXPROCS workers.
-// announcements/op and pairs-announced/op are what the first member is
-// asked: over a network the first is round trips and the second sets the
-// bytes.
+// closure over the reference panel's band of pooled sizes, the batched
+// fetches from in-process members with an empty pair table, and the exact
+// scans — at fed3_base's shape and at a tenth of it (check.sh's smoke): three
+// members without collusion, and (_g5) fed5_collusion's five members under
+// the conservative policy, 31 combinations whose collusion chains run on
+// GOMAXPROCS workers. announcements/op and pairs-announced/op are what the
+// first member is asked: over a network the first is round trips and the
+// second sets the bytes. At full size both read 1 announcement, of 4,592
+// pairs (G=3) and 4,447 (_g5); the single-path predictor before the closure
+// needed 11 announcements for the same pairs.
 func BenchmarkLDPhase(b *testing.B) {
 	for _, shape := range []struct{ snps, genomes int }{{10000, 14860}, {1000, 1486}} {
 		for _, fed := range []struct {
@@ -559,15 +622,8 @@ func BenchmarkLDPhase(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					run := &assessmentRun{cfg: DefaultConfig(), ref: cohort.Reference, report: &Report{}, pool: pool}
-					asked = &countingBatchMember{LocalMember: NewLocalMember(shards[0])}
-					run.members = []*cachedProvider{newCachedProvider(asked)}
-					for _, shard := range shards[1:] {
-						run.members = append(run.members, newCachedProvider(NewLocalMember(shard)))
-					}
-					if err := run.collectSummaries(); err != nil {
-						b.Fatal(err)
-					}
+					run, counters := newPhase2Run(b, cohort.Reference, shards, pool)
+					asked = counters[0]
 					lPrime, _, err := run.phase1MAF(plan)
 					if err != nil {
 						b.Fatal(err)

@@ -672,7 +672,7 @@ func (r *remoteProvider) LRPattern(cols []int) (*lrtest.BitMatrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := lrtest.DecodePatternWire(payload)
+	p, err := lrtest.DecodePatternWireCols(payload, len(cols))
 	if err != nil {
 		return nil, fmt.Errorf("federation: member %s genotype pattern: %w", r.name, err)
 	}

@@ -1,6 +1,7 @@
 package lrtest
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -117,5 +118,47 @@ func TestDecodeZeroColumnsIsConstantTime(t *testing.T) {
 	putUint64(pattern[9:], 1<<30)
 	if _, err := DecodePatternWire(pattern); err == nil {
 		t.Error("17-byte pattern stating 2³⁰ × 2³⁰ cells accepted")
+	}
+}
+
+// TestDecodePatternWireColsBeforeAllocating is the regression test of the
+// zero-row pattern reply: 17 bytes stating 0 rows × 2³⁰ columns carry no bit
+// words, so they pass the size check, and a decoder taking the count from the
+// payload allocates two 2³⁰-entry representative slices (16 GiB). Decoded
+// against the count the leader asked for, the reply fails before any
+// allocation; a reply of the asked-for shape still decodes.
+func TestDecodePatternWireColsBeforeAllocating(t *testing.T) {
+	pattern := make([]byte, 17)
+	pattern[0] = wirePatternTag
+	putUint64(pattern[9:], 1<<30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := DecodePatternWireCols(pattern, 3)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("0 × 2³⁰ pattern accepted for a 3-column request: %d×%d", m.Rows(), m.Cols())
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("rejecting the reply allocated %d bytes", n)
+	}
+
+	pat, err := BuildBitPattern(newPatGenotypes(9, 3, 51))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := pat.EncodePatternWire()
+	if _, err := DecodePatternWireCols(enc, 2); err == nil {
+		t.Error("3-column pattern accepted for a 2-column request")
+	}
+	if _, err := DecodePatternWireCols(enc, -1); err == nil {
+		t.Error("a negative column count accepted the payload's")
+	}
+	dec, err := DecodePatternWireCols(enc, 3)
+	if err != nil || !dec.Equal(pat) {
+		t.Fatalf("3-column pattern for a 3-column request: %v", err)
+	}
+	zero := NewBitMatrix(0, 3).EncodePatternWire()
+	if dec, err := DecodePatternWireCols(zero, 3); err != nil || dec.Rows() != 0 || dec.Cols() != 3 {
+		t.Fatalf("a member without cases: %v", err)
 	}
 }

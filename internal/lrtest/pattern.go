@@ -252,8 +252,25 @@ func (m *BitMatrix) EncodePatternWire() []byte {
 
 // DecodePatternWire decodes an EncodePatternWire payload back into a
 // genotype bit-pattern, validating the shape and masking column tail bits so
-// the column invariant holds regardless of the sender.
-func DecodePatternWire(b []byte) (*BitMatrix, error) {
+// the column invariant holds regardless of the sender. It takes the column
+// count from the payload, and a zero-row payload can state any count for 17
+// bytes, so it is only for payloads the caller encoded itself; a reply from a
+// peer goes through DecodePatternWireCols.
+func DecodePatternWire(b []byte) (*BitMatrix, error) { return decodePattern(b, -1) }
+
+// DecodePatternWireCols is DecodePatternWire for a reply to a request of cols
+// columns: a payload stating any other count is rejected before anything is
+// allocated for it.
+func DecodePatternWireCols(b []byte, cols int) (*BitMatrix, error) {
+	if cols < 0 {
+		return nil, fmt.Errorf("lrtest: negative pattern column count %d", cols)
+	}
+	return decodePattern(b, cols)
+}
+
+// decodePattern decodes a pattern payload; a negative wantCols takes the
+// payload's column count.
+func decodePattern(b []byte, wantCols int) (*BitMatrix, error) {
 	if len(b) == 0 {
 		return nil, errors.New("lrtest: empty pattern encoding")
 	}
@@ -268,6 +285,9 @@ func DecodePatternWire(b []byte) (*BitMatrix, error) {
 	cols := int(getUint64(b[8:16]))
 	if rows < 0 || cols < 0 || rows > 1<<30 || cols > 1<<30 {
 		return nil, errors.New("lrtest: pattern encoding has implausible shape")
+	}
+	if wantCols >= 0 && cols != wantCols {
+		return nil, fmt.Errorf("lrtest: pattern encoding has %d columns, want %d", cols, wantCols)
 	}
 	// Size check before allocating: the stated shape must match the payload.
 	want := 16 + 8*cols*((rows+63)/64)

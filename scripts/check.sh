@@ -135,9 +135,11 @@ echo "== concurrent Phase 3 and pair lifetime (race, 10 runs) =="
 # assessment on one worker and on four must agree on selections, checkpoint
 # saves, combination records, each member's pair requests and wire messages,
 # and the LD pair statistics must leave the enclave and the snapshots at the
-# Phase-2 boundary. Repeated under the race detector because the chains reach
-# the shared pair table, accounting, timings and checkpoint state.
-go test -race -count=10 -run '^(TestPhase3ScheduleDeterministic|TestLatticeResumeConservativeConcurrent|TestPairBytesReleasedAtPhase2Boundary|TestResumeAtLDAsksNoPairs)$' ./internal/core/
+# Phase-2 boundary; over a sweep of cohorts, federation sizes and policies no
+# member may answer more pair batches than under the single-path predictor.
+# Repeated under the race detector because the chains reach the shared pair
+# table, accounting, timings and checkpoint state.
+go test -race -count=10 -run '^(TestPhase3ScheduleDeterministic|TestLatticeResumeConservativeConcurrent|TestPairBytesReleasedAtPhase2Boundary|TestResumeAtLDAsksNoPairs|TestPhase2NeverMoreRoundsThanSinglePath)$' ./internal/core/
 go test -race -count=10 -run '^TestFederationConservativeMessageCount$' ./internal/federation/
 
 echo "== checkpoint log: crash consistency and resume (race, 5 runs) =="
