@@ -31,10 +31,13 @@ import (
 // One dispatch refinement keeps the decorator pattern quiet: along any one
 // call path, an interface dispatch never resolves to a receiver type already
 // active on that path. A type delegating to an interface field of its own
-// kind (SecureConn wrapping Conn, cachedProvider wrapping Provider) would
-// have to be nested inside itself — possibly through a chain of other
+// kind (SecureConn, Fault and meteredConn wrapping transport.Conn;
+// ByzantineProvider and the benchmark's timedProvider wrapping core.Provider)
+// would have to be nested inside itself — possibly through a chain of other
 // decorators — for that resolution to be real, and class-level identity
-// would then report every lock it holds as a self-deadlock. The may-acquire
+// would then report every lock it holds as a self-deadlock. (core's member
+// cache, cachedProvider, is not a Provider, so the type system already rules
+// out nesting it.) The may-acquire
 // walk therefore carries the set of receiver types on the path and skips
 // interface edges that would re-enter one; static calls are never skipped.
 func NewLockOrder(scopes []Scope) *Analyzer {

@@ -407,7 +407,14 @@ func (fa *funcAnalysis) setObj(obj types.Object, t taintVal) {
 
 // walk processes every statement-level construct that moves taint and
 // evaluates every call for its side effects (sinks, field writes).
-func (fa *funcAnalysis) walk(body *ast.BlockStmt) {
+func (fa *funcAnalysis) walk(body *ast.BlockStmt) { fa.walkBody(body, false) }
+
+// walkBody is walk over one body. inLit is set inside a function literal,
+// whose returns leave the literal, not the function: they reach the
+// literal's callers through litReturns and never the function's results.
+// Their expressions are still evaluated, for the sinks and field writes in
+// them.
+func (fa *funcAnalysis) walkBody(body *ast.BlockStmt, inLit bool) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.AssignStmt:
@@ -432,7 +439,13 @@ func (fa *funcAnalysis) walk(body *ast.BlockStmt) {
 				fa.assignLHS(s.Value, t)
 			}
 		case *ast.ReturnStmt:
-			fa.returnStmt(s)
+			if !inLit {
+				fa.returnStmt(s)
+				break
+			}
+			for _, r := range s.Results {
+				fa.eval(r)
+			}
 		case *ast.CallExpr:
 			fa.eval(s)
 		case *ast.IfStmt:
@@ -452,8 +465,10 @@ func (fa *funcAnalysis) walk(body *ast.BlockStmt) {
 			fa.selectStmt(s)
 		case *ast.FuncLit:
 			// The literal's parameters participate in the shared
-			// environment; its body is walked by this same Inspect.
+			// environment.
 			fa.litReturns[s] = collectReturns(s)
+			fa.walkBody(s.Body, true)
+			return false
 		}
 		return true
 	})

@@ -65,3 +65,31 @@ func persistDeclaredKernel() {
 	g := loadGenomes()
 	saveState(sumKernel(g))
 }
+
+// A return inside a function literal leaves the literal, not the function
+// around it: header's result is a constant however per-individual its
+// closure's result is, so persisting it is no finding.
+func header() []byte {
+	g := loadGenomes()
+	row := func() []byte { return g.rows[0] }
+	_ = row
+	return []byte("GDPR")
+}
+
+func persistHeader() {
+	saveState(header())
+}
+
+// The calls in a literal's returns are still evaluated: a sink reached from
+// one is a finding.
+func persistInClosure() func() int {
+	g := loadGenomes()
+	return func() int {
+		return saveAndCount(g.rows[0]) // want "per-individual data reaches a checkpoint"
+	}
+}
+
+func saveAndCount(b []byte) int {
+	saveState(b)
+	return len(b)
+}

@@ -1,11 +1,13 @@
 // Package checkpoint persists assessment progress at phase boundaries so a
 // re-elected leader (or a restarted one) can resume a partially completed
 // GenDPR run instead of recomputing every phase from zero. A checkpoint is a
-// State: the provider roster it was taken over, the collected summary
-// statistics, the selections surviving each completed phase, and the
-// per-combination Phase 3 results (including the canonical admission order of
-// the full-membership combination, which anchors every other combination on
-// resume).
+// State: what a resume cannot recompute and nothing else. That is the
+// provider roster it was taken over, the collected summary statistics, the
+// per-combination L″ of Phase 2, and the per-combination Phase 3 results
+// (including the canonical admission order of the full-membership
+// combination, which anchors every other combination on resume). Phase 1's
+// outputs are not in it: they are a pure function of the summaries and the
+// public reference panel, and a resuming leader recomputes them.
 //
 // A State is stored as a base record plus zero or more log frames. The base
 // is a versioned, length-prefixed, CRC-guarded envelope over the project's
@@ -34,10 +36,12 @@ import (
 // Version 2 replaced the full-membership combination's wire-encoded merged
 // LR-matrix (per-individual data) with the derived admission order. Version 3
 // dropped the per-provider pair statistics the LD scan aggregated: a resume
-// at StageLD skips Phase 2 entirely, so no resume ever read them. Records may
+// at StageLD skips Phase 2 entirely, so no resume ever read them. Version 4
+// dropped L′, the per-combination L′ and L″: a resume recomputes Phase 1 from
+// the counts and intersects L″ from the per-combination L″. Records may
 // carry a trailing blame section (absent in records written before it
 // existed); decoders treat a missing section as empty.
-const Version = 3
+const Version = 4
 
 // magic identifies a checkpoint record; anything else is not even parsed.
 const magic = "GDPRCKPT"
@@ -61,9 +65,10 @@ type Stage uint8
 const (
 	// StageNone means only the collected summaries are recorded.
 	StageNone Stage = iota
-	// StageMAF means Phase 1 is complete: LPrime and PerMAF are valid.
+	// StageMAF means Phase 1 is complete. Its outputs are not recorded: a
+	// resume recomputes them from Counts and CaseNs.
 	StageMAF
-	// StageLD means Phase 2 is complete: LDouble and PerLD are valid.
+	// StageLD means Phase 2 is complete: PerLD is valid.
 	StageLD
 )
 
@@ -142,12 +147,9 @@ type State struct {
 	CaseNs []int64
 	// Stage is the highest completed phase boundary.
 	Stage Stage
-	// LPrime and PerMAF are the Phase 1 outputs (valid from StageMAF).
-	LPrime []int
-	PerMAF [][]int
-	// LDouble and PerLD are the Phase 2 outputs (valid from StageLD).
-	LDouble []int
-	PerLD   [][]int
+	// PerLD holds each combination's Phase 2 output L″ (valid from
+	// StageLD); the run's L″ is their intersection.
+	PerLD [][]int
 	// Combinations lists the Phase 3 combinations completed so far.
 	Combinations []Combination
 	// Blamed lists the members quarantined for detectably-wrong behavior up
@@ -183,9 +185,6 @@ func Encode(st *State) []byte {
 	}
 	e.Int64s(st.CaseNs)
 	e.Uint64(uint64(st.Stage))
-	e.Ints(st.LPrime)
-	encodePerCombination(e, st.PerMAF)
-	e.Ints(st.LDouble)
 	encodePerCombination(e, st.PerLD)
 	encodeCombinations(e, st.Combinations)
 	e.Uint64(uint64(len(st.Blamed)))
@@ -209,13 +208,6 @@ func Encode(st *State) []byte {
 // fails when the two drift apart.
 func payloadLen(st *State) int {
 	words := func(n int) int { return 8 + 8*n } // a length-prefixed slice of n 8-byte values
-	perCombination := func(per [][]int) int {
-		n := 8
-		for _, sel := range per {
-			n += words(len(sel))
-		}
-		return n
-	}
 	n := words(0) + len(st.Fingerprint)
 	n += 8
 	for _, name := range st.Providers {
@@ -226,9 +218,10 @@ func payloadLen(st *State) int {
 		n += words(len(counts))
 	}
 	n += words(len(st.CaseNs))
-	n += 8 // stage
-	n += words(len(st.LPrime)) + perCombination(st.PerMAF)
-	n += words(len(st.LDouble)) + perCombination(st.PerLD)
+	n += 8 + 8 // stage, PerLD length
+	for _, sel := range st.PerLD {
+		n += words(len(sel))
+	}
 	n += combinationsLen(st.Combinations)
 	n += 8
 	for _, b := range st.Blamed {
@@ -304,7 +297,7 @@ func Decode(b []byte) (*State, error) {
 	d := wire.NewDecoder(payload)
 	st := &State{}
 	st.Fingerprint = append([]byte(nil), d.Blob()...)
-	var ok, okMAF, okLD bool
+	var ok bool
 	if st.Providers, ok = decodeStrings(d); !ok {
 		return nil, fmt.Errorf("%w: provider length", ErrCorrupt)
 	}
@@ -318,11 +311,7 @@ func Decode(b []byte) (*State, error) {
 	}
 	st.CaseNs = d.Int64s()
 	st.Stage = Stage(d.Uint64())
-	st.LPrime = d.Ints()
-	st.PerMAF, okMAF = decodePerCombination(d)
-	st.LDouble = d.Ints()
-	st.PerLD, okLD = decodePerCombination(d)
-	if !okMAF || !okLD {
+	if st.PerLD, ok = decodePerCombination(d); !ok {
 		return nil, fmt.Errorf("%w: per-combination length", ErrCorrupt)
 	}
 	if st.Combinations, ok = decodeCombinations(d); !ok {

@@ -16,9 +16,6 @@ func sampleState() *State {
 		Counts:      [][]int64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}},
 		CaseNs:      []int64{12, 16, 20},
 		Stage:       StageLD,
-		LPrime:      []int{0, 1, 2},
-		PerMAF:      [][]int{{0, 1, 2}, {0, 2}},
-		LDouble:     []int{0, 2},
 		PerLD:       [][]int{{0, 2}, {2}},
 		Combinations: []Combination{
 			{Members: []string{"gdo-0", "gdo-1", "gdo-2"}, Safe: []int{0, 2}, Power: 0.25, Order: []int{1, 2, 0}},
@@ -50,10 +47,12 @@ func blamedState() *State {
 }
 
 // TestEncodeBytesPinned pins the record format. The digests were re-pinned
-// from this encoder when Version 3 dropped the pair-statistics section; each
-// record shrank by exactly that section (the full state's three per-provider
-// lists and two records: 934 → 774 bytes; the zero state's empty count:
-// 120 → 112), and the Version-2 digests before it matched the older
+// from this encoder when Version 4 dropped L′, the per-combination L′ and L″;
+// each record shrank by exactly those three sections (the full state's
+// 3-SNP L′, its two per-combination L′ of 3 and 2 SNPs and its 2-SNP L″:
+// 774 → 654 bytes; the zero state's three empty lengths: 112 → 88). Version 3
+// had dropped the pair-statistics section the same way (934 → 774, 120 →
+// 112), and the Version-2 digests before it matched the older
 // append-and-copy encoder byte for byte.
 func TestEncodeBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
@@ -62,8 +61,8 @@ func TestEncodeBytesPinned(t *testing.T) {
 		length int
 		sha256 string
 	}{
-		{"full", blamedState(), 774, "ca96804b4cbccf99ba597308b6e61b3ff2f3d36ed8ca77e4bb08a6bfab42b4a2"},
-		{"zero", &State{}, 112, "2ed65705da7d448c9bd984a9fe1ca3b1edf87d1b94c84a39f099163aa72e06b5"},
+		{"full", blamedState(), 654, "bd706511f2e000346186b656a1afde063751693c053c054aa4fb752b82776582"},
+		{"zero", &State{}, 88, "3ff023ff32a84297c4f7db5c4aa3d7b2ac9e7018bd95cb374b9ed0213d39366a"},
 	} {
 		b := Encode(tc.st)
 		if got := fmt.Sprintf("%x", sha256.Sum256(b)); len(b) != tc.length || got != tc.sha256 {
@@ -183,7 +182,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	}
 	// A second Save must atomically replace the first.
 	want.Stage = StageMAF
-	want.LDouble, want.PerLD, want.Combinations = nil, nil, nil
+	want.PerLD, want.Combinations = nil, nil
 	if err := s.Save(want); err != nil {
 		t.Fatalf("second Save: %v", err)
 	}

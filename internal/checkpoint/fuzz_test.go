@@ -24,8 +24,6 @@ func FuzzDecode(f *testing.F) {
 		Counts:      [][]int64{{4, 0, 2}, {1, 1, 1}},
 		CaseNs:      []int64{8, 6},
 		Stage:       StageMAF,
-		LPrime:      []int{0, 2},
-		PerMAF:      [][]int{{0, 2}},
 	}))
 	full := Encode(sampleState())
 	f.Add(full)
@@ -162,10 +160,7 @@ func statesEqual(a, b *State) bool {
 	if !int64MatrixEqual(a.Counts, b.Counts) || !int64sEqual(a.CaseNs, b.CaseNs) {
 		return false
 	}
-	if !intsEqual(a.LPrime, b.LPrime) || !intMatrixEqual(a.PerMAF, b.PerMAF) {
-		return false
-	}
-	if !intsEqual(a.LDouble, b.LDouble) || !intMatrixEqual(a.PerLD, b.PerLD) {
+	if !intMatrixEqual(a.PerLD, b.PerLD) {
 		return false
 	}
 	if len(a.Combinations) != len(b.Combinations) {

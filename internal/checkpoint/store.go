@@ -403,11 +403,14 @@ func (s *FileStore) syncDir() error {
 // its log (renamed with a ".corrupt" suffix) and the previous generation is
 // returned instead; RecoveredCorruption reports the fallback. The current
 // log is never read on top of the previous base. Only when no generation
-// decodes does Load surface the corruption error. A current base of another
-// format version returns ErrVersion with no quarantine and no fallback: the
-// previous generation is no newer, so it cannot be of this version either,
-// and the bytes are intact — an upgrade, not evidence of a fault. Load
-// forgets what this instance wrote, so the next Save writes a new base.
+// decodes does Load surface the corruption error. A missing current base
+// also falls back to the previous generation; Load returns ErrNotFound only
+// when that is missing too, and quarantines a corrupt one as above. A
+// current base of another format version returns ErrVersion with no
+// quarantine and no fallback: the previous generation is no newer, so it
+// cannot be of this version either, and the bytes are intact — an upgrade,
+// not evidence of a fault. Load forgets what this instance wrote, so the
+// next Save writes a new base.
 func (s *FileStore) Load() (*State, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -421,10 +424,15 @@ func (s *FileStore) Load() (*State, error) {
 		return st, nil
 	case errors.Is(err, ErrNotFound):
 		// A crash between Save's renames leaves only the rotated previous
-		// generation; an empty store leaves neither.
+		// generation; an empty store leaves neither. A previous generation
+		// that fails to load is reported as it failed: only a missing one
+		// means there is nothing to resume.
 		st, perr := loadGeneration(prev)
 		if perr != nil {
-			return nil, ErrNotFound
+			if errors.Is(perr, ErrCorrupt) {
+				quarantine(prev)
+			}
+			return nil, perr
 		}
 		s.recovered = "current snapshot missing; resumed from previous boundary"
 		return st, nil

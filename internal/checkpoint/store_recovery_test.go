@@ -21,7 +21,7 @@ func twoBoundaryStore(t *testing.T) (*FileStore, *State, *State) {
 	}
 	older := sampleState()
 	older.Stage = StageMAF
-	older.LDouble, older.PerLD, older.Combinations = nil, nil, nil
+	older.PerLD, older.Combinations = nil, nil
 	if err := s.Save(older); err != nil {
 		t.Fatalf("Save older: %v", err)
 	}
@@ -49,7 +49,7 @@ func TestFileStoreTornWriteFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load after torn write: %v", err)
 	}
-	if got.Stage != older.Stage || !reflect.DeepEqual(got.LPrime, older.LPrime) {
+	if got.Stage != older.Stage || len(got.PerLD) != len(older.PerLD) {
 		t.Errorf("fallback state = stage %v, want previous boundary %v", got.Stage, older.Stage)
 	}
 	if desc, ok := s.RecoveredCorruption(); !ok || desc == "" {
@@ -91,6 +91,51 @@ func TestFileStoreMissingCurrentFallback(t *testing.T) {
 	if _, ok := s.RecoveredCorruption(); !ok {
 		t.Error("fallback to previous boundary not reported")
 	}
+}
+
+// TestFileStoreMissingCurrentPrevFails covers the same crash with a previous
+// generation that cannot be loaded. Only a missing one means a fresh start:
+// a corrupt one is quarantined and reported as corruption, and one that
+// cannot be read is an I/O error, which the caller treats as run-fatal
+// rather than as "nothing to resume".
+func TestFileStoreMissingCurrentPrevFails(t *testing.T) {
+	t.Run("corrupt", func(t *testing.T) {
+		s, _, _ := twoBoundaryStore(t)
+		if err := os.Remove(s.Path()); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(s.Path()+prevSuffix, []byte("not a checkpoint"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Load(); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Load error = %v, want ErrCorrupt", err)
+		}
+		if _, err := os.Stat(s.Path() + prevSuffix + corruptSuffix); err != nil {
+			t.Errorf("corrupt previous generation not quarantined: %v", err)
+		}
+		if _, err := s.Load(); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Load after quarantine error = %v, want ErrNotFound", err)
+		}
+	})
+	t.Run("unreadable", func(t *testing.T) {
+		s, _, _ := twoBoundaryStore(t)
+		prev := s.Path() + prevSuffix
+		for _, p := range []string{s.Path(), prev} {
+			if err := os.Remove(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.Mkdir(prev, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		_, err := s.Load()
+		if err == nil || errors.Is(err, ErrNotFound) || errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Load error = %v, want the I/O error", err)
+		}
+		if _, err := os.Stat(prev + corruptSuffix); err == nil {
+			t.Error("unreadable previous generation quarantined as corrupt")
+		}
+	})
 }
 
 // TestFileStoreBothGenerationsCorrupt pins the exhausted case: when every
@@ -234,7 +279,7 @@ func TestFileStoreVersionSkewIsNotCorruption(t *testing.T) {
 // StageLD base with no combinations, then one more completed combination
 // per state, 31 in all.
 func loggedRun() []*State {
-	full := collusionState(100, 40, 12)
+	full := collusionState(100, 12)
 	out := make([]*State, 0, len(full.Combinations)+1)
 	for k := 0; k <= len(full.Combinations); k++ {
 		st := *full
@@ -348,8 +393,8 @@ func TestFileStoreCorruptBaseIgnoresItsLog(t *testing.T) {
 	}
 	// A successor's run of another shape: its first save is a new base
 	// (rotating the older one and its log), its second an append.
-	newer := collusionState(100, 40, 12)
-	newer.LPrime = newer.LPrime[1:]
+	newer := collusionState(100, 12)
+	newer.PerLD = newer.PerLD[1:]
 	for i := range newer.Combinations {
 		newer.Combinations[i].Power = 0.75
 	}
@@ -370,8 +415,8 @@ func TestFileStoreCorruptBaseIgnoresItsLog(t *testing.T) {
 		t.Fatalf("Load: %v", err)
 	}
 	if !reflect.DeepEqual(got, older[2]) {
-		t.Errorf("fallback holds %d combinations (LPrime %d SNPs), want the previous base and its own log (%d)",
-			len(got.Combinations), len(got.LPrime), len(older[2].Combinations))
+		t.Errorf("fallback holds %d combinations (PerLD over %d), want the previous base and its own log (%d)",
+			len(got.Combinations), len(got.PerLD), len(older[2].Combinations))
 	}
 	if _, ok := s.RecoveredCorruption(); !ok {
 		t.Error("fallback not reported")

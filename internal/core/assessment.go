@@ -49,19 +49,27 @@ const (
 // boundaries are persisted to the store, and a compatible existing
 // checkpoint (same fingerprint: configuration, policy, provider name set,
 // reference dimensions) seeds the run — completed phases replay from the
-// snapshot instead of re-querying members, and Report.Resumed records that
-// it happened. When opts.Resilience enables degradation, a failed member is
-// excluded and the run restarts over the survivors.
+// snapshot instead of re-querying members (Phase 1, a pure function of the
+// checkpointed counts and the panel, is recomputed), and Report.Resumed
+// records that it happened. When opts.Resilience enables degradation, a
+// failed member is excluded and the run restarts over the survivors.
+//
+// Each member is wrapped in its cache (cachedProvider) here and nowhere else:
+// one per member per assessment, shared by every attempt.
 func RunAssessment(members []Provider, reference *genome.Matrix, cfg Config, policy CollusionPolicy, leaderEnclave *enclave.Enclave, opts AssessmentOptions) (*Report, error) {
-	if opts.Resilience.Enabled() {
-		return runResilient(members, reference, cfg, policy, leaderEnclave, opts)
+	cached := make([]*cachedProvider, len(members))
+	for i, m := range members {
+		cached[i] = newCachedProvider(m)
 	}
-	return runOnce(members, reference, cfg, policy, leaderEnclave, opts)
+	if opts.Resilience.Enabled() {
+		return runResilient(cached, reference, cfg, policy, leaderEnclave, opts)
+	}
+	return runOnce(cached, reference, cfg, policy, leaderEnclave, opts)
 }
 
 // runOnce is one assessment attempt over a fixed membership: the first
 // member failure ends it.
-func runOnce(members []Provider, reference *genome.Matrix, cfg Config, policy CollusionPolicy, leaderEnclave *enclave.Enclave, opts AssessmentOptions) (*Report, error) {
+func runOnce(members []*cachedProvider, reference *genome.Matrix, cfg Config, policy CollusionPolicy, leaderEnclave *enclave.Enclave, opts AssessmentOptions) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -85,12 +93,9 @@ func runOnce(members []Provider, reference *genome.Matrix, cfg Config, policy Co
 		cfg:     cfg,
 		ref:     reference,
 		acct:    leaderEnclave,
-		members: make([]*cachedProvider, g),
+		members: members,
 		report:  &Report{Combinations: len(subsets)},
 		pool:    defaultWorkPool(),
-	}
-	for i, m := range members {
-		run.members[i] = newCachedProvider(m)
 	}
 	// Count vectors stay accounted for the whole run and have no release
 	// point of their own, and a failed run leaves whatever its phase held; on
@@ -314,9 +319,7 @@ func (r *assessmentRun) pairEntry(a, b int) (int, error) {
 
 // releasePairs ends the pair statistics' life at the Phase-2 boundary, once
 // recordLD has taken L″: Phase 3 never reads a pair, so the table is dropped
-// and the bytes pairEntry accounted for it are returned. The resilient
-// runner's outer caches, which replay survivor data across restarts, keep
-// their pairs.
+// and the bytes pairEntry accounted for it are returned.
 func (r *assessmentRun) releasePairs() {
 	r.free(int64(len(r.pairs.entries)) * bytesPerPairStat * int64(len(r.members)+1))
 	r.pairs = nil
@@ -457,16 +460,12 @@ func (r *assessmentRun) subsetCounts(subset []int) ([]int64, int64) {
 	return sum, n
 }
 
+// phase1MAF is Phase 1 for every combination. It always runs: its outputs
+// are a pure function of the summaries and the panel, so a resumed run
+// recomputes them from the checkpointed counts rather than reading them back.
 func (r *assessmentRun) phase1MAF(plan *latticePlan) ([]int, [][]int, error) {
 	if err := r.ctxErr(); err != nil {
 		return nil, nil, err
-	}
-	if lPrime, perMAF, ok := r.cs.seededMAF(); ok && len(perMAF) == plan.count {
-		r.resumed = true
-		if err := r.cs.recordMAF(lPrime, perMAF, false); err != nil {
-			return nil, nil, err
-		}
-		return lPrime, perMAF, nil
 	}
 	per := make([][]int, plan.count)
 	err := walkInOrder(plan.chains, func(ch *latticeChain) error {
@@ -501,7 +500,7 @@ func (r *assessmentRun) phase1MAF(plan *latticePlan) ([]int, [][]int, error) {
 	start := time.Now()
 	intersected := IntersectSorted(per...)
 	r.addTiming(&r.report.Timings.Indexing, start)
-	if err := r.cs.recordMAF(intersected, per, true); err != nil {
+	if err := r.cs.recordMAF(); err != nil {
 		return nil, nil, err
 	}
 	return intersected, per, nil
@@ -644,14 +643,14 @@ func (r *assessmentRun) phase2LD(plan *latticePlan, lPrime []int) ([]int, [][]in
 	if err := r.ctxErr(); err != nil {
 		return nil, nil, err
 	}
-	if lDouble, perLD, ok := r.cs.seededLD(); ok && len(perLD) == plan.count {
+	if perLD, ok := r.cs.seededLD(); ok && len(perLD) == plan.count {
 		// Resume: Phase 2 outputs come from the checkpoint and Phase 3 needs
 		// nothing else from it — no pair is fetched or computed.
 		r.resumed = true
-		if err := r.cs.recordLD(lDouble, perLD, false); err != nil {
+		if err := r.cs.recordLD(perLD, false); err != nil {
 			return nil, nil, err
 		}
-		return lDouble, perLD, nil
+		return IntersectSorted(perLD...), perLD, nil
 	}
 
 	// The association ranking used by getMostRanked is study-wide: the
@@ -746,7 +745,7 @@ func (r *assessmentRun) phase2LD(plan *latticePlan, lPrime []int) ([]int, [][]in
 	start = time.Now()
 	intersected := IntersectSorted(per...)
 	r.addTiming(&r.report.Timings.LD, start)
-	if err := r.cs.recordLD(intersected, per, true); err != nil {
+	if err := r.cs.recordLD(per, true); err != nil {
 		return nil, nil, err
 	}
 	return intersected, per, nil

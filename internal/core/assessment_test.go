@@ -555,30 +555,18 @@ func TestCachedProviderFetchesOnce(t *testing.T) {
 		if _, err := c.Counts(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.PairStats(1, 2); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if counter.countCalls != 1 {
 		t.Errorf("Counts fetched %d times, want 1", counter.countCalls)
-	}
-	if counter.pairCalls != 1 {
-		t.Errorf("PairStats fetched %d times, want 1", counter.pairCalls)
 	}
 }
 
 type countingProvider struct {
 	Provider
 	countCalls int
-	pairCalls  int
 }
 
 func (c *countingProvider) Counts() ([]int64, error) {
 	c.countCalls++
 	return c.Provider.Counts()
-}
-
-func (c *countingProvider) PairStats(a, b int) (genome.PairStats, error) {
-	c.pairCalls++
-	return c.Provider.PairStats(a, b)
 }

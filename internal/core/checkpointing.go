@@ -33,8 +33,8 @@ type AssessmentOptions struct {
 	Checkpoints checkpoint.Store
 	// RetainCheckpoints keeps the final snapshot in the store after a
 	// successful run instead of clearing it. A later run with the same
-	// fingerprint then replays every completed phase from the snapshot — the
-	// reuse contract of the long-lived assessment service, where identical
+	// fingerprint then recomputes Phase 1 from the snapshot's counts and
+	// replays every later phase from it — the reuse contract of the long-lived assessment service, where identical
 	// requests should not re-drive the federation. One-shot runs leave this
 	// false so a finished assessment cannot be "resumed".
 	RetainCheckpoints bool
@@ -113,9 +113,6 @@ type ckState struct {
 	// seedCombos maps a combination's sorted-name key to its completed
 	// record in the seed.
 	seedCombos map[string]checkpoint.Combination
-	// oldCombos maps combination indices of the current enumeration onto the
-	// seed's per-combination arrays (PerMAF/PerLD are positional).
-	oldCombos []int
 	// recovered reports that the store fell back past a corrupt or missing
 	// current snapshot to serve the adopted seed.
 	recovered bool
@@ -225,8 +222,8 @@ func (cs *ckState) allBlames() []Blame {
 func (cs *ckState) recoveredCorruption() bool { return cs != nil && cs.recovered }
 
 // remapState reorders a prior state's per-provider arrays onto the current
-// provider order (matching by identity name) and its per-combination arrays
-// onto the current combination enumeration. The fingerprint already
+// provider order (matching by identity name) and its per-combination L″
+// (PerLD) onto the current combination enumeration. The fingerprint already
 // guarantees the name sets are equal.
 func remapState(prior *checkpoint.State, names []string, g int, policy CollusionPolicy) (*checkpoint.State, bool) {
 	if len(prior.Providers) != g || len(names) != g {
@@ -249,8 +246,6 @@ func remapState(prior *checkpoint.State, names []string, g int, policy Collusion
 		Fingerprint: prior.Fingerprint,
 		Providers:   names,
 		Stage:       prior.Stage,
-		LPrime:      prior.LPrime,
-		LDouble:     prior.LDouble,
 	}
 	out.Counts = make([][]int64, g)
 	out.CaseNs = make([]int64, g)
@@ -263,43 +258,25 @@ func remapState(prior *checkpoint.State, names []string, g int, policy Collusion
 	}
 
 	// Per-combination selections are positional in the saving leader's
-	// enumeration; translate via the name sets both enumerations define.
-	oldSubsets, err := evaluationSubsets(g, policy)
-	if err != nil {
-		return nil, false
-	}
-	oldByKey := make(map[string]int, len(oldSubsets))
-	for c, subset := range oldSubsets {
-		key := nameKey(subsetNames(prior.Providers, subset))
-		oldByKey[key] = c
-	}
-	newSubsets, err := evaluationSubsets(g, policy)
-	if err != nil {
-		return nil, false
-	}
-	mapPer := func(per [][]int) ([][]int, bool) {
-		if len(per) == 0 {
-			return nil, true
-		}
-		if len(per) != len(oldSubsets) {
+	// enumeration, which is the same slot enumeration over its provider
+	// order; translate via the name sets each slot subset stands for.
+	if len(prior.PerLD) > 0 {
+		subsets, err := evaluationSubsets(g, policy)
+		if err != nil || len(prior.PerLD) != len(subsets) {
 			return nil, false
 		}
-		out := make([][]int, len(newSubsets))
-		for c, subset := range newSubsets {
+		oldByKey := make(map[string]int, len(subsets))
+		for c, subset := range subsets {
+			oldByKey[nameKey(subsetNames(prior.Providers, subset))] = c
+		}
+		out.PerLD = make([][]int, len(subsets))
+		for c, subset := range subsets {
 			oc, ok := oldByKey[nameKey(subsetNames(names, subset))]
 			if !ok {
 				return nil, false
 			}
-			out[c] = per[oc]
+			out.PerLD[c] = prior.PerLD[oc]
 		}
-		return out, true
-	}
-	var ok bool
-	if out.PerMAF, ok = mapPer(prior.PerMAF); !ok {
-		return nil, false
-	}
-	if out.PerLD, ok = mapPer(prior.PerLD); !ok {
-		return nil, false
 	}
 	out.Combinations = prior.Combinations
 	// Blame records are keyed by member name, not slot — no remap needed.
@@ -330,34 +307,34 @@ func (cs *ckState) recordSummaries(counts [][]int64, caseNs []int64) {
 	cs.mu.Unlock()
 }
 
-// recordMAF records the Phase 1 boundary; persist is false when the phase
-// was replayed from the seed (the prior checkpoint already covers it).
-func (cs *ckState) recordMAF(lPrime []int, perMAF [][]int, persist bool) error {
+// recordMAF records the Phase 1 boundary. Its outputs are not part of it: a
+// resume recomputes them from the summaries. It persists only when the seed
+// does not already cover the boundary, so a resumed run pays no base write
+// for it and never replaces a seed at a later stage with this one.
+func (cs *ckState) recordMAF() error {
 	if cs == nil {
 		return nil
 	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	cs.ck.Stage = checkpoint.StageMAF
-	cs.ck.LPrime = lPrime
-	cs.ck.PerMAF = perMAF
-	if !persist {
+	if cs.seed != nil && cs.seed.Stage >= checkpoint.StageMAF {
 		return nil
 	}
 	return cs.saveLocked()
 }
 
-// recordLD records the Phase 2 boundary. The pair statistics the scan
-// aggregated are not part of it: a resume at StageLD skips Phase 2 entirely,
-// and Phase 3 never reads a pair.
-func (cs *ckState) recordLD(lDouble []int, perLD [][]int, persist bool) error {
+// recordLD records the Phase 2 boundary: each combination's L″, whose
+// intersection is the run's. The pair statistics the scan aggregated are not
+// part of it: a resume at StageLD skips Phase 2 entirely, and Phase 3 never
+// reads a pair.
+func (cs *ckState) recordLD(perLD [][]int, persist bool) error {
 	if cs == nil {
 		return nil
 	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	cs.ck.Stage = checkpoint.StageLD
-	cs.ck.LDouble = lDouble
 	cs.ck.PerLD = perLD
 	if !persist {
 		return nil
@@ -417,20 +394,12 @@ func (cs *ckState) seededSummaries() ([][]int64, []int64, bool) {
 	return cs.seed.Counts, cs.seed.CaseNs, true
 }
 
-// seededMAF returns the seed's Phase 1 outputs when the stage covers them.
-func (cs *ckState) seededMAF() ([]int, [][]int, bool) {
-	if cs == nil || cs.seed == nil || cs.seed.Stage < checkpoint.StageMAF {
-		return nil, nil, false
-	}
-	return cs.seed.LPrime, cs.seed.PerMAF, true
-}
-
-// seededLD returns the seed's Phase 2 outputs when the stage covers them.
-func (cs *ckState) seededLD() ([]int, [][]int, bool) {
+// seededLD returns the seed's per-combination L″ when the stage covers it.
+func (cs *ckState) seededLD() ([][]int, bool) {
 	if cs == nil || cs.seed == nil || cs.seed.Stage < checkpoint.StageLD {
-		return nil, nil, false
+		return nil, false
 	}
-	return cs.seed.LDouble, cs.seed.PerLD, true
+	return cs.seed.PerLD, true
 }
 
 // seededCombination returns a completed Phase 3 record for the given member

@@ -311,7 +311,7 @@ func TestPairBytesReleasedAtPhase2Boundary(t *testing.T) {
 	store := &boundaryStore{MemStore: checkpoint.NewMemStore(), onSave: func(st *checkpoint.State) {
 		switch {
 		case st.Stage == checkpoint.StageLD && len(st.Combinations) == 0:
-			atLD, cols, caseNs = leader.MemoryUsed(), int64(len(st.LDouble)), st.CaseNs
+			atLD, cols, caseNs = leader.MemoryUsed(), int64(len(IntersectSorted(st.PerLD...))), st.CaseNs
 		case len(st.Combinations) == 1:
 			atFirstLR = leader.MemoryUsed()
 		}

@@ -225,14 +225,14 @@ func checkPairStats(s genome.PairStats, a, b int, counts []int64, caseN int64) e
 	return validatePairConsistency(s, a, b, counts, caseN)
 }
 
-// cachedProvider memoizes member responses so that, as the paper describes,
-// each GDO computes and transmits each intermediate result once even when
-// the leader evaluates many collusion combinations over it. It is safe for
-// concurrent use: the assessment driver queries members, and evaluates
-// Phase 3's combinations, concurrently. A run's own wrapper serves summaries
-// and patterns; its pairs go to the run's pair table (pairTable). The pair
-// memo serves the resilient runner's outer wrapper, which replays survivor
-// data across restarts.
+// cachedProvider is one member as an assessment sees it. RunAssessment wraps
+// each member once and every attempt of a degraded run shares the wrapper, so
+// the member computes and sends its summary and its Phase-3 pattern once,
+// however many combinations read them; the summary is also what the rejoin
+// audit holds a returning member to. Pair statistics are not kept here: each
+// attempt's pair table (pairTable) is the only pair store, filled through
+// inner. cachedProvider is not a Provider, so it cannot be nested in itself.
+// It is safe for concurrent use.
 type cachedProvider struct {
 	inner Provider
 
@@ -240,22 +240,18 @@ type cachedProvider struct {
 	counts []int64
 	caseN  int64
 	loaded bool
-	pairs  map[uint64]genome.PairStats
 
 	// Pattern cache: a genotype bit-pattern depends only on the column list,
-	// and Phase 3 asks for exactly one column list per assessment, so a single
+	// and Phase 3 asks for exactly one column list per attempt, so a single
 	// slot keyed by column equality suffices. Guarded by patMu, not mu: the
-	// fetch can be a wide-area round trip and must not block the pair-cache
-	// fast path.
+	// fetch can be a wide-area round trip and must not block the summary.
 	patMu   sync.Mutex
 	patCols []int
 	pattern *lrtest.BitMatrix
 }
 
-var _ BatchPairProvider = (*cachedProvider)(nil)
-
 func newCachedProvider(p Provider) *cachedProvider {
-	return &cachedProvider{inner: p, pairs: make(map[uint64]genome.PairStats)}
+	return &cachedProvider{inner: p}
 }
 
 // load fetches the summary statistics once; callers must hold c.mu.
@@ -293,109 +289,10 @@ func (c *cachedProvider) CaseN() (int64, error) {
 	return c.caseN, nil
 }
 
-func (c *cachedProvider) PairStats(a, b int) (genome.PairStats, error) {
-	key := pairKey(a, b)
-	c.mu.Lock()
-	if s, ok := c.pairs[key]; ok {
-		c.mu.Unlock()
-		return s, nil
-	}
-	c.mu.Unlock()
-	s, err := c.inner.PairStats(a, b)
-	if err != nil {
-		return genome.PairStats{}, err
-	}
-	if err := c.checkPair(a, b, s); err != nil {
-		return genome.PairStats{}, err
-	}
-	c.mu.Lock()
-	c.pairs[key] = s
-	c.mu.Unlock()
-	return s, nil
-}
-
-// checkPair is checkPairStats against the member's cached summary, once one
-// is loaded.
-func (c *cachedProvider) checkPair(a, b int, s genome.PairStats) error {
-	c.mu.Lock()
-	loaded, counts, caseN := c.loaded, c.counts, c.caseN
-	c.mu.Unlock()
-	if !loaded {
-		counts = nil
-	}
-	return checkPairStats(s, a, b, counts, caseN)
-}
-
-// Prefetch warms the pair cache with one batched request when the member
-// supports batching, and falls back to nothing otherwise (single-pair
-// fetches will fill the cache lazily).
-func (c *cachedProvider) Prefetch(pairs [][2]int) error {
-	batcher, ok := c.inner.(BatchPairProvider)
-	if !ok {
-		return nil
-	}
-	c.mu.Lock()
-	missing := make([][2]int, 0, len(pairs))
-	for _, p := range pairs {
-		if _, ok := c.pairs[pairKey(p[0], p[1])]; !ok {
-			missing = append(missing, p)
-		}
-	}
-	c.mu.Unlock()
-	if len(missing) == 0 {
-		return nil
-	}
-	stats, err := batcher.PairStatsBatch(missing)
-	if err != nil {
-		return err
-	}
-	if len(stats) != len(missing) {
-		return fmt.Errorf("core: batch returned %d entries for %d pairs", len(stats), len(missing))
-	}
-	for i, s := range stats {
-		if err := c.checkPair(missing[i][0], missing[i][1], s); err != nil {
-			return err
-		}
-	}
-	c.mu.Lock()
-	for i, p := range missing {
-		c.pairs[pairKey(p[0], p[1])] = stats[i]
-	}
-	c.mu.Unlock()
-	return nil
-}
-
-// PairStatsBatch implements BatchPairProvider by serving from the cache after
-// a prefetch. Without it, stacking cached providers — the resilient driver
-// wraps once so survivor data replays across restarts, then the assessment
-// driver wraps again — would hide the inner provider's batching capability
-// and silently downgrade the LD phase to one request per pair.
-func (c *cachedProvider) PairStatsBatch(pairs [][2]int) ([]genome.PairStats, error) {
-	if err := c.Prefetch(pairs); err != nil {
-		return nil, err
-	}
-	out := make([]genome.PairStats, len(pairs))
-	for i, p := range pairs {
-		s, err := c.PairStats(p[0], p[1])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-func (c *cachedProvider) LRMatrix(cols []int, caseFreq, refFreq []float64) (*lrtest.BitMatrix, error) {
-	// LR matrices are combination-specific (the frequency vectors differ),
-	// so they are not cached; each is requested exactly once per
-	// combination anyway.
-	return c.inner.LRMatrix(cols, caseFreq, refFreq)
-}
-
-// LRPattern implements Provider over the single-slot pattern cache.
+// LRPattern is the member's pattern over cols, from the single-slot cache.
 // The mutex is held across the fetch deliberately: concurrent evaluation
 // chains all want the same pattern, and single-flighting the round trip keeps
-// the member's work at one pattern build per assessment.
+// the member's work at one pattern build per column list.
 func (c *cachedProvider) LRPattern(cols []int) (*lrtest.BitMatrix, error) {
 	c.patMu.Lock()
 	defer c.patMu.Unlock()
@@ -432,10 +329,8 @@ func (c *cachedProvider) seedSummary(counts []int64, caseN int64) {
 	c.mu.Unlock()
 }
 
-// AuditSummary implements SummaryAuditor by forwarding through the cache to
-// the wrapped provider — stacked cachedProviders recurse until a real auditor
-// (or its absence) is found, so the capability shines through both wrapping
-// layers just like batching and patterns do.
+// AuditSummary bypasses the summary cache: it asks the wrapped provider, when
+// it is a SummaryAuditor, to answer the summary query again.
 func (c *cachedProvider) AuditSummary() ([]int64, int64, error) {
 	if a, ok := c.inner.(SummaryAuditor); ok {
 		return a.AuditSummary()

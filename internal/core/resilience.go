@@ -226,8 +226,9 @@ func mergeBlames(base, add []Blame) []Blame {
 // is declared failed (its provider reports ErrMemberFailed) and at least
 // opts.Resilience.MinQuorum members survive, the assessment restarts over the
 // surviving providers and the returned Report lists the excluded members.
-// Survivor responses are memoized across restarts, so completed phases replay
-// from cache rather than re-querying the federation. Each restart attempt
+// Every attempt shares the members' caches, so a survivor's summary and
+// pattern replay from memory; its pair statistics do not, and the survivors
+// answer Phase 2 again over the shrunken membership. Each restart attempt
 // passes the surviving providers' names through, so a checkpoint written
 // before an exclusion (whose fingerprint covers the full name set) is ignored
 // by the shrunken attempt rather than mis-seeded.
@@ -238,17 +239,10 @@ func mergeBlames(base, add []Blame) []Blame {
 // excluded shards never contribute. The collusion policy is re-validated
 // against the shrunken federation and the run aborts if it can no longer be
 // satisfied.
-func runResilient(members []Provider, reference *genome.Matrix, cfg Config, policy CollusionPolicy, leaderEnclave *enclave.Enclave, opts AssessmentOptions) (*Report, error) {
+func runResilient(members []*cachedProvider, reference *genome.Matrix, cfg Config, policy CollusionPolicy, leaderEnclave *enclave.Enclave, opts AssessmentOptions) (*Report, error) {
 	res := opts.Resilience
 	if opts.Checkpoints != nil && len(opts.ProviderNames) != len(members) {
 		return nil, fmt.Errorf("core: %d provider names for %d members (checkpointing needs stable identities)", len(opts.ProviderNames), len(members))
-	}
-	// Wrap once, outside the per-attempt wrapping runOnce does, so the
-	// caches survive restarts: a survivor's counts, pair statistics, and
-	// population size replay from memory on the next attempt.
-	stable := make([]*cachedProvider, len(members))
-	for i, m := range members {
-		stable[i] = newCachedProvider(m)
 	}
 	alive := make([]int, len(members))
 	for i := range alive {
@@ -275,9 +269,9 @@ func runResilient(members []Provider, reference *genome.Matrix, cfg Config, poli
 	}
 
 	for {
-		current := make([]Provider, len(alive))
+		current := make([]*cachedProvider, len(alive))
 		for slot, id := range alive {
-			current[slot] = stable[id]
+			current[slot] = members[id]
 		}
 		attempt := opts
 		attempt.blamed = blames
@@ -364,7 +358,7 @@ func runResilient(members []Provider, reference *genome.Matrix, cfg Config, poli
 					continue
 				}
 				rejoinSpent[id] = true
-				rerr := stable[id].rejoin()
+				rerr := members[id].rejoin()
 				if rerr == nil {
 					alive = append(alive, id)
 					rejoined = append(rejoined, id)

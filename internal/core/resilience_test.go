@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"gendpr/internal/genome"
@@ -187,6 +188,155 @@ func TestResilientWithCollusionPolicy(t *testing.T) {
 	}
 	if rep.Combinations != want.Combinations {
 		t.Errorf("combinations = %d, want %d (re-enumerated over survivors)", rep.Combinations, want.Combinations)
+	}
+}
+
+// restartLog is shared by the members of TestDegradedRestartReasksSurvivors:
+// the attempt number moves on when the failing member refuses its pattern,
+// which it does once every Phase-2 request of the first attempt is answered.
+type restartLog struct {
+	mu      sync.Mutex
+	attempt int
+	// asked counts, per attempt and member, how often each pair was asked.
+	asked [2][]map[[2]int]int
+	// batches and singles count each member's pair requests over the run.
+	batches, singles []int
+	// late counts the calls the failing member received after it failed.
+	late int
+}
+
+// restartMember is one member of that test: it logs every pair request, and
+// the failing one fails its pattern request as unreachable.
+type restartMember struct {
+	*LocalMember
+	id   int
+	fail bool
+	log  *restartLog
+}
+
+// called logs one call of any kind; callers hold log.mu.
+func (m *restartMember) called() {
+	if m.fail && m.log.attempt > 0 {
+		m.log.late++
+	}
+}
+
+func (m *restartMember) note(pairs [][2]int, batch bool) {
+	l := m.log
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	m.called()
+	if batch {
+		l.batches[m.id]++
+	} else {
+		l.singles[m.id]++
+	}
+	for _, p := range pairs {
+		l.asked[l.attempt][m.id][p]++
+	}
+}
+
+func (m *restartMember) PairStats(a, b int) (genome.PairStats, error) {
+	m.note([][2]int{{a, b}}, false)
+	return m.LocalMember.PairStats(a, b)
+}
+
+func (m *restartMember) PairStatsBatch(pairs [][2]int) ([]genome.PairStats, error) {
+	m.note(pairs, true)
+	return m.LocalMember.PairStatsBatch(pairs)
+}
+
+func (m *restartMember) LRPattern(cols []int) (*lrtest.BitMatrix, error) {
+	l := m.log
+	l.mu.Lock()
+	m.called()
+	if m.fail {
+		l.attempt = 1
+		l.mu.Unlock()
+		return nil, fmt.Errorf("conn reset: %w", ErrMemberFailed)
+	}
+	l.mu.Unlock()
+	return m.LocalMember.LRPattern(cols)
+}
+
+func (m *restartMember) Counts() ([]int64, error) {
+	m.log.mu.Lock()
+	m.called()
+	m.log.mu.Unlock()
+	return m.LocalMember.Counts()
+}
+
+func (m *restartMember) CaseN() (int64, error) {
+	m.log.mu.Lock()
+	m.called()
+	m.log.mu.Unlock()
+	return m.LocalMember.CaseN()
+}
+
+// TestDegradedRestartReasksSurvivors pins the restart path now that the run's
+// pair table is the only pair store: a G=4 federation whose member 3 fails
+// on its Phase-3 pattern request restarts over the three survivors, which
+// answer Phase 2 again. The selection equals a fresh run over the survivors;
+// each survivor answers exactly two pair batches (one per attempt) and no
+// single pair request; no member is asked a pair twice within one attempt;
+// and the excluded member receives nothing after it failed.
+func TestDegradedRestartReasksSurvivors(t *testing.T) {
+	const g, bad = 4, 3
+	cohort := testCohort(t, 120, 320, 29)
+	shards := shardsOf(t, cohort, g)
+	policy := CollusionPolicy{F: 1}
+	log := &restartLog{batches: make([]int, g), singles: make([]int, g)}
+	for a := range log.asked {
+		for i := 0; i < g; i++ {
+			log.asked[a] = append(log.asked[a], make(map[[2]int]int))
+		}
+	}
+	providers := make([]Provider, g)
+	survivors := make([]Provider, 0, g-1)
+	for i, s := range shards {
+		providers[i] = &restartMember{LocalMember: NewLocalMember(s), id: i, fail: i == bad, log: log}
+		if i != bad {
+			survivors = append(survivors, NewLocalMember(s))
+		}
+	}
+	rep, err := RunAssessment(providers, cohort.Reference, DefaultConfig(), policy, nil, AssessmentOptions{Resilience: Resilience{MinQuorum: 2}})
+	if err != nil {
+		t.Fatalf("RunAssessment: %v", err)
+	}
+	if len(rep.Excluded) != 1 || rep.Excluded[0] != bad {
+		t.Fatalf("Excluded = %v, want [%d]", rep.Excluded, bad)
+	}
+	want, err := RunAssessment(survivors, cohort.Reference, DefaultConfig(), policy, nil, AssessmentOptions{})
+	if err != nil {
+		t.Fatalf("fresh run over the survivors: %v", err)
+	}
+	if !rep.Selection.Equal(want.Selection) || len(rep.PerCombination) != len(want.PerCombination) {
+		t.Fatalf("degraded selection %v over %d combinations, fresh run over the survivors %v over %d",
+			rep.Selection, len(rep.PerCombination), want.Selection, len(want.PerCombination))
+	}
+	for c := range want.PerCombination {
+		if !rep.PerCombination[c].Equal(want.PerCombination[c]) {
+			t.Errorf("combination %d: %v, fresh run %v", c, rep.PerCombination[c], want.PerCombination[c])
+		}
+	}
+
+	if log.attempt != 1 {
+		t.Fatalf("member %d never failed its pattern request", bad)
+	}
+	for i := 0; i < g; i++ {
+		if i != bad && (log.batches[i] != 2 || log.singles[i] != 0) {
+			t.Errorf("survivor %d answered %d pair batches and %d single requests, want 2 and 0", i, log.batches[i], log.singles[i])
+		}
+		for a, asked := range log.asked {
+			for p, n := range asked[i] {
+				if n > 1 {
+					t.Errorf("attempt %d: member %d was asked pair %v %d times", a+1, i, p, n)
+				}
+			}
+		}
+	}
+	if log.late != 0 {
+		t.Errorf("the excluded member received %d calls after it failed", log.late)
 	}
 }
 

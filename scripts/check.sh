@@ -136,10 +136,12 @@ echo "== concurrent Phase 3 and pair lifetime (race, 10 runs) =="
 # saves, combination records, each member's pair requests and wire messages,
 # and the LD pair statistics must leave the enclave and the snapshots at the
 # Phase-2 boundary; over a sweep of cohorts, federation sizes and policies no
-# member may answer more pair batches than under the single-path predictor.
+# member may answer more pair batches than under the single-path predictor;
+# and a degraded restart re-asks each survivor for Phase 2 in one batch, no
+# pair twice within an attempt, and nothing of the member it excluded.
 # Repeated under the race detector because the chains reach the shared pair
 # table, accounting, timings and checkpoint state.
-go test -race -count=10 -run '^(TestPhase3ScheduleDeterministic|TestLatticeResumeConservativeConcurrent|TestPairBytesReleasedAtPhase2Boundary|TestResumeAtLDAsksNoPairs|TestPhase2NeverMoreRoundsThanSinglePath)$' ./internal/core/
+go test -race -count=10 -run '^(TestPhase3ScheduleDeterministic|TestLatticeResumeConservativeConcurrent|TestPairBytesReleasedAtPhase2Boundary|TestResumeAtLDAsksNoPairs|TestPhase2NeverMoreRoundsThanSinglePath|TestDegradedRestartReasksSurvivors)$' ./internal/core/
 go test -race -count=10 -run '^TestFederationConservativeMessageCount$' ./internal/federation/
 
 echo "== checkpoint log: crash consistency and resume (race, 5 runs) =="
