@@ -17,8 +17,8 @@
 // and drains gracefully on SIGINT/SIGTERM — finishing or checkpointing every
 // in-flight run before exiting.
 //
-// See cmd/gendpr-node for the full deployment walkthrough and cmd/gendpr-load
-// for the daemon's load harness.
+// See cmd/gendpr-node for the full deployment walkthrough; benchmark/'s
+// svc_cold and svc_replay workloads measure the same service under load.
 package main
 
 import (

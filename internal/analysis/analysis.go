@@ -318,8 +318,6 @@ func DefaultAnalyzers() []*Analyzer {
 	privacyCritical := []Scope{
 		{PathPrefix: "gendpr/internal/oram"},
 		{PathPrefix: "gendpr/internal/oblivious"},
-		{PathPrefix: "gendpr/internal/paillier"},
-		{PathPrefix: "gendpr/internal/secshare"},
 		{PathPrefix: "gendpr/internal/enclave"},
 		{PathPrefix: "gendpr/internal/crand"},
 		{PathPrefix: "gendpr/internal/core", Files: []string{"oblivious_member.go"}},

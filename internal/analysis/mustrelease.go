@@ -28,7 +28,7 @@ type ReleasePair struct {
 // slots and tenant tokens are acquired and released on different goroutines
 // (admit in the caller, release in the worker), which an intraprocedural
 // path check cannot follow — those invariants are enforced by goroleak on
-// the worker loop plus the service load harness, not listed here.
+// the worker loop plus the service's mixed-load ledger test, not listed here.
 func DefaultReleasePairs() []ReleasePair {
 	return []ReleasePair{
 		{Fn: "gendpr/internal/transport.Dial", Result: 0, Release: "Close", Kind: "transport connection"},

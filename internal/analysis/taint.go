@@ -109,16 +109,14 @@ type ObliviousSpec struct {
 }
 
 // DefaultObliviousSpec returns GenDPR's oblivious-execution policy: the
-// enclave-resident packages that implement Path ORAM, secret sharing,
-// Paillier and the oblivious Provider, with the ORAM access path and the
-// constant-time select/compare helpers as sanctioned barriers.
+// enclave-resident packages that implement Path ORAM and the oblivious
+// Provider, with the ORAM access path and the constant-time select/compare
+// helpers as sanctioned barriers.
 func DefaultObliviousSpec() *ObliviousSpec {
 	return &ObliviousSpec{
 		Scopes: []Scope{
 			{PathPrefix: "gendpr/internal/oram"},
 			{PathPrefix: "gendpr/internal/oblivious"},
-			{PathPrefix: "gendpr/internal/secshare"},
-			{PathPrefix: "gendpr/internal/paillier"},
 			{PathPrefix: "gendpr/internal/enclave"},
 			{PathPrefix: "gendpr/internal/core", Files: []string{"oblivious_member.go"}},
 		},

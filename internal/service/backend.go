@@ -127,8 +127,7 @@ func (b *FederationBackend) Run(ctx context.Context, req Request, ck checkpoint.
 // backend: leader gdo-0 over shards[0], one member node per remaining shard,
 // all sharing one attestation authority. Each Run dials fresh in-memory pipes
 // to the long-lived member nodes and attests them, mirroring the reference
-// in-process deployment. The load harness and the service tests run against
-// it.
+// in-process deployment. The service tests run against it.
 func NewInProcessBackend(shards []*genome.Matrix, reference *genome.Matrix, opts federation.RunOptions) (*FederationBackend, error) {
 	if len(shards) < 2 {
 		return nil, fmt.Errorf("service: in-process federation needs at least 2 shards, got %d", len(shards))

@@ -3,9 +3,15 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -231,5 +237,215 @@ func TestHTTPAssessEndToEnd(t *testing.T) {
 	}
 	if second.SafeCount != first.SafeCount || second.Power != first.Power {
 		t.Errorf("resumed outcome %+v differs from original %+v", second, first)
+	}
+}
+
+// shortDeadline is the deadline of the mixed load's expiring requests.
+const shortDeadline = time.Millisecond
+
+// shortMark ends the fingerprint of every short-deadline request.
+var shortMark = []byte("short")
+
+// queueExpiryBackend wraps the real backend so that the first short-deadline
+// request of a mixed load is certain to expire in the queue. Left to timing,
+// that request may find a slot free, or coalesce onto a run of the same shape
+// already in flight, and never reach the expired-in-queue path:
+//   - short requests get a fingerprint of their own, so none rides another
+//     request's run;
+//   - the first one waits in Fingerprint, before admission, until every slot
+//     is parked in Run;
+//   - onEvent lets the parked runs go once its deadline has passed in the
+//     queue.
+type queueExpiryBackend struct {
+	Backend
+	slots   int
+	hold    atomic.Bool
+	parked  chan struct{} // one token per run parked by the hold
+	release chan struct{} // closed once the first short request has expired
+	first   sync.Once
+	freed   sync.Once
+}
+
+func (b *queueExpiryBackend) Fingerprint(req Request) []byte {
+	fp := b.Backend.Fingerprint(req)
+	if req.Deadline != shortDeadline {
+		return fp
+	}
+	b.first.Do(func() {
+		b.hold.Store(true)
+		for i := 0; i < b.slots; i++ {
+			<-b.parked
+		}
+	})
+	return append(fp[:len(fp):len(fp)], shortMark...)
+}
+
+func (b *queueExpiryBackend) Run(ctx context.Context, req Request, ck checkpoint.Store) (*core.Report, error) {
+	if b.hold.Load() {
+		select {
+		case b.parked <- struct{}{}:
+			<-b.release
+		case <-b.release:
+		}
+	}
+	return b.Backend.Run(ctx, req, ck)
+}
+
+// onEvent releases the parked runs 20 ms after the first short request is
+// queued. Its deadline runs from admission, so it has long passed when a
+// slot next reads the queue.
+func (b *queueExpiryBackend) onEvent(e Event) {
+	if e.Event == EventQueued && strings.HasSuffix(e.Key, hex.EncodeToString(shortMark)) {
+		b.freed.Do(func() {
+			time.AfterFunc(20*time.Millisecond, func() { close(b.release) })
+		})
+	}
+}
+
+// TestMixedLoadLedgerBalances drives the real in-process federation with a
+// mixed load: four tenants, eight request shapes over four fingerprints (so
+// requests coalesce and reuse retained checkpoints), a 1 ms deadline on every
+// 40th request, and a drain started mid-run. Every request must resolve, and
+// after the drain no slot or queue entry may be left and the admission ledger
+// must balance.
+func TestMixedLoadLedgerBalances(t *testing.T) {
+	const (
+		requests   = 200
+		workers    = 8
+		tenants    = 4
+		shapes     = 8
+		shortEvery = 40
+		drainAt    = 150
+		slots      = 2
+	)
+	cohort, err := genome.Generate(genome.DefaultGeneratorConfig(48, 60, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, err := cohort.Partition(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := NewInProcessBackend(shards, cohort.Reference, federation.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend := &queueExpiryBackend{
+		Backend: inner,
+		slots:   slots,
+		parked:  make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	s, err := NewServer(Config{
+		Backend:     backend,
+		Checkpoints: checkpoint.NewMemStore(),
+		Slots:       slots,
+		QueueDepth:  32,
+		DrainGrace:  30 * time.Second,
+		OnEvent:     backend.onEvent,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var drainOnce sync.Once
+	drain := func() {
+		drainOnce.Do(func() {
+			if err := s.Drain(context.Background()); err != nil {
+				t.Errorf("drain: %v", err)
+			}
+		})
+	}
+
+	request := func(i int) Request {
+		shape := i % shapes
+		cfg := core.DefaultConfig()
+		cfg.MAFCutoff = 0.02 + float64(shape%4)*0.01
+		req := Request{
+			Tenant:   fmt.Sprintf("tenant-%d", i%tenants),
+			Config:   cfg,
+			Policy:   core.CollusionPolicy{F: shape % 2},
+			Deadline: 30 * time.Second,
+		}
+		if i%shortEvery == shortEvery-1 {
+			req.Deadline = shortDeadline
+		}
+		return req
+	}
+
+	var (
+		mu                              sync.Mutex
+		completed                       int
+		coalesced, reused, shedDraining int
+		expiredInQueue                  int
+		submitted                       atomic.Int64
+		wg                              sync.WaitGroup
+	)
+	next := make(chan int)
+	go func() {
+		for i := 0; i < requests; i++ {
+			next <- i
+		}
+		close(next)
+	}()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				if submitted.Add(1) == drainAt {
+					drain()
+				}
+				// A request that has not resolved a minute in, twice its own
+				// deadline, never will.
+				wait, cancel := context.WithTimeout(context.Background(), time.Minute)
+				resp, err := s.Assess(wait, request(i))
+				unresolved := wait.Err() != nil
+				cancel()
+				mu.Lock()
+				var ov *OverloadError
+				switch {
+				case unresolved:
+					t.Errorf("request %d did not resolve", i)
+				case errors.As(err, &ov):
+					if ov.Reason != ReasonDraining {
+						t.Errorf("request %d shed as %q; only the drain may shed", i, ov.Reason)
+					}
+					shedDraining++
+				case err != nil:
+					if !errors.Is(err, context.DeadlineExceeded) {
+						t.Errorf("request %d: %v", i, err)
+					}
+					if strings.Contains(err.Error(), "expired in queue") {
+						expiredInQueue++
+					}
+				default:
+					completed++
+					if resp.Coalesced {
+						coalesced++
+					}
+					if resp.Reused {
+						reused++
+					}
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	drain()
+
+	st := s.Stats()
+	if st.InFlight != 0 || st.Queued != 0 {
+		t.Errorf("leak: %d runs still in flight, %d requests still queued after drain", st.InFlight, st.Queued)
+	}
+	if st.Admitted != st.Completed+st.Failed+st.ShedAfterAdmission {
+		t.Errorf("ledger does not balance: admitted=%d completed=%d failed=%d shedAfterAdmission=%d",
+			st.Admitted, st.Completed, st.Failed, st.ShedAfterAdmission)
+	}
+	t.Logf("%d completed (%d coalesced, %d reused), %d shed draining, %d expired in queue; server: %d admitted, %d failed",
+		completed, coalesced, reused, shedDraining, expiredInQueue, st.Admitted, st.Failed)
+	if coalesced == 0 || reused == 0 || shedDraining == 0 || expiredInQueue == 0 {
+		t.Errorf("load missed a path: %d completed, %d coalesced, %d reused, %d shed draining, %d expired in queue",
+			completed, coalesced, reused, shedDraining, expiredInQueue)
 	}
 }

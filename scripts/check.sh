@@ -169,13 +169,14 @@ echo "== service smoke (daemon + drain) =="
 # with a structured 429, and a SIGTERM drain that accounts for every request.
 go test -count=1 -run '^TestCLIServiceDaemon$' .
 
-echo "== service load smoke (mixed-load harness) =="
-# A small fixed-scale slice of the mixed-load harness (scripts/load.sh runs
-# the full bench-scale version): duplicate shapes exercise coalescing and
-# checkpoint reuse, a mid-run drain exercises shedding, and the harness
-# itself fails on a leaked slot or an unbalanced admission ledger.
-go run ./cmd/gendpr-load -requests 200 -workers 8 -snps 48 -genomes 60 \
-    -short-every 40 -drain-after 150 >/dev/null
+echo "== service mixed load: slots and ledger (race, 10 runs) =="
+# 200 requests from 8 workers against the real in-process federation: shapes
+# that repeat exercise coalescing and checkpoint reuse, 1 ms deadlines expire
+# in the queue (one of them certainly, behind two held slots), and a drain at
+# submission 150 sheds the rest. After the drain no slot or queue entry may
+# be left and the admission ledger must balance. Repeated under the race
+# detector because admission, the workers and the drain share the ledger.
+go test -race -count=10 -run '^TestMixedLoadLedgerBalances$' ./internal/service/
 
 echo "== bench smoke (1 iteration, tiny scale) =="
 # One iteration of the Phase-3 suite at a tiny scale: catches benchmarks that
