@@ -197,7 +197,7 @@ func runOnce(leader *federation.Leader, shard, reference *genome.Matrix, addrs [
 		fmt.Printf("resumed from checkpoint in %s\n", ckptDir)
 	}
 	if report.CorruptionRecovered {
-		fmt.Printf("checkpoint store recovered from a corrupt snapshot (quarantined alongside the live generations)\n")
+		fmt.Printf("checkpoint store recovered from a corrupt snapshot (resumed from the boundary before it)\n")
 	}
 	fmt.Printf("selection: %s\n", report.Selection)
 	for _, e := range report.Excluded {

@@ -48,40 +48,55 @@ func collusionState(snps, afterLD int) *State {
 // BenchmarkFileStoreSave prices one checkpoint boundary on disk at the shape
 // of the last of the 33 saves of the benchmark's fed5_collusion workload (5 ×
 // 10,000 counts, 31 LD selections of ~390 SNPs, 31 combinations), and at a
-// tenth of it, both ways a FileStore saves one:
-// a new base (encode, write, fsync, rotate, rename and directory fsync) and,
-// in the "_append" sub-benchmarks, one Phase-3 combination appended to the
-// log behind a StageLD base (encode a frame, write, fsync). bytes/op is the
-// record's or the frame's size.
+// tenth of it, all three ways a FileStore saves one: a rewrite (encode, write
+// a temporary file, fsync, rename, directory fsync), in the "_record"
+// sub-benchmarks a state record appended to the file (encode, write, fsync),
+// and in the "_append" ones one Phase-3 combination appended behind a StageLD
+// record (encode a frame, write, fsync). bytes/op is the record's or the
+// frame's size.
 func BenchmarkFileStoreSave(b *testing.B) {
 	for _, shape := range []struct {
 		name          string
 		snps, afterLD int
 	}{{"fed5_collusion", 10000, 390}, {"tenth", 1000, 39}} {
-		b.Run(shape.name, func(b *testing.B) {
-			st := collusionState(shape.snps, shape.afterLD)
-			s, err := NewFileStore(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			n := len(Encode(st))
-			b.SetBytes(int64(n))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.Save(st); err != nil {
-					b.Fatal(err)
+		// The rewrite case reopens the store before every save. The record
+		// case reopens it every 16 saves and rewrites the file untimed, so
+		// every timed save is an append and the file holds at most 17 records.
+		for _, mode := range []struct {
+			suffix string
+			every  int
+		}{{"", 1}, {"_record", 16}} {
+			b.Run(shape.name+mode.suffix, func(b *testing.B) {
+				st := collusionState(shape.snps, shape.afterLD)
+				dir := b.TempDir()
+				var s *FileStore
+				n := len(Encode(st))
+				b.SetBytes(int64(n))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if i%mode.every == 0 {
+						s = openBench(b, dir)
+						if mode.every > 1 {
+							b.StopTimer()
+							if err := s.Save(st); err != nil {
+								b.Fatal(err)
+							}
+							b.StartTimer()
+						}
+					}
+					if err := s.Save(st); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric(float64(n), "bytes/op")
-		})
+				b.ReportMetric(float64(n), "bytes/op")
+			})
+		}
 		b.Run(shape.name+"_append", func(b *testing.B) {
 			full := collusionState(shape.snps, shape.afterLD)
 			combos := full.Combinations
-			s, err := NewFileStore(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
+			dir := b.TempDir()
+			var s *FileStore
 			st := *full
 			n := 0
 			b.ReportAllocs()
@@ -89,8 +104,10 @@ func BenchmarkFileStoreSave(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				k := i%len(combos) + 1
 				if k == 1 {
-					// A new run's Phase-2 base, outside the timed appends.
+					// A new run's Phase-2 record, rewriting the file, outside
+					// the timed appends.
 					b.StopTimer()
+					s = openBench(b, dir)
 					st.Combinations = combos[:0]
 					if err := s.Save(&st); err != nil {
 						b.Fatal(err)
@@ -106,4 +123,13 @@ func BenchmarkFileStoreSave(b *testing.B) {
 			b.ReportMetric(float64(n)/float64(b.N), "bytes/op")
 		})
 	}
+}
+
+// openBench opens a store over dir whose first Save rewrites the file.
+func openBench(b *testing.B, dir string) *FileStore {
+	s, err := NewFileStore(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
 }

@@ -9,14 +9,16 @@
 // outputs are not in it: they are a pure function of the summaries and the
 // public reference panel, and a resuming leader recomputes them.
 //
-// A State is stored as a base record plus zero or more log frames. The base
-// is a versioned, length-prefixed, CRC-guarded envelope over the project's
-// deterministic wire codec and is self-contained; each log frame carries the
-// Phase 3 combinations completed since the previous write, under its own
-// length and CRC. Decoding the base is all-or-nothing: a truncated,
-// corrupted, or version-skewed record yields an error and no partially
-// applied state. Decoding the log is all-or-nothing per frame: the first
-// torn or CRC-bad frame ends it. The fuzz targets enforce both.
+// A FileStore keeps a State as one file: a state record followed by
+// appended frames, one per phase boundary. A state record is a versioned,
+// length-prefixed, CRC-guarded envelope over the project's deterministic wire
+// codec and is self-contained; appended as a frame, it replaces the state
+// before it. A combinations frame carries the Phase 3 combinations completed
+// since the previous frame, under its own length and CRC. Decoding a record
+// is all-or-nothing: a truncated, corrupted, or version-skewed record yields
+// an error and no partially applied state. Decoding the file is
+// all-or-nothing per frame: the first torn or bad frame ends it at the
+// boundary before. The fuzz targets enforce both.
 package checkpoint
 
 import (
@@ -38,9 +40,8 @@ import (
 // dropped the per-provider pair statistics the LD scan aggregated: a resume
 // at StageLD skips Phase 2 entirely, so no resume ever read them. Version 4
 // dropped L′, the per-combination L′ and L″: a resume recomputes Phase 1 from
-// the counts and intersects L″ from the per-combination L″. Records may
-// carry a trailing blame section (absent in records written before it
-// existed); decoders treat a missing section as empty.
+// the counts and intersects L″ from the per-combination L″. Every record
+// ends with the blame section, empty or not.
 const Version = 4
 
 // magic identifies a checkpoint record; anything else is not even parsed.
@@ -317,26 +318,22 @@ func Decode(b []byte) (*State, error) {
 	if st.Combinations, ok = decodeCombinations(d); !ok {
 		return nil, fmt.Errorf("%w: combination length", ErrCorrupt)
 	}
-	// The blame section trails the record and is optional: records written
-	// before it existed simply end here.
-	if d.Remaining() > 0 {
-		nBlamed, ok := decodeLen(d, 6*8)
-		if !ok {
-			return nil, fmt.Errorf("%w: blame length", ErrCorrupt)
-		}
-		if nBlamed > 0 {
-			st.Blamed = make([]BlameRecord, 0, nBlamed)
-		}
-		for i := 0; i < nBlamed; i++ {
-			st.Blamed = append(st.Blamed, BlameRecord{
-				Member:   d.String(),
-				Phase:    d.String(),
-				Query:    d.String(),
-				Kind:     d.String(),
-				Prior:    copyBytes(d.Blob()),
-				Observed: copyBytes(d.Blob()),
-			})
-		}
+	nBlamed, ok := decodeLen(d, 6*8)
+	if !ok {
+		return nil, fmt.Errorf("%w: blame length", ErrCorrupt)
+	}
+	if nBlamed > 0 {
+		st.Blamed = make([]BlameRecord, 0, nBlamed)
+	}
+	for i := 0; i < nBlamed; i++ {
+		st.Blamed = append(st.Blamed, BlameRecord{
+			Member:   d.String(),
+			Phase:    d.String(),
+			Query:    d.String(),
+			Kind:     d.String(),
+			Prior:    copyBytes(d.Blob()),
+			Observed: copyBytes(d.Blob()),
+		})
 	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("%w: payload: %v", ErrCorrupt, err)
@@ -439,15 +436,18 @@ func decodePerCombination(d *wire.Decoder) ([][]int, bool) {
 	return out, true
 }
 
-// frameOverhead is a log frame's length prefix plus its CRC trailer.
+// frameOverhead is a combinations frame's length prefix plus its CRC
+// trailer.
 const frameOverhead = 8 + 4
 
-// encodeFrame serializes combinations as one log frame:
+// encodeFrame serializes combinations as one combinations frame:
 //
 //	length u64 | count u64 | combinations | crc32(IEEE) u32
 //
 // length counts the bytes between itself and the CRC; the CRC covers the
-// length and those bytes. The combinations use the base record's encoding.
+// length and those bytes. The combinations use the state record's encoding.
+// A frame never starts with the record magic: read as a length, the magic
+// claims exabytes.
 func encodeFrame(cs []Combination) []byte {
 	n := combinationsLen(cs)
 	out := make([]byte, 8, frameOverhead+n)
@@ -458,50 +458,79 @@ func encodeFrame(cs []Combination) []byte {
 	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 }
 
-// readFrame decodes the log frame at the head of b and returns its
-// combinations and its size in bytes. ok is false unless b starts with a
-// whole frame whose CRC matches and whose combinations decode and validate.
-// The claimed length is checked against len(b) before anything is read or
-// allocated for it.
-func readFrame(b []byte) (cs []Combination, size int, ok bool) {
-	if len(b) < frameOverhead {
-		return nil, 0, false
+// isRecord reports whether b starts with a state record's magic.
+func isRecord(b []byte) bool { return len(b) >= len(magic) && string(b[:len(magic)]) == magic }
+
+// frameSize returns the size of the frame at the head of b, a state record
+// or a combinations frame, as its length field claims it; whole is false when
+// b ends before the frame does. The claim is checked against len(b) before
+// anything is read or allocated for it.
+func frameSize(b []byte) (size int, whole bool) {
+	lengthOff, overhead := 0, frameOverhead
+	if isRecord(b) {
+		lengthOff, overhead = len(magic)+4, headerLen+4
 	}
-	n := binary.BigEndian.Uint64(b)
-	if n > uint64(len(b)-frameOverhead) {
-		return nil, 0, false
+	if len(b) < overhead {
+		return 0, false
 	}
-	size = frameOverhead + int(n)
-	body := b[:size-4]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(b[size-4:size]) {
-		return nil, 0, false
+	n := binary.BigEndian.Uint64(b[lengthOff:])
+	if n > uint64(len(b)-overhead) {
+		return 0, false
+	}
+	return overhead + int(n), true
+}
+
+// readFrame decodes a whole combinations frame, as sized by frameSize. ok is
+// false unless its CRC matches and its combinations decode and validate.
+func readFrame(frame []byte) ([]Combination, bool) {
+	body := frame[:len(frame)-4]
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(frame[len(body):]) {
+		return nil, false
 	}
 	d := wire.NewDecoder(body[8:])
-	cs, ok = decodeCombinations(d)
+	cs, ok := decodeCombinations(d)
 	if !ok || d.Finish() != nil {
-		return nil, 0, false
+		return nil, false
 	}
 	for i := range cs {
 		if !cs[i].valid() {
-			return nil, 0, false
+			return nil, false
 		}
 	}
-	return cs, size, true
+	return cs, true
 }
 
-// decodeLog returns the combinations of the intact frames at the head of b
-// and the number of bytes those frames span. The first frame that is torn,
-// fails its CRC, or does not decode ends the log: it is what a crash during
-// an append leaves behind, so it is not an error.
-func decodeLog(b []byte) ([]Combination, int) {
-	var out []Combination
-	off := 0
-	for {
-		cs, n, ok := readFrame(b[off:])
-		if !ok {
-			return out, off
-		}
-		out = append(out, cs...)
-		off += n
+// decodeFile folds a checkpoint file — a state record, then frames — into
+// the state at its last intact boundary. intact is the number of bytes the
+// records and frames folded span. The fold stops at the first frame that is
+// not whole, a torn append whose bytes are dropped, or that fails its CRC or
+// decode, in which case corrupt is set. A first record that is not whole, is
+// not a state record or fails to decode is an error: ErrVersion when it is
+// intact but of another format version, ErrCorrupt otherwise.
+func decodeFile(b []byte) (st *State, intact int, corrupt bool, err error) {
+	size, whole := frameSize(b)
+	if !whole {
+		size = len(b) // Decode names the defect
 	}
+	if st, err = Decode(b[:size]); err != nil {
+		return nil, 0, false, err
+	}
+	for intact = size; intact < len(b); intact += size {
+		if size, whole = frameSize(b[intact:]); !whole {
+			break
+		}
+		frame := b[intact : intact+size]
+		if isRecord(frame) {
+			next, err := Decode(frame)
+			if err != nil {
+				return st, intact, true, nil
+			}
+			st = next
+		} else if cs, ok := readFrame(frame); ok {
+			st.Combinations = append(st.Combinations, cs...)
+		} else {
+			return st, intact, true, nil
+		}
+	}
+	return st, intact, false, nil
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"reflect"
 	"runtime"
 	"testing"
 )
@@ -61,85 +60,123 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzDecodeLog drives the log decoder with arbitrary bytes. The contract
-// under test: decodeLog never panics; the intact prefix it reports splits
-// into frames that are each exactly the encoding of the combinations read
-// from them (so every returned combination comes from a frame whose CRC
-// matched, and nothing of a frame is half-applied); and the bytes after that
-// prefix never contribute — a whole frame appended to the prefix adds
-// exactly its combinations, a torn one adds none.
+// FuzzDecodeLog drives the file decoder — a state record followed by
+// appended frames — with arbitrary bytes. The contract under test:
+// decodeFile never panics, and returns a state exactly when the first record
+// decodes; the intact prefix it reports splits at frame boundaries into
+// frames that each decode, and folds on its own to the same state with
+// nothing left over; and the verdict on the bytes behind that prefix is
+// stable under appending bytes — a corrupt frame stays corrupt at the same
+// offset, a torn tail never shortens the prefix, and behind a clean end a
+// whole combinations frame adds exactly its combinations while a torn one
+// adds nothing.
 func FuzzDecodeLog(f *testing.F) {
-	combos := sampleState().Combinations
-	frame := encodeFrame(combos)
-	log := append(append([]byte(nil), frame...), encodeFrame(combos[1:])...)
+	st := sampleState()
+	combos := st.Combinations
+	maf := &State{Fingerprint: st.Fingerprint, Providers: st.Providers, Counts: st.Counts, CaseNs: st.CaseNs, Stage: StageMAF}
+	ld := *maf
+	ld.Stage, ld.PerLD = StageLD, st.PerLD
+	file := append(Encode(maf), Encode(&ld)...)
+	file = append(append(file, encodeFrame(combos[:1])...), encodeFrame(combos[1:])...)
+	blamed := append(append([]byte(nil), file...), Encode(blamedState())...)
 	f.Add([]byte(nil))
-	f.Add(log)
-	f.Add(log[:len(log)-3]) // a truncated frame
-	crcFlip := append([]byte(nil), log...)
+	f.Add(Encode(maf))
+	f.Add(file)
+	f.Add(blamed)
+	f.Add(file[:len(file)-3])     // a torn combinations frame
+	f.Add(blamed[:len(blamed)-9]) // a torn state record
+	crcFlip := append([]byte(nil), file...)
 	crcFlip[len(crcFlip)-1] ^= 0x01
 	f.Add(crcFlip)
-	huge := append([]byte(nil), frame...)
-	binary.BigEndian.PutUint64(huge, 1<<62) // a huge length prefix
+	frame := encodeFrame(combos)
+	huge := append(Encode(maf), frame...)
+	binary.BigEndian.PutUint64(huge[len(huge)-len(frame):], 1<<62) // a huge length prefix
 	f.Add(huge)
 	// A frame whose CRC matches but whose count claims 2^40 combinations.
-	hugeCount := append([]byte(nil), frame...)
-	binary.BigEndian.PutUint64(hugeCount[8:], 1<<40)
-	binary.BigEndian.PutUint32(hugeCount[len(hugeCount)-4:], crc32.ChecksumIEEE(hugeCount[:len(hugeCount)-4]))
+	hugeCount := append(Encode(maf), lyingFrame(frame, 1<<40)...)
 	f.Add(hugeCount)
 
 	extra := encodeFrame(combos[:1])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, n := decodeLog(data)
-		if n < 0 || n > len(data) {
-			t.Fatalf("intact prefix %d bytes of %d", n, len(data))
+		st, n, corrupt, err := decodeFile(data)
+		if err != nil {
+			if st != nil || n != 0 || corrupt {
+				t.Fatal("decodeFile returned a state or a verdict alongside an error")
+			}
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
+				t.Fatalf("decodeFile error %v is neither ErrCorrupt nor ErrVersion", err)
+			}
+			return
 		}
-		var walked []Combination
+		if n <= 0 || n > len(data) || (corrupt && n == len(data)) {
+			t.Fatalf("intact prefix %d bytes of %d (corrupt %v)", n, len(data), corrupt)
+		}
 		for off := 0; off < n; {
-			cs, size, ok := readFrame(data[off:n])
-			if !ok {
+			size, whole := frameSize(data[off:n])
+			if !whole {
 				t.Fatalf("intact prefix does not split into frames at byte %d", off)
 			}
-			if !bytes.Equal(encodeFrame(cs), data[off:off+size]) {
-				t.Fatalf("frame at byte %d is not the encoding of its combinations", off)
+			frame := data[off : off+size]
+			if isRecord(frame) {
+				if _, err := Decode(frame); err != nil {
+					t.Fatalf("state record at byte %d does not decode: %v", off, err)
+				}
+			} else if _, ok := readFrame(frame); !ok {
+				t.Fatalf("combinations frame at byte %d does not decode", off)
 			}
-			walked = append(walked, cs...)
 			off += size
 		}
-		if !reflect.DeepEqual(walked, got) {
-			t.Fatal("decodeLog returned combinations its frames do not hold")
+		again, m, bad, err := decodeFile(data[:n:n])
+		if err != nil || m != n || bad || !statesEqual(again, st) {
+			t.Fatal("the intact prefix alone folds to another state")
 		}
-		prefix := data[:n:n]
+
+		prefix := data[:len(data):len(data)]
 		for _, cut := range []int{0, 1, 8, frameOverhead, len(extra) - 4, len(extra) - 1, len(extra)} {
-			more, m := decodeLog(append(prefix, extra[:cut]...))
-			wantN, wantLen := n, len(got)
-			if cut == len(extra) {
-				wantN, wantLen = n+len(extra), len(got)+1
-			}
-			if m != wantN || len(more) != wantLen {
-				t.Fatalf("prefix + %d of %d frame bytes: %d combinations over %d bytes, want %d over %d",
-					cut, len(extra), len(more), m, wantLen, wantN)
+			more, m, bad, err := decodeFile(append(prefix, extra[:cut]...))
+			switch {
+			case err != nil:
+				t.Fatalf("appending %d bytes broke the first record: %v", cut, err)
+			case corrupt && (m != n || !bad || !statesEqual(more, st)):
+				t.Fatalf("appending %d bytes changed the corrupt verdict at byte %d", cut, n)
+			case m < n:
+				t.Fatalf("appending %d bytes shortened the intact prefix from %d to %d", cut, n, m)
+			case n == len(data) && cut == len(extra) && (m != n+cut || len(more.Combinations) != len(st.Combinations)+1):
+				t.Fatalf("a whole frame behind a clean end: %d combinations over %d bytes, want %d over %d",
+					len(more.Combinations), m, len(st.Combinations)+1, n+cut)
+			case n == len(data) && cut < len(extra) && (m != n || bad || !statesEqual(more, st)):
+				t.Fatalf("%d torn bytes behind a clean end changed the state", cut)
 			}
 		}
 	})
 }
 
-// TestReadFrameBoundsBeforeAllocating hands the log decoder a frame whose
-// CRC matches but whose count claims 2^20 combinations, about 92 MB of
-// Combination headers: the claim must be refused against the frame's 200-odd
-// bytes before anything is allocated for it.
+// lyingFrame returns frame with its combination count set to count and the
+// CRC re-stitched, so only the count lies.
+func lyingFrame(frame []byte, count uint64) []byte {
+	out := append([]byte(nil), frame...)
+	binary.BigEndian.PutUint64(out[8:], count)
+	binary.BigEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
+	return out
+}
+
+// TestReadFrameBoundsBeforeAllocating hands the file decoder a combinations
+// frame whose CRC matches but whose count claims 2^20 combinations, about
+// 92 MB of Combination headers: the claim must be refused against the
+// frame's 200-odd bytes before anything is allocated for it, ending the fold
+// at the state record before it.
 func TestReadFrameBoundsBeforeAllocating(t *testing.T) {
-	frame := encodeFrame(sampleState().Combinations)
-	binary.BigEndian.PutUint64(frame[8:], 1<<20)
-	binary.BigEndian.PutUint32(frame[len(frame)-4:], crc32.ChecksumIEEE(frame[:len(frame)-4]))
+	record := Encode(&State{})
+	file := append(append([]byte(nil), record...), lyingFrame(encodeFrame(sampleState().Combinations), 1<<20)...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	cs, n := decodeLog(frame)
+	st, n, corrupt, err := decodeFile(file)
 	runtime.ReadMemStats(&after)
-	if cs != nil || n != 0 {
-		t.Fatalf("decoded %d combinations over %d bytes from a lying frame", len(cs), n)
+	if err != nil || n != len(record) || !corrupt || len(st.Combinations) != 0 {
+		t.Fatalf("decodeFile = (%d combinations, %d bytes, corrupt %v, %v), want the record alone and a corrupt frame", len(st.Combinations), n, corrupt, err)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Errorf("decoding a %d-byte frame allocated %d bytes", len(frame), grew)
+		t.Errorf("decoding a %d-byte file allocated %d bytes", len(file), grew)
 	}
 }
 

@@ -90,8 +90,6 @@ func TestFileStoreNamespaceSanitization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two bases and an append behind each, so the longest name — the
-	// previous generation's log — is on disk.
 	ns := root.Namespace("ten/ant: §" + strings.Repeat("x", 200))
 	grown := sampleState()
 	base := *grown
@@ -101,8 +99,8 @@ func TestFileStoreNamespaceSanitization(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := os.Stat(ns.(*FileStore).Path() + prevSuffix + logSuffix); err != nil {
-		t.Fatalf("no previous generation's log on disk: %v", err)
+	if _, err := os.Stat(ns.(*FileStore).Path()); err != nil {
+		t.Fatalf("no checkpoint file on disk: %v", err)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -120,7 +118,7 @@ func TestFileStoreNamespaceSanitization(t *testing.T) {
 				t.Errorf("file name %q contains unsafe byte %q", name, c)
 			}
 		}
-		if len(name) > len("assessment-")+128+len(".ckpt.prev.log") {
+		if len(name) > len("assessment-")+128+len(".ckpt"+tmpSuffix) {
 			t.Errorf("file name %q not truncated", name)
 		}
 	}
@@ -135,7 +133,7 @@ func TestClearAllRemovesEveryNamespace(t *testing.T) {
 	if err := root.Save(stateFor("root")); err != nil {
 		t.Fatal(err)
 	}
-	// Two saves so the namespace has both a current and a .prev generation.
+	// Two saves so the namespace's file holds two records.
 	ns := root.Namespace("cafe")
 	if err := ns.Save(stateFor("one")); err != nil {
 		t.Fatal(err)
@@ -149,9 +147,9 @@ func TestClearAllRemovesEveryNamespace(t *testing.T) {
 	if err := os.WriteFile(stale, Encode(stateFor("stale")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Quarantined corruption evidence must survive.
-	corrupt := filepath.Join(dir, "assessment-cafe.ckpt.corrupt")
-	if err := os.WriteFile(corrupt, []byte("evidence"), 0o644); err != nil {
+	// Files that are not checkpoints must survive.
+	other := filepath.Join(dir, "assessment-notes.txt")
+	if err := os.WriteFile(other, []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -162,12 +160,20 @@ func TestClearAllRemovesEveryNamespace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Name() != filepath.Base(corrupt) {
+	if len(entries) != 1 || entries[0].Name() != filepath.Base(other) {
 		names := make([]string, 0, len(entries))
 		for _, e := range entries {
 			names = append(names, e.Name())
 		}
-		t.Fatalf("after ClearAll directory holds %v, want only the .corrupt evidence", names)
+		t.Fatalf("after ClearAll directory holds %v, want only %s", names, filepath.Base(other))
+	}
+	// A namespace opened before ClearAll writes a new file, not an append
+	// to the removed one.
+	if err := ns.Save(stateFor("three")); err != nil {
+		t.Fatalf("Save after ClearAll: %v", err)
+	}
+	if got, err := ns.Load(); err != nil || string(got.Fingerprint) != "three" {
+		t.Fatalf("Load after ClearAll and Save = (%+v, %v)", got, err)
 	}
 
 	mem := NewMemStore()

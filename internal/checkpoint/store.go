@@ -8,7 +8,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 )
 
@@ -130,36 +129,36 @@ func (s *MemStore) ClearAll() error {
 }
 
 // Recoverer is implemented by stores that can transparently fall back past a
-// corrupt or missing current snapshot to an older valid boundary. Callers
-// that care (the resume path surfaces a CorruptionRecovered marker in the
-// report) probe it with a type assertion after a successful Load.
+// corrupt record to an older valid boundary. Callers that care (the resume
+// path surfaces a CorruptionRecovered marker in the report) probe it with a
+// type assertion after a successful Load.
 type Recoverer interface {
 	// RecoveredCorruption describes the most recent Load's fallback, or
-	// returns false when the last Load read the current snapshot cleanly.
+	// returns false when the last Load read every whole record cleanly.
 	RecoveredCorruption() (string, bool)
 }
 
-// FileStore persists the checkpoint in a directory as a base snapshot plus
-// an append-only log of the Phase 3 combinations completed since, and keeps
-// the previous base and its log as a fallback generation.
+// FileStore persists the checkpoint in a directory, one file per namespace:
+// a state record followed by appended frames, each frame one phase boundary.
+// A frame is either a whole state record, which replaces the state before
+// it, or a combinations frame, which adds Phase 3 combinations to it.
 //
-// A Save that only adds combinations to the state this instance last wrote
-// (same fingerprint, providers, stage and blame count, and the combinations
-// already on disk as its prefix) appends them to the log as one CRC-guarded
-// frame: open with O_APPEND, write, fsync, close. Any other Save writes a new
-// base: write a temporary file, fsync it, rotate the current base and its log
-// to the previous generation, rename the temporary into place, and fsync the
-// directory. A crash or power loss at any instant leaves at least one valid,
-// durable boundary on disk.
+// While this instance has written every byte of the file, a Save appends: a
+// combinations frame when st only adds combinations to the state last
+// written (same fingerprint, providers, stage and blame count, and the
+// combinations already on disk as its prefix), a state record otherwise.
+// An append is one write and one fsync. Any other Save — the first after
+// opening the store, after a Load or after a failed write — rewrites the
+// file: write a temporary file, fsync it, rename it over the file, and fsync
+// the directory. No crash instant leaves the file missing.
 //
-// Load returns the base plus every intact frame of its own log; a torn or
-// CRC-bad frame ends the log (it is what a crash during an append leaves).
-// A Load that finds the current base corrupt (torn write, bit rot)
-// quarantines it and its log under ".corrupt" names for post-mortem
-// inspection and falls back to the previous generation instead of failing
-// the run. A base written by a build with another format version is not
-// corrupt: Load reports ErrVersion and leaves it in place for the next Save
-// to replace.
+// Load folds the frames in order and stops at the first bad one (see
+// decodeFile). A frame that runs past the end of the file is what a crash
+// during an append leaves, and is dropped silently; a whole frame that fails
+// its CRC or decode returns the boundary before it, and RecoveredCorruption
+// reports the fallback. A bad first record is ErrCorrupt, and one written by
+// a build with another format version ErrVersion; the next Save replaces
+// either.
 type FileStore struct {
 	path string
 	dir  string
@@ -175,24 +174,19 @@ type FileStore struct {
 // itself, enough to recognise a Save that only adds combinations. It is
 // constant-size: a daemon keeps every namespace it has opened.
 type logTail struct {
-	// ok is set once this instance has written the current base and every
-	// frame since; a Load or a failed write clears it.
+	// ok is set once this instance has written every byte of the file; a
+	// Load or a failed write clears it.
 	ok bool
-	// logged is the number of combinations on disk, base and log together,
-	// and hash is prefixHash(st, logged) of the state last written.
+	// logged is the number of combinations in the file's state, and hash is
+	// prefixHash(st, logged) of the state last written.
 	logged int
 	hash   uint64
-	// logExists reports that the log file has been created since the base.
-	logExists bool
 }
 
 // File names used inside the store directory.
 const (
 	checkpointFile = "assessment.ckpt"
 	tmpSuffix      = ".tmp"
-	prevSuffix     = ".prev"
-	logSuffix      = ".log" // a base's log is the base's name plus this
-	corruptSuffix  = ".corrupt"
 )
 
 // NewFileStore opens (creating if needed) a directory-backed store.
@@ -203,13 +197,13 @@ func NewFileStore(dir string) (*FileStore, error) {
 	return &FileStore{path: filepath.Join(dir, checkpointFile), dir: dir}, nil
 }
 
-// Path returns the current checkpoint file location.
+// Path returns the checkpoint file location.
 func (s *FileStore) Path() string { return s.path }
 
 // SetFaultHook installs a hook called before each durability-relevant step
-// of Save ("write", "rotate", "rename", "sync" for a new base, "append" for a
-// log frame); a non-nil return aborts the save with that error. Tests use it
-// to simulate disk-full and torn-write conditions at exact points of the
+// of Save ("write", "rename", "sync" for a rewrite, "append" for an appended
+// frame); a non-nil return aborts the save with that error. Tests use it to
+// simulate disk-full and torn-write conditions at exact points of the
 // persistence sequence.
 func (s *FileStore) SetFaultHook(hook func(op string) error) {
 	s.mu.Lock()
@@ -224,105 +218,68 @@ func (s *FileStore) fault(op string) error {
 	return s.faultHook(op)
 }
 
-// Save implements Store, appending a log frame when st only adds
-// combinations to what this instance last persisted and writing a new base
-// otherwise. The whole sequence runs under the instance lock: concurrent
-// savers of one store (the service's coalesced requests, a test's parallel
-// writers) are serialized rather than interleaving their steps.
+// Save implements Store, appending a frame while this instance has written
+// the whole file and rewriting the file otherwise. The whole sequence runs
+// under the instance lock: concurrent savers of one store (the service's
+// coalesced requests, a test's parallel writers) are serialized rather than
+// interleaving their steps.
 func (s *FileStore) Save(st *State) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.tail
 	s.tail = logTail{} // until this save is durable
 	n := len(st.Combinations)
-	appended := t.ok && n > t.logged && prefixHash(st, t.logged) == t.hash
 	var err error
-	if appended {
-		err = s.appendLog(st.Combinations[t.logged:], !t.logExists)
-	} else {
-		err = s.saveBase(st)
+	switch {
+	case !t.ok:
+		err = s.rewrite(Encode(st))
+	case n > t.logged && prefixHash(st, t.logged) == t.hash:
+		err = s.appendFrame(encodeFrame(st.Combinations[t.logged:]))
+	default:
+		err = s.appendFrame(Encode(st))
 	}
 	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	s.tail = logTail{ok: true, logged: n, hash: prefixHash(st, n)}
+	return nil
+}
+
+// appendFrame writes one frame at the end of the file and makes it durable.
+// The file is closed again at once: a daemon keeps every namespace it has
+// opened, and an open file per namespace would hold one descriptor each.
+func (s *FileStore) appendFrame(frame []byte) error {
+	if err := s.fault("append"); err != nil {
 		return err
 	}
-	s.tail = logTail{ok: true, logged: n, hash: prefixHash(st, n), logExists: appended}
-	return nil
+	return writeFileSync(s.path, os.O_APPEND, frame)
 }
 
-// appendLog writes cs to the log as one frame and makes it durable. The file
-// is closed again at once: a daemon keeps every namespace it has opened, and
-// an open log per namespace would hold one descriptor each.
-func (s *FileStore) appendLog(cs []Combination, create bool) error {
-	if err := s.fault("append"); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := writeFileSync(s.path+logSuffix, os.O_APPEND, encodeFrame(cs)); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if create {
-		// The new directory entry must be durable too, or a power loss can
-		// drop the whole log.
-		return s.syncDir()
-	}
-	return nil
-}
-
-// saveBase writes st as a new base with a fsync'd write-rotate-rename
-// sequence, leaving it with an empty log.
-func (s *FileStore) saveBase(st *State) error {
+// rewrite replaces the file with b: a temporary file is written and fsynced,
+// renamed over the file, and the directory fsynced, so a crash leaves either
+// the old file or the new one.
+func (s *FileStore) rewrite(b []byte) error {
 	tmp := s.path + tmpSuffix
-	if err := s.fault("write"); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+	err := s.fault("write")
+	if err == nil {
+		err = writeFileSync(tmp, os.O_CREATE|os.O_TRUNC, b)
 	}
-	if err := writeFileSync(tmp, os.O_TRUNC, Encode(st)); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("checkpoint: %w", err)
+	if err == nil {
+		err = s.fault("rename")
 	}
-	// Rotate the old current generation into the fallback slot before the
-	// new base lands: between the renames the previous boundary is still the
-	// newest valid snapshot, so no crash instant loses both generations.
-	if err := s.fault("rotate"); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("checkpoint: %w", err)
+	if err == nil {
+		err = os.Rename(tmp, s.path)
 	}
-	if err := s.rotate(); err != nil {
+	if err != nil {
 		_ = os.Remove(tmp)
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := s.fault("rename"); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("checkpoint: %w", err)
+		return err
 	}
 	if err := s.fault("sync"); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+		return err
 	}
-	// The renames only become durable once the directory entry updates hit
-	// disk; without this a power loss can make a saved snapshot vanish.
+	// The rename only becomes durable once the directory entry hits disk;
+	// without this a power loss can bring the old file back.
 	return s.syncDir()
-}
-
-// rotate moves the current base and its log into the previous generation's
-// slot. The slot's old log goes first, so it never follows the new previous
-// base; a current log without its base is dropped, never moved.
-func (s *FileStore) rotate() error {
-	if _, err := os.Stat(s.path); err != nil {
-		return removeIfExists(s.path + logSuffix)
-	}
-	prev := s.path + prevSuffix
-	if err := removeIfExists(prev + logSuffix); err != nil {
-		return err
-	}
-	if err := os.Rename(s.path, prev); err != nil {
-		return err
-	}
-	if err := os.Rename(s.path+logSuffix, prev+logSuffix); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	return nil
 }
 
 func removeIfExists(path string) error {
@@ -335,10 +292,10 @@ func removeIfExists(path string) error {
 // hashSeed keys prefixHash; its values never leave the process.
 var hashSeed = maphash.MakeSeed()
 
-// prefixHash hashes what a log append must leave unchanged — fingerprint,
-// providers, stage and blame count — and the member names of the first n
-// combinations. It reads only those cheap fields, never the encoded state.
-// (maphash.Hash writes never fail.)
+// prefixHash hashes what a combinations frame must leave unchanged —
+// fingerprint, providers, stage and blame count — and the member names of
+// the first n combinations. It reads only those cheap fields, never the
+// encoded state. (maphash.Hash writes never fail.)
 func prefixHash(st *State, n int) uint64 {
 	var h maphash.Hash
 	h.SetSeed(hashSeed)
@@ -368,11 +325,11 @@ func prefixHash(st *State, n int) uint64 {
 	return h.Sum64()
 }
 
-// writeFileSync writes b to the file opened with flag (O_TRUNC or O_APPEND)
-// and flushes its contents to stable storage before returning, so a
-// subsequent rename can only ever expose complete bytes.
+// writeFileSync writes b to the file opened with flag (O_CREATE|O_TRUNC for
+// a rewrite's temporary file, O_APPEND for an append, which never creates
+// the file) and flushes its contents to stable storage before returning.
 func writeFileSync(path string, flag int, b []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|flag, 0o644)
+	f, err := os.OpenFile(path, os.O_WRONLY|flag, 0o644)
 	if err != nil {
 		return err
 	}
@@ -390,104 +347,41 @@ func writeFileSync(path string, flag int, b []byte) error {
 func (s *FileStore) syncDir() error {
 	d, err := os.Open(s.dir)
 	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+		return err
 	}
 	defer d.Close()
 	if err := d.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: sync directory: %w", err)
+		return fmt.Errorf("sync directory: %w", err)
 	}
 	return nil
 }
 
-// Load implements Store. A corrupt current base is quarantined together with
-// its log (renamed with a ".corrupt" suffix) and the previous generation is
-// returned instead; RecoveredCorruption reports the fallback. The current
-// log is never read on top of the previous base. Only when no generation
-// decodes does Load surface the corruption error. A missing current base
-// also falls back to the previous generation; Load returns ErrNotFound only
-// when that is missing too, and quarantines a corrupt one as above. A
-// current base of another format version returns ErrVersion with no
-// quarantine and no fallback: the previous generation is no newer, so it
-// cannot be of this version either, and the bytes are intact — an upgrade,
-// not evidence of a fault. Load forgets what this instance wrote, so the
-// next Save writes a new base.
+// Load implements Store: the state at the file's last intact boundary, with
+// RecoveredCorruption set when a corrupt frame ended the fold before the end
+// of the file. A missing file is ErrNotFound and one that cannot be read an
+// I/O error, which the caller treats as run-fatal. Load forgets what this
+// instance wrote, so the next Save rewrites the file — dropping a torn tail
+// or a corrupt frame, and replacing a bad first record.
 func (s *FileStore) Load() (*State, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.recovered = ""
 	s.tail = logTail{}
-
-	prev := s.path + prevSuffix
-	st, err := loadGeneration(s.path)
-	switch {
-	case err == nil:
-		return st, nil
-	case errors.Is(err, ErrNotFound):
-		// A crash between Save's renames leaves only the rotated previous
-		// generation; an empty store leaves neither. A previous generation
-		// that fails to load is reported as it failed: only a missing one
-		// means there is nothing to resume.
-		st, perr := loadGeneration(prev)
-		if perr != nil {
-			if errors.Is(perr, ErrCorrupt) {
-				quarantine(prev)
-			}
-			return nil, perr
-		}
-		s.recovered = "current snapshot missing; resumed from previous boundary"
-		return st, nil
-	case errors.Is(err, ErrCorrupt):
-		// Keep the bad bytes for post-mortem inspection, out of the way of
-		// future saves.
-		quarantine(s.path)
-		st, perr := loadGeneration(prev)
-		if perr == nil {
-			s.recovered = "quarantined corrupt snapshot; resumed from previous boundary"
-			return st, nil
-		}
-		if errors.Is(perr, ErrCorrupt) {
-			quarantine(prev)
-		}
-		return nil, err
-	default:
-		return nil, err
-	}
-}
-
-// loadGeneration reads the base at path and appends the combinations of its
-// log's intact frames.
-func loadGeneration(path string) (*State, error) {
-	st, err := loadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	b, err := os.ReadFile(path + logSuffix)
-	if errors.Is(err, fs.ErrNotExist) {
-		return st, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	logged, _ := decodeLog(b)
-	st.Combinations = append(st.Combinations, logged...)
-	return st, nil
-}
-
-// quarantine renames a corrupt base and its log aside.
-func quarantine(path string) {
-	_ = os.Rename(path, path+corruptSuffix)
-	_ = os.Rename(path+logSuffix, path+logSuffix+corruptSuffix)
-}
-
-func loadFile(path string) (*State, error) {
-	b, err := os.ReadFile(path)
+	b, err := os.ReadFile(s.path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, ErrNotFound
 	}
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	return Decode(b)
+	st, intact, corrupt, err := decodeFile(b)
+	if err != nil {
+		return nil, err
+	}
+	if corrupt {
+		s.recovered = fmt.Sprintf("corrupt frame at byte %d of %s; resumed from the boundary before it", intact, filepath.Base(s.path))
+	}
+	return st, nil
 }
 
 // RecoveredCorruption implements Recoverer.
@@ -497,15 +391,13 @@ func (s *FileStore) RecoveredCorruption() (string, bool) {
 	return s.recovered, s.recovered != ""
 }
 
-// Clear implements Store, removing every live generation and its log.
-// Quarantined ".corrupt" files are evidence, not state, and are deliberately
-// kept.
+// Clear implements Store, removing the file and any temporary left by an
+// interrupted rewrite.
 func (s *FileStore) Clear() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tail = logTail{}
-	prev := s.path + prevSuffix
-	for _, p := range []string{s.path, s.path + logSuffix, prev, prev + logSuffix, s.path + tmpSuffix} {
+	for _, p := range []string{s.path, s.path + tmpSuffix} {
 		if err := removeIfExists(p); err != nil {
 			return fmt.Errorf("checkpoint: %w", err)
 		}
@@ -539,27 +431,34 @@ func (s *FileStore) Namespace(name string) Store {
 	return child
 }
 
-// ClearAll removes the root's live generations and every namespaced
-// snapshot and log in the directory — including ones left behind by earlier
-// processes whose sub-stores this instance never opened. Quarantined
-// ".corrupt" files are kept, as in Clear.
+// ClearAll removes every "assessment*.ckpt*" file in the directory: the
+// root's and every namespace's, including namespaces left behind by earlier
+// processes that this instance never opened, and the ".prev", ".log" and
+// ".corrupt" files that builds before the one-file layout kept beside them.
+// The root and every namespace it has opened forget what they wrote, so
+// their next Save writes a new file instead of appending to a removed one.
 func (s *FileStore) ClearAll() error {
+	s.mu.Lock()
+	stores := []*FileStore{s}
+	for _, c := range s.children {
+		stores = append(stores, c)
+	}
+	s.mu.Unlock()
+	for _, c := range stores {
+		c.mu.Lock()
+		c.tail = logTail{}
+		c.mu.Unlock()
+	}
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "assessment") || strings.HasSuffix(name, corruptSuffix) {
+		if ok, _ := filepath.Match("assessment*.ckpt*", e.Name()); !ok {
 			continue
 		}
-		for _, suffix := range []string{"", prevSuffix, tmpSuffix, logSuffix, prevSuffix + logSuffix} {
-			if strings.HasSuffix(name, ".ckpt"+suffix) {
-				if err := removeIfExists(filepath.Join(s.dir, name)); err != nil {
-					return fmt.Errorf("checkpoint: %w", err)
-				}
-				break
-			}
+		if err := removeIfExists(filepath.Join(s.dir, e.Name())); err != nil {
+			return fmt.Errorf("checkpoint: %w", err)
 		}
 	}
 	return nil

@@ -406,27 +406,29 @@ func TestResumeAtLDAsksNoPairs(t *testing.T) {
 	}
 }
 
-// relabelVersion rewrites a stored record's format version and re-stitches
-// its CRC, so only the version check can reject it.
+// relabelVersion rewrites the format version of a checkpoint file's first
+// record and re-stitches that record's CRC, so only the version check can
+// reject it.
 func relabelVersion(t *testing.T, path string, version uint32) {
 	t.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const versionOff = 8 // after the magic
+	const versionOff, lengthOff = 8, 12 // after the magic, after the version
+	end := lengthOff + 8 + int(binary.BigEndian.Uint64(b[lengthOff:])) + 4
 	binary.BigEndian.PutUint32(b[versionOff:], version)
-	binary.BigEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[versionOff:len(b)-4]))
+	binary.BigEndian.PutUint32(b[end-4:], crc32.ChecksumIEEE(b[versionOff:end-4]))
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestVersionSkewedSnapshotStartsFresh is an upgrade of a service that
-// retains snapshots (gendpr-leader -serve -resume): a namespace holds both
-// generations of a snapshot written under the previous format version. The
-// run must not quarantine them or report a recovery; it starts fresh,
-// reproduces the plain run's selection, and leaves a snapshot of the current
+// retains snapshots (gendpr-leader -serve -resume): a namespace's file starts
+// with a record written under the previous format version. The run must not
+// report a recovery; it starts fresh, reproduces the plain run's selection,
+// and leaves the namespace's one file holding a snapshot of the current
 // version.
 func TestVersionSkewedSnapshotStartsFresh(t *testing.T) {
 	shards, ref := checkpointFixture(t)
@@ -444,15 +446,13 @@ func TestVersionSkewedSnapshotStartsFresh(t *testing.T) {
 	ns := root.Namespace("upgraded")
 	opts := AssessmentOptions{ProviderNames: names, Checkpoints: ns, RetainCheckpoints: true}
 
-	// Both generations come from a real run of this shape, so apart from
-	// their version label they are resumable records.
+	// The file comes from a real run of this shape, so apart from its
+	// version label it is resumable.
 	if _, err := RunAssessment(ps, ref, cfg, policy, nil, opts); err != nil {
 		t.Fatalf("first run: %v", err)
 	}
 	current := ns.(*checkpoint.FileStore).Path()
-	for _, p := range []string{current, current + ".prev"} {
-		relabelVersion(t, p, checkpoint.Version-1)
-	}
+	relabelVersion(t, current, checkpoint.Version-1)
 
 	report, err := RunAssessment(ps, ref, cfg, policy, nil, opts)
 	if err != nil {
@@ -467,8 +467,8 @@ func TestVersionSkewedSnapshotStartsFresh(t *testing.T) {
 	if !report.Selection.Equal(baseline.Selection) {
 		t.Errorf("fresh run %v != baseline %v", report.Selection, baseline.Selection)
 	}
-	if quarantined, _ := filepath.Glob(filepath.Join(dir, "*.corrupt")); len(quarantined) != 0 {
-		t.Errorf("version-skewed snapshots quarantined: %v", quarantined)
+	if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 1 || files[0] != current {
+		t.Errorf("after the run the directory holds %v, want only %s", files, current)
 	}
 	if _, err := ns.Load(); err != nil {
 		t.Errorf("retained snapshot after the run: %v", err)

@@ -324,10 +324,11 @@ func TestLatticeResumeConservativeConcurrent(t *testing.T) {
 }
 
 // TestFileStoreResumeFromLog kills a conservative G=5 run right after its
-// k-th Phase-3 save into a real FileStore, where Phase 3 is an append-only
-// log behind the Phase-2 base, and resumes it from a fresh FileStore on the
-// same directory. The resume must replay exactly the k logged combinations
-// (it saves the other 31 − k itself) and reproduce the undisturbed run.
+// k-th Phase-3 save into a real FileStore, where Phase 3 appends
+// combinations frames behind the Phase-2 record, and resumes it from a
+// fresh FileStore on the same directory. The resume must replay exactly the
+// k logged combinations (it saves the other 31 − k itself) and reproduce the
+// undisturbed run.
 func TestFileStoreResumeFromLog(t *testing.T) {
 	providers, ref, names := conservativeG5(t)
 	policy := CollusionPolicy{Conservative: true}

@@ -91,7 +91,6 @@ func (m *LocalMember) CaseN() (int64, error) {
 // PairStats implements Provider.
 func (m *LocalMember) PairStats(a, b int) (genome.PairStats, error) {
 	if a < 0 || a >= m.shard.L() || b < 0 || b >= m.shard.L() {
-		//gendpr:allow(secretflow): the pair indices echo the requester's own query (protocol metadata), not cohort data
 		return genome.PairStats{}, fmt.Errorf("core: pair (%d,%d) out of range for %d SNPs", a, b, m.shard.L())
 	}
 	cols := m.shard.Columns()
@@ -137,11 +136,9 @@ func checkPatternRequest(l int, cols []int) error {
 	seen := make(map[int]bool, len(cols))
 	for _, c := range cols {
 		if c < 0 || c >= l {
-			//gendpr:allow(secretflow): the column index echoes the requester's own query (protocol metadata), not cohort data
 			return fmt.Errorf("core: column %d out of range for %d SNPs", c, l)
 		}
 		if seen[c] {
-			//gendpr:allow(secretflow): the column index echoes the requester's own query (protocol metadata), not cohort data
 			return fmt.Errorf("core: duplicate column %d in pattern request", c)
 		}
 		seen[c] = true
@@ -216,7 +213,6 @@ func pairKey(a, b int) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b))
 // is a Byzantine contribution no single-payload invariant can catch.
 func checkPairStats(s genome.PairStats, a, b int, counts []int64, caseN int64) error {
 	if err := validatePairStats(s); err != nil {
-		//gendpr:allow(secretflow): the pair indices echo the requester's own query (protocol metadata), not cohort data
 		return fmt.Errorf("pair (%d,%d): %w", a, b, err)
 	}
 	if counts == nil {

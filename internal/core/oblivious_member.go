@@ -70,7 +70,6 @@ func NewObliviousMember(shard *genome.Matrix, rng oram.Rand) (*ObliviousMember, 
 // column fetches one SNP column's bitset through the ORAM.
 func (m *ObliviousMember) column(l int) ([]byte, error) {
 	if l < 0 || l >= m.l {
-		//gendpr:allow(secretflow): the error names the caller's requested SNP index and the store shape, not genotype content
 		return nil, fmt.Errorf("core: SNP %d out of range for %d columns", l, m.l)
 	}
 	return m.store.Get(l)

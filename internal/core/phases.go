@@ -219,12 +219,10 @@ func bandDecision(s genome.PairStats, fullN int64, cutoff float64) (dependent, o
 func pairDependent(pool PairStatsFunc, a, b int, cutoff float64) (bool, error) {
 	ps, err := pool(a, b)
 	if err != nil {
-		//gendpr:allow(secretflow): the pair indices echo the scan's own query (protocol metadata), not cohort data
 		return false, fmt.Errorf("core: pair stats (%d,%d): %w", a, b, err)
 	}
 	dependent, err := ldDependent(ps, cutoff)
 	if err != nil {
-		//gendpr:allow(secretflow): the pair indices echo the scan's own query (protocol metadata), not cohort data
 		return false, fmt.Errorf("core: LD p-value (%d,%d): %w", a, b, err)
 	}
 	return dependent, nil

@@ -116,7 +116,7 @@ type Report struct {
 	// in Excluded.
 	Rejoined []int
 	// CorruptionRecovered reports that the resumed-from checkpoint store
-	// detected a corrupt or missing current snapshot and transparently fell
-	// back to an older valid boundary.
+	// found a corrupt boundary record and transparently fell back to the
+	// boundary before it.
 	CorruptionRecovered bool
 }

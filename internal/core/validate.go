@@ -82,11 +82,9 @@ func validatePairConsistency(s genome.PairStats, a, b int, counts []int64, caseN
 		return fmt.Errorf("%w: pair population differs from reported summary", ErrInvalidPayload)
 	}
 	if a >= 0 && a < len(counts) && s.SumX != counts[a] {
-		//gendpr:allow(secretflow): the SNP index echoes the requester's own query, not cohort data
 		return fmt.Errorf("%w: pair marginal at SNP %d differs from reported count", ErrInvalidPayload, a)
 	}
 	if b >= 0 && b < len(counts) && s.SumY != counts[b] {
-		//gendpr:allow(secretflow): the SNP index echoes the requester's own query, not cohort data
 		return fmt.Errorf("%w: pair marginal at SNP %d differs from reported count", ErrInvalidPayload, b)
 	}
 	return nil
@@ -104,7 +102,6 @@ func validatePatternCounts(p *lrtest.BitMatrix, cols []int, counts []int64) erro
 			continue
 		}
 		if int64(p.ColumnOnes(j)) != counts[snp] {
-			//gendpr:allow(secretflow): the SNP index echoes the leader's own column request, not cohort data
 			return fmt.Errorf("%w: pattern column for SNP %d disagrees with reported count", ErrInvalidPayload, snp)
 		}
 	}

@@ -141,7 +141,6 @@ func NewHandshake(a *Authority, e *enclave.Enclave) (*Handshake, error) {
 func reportDataFor(pub []byte, nonce [nonceSize]byte) [sha256.Size]byte {
 	h := sha256.New()
 	h.Write([]byte("gendpr-handshake-v1|"))
-	//gendpr:allow(secretflow): hashing public handshake material (ECDH public key, nonce); the digest never leaves the enclave
 	h.Write(pub)
 	h.Write(nonce[:])
 	var rd [sha256.Size]byte

@@ -337,11 +337,9 @@ func (r *remoteProvider) exchangeLocked(req transport.Message, wantKind uint16) 
 	// connection: holding it across Send+Recv IS the serialization, it
 	// guards no other state, and a stalled member blocks only callers that
 	// need this same member's answer.
-	//gendpr:allow(lockacrosssend): per-connection RPC serializer; the lock scope is exactly one request/response exchange
 	if err := transport.SendContext(r.ctx, r.conn, req, r.opts.RPCTimeout); err != nil {
 		return nil, fmt.Errorf("federation: member %s send: %w", r.name, err)
 	}
-	//gendpr:allow(lockacrosssend): same request/response pairing as the send above
 	reply, err := transport.RecvContext(r.ctx, r.conn, r.opts.RPCTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("federation: member %s recv: %w", r.name, err)
@@ -533,7 +531,6 @@ func (r *remoteProvider) notify(msgs ...transport.Message) error {
 		return r.memberFailed(r.failCause)
 	}
 	for _, m := range msgs {
-		//gendpr:allow(lockacrosssend): broadcast serialized on the same per-connection RPC lock
 		if err := transport.SendContext(r.ctx, r.conn, m, r.opts.RPCTimeout); err != nil {
 			return fmt.Errorf("federation: member %s send: %w", r.name, err)
 		}

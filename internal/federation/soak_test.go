@@ -253,9 +253,9 @@ func soakByzantine(t *testing.T, f *chaosFixture, rng *rand.Rand, tally *soakTal
 }
 
 // soakStorage kills the first elected leader right after a random checkpoint
-// boundary, then corrupts the current on-disk snapshot before the successor
-// loads it: the store must quarantine the corrupt generation, fall back to
-// the previous boundary, and the resumed run must still produce the
+// boundary, then flips a random bit in the CRC of the checkpoint file's last
+// frame before the successor loads it: the store must fall back to the
+// boundary before that frame, and the resumed run must still produce the
 // fault-free baseline while reporting the recovery.
 func soakStorage(t *testing.T, f *chaosFixture, rng *rand.Rand) error {
 	killAt := 2 + rng.Intn(2) // after Phase 2 or after the (single) Phase 3 combination
@@ -264,8 +264,7 @@ func soakStorage(t *testing.T, f *chaosFixture, rng *rand.Rand) error {
 	if err != nil {
 		return fmt.Errorf("NewFileStore: %w", err)
 	}
-	garbage := make([]byte, 64)
-	rng.Read(garbage)
+	flip := rng.Intn(4 * 8) // a bit of the last frame's CRC trailer
 	var mu sync.Mutex
 	attempts := 0
 	hook := func(attempt, leaderIdx int, cancel context.CancelFunc, st checkpoint.Store) checkpoint.Store {
@@ -275,8 +274,14 @@ func soakStorage(t *testing.T, f *chaosFixture, rng *rand.Rand) error {
 		if attempt == 0 {
 			return &killStore{inner: st, cancel: cancel, killAt: killAt}
 		}
-		// The torn write lands between the crash and the successor's load.
-		if err := os.WriteFile(filepath.Join(dir, "assessment.ckpt"), garbage, 0o600); err != nil {
+		// The bit rot lands between the crash and the successor's load.
+		path := filepath.Join(dir, "assessment.ckpt")
+		b, err := os.ReadFile(path)
+		if err == nil {
+			b[len(b)-4+flip/8] ^= 1 << (flip % 8)
+			err = os.WriteFile(path, b, 0o600)
+		}
+		if err != nil {
 			t.Errorf("corrupting snapshot: %v", err)
 		}
 		return st

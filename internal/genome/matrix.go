@@ -234,7 +234,6 @@ func (m *Matrix) SelectColumns(cols []int) *Matrix {
 	out := NewMatrix(m.n, len(cols))
 	for j, l := range cols {
 		if l < 0 || l >= m.l {
-			//gendpr:allow(secretflow): the panic names the caller's requested SNP index and the matrix shape (caller bug), not genotype content
 			panic(fmt.Sprintf("genome: SNP %d out of range for %d columns", l, m.l))
 		}
 		w, mask := l/wordBits, uint64(1)<<(uint(l)%wordBits)

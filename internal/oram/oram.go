@@ -135,7 +135,6 @@ func (o *ORAM) Write(addr int, data []byte) error {
 // read/update the target, write the path back greedily.
 func (o *ORAM) access(addr int, write []byte) ([]byte, error) {
 	if addr < 0 || addr >= o.capacity {
-		//gendpr:allow(secretflow): the error echoes the caller's own out-of-range address and the configured capacity, not block content
 		return nil, fmt.Errorf("%w: %d (capacity %d)", ErrAddressRange, addr, o.capacity)
 	}
 	o.accesses++
