@@ -42,7 +42,6 @@ import (
 	"gendpr/internal/federation"
 	"gendpr/internal/genome"
 	"gendpr/internal/service"
-	"gendpr/internal/transport"
 )
 
 func main() {
@@ -153,30 +152,11 @@ func runOnce(leader *federation.Leader, shard, reference *genome.Matrix, addrs [
 	if store != nil {
 		opts.Checkpoints = store
 	}
-	dt := opts.DialTimeout
-	if dt <= 0 {
-		dt = transport.DefaultDialTimeout
+	links, cleanup, err := service.NewTCPDialer(addrs, opts.DialTimeout)()
+	if err != nil {
+		return err
 	}
-	links := make([]federation.MemberLink, 0, len(addrs))
-	defer func() {
-		for _, l := range links {
-			_ = l.Conn.Close()
-		}
-	}()
-	for _, addr := range addrs {
-		addr := addr
-		conn, err := transport.DialTimeout(addr, dt)
-		if err != nil {
-			return err
-		}
-		links = append(links, federation.MemberLink{
-			Conn: conn,
-			Name: addr,
-			Redial: func() (transport.Conn, error) {
-				return transport.DialTimeout(addr, dt)
-			},
-		})
-	}
+	defer cleanup()
 	fmt.Printf("leader: %d members connected, %d local genomes, %d reference genomes, %d SNPs\n",
 		len(links), shard.N(), reference.N(), shard.L())
 

@@ -115,48 +115,29 @@ const (
 // serveAssessments is the node's serving loop. Only a clean shutdown consumes
 // a serve slot: a session that dies on a transport failure is treated as an
 // interrupted run whose leader may redial (the leader retries over a fresh
-// attested connection), so the node logs it and keeps accepting. Accept
-// errors are retried with capped exponential backoff; a closed listener — the
-// shutdown path — ends the loop cleanly, as does context cancellation.
+// attested connection), so the node logs it and keeps accepting. A closed
+// listener — the shutdown path — ends the loop cleanly, as does context
+// cancellation.
 func serveAssessments(ctx context.Context, member *federation.Member, l acceptor, serves int, opts federation.ServeOptions, logf func(format string, args ...any)) error {
 	if serves <= 0 {
 		return serveConcurrently(ctx, member, l, opts, logf)
 	}
-	backoff := acceptBackoffBase
-	for i := 0; i < serves; {
-		conn, err := l.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) || (ctx != nil && ctx.Err() != nil) {
-				// Listener closed underneath us: the shutdown path.
-				return nil
-			}
-			logf("accept failed (%v), retrying in %v", err, backoff)
-			if err := sleepCtx(ctx, backoff); err != nil {
-				return nil
-			}
-			if backoff *= 2; backoff > acceptBackoffMax {
-				backoff = acceptBackoffMax
-			}
-			continue
-		}
-		backoff = acceptBackoffBase
-		err = member.ServeContext(ctx, conn, opts)
+	served := 0
+	acceptEach(ctx, l, logf, func(conn transport.Conn) bool {
+		err := member.ServeContext(ctx, conn, opts)
 		_ = conn.Close()
 		if err != nil {
 			if ctx != nil && ctx.Err() != nil {
 				logf("shutting down: %v", ctx.Err())
-				return nil
+				return false
 			}
 			logf("session ended early (%v), awaiting reconnect", err)
-			continue
+			return true
 		}
-		i++
-		if sel := member.LastResult(); sel != nil {
-			logf("assessment complete, broadcast selection %s", sel)
-		} else {
-			logf("assessment complete")
-		}
-	}
+		served++
+		logComplete(member, logf)
+		return served < serves
+	})
 	return nil
 }
 
@@ -169,25 +150,9 @@ func serveAssessments(ctx context.Context, member *federation.Member, l acceptor
 func serveConcurrently(ctx context.Context, member *federation.Member, l acceptor, opts federation.ServeOptions, logf func(format string, args ...any)) error {
 	var sessions sync.WaitGroup
 	defer sessions.Wait()
-	backoff := acceptBackoffBase
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) || (ctx != nil && ctx.Err() != nil) {
-				return nil
-			}
-			logf("accept failed (%v), retrying in %v", err, backoff)
-			if err := sleepCtx(ctx, backoff); err != nil {
-				return nil
-			}
-			if backoff *= 2; backoff > acceptBackoffMax {
-				backoff = acceptBackoffMax
-			}
-			continue
-		}
-		backoff = acceptBackoffBase
+	acceptEach(ctx, l, logf, func(conn transport.Conn) bool {
 		sessions.Add(1)
-		go func(conn transport.Conn) {
+		go func() {
 			defer sessions.Done()
 			err := member.ServeContext(ctx, conn, opts)
 			_ = conn.Close()
@@ -197,13 +162,48 @@ func serveConcurrently(ctx context.Context, member *federation.Member, l accepto
 			case err != nil:
 				logf("session ended early (%v), awaiting reconnect", err)
 			default:
-				if sel := member.LastResult(); sel != nil {
-					logf("assessment complete, broadcast selection %s", sel)
-				} else {
-					logf("assessment complete")
-				}
+				logComplete(member, logf)
 			}
-		}(conn)
+		}()
+		return true
+	})
+	return nil
+}
+
+// acceptEach hands every accepted connection to handle until handle returns
+// false, the listener closes, or ctx is canceled. Accept errors are retried
+// with capped exponential backoff.
+func acceptEach(ctx context.Context, l acceptor, logf func(format string, args ...any), handle func(transport.Conn) bool) {
+	backoff := acceptBackoffBase
+	for {
+		conn, err := l.Accept()
+		if err != nil {
+			if errors.Is(err, net.ErrClosed) || (ctx != nil && ctx.Err() != nil) {
+				// Listener closed underneath us: the shutdown path.
+				return
+			}
+			logf("accept failed (%v), retrying in %v", err, backoff)
+			if err := sleepCtx(ctx, backoff); err != nil {
+				return
+			}
+			if backoff *= 2; backoff > acceptBackoffMax {
+				backoff = acceptBackoffMax
+			}
+			continue
+		}
+		backoff = acceptBackoffBase
+		if !handle(conn) {
+			return
+		}
+	}
+}
+
+// logComplete logs a finished assessment with the selection it broadcast.
+func logComplete(member *federation.Member, logf func(format string, args ...any)) {
+	if sel := member.LastResult(); sel != nil {
+		logf("assessment complete, broadcast selection %s", sel)
+	} else {
+		logf("assessment complete")
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 // federation middleware. A naked receive waits forever on a peer: a crashed
 // or partitioned member wedges the leader (and vice versa) with no way to
 // retry, degrade to a quorum, or even report which member stalled. All
-// federation receives must go through the deadline-aware wrappers
-// (transport.RecvDeadline, or helpers built on it) so every wait is bounded
-// by the configured RPC or idle timeout. The transport package itself is out
+// federation receives must go through the one timed receive
+// (transport.RecvContext, or helpers built on it) so every wait is bounded
+// by the configured RPC or idle timeout and interrupted by cancellation. The transport package itself is out
 // of scope — it is where the wrappers live.
 //
 // The check is syntactic with type-aware refinement: a niladic .Recv() call
@@ -20,7 +20,7 @@ import (
 func NewNakedRecv(scopes []Scope) *Analyzer {
 	a := &Analyzer{
 		Name:   "nakedrecv",
-		Doc:    "federation code must not call Conn.Recv directly; use the deadline-aware transport.RecvDeadline so a silent peer cannot block forever",
+		Doc:    "federation code must not call Conn.Recv directly; use the timed transport.RecvContext so a silent peer cannot block forever",
 		Scopes: scopes,
 	}
 	a.Run = func(p *Pass) {
@@ -38,7 +38,7 @@ func NewNakedRecv(scopes []Scope) *Analyzer {
 					return true
 				}
 				p.Reportf(call.Pos(),
-					"direct %s.Recv() waits forever on a silent peer; use transport.RecvDeadline so the wait is bounded by the configured timeout",
+					"direct %s.Recv() waits forever on a silent peer; use transport.RecvContext so the wait is bounded by the configured timeout",
 					types.ExprString(sel.X))
 				return true
 			})

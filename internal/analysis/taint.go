@@ -262,7 +262,6 @@ func DefaultTaintSpec() *TaintSpec {
 			"gendpr.AssessFederated":                               DeclassRelease,
 			"gendpr.AssessFederatedTCP":                            DeclassRelease,
 			"gendpr/internal/federation.RunInProcess":              DeclassRelease,
-			"gendpr/internal/federation.RunInProcessWithFailover":  DeclassRelease,
 			"gendpr/internal/federation.RunOverTCP":                DeclassRelease,
 			"(*gendpr/internal/federation.Leader).RunLinksContext": DeclassRelease,
 		},
@@ -299,9 +298,8 @@ func DefaultTaintSpec() *TaintSpec {
 			"(*bufio.Writer).WriteString":     writeSink("a buffered stream write"),
 			"(*encoding/json.Encoder).Encode": writeSink("a JSON stream write"),
 
-			"(gendpr/internal/transport.Conn).Send":  {Kind: "an unsecured transport send", ConnArg: 0},
-			"gendpr/internal/transport.SendDeadline": {Kind: "an unsecured transport send", ConnArg: 0},
-			"gendpr/internal/transport.SendContext":  {Kind: "an unsecured transport send", ConnArg: 1},
+			"(gendpr/internal/transport.Conn).Send": {Kind: "an unsecured transport send", ConnArg: 0},
+			"gendpr/internal/transport.SendContext": {Kind: "an unsecured transport send", ConnArg: 1},
 
 			"gendpr/internal/checkpoint.Encode":            {Kind: "a checkpoint (checkpoint.Encode)", ConnArg: -1, Checkpoint: true},
 			"(gendpr/internal/checkpoint.Store).Save":      {Kind: "a checkpoint (Store.Save)", ConnArg: -1, Checkpoint: true},

@@ -3,6 +3,7 @@
 package fixture
 
 import (
+	"context"
 	"errors"
 	"time"
 )
@@ -20,8 +21,8 @@ type Conn interface {
 	Close() error
 }
 
-// RecvDeadline stands in for the transport package's deadline-aware wrapper.
-func RecvDeadline(c Conn, timeout time.Duration) (Message, error) {
+// RecvContext stands in for the transport package's timed receive.
+func RecvContext(ctx context.Context, c Conn, timeout time.Duration) (Message, error) {
 	//gendpr:allow(nakedrecv): this IS the deadline wrapper; the deadline is set above
 	return c.Recv()
 }
@@ -41,7 +42,7 @@ func nakedInline(c Conn) (Message, error) {
 }
 
 func wrapped(c Conn) error {
-	msg, err := RecvDeadline(c, time.Second)
+	msg, err := RecvContext(context.Background(), c, time.Second)
 	if err != nil {
 		return err
 	}

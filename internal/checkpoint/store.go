@@ -17,8 +17,8 @@ import (
 // completion so a finished run cannot be "resumed".
 //
 // Placement is a deployment concern the interface deliberately leaves open:
-// the in-process failover runner shares one MemStore between successive
-// leaders, while the CLIs point a FileStore at a directory (which must be
+// the in-process election loop's failover tests share one MemStore between
+// successive leaders, while the CLIs point a FileStore at a directory (which must be
 // reachable by whichever node resumes — the same machine after a restart, or
 // replicated storage in a real multi-host deployment).
 type Store interface {

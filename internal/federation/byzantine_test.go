@@ -118,7 +118,7 @@ func TestFederationByzantineQuarantine(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			prep := &byzantinePrep{mode: tc.mode, n: 1}
 			log := &eventLog{}
-			res, err := runGuarded(t, f, tc.policy, RunOptions{
+			res, err := runGuarded(t, f, pipeChannel, tc.policy, RunOptions{
 				RPCTimeout: chaosRPCTimeout,
 				MaxRetries: 2,
 				Backoff:    5 * time.Millisecond,
@@ -175,7 +175,7 @@ func TestFederationRetryEquivocation(t *testing.T) {
 		MsgKind: KindPairBatchRequest,
 	}}
 	log := &eventLog{}
-	res, err := runGuarded(t, f, core.CollusionPolicy{}, RunOptions{
+	res, err := runGuarded(t, f, pipeChannel, core.CollusionPolicy{}, RunOptions{
 		RPCTimeout:  chaosRPCTimeout,
 		MaxRetries:  2,
 		Backoff:     5 * time.Millisecond,
@@ -235,7 +235,7 @@ func TestFederationRejoinAfterCrash(t *testing.T) {
 		MsgKind: KindPairBatchRequest,
 	}}
 	log := &eventLog{}
-	res, err := runGuarded(t, f, core.CollusionPolicy{}, RunOptions{
+	res, err := runGuarded(t, f, pipeChannel, core.CollusionPolicy{}, RunOptions{
 		RPCTimeout:  chaosRPCTimeout,
 		MaxRetries:  0,
 		MinQuorum:   2,
@@ -288,7 +288,7 @@ func TestFederationTamperExcludesWithoutRetry(t *testing.T) {
 		MsgKind: KindPairBatchReply,
 	}}
 	log := &eventLog{}
-	res, err := runGuarded(t, f, core.CollusionPolicy{}, RunOptions{
+	res, err := runGuarded(t, f, pipeChannel, core.CollusionPolicy{}, RunOptions{
 		RPCTimeout: chaosRPCTimeout,
 		MaxRetries: 3,
 		Backoff:    5 * time.Millisecond,

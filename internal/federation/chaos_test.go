@@ -105,10 +105,9 @@ func (f *chaosFixture) baseline(t *testing.T, excluded int, policy core.Collusio
 	return r
 }
 
-// runGuarded executes one federated run under a watchdog: a hang is a test
-// failure, never a stuck suite. A run with a failover hook goes through the
-// failover runner.
-func runGuarded(t *testing.T, f *chaosFixture, policy core.CollusionPolicy, opts RunOptions, hooks chaosHooks) (*Result, error) {
+// runGuarded executes one federated run through the election loop under a
+// watchdog: a hang is a test failure, never a stuck suite.
+func runGuarded(t *testing.T, f *chaosFixture, channel memberChannel, policy core.CollusionPolicy, opts RunOptions, hooks chaosHooks) (*Result, error) {
 	t.Helper()
 	type outcome struct {
 		res *Result
@@ -117,11 +116,7 @@ func runGuarded(t *testing.T, f *chaosFixture, policy core.CollusionPolicy, opts
 	done := make(chan outcome, 1)
 	go func() {
 		var o outcome
-		if hooks.failover != nil {
-			o.res, o.err = runFailover(context.Background(), f.shards, f.cohort.Reference, core.DefaultConfig(), policy, opts, hooks)
-		} else {
-			o.res, o.err = runElected(context.Background(), f.shards, f.cohort.Reference, core.DefaultConfig(), policy, opts, pipeChannel, hooks)
-		}
+		o.res, o.err = runElection(context.Background(), f.shards, f.cohort.Reference, core.DefaultConfig(), policy, opts, channel, hooks)
 		done <- o
 	}()
 	select {
@@ -186,7 +181,7 @@ func TestChaosRescue(t *testing.T) {
 			name := fmt.Sprintf("F%d/%s", policy.F, point)
 			t.Run(name, func(t *testing.T) {
 				inj := &chaosInjector{point: point}
-				res, err := runGuarded(t, f, policy, RunOptions{
+				res, err := runGuarded(t, f, pipeChannel, policy, RunOptions{
 					RPCTimeout: chaosRPCTimeout,
 					MaxRetries: 3,
 					Backoff:    5 * time.Millisecond,
@@ -223,7 +218,7 @@ func TestChaosDegrade(t *testing.T) {
 			name := fmt.Sprintf("F%d/%s", policy.F, point)
 			t.Run(name, func(t *testing.T) {
 				inj := &chaosInjector{point: point}
-				res, err := runGuarded(t, f, policy, RunOptions{
+				res, err := runGuarded(t, f, pipeChannel, policy, RunOptions{
 					RPCTimeout: chaosRPCTimeout,
 					MaxRetries: 0,
 					MinQuorum:  2,
@@ -281,7 +276,8 @@ func (k *killStore) Clear() error                     { return k.inner.Clear() }
 // boundary in turn and demands the full recovery story: the survivors elect a
 // new leader, the new leader resumes from the latest durable snapshot, nobody
 // is excluded, and the final selection is bit-identical to the undisturbed
-// baseline.
+// baseline. One kill point also runs over loopback TCP through the same
+// election loop.
 func TestChaosLeaderFailover(t *testing.T) {
 	f := newChaosFixture(t)
 	type killCase struct {
@@ -292,24 +288,31 @@ func TestChaosLeaderFailover(t *testing.T) {
 		// crash during the very first save leaves nothing durable, so that
 		// rerun is fresh rather than resumed.
 		resumed bool
+		// tcp runs the members behind loopback sockets instead of pipes.
+		tcp bool
 	}
 	cases := []killCase{
-		{core.CollusionPolicy{}, 1, true, false}, // dies mid-Phase-1 save
-		{core.CollusionPolicy{}, 1, false, true}, // dies right after Phase 1
-		{core.CollusionPolicy{}, 2, false, true}, // dies right after Phase 2
-		{core.CollusionPolicy{}, 3, false, true}, // dies after the last combination
+		{core.CollusionPolicy{}, 1, true, false, false}, // dies mid-Phase-1 save
+		{core.CollusionPolicy{}, 1, false, true, false}, // dies right after Phase 1
+		{core.CollusionPolicy{}, 2, false, true, false}, // dies right after Phase 2
+		{core.CollusionPolicy{}, 3, false, true, false}, // dies after the last combination
+		{core.CollusionPolicy{}, 2, false, true, true},  // dies right after Phase 2, over TCP
 	}
 	if !testing.Short() {
 		// With F=1 over 3 shards Phase 3 evaluates 4 combinations, so the
 		// save ordinals run 1 (MAF), 2 (LD), 3..6 (combinations).
 		cases = append(cases,
-			killCase{core.CollusionPolicy{F: 1}, 2, false, true},
-			killCase{core.CollusionPolicy{F: 1}, 4, false, true},
-			killCase{core.CollusionPolicy{F: 1}, 6, false, true},
+			killCase{core.CollusionPolicy{F: 1}, 2, false, true, false},
+			killCase{core.CollusionPolicy{F: 1}, 4, false, true, false},
+			killCase{core.CollusionPolicy{F: 1}, 6, false, true, false},
 		)
 	}
 	for _, tc := range cases {
 		name := fmt.Sprintf("F%d/save%d/before=%v", tc.policy.F, tc.killAt, tc.before)
+		channel := pipeChannel
+		if tc.tcp {
+			name, channel = "tcp/"+name, tcpChannel
+		}
 		t.Run(name, func(t *testing.T) {
 			var (
 				mu       sync.Mutex
@@ -326,10 +329,11 @@ func TestChaosLeaderFailover(t *testing.T) {
 				}
 				return store
 			}
-			res, err := runGuarded(t, f, tc.policy, RunOptions{
-				RPCTimeout: chaosRPCTimeout,
-				MaxRetries: 1,
-				Backoff:    5 * time.Millisecond,
+			res, err := runGuarded(t, f, channel, tc.policy, RunOptions{
+				RPCTimeout:  chaosRPCTimeout,
+				MaxRetries:  1,
+				Backoff:     5 * time.Millisecond,
+				Checkpoints: checkpoint.NewMemStore(),
 			}, chaosHooks{failover: hook})
 			if err != nil {
 				t.Fatalf("failover run failed: %v", err)
@@ -373,7 +377,7 @@ func TestChaosQuorumLoss(t *testing.T) {
 		Kind:    transport.FaultClose,
 		MsgKind: KindPairBatchRequest,
 	}}
-	_, err := runGuarded(t, f, core.CollusionPolicy{}, RunOptions{
+	_, err := runGuarded(t, f, pipeChannel, core.CollusionPolicy{}, RunOptions{
 		RPCTimeout: chaosRPCTimeout,
 		MaxRetries: 0,
 		MinQuorum:  3,

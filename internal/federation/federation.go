@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"gendpr/internal/checkpoint"
@@ -37,7 +38,7 @@ type Result struct {
 	Rejoined []int
 	// FormerLeaders lists, oldest first, the shard positions of leaders that
 	// died mid-run and were replaced by re-election before this result was
-	// produced. Empty unless the failover runner had to re-elect.
+	// produced. Empty unless the election loop had to re-elect.
 	FormerLeaders []int
 }
 
@@ -71,18 +72,9 @@ func (t TrafficStats) SavingsFactor() float64 {
 	return float64(t.GenomeShipBytes) / float64(t.TotalBytes)
 }
 
-// randomNonces draws one leader-election contribution per member.
-func randomNonces(g int) ([][]byte, error) {
-	nonces := make([][]byte, g)
-	for i := range nonces {
-		n := make([]byte, 16)
-		if _, err := io.ReadFull(rand.Reader, n); err != nil {
-			return nil, fmt.Errorf("federation: election nonce: %w", err)
-		}
-		nonces[i] = n
-	}
-	return nonces, nil
-}
+// ErrNoElectableLeader is returned when every candidate leader has died and
+// nobody is left to coordinate the assessment.
+var ErrNoElectableLeader = errors.New("federation: every candidate leader has failed")
 
 // elect runs the Section 5.2 committed-nonce election among the candidate
 // shard positions.
@@ -90,24 +82,19 @@ func elect(candidates []int) (int, error) {
 	if len(candidates) == 0 {
 		return 0, ErrNoElectableLeader
 	}
-	nonces, err := randomNonces(len(candidates))
-	if err != nil {
-		return 0, err
+	// One leader-election contribution per candidate.
+	nonces := make([][]byte, len(candidates))
+	for i := range nonces {
+		nonces[i] = make([]byte, 16)
+		if _, err := io.ReadFull(rand.Reader, nonces[i]); err != nil {
+			return 0, fmt.Errorf("federation: election nonce: %w", err)
+		}
 	}
 	idx, err := ElectLeader(nonces, len(candidates))
 	if err != nil {
 		return 0, err
 	}
 	return candidates[idx], nil
-}
-
-// newLeaderNode builds the elected shard's coordinator on a fresh platform.
-func newLeaderNode(shards []*genome.Matrix, leaderIdx int, authority *attest.Authority) (*Leader, error) {
-	platform, err := enclave.NewPlatform()
-	if err != nil {
-		return nil, fmt.Errorf("federation: %w", err)
-	}
-	return NewLeader(fmt.Sprintf("gdo-%d", leaderIdx), shards[leaderIdx], platform, authority)
 }
 
 // assembleResult maps the leader's report back to shard positions.
@@ -148,7 +135,7 @@ func assembleResult(report *core.Report, leaderIdx int, g int, members []*Member
 // its excluded-member list, as authoritative over member serving errors.
 // Cancelling ctx aborts the run at the next phase boundary.
 func RunInProcess(ctx context.Context, shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions) (*Result, error) {
-	return runElected(ctx, shards, reference, cfg, policy, opts, pipeChannel, chaosHooks{})
+	return runElection(ctx, shards, reference, cfg, policy, opts, pipeChannel, chaosHooks{})
 }
 
 // RunOverTCP runs the same federation across loopback TCP sockets: each
@@ -156,7 +143,7 @@ func RunInProcess(ctx context.Context, shards []*genome.Matrix, reference *genom
 // it serves a clean shutdown or its listener closes, so a tolerant leader's
 // redial after a connection drop reaches a live serving loop.
 func RunOverTCP(ctx context.Context, shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions) (*Result, error) {
-	return runElected(ctx, shards, reference, cfg, policy, opts, tcpChannel, chaosHooks{})
+	return runElection(ctx, shards, reference, cfg, policy, opts, tcpChannel, chaosHooks{})
 }
 
 // chaosHooks are the chaos harness's handles on a run; production runs pass
@@ -169,10 +156,9 @@ type chaosHooks struct {
 	// prep adjusts a freshly built member node before it starts serving,
 	// e.g. to install a Byzantine provider wrapper via Member.WrapProvider.
 	prep func(shardIdx int, m *Member)
-	// failover schedules a leader death for one attempt of
-	// RunInProcessWithFailover: it may wrap the attempt's checkpoint store,
-	// and it receives the cancel function that stands in for the leader
-	// process dying.
+	// failover schedules a leader death for one attempt of the election
+	// loop: it may wrap the attempt's checkpoint store, and it receives the
+	// cancel function that stands in for the leader process dying.
 	failover func(attempt, leaderIdx int, cancel context.CancelFunc, store checkpoint.Store) checkpoint.Store
 }
 
@@ -248,35 +234,69 @@ func tcpChannel(m *Member, s *sessions, opts RunOptions) (func() (transport.Conn
 	return dial, func() { _ = listener.Close() }, nil
 }
 
-// runElected elects a leader among all shards and drives one run under it.
-func runElected(ctx context.Context, shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions, channel memberChannel, hooks chaosHooks) (*Result, error) {
+// runElection is the one federation driver: it runs the Section 5.2
+// election over the live candidates and drives the protocol under the winner
+// through runWithLeader. A leader dies when its attempt's context — not the
+// caller's — is canceled, which only hooks.failover does; the dead leader is
+// struck from the electable set (its node still serves its shard as an
+// ordinary member) and the survivors elect a successor, which resumes from
+// opts.Checkpoints. Without that hook a run makes exactly one attempt.
+func runElection(ctx context.Context, shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions, channel memberChannel, hooks chaosHooks) (*Result, error) {
 	if len(shards) == 0 {
 		return nil, core.ErrNoMembers
+	}
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	authority, err := attest.NewAuthority()
 	if err != nil {
 		return nil, fmt.Errorf("federation: %w", err)
 	}
-	all := make([]int, len(shards))
-	for i := range all {
-		all[i] = i
+	// The shard identities, and with them the checkpoint fingerprint, stay
+	// fixed across attempts; only who coordinates changes.
+	electable := make([]int, len(shards))
+	for i := range electable {
+		electable[i] = i
 	}
-	leaderIdx, err := elect(all)
-	if err != nil {
-		return nil, err
+	var former []int
+	for {
+		leaderIdx, err := elect(electable)
+		if err != nil {
+			return nil, err
+		}
+		platform, err := enclave.NewPlatform()
+		if err != nil {
+			return nil, fmt.Errorf("federation: %w", err)
+		}
+		leader, err := NewLeader(fmt.Sprintf("gdo-%d", leaderIdx), shards[leaderIdx], platform, authority)
+		if err != nil {
+			return nil, err
+		}
+		runCtx, cancel := ctx, context.CancelFunc(func() {})
+		attemptOpts := opts
+		if hooks.failover != nil {
+			runCtx, cancel = context.WithCancel(ctx)
+			attemptOpts.Checkpoints = hooks.failover(len(former), leaderIdx, cancel, opts.Checkpoints)
+		}
+		res, err := runWithLeader(runCtx, leader, authority, leaderIdx, shards, reference, cfg, policy, attemptOpts, channel, hooks)
+		died := runCtx.Err() != nil && ctx.Err() == nil
+		cancel()
+		if err == nil {
+			res.FormerLeaders = former
+			return res, nil
+		}
+		if !died {
+			return nil, err
+		}
+		former = append(former, leaderIdx)
+		electable = slices.DeleteFunc(electable, func(i int) bool { return i == leaderIdx })
 	}
-	leader, err := newLeaderNode(shards, leaderIdx, authority)
-	if err != nil {
-		return nil, err
-	}
-	return runWithLeader(ctx, leader, authority, leaderIdx, shards, reference, cfg, policy, opts, channel, hooks)
 }
 
 // runWithLeader is the driver behind every federation runner: under an
 // already-elected leader it builds the member nodes, connects them through
 // channel, runs the protocol, and maps the report back to shard positions.
-// The failover runner calls it once per elected leader, with a cancellable
-// context standing in for the leader's process lifetime.
+// The election loop calls it once per elected leader.
 func runWithLeader(ctx context.Context, leader *Leader, authority *attest.Authority, leaderIdx int, shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions, channel memberChannel, hooks chaosHooks) (*Result, error) {
 	g := len(shards)
 	tolerant := opts.faultTolerant()

@@ -258,10 +258,10 @@ func TestAttestationRejectsWrongCode(t *testing.T) {
 	goodEnd, evilEnd := transport.Pipe()
 	done := make(chan error, 1)
 	go func() {
-		_, err := attestConn(evilEnd, authority, evil, false)
+		_, err := attestConn(context.Background(), evilEnd, authority, evil, false, 0)
 		done <- err
 	}()
-	if _, err := attestConn(goodEnd, authority, good, true); !errors.Is(err, attest.ErrMeasurementMismatch) {
+	if _, err := attestConn(context.Background(), goodEnd, authority, good, true, 0); !errors.Is(err, attest.ErrMeasurementMismatch) {
 		t.Fatalf("good side: %v, want measurement mismatch", err)
 	}
 	goodEnd.Close()
@@ -289,7 +289,7 @@ func TestMemberRejectsMalformedRequests(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- member.ServeContext(context.Background(), memberEnd, ServeOptions{}) }()
 
-	conn, err := attestConn(leaderEnd, authority, leaderEnc, true)
+	conn, err := attestConn(context.Background(), leaderEnd, authority, leaderEnc, true, 0)
 	if err != nil {
 		t.Fatalf("attest: %v", err)
 	}
@@ -352,7 +352,7 @@ func TestLeaderSurfacesMemberDropout(t *testing.T) {
 			t.Errorf("load: %v", err)
 			return
 		}
-		if _, err := attestConn(memberEnd, authority, enc, false); err != nil {
+		if _, err := attestConn(context.Background(), memberEnd, authority, enc, false, 0); err != nil {
 			t.Errorf("attest: %v", err)
 			return
 		}
@@ -450,7 +450,7 @@ func TestFederationPhase2MessageCount(t *testing.T) {
 	count := func(_ int, conn transport.Conn) transport.Conn {
 		return kindCounter{Conn: conn, mu: &mu, kinds: kinds}
 	}
-	res, err := runElected(context.Background(), shards, cohort.Reference, cfg, core.CollusionPolicy{}, RunOptions{}, pipeChannel, chaosHooks{inject: count})
+	res, err := runElection(context.Background(), shards, cohort.Reference, cfg, core.CollusionPolicy{}, RunOptions{}, pipeChannel, chaosHooks{inject: count})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func (l *Leader) RunLinksContext(ctx context.Context, links []MemberLink, refere
 			opts:   opts,
 			redial: link.Redial,
 			attest: func(raw transport.Conn) (*transport.SecureConn, error) {
-				return attestConnContext(ctx, raw, l.authority, l.enclave, true, opts.RPCTimeout)
+				return attestConn(ctx, raw, l.authority, l.enclave, true, opts.RPCTimeout)
 			},
 		}
 		if opts.OnEvent != nil {

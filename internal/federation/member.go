@@ -107,7 +107,7 @@ type ServeOptions struct {
 // shuts down cleanly on a signal while parked waiting for the next leader
 // request.
 func (m *Member) ServeContext(ctx context.Context, raw transport.Conn, opts ServeOptions) error {
-	conn, err := attestConnContext(ctx, raw, m.authority, m.enclave, false, opts.IdleTimeout)
+	conn, err := attestConn(ctx, raw, m.authority, m.enclave, false, opts.IdleTimeout)
 	if err != nil {
 		return fmt.Errorf("federation: member %s: %w", m.id, err)
 	}

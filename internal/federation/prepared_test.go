@@ -165,7 +165,7 @@ func TestBadPatternColumnsAreErrorsNotPanics(t *testing.T) {
 		leaderEnd, memberEnd := transport.Pipe()
 		serveDone := make(chan error, 1)
 		go func() { serveDone <- member.ServeContext(context.Background(), memberEnd, ServeOptions{}) }()
-		conn, err := attestConn(leaderEnd, authority, leaderEnc, true)
+		conn, err := attestConn(context.Background(), leaderEnd, authority, leaderEnc, true, 0)
 		if err != nil {
 			t.Fatalf("attest: %v", err)
 		}

@@ -80,13 +80,13 @@ func tcpLeaderFixture(t *testing.T) (*Leader, *genome.Cohort, []*genome.Matrix, 
 	for i := 1; i < 3; i++ {
 		addr, cleanup := tcpMember(t, fmt.Sprintf("gdo-%d", i), shards[i], authority)
 		t.Cleanup(cleanup)
-		conn, err := transport.Dial(addr)
+		conn, err := transport.DialTimeout(addr, transport.DefaultDialTimeout)
 		if err != nil {
 			t.Fatalf("Dial: %v", err)
 		}
 		t.Cleanup(func() { _ = conn.Close() })
 		links = append(links, MemberLink{Conn: conn, Name: fmt.Sprintf("gdo-%d", i), Redial: func() (transport.Conn, error) {
-			return transport.Dial(addr)
+			return transport.DialTimeout(addr, transport.DefaultDialTimeout)
 		}})
 	}
 	return leader, cohort, shards, links
@@ -159,7 +159,7 @@ func TestHungMemberCompletesWithinRPCTimeout(t *testing.T) {
 			t.Errorf("load: %v", err)
 			return
 		}
-		conn, err := attestConn(memberEnd, authority, enc, false)
+		conn, err := attestConn(context.Background(), memberEnd, authority, enc, false, 0)
 		if err != nil {
 			t.Errorf("attest: %v", err)
 			return
@@ -254,7 +254,7 @@ func TestMemberServeIdleTimeout(t *testing.T) {
 	go func() {
 		serveDone <- member.ServeContext(context.Background(), memberEnd, ServeOptions{IdleTimeout: 100 * time.Millisecond})
 	}()
-	if _, err := attestConn(leaderEnd, authority, leaderEnc, true); err != nil {
+	if _, err := attestConn(context.Background(), leaderEnd, authority, leaderEnc, true, 0); err != nil {
 		t.Fatalf("attest: %v", err)
 	}
 	// The leader goes silent; the member must give up on its own.

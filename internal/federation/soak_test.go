@@ -143,7 +143,7 @@ func soakTransport(t *testing.T, f *chaosFixture, rng *rand.Rand) error {
 	inj := &chaosInjector{point: point}
 	policy := core.CollusionPolicy{}
 	res, err := guardSoak(func() (*Result, error) {
-		return runElected(context.Background(), f.shards, f.cohort.Reference, core.DefaultConfig(), policy, RunOptions{
+		return runElection(context.Background(), f.shards, f.cohort.Reference, core.DefaultConfig(), policy, RunOptions{
 			RPCTimeout: chaosRPCTimeout,
 			MaxRetries: 3,
 			Backoff:    5 * time.Millisecond,
@@ -205,7 +205,7 @@ func soakByzantine(t *testing.T, f *chaosFixture, rng *rand.Rand, tally *soakTal
 		hooks.prep = prep.prep
 	}
 	res, err := guardSoak(func() (*Result, error) {
-		return runElected(context.Background(), f.shards, f.cohort.Reference, core.DefaultConfig(), policy, RunOptions{
+		return runElection(context.Background(), f.shards, f.cohort.Reference, core.DefaultConfig(), policy, RunOptions{
 			RPCTimeout: chaosRPCTimeout,
 			MaxRetries: 2,
 			Backoff:    5 * time.Millisecond,
@@ -288,12 +288,12 @@ func soakStorage(t *testing.T, f *chaosFixture, rng *rand.Rand) error {
 	}
 	policy := core.CollusionPolicy{}
 	res, err := guardSoak(func() (*Result, error) {
-		return runFailover(context.Background(), f.shards, f.cohort.Reference, core.DefaultConfig(), policy, RunOptions{
+		return runElection(context.Background(), f.shards, f.cohort.Reference, core.DefaultConfig(), policy, RunOptions{
 			RPCTimeout:  chaosRPCTimeout,
 			MaxRetries:  1,
 			Backoff:     5 * time.Millisecond,
 			Checkpoints: store,
-		}, chaosHooks{failover: hook})
+		}, pipeChannel, chaosHooks{failover: hook})
 	})
 	if err != nil {
 		return fmt.Errorf("killAt=%d: failover run failed: %w", killAt, err)
@@ -331,7 +331,7 @@ func soakRejoin(t *testing.T, f *chaosFixture, rng *rand.Rand, tally *soakTally)
 	inj := &chaosInjector{point: point}
 	policy := core.CollusionPolicy{}
 	res, err := guardSoak(func() (*Result, error) {
-		return runElected(context.Background(), f.shards, f.cohort.Reference, core.DefaultConfig(), policy, RunOptions{
+		return runElection(context.Background(), f.shards, f.cohort.Reference, core.DefaultConfig(), policy, RunOptions{
 			RPCTimeout:  chaosRPCTimeout,
 			MaxRetries:  0,
 			MinQuorum:   2,

@@ -274,22 +274,11 @@ func decodeResult(b []byte) (afterMAF, afterLD, safe []int, err error) {
 
 // attestConn performs the mutual-attestation handshake over a raw
 // connection and returns the encrypted channel. sendFirst breaks the
-// symmetry: the leader offers first, members answer.
-func attestConn(raw transport.Conn, authority *attest.Authority, enc *enclave.Enclave, sendFirst bool) (*transport.SecureConn, error) {
-	return attestConnTimeout(raw, authority, enc, sendFirst, 0)
-}
-
-// attestConnTimeout is attestConn with a per-step deadline: each handshake
-// send and receive must complete within timeout (zero waits forever), so a
-// silent or stalled peer cannot wedge the attesting side.
-func attestConnTimeout(raw transport.Conn, authority *attest.Authority, enc *enclave.Enclave, sendFirst bool, timeout time.Duration) (*transport.SecureConn, error) {
-	return attestConnContext(nil, raw, authority, enc, sendFirst, timeout)
-}
-
-// attestConnContext is attestConnTimeout under a context: cancellation
-// interrupts an in-flight handshake step. A nil or never-canceled context
-// degrades to the plain deadline path.
-func attestConnContext(ctx context.Context, raw transport.Conn, authority *attest.Authority, enc *enclave.Enclave, sendFirst bool, timeout time.Duration) (*transport.SecureConn, error) {
+// symmetry: the leader offers first, members answer. Each handshake send and
+// receive must complete within timeout (zero waits forever), so a silent or
+// stalled peer cannot wedge the attesting side, and cancelling ctx interrupts
+// an in-flight step.
+func attestConn(ctx context.Context, raw transport.Conn, authority *attest.Authority, enc *enclave.Enclave, sendFirst bool, timeout time.Duration) (*transport.SecureConn, error) {
 	hs, err := attest.NewHandshake(authority, enc)
 	if err != nil {
 		return nil, fmt.Errorf("federation: handshake: %w", err)

@@ -214,9 +214,9 @@ func NewInProcessBackend(shards []*genome.Matrix, reference *genome.Matrix, opts
 }
 
 // NewTCPDialer returns a LinkDialer that connects to standalone member nodes
-// (cmd/gendpr-node) for every run, with redial-on-failure wired the same way
-// as the one-shot leader CLI. Member names are the addresses, matching the
-// CLI's checkpoint identities.
+// (cmd/gendpr-node) for every run, each link redialing its address on
+// failure. Both modes of cmd/gendpr-leader dial through it. Member names are
+// the addresses, matching the CLI's checkpoint identities.
 func NewTCPDialer(addrs []string, dialTimeout time.Duration) LinkDialer {
 	if dialTimeout <= 0 {
 		dialTimeout = transport.DefaultDialTimeout

@@ -7,36 +7,29 @@ import (
 
 // aLongTimeAgo is a non-zero time far in the past, used to immediately expire
 // an in-flight operation when its context is canceled (the same trick the
-// net/http internals use: SetDeadline(past) unblocks pending I/O).
+// net/http internals use: a past deadline unblocks pending I/O).
 var aLongTimeAgo = time.Unix(1, 0)
 
-// SendContext sends one message, honoring both the context and the timeout.
-// Cancellation interrupts an in-flight send by smashing the connection
-// deadline into the past; the returned error is then ctx.Err(). A nil or
-// never-canceled context degrades to SendDeadline exactly, so callers that
-// do not use contexts pay nothing.
+// SendContext sends one message, honoring both the context and the timeout
+// (a non-positive timeout waits forever). It is the one timed send: the
+// deadline is cleared afterwards. Cancellation interrupts an in-flight send
+// by smashing the connection deadline into the past; the returned error is
+// then ctx.Err(). A nil or never-canceled context arms the timeout alone.
 func SendContext(ctx context.Context, c Conn, m Message, timeout time.Duration) error {
-	run, finish, ok := contextualize(ctx, c, timeout)
-	if !ok {
-		return SendDeadline(c, m, timeout)
-	}
-	if run != nil {
-		return run
+	finish, err := arm(ctx, c, timeout)
+	if err != nil {
+		return err
 	}
 	return finish(c.Send(m))
 }
 
 // RecvContext receives one message, honoring both the context and the
-// timeout. Cancellation interrupts an in-flight receive; the returned error
-// is then ctx.Err(). A nil or never-canceled context degrades to
-// RecvDeadline exactly.
+// timeout, as SendContext does. A timeout that expires first fails with an
+// error satisfying IsTimeout.
 func RecvContext(ctx context.Context, c Conn, timeout time.Duration) (Message, error) {
-	run, finish, ok := contextualize(ctx, c, timeout)
-	if !ok {
-		return RecvDeadline(c, timeout)
-	}
-	if run != nil {
-		return Message{}, run
+	finish, err := arm(ctx, c, timeout)
+	if err != nil {
+		return Message{}, err
 	}
 	m, err := c.Recv()
 	if err = finish(err); err != nil {
@@ -45,18 +38,26 @@ func RecvContext(ctx context.Context, c Conn, timeout time.Duration) (Message, e
 	return m, nil
 }
 
-// contextualize arms a connection deadline that combines the context with the
-// timeout. It returns ok=false when the plain deadline helpers should be used
-// instead (nil/non-cancelable context, or a connection without deadlines).
-// Otherwise run is a pre-flight error (context already done) or nil, and
-// finish must wrap the operation's error: it disarms the cancel watcher and
-// substitutes ctx.Err() when cancellation is what broke the operation.
-func contextualize(ctx context.Context, c Conn, timeout time.Duration) (run error, finish func(error) error, ok bool) {
+// arm sets a connection deadline that combines the context with the timeout.
+// It returns the context's error when the context is already done; otherwise
+// finish must wrap the operation's error: it disarms the deadline and, under
+// a cancelable context, the cancel watcher, substituting ctx.Err() when
+// cancellation is what broke the operation. A connection without deadlines
+// runs the operation unbounded and lets the caller notice cancellation
+// afterwards.
+func arm(ctx context.Context, c Conn, timeout time.Duration) (finish func(error) error, err error) {
+	pass := func(e error) error { return e }
 	if ctx == nil || ctx.Done() == nil {
-		return nil, nil, false
+		if timeout <= 0 || !setDeadline(c, time.Now().Add(timeout)) {
+			return pass, nil
+		}
+		return func(opErr error) error {
+			setDeadline(c, time.Time{})
+			return opErr
+		}, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return err, func(e error) error { return e }, true
+		return nil, err
 	}
 	deadline := time.Time{}
 	if timeout > 0 {
@@ -65,20 +66,18 @@ func contextualize(ctx context.Context, c Conn, timeout time.Duration) (run erro
 	if d, hasD := ctx.Deadline(); hasD && (deadline.IsZero() || d.Before(deadline)) {
 		deadline = d
 	}
-	if !SetDeadline(c, deadline) {
-		// The connection cannot be interrupted; fall back to the plain
-		// helpers and let the caller notice cancellation afterwards.
-		return nil, nil, false
+	if !setDeadline(c, deadline) {
+		return pass, nil
 	}
 	// Register the cancel watcher only after the base deadline is set, so a
 	// concurrent cancellation cannot have its past-deadline overwritten by
-	// the SetDeadline above.
+	// the setDeadline above.
 	stop := context.AfterFunc(ctx, func() {
-		SetDeadline(c, aLongTimeAgo)
+		setDeadline(c, aLongTimeAgo)
 	})
-	finish = func(opErr error) error {
+	return func(opErr error) error {
 		stopped := stop()
-		SetDeadline(c, time.Time{})
+		setDeadline(c, time.Time{})
 		if opErr == nil {
 			// Even a canceled context does not destroy a completed
 			// operation; deliver the result.
@@ -98,6 +97,5 @@ func contextualize(ctx context.Context, c Conn, timeout time.Duration) (run erro
 			}
 		}
 		return opErr
-	}
-	return nil, finish, true
+	}, nil
 }

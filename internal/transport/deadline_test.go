@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -13,12 +14,12 @@ func TestPipeRecvDeadlineExpires(t *testing.T) {
 	defer b.Close()
 
 	start := time.Now()
-	_, err := RecvDeadline(b, 30*time.Millisecond)
+	_, err := RecvContext(context.Background(), b, 30*time.Millisecond)
 	if !IsTimeout(err) {
-		t.Fatalf("RecvDeadline error = %v, want timeout", err)
+		t.Fatalf("RecvContext error = %v, want timeout", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("RecvDeadline took %v, expected prompt expiry", elapsed)
+		t.Fatalf("RecvContext took %v, expected prompt expiry", elapsed)
 	}
 }
 
@@ -32,9 +33,9 @@ func TestPipeSendDeadlineExpiresWhenFull(t *testing.T) {
 	if err := a.Send(Message{Kind: 1}); err != nil {
 		t.Fatalf("first Send: %v", err)
 	}
-	err := SendDeadline(a, Message{Kind: 2}, 30*time.Millisecond)
+	err := SendContext(context.Background(), a, Message{Kind: 2}, 30*time.Millisecond)
 	if !IsTimeout(err) {
-		t.Fatalf("SendDeadline error = %v, want timeout", err)
+		t.Fatalf("SendContext error = %v, want timeout", err)
 	}
 }
 
@@ -43,8 +44,8 @@ func TestPipeDeadlineClearedAfterHelper(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 
-	if _, err := RecvDeadline(b, 10*time.Millisecond); !IsTimeout(err) {
-		t.Fatalf("RecvDeadline error = %v, want timeout", err)
+	if _, err := RecvContext(context.Background(), b, 10*time.Millisecond); !IsTimeout(err) {
+		t.Fatalf("RecvContext error = %v, want timeout", err)
 	}
 	// The helper must clear the deadline: a plain Recv afterwards blocks
 	// until the message arrives instead of re-firing the old deadline.
@@ -67,9 +68,9 @@ func TestPipeRecvDeliversBeforeDeadline(t *testing.T) {
 	defer b.Close()
 
 	go a.Send(Message{Kind: 5, Payload: []byte("x")})
-	m, err := RecvDeadline(b, 5*time.Second)
+	m, err := RecvContext(context.Background(), b, 5*time.Second)
 	if err != nil {
-		t.Fatalf("RecvDeadline: %v", err)
+		t.Fatalf("RecvContext: %v", err)
 	}
 	if m.Kind != 5 {
 		t.Fatalf("Kind = %d, want 5", m.Kind)
@@ -91,15 +92,15 @@ func TestTCPRecvDeadlineExpires(t *testing.T) {
 		defer c.Close()
 		time.Sleep(2 * time.Second)
 	}()
-	c, err := Dial(l.Addr())
+	c, err := DialTimeout(l.Addr(), DefaultDialTimeout)
 	if err != nil {
-		t.Fatalf("Dial: %v", err)
+		t.Fatalf("DialTimeout: %v", err)
 	}
 	defer c.Close()
 
-	_, err = RecvDeadline(c, 50*time.Millisecond)
+	_, err = RecvContext(context.Background(), c, 50*time.Millisecond)
 	if !IsTimeout(err) {
-		t.Fatalf("RecvDeadline error = %v, want timeout", err)
+		t.Fatalf("RecvContext error = %v, want timeout", err)
 	}
 }
 
@@ -113,14 +114,14 @@ func TestSecureConnForwardsDeadline(t *testing.T) {
 	if _, ok := Conn(sa).(Deadliner); !ok {
 		t.Fatal("secure conn does not implement Deadliner")
 	}
-	if _, err := RecvDeadline(sb, 30*time.Millisecond); !IsTimeout(err) {
-		t.Fatal("secure RecvDeadline did not time out")
+	if _, err := RecvContext(context.Background(), sb, 30*time.Millisecond); !IsTimeout(err) {
+		t.Fatal("secure RecvContext did not time out")
 	}
 	// And still works for a real message afterwards.
 	go sa.Send(Message{Kind: 9, Payload: []byte("ok")})
-	m, err := RecvDeadline(sb, 5*time.Second)
+	m, err := RecvContext(context.Background(), sb, 5*time.Second)
 	if err != nil {
-		t.Fatalf("secure RecvDeadline: %v", err)
+		t.Fatalf("secure RecvContext: %v", err)
 	}
 	if m.Kind != 9 || string(m.Payload) != "ok" {
 		t.Fatalf("got %+v", m)
@@ -136,8 +137,8 @@ func TestMeteredConnForwardsDeadline(t *testing.T) {
 	if _, ok := mb.(Deadliner); !ok {
 		t.Fatal("metered conn does not implement Deadliner")
 	}
-	if _, err := RecvDeadline(mb, 30*time.Millisecond); !IsTimeout(err) {
-		t.Fatal("metered RecvDeadline did not time out")
+	if _, err := RecvContext(context.Background(), mb, 30*time.Millisecond); !IsTimeout(err) {
+		t.Fatal("metered RecvContext did not time out")
 	}
 }
 
@@ -229,8 +230,8 @@ func TestFaultDelayTripsDeadline(t *testing.T) {
 	fb := NewFault(b, FaultPoint{Op: FaultRecv, Kind: FaultDelay, Delay: 80 * time.Millisecond})
 
 	go a.Send(Message{Kind: 4})
-	_, err := RecvDeadline(fb, 20*time.Millisecond)
+	_, err := RecvContext(context.Background(), fb, 20*time.Millisecond)
 	if !IsTimeout(err) {
-		t.Fatalf("RecvDeadline error = %v, want timeout", err)
+		t.Fatalf("RecvContext error = %v, want timeout", err)
 	}
 }

@@ -78,45 +78,15 @@ type Deadliner interface {
 	SetDeadline(t time.Time) error
 }
 
-// SetDeadline applies an absolute deadline to c if it supports one. It
+// setDeadline applies an absolute deadline to c if it supports one. It
 // reports whether the connection honored the deadline; connections without
 // deadline support are left untouched.
-func SetDeadline(c Conn, t time.Time) bool {
+func setDeadline(c Conn, t time.Time) bool {
 	d, ok := c.(Deadliner)
 	if !ok {
 		return false
 	}
 	return d.SetDeadline(t) == nil
-}
-
-// RecvDeadline receives one message, failing with a timeout error if it does
-// not arrive within the given duration. A non-positive timeout blocks
-// indefinitely. The deadline is cleared afterwards.
-func RecvDeadline(c Conn, timeout time.Duration) (Message, error) {
-	if timeout <= 0 {
-		return c.Recv()
-	}
-	if !SetDeadline(c, time.Now().Add(timeout)) {
-		return c.Recv()
-	}
-	m, err := c.Recv()
-	SetDeadline(c, time.Time{})
-	return m, err
-}
-
-// SendDeadline sends one message, failing with a timeout error if it cannot
-// be transmitted within the given duration. A non-positive timeout blocks
-// indefinitely. The deadline is cleared afterwards.
-func SendDeadline(c Conn, m Message, timeout time.Duration) error {
-	if timeout <= 0 {
-		return c.Send(m)
-	}
-	if !SetDeadline(c, time.Now().Add(timeout)) {
-		return c.Send(m)
-	}
-	err := c.Send(m)
-	SetDeadline(c, time.Time{})
-	return err
 }
 
 // --- In-memory transport ---
@@ -313,13 +283,8 @@ func (n *netMsgConn) SetDeadline(t time.Time) error { return n.c.SetDeadline(t) 
 // DefaultDialTimeout bounds connection establishment.
 const DefaultDialTimeout = 10 * time.Second
 
-// Dial connects to a TCP listener (with DefaultDialTimeout) and wraps the
-// connection.
-func Dial(addr string) (Conn, error) {
-	return DialTimeout(addr, DefaultDialTimeout)
-}
-
-// DialTimeout connects with an explicit timeout.
+// DialTimeout connects to a TCP listener with an explicit timeout and wraps
+// the connection.
 func DialTimeout(addr string, timeout time.Duration) (Conn, error) {
 	c, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {

@@ -147,7 +147,7 @@ func TestTCPTransport(t *testing.T) {
 		}
 	}()
 
-	c, err := Dial(l.Addr())
+	c, err := DialTimeout(l.Addr(), DefaultDialTimeout)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -166,7 +166,7 @@ func TestTCPTransport(t *testing.T) {
 }
 
 func TestDialFailure(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1"); err == nil {
+	if _, err := DialTimeout("127.0.0.1:1", DefaultDialTimeout); err == nil {
 		t.Fatal("dialing a closed port must fail")
 	}
 }
