@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	gendpr-lint [-run names] [-skip names] [-json] [-v] [-baseline report.json] [./...] [dir ...]
+//	gendpr-lint [-run names] [-skip names] [-json] [-v] [./...] [dir ...]
 //
 // Every run loads and type-checks the whole module containing the working
 // directory once, runs the selected analyzers once, and writes one report.
@@ -15,10 +15,8 @@
 // complete. -run and -skip take comma-separated analyzer names; -json writes
 // the findings as a machine-readable report to stdout (scripts/check.sh
 // archives it as lint-report.json); -v adds per-package load timing and
-// per-analyzer wall time to stderr. -baseline takes a previous -json report
-// and fails only on findings absent from it (matched by file, analyzer, and
-// message — not line, so unrelated edits shifting positions do not resurface
-// acknowledged debt).
+// per-analyzer wall time to stderr. Every finding fails the run; a justified
+// //gendpr:allow directive in source is the one way to acknowledge one.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure (including a
 // working directory outside any Go module).
@@ -44,12 +42,8 @@ func main() {
 	jsonOut := flag.Bool("json", false, "write findings as a JSON report to stdout")
 	runNames := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 	skipNames := flag.String("skip", "", "comma-separated analyzer names to skip")
-	baseline := flag.String("baseline", "", "path to a previous -json report; only findings absent from it fail the run")
 	flag.Parse()
-	opts := lintOptions{
-		verbose: *verbose, jsonOut: *jsonOut,
-		runNames: *runNames, skipNames: *skipNames, baselinePath: *baseline,
-	}
+	opts := lintOptions{verbose: *verbose, jsonOut: *jsonOut, runNames: *runNames, skipNames: *skipNames}
 	failed, err := run(flag.Args(), opts, os.Stdout, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gendpr-lint:", err)
@@ -70,10 +64,10 @@ type jsonFinding struct {
 	Message  string `json:"message"`
 }
 
-// jsonReport is the -json output envelope, and the format -baseline reads
-// back. It deliberately carries no timings, so the report is a pure function
-// of the module's content: the committed lint-report.json changes only when
-// a finding or the analyzer list does. Timings go to stderr under -v.
+// jsonReport is the -json output envelope. It deliberately carries no
+// timings, so the report is a pure function of the module's content: the
+// committed lint-report.json changes only when a finding or the analyzer
+// list does. Timings go to stderr under -v.
 type jsonReport struct {
 	Module    string        `json:"module"`
 	Analyzers []string      `json:"analyzers"`
@@ -82,8 +76,8 @@ type jsonReport struct {
 
 // lintOptions carries the parsed command line.
 type lintOptions struct {
-	verbose, jsonOut                  bool
-	runNames, skipNames, baselinePath string
+	verbose, jsonOut    bool
+	runNames, skipNames string
 }
 
 // run lints the module containing the working directory and writes the
@@ -107,7 +101,7 @@ func run(args []string, opts lintOptions, stdout, stderr io.Writer) (failed bool
 	if opts.verbose {
 		loadLog = stderr
 	}
-	mod, err := analysis.LoadModuleVerbose(root, loadLog)
+	mod, err := analysis.LoadModule(root, loadLog)
 	if err != nil {
 		return false, err
 	}
@@ -124,7 +118,7 @@ func run(args []string, opts lintOptions, stdout, stderr io.Writer) (failed bool
 	// The wall clock covers the analyzer run alone, so it describes the same
 	// work as the summed per-analyzer CPU time; the load has its own line.
 	runStart := time.Now()
-	diags, stats := analysis.RunWithStats(mod, analyzers)
+	diags, stats := analysis.Run(mod, analyzers)
 	runWall := time.Since(runStart)
 	if opts.verbose {
 		var cpu time.Duration
@@ -153,20 +147,6 @@ func run(args []string, opts lintOptions, stdout, stderr io.Writer) (failed bool
 		})
 	}
 
-	// With -baseline, only findings absent from the previous report fail the
-	// run; known debt is suppressed (matched by file+analyzer+message so a
-	// finding does not count as new just because edits above it moved the
-	// line). The -json report still carries every finding, so archiving it
-	// regenerates the full baseline rather than shrinking it run over run.
-	fail := kept
-	if opts.baselinePath != "" {
-		base, err := loadBaseline(opts.baselinePath)
-		if err != nil {
-			return false, err
-		}
-		fail = newFindings(kept, base)
-	}
-
 	if opts.jsonOut {
 		report := jsonReport{Module: mod.Path, Findings: kept}
 		for _, s := range stats {
@@ -178,21 +158,14 @@ func run(args []string, opts lintOptions, stdout, stderr io.Writer) (failed bool
 			return false, err
 		}
 	} else {
-		for _, f := range fail {
+		for _, f := range kept {
 			fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Column, f.Analyzer, f.Message)
 		}
 	}
-	if baselined := len(kept) - len(fail); baselined > 0 {
-		fmt.Fprintf(stderr, "gendpr-lint: %d baselined finding(s) suppressed (%s)\n", baselined, opts.baselinePath)
+	if len(kept) > 0 {
+		fmt.Fprintf(stderr, "gendpr-lint: %d finding(s)\n", len(kept))
 	}
-	if len(fail) > 0 {
-		if opts.baselinePath != "" {
-			fmt.Fprintf(stderr, "gendpr-lint: %d finding(s) not in baseline\n", len(fail))
-		} else {
-			fmt.Fprintf(stderr, "gendpr-lint: %d finding(s)\n", len(fail))
-		}
-	}
-	return len(fail) > 0, nil
+	return len(kept) > 0, nil
 }
 
 // selectAnalyzers applies the -run and -skip name filters. Unknown names are

@@ -52,8 +52,8 @@ func lintTempModule(t *testing.T, src string) (jsonReport, bool) {
 	return report, failed
 }
 
-// TestJSONReportEnvelope pins the -json envelope that -baseline reads back:
-// the module path, the analyzers in suite order, findings as [] (never null)
+// TestJSONReportEnvelope pins the -json envelope scripts/check.sh archives
+// as lint-report.json: the module path, the analyzers in suite order, findings as [] (never null)
 // on a clean module, and file paths relative to the module root.
 func TestJSONReportEnvelope(t *testing.T) {
 	var suite []string

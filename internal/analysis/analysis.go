@@ -180,8 +180,9 @@ func (s suppressions) allows(d Diagnostic) bool {
 
 // AnalyzerStats records one analyzer's aggregate execution over the module:
 // total wall time across packages and how many findings survived
-// suppression. The first taint analyzer to run pays the one-time engine
-// construction (call graph + fixpoint), which its Duration reflects.
+// suppression. The first analyzer to read a shared engine — the call graph,
+// the held-lock walk, the taint fixpoint — pays its one-time construction,
+// which its Duration reflects.
 type AnalyzerStats struct {
 	Name     string
 	Duration time.Duration
@@ -189,24 +190,17 @@ type AnalyzerStats struct {
 }
 
 // Run applies every analyzer to every package in the module and returns the
-// unsuppressed findings sorted by position.
-func Run(mod *Module, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunWithStats(mod, analyzers)
-	return diags
-}
-
-// RunWithStats is Run plus per-analyzer timing, for -v diagnostics and CI
-// artifacts. Stats are returned in the analyzers' order.
+// unsuppressed findings sorted by position, with per-analyzer timing (for
+// -v diagnostics and CI artifacts) in the analyzers' order.
 //
 // Packages fan out across a GOMAXPROCS-bounded pool; within one package the
 // analyzers run serially. Each task reports into its own diagnostic slice
 // (merged in package order, then position-sorted, so the output is identical
-// to a serial run). Analyzer state shared across packages — the taint
-// registry's lazily built engine — is guarded by its own mutex; an
-// analyzer's Duration therefore includes any time spent blocked on that
-// one-time construction, same as the serial accounting charged it to the
-// first analyzer to run.
-func RunWithStats(mod *Module, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerStats) {
+// to a serial run). State shared across packages — the module's call graph
+// and held-lock walk, the taint registry's engine — is built once under its
+// own guard; an analyzer's Duration therefore includes any time spent
+// blocked on that one-time construction.
+func Run(mod *Module, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerStats) {
 	var diags []Diagnostic
 	sup := make(suppressions)
 	for _, pkg := range mod.Packages {
@@ -288,7 +282,10 @@ func RunWithStats(mod *Module, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerS
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 	return kept, stats
 }

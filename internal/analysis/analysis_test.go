@@ -59,7 +59,7 @@ func runFixture(t *testing.T, a *Analyzer, name string) {
 		t.Fatalf("loading fixture %s: %v", name, err)
 	}
 	mod := &Module{Path: "fixture", Dir: dir, Fset: pkg.Fset, Packages: []*Package{pkg}}
-	diags := Run(mod, []*Analyzer{a})
+	diags, _ := Run(mod, []*Analyzer{a})
 
 	want := fixtureExpectations(t, dir)
 	matched := make(map[string]int)
@@ -97,6 +97,28 @@ func TestCryptoRandFixture(t *testing.T) {
 
 func TestLockAcrossSendFixture(t *testing.T) {
 	runFixture(t, NewLockAcrossSend(nil), "lockacrosssend")
+}
+
+// TestLockAcrossSendWithoutTypes: without type information a niladic
+// Lock/Unlock is tracked by its rendered receiver, so the held-set walk still
+// runs — and a Lock method on a non-mutex type can no longer be told apart.
+func TestLockAcrossSendWithoutTypes(t *testing.T) {
+	dir := filepath.Join("testdata", "src", "lockacrosssend")
+	pkg, err := LoadPackageDir(dir, "fixture/lockacrosssend")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg.Info = nil
+	mod := &Module{Path: "fixture", Dir: dir, Fset: pkg.Fset, Packages: []*Package{pkg}}
+	diags, _ := Run(mod, []*Analyzer{NewLockAcrossSend(nil)})
+	var underMutex, underFake bool
+	for _, d := range diags {
+		underMutex = underMutex || strings.Contains(d.Message, "channel send while n.mu is locked")
+		underFake = underFake || strings.Contains(d.Message, "call to c.Send while f is locked")
+	}
+	if !underMutex || !underFake {
+		t.Errorf("untyped walk: send under n.mu reported %v, send under fakeLocker reported %v; want both", underMutex, underFake)
+	}
 }
 
 func TestFloatEqFixture(t *testing.T) {
@@ -167,9 +189,11 @@ func TestObliviousFlowFixture(t *testing.T) {
 
 func TestDivergentFloatFixture(t *testing.T) {
 	// The fixture cannot import the real stats package, so the test
-	// registers the fixture's own statistic as an order-sensitive sink.
+	// registers the fixture's own statistics as order-sensitive sinks: a
+	// function and a method.
 	spec := DefaultTaintSpec()
 	spec.OrderSinks["fixture/divergentfloat.statMAF"] = "statMAF (fixture statistic)"
+	spec.OrderSinks["(*fixture/divergentfloat.meanStat).mean"] = "meanStat.mean (fixture statistic)"
 	runFixture(t, NewDivergentFloat(NewTaintRegistry(spec)), "divergentfloat")
 }
 
@@ -183,7 +207,7 @@ func TestScopeExcludesOtherPackages(t *testing.T) {
 	}
 	mod := &Module{Path: "fixture", Dir: dir, Fset: pkg.Fset, Packages: []*Package{pkg}}
 	a := NewCryptoRand([]Scope{{PathPrefix: "fixture/otherpkg"}})
-	if diags := Run(mod, []*Analyzer{a}); len(diags) != 0 {
+	if diags, _ := Run(mod, []*Analyzer{a}); len(diags) != 0 {
 		t.Fatalf("out-of-scope analyzer reported %v", diags)
 	}
 }
@@ -227,7 +251,7 @@ func f(a, b float64) bool {
 		t.Fatal(err)
 	}
 	mod := &Module{Path: "fixture", Dir: dir, Fset: pkg.Fset, Packages: []*Package{pkg}}
-	diags := Run(mod, []*Analyzer{NewFloatEq(nil)})
+	diags, _ := Run(mod, []*Analyzer{NewFloatEq(nil)})
 	var directive, floateq bool
 	for _, d := range diags {
 		switch d.Analyzer {
@@ -264,7 +288,7 @@ func f(a, b float64) bool {
 		t.Fatal(err)
 	}
 	mod := &Module{Path: "fixture", Dir: dir, Fset: pkg.Fset, Packages: []*Package{pkg}}
-	if diags := Run(mod, []*Analyzer{NewFloatEq(nil)}); len(diags) != 0 {
+	if diags, _ := Run(mod, []*Analyzer{NewFloatEq(nil)}); len(diags) != 0 {
 		t.Fatalf("justified directive did not suppress: %v", diags)
 	}
 }
@@ -282,7 +306,7 @@ func loadSelf(t *testing.T) *Module {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	selfOnce.Do(func() { selfMod, selfErr = LoadModule(filepath.Join("..", "..")) })
+	selfOnce.Do(func() { selfMod, selfErr = LoadModule(filepath.Join("..", ".."), nil) })
 	if selfErr != nil {
 		t.Fatal(selfErr)
 	}
@@ -391,7 +415,8 @@ func TestDefaultTaintSpecNamesResolve(t *testing.T) {
 // TestDefaultSuiteCleanOnTree is the in-test version of the CI gate:
 // the default analyzers report nothing on the current repository.
 func TestDefaultSuiteCleanOnTree(t *testing.T) {
-	for _, d := range Run(loadSelf(t), DefaultAnalyzers()) {
+	diags, _ := Run(loadSelf(t), DefaultAnalyzers())
+	for _, d := range diags {
 		t.Errorf("finding on clean tree: %s", d)
 	}
 }
@@ -415,7 +440,7 @@ func f(a, b float64) bool {
 		t.Fatal(err)
 	}
 	mod := &Module{Path: "fixture", Dir: dir, Fset: pkg.Fset, Packages: []*Package{pkg}}
-	diags := Run(mod, []*Analyzer{NewFloatEq(nil)})
+	diags, _ := Run(mod, []*Analyzer{NewFloatEq(nil)})
 	var directive, floateq bool
 	for _, d := range diags {
 		switch d.Analyzer {
@@ -459,7 +484,7 @@ func both(a float64) bool {
 		NewFloatEq(nil),
 		NewCryptoRand([]Scope{{PathPrefix: "fixture/multi"}}),
 	}
-	if diags := Run(mod, analyzers); len(diags) != 0 {
+	if diags, _ := Run(mod, analyzers); len(diags) != 0 {
 		t.Errorf("multi-analyzer directives did not suppress everything: %v", diags)
 	}
 
@@ -485,7 +510,8 @@ func one(a float64) bool {
 	}
 	mod2 := &Module{Path: "fixture", Dir: dir2, Fset: pkg2.Fset, Packages: []*Package{pkg2}}
 	var crand bool
-	for _, d := range Run(mod2, analyzers) {
+	diags, _ := Run(mod2, analyzers)
+	for _, d := range diags {
 		if d.Analyzer == "floateq" {
 			t.Errorf("floateq finding survived its directive: %s", d)
 		}
@@ -518,7 +544,7 @@ func f(a, b float64) bool {
 		t.Fatal(err)
 	}
 	mod := &Module{Path: "fixture", Dir: dir, Fset: pkg.Fset, Packages: []*Package{pkg}}
-	diags := Run(mod, []*Analyzer{NewFloatEq(nil)})
+	diags, _ := Run(mod, []*Analyzer{NewFloatEq(nil)})
 	var floateq bool
 	for _, d := range diags {
 		if d.Analyzer == "floateq" {
@@ -533,14 +559,14 @@ func f(a, b float64) bool {
 // TestLoadModuleNoGoMod: a directory outside any module fails fast with the
 // ErrNoModule sentinel (gendpr-lint maps it to exit status 2).
 func TestLoadModuleNoGoMod(t *testing.T) {
-	_, err := LoadModule(t.TempDir())
+	_, err := LoadModule(t.TempDir(), nil)
 	if !errors.Is(err, ErrNoModule) {
 		t.Fatalf("want ErrNoModule, got %v", err)
 	}
 }
 
-// TestLoadModuleVerboseTiming: the verbose loader reports one timing line
-// per package.
+// TestLoadModuleVerboseTiming: with a log, the loader reports one timing
+// line per package.
 func TestLoadModuleVerboseTiming(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
@@ -558,7 +584,7 @@ func TestLoadModuleVerboseTiming(t *testing.T) {
 		}
 	}
 	var buf strings.Builder
-	mod, err := LoadModuleVerbose(dir, &buf)
+	mod, err := LoadModule(dir, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

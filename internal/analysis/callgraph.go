@@ -4,14 +4,15 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
+	"sync"
 )
 
-// callGraph is the module-wide call-resolution index the taint engine runs
-// on: every function body in the module, keyed by its types.Func, plus the
-// interface-dispatch relation resolved against the module's own types. It is
-// deliberately a *may*-call graph — an interface method call resolves to
-// every in-module implementation — because the taint engine must not miss a
-// flow the runtime could take.
+// callGraph is the module-wide call-resolution index the taint engine, the
+// held-lock walk and goroleak run on: every function body in the module,
+// keyed by its types.Func, plus the interface-dispatch relation resolved
+// against the module's own types. It is deliberately a *may*-call graph —
+// an interface method call resolves to every in-module implementation —
+// because the taint engine must not miss a flow the runtime could take.
 type callGraph struct {
 	// funcs maps every module function and method with a body to its
 	// declaration and defining package.
@@ -23,7 +24,10 @@ type callGraph struct {
 
 	// fullName caches types.Func.FullName, the key used by the taint
 	// tables ("fmt.Errorf", "(*gendpr/internal/genome.Matrix).AlleleCounts",
-	// "(gendpr/internal/transport.Conn).Send").
+	// "(gendpr/internal/transport.Conn).Send"). It is the graph's only
+	// mutable state once built; nameMu guards it for the engines sharing
+	// the graph.
+	nameMu   sync.Mutex
 	fullName map[*types.Func]string
 }
 
@@ -34,7 +38,8 @@ type funcDecl struct {
 	pkg  *Package
 }
 
-// buildCallGraph indexes the module.
+// buildCallGraph indexes the module. Module.callGraph builds it once per
+// module and shares it.
 func buildCallGraph(mod *Module) *callGraph {
 	cg := &callGraph{
 		funcs:    make(map[*types.Func]*funcDecl),
@@ -121,6 +126,8 @@ func (cg *callGraph) buildDispatch(mod *Module) {
 
 // name returns (and caches) the table key for fn.
 func (cg *callGraph) name(fn *types.Func) string {
+	cg.nameMu.Lock()
+	defer cg.nameMu.Unlock()
 	if n, ok := cg.fullName[fn]; ok {
 		return n
 	}
@@ -134,29 +141,83 @@ func (cg *callGraph) name(fn *types.Func) string {
 // values and type conversions) and, when the callee is an interface method,
 // the in-module implementations behind it.
 func (cg *callGraph) callee(pkg *Package, call *ast.CallExpr) (fn *types.Func, impls []*types.Func) {
-	if pkg.Info == nil {
-		return nil, nil
+	fn = staticCallee(pkg.Info, call)
+	if fn != nil && isInterfaceMethod(fn) {
+		return fn, cg.impls[fn]
 	}
+	return fn, nil
+}
+
+// staticCallee resolves the function or method a call names: nil for calls
+// through function values, builtins and type conversions, or without type
+// information.
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	if info == nil {
+		return nil
+	}
+	var fn *types.Func
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		fn, _ = pkg.Info.Uses[fun].(*types.Func)
+		fn, _ = info.Uses[fun].(*types.Func)
 	case *ast.SelectorExpr:
-		if sel, ok := pkg.Info.Selections[fun]; ok {
+		if sel, ok := info.Selections[fun]; ok {
 			if sel.Kind() == types.MethodVal || sel.Kind() == types.MethodExpr {
 				fn, _ = sel.Obj().(*types.Func)
 			}
 		} else {
 			// Qualified reference: pkg.Func.
-			fn, _ = pkg.Info.Uses[fun.Sel].(*types.Func)
+			fn, _ = info.Uses[fun.Sel].(*types.Func)
 		}
 	}
-	if fn == nil {
-		return nil, nil
+	return fn
+}
+
+// objectOf resolves an identifier (defined or used) or a field or method
+// selector to the object it denotes; nil when type information has none.
+func objectOf(info *types.Info, e ast.Expr) types.Object {
+	if info == nil {
+		return nil
 	}
-	if isInterfaceMethod(fn) {
-		return fn, cg.impls[fn]
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		if obj := info.Defs[e]; obj != nil {
+			return obj
+		}
+		return info.Uses[e]
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[e]; ok {
+			return sel.Obj()
+		}
+		return info.Uses[e.Sel]
 	}
-	return fn, nil
+	return nil
+}
+
+// receiverType returns the type of a selector's receiver, nil without type
+// information for it.
+func receiverType(info *types.Info, sel *ast.SelectorExpr) types.Type {
+	if info == nil {
+		return nil
+	}
+	if s, ok := info.Selections[sel]; ok {
+		return s.Recv()
+	}
+	if tv, ok := info.Types[sel.X]; ok {
+		return tv.Type
+	}
+	return nil
+}
+
+// inspectBody calls visit on every node under root in depth-first order and
+// does not descend below a node for which skip reports true.
+func inspectBody(root ast.Node, skip func(ast.Node) bool, visit func(ast.Node)) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == nil {
+			return false
+		}
+		visit(n)
+		return !skip(n)
+	})
 }
 
 // isInterfaceMethod reports whether fn is declared on an interface type.

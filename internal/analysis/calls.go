@@ -39,7 +39,7 @@ func (fa *funcAnalysis) call(call *ast.CallExpr) taintVal {
 
 	// Call through a local binding of a function literal (closure).
 	if id, ok := fun.(*ast.Ident); ok {
-		if obj := fa.objectOf(id); obj != nil {
+		if obj := objectOf(fa.info(), id); obj != nil {
 			if lit, ok := fa.lits[obj]; ok {
 				return fa.litCallResult(lit, call.Args)
 			}
@@ -400,7 +400,7 @@ var inPlaceSorts = map[string]bool{
 func (fa *funcAnalysis) clearUnordered(arg ast.Expr) {
 	switch x := ast.Unparen(arg).(type) {
 	case *ast.Ident:
-		obj := fa.objectOf(x)
+		obj := objectOf(fa.info(), x)
 		if obj == nil {
 			return
 		}

@@ -318,7 +318,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		// unreachable.
 		if len(s.Body.List) == 0 {
 			b.cur = nil
-			_ = join
 		} else {
 			b.cur = join
 		}

@@ -31,10 +31,10 @@ func NewGoroLeak(scopes []Scope) *Analyzer {
 		Scopes: scopes,
 	}
 	a.Run = func(p *Pass) {
-		// Named spawn targets (`go s.worker()`) are resolved against the
-		// whole package, and close() provenance for ranged channels is
-		// package-wide too: the spawner and closer are rarely in one file.
-		decls := packageFuncDecls(p.Pkg)
+		// Named spawn targets (`go s.worker()`) are resolved through the
+		// module call graph to a body declared in this package, and close()
+		// provenance for ranged channels is package-wide: the spawner and
+		// closer are rarely in one file.
 		closed := closedChannelObjects(p.Pkg)
 		for _, f := range p.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -42,33 +42,12 @@ func NewGoroLeak(scopes []Scope) *Analyzer {
 				if !ok {
 					return true
 				}
-				checkGoStmt(p, gs, decls, closed)
+				checkGoStmt(p, gs, closed)
 				return true
 			})
 		}
 	}
 	return a
-}
-
-// packageFuncDecls indexes every function/method body in the package by its
-// types.Func, so `go s.worker()` can be checked at the spawn site.
-func packageFuncDecls(pkg *Package) map[*types.Func]*ast.FuncDecl {
-	out := make(map[*types.Func]*ast.FuncDecl)
-	if pkg.Info == nil {
-		return out
-	}
-	for _, f := range pkg.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-				out[obj] = fd
-			}
-		}
-	}
-	return out
 }
 
 // closedChannelObjects collects the types.Object of every expression the
@@ -77,9 +56,6 @@ func packageFuncDecls(pkg *Package) map[*types.Func]*ast.FuncDecl {
 // in another), and globals.
 func closedChannelObjects(pkg *Package) map[types.Object]bool {
 	out := make(map[types.Object]bool)
-	if pkg.Info == nil {
-		return out
-	}
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -89,7 +65,7 @@ func closedChannelObjects(pkg *Package) map[types.Object]bool {
 			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || id.Name != "close" {
 				return true
 			}
-			if obj := exprObject(pkg, call.Args[0]); obj != nil {
+			if obj := objectOf(pkg.Info, call.Args[0]); obj != nil {
 				out[obj] = true
 			}
 			return true
@@ -98,32 +74,16 @@ func closedChannelObjects(pkg *Package) map[types.Object]bool {
 	return out
 }
 
-// exprObject resolves an identifier or field selector to its types.Object.
-func exprObject(pkg *Package, e ast.Expr) types.Object {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return pkg.Info.Uses[e]
-	case *ast.SelectorExpr:
-		if sel, ok := pkg.Info.Selections[e]; ok {
-			return sel.Obj()
-		}
-		return pkg.Info.Uses[e.Sel]
-	}
-	return nil
-}
-
-func checkGoStmt(p *Pass, gs *ast.GoStmt, decls map[*types.Func]*ast.FuncDecl, closed map[types.Object]bool) {
+func checkGoStmt(p *Pass, gs *ast.GoStmt, closed map[types.Object]bool) {
 	var body *ast.BlockStmt
-	switch fun := ast.Unparen(gs.Call.Fun).(type) {
-	case *ast.FuncLit:
-		body = fun.Body
-	default:
+	if lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
+		body = lit.Body
+	} else {
 		// Named target: analyze the callee's body at the spawn site.
-		fn, _ := calleeFunc(p.Pkg, gs.Call)
-		if fn != nil {
-			if fd := decls[fn]; fd != nil {
-				body = fd.Body
-			}
+		cg := p.Mod.callGraph()
+		fn, _ := cg.callee(p.Pkg, gs.Call)
+		if fd := cg.funcs[fn]; fd != nil && fd.pkg == p.Pkg {
+			body = fd.decl.Body
 		}
 	}
 	if body == nil {
@@ -145,33 +105,12 @@ func checkGoStmt(p *Pass, gs *ast.GoStmt, decls map[*types.Func]*ast.FuncDecl, c
 	}
 }
 
-// calleeFunc resolves a call's static callee without consulting the module
-// call graph (goroleak is package-local).
-func calleeFunc(pkg *Package, call *ast.CallExpr) (*types.Func, bool) {
-	if pkg.Info == nil {
-		return nil, false
-	}
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, ok := pkg.Info.Uses[fun].(*types.Func)
-		return fn, ok
-	case *ast.SelectorExpr:
-		if sel, ok := pkg.Info.Selections[fun]; ok {
-			fn, ok := sel.Obj().(*types.Func)
-			return fn, ok
-		}
-		fn, ok := pkg.Info.Uses[fun.Sel].(*types.Func)
-		return fn, ok
-	}
-	return nil, false
-}
-
 // hasWaitGroupDone reports a Done() call on a sync.WaitGroup anywhere in the
 // body except inside nested `go` statements (a grandchild's Done does not
 // join this goroutine).
 func hasWaitGroupDone(p *Pass, body *ast.BlockStmt) bool {
 	found := false
-	inspectSkippingNestedGo(body, func(n ast.Node) {
+	inspectBody(body, spawnsLiteral, func(n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) != 0 {
 			return
@@ -191,11 +130,8 @@ func hasWaitGroupDone(p *Pass, body *ast.BlockStmt) bool {
 // declaration lives outside the body — a completion signal visible to the
 // spawner.
 func signalsCapturedChannel(p *Pass, body *ast.BlockStmt) bool {
-	if p.Pkg.Info == nil {
-		return false
-	}
 	found := false
-	inspectSkippingNestedGo(body, func(n ast.Node) {
+	inspectBody(body, spawnsLiteral, func(n ast.Node) {
 		var target ast.Expr
 		switch n := n.(type) {
 		case *ast.CallExpr:
@@ -208,7 +144,7 @@ func signalsCapturedChannel(p *Pass, body *ast.BlockStmt) bool {
 		if target == nil {
 			return
 		}
-		obj := exprObject(p.Pkg, target)
+		obj := objectOf(p.Pkg.Info, target)
 		if obj == nil {
 			return
 		}
@@ -221,25 +157,12 @@ func signalsCapturedChannel(p *Pass, body *ast.BlockStmt) bool {
 	return found
 }
 
-// inspectSkippingNestedGo walks the body but not into the bodies of nested
-// go statements: their signals belong to their own spawn-site analysis.
-func inspectSkippingNestedGo(body *ast.BlockStmt, visit func(ast.Node)) {
-	var skip ast.Node
-	ast.Inspect(body, func(n ast.Node) bool {
-		if n == nil {
-			return false
-		}
-		if n == skip {
-			return false
-		}
-		if gs, ok := n.(*ast.GoStmt); ok {
-			if lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
-				skip = lit.Body
-			}
-		}
-		visit(n)
-		return true
-	})
+// spawnsLiteral reports a nested `go func() {...}()`: the literal's signals
+// and loops belong to its own spawn-site analysis, not the enclosing
+// goroutine's.
+func spawnsLiteral(n ast.Node) bool {
+	gs, ok := n.(*ast.GoStmt)
+	return ok && isFuncLit(ast.Unparen(gs.Call.Fun))
 }
 
 // unboundedLoop is a loop with no structural bound: `for { ... }` or a range
@@ -252,7 +175,7 @@ type unboundedLoop struct {
 
 func unboundedLoops(p *Pass, body *ast.BlockStmt) []unboundedLoop {
 	var out []unboundedLoop
-	inspectSkippingNestedGo(body, func(n ast.Node) {
+	inspectBody(body, spawnsLiteral, func(n ast.Node) {
 		switch s := n.(type) {
 		case *ast.ForStmt:
 			if s.Cond == nil {
@@ -279,7 +202,7 @@ func unboundedLoops(p *Pass, body *ast.BlockStmt) []unboundedLoop {
 // function exit — the only destination that ends the goroutine.
 func checkUnboundedLoop(p *Pass, cfg *CFG, lp unboundedLoop, closed map[types.Object]bool) {
 	if lp.rangedCh != nil {
-		obj := exprObject(p.Pkg, lp.rangedCh)
+		obj := objectOf(p.Pkg.Info, lp.rangedCh)
 		if obj != nil && closed[obj] {
 			return
 		}
@@ -304,7 +227,7 @@ func checkUnboundedLoop(p *Pass, cfg *CFG, lp unboundedLoop, closed map[types.Ob
 // context.Context inside the loop body.
 func contextCancellationChecks(p *Pass, body *ast.BlockStmt) []ast.Node {
 	var out []ast.Node
-	inspectSkippingNestedGo(body, func(n ast.Node) {
+	inspectBody(body, spawnsLiteral, func(n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) != 0 {
 			return
@@ -313,7 +236,7 @@ func contextCancellationChecks(p *Pass, body *ast.BlockStmt) []ast.Node {
 		if !ok || (sel.Sel.Name != "Done" && sel.Sel.Name != "Err") {
 			return
 		}
-		if t := receiverType(p, sel); t != nil && isContextInterface(t) {
+		if t := receiverType(p.Pkg.Info, sel); t != nil && isContextInterface(t) {
 			out = append(out, call)
 		}
 	})

@@ -53,6 +53,23 @@ type Module struct {
 	Dir      string
 	Fset     *token.FileSet
 	Packages []*Package
+
+	// The call graph and the held-lock walk are built on first use, once,
+	// and shared by every analyzer that reads them.
+	cgOnce    sync.Once
+	cg        *callGraph
+	locksOnce sync.Once
+	locks     *lockEngine
+}
+
+func (m *Module) callGraph() *callGraph {
+	m.cgOnce.Do(func() { m.cg = buildCallGraph(m) })
+	return m.cg
+}
+
+func (m *Module) lockEngine() *lockEngine {
+	m.locksOnce.Do(func() { m.locks = buildLockEngine(m) })
+	return m.locks
 }
 
 // skipDir reports directories the loader never descends into.
@@ -67,16 +84,11 @@ var moduleLine = regexp.MustCompile(`(?m)^module\s+(\S+)`)
 // dir (the directory containing go.mod). Type-check failures in one package
 // do not fail the load: they are recorded on the package and checking
 // continues, so syntactic analyzers still see the whole module. A directory
-// without go.mod fails fast with ErrNoModule.
-func LoadModule(dir string) (*Module, error) {
-	return LoadModuleVerbose(dir, nil)
-}
-
-// LoadModuleVerbose is LoadModule with optional progress logging: when log
-// is non-nil, per-package parse and type-check wall times are written to it
-// (the type-check of a cold module dominates gendpr-lint's runtime, and the
-// per-package split shows where).
-func LoadModuleVerbose(dir string, log io.Writer) (*Module, error) {
+// without go.mod fails fast with ErrNoModule. When log is non-nil,
+// per-package type-check wall times are written to it (the type-check of a
+// cold module dominates gendpr-lint's runtime, and the per-package split
+// shows where); a nil log is quiet.
+func LoadModule(dir string, log io.Writer) (*Module, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -14,72 +13,55 @@ import (
 // member holding a shared mutex across Send serializes (or deadlocks) the
 // whole federation round.
 //
-// The check is block-local, matching the invariant in ISSUE terms: a Lock
-// without an intervening Unlock in the same statement list (or with a
-// deferred Unlock, which pins the lock for the rest of the function) must
-// not be followed by a communication operation in that list or any nested
-// control-flow block. Function literals start a fresh context: they run on
-// another goroutine's schedule.
+// It is the second report of the module's held-lock walk, the held-set
+// dataflow lockorder runs over each function body's CFG: a lock taken on one
+// branch is held after the merge on that path, and a deferred Unlock keeps it
+// held to the end of the function. The blocking operations are the ones
+// written in the body; a send reached through a callee is not reported.
+// Function literals start a fresh context: they run on another goroutine's
+// schedule.
 func NewLockAcrossSend(scopes []Scope) *Analyzer {
 	a := &Analyzer{
 		Name:   "lockacrosssend",
 		Doc:    "a mutex must not be held across a channel operation or transport Send/Recv",
 		Scopes: scopes,
 	}
-	a.Run = func(p *Pass) {
-		for _, f := range p.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch fn := n.(type) {
-				case *ast.FuncDecl:
-					if fn.Body != nil {
-						checkLockBlock(p, fn.Body.List, nil)
-					}
-				case *ast.FuncLit:
-					checkLockBlock(p, fn.Body.List, nil)
-				}
-				return true
-			})
-		}
-	}
+	a.Run = func(p *Pass) { reportLockFindings(p, p.Mod.lockEngine().blocking) }
 	return a
-}
-
-// heldLock tracks one acquired mutex within a statement list.
-type heldLock struct {
-	expr   string    // rendered receiver, e.g. "r.mu"
-	pos    token.Pos // the Lock call
-	sticky bool      // deferred Unlock: held until function return
 }
 
 var lockMethods = map[string]bool{"Lock": true, "RLock": true}
 var unlockMethods = map[string]bool{"Unlock": true, "RUnlock": true}
 var commMethods = map[string]bool{"Send": true, "Recv": true}
 
-// mutexCall matches a niladic method call on a receiver, returning the
-// rendered receiver when the method name is in the wanted set and, when type
-// information resolves, the receiver is a sync (RW)Mutex or embeds one.
-func mutexCall(p *Pass, call *ast.CallExpr, wanted map[string]bool) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !wanted[sel.Sel.Name] || len(call.Args) != 0 {
-		return "", false
+// mutexOp classifies a niladic Lock/RLock or Unlock/RUnlock call on a sync
+// mutex (or a type embedding one). The lock's key is its class-level
+// identity object; without type information, or when the receiver has no
+// identity object, it is the rendered receiver.
+func mutexOp(pkg *Package, call *ast.CallExpr) (lockOp, bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || len(call.Args) != 0 {
+		return lockOp{}, false
 	}
-	if t := receiverType(p, sel); t != nil && !isSyncMutex(t) {
-		return "", false
+	op := lockOp{kind: opLock, pos: call.Pos()}
+	switch {
+	case lockMethods[sel.Sel.Name]:
+	case unlockMethods[sel.Sel.Name]:
+		op.kind = opUnlock
+	default:
+		return lockOp{}, false
 	}
-	return types.ExprString(sel.X), true
-}
-
-func receiverType(p *Pass, sel *ast.SelectorExpr) types.Type {
-	if p.Pkg.Info == nil {
-		return nil
+	op.expr = types.ExprString(sel.X)
+	if recv := receiverType(pkg.Info, sel); recv != nil {
+		if !isSyncMutex(recv) {
+			return lockOp{}, false
+		}
+		op.key.obj = lockIdentity(pkg.Info, sel.X, recv)
 	}
-	if s, ok := p.Pkg.Info.Selections[sel]; ok {
-		return s.Recv()
+	if op.key.obj == nil {
+		op.key.expr = op.expr
 	}
-	if tv, ok := p.Pkg.Info.Types[sel.X]; ok {
-		return tv.Type
-	}
-	return nil
+	return op, true
 }
 
 func isSyncMutex(t types.Type) bool {
@@ -108,136 +90,31 @@ func isSyncMutex(t types.Type) bool {
 	return false
 }
 
-// checkLockBlock walks one statement list carrying the locks held on entry
-// (from enclosing lists). Nested control-flow blocks are analyzed with a
-// copy, so conditional acquisitions stay local.
-func checkLockBlock(p *Pass, stmts []ast.Stmt, inherited []heldLock) {
-	held := append([]heldLock(nil), inherited...)
-	for _, stmt := range stmts {
-		switch s := stmt.(type) {
-		case *ast.ExprStmt:
-			if call, ok := s.X.(*ast.CallExpr); ok {
-				if expr, ok := mutexCall(p, call, lockMethods); ok {
-					held = append(held, heldLock{expr: expr, pos: call.Pos()})
-					continue
-				}
-				if expr, ok := mutexCall(p, call, unlockMethods); ok {
-					held = releaseLock(held, expr)
-					continue
-				}
-			}
-		case *ast.DeferStmt:
-			if expr, ok := mutexCall(p, s.Call, unlockMethods); ok {
-				for i := range held {
-					if held[i].expr == expr {
-						held[i].sticky = true
-					}
-				}
-				continue
+// lockIdentity maps a mutex receiver expression to its class-level object:
+// a struct field (`s.mu` → the mu field, shared by all instances), the named
+// type for embedded promotion (`s.Lock()` → the type of s), or the variable
+// itself for plain vars.
+func lockIdentity(info *types.Info, recvExpr ast.Expr, recvType types.Type) types.Object {
+	switch e := ast.Unparen(recvExpr).(type) {
+	case *ast.SelectorExpr:
+		return objectOf(info, e)
+	case *ast.Ident:
+		obj := objectOf(info, e)
+		if obj == nil {
+			return nil
+		}
+		// A method promoted from an embedded mutex: identify by the named
+		// receiver type, so every method of the type shares the lock class.
+		t := recvType
+		if ptr, ok := t.Underlying().(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		if named, ok := t.(*types.Named); ok {
+			if named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
+				return named.Obj()
 			}
 		}
-		if len(held) > 0 {
-			reportCommOps(p, stmt, held)
-		}
-		// Recurse into nested statement lists with the current held set.
-		for _, body := range nestedBlocks(stmt) {
-			checkLockBlock(p, body, held)
-		}
+		return obj
 	}
-}
-
-func releaseLock(held []heldLock, expr string) []heldLock {
-	out := held[:0]
-	for _, h := range held {
-		if h.expr == expr && !h.sticky {
-			continue
-		}
-		out = append(out, h)
-	}
-	return out
-}
-
-// nestedBlocks returns the statement lists a statement contains.
-func nestedBlocks(stmt ast.Stmt) [][]ast.Stmt {
-	var out [][]ast.Stmt
-	add := func(b *ast.BlockStmt) {
-		if b != nil {
-			out = append(out, b.List)
-		}
-	}
-	switch s := stmt.(type) {
-	case *ast.BlockStmt:
-		add(s)
-	case *ast.IfStmt:
-		add(s.Body)
-		if els, ok := s.Else.(*ast.BlockStmt); ok {
-			add(els)
-		} else if els, ok := s.Else.(*ast.IfStmt); ok {
-			out = append(out, nestedBlocks(els)...)
-		}
-	case *ast.ForStmt:
-		add(s.Body)
-	case *ast.RangeStmt:
-		add(s.Body)
-	case *ast.SwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				out = append(out, cc.Body)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				out = append(out, cc.Body)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				out = append(out, cc.Body)
-			}
-		}
-	case *ast.LabeledStmt:
-		out = append(out, nestedBlocks(s.Stmt)...)
-	}
-	return out
-}
-
-// reportCommOps flags channel operations and Send/Recv calls in the
-// non-block parts of one statement (nested lists are handled by recursion,
-// nested function literals run elsewhere).
-func reportCommOps(p *Pass, stmt ast.Stmt, held []heldLock) {
-	skip := make(map[ast.Node]bool)
-	for _, body := range nestedBlocks(stmt) {
-		for _, s := range body {
-			skip[s] = true
-		}
-	}
-	ast.Inspect(stmt, func(n ast.Node) bool {
-		if n == nil || skip[n] {
-			return false
-		}
-		switch e := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.SendStmt:
-			reportHeld(p, e.Pos(), "channel send", held)
-		case *ast.UnaryExpr:
-			if e.Op == token.ARROW {
-				reportHeld(p, e.Pos(), "channel receive", held)
-			}
-		case *ast.CallExpr:
-			if sel, ok := e.Fun.(*ast.SelectorExpr); ok && commMethods[sel.Sel.Name] {
-				reportHeld(p, e.Pos(), "call to "+types.ExprString(sel.X)+"."+sel.Sel.Name, held)
-			}
-		}
-		return true
-	})
-}
-
-func reportHeld(p *Pass, pos token.Pos, what string, held []heldLock) {
-	for _, h := range held {
-		p.Reportf(pos, "%s while %s is locked (Lock at %s): a blocked peer stalls every goroutine waiting on the mutex; release before the blocking operation",
-			what, h.expr, p.Fset.Position(h.pos))
-	}
+	return nil
 }

@@ -6,14 +6,14 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"sync"
 )
 
 // NewLockOrder returns the analyzer building the module-wide
 // lock-acquisition-order graph and reporting cycles as potential deadlocks.
 // An edge A→B is recorded whenever lock B is acquired while A is held —
-// directly in one function (held-set dataflow on the CFG) or through a call
-// (the PR-5 call graph supplies, for every callee, the transitive closure of
+// directly in one function body, declared or literal (the held-set dataflow
+// on the CFG that lockacrosssend also reads), or through a call
+// (the module call graph supplies, for every callee, the transitive closure of
 // locks it may acquire, with interface calls resolved to every in-module
 // implementation). Two goroutines taking the same pair of locks in opposite
 // orders is the one deadlock no timeout rescues: each holds what the other
@@ -41,26 +41,22 @@ import (
 // walk therefore carries the set of receiver types on the path and skips
 // interface edges that would re-enter one; static calls are never skipped.
 func NewLockOrder(scopes []Scope) *Analyzer {
-	var mu sync.Mutex
-	cache := make(map[*Module]*lockOrderEngine)
 	a := &Analyzer{
 		Name:   "lockorder",
 		Doc:    "lock acquisition order must be acyclic across the module; a cycle is a potential deadlock",
 		Scopes: scopes,
 	}
-	a.Run = func(p *Pass) {
-		mu.Lock()
-		eng := cache[p.Mod]
-		if eng == nil {
-			eng = buildLockOrderEngine(p.Mod)
-			cache[p.Mod] = eng
-		}
-		mu.Unlock()
-		for _, f := range eng.findings[p.Pkg.Path] {
-			p.Reportf(f.pos, "%s", f.msg)
+	a.Run = func(p *Pass) { reportLockFindings(p, p.Mod.lockEngine().order) }
+	return a
+}
+
+// reportLockFindings reports the engine's findings in the pass's files.
+func reportLockFindings(p *Pass, byFile map[*ast.File][]lockFinding) {
+	for _, f := range p.Files {
+		for _, fi := range byFile[f] {
+			p.Reportf(fi.pos, "%s", fi.msg)
 		}
 	}
-	return a
 }
 
 type lockFinding struct {
@@ -68,60 +64,118 @@ type lockFinding struct {
 	msg string
 }
 
+// lockKey identifies a lock in the held set: its class-level object, or the
+// rendered receiver when type information cannot name one (the type-check
+// degradation rule). Only object keys take part in the order graph.
+type lockKey struct {
+	obj  types.Object
+	expr string
+}
+
+// heldLock records how a held lock was taken, for messages.
+type heldLock struct {
+	expr string    // rendered receiver, e.g. "r.mu"
+	pos  token.Pos // the Lock call
+}
+
 // lockEdge is one "acquired while held" observation.
 type lockEdge struct {
 	from, to types.Object
 	pos      token.Pos
-	pkgPath  string
+	file     *ast.File
 	via      *types.Func // non-nil when the acquisition happens inside a callee
 }
 
-type lockOrderEngine struct {
-	findings map[string][]lockFinding
+// lockOp is one ordered event inside a function body.
+type lockOp struct {
+	kind    int
+	key     lockKey
+	expr    string // the mutex receiver, or the blocking operation's description
+	pos     token.Pos
+	callees []*types.Func
 }
 
-func buildLockOrderEngine(mod *Module) *lockOrderEngine {
-	eng := &lockOrderEngine{findings: make(map[string][]lockFinding)}
-	cg := buildCallGraph(mod)
+const (
+	opLock = iota + 1
+	opUnlock
+	opCall
+	opBlock // channel send or receive, or a Send/Recv call
+)
 
-	// Deterministic function order: the maps inside callGraph iterate
-	// randomly, and edge discovery order decides which duplicate wins.
-	fns := make([]*types.Func, 0, len(cg.funcs))
-	for fn := range cg.funcs {
-		fns = append(fns, fn)
+// calleeEdge is one call-graph edge with its dispatch mode: viaIface marks a
+// resolution through interface may-dispatch, which the decorator refinement
+// is allowed to prune; static edges are always followed.
+type calleeEdge struct {
+	g        *types.Func
+	viaIface bool
+}
+
+// lockEngine is the module's one held-lock walk: the held-set dataflow over
+// every function body's CFG, read by two analyzers. lockorder reports the
+// acquisition-order edges that close a cycle (order); lockacrosssend reports
+// the blocking operations reached while a lock is held (blocking).
+type lockEngine struct {
+	order    map[*ast.File][]lockFinding
+	blocking map[*ast.File][]lockFinding
+
+	cg       *callGraph
+	direct   map[*types.Func][]types.Object // locks each function takes itself
+	callees  map[*types.Func][]calleeEdge
+	edges    []lockEdge
+	seenEdge map[edgeKey]bool
+	seenBlk  map[blockingKey]bool
+}
+
+type blockingKey struct {
+	pos token.Pos
+	key lockKey
+}
+
+func buildLockEngine(mod *Module) *lockEngine {
+	cg := mod.callGraph()
+	w := &lockEngine{
+		order:    make(map[*ast.File][]lockFinding),
+		blocking: make(map[*ast.File][]lockFinding),
+		cg:       cg,
+		direct:   make(map[*types.Func][]types.Object),
+		callees:  make(map[*types.Func][]calleeEdge),
+		seenEdge: make(map[edgeKey]bool),
+		seenBlk:  make(map[blockingKey]bool),
 	}
-	sort.Slice(fns, func(i, j int) bool { return cg.name(fns[i]) < cg.name(fns[j]) })
 
 	// Phase 1: per-function direct acquisitions and callee edges (tagged with
 	// how the call dispatches, for the decorator refinement).
-	direct := make(map[*types.Func][]types.Object)
-	callees := make(map[*types.Func][]calleeEdge)
-	for _, fn := range fns {
-		fd := cg.funcs[fn]
-		scanFuncLocks(fd, cg, direct, callees)
+	for _, fd := range cg.funcs {
+		w.scanFuncLocks(fd)
 	}
 
-	// Phase 2: held-set dataflow over each function's CFG.
-	var edges []lockEdge
-	seen := make(map[string]bool)
-	for _, fn := range fns {
-		fd := cg.funcs[fn]
-		for _, e := range functionLockEdges(fd, cg, direct, callees) {
-			key := fmt.Sprintf("%p|%p|%d", e.from, e.to, e.pos)
-			if !seen[key] {
-				seen[key] = true
-				edges = append(edges, e)
+	// Phase 2: held-set dataflow over every function body, declared or
+	// literal; each literal is a fresh context.
+	for _, pkg := range mod.Packages {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				var fn *types.Func
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+					fn, _ = objectOf(pkg.Info, fd.Name).(*types.Func)
+					w.walk(pkg, f, fn, fd.Body)
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					if lit, ok := n.(*ast.FuncLit); ok {
+						w.walk(pkg, f, fn, lit.Body)
+					}
+					return true
+				})
 			}
 		}
 	}
 
 	// Phase 3: cycles. Every edge inside a strongly connected component of
 	// size > 1, and every self-edge, is a finding at its site.
-	inCycle := cyclicNodes(edges)
+	inCycle := cyclicNodes(w.edges)
 	label := func(obj types.Object) string {
 		return fmt.Sprintf("%s (%s)", obj.Name(), mod.Fset.Position(obj.Pos()))
 	}
-	for _, e := range edges {
+	for _, e := range w.edges {
 		var msg string
 		switch {
 		case e.from == e.to:
@@ -135,146 +189,45 @@ func buildLockOrderEngine(mod *Module) *lockOrderEngine {
 		default:
 			continue
 		}
-		eng.findings[e.pkgPath] = append(eng.findings[e.pkgPath], lockFinding{pos: e.pos, msg: msg})
+		w.order[e.file] = append(w.order[e.file], lockFinding{pos: e.pos, msg: msg})
 	}
-	return eng
+	return w
 }
 
-// lockOp is one ordered event inside a function body.
-type lockOp struct {
-	kind    int // opLock, opUnlock, opCall
-	obj     types.Object
-	pos     token.Pos
-	callees []*types.Func
-}
-
-const (
-	opLock = iota
-	opUnlock
-	opCall
-)
-
-// calleeEdge is one call-graph edge with its dispatch mode: viaIface marks a
-// resolution through interface may-dispatch, which the decorator refinement
-// is allowed to prune; static edges are always followed.
-type calleeEdge struct {
-	g        *types.Func
-	viaIface bool
-}
-
-// scanFuncLocks fills the function's direct-acquire set and callee list.
-// Function literals are skipped throughout the analyzer: they run on their
-// own goroutine's schedule (or are invoked through a value the call graph
-// cannot resolve), so attributing their locks to the enclosing held set
+// scanFuncLocks fills the function's direct-acquire set and callee list for
+// the may-acquire closure of calls. Function literals are skipped: they run
+// on their own goroutine's schedule (or are invoked through a value the call
+// graph cannot resolve), so attributing their locks to a caller's held set
 // would fabricate edges.
-func scanFuncLocks(fd *funcDecl, cg *callGraph, direct map[*types.Func][]types.Object, callees map[*types.Func][]calleeEdge) {
+func (w *lockEngine) scanFuncLocks(fd *funcDecl) {
 	seenAcq := make(map[types.Object]bool)
 	seenCallee := make(map[*types.Func]bool)
-	inspectSkippingFuncLits(fd.decl.Body, func(n ast.Node) {
+	inspectBody(fd.decl.Body, isFuncLit, func(n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return
 		}
-		if obj, kind := mutexOp(fd.pkg, call); obj != nil {
-			if kind == opLock && !seenAcq[obj] {
+		if op, ok := mutexOp(fd.pkg, call); ok {
+			if obj := op.key.obj; op.kind == opLock && obj != nil && !seenAcq[obj] {
 				seenAcq[obj] = true
-				direct[fd.fn] = append(direct[fd.fn], obj)
+				w.direct[fd.fn] = append(w.direct[fd.fn], obj)
 			}
 			return
 		}
-		static, impls := cg.callee(fd.pkg, call)
-		if static != nil && cg.funcs[static] != nil && !seenCallee[static] {
-			seenCallee[static] = true
-			callees[fd.fn] = append(callees[fd.fn], calleeEdge{g: static})
-		}
-		for _, g := range impls {
-			if g == nil || cg.funcs[g] == nil || seenCallee[g] {
+		static, impls := w.cg.callee(fd.pkg, call)
+		for i, g := range append([]*types.Func{static}, impls...) {
+			if g == nil || w.cg.funcs[g] == nil || seenCallee[g] {
 				continue
 			}
 			seenCallee[g] = true
-			callees[fd.fn] = append(callees[fd.fn], calleeEdge{g: g, viaIface: true})
+			w.callees[fd.fn] = append(w.callees[fd.fn], calleeEdge{g: g, viaIface: i > 0})
 		}
 	})
 }
 
-func inspectSkippingFuncLits(body *ast.BlockStmt, visit func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if n == nil {
-			return false
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		visit(n)
-		return true
-	})
-}
-
-// mutexOp classifies a call as Lock/RLock or Unlock/RUnlock on a mutex and
-// returns the lock's class-level identity object.
-func mutexOp(pkg *Package, call *ast.CallExpr) (types.Object, int) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || len(call.Args) != 0 {
-		return nil, 0
-	}
-	var kind int
-	switch {
-	case lockMethods[sel.Sel.Name]:
-		kind = opLock
-	case unlockMethods[sel.Sel.Name]:
-		kind = opUnlock
-	default:
-		return nil, 0
-	}
-	if pkg.Info == nil {
-		return nil, 0
-	}
-	// The receiver must actually be a sync mutex (or embed one).
-	var recv types.Type
-	if s, ok := pkg.Info.Selections[sel]; ok {
-		recv = s.Recv()
-	} else if tv, ok := pkg.Info.Types[sel.X]; ok {
-		recv = tv.Type
-	}
-	if recv == nil || !isSyncMutex(recv) {
-		return nil, 0
-	}
-	return lockIdentity(pkg, sel.X, recv), kind
-}
-
-// lockIdentity maps a mutex receiver expression to its class-level object:
-// a struct field (`s.mu` → the mu field, shared by all instances), the named
-// type for embedded promotion (`s.Lock()` → the type of s), or the variable
-// itself for plain vars.
-func lockIdentity(pkg *Package, recvExpr ast.Expr, recvType types.Type) types.Object {
-	switch e := ast.Unparen(recvExpr).(type) {
-	case *ast.SelectorExpr:
-		if s, ok := pkg.Info.Selections[e]; ok {
-			return s.Obj()
-		}
-		return pkg.Info.Uses[e.Sel]
-	case *ast.Ident:
-		obj := pkg.Info.Uses[e]
-		if obj == nil {
-			obj = pkg.Info.Defs[e]
-		}
-		if obj == nil {
-			return nil
-		}
-		// A method promoted from an embedded mutex: identify by the named
-		// receiver type, so every method of the type shares the lock class.
-		t := recvType
-		if ptr, ok := t.Underlying().(*types.Pointer); ok {
-			t = ptr.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
-			if named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
-				return named.Obj()
-			}
-		}
-		return obj
-	}
-	return nil
+func isFuncLit(n ast.Node) bool {
+	_, ok := n.(*ast.FuncLit)
+	return ok
 }
 
 // collectAcquires accumulates into out every lock fn may acquire directly or
@@ -283,7 +236,7 @@ func lockIdentity(pkg *Package, recvExpr ast.Expr, recvType types.Type) types.Ob
 // the current path is skipped (the decorator refinement — a value is never
 // nested inside itself), and recursion is cut at functions already on the
 // stack. activeTypes and onStack follow stack discipline across the walk.
-func collectAcquires(fn *types.Func, direct map[*types.Func][]types.Object, callees map[*types.Func][]calleeEdge, activeTypes map[*types.TypeName]bool, onStack map[*types.Func]bool, out map[types.Object]bool) {
+func (w *lockEngine) collectAcquires(fn *types.Func, activeTypes map[*types.TypeName]bool, onStack map[*types.Func]bool, out map[types.Object]bool) {
 	if onStack[fn] {
 		return
 	}
@@ -293,16 +246,16 @@ func collectAcquires(fn *types.Func, direct map[*types.Func][]types.Object, call
 	if pushed {
 		activeTypes[self] = true
 	}
-	for _, o := range direct[fn] {
+	for _, o := range w.direct[fn] {
 		out[o] = true
 	}
-	for _, ce := range callees[fn] {
+	for _, ce := range w.callees[fn] {
 		if ce.viaIface {
 			if r := receiverNamed(ce.g); r != nil && activeTypes[r] {
 				continue
 			}
 		}
-		collectAcquires(ce.g, direct, callees, activeTypes, onStack, out)
+		w.collectAcquires(ce.g, activeTypes, onStack, out)
 	}
 	if pushed {
 		delete(activeTypes, self)
@@ -310,56 +263,65 @@ func collectAcquires(fn *types.Func, direct map[*types.Func][]types.Object, call
 	delete(onStack, fn)
 }
 
-// functionLockEdges runs the held-set dataflow over one function's CFG: a
-// DFS carrying the set of locks held, memoized on (block, held-set) so loops
-// converge. Deferred unlocks keep the lock held for the rest of the function
-// (that is exactly how long the runtime holds it).
-func functionLockEdges(fd *funcDecl, cg *callGraph, direct map[*types.Func][]types.Object, callees map[*types.Func][]calleeEdge) []lockEdge {
-	body := fd.decl.Body
+// walk runs the held-set dataflow over one body's CFG: a DFS carrying the
+// set of locks held, memoized on (block, held set) so loops converge. A
+// deferred Unlock keeps its lock held for the rest of the function (that is
+// exactly how long the runtime holds it). fn is the declared function the
+// body belongs to (nil for a package-level literal); its receiver type seeds
+// the decorator refinement.
+func (w *lockEngine) walk(pkg *Package, file *ast.File, fn *types.Func, body *ast.BlockStmt) {
 	hasLockOps := false
-	inspectSkippingFuncLits(body, func(n ast.Node) {
-		if hasLockOps {
-			return
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if obj, _ := mutexOp(fd.pkg, call); obj != nil {
-				hasLockOps = true
-			}
+	inspectBody(body, isFuncLit, func(n ast.Node) {
+		if call, ok := n.(*ast.CallExpr); ok && !hasLockOps {
+			_, hasLockOps = mutexOp(pkg, call)
 		}
 	})
 	if !hasLockOps {
-		return nil
+		return
 	}
 
 	cfg := BuildCFG(body)
-	var edges []lockEdge
+	self := receiverNamed(fn)
 	// Stable ints for held-set memo keys.
-	objIDs := make(map[types.Object]int)
-	idOf := func(o types.Object) int {
-		if id, ok := objIDs[o]; ok {
-			return id
-		}
-		id := len(objIDs)
-		objIDs[o] = id
-		return id
-	}
-	heldKey := func(held map[types.Object]bool) string {
+	keyIDs := make(map[lockKey]int)
+	heldKey := func(held map[lockKey]heldLock) string {
 		ids := make([]int, 0, len(held))
-		for o := range held {
-			ids = append(ids, idOf(o))
+		for k := range held {
+			id, ok := keyIDs[k]
+			if !ok {
+				id = len(keyIDs)
+				keyIDs[k] = id
+			}
+			ids = append(ids, id)
 		}
 		sort.Ints(ids)
 		return fmt.Sprint(ids)
 	}
-	emit := func(held map[types.Object]bool, to types.Object, pos token.Pos, via *types.Func) {
+	emit := func(held map[lockKey]heldLock, to types.Object, pos token.Pos, via *types.Func) {
 		for from := range held {
-			edges = append(edges, lockEdge{from: from, to: to, pos: pos, pkgPath: fd.pkg.Path, via: via})
+			k := edgeKey{from: from.obj, to: to, pos: pos}
+			if from.obj == nil || w.seenEdge[k] {
+				continue
+			}
+			w.seenEdge[k] = true
+			w.edges = append(w.edges, lockEdge{from: from.obj, to: to, pos: pos, file: file, via: via})
+		}
+	}
+	block := func(held map[lockKey]heldLock, op lockOp) {
+		for k, h := range held {
+			if w.seenBlk[blockingKey{op.pos, k}] {
+				continue
+			}
+			w.seenBlk[blockingKey{op.pos, k}] = true
+			w.blocking[file] = append(w.blocking[file], lockFinding{pos: op.pos, msg: fmt.Sprintf(
+				"%s while %s is locked (Lock at %s): a blocked peer stalls every goroutine waiting on the mutex; release before the blocking operation",
+				op.expr, h.expr, pkg.Fset.Position(h.pos))})
 		}
 	}
 	// Path-sensitive may-acquire sets for callees, seeded with this
 	// function's own receiver type so a callee's interface dispatch cannot
 	// resolve back into the type we are analyzing. Memoized per callee — the
-	// seed is fixed for the whole function.
+	// seed is fixed for the whole body.
 	acqMemo := make(map[*types.Func]map[types.Object]bool)
 	acquiresOf := func(g *types.Func) map[types.Object]bool {
 		if set, ok := acqMemo[g]; ok {
@@ -367,113 +329,118 @@ func functionLockEdges(fd *funcDecl, cg *callGraph, direct map[*types.Func][]typ
 		}
 		set := make(map[types.Object]bool)
 		active := make(map[*types.TypeName]bool)
-		if self := receiverNamed(fd.fn); self != nil {
+		if self != nil {
 			active[self] = true
 		}
-		collectAcquires(g, direct, callees, active, make(map[*types.Func]bool), set)
+		w.collectAcquires(g, active, make(map[*types.Func]bool), set)
 		acqMemo[g] = set
 		return set
 	}
 
 	visited := make(map[string]bool)
-	var walk func(blk *Block, held map[types.Object]bool)
-	walk = func(blk *Block, held map[types.Object]bool) {
+	var visit func(blk *Block, held map[lockKey]heldLock)
+	visit = func(blk *Block, held map[lockKey]heldLock) {
 		key := fmt.Sprintf("%d|%s", blk.Index, heldKey(held))
 		if visited[key] {
 			return
 		}
 		visited[key] = true
-		cur := make(map[types.Object]bool, len(held))
-		for o := range held {
-			cur[o] = true
+		cur := make(map[lockKey]heldLock, len(held))
+		for k, h := range held {
+			cur[k] = h
 		}
+		var ops []lockOp
 		for _, n := range blk.Nodes {
-			for _, op := range nodeLockOps(fd, cg, n) {
-				switch op.kind {
-				case opLock:
-					emit(cur, op.obj, op.pos, nil)
-					cur[op.obj] = true
-				case opUnlock:
-					delete(cur, op.obj)
-				case opCall:
-					if len(cur) == 0 {
-						continue
-					}
-					for _, g := range op.callees {
-						for to := range acquiresOf(g) {
-							emit(cur, to, op.pos, g)
-						}
+			ops = append(ops, w.nodeOps(pkg, self, n)...)
+		}
+		for _, op := range ops {
+			if len(cur) == 0 && op.kind != opLock {
+				continue
+			}
+			switch op.kind {
+			case opLock:
+				if op.key.obj != nil {
+					emit(cur, op.key.obj, op.pos, nil)
+				}
+				cur[op.key] = heldLock{expr: op.expr, pos: op.pos}
+			case opUnlock:
+				delete(cur, op.key)
+			case opCall:
+				for _, g := range op.callees {
+					for to := range acquiresOf(g) {
+						emit(cur, to, op.pos, g)
 					}
 				}
+			case opBlock:
+				block(cur, op)
 			}
 		}
 		for _, succ := range blk.Succs {
-			walk(succ, cur)
+			visit(succ, cur)
 		}
 	}
-	walk(cfg.Entry, make(map[types.Object]bool))
-
-	// Deterministic edge order independent of map iteration inside emit.
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].pos != edges[j].pos {
-			return edges[i].pos < edges[j].pos
-		}
-		if edges[i].from.Pos() != edges[j].from.Pos() {
-			return edges[i].from.Pos() < edges[j].from.Pos()
-		}
-		return edges[i].to.Pos() < edges[j].to.Pos()
-	})
-	return edges
+	visit(cfg.Entry, make(map[lockKey]heldLock))
 }
 
-// nodeLockOps lists the lock-relevant events of one CFG node in source
-// order. A DeferStmt's unlock is dropped entirely: the lock stays held until
-// function exit. Its lock (rare) is ignored too — it would happen at exit.
-func nodeLockOps(fd *funcDecl, cg *callGraph, n ast.Node) []lockOp {
-	if _, ok := n.(*ast.DeferStmt); ok {
-		return nil
-	}
+type edgeKey struct {
+	from, to types.Object
+	pos      token.Pos
+}
+
+// nodeOps lists the lock-relevant events of one CFG node in source order.
+// A deferred or spawned call does not run here: it takes no lock and calls
+// nothing at this point (so a deferred Unlock keeps its lock held to the end
+// of the function), but a blocking operation written in it is still
+// reported.
+func (w *lockEngine) nodeOps(pkg *Package, self *types.TypeName, n ast.Node) []lockOp {
 	var ops []lockOp
-	ast.Inspect(n, func(m ast.Node) bool {
-		if m == nil {
-			return false
-		}
-		switch m := m.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.DeferStmt:
-			return false
-		case *ast.GoStmt:
-			return false
-		case *ast.CallExpr:
-			if obj, kind := mutexOp(fd.pkg, m); obj != nil {
-				ops = append(ops, lockOp{kind: kind, obj: obj, pos: m.Pos()})
-				return true
+	var scan func(root ast.Node, deferred bool)
+	scan = func(root ast.Node, deferred bool) {
+		ast.Inspect(root, func(m ast.Node) bool {
+			switch m := m.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.DeferStmt, *ast.GoStmt:
+				if !deferred {
+					scan(m, true)
+					return false
+				}
+			case *ast.SendStmt:
+				ops = append(ops, lockOp{kind: opBlock, expr: "channel send", pos: m.Pos()})
+			case *ast.UnaryExpr:
+				if m.Op == token.ARROW {
+					ops = append(ops, lockOp{kind: opBlock, expr: "channel receive", pos: m.Pos()})
+				}
+			case *ast.CallExpr:
+				if sel, ok := ast.Unparen(m.Fun).(*ast.SelectorExpr); ok && commMethods[sel.Sel.Name] {
+					ops = append(ops, lockOp{kind: opBlock, expr: "call to " + types.ExprString(sel.X) + "." + sel.Sel.Name, pos: m.Pos()})
+				}
+				if deferred {
+					return true
+				}
+				if op, ok := mutexOp(pkg, m); ok {
+					ops = append(ops, op)
+					return true
+				}
+				if gs := w.resolvedCallees(pkg, self, m); len(gs) > 0 {
+					ops = append(ops, lockOp{kind: opCall, pos: m.Pos(), callees: gs})
+				}
 			}
-			if gs := resolvedCallees(fd, cg, m); len(gs) > 0 {
-				ops = append(ops, lockOp{kind: opCall, pos: m.Pos(), callees: gs})
-			}
-		}
-		return true
-	})
+			return true
+		})
+	}
+	scan(n, false)
 	return ops
 }
 
 // resolvedCallees lists the in-module functions a call may reach, applying
 // the decorator refinement: interface impls on the calling method's own
 // receiver type are dropped (see the analyzer doc).
-func resolvedCallees(fd *funcDecl, cg *callGraph, call *ast.CallExpr) []*types.Func {
-	static, impls := cg.callee(fd.pkg, call)
-	self := receiverNamed(fd.fn)
+func (w *lockEngine) resolvedCallees(pkg *Package, self *types.TypeName, call *ast.CallExpr) []*types.Func {
+	static, impls := w.cg.callee(pkg, call)
 	var gs []*types.Func
-	if static != nil && cg.funcs[static] != nil {
-		gs = append(gs, static)
-	}
-	for _, g := range impls {
-		if g == nil || cg.funcs[g] == nil {
-			continue
-		}
-		if self != nil && receiverNamed(g) == self {
+	for i, g := range append([]*types.Func{static}, impls...) {
+		if g == nil || w.cg.funcs[g] == nil || (i > 0 && self != nil && receiverNamed(g) == self) {
 			continue
 		}
 		gs = append(gs, g)
@@ -482,8 +449,11 @@ func resolvedCallees(fd *funcDecl, cg *callGraph, call *ast.CallExpr) []*types.F
 }
 
 // receiverNamed returns the defining *types.TypeName of fn's receiver type,
-// nil for plain functions.
+// nil for plain functions and a nil fn.
 func receiverNamed(fn *types.Func) *types.TypeName {
+	if fn == nil {
+		return nil
+	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
 		return nil

@@ -143,17 +143,14 @@ func checkBodyReleases(p *Pass, body *ast.BlockStmt, byFn map[string]ReleasePair
 					pair.Kind, pair.Fn, pair.Kind)
 				continue
 			}
-			obj := p.Pkg.Info.Defs[id]
-			if obj == nil {
-				obj = p.Pkg.Info.Uses[id]
-			}
+			obj := objectOf(p.Pkg.Info, id)
 			if obj == nil {
 				continue
 			}
 			site := acquireSite{pair: pair, obj: obj, pos: as.Pos(), block: blk, node: i}
 			for _, lhs := range as.Lhs {
 				if lid, ok := lhs.(*ast.Ident); ok && lid != id {
-					if lobj := identObject(p.Pkg, lid); lobj != nil && isErrorType(lobj.Type()) {
+					if lobj := objectOf(p.Pkg.Info, lid); lobj != nil && isErrorType(lobj.Type()) {
 						site.errObj = lobj
 					}
 				}
@@ -183,19 +180,12 @@ func bodyMentionsAcquire(p *Pass, body *ast.BlockStmt, byFn map[string]ReleasePa
 }
 
 func acquirePair(p *Pass, call *ast.CallExpr, byFn map[string]ReleasePair) (ReleasePair, bool) {
-	fn, ok := calleeFunc(p.Pkg, call)
-	if !ok || fn == nil {
+	fn := staticCallee(p.Pkg.Info, call)
+	if fn == nil {
 		return ReleasePair{}, false
 	}
 	pair, ok := byFn[fn.FullName()]
 	return pair, ok
-}
-
-func identObject(pkg *Package, id *ast.Ident) types.Object {
-	if obj := pkg.Info.Defs[id]; obj != nil {
-		return obj
-	}
-	return pkg.Info.Uses[id]
 }
 
 // pathState is the tracked condition of one resource along one CFG path.
@@ -357,14 +347,14 @@ func isPanicLike(call *ast.CallExpr) bool {
 func isReleaseCall(p *Pass, call *ast.CallExpr, site acquireSite) bool {
 	if site.pair.Release == "" {
 		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		return ok && identObject(p.Pkg, id) == site.obj
+		return ok && objectOf(p.Pkg.Info, id) == site.obj
 	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != site.pair.Release {
 		return false
 	}
 	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	return ok && identObject(p.Pkg, id) == site.obj
+	return ok && objectOf(p.Pkg.Info, id) == site.obj
 }
 
 // escapesThrough reports whether the node hands the resource to another
@@ -431,13 +421,13 @@ func escapesThrough(p *Pass, n ast.Node, site acquireSite) bool {
 
 func exprIsObject(p *Pass, e ast.Expr, obj types.Object) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && identObject(p.Pkg, id) == obj
+	return ok && objectOf(p.Pkg.Info, id) == obj
 }
 
 func usesObject(p *Pass, n ast.Node, obj types.Object) bool {
 	used := false
 	ast.Inspect(n, func(m ast.Node) bool {
-		if id, ok := m.(*ast.Ident); ok && identObject(p.Pkg, id) == obj {
+		if id, ok := m.(*ast.Ident); ok && objectOf(p.Pkg.Info, id) == obj {
 			used = true
 		}
 		return !used
@@ -466,7 +456,7 @@ func edgeProvesNil(p *Pass, branch ast.Expr, trueEdge bool, site acquireSite) bo
 	if !ok {
 		return false
 	}
-	obj := identObject(p.Pkg, id)
+	obj := objectOf(p.Pkg.Info, id)
 	if obj == nil {
 		return false
 	}

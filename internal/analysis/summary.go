@@ -359,7 +359,7 @@ func (fa *funcAnalysis) scanFanIn() {
 func (fa *funcAnalysis) chanObj(e ast.Expr) types.Object {
 	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		return fa.objectOf(x)
+		return objectOf(fa.info(), x)
 	case *ast.SelectorExpr:
 		if f := fa.fieldOf(x); f != nil {
 			return f
@@ -581,7 +581,7 @@ func (fa *funcAnalysis) assign(s *ast.AssignStmt) {
 		// Track local function-literal bindings for closure calls.
 		if id, ok := ast.Unparen(l).(*ast.Ident); ok {
 			if lit, ok := ast.Unparen(s.Rhs[i]).(*ast.FuncLit); ok {
-				if obj := fa.objectOf(id); obj != nil {
+				if obj := objectOf(fa.info(), id); obj != nil {
 					fa.lits[obj] = lit
 				}
 			}
@@ -593,7 +593,7 @@ func (fa *funcAnalysis) valueSpec(s *ast.ValueSpec) {
 	if len(s.Values) == 1 && len(s.Names) > 1 {
 		t := fa.eval(s.Values[0])
 		for _, name := range s.Names {
-			fa.setObj(fa.objectOf(name), t)
+			fa.setObj(objectOf(fa.info(), name), t)
 		}
 		return
 	}
@@ -602,9 +602,9 @@ func (fa *funcAnalysis) valueSpec(s *ast.ValueSpec) {
 			break
 		}
 		t := fa.eval(s.Values[i])
-		fa.setObj(fa.objectOf(name), t)
+		fa.setObj(objectOf(fa.info(), name), t)
 		if lit, ok := ast.Unparen(s.Values[i]).(*ast.FuncLit); ok {
-			if obj := fa.objectOf(name); obj != nil {
+			if obj := objectOf(fa.info(), name); obj != nil {
 				fa.lits[obj] = lit
 			}
 		}
@@ -620,7 +620,7 @@ func (fa *funcAnalysis) assignLHS(lhs ast.Expr, t taintVal) {
 	}
 	switch l := ast.Unparen(lhs).(type) {
 	case *ast.Ident:
-		fa.setObj(fa.objectOf(l), t)
+		fa.setObj(objectOf(fa.info(), l), t)
 	case *ast.SelectorExpr:
 		if fieldVar := fa.fieldOf(l); fieldVar != nil {
 			fa.eng.writeField(fieldVar, t, fa)
@@ -690,13 +690,6 @@ func (fa *funcAnalysis) rangeKeyCarries(x ast.Expr) bool {
 	return true
 }
 
-func (fa *funcAnalysis) objectOf(id *ast.Ident) types.Object {
-	if obj := fa.info().Defs[id]; obj != nil {
-		return obj
-	}
-	return fa.info().Uses[id]
-}
-
 // fieldOf resolves a selector to the struct field it denotes, nil when the
 // selector is not a field access.
 func (fa *funcAnalysis) fieldOf(sel *ast.SelectorExpr) *types.Var {
@@ -715,7 +708,7 @@ func (fa *funcAnalysis) eval(e ast.Expr) taintVal {
 	case nil:
 		return taintVal{}
 	case *ast.Ident:
-		return fa.obj[fa.objectOf(x)]
+		return fa.obj[objectOf(fa.info(), x)]
 	case *ast.ParenExpr:
 		return fa.eval(x.X)
 	case *ast.SelectorExpr:
@@ -845,7 +838,7 @@ func (fa *funcAnalysis) litCallResult(lit *ast.FuncLit, args []ast.Expr) taintVa
 		for _, field := range lit.Type.Params.List {
 			for _, name := range field.Names {
 				if i < len(args) {
-					fa.setObj(fa.objectOf(name), fa.eval(args[i]))
+					fa.setObj(objectOf(fa.info(), name), fa.eval(args[i]))
 				}
 				i++
 			}

@@ -228,8 +228,8 @@ func DefaultTaintSpec() *TaintSpec {
 			"(*gendpr/internal/enclave.Enclave).UnsealVersioned": DeclassRelease,
 			// Release boundary: the safe-selection result and the release
 			// document are the assessed product the protocol publishes.
-			"gendpr/internal/lrtest.SelectSafeBitWithOrder": DeclassRelease,
-			"gendpr/internal/release.Build":                 DeclassRelease,
+			"(*gendpr/internal/lrtest.Selector).SelectSafeBitWithOrder": DeclassRelease,
+			"gendpr/internal/release.Build":                             DeclassRelease,
 			// Wire-codec plumbing is class-neutral: the bytes a Decoder walks
 			// are framing, and secrets re-enter through the semantic decoders
 			// declared as sources (lrtest wire decoders, genome matrix
@@ -338,15 +338,15 @@ func DefaultTaintSpec() *TaintSpec {
 		OrderSinks: map[string]string{
 			// Table-4/Table-5 statistic constructors: every member must feed
 			// them identically-ordered inputs or the federated floats drift.
-			"gendpr/internal/stats.MAF":                       "stats.MAF (minor allele frequency)",
-			"gendpr/internal/stats.NewSingleTable":            "stats.NewSingleTable (per-SNP contingency table)",
-			"gendpr/internal/stats.LDPValue":                  "stats.LDPValue (LD chi-square p-value)",
-			"gendpr/internal/stats.ChiSquareSurvival":         "stats.ChiSquareSurvival",
-			"gendpr/internal/lrtest.NewLogRatios":             "lrtest.NewLogRatios (Table-4 LR vector)",
-			"gendpr/internal/lrtest.Threshold":                "lrtest.Threshold (LR decision threshold)",
-			"gendpr/internal/lrtest.Power":                    "lrtest.Power (detection-power figure)",
-			"gendpr/internal/lrtest.SelectSafeBitWithOrder":   "lrtest.SelectSafeBitWithOrder (released SNP selection)",
-			"gendpr/internal/lrtest.DiscriminabilityOrderBit": "lrtest.DiscriminabilityOrderBit (greedy LD scan order)",
+			"gendpr/internal/stats.MAF":                                 "stats.MAF (minor allele frequency)",
+			"gendpr/internal/stats.NewSingleTable":                      "stats.NewSingleTable (per-SNP contingency table)",
+			"gendpr/internal/stats.LDPValue":                            "stats.LDPValue (LD chi-square p-value)",
+			"gendpr/internal/stats.ChiSquareSurvival":                   "stats.ChiSquareSurvival",
+			"gendpr/internal/lrtest.NewLogRatios":                       "lrtest.NewLogRatios (Table-4 LR vector)",
+			"gendpr/internal/lrtest.Threshold":                          "lrtest.Threshold (LR decision threshold)",
+			"gendpr/internal/lrtest.Power":                              "lrtest.Power (detection-power figure)",
+			"(*gendpr/internal/lrtest.Selector).SelectSafeBitWithOrder": "(*lrtest.Selector).SelectSafeBitWithOrder (released SNP selection)",
+			"gendpr/internal/lrtest.DiscriminabilityOrderBit":           "lrtest.DiscriminabilityOrderBit (greedy LD scan order)",
 		},
 		OrderBarriers: map[string]bool{
 			"sort.Float64s":         true,
@@ -434,7 +434,7 @@ func newTaintEngine(mod *Module, spec *TaintSpec) *taintEngine {
 	eng := &taintEngine{
 		mod:           mod,
 		spec:          spec,
-		cg:            buildCallGraph(mod),
+		cg:            mod.callGraph(),
 		secretFields:  make(map[*types.Var]SecretClass),
 		secretTypes:   make(map[*types.TypeName]SecretClass),
 		srcAnnot:      make(map[*types.Func]SecretClass),

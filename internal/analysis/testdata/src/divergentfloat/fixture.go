@@ -134,6 +134,27 @@ func captured(m map[int]float64) float64 {
 	return f()
 }
 
+// meanStat is a statistic reached as a method: the test registers
+// (*meanStat).mean as an order-sensitive sink, keyed on the method.
+type meanStat struct{ n int }
+
+func (s *meanStat) mean(xs []float64) float64 {
+	var t float64
+	for _, x := range xs {
+		t += x
+	}
+	s.n = len(xs)
+	return t / float64(s.n)
+}
+
+func methodSink(s *meanStat, m map[int]float64) float64 {
+	var vals []float64
+	for _, v := range m {
+		vals = append(vals, v)
+	}
+	return s.mean(vals) // want "order-nondeterministic value"
+}
+
 // justified: a reviewed exception stays silent.
 func justified(m map[int]float64) float64 {
 	var vals []float64

@@ -54,6 +54,14 @@ func (n *node) BadNestedBlock(b []byte) error {
 	return nil
 }
 
+// BadDeferredSend: deferred calls run last-in first-out, so the Send runs
+// before the Unlock deferred ahead of it.
+func (n *node) BadDeferredSend(b []byte) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	defer n.conn.Send(b) // want "call to n.conn.Send while n.mu is locked"
+}
+
 // GoodUnlockBeforeSend releases before communicating.
 func (n *node) GoodUnlockBeforeSend(v int) {
 	n.mu.Lock()
@@ -104,4 +112,38 @@ func (e *embedsMutex) BadEmbedded(b []byte) error {
 	e.Lock()
 	defer e.Unlock()
 	return e.conn.Send(b) // want "call to e.conn.Send while e is locked"
+}
+
+// BadLockOnOneBranch: a lock taken on one branch is still held after the
+// merge on that path.
+func (n *node) BadLockOnOneBranch(v int, exclusive bool) {
+	if exclusive {
+		n.mu.Lock()
+	}
+	n.ch <- v // want "channel send while n.mu is locked"
+	if exclusive {
+		n.mu.Unlock()
+	}
+}
+
+// GoodUnlockOnBothBranches: every path releases before the send.
+func (n *node) GoodUnlockOnBothBranches(v int) {
+	n.mu.Lock()
+	if v > 0 {
+		n.seq += v
+		n.mu.Unlock()
+	} else {
+		n.mu.Unlock()
+	}
+	n.ch <- v
+}
+
+// GoodUnlockInLoop: each iteration releases before it sends.
+func (n *node) GoodUnlockInLoop(vs []int) {
+	for _, v := range vs {
+		n.mu.Lock()
+		n.seq += v
+		n.mu.Unlock()
+		n.ch <- v
+	}
 }

@@ -81,7 +81,7 @@ func checkGoroutineBody(p *Pass, body *ast.BlockStmt) {
 // information is available; otherwise a conservative name heuristic keeps
 // the check alive on partially-checked packages.
 func isWaitGroup(p *Pass, sel *ast.SelectorExpr) bool {
-	if t := receiverType(p, sel); t != nil {
+	if t := receiverType(p.Pkg.Info, sel); t != nil {
 		if ptr, ok := t.Underlying().(*types.Pointer); ok {
 			t = ptr.Elem()
 		}

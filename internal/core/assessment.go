@@ -821,7 +821,7 @@ func (r *assessmentRun) phase3LR(plan *latticePlan, lDouble []int) ([]int, [][]i
 }
 
 // phase3Full evaluates the full-membership combination into per[0] and
-// returns its power and the admission order (see LRPhaseBitOrdered), derived
+// returns its power and the admission order (see LRPhaseBit), derived
 // once here and shared with every collusion combination.
 func (r *assessmentRun) phase3Full(subset []int, lDouble []int, caseFreq, refFreq []float64, refLR *lrtest.BitMatrix, ps *patternSet, per [][]int) ([]int, float64, error) {
 	if err := r.ctxErr(); err != nil {
@@ -884,7 +884,7 @@ func (r *assessmentRun) phase3Full(subset []int, lDouble []int, caseFreq, refFre
 		return nil, 0, err
 	}
 	order := lrtest.DiscriminabilityOrderBit(merged, refLR)
-	safe, power, err := LRPhaseBitOrdered(lDouble, merged, refLR, r.cfg.LR, order)
+	safe, power, err := LRPhaseBit(lDouble, merged, refLR, r.cfg.LR, order, nil)
 	r.addTiming(&r.report.Timings.LRTest, start)
 	if err != nil {
 		return nil, 0, err
@@ -1008,7 +1008,7 @@ func (r *assessmentRun) phase3Chains(chains []latticeChain, lDouble []int, ps *p
 			if err != nil {
 				return err
 			}
-			safe, power, err := LRPhaseBitSelector(lDouble, caseLR, refLR, r.cfg.LR, order, sel)
+			safe, power, err := LRPhaseBit(lDouble, caseLR, refLR, r.cfg.LR, order, sel)
 			r.addTiming(&r.report.Timings.LRTest, lrStart)
 			if err != nil {
 				return err

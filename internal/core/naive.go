@@ -95,7 +95,7 @@ func RunNaive(shards []*genome.Matrix, reference *genome.Matrix, cfg Config) (*R
 		if err != nil {
 			return nil, fmt.Errorf("core: naive member %d: %w", i, err)
 		}
-		safe, power, err := LRPhaseBit(lDouble, caseLR, refLR, cfg.LR)
+		safe, power, err := LRPhaseBit(lDouble, caseLR, refLR, cfg.LR, nil, nil)
 		report.Timings.LRTest += time.Since(start)
 		if err != nil {
 			return nil, fmt.Errorf("core: naive member %d: %w", i, err)

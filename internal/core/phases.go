@@ -262,49 +262,26 @@ func mostRanked(a, b int, pvals []float64) int {
 // search over merged case and reference LR-matrices whose columns correspond
 // to the SNPs in cols (original indices), and maps the selected columns back
 // to original SNP indices.
-func LRPhaseBit(cols []int, caseLR, refLR *lrtest.BitMatrix, params lrtest.Params) ([]int, float64, error) {
-	return LRPhaseBitOrdered(cols, caseLR, refLR, params, nil)
-}
-
-// LRPhaseBitOrdered is LRPhaseBit with a caller-supplied admission order (a
-// permutation of the column indices); nil derives the order from the given
-// matrices. Collusion-tolerant evaluation passes the canonical full-
-// federation order to every combination, so per-combination selections
-// differ only where the combination's data genuinely fails the power test.
-func LRPhaseBitOrdered(cols []int, caseLR, refLR *lrtest.BitMatrix, params lrtest.Params, order []int) ([]int, float64, error) {
-	if caseLR.Cols() != len(cols) || refLR.Cols() != len(cols) {
-		return nil, 0, fmt.Errorf("core: LR matrices have %d/%d columns, want %d",
-			caseLR.Cols(), refLR.Cols(), len(cols))
-	}
-	if order == nil {
-		order = lrtest.DiscriminabilityOrderBit(caseLR, refLR)
-	}
-	res, err := lrtest.SelectSafeBitWithOrder(caseLR, refLR, params, order)
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: LR-test: %w", err)
-	}
-	safe := make([]int, len(res.Safe))
-	for i, j := range res.Safe {
-		safe[i] = cols[j]
-	}
-	return safe, res.Power, nil
-}
-
-// LRPhaseBitSelector is LRPhaseBitOrdered evaluating through a caller-owned
+//
+// order is the admission order (a permutation of the column indices); nil
+// derives it from the given matrices. Collusion-tolerant evaluation passes
+// the canonical full-federation order to every combination, so
+// per-combination selections differ only where the combination's data
+// genuinely fails the power test. sel, when non-nil, is a caller-owned
 // lrtest.Selector, so a chain of combinations reuses the selection scratch
 // buffers (and the power evaluator's per-individual score cache) instead of
-// reallocating them per combination. Results are identical to
-// LRPhaseBitOrdered; a nil selector falls back to it.
-func LRPhaseBitSelector(cols []int, caseLR, refLR *lrtest.BitMatrix, params lrtest.Params, order []int, sel *lrtest.Selector) ([]int, float64, error) {
-	if sel == nil {
-		return LRPhaseBitOrdered(cols, caseLR, refLR, params, order)
-	}
+// reallocating them per combination; nil evaluates through a fresh one. The
+// results are the same either way.
+func LRPhaseBit(cols []int, caseLR, refLR *lrtest.BitMatrix, params lrtest.Params, order []int, sel *lrtest.Selector) ([]int, float64, error) {
 	if caseLR.Cols() != len(cols) || refLR.Cols() != len(cols) {
 		return nil, 0, fmt.Errorf("core: LR matrices have %d/%d columns, want %d",
 			caseLR.Cols(), refLR.Cols(), len(cols))
 	}
 	if order == nil {
 		order = lrtest.DiscriminabilityOrderBit(caseLR, refLR)
+	}
+	if sel == nil {
+		sel = lrtest.NewSelector()
 	}
 	res, err := sel.SelectSafeBitWithOrder(caseLR, refLR, params, order)
 	if err != nil {

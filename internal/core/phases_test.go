@@ -441,7 +441,7 @@ func TestLRPhaseMapsBackToOriginalIndices(t *testing.T) {
 	caseLR := lrtest.NewBitMatrix(4, 3)
 	refLR := lrtest.NewBitMatrix(4, 3)
 	// All-zero matrices: no identification power, everything is safe.
-	safe, power, err := LRPhaseBit(cols, caseLR, refLR, lrtest.DefaultParams())
+	safe, power, err := LRPhaseBit(cols, caseLR, refLR, lrtest.DefaultParams(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +451,7 @@ func TestLRPhaseMapsBackToOriginalIndices(t *testing.T) {
 	if !equalInts(safe, cols) {
 		t.Fatalf("safe %v, want %v", safe, cols)
 	}
-	if _, _, err := LRPhaseBit([]int{1, 2}, caseLR, refLR, lrtest.DefaultParams()); err == nil {
+	if _, _, err := LRPhaseBit([]int{1, 2}, caseLR, refLR, lrtest.DefaultParams(), nil, nil); err == nil {
 		t.Error("column-count mismatch must fail")
 	}
 }

@@ -30,7 +30,7 @@ func testRatios(t testing.TB, snps, caseN int, seed int64) (*genome.Cohort, LogR
 // selectBit runs the greedy search in the discriminability order, as
 // Phase 3 does.
 func selectBit(caseLR, refLR *BitMatrix, params Params) (Result, error) {
-	return SelectSafeBitWithOrder(caseLR, refLR, params, DiscriminabilityOrderBit(caseLR, refLR))
+	return new(Selector).SelectSafeBitWithOrder(caseLR, refLR, params, DiscriminabilityOrderBit(caseLR, refLR))
 }
 
 func TestReskinMatchesRebuild(t *testing.T) {
@@ -114,10 +114,10 @@ func TestSelectSafeBitValidation(t *testing.T) {
 	if _, err := selectBit(m, m, Params{Alpha: 0, PowerThreshold: 0.9}); err == nil {
 		t.Error("alpha=0 must fail")
 	}
-	if _, err := SelectSafeBitWithOrder(NewBitMatrix(1, 2), NewBitMatrix(1, 3), DefaultParams(), []int{0, 1}); err == nil {
+	if _, err := new(Selector).SelectSafeBitWithOrder(NewBitMatrix(1, 2), NewBitMatrix(1, 3), DefaultParams(), []int{0, 1}); err == nil {
 		t.Error("column mismatch must fail")
 	}
-	if _, err := SelectSafeBitWithOrder(m, m, DefaultParams(), []int{0, 0}); err == nil {
+	if _, err := new(Selector).SelectSafeBitWithOrder(m, m, DefaultParams(), []int{0, 0}); err == nil {
 		t.Error("bad order must fail")
 	}
 	res, err := selectBit(NewBitMatrix(0, 0), NewBitMatrix(0, 0), DefaultParams())

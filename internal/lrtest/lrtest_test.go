@@ -295,7 +295,7 @@ func TestSelectSafeParamsValidation(t *testing.T) {
 	if _, err := selectBit(m, m, Params{Alpha: 0.1, PowerThreshold: 1.5}); err == nil {
 		t.Error("power>1 must fail")
 	}
-	if _, err := SelectSafeBitWithOrder(NewBitMatrix(1, 2), NewBitMatrix(1, 3), DefaultParams(), []int{0, 1}); err == nil {
+	if _, err := new(Selector).SelectSafeBitWithOrder(NewBitMatrix(1, 2), NewBitMatrix(1, 3), DefaultParams(), []int{0, 1}); err == nil {
 		t.Error("column mismatch must fail")
 	}
 }

@@ -304,7 +304,7 @@ func TestSelectorReuseMatchesFresh(t *testing.T) {
 			params.Oblivious = true
 		}
 		order := DiscriminabilityOrderBit(caseLR, refLR)
-		want, err := SelectSafeBitWithOrder(caseLR, refLR, params, order)
+		want, err := new(Selector).SelectSafeBitWithOrder(caseLR, refLR, params, order)
 		if err != nil {
 			t.Fatal(err)
 		}

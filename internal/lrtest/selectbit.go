@@ -59,20 +59,6 @@ func (e *powerEval) power(caseScores, refScores []float64) float64 {
 	return float64(oblivious.CountGreater(caseScores, tau)) / float64(len(caseScores))
 }
 
-// SelectSafeBitWithOrder performs the empirical safe-subset search of
-// SecureGenome: columns are considered in the given order (Phase 3 passes
-// DiscriminabilityOrderBit's, least identifying first) and admitted
-// greedily; a candidate whose admission pushes detection power to
-// PowerThreshold or above is rejected. Collusion-tolerant GenDPR evaluates
-// every honest-subset combination with the canonical order derived from the
-// full federation, so the per-combination selections differ only where a
-// combination's data genuinely fails the power test. The search is
-// deterministic, so a centralized evaluation and a distributed one over the
-// merged federation matrices return the same subset.
-func SelectSafeBitWithOrder(caseLR, refLR *BitMatrix, params Params, order []int) (Result, error) {
-	return new(Selector).SelectSafeBitWithOrder(caseLR, refLR, params, order)
-}
-
 // Selector runs the greedy admission search while reusing its scratch
 // buffers — score vectors, candidate vectors and the threshold machinery —
 // across calls. The collusion driver evaluates hundreds of combinations back
@@ -114,8 +100,16 @@ func (s *Selector) powerEval(params Params, refRows int) *powerEval {
 	return s.eval
 }
 
-// SelectSafeBitWithOrder is the package-level function over this Selector's
-// reusable scratch.
+// SelectSafeBitWithOrder performs the empirical safe-subset search of
+// SecureGenome: columns are considered in the given order (Phase 3 passes
+// DiscriminabilityOrderBit's, least identifying first) and admitted
+// greedily; a candidate whose admission pushes detection power to
+// PowerThreshold or above is rejected. Collusion-tolerant GenDPR evaluates
+// every honest-subset combination with the canonical order derived from the
+// full federation, so the per-combination selections differ only where a
+// combination's data genuinely fails the power test. The search is
+// deterministic, so a centralized evaluation and a distributed one over the
+// merged federation matrices return the same subset.
 func (s *Selector) SelectSafeBitWithOrder(caseLR, refLR *BitMatrix, params Params, order []int) (Result, error) {
 	if err := params.Validate(); err != nil {
 		return Result{}, err
