@@ -2,6 +2,7 @@ package genome
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -94,8 +95,15 @@ func DefaultGeneratorConfig(snps, caseN int, seed int64) GeneratorConfig {
 	}
 }
 
-// Validate checks the configuration for structural errors.
+// Validate checks the configuration for structural errors. A NaN would
+// compare false against every draw, which no probability means.
 func (c GeneratorConfig) Validate() error {
+	for _, v := range []float64{c.RareFraction, c.RareLow, c.RareHigh, c.CommonLow, c.CommonHigh,
+		c.BlockMeanLen, c.WithinBlockCorr, c.BlockFreqJitter, c.AssociatedFraction, c.EffectSize, c.Drift} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("genome: generator settings must be finite, got %v", v)
+		}
+	}
 	switch {
 	case c.SNPs <= 0:
 		return fmt.Errorf("genome: generator needs SNPs > 0, got %d", c.SNPs)
@@ -105,29 +113,52 @@ func (c GeneratorConfig) Validate() error {
 		return fmt.Errorf("genome: generator needs ReferenceN > 0, got %d", c.ReferenceN)
 	case c.RareFraction < 0 || c.RareFraction > 1:
 		return fmt.Errorf("genome: RareFraction %v outside [0,1]", c.RareFraction)
+	case c.RareLow < 0 || c.RareHigh > 1 || c.RareLow > c.RareHigh:
+		return fmt.Errorf("genome: rare MAF range [%v,%v] not within [0,1] in order", c.RareLow, c.RareHigh)
+	case c.CommonLow < 0 || c.CommonHigh > 1 || c.CommonLow > c.CommonHigh:
+		return fmt.Errorf("genome: common MAF range [%v,%v] not within [0,1] in order", c.CommonLow, c.CommonHigh)
 	case c.AssociatedFraction < 0 || c.AssociatedFraction > 1:
 		return fmt.Errorf("genome: AssociatedFraction %v outside [0,1]", c.AssociatedFraction)
 	case c.WithinBlockCorr < 0 || c.WithinBlockCorr >= 1:
 		return fmt.Errorf("genome: WithinBlockCorr %v outside [0,1)", c.WithinBlockCorr)
+	case c.BlockFreqJitter < 0 || c.EffectSize < 0 || c.Drift < 0:
+		return fmt.Errorf("genome: BlockFreqJitter %v, EffectSize %v and Drift %v must be >= 0",
+			c.BlockFreqJitter, c.EffectSize, c.Drift)
 	}
 	return nil
 }
 
 // Generate produces a deterministic synthetic cohort for the configuration.
+//
+// The same Seed gives the same cohort, bit for bit, that the math/rand
+// stream always has: the layout draws through rand.New over a copy of that
+// stream, and sample consumes the rest as per-cell rand.Float64 calls would.
+// Population digests and the per-cell loop in generate_test.go pin this, and
+// benchmark/golden.json pins what the protocol computes from it.
 func Generate(cfg GeneratorConfig) (*Cohort, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	src := newStream(cfg.Seed)
+	blockStart, caseFreq, refFreq, associated := layout(cfg, rand.New(src))
+	return &Cohort{
+		Case:           sample(cfg.CaseN, caseFreq, blockStart, cfg.WithinBlockCorr, src),
+		Reference:      sample(cfg.ReferenceN, refFreq, blockStart, cfg.WithinBlockCorr, src),
+		TrueAssociated: associated,
+	}, nil
+}
 
-	blockStart := layoutBlocks(cfg, rng)
-	refFreq := layoutFrequencies(cfg, rng, blockStart)
+// layout draws everything but the genotypes: the haplotype blocks, the
+// reference and case frequencies, and the associated SNPs.
+func layout(cfg GeneratorConfig, rng *rand.Rand) (blockStart []bool, caseFreq, refFreq []float64, associated []int) {
+	blockStart = layoutBlocks(cfg, rng)
+	refFreq = layoutFrequencies(cfg, rng, blockStart)
 
-	caseFreq := make([]float64, cfg.SNPs)
+	caseFreq = make([]float64, cfg.SNPs)
 	for l, p := range refFreq {
 		caseFreq[l] = clampFreq(p + (rng.Float64()*2-1)*cfg.Drift)
 	}
-	associated := pickAssociated(cfg, rng)
+	associated = pickAssociated(cfg, rng)
 	for _, l := range associated {
 		shift := cfg.EffectSize
 		if rng.Intn(2) == 0 {
@@ -135,13 +166,7 @@ func Generate(cfg GeneratorConfig) (*Cohort, error) {
 		}
 		caseFreq[l] = clampFreq(caseFreq[l] + shift)
 	}
-
-	cohort := &Cohort{
-		Case:           sample(cfg.CaseN, caseFreq, blockStart, cfg.WithinBlockCorr, rng),
-		Reference:      sample(cfg.ReferenceN, refFreq, blockStart, cfg.WithinBlockCorr, rng),
-		TrueAssociated: associated,
-	}
-	return cohort, nil
+	return blockStart, caseFreq, refFreq, associated
 }
 
 // layoutBlocks marks which SNP positions start a new haplotype block.
@@ -195,33 +220,74 @@ func pickAssociated(cfg GeneratorConfig, rng *rand.Rand) []int {
 // sample draws n genomes. Within a haplotype block each individual copies its
 // previous allele with probability corr, producing the within-block linkage
 // disequilibrium the LD phase must detect.
-func sample(n int, freq []float64, blockStart []bool, corr float64, rng *rand.Rand) *Matrix {
+//
+// It consumes src as the per-cell loop in generate_test.go does through
+// rand.Float64: a block start takes one draw against freq[l], any other SNP
+// one against corr and, when the copy breaks, one against freq[l]. On integer
+// thresholds (see threshold) a run of copies is a scan of consecutive outputs.
+func sample(n int, freq []float64, blockStart []bool, corr float64, src *stream) *Matrix {
 	m := NewMatrix(n, len(freq))
+	tf := make([]uint64, len(freq))
+	for l, p := range freq {
+		tf[l] = threshold(p)
+	}
+	tc := threshold(corr)
+	bounds := make([]int, 0, len(freq)/8+2)
+	for l, start := range blockStart {
+		if start {
+			bounds = append(bounds, l)
+		}
+	}
+	bounds = append(bounds, len(freq))
 	for i := 0; i < n; i++ {
-		prev := false
-		for l := 0; l < len(freq); l++ {
-			var minor bool
-			if !blockStart[l] && rng.Float64() < corr {
-				minor = prev
-			} else {
-				minor = rng.Float64() < freq[l]
-			}
-			if minor {
-				m.Set(i, l, true)
-			}
-			prev = minor
+		row := m.row(i)
+		for b := 1; b < len(bounds); b++ {
+			src.block(row, bounds[b-1], bounds[b], tf, tc)
 		}
 	}
 	return m
 }
 
+// block writes one individual's alleles at the haplotype block [lo, hi) into
+// row: tf holds the per-SNP allele thresholds, tc the copy threshold.
+func (s *stream) block(row []uint64, lo, hi int, tf []uint64, tc uint64) {
+	for l := lo; l < hi; {
+		// l takes a fresh allele: it starts the block or its copy broke.
+		minor := s.float() < tf[l]
+		end := l + 1 // [l, end) carries l's allele
+		for end < hi {
+			w := s.window(hi - end)
+			r := 0
+			for r < len(w) && w[r]&int63Mask < tc {
+				r++
+			}
+			end += r
+			s.pos += r
+			if end == hi {
+				break
+			}
+			s.pos++
+			if w[r]&int63Mask < floatOne {
+				break // a broken copy, not an output rand.Float64 redraws
+			}
+		}
+		if minor {
+			setRange(row, l, end)
+		}
+		l = end
+	}
+}
+
+// setRange sets bits [lo, hi) of row.
+func setRange(row []uint64, lo, hi int) {
+	for lo < hi {
+		end := min(hi, (lo/wordBits+1)*wordBits)
+		row[lo/wordBits] |= (1<<uint(end-lo) - 1) << (uint(lo) % wordBits)
+		lo = end
+	}
+}
+
 func clampFreq(p float64) float64 {
 	const lo, hi = 0.001, 0.95
-	if p < lo {
-		return lo
-	}
-	if p > hi {
-		return hi
-	}
-	return p
+	return min(max(p, lo), hi)
 }

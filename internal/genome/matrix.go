@@ -8,9 +8,11 @@
 package genome
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -283,15 +285,7 @@ func Concat(ms ...*Matrix) (*Matrix, error) {
 
 // Equal reports whether two matrices have identical shape and genotypes.
 func (m *Matrix) Equal(o *Matrix) bool {
-	if m.n != o.n || m.l != o.l {
-		return false
-	}
-	for i := range m.words {
-		if m.words[i] != o.words[i] {
-			return false
-		}
-	}
-	return true
+	return m.n == o.n && m.l == o.l && slices.Equal(m.words, o.words)
 }
 
 // SizeBytes returns the in-memory footprint of the genotype words, the
@@ -311,10 +305,10 @@ func (m *Matrix) Clone() *Matrix {
 // n, l as 8-byte big-endian integers followed by the row words in row order.
 func (m *Matrix) Bytes() []byte {
 	buf := make([]byte, 16+len(m.words)*8)
-	putUint64(buf[0:8], uint64(m.n))
-	putUint64(buf[8:16], uint64(m.l))
+	binary.BigEndian.PutUint64(buf[0:8], uint64(m.n))
+	binary.BigEndian.PutUint64(buf[8:16], uint64(m.l))
 	for i, w := range m.words {
-		putUint64(buf[16+i*8:24+i*8], w)
+		binary.BigEndian.PutUint64(buf[16+i*8:24+i*8], w)
 	}
 	return buf
 }
@@ -324,8 +318,8 @@ func MatrixFromBytes(b []byte) (*Matrix, error) {
 	if len(b) < 16 {
 		return nil, errors.New("genome: matrix encoding too short")
 	}
-	n := int(getUint64(b[0:8]))
-	l := int(getUint64(b[8:16]))
+	n := int(binary.BigEndian.Uint64(b[0:8]))
+	l := int(binary.BigEndian.Uint64(b[8:16]))
 	if n < 0 || l < 0 || n > 1<<30 || l > 1<<30 {
 		return nil, errors.New("genome: matrix encoding has implausible shape")
 	}
@@ -338,27 +332,9 @@ func MatrixFromBytes(b []byte) (*Matrix, error) {
 	}
 	m := NewMatrix(n, l)
 	for i := range m.words {
-		m.words[i] = getUint64(b[16+i*8 : 24+i*8])
+		m.words[i] = binary.BigEndian.Uint64(b[16+i*8 : 24+i*8])
 	}
 	return m, nil
-}
-
-func putUint64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v >> 56)
-	b[1] = byte(v >> 48)
-	b[2] = byte(v >> 40)
-	b[3] = byte(v >> 32)
-	b[4] = byte(v >> 24)
-	b[5] = byte(v >> 16)
-	b[6] = byte(v >> 8)
-	b[7] = byte(v)
-}
-
-func getUint64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
 }
 
 // ColumnBits is a column-major transpose of a genotype matrix: column l's n

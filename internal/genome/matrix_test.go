@@ -419,11 +419,19 @@ func TestGatherCopiesWholeColumns(t *testing.T) {
 	}
 }
 
-// BenchmarkColumns prices the prepared view at the fed3_base member shape:
-// "first" is what a matrix pays once (the transpose and its count vector),
-// "memo" what every later caller pays.
+// BenchmarkColumns prices the prepared view: "first" is what a matrix pays
+// once (the transpose and its count vector), "memo" what every later caller
+// pays. The top level is the fed3_base member shape; "panel_1e5" is the
+// 13,035-genome reference panel over one chromosome's 10⁵ SNPs, where the
+// transpose stops scaling with its input.
 func BenchmarkColumns(b *testing.B) {
-	m := randomMatrix(b, 4953, 10000, 1)
+	benchColumns(b, randomMatrix(b, 4953, 10000, 1))
+	b.Run("panel_1e5", func(b *testing.B) {
+		benchColumns(b, randomWords(13035, 100000, 1))
+	})
+}
+
+func benchColumns(b *testing.B, m *Matrix) {
 	b.Run("first", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m.cols.Store(nil)
@@ -437,6 +445,23 @@ func BenchmarkColumns(b *testing.B) {
 			benchView = m.Columns()
 		}
 	})
+}
+
+// randomWords fills an n-by-l matrix a word at a time from a seeded source,
+// the bits past column l cleared: at 13,035 × 10⁵ a per-cell fill would cost
+// over 10⁹ calls.
+func randomWords(n, l int, seed int64) *Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	m := NewMatrix(n, l)
+	for i := range m.words {
+		m.words[i] = rng.Uint64()
+	}
+	if tail := uint(l) % wordBits; tail != 0 {
+		for i := 0; i < n; i++ {
+			m.row(i)[m.stride-1] &= 1<<tail - 1
+		}
+	}
+	return m
 }
 
 var benchView *ColumnBits

@@ -84,7 +84,7 @@ echo "== size (advisory, no gate) =="
 # the protocol packages and the lint suite, exported funcs per package, and
 # the suppression count. Nothing here fails the gate; a change that claims to
 # shrink the code quotes these lines rather than hand counts.
-for dir in internal/core internal/federation internal/lrtest internal/checkpoint \
+for dir in internal/core internal/federation internal/lrtest internal/checkpoint internal/genome \
     internal/transport internal/service internal/analysis cmd/gendpr-lint; do
     lines=$(find "$dir" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l | tr -d ' ')
     echo "  non-test lines $dir: $lines"
