@@ -95,8 +95,8 @@ func DefaultGeneratorConfig(snps, caseN int, seed int64) GeneratorConfig {
 	}
 }
 
-// Validate checks the configuration for structural errors. A NaN would
-// compare false against every draw, which no probability means.
+// Validate checks the configuration for structural errors. Float settings
+// must be finite: a NaN compares false with every draw, so means nothing.
 func (c GeneratorConfig) Validate() error {
 	for _, v := range []float64{c.RareFraction, c.RareLow, c.RareHigh, c.CommonLow, c.CommonHigh,
 		c.BlockMeanLen, c.WithinBlockCorr, c.BlockFreqJitter, c.AssociatedFraction, c.EffectSize, c.Drift} {
@@ -232,7 +232,7 @@ func sample(n int, freq []float64, blockStart []bool, corr float64, src *stream)
 		tf[l] = threshold(p)
 	}
 	tc := threshold(corr)
-	bounds := make([]int, 0, len(freq)/8+2)
+	var bounds []int
 	for l, start := range blockStart {
 		if start {
 			bounds = append(bounds, l)
