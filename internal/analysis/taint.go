@@ -153,25 +153,22 @@ func DefaultTaintSpec() *TaintSpec {
 	writeSink := func(kind string) SinkSpec { return SinkSpec{Kind: kind, ConnArg: -1} }
 	spec := &TaintSpec{
 		SecretTypes: map[string]SecretClass{
-			"gendpr/internal/genome.Matrix":     ClassIndividual,
-			"gendpr/internal/genome.ColumnBits": ClassIndividual,
-			"gendpr/internal/genome.Cohort":     ClassIndividual,
-			"gendpr/internal/lrtest.BitMatrix":  ClassIndividual,
-			"gendpr/internal/lrtest.Genotypes":  ClassIndividual,
-			"gendpr/internal/seal.KeyPair":      ClassIndividual,
-			"gendpr/internal/seal.SigningKey":   ClassIndividual,
-			"gendpr/internal/lrtest.LogRatios":  ClassAggregate,
-			"gendpr/internal/genome.PairStats":  ClassAggregate,
+			"gendpr/internal/genome.Matrix":    ClassIndividual,
+			"gendpr/internal/genome.Cohort":    ClassIndividual,
+			"gendpr/internal/lrtest.BitMatrix": ClassIndividual,
+			"gendpr/internal/lrtest.Genotypes": ClassIndividual,
+			"gendpr/internal/seal.KeyPair":     ClassIndividual,
+			"gendpr/internal/seal.SigningKey":  ClassIndividual,
+			"gendpr/internal/lrtest.LogRatios": ClassAggregate,
+			"gendpr/internal/genome.PairStats": ClassAggregate,
 		},
 		SourceFuncs: map[string]SecretClass{
 			// Per-individual sources: generators, decoders, key material.
-			"gendpr/internal/genome.Generate":        ClassIndividual,
-			"gendpr/internal/genome.MatrixFromBytes": ClassIndividual,
+			"gendpr/internal/genome.Generate": ClassIndividual,
 			// Single-genotype accessors: their result IS one individual's
 			// allele, the unit the oblivious machinery exists to hide.
 			"(*gendpr/internal/genome.Matrix).Get":         ClassIndividual,
 			"(*gendpr/internal/genome.Matrix).GetBit":      ClassIndividual,
-			"(*gendpr/internal/genome.Matrix).RowWords":    ClassIndividual,
 			"gendpr/internal/lrtest.DecodeWireBit":         ClassIndividual,
 			"gendpr/internal/lrtest.DecodePatternWire":     ClassIndividual,
 			"gendpr/internal/lrtest.DecodePatternWireCols": ClassIndividual,
@@ -182,15 +179,12 @@ func DefaultTaintSpec() *TaintSpec {
 			// Aggregators: these read per-individual data but their result
 			// is a cohort-level statistic — still secret until released,
 			// but legitimate checkpoint content.
-			"(*gendpr/internal/genome.Matrix).AlleleCount":     ClassAggregate,
-			"(*gendpr/internal/genome.Matrix).AlleleCounts":    ClassAggregate,
-			"(*gendpr/internal/genome.Matrix).PairCount":       ClassAggregate,
-			"(*gendpr/internal/genome.Matrix).PairStats":       ClassAggregate,
-			"(*gendpr/internal/genome.ColumnBits).AlleleCount": ClassAggregate,
-			"(*gendpr/internal/genome.ColumnBits).PairCount":   ClassAggregate,
-			"(*gendpr/internal/genome.ColumnBits).PairStats":   ClassAggregate,
-			"gendpr/internal/genome.Frequencies":               ClassAggregate,
-			"gendpr/internal/genome.PairStatsFromCounts":       ClassAggregate,
+			"(*gendpr/internal/genome.Matrix).AlleleCount":  ClassAggregate,
+			"(*gendpr/internal/genome.Matrix).AlleleCounts": ClassAggregate,
+			"(*gendpr/internal/genome.Matrix).PairCount":    ClassAggregate,
+			"(*gendpr/internal/genome.Matrix).PairStats":    ClassAggregate,
+			"gendpr/internal/genome.Frequencies":            ClassAggregate,
+			"gendpr/internal/genome.PairStatsFromCounts":    ClassAggregate,
 			// The Provider contract: its accessors return cohort-level
 			// statistics regardless of how the implementation stores the
 			// shard (LocalMember pre-aggregates, ObliviousMember popcounts

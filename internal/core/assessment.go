@@ -212,7 +212,6 @@ type assessmentRun struct {
 	counts    [][]int64
 	caseNs    []int64
 	refCounts []int64
-	refCols   *genome.ColumnBits
 	refN      int64
 
 	timingMu sync.Mutex
@@ -313,8 +312,7 @@ func (r *assessmentRun) pairEntry(a, b int) (int, error) {
 	if err := r.alloc(bytesPerPairStat * int64(len(r.members)+1)); err != nil {
 		return 0, err
 	}
-	s := genome.PairStatsFromCounts(r.refN, r.refCounts[a], r.refCounts[b], r.refCols.PairCount(a, b))
-	return r.pairs.add(a, b, s, r.cfg.LDCutoff), nil
+	return r.pairs.add(a, b, r.ref.PairStats(a, b), r.cfg.LDCutoff), nil
 }
 
 // releasePairs ends the pair statistics' life at the Phase-2 boundary, once
@@ -401,11 +399,7 @@ func (r *assessmentRun) collectSummaries() error {
 		}
 	}
 	r.cs.recordSummaries(r.counts, r.caseNs)
-	// The reference panel is queried for thousands of pair counts in Phase 2;
-	// its column-major view (built once per panel, not per run) turns each
-	// into a stride-1 AND+popcount.
-	r.refCols = r.ref.Columns()
-	r.refCounts = r.refCols.AlleleCounts()
+	r.refCounts = r.ref.AlleleCounts()
 	r.refN = int64(r.ref.N())
 	fullN := r.refN
 	for _, n := range r.caseNs {

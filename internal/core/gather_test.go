@@ -136,9 +136,6 @@ func gatherBenchInputs(b *testing.B) (shapes map[string]*genome.Matrix, cols []i
 	}
 	cols = rand.New(rand.NewSource(7)).Perm(10000)[:410]
 	sort.Ints(cols)
-	for _, g := range shapes {
-		g.Columns() // the one-off view is priced by genome.BenchmarkColumns
-	}
 	return shapes, cols
 }
 

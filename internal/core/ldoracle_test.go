@@ -91,9 +91,7 @@ func singlePathRounds(t *testing.T, run *assessmentRun, shards []*genome.Matrix,
 	if err != nil {
 		t.Fatal(err)
 	}
-	refPair := func(a, b int) genome.PairStats {
-		return genome.PairStatsFromCounts(run.refN, run.refCounts[a], run.refCounts[b], run.refCols.PairCount(a, b))
-	}
+	refPair := run.ref.PairStats
 	onPanel := func(a, b int) bool {
 		dependent, err := ldDependent(refPair(a, b), cutoff)
 		return err == nil && dependent

@@ -58,10 +58,10 @@ type PatternProvider interface {
 }
 
 // LocalMember is an in-process Provider over a private genotype shard. It
-// answers every query from the shard's column-major view (Matrix.Columns),
-// which the matrix builds once and shares: a pair-statistics request is a
-// stride-1 AND+popcount and a Phase-3 pattern a copy of whole columns. The
-// member itself holds no state, so one value serves concurrent assessments.
+// answers every query from the shard's column-major bits and count vector: a
+// pair-statistics request is a stride-1 AND+popcount and a Phase-3 pattern a
+// copy of whole columns. The member itself holds no state, so one value
+// serves concurrent assessments.
 type LocalMember struct {
 	shard *genome.Matrix
 }
@@ -72,15 +72,15 @@ var (
 )
 
 // NewLocalMember wraps a genotype shard. The shard must not be written
-// afterwards (see DESIGN.md, "Prepared views").
+// afterwards (see DESIGN.md, "Prepared genotypes").
 func NewLocalMember(shard *genome.Matrix) *LocalMember {
 	return &LocalMember{shard: shard}
 }
 
-// Counts implements Provider. The returned slice is the member's cached count
+// Counts implements Provider. The returned slice is the shard's own count
 // vector and must be treated as read-only.
 func (m *LocalMember) Counts() ([]int64, error) {
-	return m.shard.Columns().AlleleCounts(), nil
+	return m.shard.AlleleCounts(), nil
 }
 
 // CaseN implements Provider.
@@ -93,9 +93,7 @@ func (m *LocalMember) PairStats(a, b int) (genome.PairStats, error) {
 	if a < 0 || a >= m.shard.L() || b < 0 || b >= m.shard.L() {
 		return genome.PairStats{}, fmt.Errorf("core: pair (%d,%d) out of range for %d SNPs", a, b, m.shard.L())
 	}
-	cols := m.shard.Columns()
-	counts := cols.AlleleCounts()
-	return genome.PairStatsFromCounts(int64(m.shard.N()), counts[a], counts[b], cols.PairCount(a, b)), nil
+	return m.shard.PairStats(a, b), nil
 }
 
 // PairStatsBatch implements BatchPairProvider.
@@ -174,7 +172,7 @@ func checkLRRequest(l int, cols []int, caseFreq, refFreq []float64) (lrtest.LogR
 // local genotypes to the broadcast SNP columns and fill in Equation 1
 // contributions using the pooled frequency vectors, stored as one bit per
 // cell plus two representatives per column gathered from the matrix's
-// column-major view.
+// column-major bits.
 func BuildLRBitMatrix(g *genome.Matrix, cols []int, caseFreq, refFreq []float64) (*lrtest.BitMatrix, error) {
 	ratios, err := checkLRRequest(g.L(), cols, caseFreq, refFreq)
 	if err != nil {
@@ -188,12 +186,12 @@ func BuildLRBitMatrix(g *genome.Matrix, cols []int, caseFreq, refFreq []float64)
 }
 
 // gatherLR builds g's bit-packed LR-matrix over cols. Column j of a BitMatrix
-// and column cols[j] of g's column-major view are the same (N+63)/64 words,
-// so the matrix is a copy of whole columns — bit-identical to
-// lrtest.BuildBit(g.SelectColumns(cols), ratios), which re-derives the same
-// layout cell by cell and stays as the test reference.
+// and column cols[j] of g are the same (N+63)/64 words, so the matrix is a
+// copy of whole columns — bit-identical to lrtest.BuildBit(g.SelectColumns(cols),
+// ratios), which re-derives the same layout cell by cell and stays as the test
+// reference.
 func gatherLR(g *genome.Matrix, cols []int, ratios lrtest.LogRatios) (*lrtest.BitMatrix, error) {
-	words, err := g.Columns().Gather(cols)
+	words, err := g.Gather(cols)
 	if err != nil {
 		return nil, err
 	}

@@ -28,15 +28,12 @@ func RunNaive(shards []*genome.Matrix, reference *genome.Matrix, cfg Config) (*R
 	}
 	report := &Report{Combinations: len(shards)}
 
-	// Phase 1: global MAF over aggregated counts (same as GenDPR). The
-	// column-major views also serve the per-member LD scans below.
+	// Phase 1: global MAF over aggregated counts (same as GenDPR).
 	start := time.Now()
 	vectors := make([][]int64, len(shards))
-	views := make([]*genome.ColumnBits, len(shards))
 	var caseN int64
 	for i, s := range shards {
 		vectors[i] = s.AlleleCounts()
-		views[i] = s.Transpose()
 		caseN += int64(s.N())
 	}
 	summed, err := stats.SumCounts(vectors...)
@@ -44,7 +41,6 @@ func RunNaive(shards []*genome.Matrix, reference *genome.Matrix, cfg Config) (*R
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	refCounts := reference.AlleleCounts()
-	refCols := reference.Transpose()
 	refN := int64(reference.N())
 	report.Timings.DataAggregation += time.Since(start)
 
@@ -71,11 +67,7 @@ func RunNaive(shards []*genome.Matrix, reference *genome.Matrix, cfg Config) (*R
 
 		start = time.Now()
 		localPair := func(a, b int) (genome.PairStats, error) {
-			// Single counts are already in hand from Phase 1; each pair
-			// costs two AND+popcount sweeps instead of six column scans.
-			local := genome.PairStatsFromCounts(localN, localCounts[a], localCounts[b], views[i].PairCount(a, b))
-			ref := genome.PairStatsFromCounts(refN, refCounts[a], refCounts[b], refCols.PairCount(a, b))
-			return local.Add(ref), nil
+			return s.PairStats(a, b).Add(reference.PairStats(a, b)), nil
 		}
 		lDouble, err := LDPhase(lPrime, localPair, pvals, cfg.LDCutoff)
 		report.Timings.LD += time.Since(start)

@@ -346,21 +346,18 @@ func TestLDPhaseBatchMatchesLDPhaseUnderAnyPredictor(t *testing.T) {
 	for _, seed := range []int64{17, 23, 42} {
 		cohort := testCohort(t, 200, 400, seed)
 		cfg := DefaultConfig()
-		caseCols, refCols := cohort.Case.Columns(), cohort.Reference.Columns()
 		caseN, refN := int64(cohort.Case.N()), int64(cohort.Reference.N())
-		retained, err := MAFPhase(caseCols.AlleleCounts(), caseN, refCols.AlleleCounts(), refN, cfg.MAFCutoff)
+		retained, err := MAFPhase(cohort.Case.AlleleCounts(), caseN, cohort.Reference.AlleleCounts(), refN, cfg.MAFCutoff)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pvals, err := AssociationPValues(caseCols.AlleleCounts(), caseN, refCols.AlleleCounts(), refN, cfg.PaperChiSquare)
+		pvals, err := AssociationPValues(cohort.Case.AlleleCounts(), caseN, cohort.Reference.AlleleCounts(), refN, cfg.PaperChiSquare)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refPair := func(a, b int) genome.PairStats {
-			return genome.PairStatsFromCounts(refN, refCols.AlleleCounts()[a], refCols.AlleleCounts()[b], refCols.PairCount(a, b))
-		}
+		refPair := cohort.Reference.PairStats
 		pool := func(a, b int) (genome.PairStats, error) {
-			return refPair(a, b).Add(genome.PairStatsFromCounts(caseN, caseCols.AlleleCounts()[a], caseCols.AlleleCounts()[b], caseCols.PairCount(a, b))), nil
+			return refPair(a, b).Add(cohort.Case.PairStats(a, b)), nil
 		}
 		onReference := func(a, b int) bool {
 			dependent, err := ldDependent(refPair(a, b), cfg.LDCutoff)

@@ -29,7 +29,7 @@ var ErrMemberReported = errors.New("federation: member reported an error")
 type Leader struct {
 	id string
 	// local serves the leader's own shard to every run, sequential or
-	// concurrent: the shard's prepared view is built once, not per request.
+	// concurrent.
 	local     *core.LocalMember
 	enclave   *enclave.Enclave
 	authority *attest.Authority

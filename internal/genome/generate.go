@@ -3,6 +3,7 @@ package genome
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -225,6 +226,8 @@ func pickAssociated(cfg GeneratorConfig, rng *rand.Rand) []int {
 // rand.Float64: a block start takes one draw against freq[l], any other SNP
 // one against corr and, when the copy breaks, one against freq[l]. On integer
 // thresholds (see threshold) a run of copies is a scan of consecutive outputs.
+// Individuals are drawn 64 at a time into a row-major stripe, which is
+// transposed into the matrix's columns while it is still in cache.
 func sample(n int, freq []float64, blockStart []bool, corr float64, src *stream) *Matrix {
 	m := NewMatrix(n, len(freq))
 	tf := make([]uint64, len(freq))
@@ -239,13 +242,58 @@ func sample(n int, freq []float64, blockStart []bool, corr float64, src *stream)
 		}
 	}
 	bounds = append(bounds, len(freq))
-	for i := 0; i < n; i++ {
-		row := m.row(i)
-		for b := 1; b < len(bounds); b++ {
-			src.block(row, bounds[b-1], bounds[b], tf, tc)
+	stride := (len(freq) + wordBits - 1) / wordBits
+	stripe := make([]uint64, wordBits*stride)
+	for i0 := 0; i0 < n; i0 += wordBits {
+		clear(stripe)
+		for k := range min(wordBits, n-i0) {
+			row := stripe[k*stride : (k+1)*stride]
+			for b := 1; b < len(bounds); b++ {
+				src.block(row, bounds[b-1], bounds[b], tf, tc)
+			}
 		}
+		m.putStripe(i0/wordBits, stripe)
 	}
 	return m
+}
+
+// putStripe stores individuals 64·bi..64·bi+63 into word bi of every column
+// and adds them to the counts. stripe holds them row-major, individual k's
+// SNP l at bit l%64 of stripe[k*stride+l/64]; rows past N() must be zero.
+func (m *Matrix) putStripe(bi int, stripe []uint64) {
+	stride := len(stripe) / wordBits
+	var blk [wordBits]uint64
+	for w := range stride {
+		var any uint64
+		for k := range blk {
+			blk[k] = stripe[k*stride+w]
+			any |= blk[k]
+		}
+		if any == 0 {
+			continue // the column words are already zero
+		}
+		transpose64(&blk)
+		c0 := w * wordBits
+		for j := range min(wordBits, m.l-c0) {
+			m.words[(c0+j)*m.wpc+bi] = blk[j]
+			m.counts[c0+j] += int64(bits.OnesCount64(blk[j]))
+		}
+	}
+}
+
+// transpose64 transposes a 64x64 bit block in place: bit j of word k moves to
+// bit k of word j (LSB-first on both axes). The recursive block-swap runs in
+// 6 rounds of masked exchanges instead of 4096 single-bit moves.
+func transpose64(a *[wordBits]uint64) {
+	mask := uint64(0x00000000FFFFFFFF)
+	for j := 32; j != 0; j >>= 1 {
+		for k := 0; k < wordBits; k = (k + j + 1) &^ j {
+			t := (a[k]>>uint(j) ^ a[k+j]) & mask
+			a[k+j] ^= t
+			a[k] ^= t << uint(j)
+		}
+		mask ^= mask << uint(j>>1)
+	}
 }
 
 // block writes one individual's alleles at the haplotype block [lo, hi) into

@@ -51,6 +51,10 @@ func sameCohort(t *testing.T, name string, got, want *Cohort) {
 	if !got.Case.Equal(want.Case) || !got.Reference.Equal(want.Reference) {
 		t.Fatalf("%s: genotypes differ from the per-cell loop", name)
 	}
+	if !slices.Equal(got.Case.AlleleCounts(), want.Case.AlleleCounts()) ||
+		!slices.Equal(got.Reference.AlleleCounts(), want.Reference.AlleleCounts()) {
+		t.Fatalf("%s: allele counts differ from the per-cell loop's", name)
+	}
 	if !slices.Equal(got.TrueAssociated, want.TrueAssociated) {
 		t.Fatalf("%s: associated SNPs %v, want %v", name, got.TrueAssociated, want.TrueAssociated)
 	}
@@ -179,9 +183,10 @@ func TestThreshold(t *testing.T) {
 	}
 }
 
-// populationDigests are SHA-256 sums of Case then Reference words, each
-// little-endian, taken from the per-cell generator: any change to the stream
-// or its consumption changes them.
+// populationDigests are SHA-256 sums of Case then Reference rendered
+// row-major (see rowMajorWords), each word little-endian, taken from the
+// per-cell generator: any change to the stream or its consumption changes
+// them.
 var populationDigests = map[int64]string{
 	42: "4dd93c03f0c9be3e1c69a2d778a37697b8aee4a50441f6a10c41572b9211e90c",
 	7:  "8569f4ce9e6864bf9e32bc0f977b820a6e2e602e4f99ee3a90305b079f82c181",
@@ -196,7 +201,7 @@ func TestGeneratePopulationDigests(t *testing.T) {
 		h := sha256.New()
 		var b [8]byte
 		for _, m := range []*Matrix{cohort.Case, cohort.Reference} {
-			for _, w := range m.words {
+			for _, w := range rowMajorWords(m) {
 				binary.LittleEndian.PutUint64(b[:], w)
 				h.Write(b[:])
 			}
@@ -205,6 +210,20 @@ func TestGeneratePopulationDigests(t *testing.T) {
 			t.Errorf("seed %d: population digest %s, want %s", seed, got, want)
 		}
 	}
+}
+
+// rowMajorWords renders m one individual after another, (L()+63)/64 words
+// per individual, SNP l at bit l%64 of word l/64 — the storage the digests
+// were first taken over, so they pin the genotypes and not the layout.
+func rowMajorWords(m *Matrix) []uint64 {
+	stride := (m.L() + wordBits - 1) / wordBits
+	words := make([]uint64, m.N()*stride)
+	for i := 0; i < m.N(); i++ {
+		for l := 0; l < m.L(); l++ {
+			words[i*stride+l/wordBits] |= uint64(m.GetBit(i, l)) << (uint(l) % wordBits)
+		}
+	}
+	return words
 }
 
 // BenchmarkGenerate prices one cohort at the benchmark's shapes: fed3_base's

@@ -2,8 +2,8 @@ package genome
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -189,46 +189,6 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
-func TestMatrixBytesRoundTrip(t *testing.T) {
-	m := randomMatrix(t, 9, 77, 7)
-	got, err := MatrixFromBytes(m.Bytes())
-	if err != nil {
-		t.Fatalf("MatrixFromBytes: %v", err)
-	}
-	if !got.Equal(m) {
-		t.Fatal("Bytes round trip lost data")
-	}
-}
-
-func TestMatrixFromBytesRejectsGarbage(t *testing.T) {
-	if _, err := MatrixFromBytes([]byte{1, 2, 3}); err == nil {
-		t.Error("short input must fail")
-	}
-	m := NewMatrix(4, 4)
-	b := m.Bytes()
-	if _, err := MatrixFromBytes(b[:len(b)-1]); err == nil {
-		t.Error("truncated input must fail")
-	}
-	// Implausible shape: n encoded as 2^40.
-	bad := make([]byte, 16)
-	bad[2] = 1
-	if _, err := MatrixFromBytes(bad); err == nil {
-		t.Error("implausible shape must fail")
-	}
-}
-
-// Property: serialization round-trips for arbitrary shapes and contents.
-func TestQuickMatrixSerializationRoundTrip(t *testing.T) {
-	f := func(seed int64, n, l uint8) bool {
-		m := randomMatrix(t, int(n%40)+1, int(l%200)+1, seed)
-		back, err := MatrixFromBytes(m.Bytes())
-		return err == nil && back.Equal(m)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: column sums are preserved by row partitioning and re-concatenation
 // — the algebraic fact Phase 1 relies on when GDO count vectors are summed.
 func TestQuickPartitionPreservesAlleleCounts(t *testing.T) {
@@ -269,15 +229,6 @@ func TestQuickPartitionPreservesAlleleCounts(t *testing.T) {
 	}
 }
 
-func BenchmarkAlleleCounts(b *testing.B) {
-	m := randomMatrix(b, 2000, 1000, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.AlleleCounts()
-	}
-}
-
 func BenchmarkPairStats(b *testing.B) {
 	m := randomMatrix(b, 2000, 1000, 1)
 	b.ReportAllocs()
@@ -289,110 +240,147 @@ func BenchmarkPairStats(b *testing.B) {
 
 func TestTransposeMatchesRowMajor(t *testing.T) {
 	// Shapes crossing both the row-word (l=64) and column-word (n=64)
-	// boundaries, plus degenerate edges.
+	// boundaries, plus degenerate edges. Transpose is the matrix itself; its
+	// column statistics must agree with a per-cell recount.
 	shapes := [][2]int{{1, 1}, {63, 65}, {64, 64}, {65, 63}, {130, 200}, {0, 5}, {5, 0}}
 	for _, sh := range shapes {
 		n, l := sh[0], sh[1]
 		m := randomMatrix(t, n, l, int64(7*n+l))
-		tr := m.Transpose()
-		if tr.N() != n || tr.L() != l {
-			t.Fatalf("%dx%d: transpose reports %dx%d", n, l, tr.N(), tr.L())
+		if tr := m.Transpose(); tr != m {
+			t.Fatalf("%dx%d: Transpose built a copy", n, l)
 		}
-		for snp := 0; snp < l; snp++ {
-			if got, want := tr.AlleleCount(snp), m.AlleleCount(snp); got != want {
-				t.Fatalf("%dx%d: AlleleCount(%d)=%d, want %d", n, l, snp, got, want)
-			}
-		}
+		checkCells(t, fmt.Sprintf("%dx%d", n, l), m, n, l, m.Get)
 		for trial := 0; trial < 50 && l > 0; trial++ {
 			a, b := (trial*13)%l, (trial*29+7)%l
-			if got, want := tr.PairCount(a, b), m.PairCount(a, b); got != want {
+			var want int64
+			for i := 0; i < n; i++ {
+				if m.Get(i, a) && m.Get(i, b) {
+					want++
+				}
+			}
+			if got := m.PairCount(a, b); got != want {
 				t.Fatalf("%dx%d: PairCount(%d,%d)=%d, want %d", n, l, a, b, got, want)
 			}
-			if got, want := tr.PairStats(a, b), m.PairStats(a, b); got != want {
+			if got, want := m.PairStats(a, b), PairStatsFromCounts(int64(n), m.AlleleCount(a), m.AlleleCount(b), want); got != want {
 				t.Fatalf("%dx%d: PairStats(%d,%d)=%+v, want %+v", n, l, a, b, got, want)
 			}
 		}
 	}
 }
 
-func TestColumnsIsBuiltOnceAndDroppedBySet(t *testing.T) {
-	m := randomMatrix(t, 70, 40, 3)
-	view := m.Columns()
-	if again := m.Columns(); again != view {
-		t.Fatal("second Columns() call built a new view")
+// checkCells asserts that m is n×l, that every cell equals want, that the
+// bits past row n in each column's last word are zero (Gather hands them to
+// lrtest.BitFromColumnWords, which relies on it), and that the count vector
+// equals a per-cell recount.
+func checkCells(t *testing.T, name string, m *Matrix, n, l int, want func(i, l int) bool) {
+	t.Helper()
+	if m.N() != n || m.L() != l {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", name, m.N(), m.L(), n, l)
 	}
-	if got, want := view.AlleleCounts(), m.AlleleCounts(); !slices.Equal(got, want) {
-		t.Fatalf("view counts %v, want %v", got, want)
-	}
-
-	before := m.Get(69, 39)
-	m.Set(69, 39, !before)
-	fresh := m.Columns()
-	if fresh == view {
-		t.Fatal("Set did not drop the memoized view")
-	}
-	delta := int64(1)
-	if before {
-		delta = -1
-	}
-	if got, want := fresh.AlleleCount(39), view.AlleleCount(39)+delta; got != want {
-		t.Fatalf("view after Set counts %d at the written SNP, want %d", got, want)
-	}
-	if got, want := fresh.AlleleCounts()[39], m.AlleleCount(39); got != want {
-		t.Fatalf("count vector after Set has %d at the written SNP, want %d", got, want)
+	for c := 0; c < l; c++ {
+		var count int64
+		for i := 0; i < n; i++ {
+			w := want(i, c)
+			if m.Get(i, c) != w {
+				t.Fatalf("%s: cell (%d,%d) is %v, want %v", name, i, c, m.Get(i, c), w)
+			}
+			if w {
+				count++
+			}
+		}
+		if got := m.AlleleCount(c); got != count || m.AlleleCounts()[c] != count {
+			t.Fatalf("%s: SNP %d counts %d (vector %d), recount %d", name, c, got, m.AlleleCounts()[c], count)
+		}
+		if tail := uint(n) % wordBits; tail != 0 && m.column(c)[m.wpc-1]>>tail != 0 {
+			t.Fatalf("%s: SNP %d has bits set past row %d", name, c, n)
+		}
 	}
 }
 
-func TestDerivedMatricesDoNotInheritColumns(t *testing.T) {
-	m := randomMatrix(t, 20, 30, 5)
-	view := m.Columns()
-	concat, err := Concat(m, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	derived := map[string]*Matrix{
-		"Clone":         m.Clone(),
-		"SelectRows":    m.SelectRows(0, 20),
-		"SelectColumns": m.SelectColumns([]int{0, 1, 2}),
-		"Concat":        concat,
-	}
-	for name, d := range derived {
-		if d.cols.Load() != nil {
-			t.Errorf("%s result carries a memoized view", name)
+// TestRowOperationsMatchPerCellGet checks the per-column bit-range copies
+// behind SelectRows, Concat and Partition at every row offset that lands on,
+// beside or between column words.
+func TestRowOperationsMatchPerCellGet(t *testing.T) {
+	const n, l = 130, 70
+	m := randomMatrix(t, n, l, 11)
+	offsets := []int{0, 1, 63, 64, 65, n - 1, n}
+	for _, lo := range offsets {
+		for _, hi := range offsets {
+			if lo > hi {
+				continue
+			}
+			sub := m.SelectRows(lo, hi)
+			checkCells(t, fmt.Sprintf("SelectRows(%d,%d)", lo, hi), sub, hi-lo, l,
+				func(i, c int) bool { return m.Get(lo+i, c) })
+			rest := m.SelectRows(hi, n)
+			both, err := Concat(sub, rest, sub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := hi-lo, n-hi
+			checkCells(t, fmt.Sprintf("Concat at %d,%d", lo, hi), both, 2*a+b, l, func(i, c int) bool {
+				switch {
+				case i < a:
+					return m.Get(lo+i, c)
+				case i < a+b:
+					return m.Get(hi+i-a, c)
+				}
+				return m.Get(lo+i-a-b, c)
+			})
 		}
-		if d.Columns() == view {
-			t.Errorf("%s result shares the source's view", name)
-		}
 	}
-	// A clone's own view is independent of later writes to the source.
-	clone := derived["Clone"]
-	m.Set(0, 0, !m.Get(0, 0))
-	if clone.Columns().AlleleCount(0) != clone.AlleleCount(0) {
-		t.Error("clone's view changed with the source")
+	// The benchmark's rotation: the case rows from k on, then those before
+	// k, split into three shards.
+	for _, k := range offsets {
+		rotated, err := Concat(m.SelectRows(k, n), m.SelectRows(0, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rot := func(i, c int) bool { return m.Get((i+k)%n, c) }
+		checkCells(t, fmt.Sprintf("rotation by %d", k), rotated, n, l, rot)
+		shards, err := (&Cohort{Case: rotated, Reference: NewMatrix(1, l)}).Partition(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := 0
+		for s, shard := range shards {
+			at0 := at
+			checkCells(t, fmt.Sprintf("rotation by %d, shard %d", k, s), shard, shard.N(), l,
+				func(i, c int) bool { return rot(at0+i, c) })
+			at += shard.N()
+		}
+		if at != n {
+			t.Fatalf("rotation by %d: shards cover %d rows, want %d", k, at, n)
+		}
 	}
 }
 
-func TestColumnsConcurrentFirstUse(t *testing.T) {
-	m := randomMatrix(t, 130, 90, 9)
-	views := make(chan *ColumnBits, 8)
-	for g := 0; g < cap(views); g++ {
-		go func() { views <- m.Columns() }()
-	}
-	first := <-views
-	for g := 1; g < cap(views); g++ {
-		if v := <-views; v != first {
-			t.Fatal("concurrent first calls observed different views")
+func TestSetKeepsCountsExact(t *testing.T) {
+	m := NewMatrix(70, 3)
+	steps := []struct {
+		minor bool
+		want  int64
+	}{{true, 1}, {true, 1}, {false, 0}, {false, 0}}
+	for _, i := range []int{0, 63, 64, 69} {
+		for k, st := range steps {
+			m.Set(i, 1, st.minor)
+			if got := m.AlleleCount(1); got != st.want {
+				t.Fatalf("row %d, step %d (Set %v): count %d, want %d", i, k, st.minor, got, st.want)
+			}
 		}
 	}
+	m.Set(5, 0, true)
+	m.Set(6, 2, true)
+	m.Set(5, 0, true)
+	checkCells(t, "after Set", m, 70, 3, func(i, c int) bool { return (i == 5 && c == 0) || (i == 6 && c == 2) })
 }
 
 func TestGatherCopiesWholeColumns(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 130} {
 		m := randomMatrix(t, n, 50, int64(n)+1)
-		view := m.Columns()
 		wpc := (n + 63) / 64
 		for _, cols := range [][]int{{}, {49}, {7, 3, 49, 0}, {12, 12}} {
-			words, err := view.Gather(cols)
+			words, err := m.Gather(cols)
 			if err != nil {
 				t.Fatalf("n=%d Gather(%v): %v", n, cols, err)
 			}
@@ -412,56 +400,9 @@ func TestGatherCopiesWholeColumns(t *testing.T) {
 			}
 		}
 		for _, cols := range [][]int{{50}, {-1}, {0, 50}} {
-			if _, err := view.Gather(cols); !errors.Is(err, ErrIndexOutOfRange) {
+			if _, err := m.Gather(cols); !errors.Is(err, ErrIndexOutOfRange) {
 				t.Errorf("n=%d Gather(%v) = %v, want ErrIndexOutOfRange", n, cols, err)
 			}
 		}
 	}
 }
-
-// BenchmarkColumns prices the prepared view: "first" is what a matrix pays
-// once (the transpose and its count vector), "memo" what every later caller
-// pays. The top level is the fed3_base member shape; "panel_1e5" is the
-// 13,035-genome reference panel over one chromosome's 10⁵ SNPs, where the
-// transpose stops scaling with its input.
-func BenchmarkColumns(b *testing.B) {
-	benchColumns(b, randomMatrix(b, 4953, 10000, 1))
-	b.Run("panel_1e5", func(b *testing.B) {
-		benchColumns(b, randomWords(13035, 100000, 1))
-	})
-}
-
-func benchColumns(b *testing.B, m *Matrix) {
-	b.Run("first", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.cols.Store(nil)
-			benchView = m.Columns()
-		}
-	})
-	b.Run("memo", func(b *testing.B) {
-		m.Columns()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			benchView = m.Columns()
-		}
-	})
-}
-
-// randomWords fills an n-by-l matrix a word at a time from a seeded source,
-// the bits past column l cleared: at 13,035 × 10⁵ a per-cell fill would cost
-// over 10⁹ calls.
-func randomWords(n, l int, seed int64) *Matrix {
-	rng := rand.New(rand.NewSource(seed))
-	m := NewMatrix(n, l)
-	for i := range m.words {
-		m.words[i] = rng.Uint64()
-	}
-	if tail := uint(l) % wordBits; tail != 0 {
-		for i := 0; i < n; i++ {
-			m.row(i)[m.stride-1] &= 1<<tail - 1
-		}
-	}
-	return m
-}
-
-var benchView *ColumnBits

@@ -112,15 +112,6 @@ func (m *BitMatrix) RepsFinite() bool {
 	return true
 }
 
-// RowBitSource is an optional Genotypes extension: genotype matrices that
-// expose their packed row words (genome.Matrix does) let BuildBit transpose
-// bits word-by-word instead of through per-cell interface calls.
-type RowBitSource interface {
-	// RowWords returns the packed genotype bits of row i, L() bits
-	// little-endian, read-only.
-	RowWords(i int) []uint64
-}
-
 // BuildBit computes the bit-packed LR-matrix for a genotype matrix given
 // pooled frequencies — the member-side Phase 3 computation. A set bit
 // records the minor allele, so one[j] = ratios.Minor[j] and
@@ -134,18 +125,6 @@ func BuildBit(g Genotypes, ratios LogRatios) (*BitMatrix, error) {
 	m := NewBitMatrix(g.N(), g.L())
 	copy(m.zero, ratios.Major)
 	copy(m.one, ratios.Minor)
-	if src, ok := g.(RowBitSource); ok {
-		for i := 0; i < m.rows; i++ {
-			row := src.RowWords(i)
-			word, mask := i>>6, uint64(1)<<(uint(i)&63)
-			for j := 0; j < m.cols; j++ {
-				if row[j>>6]&(1<<(uint(j)&63)) != 0 {
-					m.bits[j*m.wpc+word] |= mask
-				}
-			}
-		}
-		return m, nil
-	}
 	for i := 0; i < m.rows; i++ {
 		word, mask := i>>6, uint64(1)<<(uint(i)&63)
 		for j := 0; j < m.cols; j++ {
@@ -160,9 +139,9 @@ func BuildBit(g Genotypes, ratios LogRatios) (*BitMatrix, error) {
 // BitFromColumnWords is BuildBit for genotypes that are already packed
 // column-major: words holds len(ratios.Minor) columns of (rows+63)/64 words
 // each, row i at bit i of its column's span, a set bit recording the minor
-// allele — the layout genome.ColumnBits.Gather returns. The matrix adopts
+// allele — the layout genome.Matrix.Gather returns. The matrix adopts
 // words without copying, so the caller must not retain it, and each column's
-// tail bits (rows..64·wpc) must already be zero, as ColumnBits keeps them;
+// tail bits (rows..64·wpc) must already be zero, as genome.Matrix keeps them;
 // the result is then bit-identical to BuildBit over the same genotypes.
 func BitFromColumnWords(rows int, words []uint64, ratios LogRatios) (*BitMatrix, error) {
 	m := &BitMatrix{rows: rows, cols: len(ratios.Minor), wpc: (rows + 63) / 64, bits: words}

@@ -9,14 +9,6 @@ import (
 	"gendpr/internal/genome"
 )
 
-// noRowWords hides the RowBitSource fast path so BuildBit exercises the
-// generic Genotypes fallback.
-type noRowWords struct{ g *genome.Matrix }
-
-func (w noRowWords) N() int            { return w.g.N() }
-func (w noRowWords) L() int            { return w.g.L() }
-func (w noRowWords) Get(i, l int) bool { return w.g.Get(i, l) }
-
 func testRatios(t testing.TB, snps, caseN int, seed int64) (*genome.Cohort, LogRatios) {
 	t.Helper()
 	cohort, caseFreq, refFreq := buildCohort(t, snps, caseN, seed)

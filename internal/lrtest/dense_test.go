@@ -171,13 +171,6 @@ func TestBuildBitMatchesDense(t *testing.T) {
 		if !denseOf(bit).equal(buildDense(g, ratios)) {
 			t.Fatal("BuildBit decodes differently from Equation 1")
 		}
-		slow, err := BuildBit(noRowWords{g}, ratios)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slow.Equal(bit) {
-			t.Fatal("RowBitSource fast path differs from Genotypes fallback")
-		}
 	}
 	g := genome.NewMatrix(1, 2)
 	if _, err := BuildBit(g, LogRatios{Minor: []float64{1}, Major: []float64{2}}); err == nil {

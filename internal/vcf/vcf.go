@@ -121,15 +121,12 @@ func digits(v int) int {
 }
 
 // Read parses VCF text produced by Write (a leading signature line, if any,
-// is ignored).
+// is ignored). Each record is packed into its SNP's column as it is parsed.
 func Read(r io.Reader) (*genome.Matrix, error) {
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 0, 1<<20), 1<<26)
 
-	var (
-		individuals = -1
-		records     [][]bool
-	)
+	var m *genome.Matrix
 	for scanner.Scan() {
 		line := scanner.Text()
 		switch {
@@ -142,41 +139,35 @@ func Read(r io.Reader) (*genome.Matrix, error) {
 			if len(fields) < 9 {
 				return nil, fmt.Errorf("%w: truncated column header", ErrBadFormat)
 			}
-			individuals = len(fields) - 9
+			if m != nil {
+				return nil, fmt.Errorf("%w: second column header", ErrBadFormat)
+			}
+			m = genome.NewMatrix(len(fields)-9, 0)
 		default:
-			if individuals < 0 {
+			if m == nil {
 				return nil, fmt.Errorf("%w: record before column header", ErrBadFormat)
 			}
 			fields := strings.Split(line, "\t")
-			if len(fields) != 9+individuals {
-				return nil, fmt.Errorf("%w: record has %d fields, want %d", ErrBadFormat, len(fields), 9+individuals)
+			if len(fields) != 9+m.N() {
+				return nil, fmt.Errorf("%w: record has %d fields, want %d", ErrBadFormat, len(fields), 9+m.N())
 			}
-			row := make([]bool, individuals)
+			l := m.AppendColumn()
 			for i, gt := range fields[9:] {
 				switch gt {
 				case "0":
 				case "1":
-					row[i] = true
+					m.Set(i, l, true)
 				default:
 					return nil, fmt.Errorf("%w: genotype %q", ErrBadFormat, gt)
 				}
 			}
-			records = append(records, row)
 		}
 	}
 	if err := scanner.Err(); err != nil {
 		return nil, fmt.Errorf("vcf: read: %w", err)
 	}
-	if individuals < 0 {
+	if m == nil {
 		return nil, fmt.Errorf("%w: missing column header", ErrBadFormat)
-	}
-	m := genome.NewMatrix(individuals, len(records))
-	for l, row := range records {
-		for i, minor := range row {
-			if minor {
-				m.Set(i, l, true)
-			}
-		}
 	}
 	return m, nil
 }

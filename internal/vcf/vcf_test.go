@@ -3,6 +3,7 @@ package vcf
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,17 +23,36 @@ func sampleMatrix(t testing.TB) *genome.Matrix {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	m := sampleMatrix(t)
-	var buf bytes.Buffer
-	if err := Write(&buf, m); err != nil {
-		t.Fatalf("Write: %v", err)
+	ms := []*genome.Matrix{sampleMatrix(t)}
+	// Shapes on both sides of a column's word boundary, and no SNPs at all.
+	for _, n := range []int{1, 63, 64, 65} {
+		for _, l := range []int{0, 1, 65} {
+			m := genome.NewMatrix(n, l)
+			for c := 0; c < l; c++ {
+				for i := 0; i < n; i++ {
+					if (i*7+c*3)%5 < 2 {
+						m.Set(i, c, true)
+					}
+				}
+			}
+			ms = append(ms, m)
+		}
 	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if !got.Equal(m) {
-		t.Fatal("round trip lost genotypes")
+	for _, m := range ms {
+		var buf bytes.Buffer
+		if err := Write(&buf, m); err != nil {
+			t.Fatalf("%dx%d: Write: %v", m.N(), m.L(), err)
+		}
+		got, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("%dx%d: Read: %v", m.N(), m.L(), err)
+		}
+		if !got.Equal(m) || got.N() != m.N() || got.L() != m.L() {
+			t.Fatalf("%dx%d: round trip lost genotypes", m.N(), m.L())
+		}
+		if !slices.Equal(got.AlleleCounts(), m.AlleleCounts()) {
+			t.Fatalf("%dx%d: read counts %v, want %v", m.N(), m.L(), got.AlleleCounts(), m.AlleleCounts())
+		}
 	}
 }
 
@@ -70,6 +90,7 @@ func TestReadRejectsMalformed(t *testing.T) {
 		"bad genotype":        "##x\n#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\tFORMAT\tind0\n1\t1\trs0\tA\tG\t.\tPASS\t.\tGT\t2\n",
 		"wrong field count":   "#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\tFORMAT\tind0\n1\t1\trs0\tA\tG\t.\tPASS\t.\tGT\t0\t1\n",
 		"empty":               "",
+		"second header":       "#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\tFORMAT\tind0\n1\t1\trs0\tA\tG\t.\tPASS\t.\tGT\t1\n#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\tFORMAT\n",
 	}
 	for name, text := range cases {
 		t.Run(name, func(t *testing.T) {

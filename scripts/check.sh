@@ -201,6 +201,10 @@ go test -run '^$' -bench '^(BenchmarkSelectSafeBit|BenchmarkAddColumnKth|Benchma
 # for CI.
 go test -run '^$' -bench '^BenchmarkLDPhase$/^1000x1486$' -benchtime 1x ./internal/core >/dev/null
 go test -run '^$' -bench '^BenchmarkLDPhase$/^1000x1486_g5$' -benchtime 1x ./internal/core >/dev/null
+# One cohort at the service workloads' shape (1,000 SNPs x 7,430 cases plus
+# the panel): generation samples and lays out every matrix the protocol
+# reads, and no other gate runs it.
+go test -run '^$' -bench '^BenchmarkGenerate$/^svc$' -benchtime 1x ./internal/genome >/dev/null
 # One fsynced checkpoint save at a tenth of the fed5_collusion snapshot, each
 # way a save lands: a rewrite, an appended state record, an appended
 # combinations frame.
