@@ -239,6 +239,8 @@ func DefaultTaintSpec() *TaintSpec {
 			"(*gendpr/internal/wire.Decoder).Int64s":   DeclassRelease,
 			"(*gendpr/internal/wire.Decoder).Ints":     DeclassRelease,
 			"(*gendpr/internal/wire.Decoder).Float64s": DeclassRelease,
+			"(*gendpr/internal/wire.Decoder).Packed":   DeclassRelease,
+			"(*gendpr/internal/wire.Decoder).Bitmap":   DeclassRelease,
 			// Public derivations of key material.
 			"(*gendpr/internal/seal.KeyPair).PublicBytes": DeclassRelease,
 			"(*gendpr/internal/seal.SigningKey).Sign":     DeclassRelease,

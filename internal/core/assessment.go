@@ -426,8 +426,11 @@ func (r *assessmentRun) auditSeededSummaries(counts [][]int64, caseNs []int64) e
 		if err != nil {
 			return memberErr(i, PhaseSummary, "summary audit: %w", err)
 		}
-		prior := DigestSummary(counts[i], caseNs[i])
-		observed := DigestSummary(fresh, caseN)
+		prior, _ := DigestSummary(counts[i], caseNs[i]) // validated, so it has a wire form
+		observed, err := DigestSummary(fresh, caseN)
+		if err != nil {
+			return memberErr(i, PhaseSummary, "summary audit: %w", err)
+		}
 		if prior != observed {
 			return memberErr(i, PhaseSummary, "resume audit: %w", &EquivocationError{
 				Phase: PhaseSummary, Query: "summary", Prior: prior[:], Observed: observed[:],

@@ -71,17 +71,24 @@ func (e *EquivocationError) Unwrap() error { return ErrEquivocation }
 
 // DigestSummary computes the canonical SHA-256 digest of a member's Phase 1
 // summary. The pre-image is the federation wire encoding of a counts reply
-// (population, then the length-prefixed count vector, fixed-width
-// big-endian), so the digest of a checkpointed or cached summary compares
-// byte-for-byte against the digest of a live reply payload — the key the
-// leader's equivocation ledger is built on.
+// (population, the vector's length, then the counts packed at
+// wire.Width(population)), so the digest of a checkpointed or cached summary
+// compares byte-for-byte against the digest of a live reply payload — the
+// key the leader's equivocation ledger is built on. A summary no counts
+// reply can carry (a negative population, or a count outside its packed
+// width) has no digest: it is an invalid payload.
 //
 //gendpr:declassifier(release): a SHA-256 digest is preimage-resistant commitment evidence — it identifies WHICH answer a member gave without revealing the answer, and blame records must be publishable
-func DigestSummary(counts []int64, caseN int64) [sha256.Size]byte {
-	e := wire.NewEncoder(16 + 8*len(counts))
+func DigestSummary(counts []int64, caseN int64) ([sha256.Size]byte, error) {
+	width := wire.Width(caseN)
+	e := wire.NewEncoder(16 + wire.PackedLen(len(counts), width))
 	e.Int64(caseN)
-	e.Int64s(counts)
-	return sha256.Sum256(e.Bytes())
+	e.Uint64(uint64(len(counts)))
+	e.Packed(counts, width)
+	if e.Err() != nil {
+		return [sha256.Size]byte{}, fmt.Errorf("%w: summary outside its wire form", ErrInvalidPayload)
+	}
+	return sha256.Sum256(e.Bytes()), nil
 }
 
 // SummaryAuditor is implemented by providers that can re-fetch the member's
@@ -131,6 +138,12 @@ const (
 	// trigger, then reports a different — but internally valid — summary.
 	// Caught only by the equivocation ledger on a retry or audit probe.
 	ByzantineEquivocate
+	// ByzantineJointCount reports a pair's joint count outside the bounds
+	// its marginals allow, [max(0, x+y−n), min(x, y)], yet inside the
+	// count's packed width. Over the wire the joint count is all a Phase-2
+	// reply carries (ByzantinePairSkew's marginals never leave the member),
+	// so this is the pair lie left to a member; validatePairStats catches it.
+	ByzantineJointCount
 )
 
 // String names the mode for logs and soak-failure seeds.
@@ -144,6 +157,8 @@ func (m ByzantineMode) String() string {
 		return "pattern-flip"
 	case ByzantineEquivocate:
 		return "equivocate"
+	case ByzantineJointCount:
+		return "joint-count"
 	default:
 		return fmt.Sprintf("byzantine-mode(%d)", int(m))
 	}
@@ -235,16 +250,33 @@ func equivocateCounts(counts []int64, caseN int64) []int64 {
 // CaseN implements Provider.
 func (b *ByzantineProvider) CaseN() (int64, error) { return b.inner.CaseN() }
 
-// PairStats implements Provider, perturbing a marginal in pair-skew mode.
+// PairStats implements Provider, perturbing a marginal in pair-skew mode
+// and the joint count in joint-count mode.
 func (b *ByzantineProvider) PairStats(a, c int) (genome.PairStats, error) {
 	s, err := b.inner.PairStats(a, c)
 	if err != nil {
 		return genome.PairStats{}, err
 	}
-	if b.mode == ByzantinePairSkew && b.triggered("pair") {
+	switch {
+	case b.mode == ByzantinePairSkew && b.triggered("pair"):
 		return skewPairStats(s), nil
+	case b.mode == ByzantineJointCount && b.triggered("pair"):
+		return lieJointCount(s), nil
 	}
 	return s, nil
+}
+
+// lieJointCount moves the joint count just past its bounds: one above
+// min(x, y), or, when that would exceed the population (x = y = n), one
+// below the inclusion-exclusion floor n. Either value stays within n's
+// packed width, so the lie is well-formed on the wire.
+func lieJointCount(s genome.PairStats) genome.PairStats {
+	if hi := min(s.SumX, s.SumY); hi < s.N {
+		s.SumXY = hi + 1
+	} else {
+		s.SumXY = s.SumX + s.SumY - s.N - 1
+	}
+	return s
 }
 
 // PairStatsBatch implements BatchPairProvider by routing every pair through

@@ -7,6 +7,7 @@ import (
 
 	"gendpr/internal/checkpoint"
 	"gendpr/internal/genome"
+	"gendpr/internal/wire"
 )
 
 // byzantineFixture builds a 4-member federation where member `bad` is wrapped
@@ -46,6 +47,7 @@ func TestByzantineModesQuarantined(t *testing.T) {
 		{ByzantineCountsOverflow, PhaseSummary},
 		{ByzantinePairSkew, PhaseLD},
 		{ByzantinePatternFlip, PhaseLR},
+		{ByzantineJointCount, PhaseLD},
 	}
 	for _, tc := range cases {
 		t.Run(tc.mode.String(), func(t *testing.T) {
@@ -324,20 +326,37 @@ func TestResumeAuditCatchesEquivocation(t *testing.T) {
 
 // TestDigestSummaryProperties pins the digest the equivocation ledger keys
 // on: deterministic, sensitive to every field, and length-delimited (a count
-// moved between the population and the vector changes the digest).
+// moved between the population and the vector changes the digest). A
+// summary its packed wire form cannot carry has no digest.
 func TestDigestSummaryProperties(t *testing.T) {
-	base := DigestSummary([]int64{3, 1, 4}, 10)
-	if base != DigestSummary([]int64{3, 1, 4}, 10) {
+	digest := func(counts []int64, caseN int64) [32]byte {
+		t.Helper()
+		d, err := DigestSummary(counts, caseN)
+		if err != nil {
+			t.Fatalf("DigestSummary(%v, %d): %v", counts, caseN, err)
+		}
+		return d
+	}
+	base := digest([]int64{3, 1, 4}, 10)
+	if base != digest([]int64{3, 1, 4}, 10) {
 		t.Fatal("digest is not deterministic")
 	}
-	if base == DigestSummary([]int64{3, 1, 5}, 10) {
+	if base == digest([]int64{3, 1, 5}, 10) {
 		t.Fatal("digest ignores count perturbation")
 	}
-	if base == DigestSummary([]int64{3, 1, 4}, 11) {
+	if base == digest([]int64{3, 1, 4}, 11) {
 		t.Fatal("digest ignores population")
 	}
-	if DigestSummary([]int64{3, 1}, 4) == DigestSummary([]int64{3, 1, 4}, 4) {
+	if digest([]int64{3, 1}, 4) == digest([]int64{3, 1, 4}, 4) {
 		t.Fatal("digest ignores vector length")
+	}
+	for _, bad := range []struct {
+		counts []int64
+		caseN  int64
+	}{{[]int64{-1}, 10}, {[]int64{16}, 10}, {nil, -1}} {
+		if _, err := DigestSummary(bad.counts, bad.caseN); !errors.Is(err, ErrInvalidPayload) {
+			t.Errorf("DigestSummary(%v, %d) = %v, want ErrInvalidPayload", bad.counts, bad.caseN, err)
+		}
 	}
 }
 
@@ -359,5 +378,27 @@ func TestSkewedPairStatsPassSoloValidation(t *testing.T) {
 	}
 	if err := validatePairConsistency(honest, 0, 1, counts, 50); err != nil {
 		t.Fatalf("honest stats rejected: %v", err)
+	}
+}
+
+// TestJointCountLieFailsValidationWithinWidth: the joint-count lie must be
+// sendable (inside the packed width of the member's population) and caught
+// by the single-payload bounds, on both sides of the feasible interval.
+func TestJointCountLieFailsValidationWithinWidth(t *testing.T) {
+	for _, honest := range []genome.PairStats{
+		genome.PairStatsFromCounts(50, 20, 15, 10),
+		genome.PairStatsFromCounts(12, 12, 12, 12), // x = y = n: only the floor is left
+		genome.PairStatsFromCounts(12, 0, 3, 0),
+	} {
+		if err := validatePairStats(honest); err != nil {
+			t.Fatalf("honest %+v rejected: %v", honest, err)
+		}
+		lie := lieJointCount(honest)
+		if lie.SumXY < 0 || lie.SumXY>>wire.Width(lie.N) != 0 {
+			t.Errorf("lie %+v does not fit the packed width of %d", lie, lie.N)
+		}
+		if err := validatePairStats(lie); !errors.Is(err, ErrInvalidPayload) {
+			t.Errorf("lie %+v passed validation: %v", lie, err)
+		}
 	}
 }

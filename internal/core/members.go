@@ -43,6 +43,15 @@ type BatchPairProvider interface {
 	PairStatsBatch(pairs [][2]int) ([]genome.PairStats, error)
 }
 
+// SummarySeeder is an optional Provider extension for providers that
+// complete Phase-2 statistics from the member's Phase-1 summary (the
+// federation's remote provider: for 0/1 genotypes a pair reply carries only
+// the joint count). A resumed run hands them the checkpointed summary, so
+// they need not ask the member for it again.
+type SummarySeeder interface {
+	SeedSummary(counts []int64, caseN int64)
+}
+
 // PatternProvider ships a member's genotype bit-pattern over the retained
 // columns — the frequency-independent cell bits of its LR-matrix, with zero
 // representatives. A collusion-tolerant Phase 3 evaluates many combinations
@@ -315,12 +324,16 @@ func intsEqual(a, b []int) bool {
 }
 
 // seedSummary primes the summary cache from a checkpoint, so a resumed run
-// never re-contacts the member for Phase 1 inputs. Seeded data was validated
-// before the checkpoint was written.
+// never re-contacts the member for Phase 1 inputs, and hands the summary down
+// to an inner SummarySeeder. Seeded data was validated before the checkpoint
+// was written.
 func (c *cachedProvider) seedSummary(counts []int64, caseN int64) {
 	c.mu.Lock()
 	c.counts, c.caseN, c.loaded = counts, caseN, true
 	c.mu.Unlock()
+	if s, ok := c.inner.(SummarySeeder); ok {
+		s.SeedSummary(counts, caseN)
+	}
 }
 
 // AuditSummary bypasses the summary cache: it asks the wrapped provider, when
@@ -359,8 +372,11 @@ func (c *cachedProvider) rejoin() error {
 		// fetches and validates it from scratch.
 		return nil
 	}
-	prior := DigestSummary(counts, prevN)
-	observed := DigestSummary(fresh, caseN)
+	prior, _ := DigestSummary(counts, prevN) // validated, so it has a wire form
+	observed, err := DigestSummary(fresh, caseN)
+	if err != nil {
+		return err
+	}
 	if prior != observed {
 		return &EquivocationError{Phase: PhaseSummary, Query: "summary", Prior: prior[:], Observed: observed[:]}
 	}

@@ -29,8 +29,15 @@ import (
 func TestDigestSummaryMatchesCountsWire(t *testing.T) {
 	counts := []int64{0, 3, 17, 120, 4}
 	caseN := int64(120)
-	wire := sha256.Sum256(encodeCounts(counts, caseN))
-	audit := core.DigestSummary(counts, caseN)
+	payload, err := encodeCounts(counts, caseN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := sha256.Sum256(payload)
+	audit, err := core.DigestSummary(counts, caseN)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if wire != audit {
 		t.Fatalf("DigestSummary diverged from the counts wire encoding:\n wire  %x\n audit %x", wire, audit)
 	}
@@ -102,16 +109,24 @@ func (b *byzantinePrep) shard() int {
 	return b.target
 }
 
+// TestFederationByzantineQuarantine drives each semantic lie a member can
+// still tell over the wire and demands containment. A pair reply carries
+// the joint count alone, so pair-skew (a marginal that contradicts the
+// member's own counts) cannot leave the member any more: it must be inert —
+// nobody excluded, nobody blamed, the honest selection. Its successor on the
+// wire, joint-count, is a joint count outside the bounds its marginals
+// allow, quarantined in Phase 2.
 func TestFederationByzantineQuarantine(t *testing.T) {
 	f := newChaosFixture(t)
 	cases := []struct {
 		name   string
 		mode   core.ByzantineMode
 		policy core.CollusionPolicy
-		phase  string
+		phase  string // "" for a lie the wire cannot carry
 	}{
 		{"counts-overflow", core.ByzantineCountsOverflow, core.CollusionPolicy{}, core.PhaseSummary},
-		{"pair-skew", core.ByzantinePairSkew, core.CollusionPolicy{}, core.PhaseLD},
+		{"pair-skew", core.ByzantinePairSkew, core.CollusionPolicy{}, ""},
+		{"joint-count", core.ByzantineJointCount, core.CollusionPolicy{}, core.PhaseLD},
 		{"pattern-flip", core.ByzantinePatternFlip, core.CollusionPolicy{F: 1}, core.PhaseLR},
 	}
 	for _, tc := range cases {
@@ -131,6 +146,16 @@ func TestFederationByzantineQuarantine(t *testing.T) {
 			}
 			bad := prep.shard()
 			badName := fmt.Sprintf("gdo-%d", bad)
+			if tc.phase == "" {
+				if len(res.Excluded) != 0 || len(res.Report.Blamed) != 0 {
+					t.Fatalf("inert lie excluded %v, blamed %+v; want nobody", res.Excluded, res.Report.Blamed)
+				}
+				want := f.baseline(t, -1, tc.policy)
+				if !res.Report.Selection.Equal(want.Selection) {
+					t.Errorf("selection %v != honest run %v", res.Report.Selection, want.Selection)
+				}
+				return
+			}
 			if len(res.Excluded) != 1 || res.Excluded[0] != bad {
 				t.Fatalf("excluded %v, want exactly the byzantine shard %d", res.Excluded, bad)
 			}

@@ -13,6 +13,7 @@ import (
 	"gendpr/internal/enclave/attest"
 	"gendpr/internal/genome"
 	"gendpr/internal/transport"
+	"gendpr/internal/wire"
 )
 
 func testCohort(t testing.TB, snps, caseN int, seed int64) *genome.Cohort {
@@ -268,6 +269,43 @@ func TestAttestationRejectsWrongCode(t *testing.T) {
 	<-done
 }
 
+// TestV1PeerRefusedAtAttestation: a member still running the v1 message
+// formats (fixed-width counts, five sums per pair, int64 result lists)
+// attests a different code identity, so the leader refuses it at the
+// measurement pin — before any counts or pair frame could be misread.
+func TestV1PeerRefusedAtAttestation(t *testing.T) {
+	cohort := testCohort(t, 30, 40, 3)
+	authority, err := attest.NewAuthority()
+	if err != nil {
+		t.Fatal(err)
+	}
+	platformL, _ := enclave.NewPlatform()
+	leader, err := NewLeader("L", cohort.Case, platformL, authority)
+	if err != nil {
+		t.Fatal(err)
+	}
+	platformM, _ := enclave.NewPlatform()
+	v1, err := platformM.Load([]byte("gendpr-federation-enclave-v1"), enclave.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	member := &Member{id: "old", shard: cohort.Case, enclave: v1, authority: authority}
+
+	leaderEnd, memberEnd := transport.Pipe()
+	served := make(chan error, 1)
+	go func() { served <- member.ServeContext(context.Background(), memberEnd, ServeOptions{}) }()
+	_, err = leader.RunLinksContext(context.Background(), []MemberLink{{Conn: leaderEnd, Name: "old"}}, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{}, RunOptions{})
+	if !errors.Is(err, attest.ErrMeasurementMismatch) || errors.Is(err, ErrProtocol) {
+		t.Fatalf("leader: %v, want a measurement mismatch and no protocol error", err)
+	}
+	leaderEnd.Close()
+	// This stand-in pins this build's measurement itself, so it sees the
+	// leader hang up rather than a mismatch; either way it served nothing.
+	if err := <-served; err == nil {
+		t.Fatal("v1 member finished a session")
+	}
+}
+
 func TestMemberRejectsMalformedRequests(t *testing.T) {
 	cohort := testCohort(t, 30, 40, 3)
 	authority, err := attest.NewAuthority()
@@ -293,8 +331,18 @@ func TestMemberRejectsMalformedRequests(t *testing.T) {
 	if err != nil {
 		t.Fatalf("attest: %v", err)
 	}
-	// Send a pair request asking for an out-of-range SNP.
-	if err := conn.Send(transport.Message{Kind: KindPairRequest, Payload: encodePairRequest(0, 999)}); err != nil {
+	// Send a pair request asking for an out-of-range SNP: an index its
+	// packed width carries but the member's shard does not have.
+	l := cohort.Case.L()
+	width := wire.Width(int64(l) - 1)
+	beyond := int64(1)<<width - 1
+	if beyond < int64(l) {
+		t.Fatalf("%d SNPs fill their %d-bit width; no out-of-range index fits", l, width)
+	}
+	req := wire.NewEncoder(16)
+	req.Uint64(1)
+	req.Packed([]int64{0, beyond}, width)
+	if err := conn.Send(transport.Message{Kind: KindPairRequest, Payload: req.Bytes()}); err != nil {
 		t.Fatal(err)
 	}
 	reply, err := conn.Recv()

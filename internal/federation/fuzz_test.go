@@ -8,6 +8,11 @@ import (
 	"gendpr/internal/genome"
 )
 
+// The decoders of the packed messages are canonical: every payload they
+// accept re-encodes to exactly its own bytes. The leader's equivocation
+// ledger digests raw payloads, so two encodings of one answer would let an
+// honest member look like an equivocator, or a lying one hide.
+
 // FuzzDecodeOffer: arbitrary bytes must never panic, and every accepted
 // offer must survive an encode/decode round trip unchanged.
 func FuzzDecodeOffer(f *testing.F) {
@@ -29,85 +34,111 @@ func FuzzDecodeOffer(f *testing.F) {
 	})
 }
 
+// mustEncode unwraps an encoder's result in a seed corpus.
+func mustEncode(b []byte, err error) []byte {
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 // FuzzDecodeCounts: accepted payloads round-trip through encodeCounts.
 func FuzzDecodeCounts(f *testing.F) {
-	f.Add(encodeCounts([]int64{1, 2, 3}, 40))
-	f.Add(encodeCounts(nil, 0))
+	f.Add(mustEncode(encodeCounts([]int64{1, 2, 3}, 40)))
+	f.Add(mustEncode(encodeCounts(nil, 0)))
 	f.Add([]byte{0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		counts, n, err := decodeCounts(data)
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(encodeCounts(counts, n), data) {
-			t.Fatalf("counts round trip diverged for %x", data)
+		re, err := encodeCounts(counts, n)
+		if err != nil || !bytes.Equal(re, data) {
+			t.Fatalf("counts round trip diverged for %x: %x, %v", data, re, err)
 		}
 	})
 }
 
-// FuzzDecodePairRequest: accepted payloads round-trip.
+// FuzzDecodePairRequest: a one-pair request (KindPairRequest) against a
+// shard of fuzzed width; accepted payloads round-trip.
 func FuzzDecodePairRequest(f *testing.F) {
-	f.Add(encodePairRequest(3, 7))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		a, b, err := decodePairRequest(data)
+	f.Add(mustEncode(encodePairBatchRequest([][2]int{{3, 7}}, 10)), uint32(10))
+	f.Add([]byte{}, uint32(1))
+	f.Fuzz(func(t *testing.T, data []byte, l uint32) {
+		pairs, err := decodePairBatchRequest(data, int(l))
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(encodePairRequest(a, b), data) {
-			t.Fatalf("pair request round trip diverged for %x", data)
+		re, err := encodePairBatchRequest(pairs, int(l))
+		if err != nil || !bytes.Equal(re, data) {
+			t.Fatalf("pair request round trip diverged for %x (L=%d): %x, %v", data, l, re, err)
 		}
 	})
 }
 
-// FuzzDecodePairStats: accepted payloads round-trip.
+// FuzzDecodePairStats: a pair reply from a member of fuzzed population;
+// accepted payloads round-trip.
 func FuzzDecodePairStats(f *testing.F) {
-	f.Add(encodePairStats(genome.PairStats{N: 5, SumX: 1, SumY: 2, SumXY: 3, SumXX: 4, SumYY: 5}))
-	f.Add([]byte{0x00})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := decodePairStats(data)
+	f.Add(mustEncode(encodePairBatchReply([]genome.PairStats{{SumXY: 3}}, 5)), int64(5))
+	f.Add([]byte{0x00}, int64(-1))
+	f.Fuzz(func(t *testing.T, data []byte, n int64) {
+		xy, err := decodePairBatchReply(data, n)
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(encodePairStats(s), data) {
-			t.Fatalf("pair stats round trip diverged for %x", data)
+		re, err := encodePairBatchReply(jointCounts(xy), n)
+		if err != nil || !bytes.Equal(re, data) {
+			t.Fatalf("pair reply round trip diverged for %x (n=%d): %x, %v", data, n, re, err)
 		}
 	})
+}
+
+// jointCounts wraps decoded joint counts as the statistics a reply encodes.
+func jointCounts(xy []int64) []genome.PairStats {
+	stats := make([]genome.PairStats, len(xy))
+	for i, v := range xy {
+		stats[i].SumXY = v
+	}
+	return stats
 }
 
 // FuzzDecodePairBatchRequest: the length prefix is attacker-controlled; the
 // decoder must reject oversized claims instead of allocating for them, and
 // accepted payloads must round-trip.
 func FuzzDecodePairBatchRequest(f *testing.F) {
-	f.Add(encodePairBatchRequest([][2]int{{0, 1}, {2, 3}}))
-	f.Add(encodePairBatchRequest(nil))
+	const l = 10000
+	f.Add(mustEncode(encodePairBatchRequest([][2]int{{0, 1}, {2, 3}}, l)))
+	f.Add(mustEncode(encodePairBatchRequest(nil, l)))
 	// Claims 2^63 pairs with no bodies: must fail fast.
 	f.Add([]byte{0x80, 0, 0, 0, 0, 0, 0, 0})
 	// Claims 2^24 pairs — inside the old size bound — with no bodies.
 	f.Add(claimedPairBatch(1 << 24))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pairs, err := decodePairBatchRequest(data)
+		pairs, err := decodePairBatchRequest(data, l)
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(encodePairBatchRequest(pairs), data) {
-			t.Fatalf("pair batch request round trip diverged for %x", data)
+		re, err := encodePairBatchRequest(pairs, l)
+		if err != nil || !bytes.Equal(re, data) {
+			t.Fatalf("pair batch request round trip diverged for %x: %x, %v", data, re, err)
 		}
 	})
 }
 
 // FuzzDecodePairBatchReply: same length-prefix hardening as the request.
 func FuzzDecodePairBatchReply(f *testing.F) {
-	f.Add(encodePairBatchReply([]genome.PairStats{{N: 1}, {N: 2, SumXY: -3}}))
+	const n = 4953
+	f.Add(mustEncode(encodePairBatchReply([]genome.PairStats{{SumXY: 1}, {SumXY: n}}, n)))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(claimedPairBatch(1 << 24))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		stats, err := decodePairBatchReply(data)
+		xy, err := decodePairBatchReply(data, n)
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(encodePairBatchReply(stats), data) {
-			t.Fatalf("pair batch reply round trip diverged for %x", data)
+		re, err := encodePairBatchReply(jointCounts(xy), n)
+		if err != nil || !bytes.Equal(re, data) {
+			t.Fatalf("pair batch reply round trip diverged for %x: %x, %v", data, re, err)
 		}
 	})
 }
@@ -127,17 +158,18 @@ func FuzzDecodeLRRequest(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResult: accepted payloads round-trip.
+// FuzzDecodeResult: accepted payloads round-trip, at a fuzzed L.
 func FuzzDecodeResult(f *testing.F) {
-	f.Add(encodeResult([]int{1}, []int{1, 2}, []int{2}))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		afterMAF, afterLD, safe, err := decodeResult(data)
+	f.Add(mustEncode(encodeResult([]int{1}, []int{1, 2}, []int{2}, 3)), uint16(3))
+	f.Add([]byte{}, uint16(0))
+	f.Fuzz(func(t *testing.T, data []byte, l uint16) {
+		afterMAF, afterLD, safe, err := decodeResult(data, int(l))
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(encodeResult(afterMAF, afterLD, safe), data) {
-			t.Fatalf("result round trip diverged for %x", data)
+		re, err := encodeResult(afterMAF, afterLD, safe, int(l))
+		if err != nil || !bytes.Equal(re, data) {
+			t.Fatalf("result round trip diverged for %x (L=%d): %x, %v", data, l, re, err)
 		}
 	})
 }

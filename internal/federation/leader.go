@@ -169,7 +169,10 @@ func (l *Leader) RunLinksContext(ctx context.Context, links []MemberLink, refere
 	for _, e := range report.Excluded {
 		excluded[e] = true
 	}
-	payload := encodeResult(report.Selection.AfterMAF, report.Selection.AfterLD, report.Selection.Safe)
+	payload, err := encodeResult(report.Selection.AfterMAF, report.Selection.AfterLD, report.Selection.Safe, reference.L())
+	if err != nil {
+		return nil, err
+	}
 	for i, r := range remotes {
 		if excluded[i+1] {
 			continue
@@ -216,7 +219,11 @@ type remoteProvider struct {
 	failCause error
 
 	// Counts and CaseN answers arrive in the same KindCountsReply; fetch
-	// once and serve both from the cache.
+	// once and serve both from the cache. Pair replies carry joint counts
+	// only and are completed from the same summary, which a resumed run
+	// seeds from its checkpoint instead (SeedSummary). Seeding leaves
+	// summaryLoaded false: only a summary this member sent on the wire is
+	// replayed as a reconnect audit.
 	summaryLoaded bool
 	counts        []int64
 	caseN         int64
@@ -242,6 +249,7 @@ var (
 	_ core.BatchPairProvider  = (*remoteProvider)(nil)
 	_ core.SummaryAuditor     = (*remoteProvider)(nil)
 	_ core.RejoinableProvider = (*remoteProvider)(nil)
+	_ core.SummarySeeder      = (*remoteProvider)(nil)
 )
 
 // Health returns the member's current health state.
@@ -613,30 +621,58 @@ func (r *remoteProvider) CaseN() (int64, error) {
 	return r.caseN, nil
 }
 
+// SeedSummary implements core.SummarySeeder: a resumed run hands down the
+// checkpointed summary it audited, and pair replies are completed from it
+// without a counts message.
+func (r *remoteProvider) SeedSummary(counts []int64, caseN int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.summaryLoaded {
+		r.counts, r.caseN = counts, caseN
+	}
+}
+
 func (r *remoteProvider) PairStats(a, b int) (genome.PairStats, error) {
-	payload, err := r.roundTrip(transport.Message{Kind: KindPairRequest, Payload: encodePairRequest(a, b)}, KindPairReply)
+	stats, err := r.pairStats(KindPairRequest, KindPairReply, [][2]int{{a, b}})
 	if err != nil {
 		return genome.PairStats{}, err
 	}
-	return decodePairStats(payload)
+	return stats[0], nil
 }
 
 // PairStatsBatch implements core.BatchPairProvider: one round trip for a
 // whole LD sweep's worth of pairs.
 func (r *remoteProvider) PairStatsBatch(pairs [][2]int) ([]genome.PairStats, error) {
-	payload, err := r.roundTrip(transport.Message{
-		Kind:    KindPairBatchRequest,
-		Payload: encodePairBatchRequest(pairs),
-	}, KindPairBatchReply)
+	return r.pairStats(KindPairBatchRequest, KindPairBatchReply, pairs)
+}
+
+// pairStats asks the member for the pairs' joint counts and completes each
+// into its sufficient statistics from the member's Phase-1 summary, which
+// every assessment path loads (Phase 1) or seeds (resume) before Phase 2;
+// without one no index is in range and the request is refused unsent. The
+// leader validates the result: a joint count outside the bounds its
+// marginals allow is a Byzantine contribution.
+func (r *remoteProvider) pairStats(kind, replyKind uint16, pairs [][2]int) ([]genome.PairStats, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	req, err := encodePairBatchRequest(pairs, len(r.counts))
 	if err != nil {
 		return nil, err
 	}
-	stats, err := decodePairBatchReply(payload)
+	payload, err := r.roundTripLocked(transport.Message{Kind: kind, Payload: req}, replyKind)
 	if err != nil {
 		return nil, err
 	}
-	if len(stats) != len(pairs) {
-		return nil, fmt.Errorf("%w: member %s returned %d stats for %d pairs", ErrProtocol, r.name, len(stats), len(pairs))
+	xy, err := decodePairBatchReply(payload, r.caseN)
+	if err != nil {
+		return nil, err
+	}
+	if len(xy) != len(pairs) {
+		return nil, fmt.Errorf("%w: member %s returned %d joint counts for %d pairs", ErrProtocol, r.name, len(xy), len(pairs))
+	}
+	stats := make([]genome.PairStats, len(pairs))
+	for i, p := range pairs {
+		stats[i] = genome.PairStatsFromCounts(r.caseN, r.counts[p[0]], r.counts[p[1]], xy[i])
 	}
 	return stats, nil
 }

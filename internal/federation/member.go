@@ -155,21 +155,14 @@ func (m *Member) handle(local core.Provider, msg transport.Message) (*transport.
 		if err != nil {
 			return nil, false, err
 		}
-		return &transport.Message{Kind: KindCountsReply, Payload: encodeCounts(counts, n)}, false, nil
-
-	case KindPairRequest:
-		a, b, err := decodePairRequest(msg.Payload)
+		payload, err := encodeCounts(counts, n)
 		if err != nil {
 			return nil, false, err
 		}
-		s, err := local.PairStats(a, b)
-		if err != nil {
-			return nil, false, err
-		}
-		return &transport.Message{Kind: KindPairReply, Payload: encodePairStats(s)}, false, nil
+		return &transport.Message{Kind: KindCountsReply, Payload: payload}, false, nil
 
-	case KindPairBatchRequest:
-		pairs, err := decodePairBatchRequest(msg.Payload)
+	case KindPairRequest, KindPairBatchRequest:
+		pairs, err := decodePairBatchRequest(msg.Payload, m.shard.L())
 		if err != nil {
 			return nil, false, err
 		}
@@ -177,7 +170,19 @@ func (m *Member) handle(local core.Provider, msg transport.Message) (*transport.
 		if err != nil {
 			return nil, false, err
 		}
-		return &transport.Message{Kind: KindPairBatchReply, Payload: encodePairBatchReply(stats)}, false, nil
+		n, err := local.CaseN()
+		if err != nil {
+			return nil, false, err
+		}
+		payload, err := encodePairBatchReply(stats, n)
+		if err != nil {
+			return nil, false, err
+		}
+		replyKind := KindPairBatchReply
+		if msg.Kind == KindPairRequest {
+			replyKind = KindPairReply
+		}
+		return &transport.Message{Kind: replyKind, Payload: payload}, false, nil
 
 	case KindLRRequest:
 		cols, caseFreq, refFreq, err := decodeLRRequest(msg.Payload)
@@ -202,7 +207,7 @@ func (m *Member) handle(local core.Provider, msg transport.Message) (*transport.
 		return &transport.Message{Kind: KindLRReply, Payload: lr.EncodeWire()}, false, nil
 
 	case KindResult:
-		afterMAF, afterLD, safe, err := decodeResult(msg.Payload)
+		afterMAF, afterLD, safe, err := decodeResult(msg.Payload, m.shard.L())
 		if err != nil {
 			return nil, false, err
 		}

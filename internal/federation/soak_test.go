@@ -183,8 +183,8 @@ func soakByzantine(t *testing.T, f *chaosFixture, rng *rand.Rand, tally *soakTal
 		prep = &byzantinePrep{mode: core.ByzantineCountsOverflow, n: 1}
 		label, phase = "counts-overflow", core.PhaseSummary
 	case 1:
-		prep = &byzantinePrep{mode: core.ByzantinePairSkew, n: 1}
-		label, phase = "pair-skew", core.PhaseLD
+		prep = &byzantinePrep{mode: core.ByzantineJointCount, n: 1}
+		label, phase = "joint-count", core.PhaseLD
 	case 2:
 		prep = &byzantinePrep{mode: core.ByzantinePatternFlip, n: 1}
 		label, phase = "pattern-flip", core.PhaseLR

@@ -28,9 +28,9 @@ const (
 	KindCountsRequest
 	// KindCountsReply carries caseLocalCounts and the local population size.
 	KindCountsReply
-	// KindPairRequest asks for the Phase 2 correlation statistics of a pair.
+	// KindPairRequest asks for the Phase 2 joint count of one pair.
 	KindPairRequest
-	// KindPairReply carries one PairStats contribution.
+	// KindPairReply carries one pair's joint count.
 	KindPairReply
 	// KindLRRequest broadcasts pooled frequencies and asks for the member's
 	// local LR-matrix over the given columns (Phase 3).
@@ -43,15 +43,19 @@ const (
 	KindError
 	// KindShutdown ends the member's serving loop.
 	KindShutdown
-	// KindPairBatchRequest asks for many pair statistics in one round trip.
+	// KindPairBatchRequest asks for many pairs' joint counts in one round
+	// trip.
 	KindPairBatchRequest
-	// KindPairBatchReply carries the batched PairStats contributions.
+	// KindPairBatchReply carries the batched joint counts.
 	KindPairBatchReply
 )
 
 // CodeIdentity is the code measured into every GenDPR enclave in this build.
-// Members only talk to peers attesting this exact measurement.
-var CodeIdentity = []byte("gendpr-federation-enclave-v1")
+// Members only talk to peers attesting this exact measurement, so a peer
+// speaking another message format (v1 shipped fixed-width counts, five sums
+// per pair and int64 result lists) is refused at attestation, before any
+// frame of it is decoded.
+var CodeIdentity = []byte("gendpr-federation-enclave-v2")
 
 // ExpectedMeasurement returns the measurement every federation member pins.
 func ExpectedMeasurement() enclave.Measurement {
@@ -97,137 +101,113 @@ func decodeOffer(b []byte) (attest.Offer, error) {
 }
 
 // --- Counts codec ---
+//
+// The integer messages carry only what the receiver lacks, each value packed
+// at a width fixed by public shape (wire.Width): a count of a member's n
+// genomes in bits.Len(n) bits, a SNP index in bits.Len(L−1). So a payload's
+// length follows from L, n and the pair count alone, never from the values.
 
-func encodeCounts(counts []int64, caseN int64) []byte {
-	e := wire.NewEncoder(16 + 8*len(counts))
+// encodeCounts is a counts reply: the population n, the vector's length, and
+// the counts packed at wire.Width(n). A count that width cannot carry (a
+// negative one, or one of Width(n)+1 bits) is unencodable; core.DigestSummary
+// hashes exactly these bytes.
+func encodeCounts(counts []int64, caseN int64) ([]byte, error) {
+	width := wire.Width(caseN)
+	e := wire.NewEncoder(16 + wire.PackedLen(len(counts), width))
 	e.Int64(caseN)
-	e.Int64s(counts)
-	return e.Bytes()
+	e.Uint64(uint64(len(counts)))
+	e.Packed(counts, width)
+	if e.Err() != nil {
+		return nil, fmt.Errorf("%w: counts reply: %w", ErrProtocol, wire.ErrUnencodable)
+	}
+	return e.Bytes(), nil
 }
 
 func decodeCounts(b []byte) ([]int64, int64, error) {
 	d := wire.NewDecoder(b)
 	n := d.Int64()
-	counts := d.Int64s()
+	l := d.Uint64()
+	// The length is the sender's claim; Packed holds it against the bytes
+	// that arrived before allocating.
+	counts := d.Packed(int(min(l, 1<<62)), wire.Width(n))
 	if err := d.Finish(); err != nil {
-		return nil, 0, fmt.Errorf("%w: counts: %v", ErrProtocol, err)
+		return nil, 0, fmt.Errorf("%w: counts: %w", ErrProtocol, err)
 	}
 	return counts, n, nil
 }
 
-// --- Pair codec ---
+// --- Pair codecs ---
+//
+// Phase 2 ships the joint count Σxy alone. For 0/1 genotypes the other
+// sufficient statistics of a pair (a, b) are the member's population and its
+// Phase-1 counts at a and b, which the leader already holds, so it rebuilds
+// them (genome.PairStatsFromCounts) instead of receiving them. The one-pair
+// kinds (KindPairRequest/KindPairReply) carry the batch forms with one pair.
 
-func encodePairRequest(a, b int) []byte {
-	e := wire.NewEncoder(16)
-	e.Int(a)
-	e.Int(b)
-	return e.Bytes()
-}
-
-func decodePairRequest(buf []byte) (a, b int, err error) {
-	d := wire.NewDecoder(buf)
-	a = d.Int()
-	b = d.Int()
-	if err := d.Finish(); err != nil {
-		return 0, 0, fmt.Errorf("%w: pair request: %v", ErrProtocol, err)
-	}
-	return a, b, nil
-}
-
-func encodePairStats(s genome.PairStats) []byte {
-	e := wire.NewEncoder(48)
-	e.Int64(s.N)
-	e.Int64(s.SumX)
-	e.Int64(s.SumY)
-	e.Int64(s.SumXY)
-	e.Int64(s.SumXX)
-	e.Int64(s.SumYY)
-	return e.Bytes()
-}
-
-func decodePairStats(b []byte) (genome.PairStats, error) {
-	d := wire.NewDecoder(b)
-	s := genome.PairStats{
-		N:     d.Int64(),
-		SumX:  d.Int64(),
-		SumY:  d.Int64(),
-		SumXY: d.Int64(),
-		SumXX: d.Int64(),
-		SumYY: d.Int64(),
-	}
-	if err := d.Finish(); err != nil {
-		return genome.PairStats{}, fmt.Errorf("%w: pair stats: %v", ErrProtocol, err)
-	}
-	return s, nil
-}
-
-// --- Pair batch codec ---
-
-func encodePairBatchRequest(pairs [][2]int) []byte {
-	e := wire.NewEncoder(8 + 16*len(pairs))
-	e.Uint64(uint64(len(pairs)))
+// encodePairBatchRequest is the pair count followed by each pair's two SNP
+// indices packed at wire.Width(l−1), for a member of l SNPs.
+func encodePairBatchRequest(pairs [][2]int, l int) ([]byte, error) {
+	width := wire.Width(int64(l) - 1)
+	idx := make([]int64, 0, 2*len(pairs))
 	for _, p := range pairs {
-		e.Int(p[0])
-		e.Int(p[1])
+		if p[0] >= l || p[1] >= l {
+			return nil, fmt.Errorf("%w: pair request: SNP index out of range for %d SNPs", ErrProtocol, l)
+		}
+		idx = append(idx, int64(p[0]), int64(p[1]))
 	}
-	return e.Bytes()
+	e := wire.NewEncoder(8 + wire.PackedLen(len(idx), width))
+	e.Uint64(uint64(len(pairs)))
+	e.Packed(idx, width)
+	if e.Err() != nil {
+		return nil, fmt.Errorf("%w: pair request: %w", ErrProtocol, wire.ErrUnencodable)
+	}
+	return e.Bytes(), nil
 }
 
-func decodePairBatchRequest(b []byte) ([][2]int, error) {
+func decodePairBatchRequest(b []byte, l int) ([][2]int, error) {
 	d := wire.NewDecoder(b)
-	n := int(d.Uint64())
-	// The count is the sender's claim: hold it against the bytes that
-	// actually arrived (16 per pair) before allocating for it.
-	if d.Err() != nil || n < 0 || n > d.Remaining()/16 {
-		return nil, fmt.Errorf("%w: pair batch size", ErrProtocol)
+	n := d.Uint64()
+	idx := d.Packed(2*int(min(n, 1<<40)), wire.Width(int64(l)-1))
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("%w: pair batch request: %w", ErrProtocol, err)
 	}
 	pairs := make([][2]int, n)
 	for i := range pairs {
-		pairs[i][0] = d.Int()
-		pairs[i][1] = d.Int()
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: pair batch request: %v", ErrProtocol, err)
+		pairs[i] = [2]int{int(idx[2*i]), int(idx[2*i+1])}
+		if pairs[i][0] >= l || pairs[i][1] >= l {
+			return nil, fmt.Errorf("%w: pair batch request: SNP index out of range for %d SNPs", ErrProtocol, l)
+		}
 	}
 	return pairs, nil
 }
 
-func encodePairBatchReply(stats []genome.PairStats) []byte {
-	e := wire.NewEncoder(8 + 48*len(stats))
-	e.Uint64(uint64(len(stats)))
-	for _, s := range stats {
-		e.Int64(s.N)
-		e.Int64(s.SumX)
-		e.Int64(s.SumY)
-		e.Int64(s.SumXY)
-		e.Int64(s.SumXX)
-		e.Int64(s.SumYY)
+// encodePairBatchReply is the pair count followed by each pair's joint count
+// Σxy packed at wire.Width(n), for a member of n genomes.
+func encodePairBatchReply(stats []genome.PairStats, n int64) ([]byte, error) {
+	xy := make([]int64, len(stats))
+	for i, s := range stats {
+		xy[i] = s.SumXY
 	}
-	return e.Bytes()
+	width := wire.Width(n)
+	e := wire.NewEncoder(8 + wire.PackedLen(len(xy), width))
+	e.Uint64(uint64(len(xy)))
+	e.Packed(xy, width)
+	if e.Err() != nil {
+		return nil, fmt.Errorf("%w: pair reply: %w", ErrProtocol, wire.ErrUnencodable)
+	}
+	return e.Bytes(), nil
 }
 
-func decodePairBatchReply(b []byte) ([]genome.PairStats, error) {
+// decodePairBatchReply returns the joint counts of a reply from a member of
+// n genomes.
+func decodePairBatchReply(b []byte, n int64) ([]int64, error) {
 	d := wire.NewDecoder(b)
-	n := int(d.Uint64())
-	// As in the request: 48 bytes per entry must be there before the make.
-	if d.Err() != nil || n < 0 || n > d.Remaining()/48 {
-		return nil, fmt.Errorf("%w: pair batch size", ErrProtocol)
-	}
-	stats := make([]genome.PairStats, n)
-	for i := range stats {
-		stats[i] = genome.PairStats{
-			N:     d.Int64(),
-			SumX:  d.Int64(),
-			SumY:  d.Int64(),
-			SumXY: d.Int64(),
-			SumXX: d.Int64(),
-			SumYY: d.Int64(),
-		}
-	}
+	count := d.Uint64()
+	xy := d.Packed(int(min(count, 1<<62)), wire.Width(n))
 	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: pair batch reply: %v", ErrProtocol, err)
+		return nil, fmt.Errorf("%w: pair batch reply: %w", ErrProtocol, err)
 	}
-	return stats, nil
+	return xy, nil
 }
 
 // --- LR codec ---
@@ -253,21 +233,26 @@ func decodeLRRequest(b []byte) (cols []int, caseFreq, refFreq []float64, err err
 
 // --- Result codec ---
 
-func encodeResult(afterMAF, afterLD, safe []int) []byte {
-	e := wire.NewEncoder(24 + 8*(len(afterMAF)+len(afterLD)+len(safe)))
-	e.Ints(afterMAF)
-	e.Ints(afterLD)
-	e.Ints(safe)
-	return e.Bytes()
+// encodeResult is L′, L″ and L_safe as three l-bit membership bitmaps, for a
+// federation of l SNPs. Each list must be strictly ascending inside [0, l).
+func encodeResult(afterMAF, afterLD, safe []int, l int) ([]byte, error) {
+	e := wire.NewEncoder(3 * wire.PackedLen(l, 1))
+	e.Bitmap(afterMAF, l)
+	e.Bitmap(afterLD, l)
+	e.Bitmap(safe, l)
+	if e.Err() != nil {
+		return nil, fmt.Errorf("%w: result: %w", ErrProtocol, wire.ErrUnencodable)
+	}
+	return e.Bytes(), nil
 }
 
-func decodeResult(b []byte) (afterMAF, afterLD, safe []int, err error) {
+func decodeResult(b []byte, l int) (afterMAF, afterLD, safe []int, err error) {
 	d := wire.NewDecoder(b)
-	afterMAF = d.Ints()
-	afterLD = d.Ints()
-	safe = d.Ints()
+	afterMAF = d.Bitmap(l)
+	afterLD = d.Bitmap(l)
+	safe = d.Bitmap(l)
 	if err := d.Finish(); err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: result: %v", ErrProtocol, err)
+		return nil, nil, nil, fmt.Errorf("%w: result: %w", ErrProtocol, err)
 	}
 	return afterMAF, afterLD, safe, nil
 }

@@ -158,9 +158,12 @@ func (m *Matrix) PairCount(l1, l2 int) int64 {
 // 2 (mu_l, mu_l+1, mu_(l,l+1), mu_l^2, mu_(l+1)^2 in the paper's notation)
 // plus the number of individuals they were computed over.
 //
-// For binary genotypes SumXX == SumX and SumYY == SumY, but the fields are
-// kept separate because the protocol exchanges them explicitly and other
-// encodings (e.g. 0/1/2 genotype dosage) would not collapse.
+// For binary genotypes SumXX == SumX and SumYY == SumY, N is the member's
+// population and SumX, SumY its per-SNP counts, so the federation's wire
+// carries SumXY alone and the leader rebuilds the rest with
+// PairStatsFromCounts. The fields stay separate because they are the
+// paper's statistics and other encodings (e.g. 0/1/2 genotype dosage) would
+// not collapse.
 type PairStats struct {
 	N     int64
 	SumX  int64

@@ -1,6 +1,9 @@
 package wire
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // FuzzDecoder drives every decoder method over arbitrary bytes: no input may
 // panic or allocate unboundedly, and Finish must never succeed with
@@ -28,6 +31,32 @@ func FuzzDecoder(f *testing.F) {
 			if len(data) < 8 {
 				t.Fatalf("Finish succeeded on %d-byte input", len(data))
 			}
+		}
+	})
+}
+
+// FuzzPacked reads a packed run and a bitmap of fuzzer-chosen shapes from
+// arbitrary bytes: no input may panic, and whatever is accepted must
+// re-encode to exactly the bytes it was read from — the packed forms are
+// canonical, which the equivocation ledger's digests rely on.
+func FuzzPacked(f *testing.F) {
+	e := NewEncoder(0)
+	e.Packed([]int64{5, 0, 7}, 3)
+	e.Bitmap([]int{0, 9}, 10)
+	f.Add(e.Bytes(), uint16(3), uint8(3), uint16(10))
+	f.Add([]byte{0xFF, 0xFF, 0xFF}, uint16(1), uint8(63), uint16(3))
+	f.Fuzz(func(t *testing.T, data []byte, n uint16, width uint8, l uint16) {
+		d := NewDecoder(data)
+		v := d.Packed(int(n), int(width))
+		set := d.Bitmap(int(l))
+		if d.Finish() != nil {
+			return
+		}
+		re := NewEncoder(0)
+		re.Packed(v, int(width))
+		re.Bitmap(set, int(l))
+		if re.Err() != nil || !bytes.Equal(re.Bytes(), data) {
+			t.Fatalf("accepted %x re-encodes as %x (%v)", data, re.Bytes(), re.Err())
 		}
 	})
 }

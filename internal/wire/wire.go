@@ -1,13 +1,18 @@
 // Package wire implements the deterministic binary codec used for GenDPR
-// protocol payloads. Encodings are fixed-width big-endian, so two enclaves
-// serializing the same values produce byte-identical messages — a property
-// the encrypted transport's authentication and the tests rely on.
+// protocol payloads. Scalars, lengths and floats are 64-bit big-endian;
+// integer vectors whose range is public are bit-packed at a width fixed by
+// that range (Packed, Bitmap), never by the values themselves. Either way
+// two enclaves serializing the same values produce byte-identical messages,
+// every accepted encoding is the only one of its values, and a message's
+// length follows from its shape alone — properties the encrypted transport's
+// authentication, the equivocation ledger and the tests rely on.
 package wire
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 var (
@@ -16,15 +21,26 @@ var (
 
 	// ErrTrailingBytes is returned by Finish when payload bytes remain.
 	ErrTrailingBytes = errors.New("wire: trailing bytes after message")
+
+	// ErrUnencodable is recorded by an Encoder given a value its packed form
+	// cannot carry: a negative value, one wider than its width, or a bitmap
+	// member out of range or out of strictly ascending order.
+	ErrUnencodable = errors.New("wire: value outside its packed form")
+
+	// ErrNonCanonical is returned for packed bytes no Encoder writes: a
+	// non-zero padding bit, or a bitmap bit at or past its length.
+	ErrNonCanonical = errors.New("wire: non-canonical packed encoding")
 )
 
 // maxSliceLen bounds decoded slice lengths to stop hostile length fields
 // from forcing huge allocations before content validation.
 const maxSliceLen = 1 << 28
 
-// Encoder appends fixed-width encodings to a growing buffer.
+// Encoder appends encodings to a growing buffer. A value the packed forms
+// cannot carry is remembered as the first error (Err) rather than written.
 type Encoder struct {
 	buf []byte
+	err error
 }
 
 // NewEncoder returns an encoder with a hint-sized buffer.
@@ -43,6 +59,9 @@ func NewEncoderBuffer(buf []byte) *Encoder { return &Encoder{buf: buf} }
 
 // Bytes returns the encoded payload.
 func (e *Encoder) Bytes() []byte { return e.buf }
+
+// Err returns the first encoding error, if any; Bytes is incomplete then.
+func (e *Encoder) Err() error { return e.err }
 
 // Uint64 appends v.
 func (e *Encoder) Uint64(v uint64) {
@@ -102,7 +121,85 @@ func (e *Encoder) Float64s(v []float64) {
 	}
 }
 
-// Decoder reads fixed-width encodings, remembering the first error.
+// Width is the packed width, in bits, of a value known to lie in [0, hi]:
+// bits.Len64(hi), and at least 1, so n values always take at least n bits
+// and a claimed n can be held against the bytes that arrived. A negative hi
+// has no packed form; its width, 64, is refused by Packed.
+func Width(hi int64) int {
+	if hi < 0 {
+		return 64
+	}
+	return max(1, bits.Len64(uint64(hi)))
+}
+
+// PackedLen is the number of bytes n values of width bits occupy.
+func PackedLen(n, width int) int { return (n*width + 7) / 8 }
+
+// maxWidth bounds packed widths: every packed value is a non-negative int64.
+const maxWidth = 63
+
+// Packed appends v as one bit string, each value in width bits, most
+// significant bit first, zero-padded to a whole byte: PackedLen(len(v),
+// width) bytes. A value outside [0, 2^width) records ErrUnencodable.
+func (e *Encoder) Packed(v []int64, width int) {
+	if e.err != nil {
+		return
+	}
+	if width < 1 || width > maxWidth {
+		e.err = ErrUnencodable
+		return
+	}
+	for _, x := range v {
+		if x < 0 || x>>width != 0 {
+			e.err = ErrUnencodable
+			return
+		}
+	}
+	var acc uint64 // pending bits, fewer than 8 between values
+	var pending int
+	for _, x := range v {
+		for rem := width; rem > 0; {
+			take := min(rem, 56) // pending+take stays below 64
+			rem -= take
+			acc = acc<<take | uint64(x)>>rem&(1<<take-1)
+			pending += take
+			for pending >= 8 {
+				pending -= 8
+				e.buf = append(e.buf, byte(acc>>pending))
+			}
+			acc &= 1<<pending - 1
+		}
+	}
+	if pending > 0 {
+		e.buf = append(e.buf, byte(acc<<(8-pending)))
+	}
+}
+
+// Bitmap appends the set {set...} ⊆ [0, l) as l membership bits, Packed at
+// width 1: PackedLen(l, 1) bytes. set must be strictly ascending and inside
+// [0, l); anything else records ErrUnencodable.
+func (e *Encoder) Bitmap(set []int, l int) {
+	if e.err != nil {
+		return
+	}
+	if l < 0 {
+		e.err = ErrUnencodable
+		return
+	}
+	member := make([]int64, l)
+	prev := -1
+	for _, i := range set {
+		if i <= prev || i >= l {
+			e.err = ErrUnencodable
+			return
+		}
+		member[i] = 1
+		prev = i
+	}
+	e.Packed(member, 1)
+}
+
+// Decoder reads the encodings above, remembering the first error.
 type Decoder struct {
 	buf []byte
 	off int
@@ -242,6 +339,62 @@ func (d *Decoder) Float64s() []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = d.Float64()
+	}
+	return out
+}
+
+// Packed reads n values of width bits each, as Encoder.Packed writes them.
+// The PackedLen(n, width) bytes must all be there before anything is
+// allocated, and the padding bits must be zero.
+func (d *Decoder) Packed(n, width int) []int64 {
+	if d.err != nil {
+		return nil
+	}
+	if width < 1 || width > maxWidth || n < 0 || n > maxSliceLen {
+		d.err = errors.New("wire: packed run shape out of bounds")
+		return nil
+	}
+	b := d.take(PackedLen(n, width))
+	if d.err != nil {
+		return nil
+	}
+	out := make([]int64, n)
+	var acc uint64 // the current byte's unread bits, the low `left` of acc
+	left, pos := 0, 0
+	for i := range out {
+		var v uint64
+		for rem := width; rem > 0; {
+			if left == 0 {
+				acc, left = uint64(b[pos]), 8
+				pos++
+			}
+			take := min(rem, left)
+			left -= take
+			rem -= take
+			v = v<<take | acc>>left&(1<<take-1)
+		}
+		out[i] = int64(v)
+	}
+	if acc&(1<<left-1) != 0 {
+		d.err = fmt.Errorf("%w: padding bits set", ErrNonCanonical)
+		return nil
+	}
+	return out
+}
+
+// Bitmap reads an l-bit membership bitmap, as Encoder.Bitmap writes it, and
+// returns its members in ascending order. A set padding bit — a member at
+// or past l — is ErrNonCanonical.
+func (d *Decoder) Bitmap(l int) []int {
+	member := d.Packed(l, 1)
+	if d.err != nil {
+		return nil
+	}
+	var out []int
+	for i, m := range member {
+		if m != 0 {
+			out = append(out, i)
+		}
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -209,5 +210,126 @@ func TestEncoderBufferAppends(t *testing.T) {
 	}
 	if &got[0] != &buf[0] {
 		t.Error("encoder reallocated a buffer that had room")
+	}
+}
+
+func TestWidth(t *testing.T) {
+	for _, c := range []struct {
+		max  int64
+		want int
+	}{{0, 1}, {1, 1}, {2, 2}, {7, 3}, {8, 4}, {14860, 14}, {math.MaxInt64, 63}, {-1, 64}} {
+		if got := Width(c.max); got != c.want {
+			t.Errorf("Width(%d) = %d, want %d", c.max, got, c.want)
+		}
+	}
+}
+
+func TestPackedRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for width := 1; width <= 63; width++ {
+		for _, n := range []int{0, 1, 7, 8, 9, 100} {
+			v := make([]int64, n)
+			for i := range v {
+				v[i] = rng.Int63() >> (63 - width)
+			}
+			if n > 0 {
+				v[0] = 1<<width - 1 // the widest value
+			}
+			e := NewEncoder(0)
+			e.Uint64(7) // packed runs follow other fields at any offset
+			e.Packed(v, width)
+			e.Bool(true)
+			if e.Err() != nil {
+				t.Fatalf("width %d: %v", width, e.Err())
+			}
+			if got, want := len(e.Bytes()), 9+PackedLen(n, width); got != want {
+				t.Fatalf("width %d, %d values: %d bytes, want %d", width, n, got, want)
+			}
+			d := NewDecoder(e.Bytes())
+			_ = d.Uint64()
+			got := d.Packed(n, width)
+			if !d.Bool() || d.Finish() != nil {
+				t.Fatalf("width %d, %d values: decode: %v", width, n, d.Err())
+			}
+			for i := range v {
+				if got[i] != v[i] {
+					t.Fatalf("width %d: value %d = %d, want %d", width, i, got[i], v[i])
+				}
+			}
+		}
+	}
+}
+
+func TestPackedRejects(t *testing.T) {
+	for name, enc := range map[string]func(*Encoder){
+		"negative":  func(e *Encoder) { e.Packed([]int64{1, -1}, 8) },
+		"too wide":  func(e *Encoder) { e.Packed([]int64{4}, 2) },
+		"width 0":   func(e *Encoder) { e.Packed(nil, 0) },
+		"width 64":  func(e *Encoder) { e.Packed(nil, 64) },
+		"unsorted":  func(e *Encoder) { e.Bitmap([]int{3, 1}, 8) },
+		"duplicate": func(e *Encoder) { e.Bitmap([]int{1, 1}, 8) },
+		"past l":    func(e *Encoder) { e.Bitmap([]int{8}, 8) },
+		"negative member": func(e *Encoder) {
+			e.Bitmap([]int{-1}, 8)
+		},
+	} {
+		e := NewEncoder(0)
+		enc(e)
+		if !errors.Is(e.Err(), ErrUnencodable) {
+			t.Errorf("%s: Err() = %v, want ErrUnencodable", name, e.Err())
+		}
+		if len(e.Bytes()) != 0 {
+			t.Errorf("%s: %d bytes written for an unencodable value", name, len(e.Bytes()))
+		}
+	}
+
+	// Three 3-bit values leave 7 padding bits; any of them set is refused.
+	e := NewEncoder(0)
+	e.Packed([]int64{5, 0, 7}, 3)
+	good := e.Bytes()
+	for bit := 0; bit < 7; bit++ {
+		bad := append([]byte(nil), good...)
+		bad[1] |= 1 << bit
+		d := NewDecoder(bad)
+		if v := d.Packed(3, 3); v != nil || !errors.Is(d.Err(), ErrNonCanonical) {
+			t.Errorf("padding bit %d: got %v, %v", bit, v, d.Err())
+		}
+	}
+	d := NewDecoder(good[:1])
+	if d.Packed(3, 3); !errors.Is(d.Err(), ErrShortBuffer) {
+		t.Errorf("short packed run: %v", d.Err())
+	}
+	// A claimed count the bytes cannot hold fails before allocating.
+	d = NewDecoder(make([]byte, 8))
+	if d.Packed(1<<28, 1); !errors.Is(d.Err(), ErrShortBuffer) {
+		t.Errorf("hostile packed count: %v", d.Err())
+	}
+}
+
+func TestBitmapRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		set []int
+		l   int
+	}{{nil, 0}, {nil, 13}, {[]int{0}, 1}, {[]int{0, 7, 8, 12}, 13}, {[]int{15}, 16}} {
+		e := NewEncoder(0)
+		e.Bitmap(c.set, c.l)
+		if e.Err() != nil || len(e.Bytes()) != PackedLen(c.l, 1) {
+			t.Fatalf("%v/%d: %d bytes, %v", c.set, c.l, len(e.Bytes()), e.Err())
+		}
+		d := NewDecoder(e.Bytes())
+		got := d.Bitmap(c.l)
+		if err := d.Finish(); err != nil || len(got) != len(c.set) {
+			t.Fatalf("%v/%d: got %v, %v", c.set, c.l, got, err)
+		}
+		for i := range got {
+			if got[i] != c.set[i] {
+				t.Fatalf("%v/%d: got %v", c.set, c.l, got)
+			}
+		}
+	}
+	// Bit 13 of a 13-bit map is padding.
+	d := NewDecoder([]byte{0, 0x04})
+	if d.Bitmap(13); !errors.Is(d.Err(), ErrNonCanonical) {
+		t.Fatalf("bit past l: %v", d.Err())
 	}
 }

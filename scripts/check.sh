@@ -160,6 +160,14 @@ go test -race -count=5 -run '^TestFileStoreResumeFromLog$' ./internal/core/
 # frame boundaries, and the torn/corrupt verdict is stable under appending.
 go test -run '^$' -fuzz '^FuzzDecodeLog$' -fuzztime 10s ./internal/checkpoint/
 
+echo "== packed wire decoders (fuzz) =="
+# The counts and pair-reply decoders on arbitrary bytes: no panic, claimed
+# lengths held against the bytes that arrived, and every accepted payload
+# re-encodes to exactly its own bytes (the equivocation ledger digests raw
+# payloads, so the packed forms must be canonical).
+go test -run '^$' -fuzz '^FuzzDecodeCounts$' -fuzztime 10s ./internal/federation/
+go test -run '^$' -fuzz '^FuzzDecodePairBatchReply$' -fuzztime 10s ./internal/federation/
+
 echo "== Phase-3 vector kernels vs the Go loops (race, 3 runs) =="
 # The AVX-512 kernels against the Go loops they replace, bit for bit: the
 # kernels one by one over edge shapes, a paper-shape selection, a G=5
