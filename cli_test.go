@@ -177,15 +177,12 @@ func TestCLIEndToEnd(t *testing.T) {
 }
 
 // TestCLIExperimentsSmoke exercises the experiments tool on its smallest
-// configuration.
+// configuration. Table 4 exits non-zero when GenDPR's selection differs from
+// the centralized one, which runCLI turns into a failure.
 func TestCLIExperimentsSmoke(t *testing.T) {
 	bins := buildCLIs(t)
-	out := runCLI(t, filepath.Join(bins, "experiments"),
-		"-only", "table4", "-scale", "0.01", "-gdos", "2")
+	out := runCLI(t, filepath.Join(bins, "experiments"), "-only", "table4", "-scale", "0.01")
 	if !strings.Contains(out, "Table 4") || !strings.Contains(out, "GenDPR") {
 		t.Fatalf("experiments output unexpected:\n%s", out)
-	}
-	if strings.Contains(out, "MISMATCH") {
-		t.Fatalf("experiments reported a selection mismatch:\n%s", out)
 	}
 }

@@ -1,24 +1,27 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (Table 3, Figures 5a/5b/6a/6b, Table 4, Table 5). Each
-// experiment prints the same rows the paper reports; EXPERIMENTS.md records
-// a captured run and compares it with the published numbers.
+// evaluation (Table 3, Figures 5a/5b/6a/6b, Table 4, Table 5) and the
+// Section 7.1 bandwidth analysis. Each experiment prints the same rows the
+// paper reports; EXPERIMENTS.md records a captured run and compares it with
+// the published numbers. It is the one generator of those tables: the
+// exact columns of its scale-1 output are pinned by internal/bench's
+// TestExactColumnsGolden.
 //
 // The -scale flag shrinks genome counts for quick runs (default 0.1); pass
-// -scale 1 for the paper's full sizes.
+// -scale 1 for the paper's full sizes. Table 4 fails the run (exit 1) when
+// GenDPR's selection differs from the centralized one.
 //
 // Usage:
 //
 //	experiments                 # everything at scale 0.1
 //	experiments -only table4    # one experiment
 //	experiments -scale 1 -only fig6b
+//	experiments -only table5 -table5-g 10
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -33,143 +36,87 @@ func main() {
 	}
 }
 
+// experiment is one table or figure: its heading and the rendered rows.
+type experiment struct {
+	title  string
+	render func() (string, error)
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		scale      = fs.Float64("scale", 0.1, "genome-count scale factor (1 = paper sizes)")
-		only       = fs.String("only", "", "run a single experiment: table3, fig5a, fig5b, fig6a, fig6b, table4, table5, bandwidth")
-		gdos       = fs.Int("gdos", 3, "federation size for table4")
-		gGrid      = fs.String("table5-g", "3,4,5", "federation sizes for table5")
-		reps       = fs.Int("reps", 5, "repetitions averaged per running-time figure (the paper uses 5)")
-		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
-		memProfile = fs.String("memprofile", "", "write an end-of-run heap profile to this file")
+		scale = fs.Float64("scale", 0.1, "genome-count scale factor (1 = paper sizes)")
+		only  = fs.String("only", "", "run a single experiment: table3, fig5a, fig5b, fig6a, fig6b, table4, table5, bandwidth")
+		gGrid = fs.String("table5-g", "3,4,5", "federation sizes for table5")
+		reps  = fs.Int("reps", 5, "repetitions averaged per running-time figure (the paper uses 5)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
+	experiments := map[string]experiment{
+		"table3": {"Table 3 — GenDPR average resource utilization", func() (string, error) {
+			rows, err := bench.Table3(*scale)
+			return bench.FormatTable3(rows), err
+		}},
+		"table4": {fmt.Sprintf("Table 4 — retained SNPs after each verification phase (%d GDOs)", bench.Table4GDOs), func() (string, error) {
+			rows, err := bench.Table4(*scale)
+			return bench.FormatTable4(rows), err
+		}},
+		"table5": {"Table 5 — collusion-tolerant GenDPR (10,000 SNPs, 14,860-genome workload)", func() (string, error) {
+			grid, err := parseGrid(*gGrid)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: memprofile:", err)
-				return
+				return "", err
 			}
-			defer f.Close()
-			runtime.GC() // settle allocations so the heap profile shows live memory
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: memprofile:", err)
-			}
-		}()
-	}
-
-	experiments := map[string]func() error{
-		"table3":    func() error { return runTable3(*scale) },
-		"table4":    func() error { return runTable4(*scale, *gdos) },
-		"table5":    func() error { return runTable5(*scale, *gGrid) },
-		"bandwidth": func() error { return runBandwidth(*scale) },
+			rows, err := bench.Table5(*scale, grid)
+			return bench.FormatTable5(rows), err
+		}},
+		"bandwidth": {"Section 7.1 — bandwidth: protocol traffic vs shipping genomes", func() (string, error) {
+			rows, err := bench.Bandwidth(*scale)
+			return bench.FormatBandwidth(rows), err
+		}},
 	}
 	for name, w := range bench.FigureWorkloads(*scale) {
-		workload := w
-		figure := name
-		experiments[figure] = func() error { return runFigure(figure, workload, *reps) }
-	}
-
-	if *only != "" {
-		exp, ok := experiments[*only]
-		if !ok {
-			return fmt.Errorf("unknown experiment %q", *only)
+		experiments[name] = experiment{
+			fmt.Sprintf("Figure %s — running time breakdown", strings.TrimPrefix(name, "fig")),
+			func() (string, error) { return bench.FigureTable(w, *reps) },
 		}
-		return exp()
 	}
 
-	names := make([]string, 0, len(experiments))
-	for name := range experiments {
-		names = append(names, name)
+	names := []string{*only}
+	if *only == "" {
+		names = names[:0]
+		for name := range experiments {
+			names = append(names, name)
+		}
+		sort.Strings(names)
 	}
-	sort.Strings(names)
 	for _, name := range names {
-		if err := experiments[name](); err != nil {
+		exp, ok := experiments[name]
+		if !ok {
+			return fmt.Errorf("unknown experiment %q", name)
+		}
+		fmt.Printf("\n%s\n%s\n%s\n", strings.Repeat("=", len(exp.title)), exp.title, strings.Repeat("=", len(exp.title)))
+		start := time.Now()
+		out, err := exp.render()
+		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
+		fmt.Print(out)
+		fmt.Printf("(experiment wall time %v)\n", time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }
 
-func header(title string) {
-	fmt.Println()
-	fmt.Println(strings.Repeat("=", len(title)))
-	fmt.Println(title)
-	fmt.Println(strings.Repeat("=", len(title)))
-}
-
-func runFigure(name string, w bench.Workload, reps int) error {
-	header(fmt.Sprintf("Figure %s — running time breakdown", strings.TrimPrefix(name, "fig")))
-	start := time.Now()
-	table, err := bench.FigureTable(w, reps)
-	if err != nil {
-		return err
-	}
-	fmt.Print(table)
-	fmt.Printf("(experiment wall time %v)\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-func runTable3(scale float64) error {
-	header("Table 3 — GenDPR average resource utilization")
-	out, err := bench.Table3(scale)
-	if err != nil {
-		return err
-	}
-	fmt.Print(out)
-	return nil
-}
-
-func runTable4(scale float64, gdos int) error {
-	header("Table 4 — retained SNPs after each verification phase")
-	out, err := bench.Table4(scale, gdos)
-	if err != nil {
-		return err
-	}
-	fmt.Print(out)
-	return nil
-}
-
-func runBandwidth(scale float64) error {
-	header("Section 7.1 — bandwidth: protocol traffic vs shipping genomes")
-	rows, err := bench.Bandwidth(scale)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatBandwidth(rows))
-	return nil
-}
-
-func runTable5(scale float64, gGridSpec string) error {
-	header("Table 5 — collusion-tolerant GenDPR (10,000 SNPs, 14,860-genome workload)")
-	var gGrid []int
-	for _, part := range strings.Split(gGridSpec, ",") {
+// parseGrid reads the comma-separated -table5-g federation sizes.
+func parseGrid(spec string) ([]int, error) {
+	var grid []int
+	for _, part := range strings.Split(spec, ",") {
 		var g int
 		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &g); err != nil {
-			return fmt.Errorf("bad -table5-g entry %q", part)
+			return nil, fmt.Errorf("bad -table5-g entry %q", part)
 		}
-		gGrid = append(gGrid, g)
+		grid = append(grid, g)
 	}
-	rows, err := bench.Table5(scale, gGrid)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatTable5(rows))
-	return nil
+	return grid, nil
 }

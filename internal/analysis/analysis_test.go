@@ -346,8 +346,9 @@ func TestLoadModuleSelf(t *testing.T) {
 }
 
 // TestDefaultTaintSpecNamesResolve checks that every DefaultTaintSpec key
-// resolves to a declared type, function or method in the module or a
-// package it imports, so no entry outlives the symbol it configures.
+// and every DefaultReleasePairs function resolves to a declared type,
+// function or method in the module or a package it imports, so no entry
+// outlives the symbol it configures.
 func TestDefaultTaintSpecNamesResolve(t *testing.T) {
 	pkgs := make(map[string]*types.Package)
 	var add func(p *types.Package)
@@ -381,6 +382,9 @@ func TestDefaultTaintSpecNamesResolve(t *testing.T) {
 	for k := range spec.OrderBarriers {
 		keys = append(keys, k)
 	}
+	for _, pair := range DefaultReleasePairs() {
+		keys = append(keys, pair.Fn)
+	}
 	for _, key := range keys {
 		// "pkg.Name", "(pkg.Type).Method" or "(*pkg.Type).Method".
 		qual, method, ptr := key, "", false
@@ -407,7 +411,7 @@ func TestDefaultTaintSpecNamesResolve(t *testing.T) {
 			}
 		}
 		if obj == nil {
-			t.Errorf("taint spec key %s names nothing", key)
+			t.Errorf("spec key %s names nothing", key)
 		}
 	}
 }

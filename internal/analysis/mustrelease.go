@@ -31,7 +31,6 @@ type ReleasePair struct {
 // the worker loop plus the service's mixed-load ledger test, not listed here.
 func DefaultReleasePairs() []ReleasePair {
 	return []ReleasePair{
-		{Fn: "gendpr/internal/transport.Dial", Result: 0, Release: "Close", Kind: "transport connection"},
 		{Fn: "gendpr/internal/transport.DialTimeout", Result: 0, Release: "Close", Kind: "transport connection"},
 		{Fn: "gendpr/internal/transport.Listen", Result: 0, Release: "Close", Kind: "transport listener"},
 		{Fn: "os.Open", Result: 0, Release: "Close", Kind: "file handle"},

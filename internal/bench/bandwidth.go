@@ -24,7 +24,7 @@ type BandwidthRow struct {
 // paper's Section 7.1 that GDOs exchange vectors instead of variant files.
 func Bandwidth(scale float64) ([]BandwidthRow, error) {
 	var rows []BandwidthRow
-	for _, g := range []int{2, 3, 5, 7} {
+	for _, g := range GDOGrid {
 		for _, snps := range []int{1000, 10000} {
 			w := Workload{SNPs: snps, Genomes: 14860, Scale: scale}
 			cohort, err := Cohort(w)
@@ -56,11 +56,11 @@ func Bandwidth(scale float64) ([]BandwidthRow, error) {
 func FormatBandwidth(rows []BandwidthRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-24s %16s %10s %22s %10s\n",
-		"Configuration", "Protocol (KB)", "Messages", "Genome shipping (KB)", "Savings")
+		"Configuration", "Protocol (B)", "Messages", "Genome shipping (KB)", "Savings")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-24s %16.1f %10d %22.1f %9.1fx\n",
+		fmt.Fprintf(&b, "%-24s %16d %10d %22.1f %9.1fx\n",
 			fmt.Sprintf("%d GDOs / %d SNPs", r.GDOs, r.SNPs),
-			float64(r.ProtocolBytes)/1024, r.Messages,
+			r.ProtocolBytes, r.Messages,
 			float64(r.GenomeShipBytes)/1024, r.Savings)
 	}
 	return b.String()

@@ -1,14 +1,16 @@
-// Package bench is the experiment harness behind EXPERIMENTS.md, the
-// cmd/experiments tool and the root-level benchmarks. It defines the paper's
-// workload grid, caches generated cohorts, and renders result rows in the
-// shape of the paper's tables and figures.
+// Package bench is the experiment harness behind cmd/experiments, the one
+// generator of the paper's tables and figures that EXPERIMENTS.md records.
+// It defines the paper's workload grid, caches generated cohorts, measures
+// each table as rows and renders the rows in the shape of the paper's tables
+// and figures. TestExactColumnsGolden pins the columns of the scale-1 tables
+// that read the same on every run.
 //
 // The paper evaluates on 7,430/14,860 case genomes (plus a 13,035-genome
-// reference) and 1,000–10,000 SNPs. Those sizes run, but slowly for a test
-// suite, so every workload takes a Scale factor applied to the genome counts
-// (SNP counts are never scaled — they drive the selection behaviour). Scale
-// 1.0 reproduces the paper's sizes; the default 0.1 keeps the full grid
-// under a minute while preserving every comparative trend.
+// reference) and 1,000–10,000 SNPs. Every workload takes a Scale factor
+// applied to the genome counts (SNP counts are never scaled — they drive the
+// selection behaviour). Scale 1.0 reproduces the paper's sizes, and the
+// whole grid runs in seconds at that scale; smaller scales exist for smoke
+// runs and tests.
 package bench
 
 import (

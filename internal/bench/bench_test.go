@@ -7,8 +7,8 @@ import (
 	"gendpr/internal/core"
 )
 
-// tinyScale keeps harness tests fast; the trends it must preserve are
-// asserted by the root-level benchmark suite at larger scale.
+// tinyScale keeps harness tests fast; the paper-scale numbers are pinned by
+// TestExactColumnsGolden.
 const tinyScale = 0.01
 
 func TestWorkloadScaling(t *testing.T) {
@@ -87,10 +87,11 @@ func TestFigureTableRenders(t *testing.T) {
 }
 
 func TestTable3Renders(t *testing.T) {
-	out, err := Table3(tinyScale)
+	rows, err := Table3(tinyScale)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := FormatTable3(rows)
 	for _, want := range []string{"2 GDOs / 1000 SNPs", "7 GDOs / 10000 SNPs", "Enclave memory"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table 3 missing %q:\n%s", want, out)

@@ -65,56 +65,97 @@ func writeTimingRow(b *strings.Builder, label string, t core.Timings) {
 		label, ms(t.DataAggregation), ms(t.Indexing), ms(t.LD), ms(t.LRTest), ms(t.Total()))
 }
 
-// Table3 renders the resource-utilization table: leader-enclave peak
+// Table3Row is one configuration of the resource-utilization table.
+type Table3Row struct {
+	GDOs      int
+	SNPs      int
+	CPU       time.Duration
+	EnclaveKB int64
+}
+
+// Table3 measures the resource-utilization table: leader-enclave peak
 // protected memory and protocol CPU time for each configuration. The paper
 // reports a CPU share (<1%) of a mostly idle machine; in-process there is no
 // idle time, so the CPU column reports busy core-milliseconds instead (see
 // EXPERIMENTS.md).
-func Table3(scale float64) (string, error) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-24s %18s %20s\n", "Configuration", "CPU (core-ms)", "Enclave memory (KB)")
-	for _, g := range []int{2, 3, 5, 7} {
+func Table3(scale float64) ([]Table3Row, error) {
+	var rows []Table3Row
+	for _, g := range GDOGrid {
 		for _, snps := range []int{1000, 10000} {
 			w := Workload{SNPs: snps, Genomes: 14860, Scale: scale}
 			rep, err := RunGenDPR(w, g, core.CollusionPolicy{})
 			if err != nil {
-				return "", err
+				return nil, err
 			}
-			fmt.Fprintf(&b, "%-24s %18s %20d\n",
-				fmt.Sprintf("%d GDOs / %d SNPs", g, snps),
-				ms(rep.Timings.Total()),
-				rep.PeakEnclaveBytes/1024)
+			rows = append(rows, Table3Row{
+				GDOs:      g,
+				SNPs:      snps,
+				CPU:       rep.Timings.Total(),
+				EnclaveKB: rep.PeakEnclaveBytes / 1024,
+			})
 		}
 	}
-	return b.String(), nil
+	return rows, nil
 }
 
-// Table4 renders the selection-correctness comparison: retained SNPs after
-// each phase for the centralized baseline, GenDPR, and the naïve protocol.
-func Table4(scale float64, gdos int) (string, error) {
+// FormatTable3 renders Table3 rows as text.
+func FormatTable3(rows []Table3Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-44s %-28s %-28s %-28s\n", "# of genomes / SNPs", "Centralized", "GenDPR", "Naive distributed")
+	fmt.Fprintf(&b, "%-24s %18s %20s\n", "Configuration", "CPU (core-ms)", "Enclave memory (KB)")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-24s %18s %20d\n",
+			fmt.Sprintf("%d GDOs / %d SNPs", r.GDOs, r.SNPs), ms(r.CPU), r.EnclaveKB)
+	}
+	return b.String()
+}
+
+// Table4GDOs is the federation size of the Table 4 comparison.
+const Table4GDOs = 3
+
+// Table4Row is one workload of the selection-correctness comparison.
+type Table4Row struct {
+	Workload    Workload
+	Centralized core.Selection
+	GenDPR      core.Selection
+	Naive       core.Selection
+}
+
+// Table4 measures the selection-correctness comparison: retained SNPs after
+// each phase for the centralized baseline, GenDPR on Table4GDOs members, and
+// the naïve protocol. GenDPR must select exactly what the centralized
+// baseline selects; any difference is an error, not a row.
+func Table4(scale float64) ([]Table4Row, error) {
+	var rows []Table4Row
 	for _, w := range Table4Workloads(scale) {
 		central, err := RunCentralized(w)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		dist, err := RunGenDPR(w, gdos, core.CollusionPolicy{})
+		dist, err := RunGenDPR(w, Table4GDOs, core.CollusionPolicy{})
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		naive, err := RunNaive(w, gdos)
-		if err != nil {
-			return "", err
-		}
-		match := ""
 		if !dist.Selection.Equal(central.Selection) {
-			match = "  !! MISMATCH"
+			return nil, fmt.Errorf("%s: GenDPR selection %v differs from the centralized %v",
+				w.Label(), dist.Selection, central.Selection)
 		}
-		fmt.Fprintf(&b, "%-44s %-28s %-28s %-28s%s\n",
-			w.Label(), central.Selection, dist.Selection, naive.Selection, match)
+		naive, err := RunNaive(w, Table4GDOs)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, Table4Row{Workload: w, Centralized: central.Selection, GenDPR: dist.Selection, Naive: naive.Selection})
 	}
-	return b.String(), nil
+	return rows, nil
+}
+
+// FormatTable4 renders Table4 rows as text.
+func FormatTable4(rows []Table4Row) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-44s %-28s %-28s %s\n", "# of genomes / SNPs", "Centralized", "GenDPR", "Naive distributed")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-44s %-28s %-28s %s\n", r.Workload.Label(), r.Centralized, r.GenDPR, r.Naive)
+	}
+	return b.String()
 }
 
 // Table5Row is one collusion-tolerance result.

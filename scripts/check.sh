@@ -192,12 +192,19 @@ echo "== service mixed load: slots and ledger (race, 10 runs) =="
 # detector because admission, the workers and the drain share the ledger.
 go test -race -count=10 -run '^TestMixedLoadLedgerBalances$' ./internal/service/
 
-echo "== bench smoke (1 iteration, tiny scale) =="
-# One iteration of the Phase-3 suite at a tiny scale: catches benchmarks that
-# no longer compile or crash without paying for a real measurement run.
-GENDPR_BENCH_SCALE=0.01 go test -run '^$' \
-    -bench '^(BenchmarkTable4Selection|BenchmarkTable5Collusion|BenchmarkAblationObliviousLRTest|BenchmarkAblationLRWireFormat)$' \
-    -benchtime 1x . >/dev/null
+echo "== paper tables: exact columns at scale 1 =="
+# The paper's tables regenerated at full size, their exact columns (Table 4's
+# funnels, Table 5's counts, Table 3's enclave KB, protocol bytes and
+# messages) held against internal/bench/testdata, in ~5 s. The race pass
+# above skips this test: it generates paper-size cohorts, which the race
+# detector's instrumentation would stretch far past that.
+go test -count=1 -run '^TestExactColumnsGolden$' ./internal/bench
+
+echo "== bench smoke (1 iteration) =="
+# One iteration of each of the six ablations (well under a second together):
+# catches benchmarks that no longer compile or crash without paying for a
+# real measurement run.
+go test -run '^$' -bench '^BenchmarkAblation' -benchtime 1x . >/dev/null
 # The per-layer Phase-3 benchmarks build their own paper-shape inputs (390
 # columns x 13,035 + 14,860 rows), which takes well under a second; each
 # has a /go and an /avx512 sub-benchmark.
