@@ -6,6 +6,7 @@ package gendpr_test
 
 import (
 	"errors"
+	"net"
 	"testing"
 
 	"gendpr/internal/bench"
@@ -202,13 +203,20 @@ func BenchmarkAblationLRWireFormat(b *testing.B) {
 }
 
 // BenchmarkAblationEncryption measures the AES-256-GCM transport wrapper's
-// overhead against plaintext framing for LR-matrix-sized payloads.
+// overhead against plaintext framing for LR-matrix-sized payloads. Both rows
+// send over one framed byte stream — the frame codec over an in-memory
+// net.Pipe, as a TCP link carries messages — so the Plaintext row prices
+// framing and copying, and the AES256GCM row adds sealing on top.
 func BenchmarkAblationEncryption(b *testing.B) {
 	payload := make([]byte, 1<<20)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	run := func(b *testing.B, conn transport.Conn, peer transport.Conn) {
+	run := func(b *testing.B, wrap func(transport.Conn) transport.Conn) {
+		a, p := net.Pipe()
+		conn, peer := wrap(transport.NewNetConn(a)), wrap(transport.NewNetConn(p))
+		defer conn.Close()
+		defer peer.Close()
 		b.SetBytes(int64(len(payload)))
 		b.ReportAllocs()
 		errCh := make(chan error, 1)
@@ -231,18 +239,14 @@ func BenchmarkAblationEncryption(b *testing.B) {
 		}
 	}
 	b.Run("Plaintext", func(b *testing.B) {
-		a, p := transport.Pipe()
-		defer a.Close()
-		run(b, a, p)
+		run(b, func(c transport.Conn) transport.Conn { return c })
 	})
 	b.Run("AES256GCM", func(b *testing.B) {
 		key, err := seal.NewKey()
 		if err != nil {
 			b.Fatal(err)
 		}
-		a, p := transport.Pipe()
-		defer a.Close()
-		run(b, transport.NewSecure(a, key), transport.NewSecure(p, key))
+		run(b, func(c transport.Conn) transport.Conn { return transport.NewSecure(c, key) })
 	})
 }
 

@@ -200,6 +200,7 @@ func DefaultTaintSpec() *TaintSpec {
 			"gendpr/internal/lrtest.Threshold":                        ClassAggregate,
 			"gendpr/internal/lrtest.Power":                            ClassAggregate,
 			"gendpr/internal/lrtest.DiscriminabilityOrderBit":         ClassAggregate,
+			"gendpr/internal/lrtest.DiscriminabilityOrderParts":       ClassAggregate,
 			"(*gendpr/internal/lrtest.Adversary).Score":               ClassAggregate,
 			"(*gendpr/internal/lrtest.Adversary).DetectionPower":      ClassAggregate,
 			// Assembly kernels have no Go body to summarize, so without an
@@ -223,6 +224,7 @@ func DefaultTaintSpec() *TaintSpec {
 			// Release boundary: the safe-selection result and the release
 			// document are the assessed product the protocol publishes.
 			"(*gendpr/internal/lrtest.Selector).SelectSafeBitWithOrder": DeclassRelease,
+			"(*gendpr/internal/lrtest.Selector).SelectSafeParts":        DeclassRelease,
 			"gendpr/internal/release.Build":                             DeclassRelease,
 			// Wire-codec plumbing is class-neutral: the bytes a Decoder walks
 			// are framing, and secrets re-enter through the semantic decoders
@@ -343,6 +345,8 @@ func DefaultTaintSpec() *TaintSpec {
 			"gendpr/internal/lrtest.Power":                              "lrtest.Power (detection-power figure)",
 			"(*gendpr/internal/lrtest.Selector).SelectSafeBitWithOrder": "(*lrtest.Selector).SelectSafeBitWithOrder (released SNP selection)",
 			"gendpr/internal/lrtest.DiscriminabilityOrderBit":           "lrtest.DiscriminabilityOrderBit (greedy LD scan order)",
+			"(*gendpr/internal/lrtest.Selector).SelectSafeParts":        "(*lrtest.Selector).SelectSafeParts (released SNP selection)",
+			"gendpr/internal/lrtest.DiscriminabilityOrderParts":         "lrtest.DiscriminabilityOrderParts (greedy LD scan order)",
 		},
 		OrderBarriers: map[string]bool{
 			"sort.Float64s":         true,

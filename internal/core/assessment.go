@@ -756,20 +756,18 @@ func bitLRBytes(rows, cols int64) int64 {
 }
 
 // phase3LR is Phase 3 over the combination lattice. Each member ships its
-// genotype bit-pattern once; every combination's merged per-individual
-// matrix is then derived leader-side by stacking patterns and reskinning
-// with the combination's pooled frequencies. Along a Gray chain the stack
-// updates by a single remove/push per step.
+// genotype bit-pattern once; every combination is then scored leader-side
+// over its members' patterns where they lie, in canonical member order,
+// decoded through the combination's log ratios (lrtest.SelectSafeParts): no
+// combination's case matrix is ever assembled, so the enclave holds the
+// reference pattern, each member pattern once and the representatives.
 //
 // Selections are bit-identical to merging per-combination member LR-matrices
 // (TestPhase3BitKernelGolden and TestLatticeMatchesLegacyGolden pin them to
-// the dense reference). For collusion combinations (c > 0) every consumer — per-individual scores, the
-// exact k-th order statistic threshold, the power ratio — is invariant under
-// row permutation of the case matrix, so the stack's slide-down row order is
-// immaterial; the full-membership combination, whose discriminability order
-// IS row-order sensitive, is built in canonical member order from a fresh
-// concatenation. See DESIGN.md's subset-lattice section for the full
-// argument.
+// the dense reference): each part is scored by the same per-row additions a
+// merged matrix gets, and the full membership's discriminability means sum
+// each column across the parts in the merged matrix's row order. See
+// DESIGN.md's subset-lattice section for the full argument.
 func (r *assessmentRun) phase3LR(plan *latticePlan, lDouble []int) ([]int, [][]int, float64, error) {
 	if err := r.ctxErr(); err != nil {
 		return nil, nil, 0, err
@@ -857,31 +855,26 @@ func (r *assessmentRun) phase3Full(subset []int, lDouble []int, caseFreq, refFre
 	if err := errors.Join(errs...); err != nil {
 		return nil, 0, err
 	}
-	// Canonical member order and exact stride: the discriminability order
-	// derived from this matrix is row-order sensitive.
-	concat, err := lrtest.ConcatBitPatterns(parts...)
 	r.addTiming(&r.report.Timings.DataAggregation, start)
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: concatenate genotype patterns: %w", err)
-	}
-	cols := int64(len(lDouble))
-	lrBytes := bitLRBytes(ps.rows(), cols) + 16*cols
-	if err := r.allocLR(lrBytes); err != nil {
+	// The log ratios are the one thing this combination adds to the enclave.
+	ratioBytes := 16 * int64(len(lDouble))
+	if err := r.allocLR(ratioBytes); err != nil {
 		return nil, 0, err
 	}
-	defer r.freeLR(lrBytes)
+	defer r.freeLR(ratioBytes)
 
 	start = time.Now()
 	ratios, err := lrtest.NewLogRatios(caseFreq, refFreq)
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: log ratios: %w", err)
 	}
-	merged, err := concat.Reskin(ratios)
+	// The parts come in canonical member order: the discriminability order
+	// is row-order sensitive.
+	order, err := lrtest.DiscriminabilityOrderParts(parts, ratios, refLR)
 	if err != nil {
 		return nil, 0, err
 	}
-	order := lrtest.DiscriminabilityOrderBit(merged, refLR)
-	safe, power, err := LRPhaseBit(lDouble, merged, refLR, r.cfg.LR, order, nil)
+	safe, power, err := LRPhaseBit(lDouble, parts, ratios, refLR, r.cfg.LR, order, nil)
 	r.addTiming(&r.report.Timings.LRTest, start)
 	if err != nil {
 		return nil, 0, err
@@ -897,12 +890,11 @@ func (r *assessmentRun) phase3Full(subset []int, lDouble []int, caseFreq, refFre
 	return order, power, r.cs.recordCombination(comboNames, safe, power, orderCkpt, true)
 }
 
-// phase3Chains evaluates the collusion combinations: one pattern stack, one
-// selector, and one running count vector per chain, each updated by one
-// member's delta per Gray step. Seeded (checkpoint-replayed) steps update
-// only the counts and mark the stack stale — no member contact, no splicing
-// — and the next live step rebuilds the stack from the patterns already on
-// hand.
+// phase3Chains evaluates the collusion combinations: one selector and one
+// running count vector per chain, the counts updated by one member's delta
+// per Gray step. Each combination is scored over its members' patterns from
+// the phase's pattern set, which every chain shares; seeded
+// (checkpoint-replayed) steps update only the counts, with no member contact.
 //
 // The chains run concurrently on every worker: the paper's §5.6 notes the
 // leader enclave can evaluate the combinations "efficiently ... in parallel
@@ -911,18 +903,15 @@ func (r *assessmentRun) phase3Full(subset []int, lDouble []int, caseFreq, refFre
 // result slots, so the selections do not depend on the schedule; only the
 // order in which combination records reach the checkpoint does.
 func (r *assessmentRun) phase3Chains(chains []latticeChain, lDouble []int, ps *patternSet, order []int, refPattern *lrtest.BitMatrix, per [][]int) error {
-	cols := int64(len(lDouble))
-	reskinBytes := 16 * cols // a reskin allocates only two representatives per column
-	totalRows := ps.rows()
+	// A combination holds its log ratios and the reference pattern reskinned
+	// with them: two representatives per column each.
+	repBytes := 2 * 16 * int64(len(lDouble))
 	return r.pool.RunStealing(len(chains), r.pool.size(), func(i int) error {
 		ch := &chains[i]
 		sel := lrtest.NewSelector()
-		var stack *lrtest.PatternStack
-		var stackBytes int64
-		stale := true
 		var counts []int64
 		var n int64
-		defer func() { r.freeLR(stackBytes) }()
+		var parts []*lrtest.BitMatrix
 		return ch.walk(func(pos, slot int, subset []int, rem, add int) error {
 			if err := r.ctxErr(); err != nil {
 				return err
@@ -944,7 +933,6 @@ func (r *assessmentRun) phase3Chains(chains []latticeChain, lDouble []int, ps *p
 			if rec, ok := r.cs.seededCombination(comboNames); ok {
 				r.markResumed()
 				per[slot] = rec.Safe
-				stale = true
 				return r.cs.recordCombination(comboNames, rec.Safe, rec.Power, nil, false)
 			}
 
@@ -954,58 +942,30 @@ func (r *assessmentRun) phase3Chains(chains []latticeChain, lDouble []int, ps *p
 			r.addTiming(&r.report.Timings.Indexing, idxStart)
 
 			aggStart := time.Now()
-			if stack == nil {
-				stack = lrtest.NewPatternStack(int(totalRows), len(lDouble))
-				bytes := bitLRBytes(totalRows, cols)
-				if err := r.allocLR(bytes); err != nil {
-					return err
-				}
-				stackBytes = bytes
-			}
-			if stale {
-				stack.Reset()
-				for _, i := range subset {
-					p, err := ps.get(i)
-					if err != nil {
-						return err
-					}
-					if err := stack.Push(i, p); err != nil {
-						return err
-					}
-				}
-				stale = false
-			} else {
-				if err := stack.Remove(rem); err != nil {
-					return err
-				}
-				p, err := ps.get(add)
+			parts = parts[:0]
+			for _, i := range subset {
+				p, err := ps.get(i)
 				if err != nil {
 					return err
 				}
-				if err := stack.Push(add, p); err != nil {
-					return err
-				}
+				parts = append(parts, p)
 			}
 			r.addTiming(&r.report.Timings.DataAggregation, aggStart)
 
 			lrStart := time.Now()
-			if err := r.allocLR(2 * reskinBytes); err != nil {
+			if err := r.allocLR(repBytes); err != nil {
 				return err
 			}
-			defer r.freeLR(2 * reskinBytes)
+			defer r.freeLR(repBytes)
 			ratios, err := lrtest.NewLogRatios(caseFreq, refFreq)
 			if err != nil {
 				return fmt.Errorf("core: log ratios: %w", err)
-			}
-			caseLR, err := stack.Matrix().Reskin(ratios)
-			if err != nil {
-				return err
 			}
 			refLR, err := refPattern.Reskin(ratios)
 			if err != nil {
 				return err
 			}
-			safe, power, err := LRPhaseBit(lDouble, caseLR, refLR, r.cfg.LR, order, sel)
+			safe, power, err := LRPhaseBit(lDouble, parts, ratios, refLR, r.cfg.LR, order, sel)
 			r.addTiming(&r.report.Timings.LRTest, lrStart)
 			if err != nil {
 				return err

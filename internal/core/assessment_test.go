@@ -9,6 +9,7 @@ import (
 
 	"gendpr/internal/enclave"
 	"gendpr/internal/genome"
+	"gendpr/internal/lrtest"
 )
 
 // testCohort builds a deterministic small cohort.
@@ -309,6 +310,81 @@ func TestEnclaveAccounting(t *testing.T) {
 	if central.PeakEnclaveBytes <= dist.PeakEnclaveBytes {
 		t.Errorf("centralized peak %d should exceed distributed peak %d",
 			central.PeakEnclaveBytes, dist.PeakEnclaveBytes)
+	}
+}
+
+// patternProbe is a LocalMember that calls first before its first pattern
+// request: the start of Phase 3, on the leader's side.
+type patternProbe struct {
+	*LocalMember
+	once  *sync.Once
+	first func()
+}
+
+func (p patternProbe) LRPattern(cols []int) (*lrtest.BitMatrix, error) {
+	p.once.Do(p.first)
+	return p.LocalMember.LRPattern(cols)
+}
+
+// TestPhase3HoldsEachPatternOnce bounds the leader enclave's peak by what
+// Phase 3 must hold on top of what it finds: each member's pattern once and
+// the representatives of the combinations in flight — the full
+// membership's log ratios, then per running chain a combination's log ratios
+// and the reference pattern reskinned with them. What it finds is read when
+// the first member is asked for its pattern: the pair statistics are gone,
+// and the reference pattern is charged. No copy of a pattern may be held:
+// neither a concatenation for the full membership nor one per worker.
+func TestPhase3HoldsEachPatternOnce(t *testing.T) {
+	cohort := testCohort(t, 1000, 15000, 7)
+	for _, tc := range []struct {
+		name   string
+		g      int
+		policy CollusionPolicy
+	}{
+		{"G=5 conservative", 5, CollusionPolicy{Conservative: true}},
+		{"G=3 f=0", 3, CollusionPolicy{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			platform, err := enclave.NewPlatform()
+			if err != nil {
+				t.Fatal(err)
+			}
+			leader, err := platform.Load([]byte("leader"), enclave.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shards := shardsOf(t, cohort, tc.g)
+			var once sync.Once
+			var peakBefore, usedAtStart int64
+			providers := make([]Provider, len(shards))
+			for i, s := range shards {
+				providers[i] = patternProbe{LocalMember: NewLocalMember(s), once: &once, first: func() {
+					peakBefore, usedAtStart = leader.MemoryPeak(), leader.MemoryUsed()
+				}}
+			}
+			const workers = 2
+			var rep *Report
+			withProcs(workers, func() {
+				rep, err = RunAssessment(providers, cohort.Reference, DefaultConfig(), tc.policy, leader, AssessmentOptions{})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cols := int64(len(rep.Selection.AfterLD))
+			if usedAtStart == 0 || cols == 0 {
+				t.Fatalf("degenerate run: %d B held at the first pattern request, %d columns", usedAtStart, cols)
+			}
+			patterns := int64(0)
+			for _, s := range shards {
+				patterns += bitLRBytes(int64(s.N()), cols)
+			}
+			reps := workers * 2 * 16 * cols
+			bound := max(peakBefore, usedAtStart+patterns+reps)
+			if rep.PeakEnclaveBytes > bound {
+				t.Errorf("enclave peak %d B, want at most %d B: %d B before Phase 3, %d B held at its start + %d B of member patterns + %d B of representatives",
+					rep.PeakEnclaveBytes, bound, peakBefore, usedAtStart, patterns, reps)
+			}
+		})
 	}
 }
 

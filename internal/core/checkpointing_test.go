@@ -292,8 +292,8 @@ func logPairs(providers []Provider) ([]Provider, []*pairLog) {
 // are held exactly until the Phase-2 save. At the first Phase-3 save the
 // enclave holds less than at the Phase-2 save by exactly the pair bytes, once
 // what Phase 3 has accounted by then is added back: the reference pattern,
-// one pattern per member, and the full membership's merged matrix with its
-// reskin.
+// one pattern per member, and the full membership's log ratios. No merged
+// case matrix is held: the members' patterns are scored where they lie.
 func TestPairBytesReleasedAtPhase2Boundary(t *testing.T) {
 	providers, ref, names := conservativeG5(t)
 	providers, logs := logPairs(providers)
@@ -334,12 +334,9 @@ func TestPairBytesReleasedAtPhase2Boundary(t *testing.T) {
 	}
 	pairBytes := int64(len(touched)) * bytesPerPairStat * int64(len(providers)+1)
 	phase3 := bitLRBytes(int64(ref.N()), cols) + 16*cols
-	var rows int64
 	for _, n := range caseNs {
 		phase3 += bitLRBytes(n, cols)
-		rows += n
 	}
-	phase3 += bitLRBytes(rows, cols)
 	if len(touched) == 0 {
 		t.Fatal("degenerate fixture: Phase 2 touched no pair")
 	}

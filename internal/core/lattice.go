@@ -288,16 +288,6 @@ func (ps *patternSet) release() {
 	ps.r.freeLR(bytes)
 }
 
-// rows is the row count of every member's pattern stacked: the case
-// population of the full membership.
-func (ps *patternSet) rows() int64 {
-	var n int64
-	for _, c := range ps.r.caseNs {
-		n += c
-	}
-	return n
-}
-
 // get returns member i's pattern over the phase's columns.
 func (ps *patternSet) get(i int) (*lrtest.BitMatrix, error) {
 	ps.mu.Lock()

@@ -56,9 +56,10 @@ type SummarySeeder interface {
 // columns — the frequency-independent cell bits of its LR-matrix, with zero
 // representatives. A collusion-tolerant Phase 3 evaluates many combinations
 // over the same columns, and each combination differs only in its pooled
-// frequency vectors; with the pattern in hand the leader derives every
-// combination's member contribution locally via Reskin, so each member is
-// contacted once per assessment instead of once per combination. Every
+// frequency vectors; with the pattern in hand the leader scores every
+// combination's member contribution locally through that combination's log
+// ratios, so each member is contacted once per assessment instead of once
+// per combination. Every
 // Provider is one.
 type PatternProvider interface {
 	// LRPattern returns the member's genotype bit-pattern over the given

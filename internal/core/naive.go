@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gendpr/internal/genome"
+	"gendpr/internal/lrtest"
 	"gendpr/internal/stats"
 )
 
@@ -79,15 +80,19 @@ func RunNaive(shards []*genome.Matrix, reference *genome.Matrix, cfg Config) (*R
 		start = time.Now()
 		caseFreq := Frequencies(localCounts, localN, lDouble)
 		refFreq := Frequencies(refCounts, refN, lDouble)
-		caseLR, err := BuildLRBitMatrix(s, lDouble, caseFreq, refFreq)
+		ratios, err := checkLRRequest(s.L(), lDouble, caseFreq, refFreq)
 		if err != nil {
 			return nil, fmt.Errorf("core: naive member %d: %w", i, err)
 		}
-		refLR, err := BuildLRBitMatrix(reference, lDouble, caseFreq, refFreq)
+		caseLR, err := gatherLR(s, lDouble, ratios)
 		if err != nil {
 			return nil, fmt.Errorf("core: naive member %d: %w", i, err)
 		}
-		safe, power, err := LRPhaseBit(lDouble, caseLR, refLR, cfg.LR, nil, nil)
+		refLR, err := gatherLR(reference, lDouble, ratios)
+		if err != nil {
+			return nil, fmt.Errorf("core: naive member %d: %w", i, err)
+		}
+		safe, power, err := LRPhaseBit(lDouble, []*lrtest.BitMatrix{caseLR}, ratios, refLR, cfg.LR, nil, nil)
 		report.Timings.LRTest += time.Since(start)
 		if err != nil {
 			return nil, fmt.Errorf("core: naive member %d: %w", i, err)

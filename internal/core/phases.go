@@ -259,9 +259,12 @@ func mostRanked(a, b int, pvals []float64) int {
 }
 
 // LRPhaseBit is Phase 3: it runs the SecureGenome empirical safe-subset
-// search over merged case and reference LR-matrices whose columns correspond
+// search over a case side and a reference LR-matrix whose columns correspond
 // to the SNPs in cols (original indices), and maps the selected columns back
-// to original SNP indices.
+// to original SNP indices. The case side is caseParts stacked row-wise in
+// argument order, every cell decoded through ratios (lrtest.SelectSafeParts):
+// the combination's member patterns in canonical member order, or one
+// merged matrix with its own ratios.
 //
 // order is the admission order (a permutation of the column indices); nil
 // derives it from the given matrices. Collusion-tolerant evaluation passes
@@ -272,18 +275,21 @@ func mostRanked(a, b int, pvals []float64) int {
 // buffers (and the power evaluator's per-individual score cache) instead of
 // reallocating them per combination; nil evaluates through a fresh one. The
 // results are the same either way.
-func LRPhaseBit(cols []int, caseLR, refLR *lrtest.BitMatrix, params lrtest.Params, order []int, sel *lrtest.Selector) ([]int, float64, error) {
-	if caseLR.Cols() != len(cols) || refLR.Cols() != len(cols) {
-		return nil, 0, fmt.Errorf("core: LR matrices have %d/%d columns, want %d",
-			caseLR.Cols(), refLR.Cols(), len(cols))
+func LRPhaseBit(cols []int, caseParts []*lrtest.BitMatrix, ratios lrtest.LogRatios, refLR *lrtest.BitMatrix, params lrtest.Params, order []int, sel *lrtest.Selector) ([]int, float64, error) {
+	if len(ratios.Minor) != len(cols) || refLR.Cols() != len(cols) {
+		return nil, 0, fmt.Errorf("core: log ratios and reference LR matrix have %d/%d columns, want %d",
+			len(ratios.Minor), refLR.Cols(), len(cols))
 	}
 	if order == nil {
-		order = lrtest.DiscriminabilityOrderBit(caseLR, refLR)
+		var err error
+		if order, err = lrtest.DiscriminabilityOrderParts(caseParts, ratios, refLR); err != nil {
+			return nil, 0, fmt.Errorf("core: LR-test: %w", err)
+		}
 	}
 	if sel == nil {
 		sel = lrtest.NewSelector()
 	}
-	res, err := sel.SelectSafeBitWithOrder(caseLR, refLR, params, order)
+	res, err := sel.SelectSafeParts(caseParts, ratios, refLR, params, order)
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: LR-test: %w", err)
 	}

@@ -438,7 +438,8 @@ func TestLRPhaseMapsBackToOriginalIndices(t *testing.T) {
 	caseLR := lrtest.NewBitMatrix(4, 3)
 	refLR := lrtest.NewBitMatrix(4, 3)
 	// All-zero matrices: no identification power, everything is safe.
-	safe, power, err := LRPhaseBit(cols, caseLR, refLR, lrtest.DefaultParams(), nil, nil)
+	zero := lrtest.LogRatios{Minor: make([]float64, 3), Major: make([]float64, 3)}
+	safe, power, err := LRPhaseBit(cols, []*lrtest.BitMatrix{caseLR}, zero, refLR, lrtest.DefaultParams(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +449,7 @@ func TestLRPhaseMapsBackToOriginalIndices(t *testing.T) {
 	if !equalInts(safe, cols) {
 		t.Fatalf("safe %v, want %v", safe, cols)
 	}
-	if _, _, err := LRPhaseBit([]int{1, 2}, caseLR, refLR, lrtest.DefaultParams(), nil, nil); err == nil {
+	if _, _, err := LRPhaseBit([]int{1, 2}, []*lrtest.BitMatrix{caseLR}, zero, refLR, lrtest.DefaultParams(), nil, nil); err == nil {
 		t.Error("column-count mismatch must fail")
 	}
 }

@@ -39,7 +39,7 @@ var ErrNotCompactable = errors.New("lrtest: matrix column has more than two dist
 // row in column order, and bit-for-bit identical to it.
 type BitMatrix struct {
 	rows, cols int
-	wpc        int // column stride in words: wpc ≥ (rows+63)/64, more on a PatternStack view
+	wpc        int // column stride in words: (rows+63)/64
 	// zero/one are per-column decode values derived from the candidate
 	// release's frequencies: cohort-level, aggregate-class secrets.
 	//gendpr:secret(aggregate)
@@ -189,9 +189,8 @@ func (m *BitMatrix) ScoreSubset(cols []int) []float64 {
 
 // The column kernels below walk a column one 64-row word at a time: the word
 // is loaded once and shifted, so the inner loop carries no per-row index
-// arithmetic into the bit span. The words to visit follow from rows, not from
-// the stride — a PatternStack view's wpc covers its capacity — and rows are
-// still visited in ascending order, which the float accumulations depend on.
+// arithmetic into the bit span. Rows are still visited in ascending order,
+// which the float accumulations depend on.
 // On amd64 with AVX-512F, addColumnCount and addColumnBand first hand the
 // column's whole words to a vector kernel (kernels_amd64.go), eight rows to a
 // vector, each lane doing the same addition and comparisons as the Go loop on

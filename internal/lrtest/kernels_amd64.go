@@ -46,16 +46,20 @@ func xgetbv() (eax, edx uint32)
 func addCountAVX512(dst, base *float64, words *uint64, n int, zero, one, tau float64) (hits int)
 
 // addBandAVX512 is addColumnKth's band pass over n whole words. band needs
-// room for 64n scores.
+// room for 64n scores: the in-band scores are compressed straight to
+// band[nb:], so only the kept lanes are written.
 //
 //go:noescape
 func addBandAVX512(dst, base, band *float64, words *uint64, n int, zero, one, lo, hi float64) (below, nb int)
 
-// columnSumsAVX512 sums columns ja..ja+7 and jb..jb+7 over their first n
-// words into sums, one lane per column, rows in ascending order.
+// columnSumsAVX512 adds columns ja..ja+7 and jb..jb+7 over their first n
+// words onto sums, one lane per column, rows in ascending order. The sums it
+// is handed are where each lane starts, so a sum runs on across the parts of
+// a stacked case side. Bit l of keep (A) and of keep>>8 (B) stores lane l's
+// sum; a cleared bit leaves sums as it was.
 //
 //go:noescape
-func columnSumsAVX512(sums, zero, one *float64, bits *uint64, wpc, n, ja, jb int)
+func columnSumsAVX512(sums, zero, one *float64, bits *uint64, wpc, n, ja, jb, keep int)
 
 // addCountWords runs the vector part of addColumnCount: dst and base hold
 // the column's rows, words its bit span.
@@ -77,11 +81,11 @@ func addBandWords(dst, base, band []float64, words []uint64, zero, one, lo, hi f
 	return below, nb, n
 }
 
-// columnSumsWords runs the vector part of columnMeansBit: it writes into
-// sums[j] the sum of column j over the matrix's whole words, for every
-// column, and returns that word count. It needs at least 8 columns; a
-// trailing partial group is handled by an overlapping last group, whose
-// shared columns get the same sums a second time.
+// columnSumsWords runs the vector part of columnMeans: it adds onto sums[j]
+// column j's cells over the matrix's whole words, for every column, and
+// returns that word count. It needs at least 8 columns; a trailing partial
+// group is handled by an overlapping last group, which stores only the lanes
+// no earlier call has: a lane stored twice would add the rows twice.
 func columnSumsWords(m *BitMatrix, sums []float64) (done int) {
 	n := m.rows >> 6
 	if !useAVX512 || n == 0 || m.cols < 8 {
@@ -89,7 +93,12 @@ func columnSumsWords(m *BitMatrix, sums []float64) (done int) {
 	}
 	last := m.cols - 8
 	for j := 0; j < m.cols; j += 16 {
-		columnSumsAVX512(&sums[0], &m.zero[0], &m.one[0], &m.bits[0], m.wpc, n, min(j, last), min(j+8, last))
+		// Columns below j are summed by an earlier call. Within one call
+		// the two groups may share columns: both start from the same sums
+		// and store the same values.
+		ja, jb := min(j, last), min(j+8, last)
+		keep := (0xff<<max(0, j-ja))&0xff | (0xff<<max(0, j-jb))&0xff<<8
+		columnSumsAVX512(&sums[0], &m.zero[0], &m.one[0], &m.bits[0], m.wpc, n, ja, jb, keep)
 	}
 	return n
 }

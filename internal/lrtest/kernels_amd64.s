@@ -89,17 +89,17 @@ countdone:
 	RET
 
 // BAND8 is SCORE8 plus below (R9) += #{score < lo (Z28)} and the scores with
-// lo ≤ score ≤ hi (Z29) compressed, in lane order, to band[nb:] (R10, R11).
-// The store writes all 8 lanes: nb never exceeds the rows scored before this
-// group, so band[nb:nb+8] stays inside band, and the lanes past the kept
-// scores are scratch that later groups overwrite.
+// lo ≤ score ≤ hi (Z29) compressed, in lane order, straight to band[nb:]
+// (R10, R11). The band mask is "not below lo" and "at most hi": KANDNW
+// clears the below-lo lanes from the ≤ hi compare, which a NaN score fails
+// as it fails both original bounds. Only the kept lanes are written, so the
+// store neither splits a cache line per group nor writes past band[nb+kept].
 #define BAND8(off) \
 	SCORE8(off) \
 	VCMPPD $0x11, Z28, Z0, K2 \
-	VCMPPD $0x1d, Z28, Z0, K3 \
-	VCMPPD $0x12, Z29, Z0, K3, K3 \
-	VCOMPRESSPD Z0, K3, Z2 \
-	VMOVUPD Z2, (R10)(R11*8) \
+	VCMPPD $0x12, Z29, Z0, K3 \
+	KANDNW K3, K2, K3 \
+	VCOMPRESSPD Z0, K3, (R10)(R11*8) \
 	KMOVW K2, AX \
 	POPCNTL AX, AX \
 	ADDQ AX, R9 \
@@ -158,8 +158,8 @@ kthdone:
 	VADDPD Z2, Z16, Z16 \
 	VADDPD Z3, Z17, Z17
 
-// func columnSumsAVX512(sums, zero, one *float64, bits *uint64, wpc, n, ja, jb int)
-TEXT ·columnSumsAVX512(SB), NOSPLIT, $0-64
+// func columnSumsAVX512(sums, zero, one *float64, bits *uint64, wpc, n, ja, jb, keep int)
+TEXT ·columnSumsAVX512(SB), NOSPLIT, $0-72
 	MOVQ sums+0(FP), DI
 	MOVQ zero+8(FP), SI
 	MOVQ one+16(FP), DX
@@ -190,8 +190,14 @@ TEXT ·columnSumsAVX512(SB), NOSPLIT, $0-64
 
 	MOVQ $1, AX
 	VPBROADCASTQ AX, Z27
-	VPXORQ Z16, Z16, Z16
-	VPXORQ Z17, Z17, Z17
+	// Each lane's sum runs on from the sums handed in; keep selects the
+	// lanes stored back.
+	VMOVUPD (DI)(R9*8), Z16
+	VMOVUPD (DI)(R10*8), Z17
+	MOVQ keep+64(FP), AX
+	KMOVW AX, K4
+	SHRQ $8, AX
+	KMOVW AX, K5
 	TESTQ CX, CX
 	JZ sumsdone
 
@@ -214,7 +220,7 @@ sumsrows:
 	JNZ sumsword
 
 sumsdone:
-	VMOVUPD Z16, (DI)(R9*8)
-	VMOVUPD Z17, (DI)(R10*8)
+	VMOVUPD Z16, K4, (DI)(R9*8)
+	VMOVUPD Z17, K5, (DI)(R10*8)
 	VZEROUPPER
 	RET

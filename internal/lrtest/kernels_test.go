@@ -51,7 +51,7 @@ func runKernels(vector bool, m *BitMatrix, base []float64, j, k int, tau, countT
 	r.kept = slices.Clone(scratch[:r.nb])
 	slices.Sort(r.kept)
 	r.kth = m.addColumnKth(make([]float64, n), base, j, k, tau, scratch)
-	r.means = columnMeansBit(m)
+	r.means = columnMeans([]*BitMatrix{m}, m.cols)
 	return r
 }
 
@@ -81,9 +81,8 @@ func compareRuns(t testing.TB, label string, g, v kernelRun) {
 }
 
 // kernelMatrix returns a rows×cols matrix with random bits and reps drawn
-// from reps, as a plain matrix or (stack) as a PatternStack view whose
-// column stride exceeds the words its rows need.
-func kernelMatrix(t testing.TB, rng *rand.Rand, rows, cols int, reps []float64, stack bool) *BitMatrix {
+// from reps.
+func kernelMatrix(t testing.TB, rng *rand.Rand, rows, cols int, reps []float64) *BitMatrix {
 	t.Helper()
 	m := NewBitMatrix(rows, cols)
 	for j := 0; j < cols; j++ {
@@ -91,16 +90,6 @@ func kernelMatrix(t testing.TB, rng *rand.Rand, rows, cols int, reps []float64, 
 			if rng.Intn(2) == 1 {
 				m.bits[j*m.wpc+i>>6] |= 1 << (uint(i) & 63)
 			}
-		}
-	}
-	if stack {
-		s := NewPatternStack(rows+64+rng.Intn(200), cols)
-		if err := s.Push(0, m); err != nil {
-			t.Fatal(err)
-		}
-		m = s.Matrix()
-		if m.wpc <= (rows+63)/64 {
-			t.Fatalf("stack view has no spare stride: wpc %d for %d rows", m.wpc, rows)
 		}
 	}
 	ratios := LogRatios{Minor: make([]float64, cols), Major: make([]float64, cols)}
@@ -116,9 +105,8 @@ func kernelMatrix(t testing.TB, rng *rand.Rand, rows, cols int, reps []float64, 
 }
 
 // TestKernelsMatchGoLoops runs every kernel on both paths over row counts on
-// both sides of the 8-row group and 64-row word edges, plain and
-// stack-backed matrices, column counts below, at and past one 8-column
-// group, and representative sets that give heavy ties, zero == one (a
+// both sides of the 8-row group and 64-row word edges, two matrices each
+// with column counts drawn from below, at and past one 8-column group, and representative sets that give heavy ties, zero == one (a
 // zero-width band), a subnormal band width and a band 1e3 wide. The count
 // threshold sits on a tie with a written score.
 func TestKernelsMatchGoLoops(t *testing.T) {
@@ -136,9 +124,9 @@ func TestKernelsMatchGoLoops(t *testing.T) {
 	}
 	for _, rows := range []int{1, 7, 8, 9, 63, 64, 65, 127, 4953, 13035} {
 		for _, set := range repSets {
-			for _, stack := range []bool{false, true} {
+			for range 2 {
 				cols := []int{3, 8, 13, 21}[rng.Intn(4)]
-				m := kernelMatrix(t, rng, rows, cols, set.reps, stack)
+				m := kernelMatrix(t, rng, rows, cols, set.reps)
 				// A base of earlier columns' sums, so scores tie; tau is its
 				// k-th smallest, as addColumnKth requires.
 				base := make([]float64, rows)
@@ -152,7 +140,7 @@ func TestKernelsMatchGoLoops(t *testing.T) {
 				for j := 0; j < cols; j++ {
 					r := rng.Intn(rows)
 					countTau := base[r] + m.At(r, j) // row r's own score: a tie
-					label := fmt.Sprintf("%s, %d rows, stack %v, column %d of %d", set.name, rows, stack, j, cols)
+					label := fmt.Sprintf("%s, %d rows, column %d of %d", set.name, rows, j, cols)
 					g := runKernels(false, m, base, j, k, tau, countTau)
 					v := runKernels(true, m, base, j, k, tau, countTau)
 					compareRuns(t, label, g, v)

@@ -11,9 +11,11 @@ import (
 // whose representatives are all zero. A pattern is frequency-independent —
 // the cell bits of a member's LR-matrix depend only on its genotypes and the
 // requested columns, never on the broadcast frequency vectors — so the
-// collusion driver fetches each member's pattern once per Phase 3 and
-// derives every combination's LR-matrix from it with Reskin, instead of
-// asking the member to rebuild (and re-ship) a matrix per combination.
+// collusion driver fetches each member's pattern once per Phase 3 and scores
+// every combination over the patterns where they lie, decoded through that
+// combination's log ratios (SelectSafeParts, DiscriminabilityOrderParts),
+// instead of asking the member to rebuild (and re-ship) a matrix per
+// combination or copying the patterns into one.
 
 // BuildBitPattern packs a genotype matrix's cells into a bit-pattern over
 // all of its columns: the bits of BuildBit, with zero representatives.
@@ -40,184 +42,6 @@ func (m *BitMatrix) IsPattern() bool {
 		}
 	}
 	return true
-}
-
-// PatternStack maintains the row-wise concatenation of genotype bit-patterns
-// for one evaluation chain: the merged per-individual matrix of the current
-// presumed-honest combination. A revolving-door step is one Remove (the
-// member leaving the combination) and one Push (the member entering) —
-// column-local bit splices touching only the rows at and above the removed
-// block — instead of a per-member rebuild and full MergeBits.
-//
-// Row order inside the stack is whatever the pushes produced, NOT member
-// order: removing a middle block slides later blocks down, and the incoming
-// member appends at the tail. That is sound because every Phase 3 consumer
-// of a c > 0 combination — per-individual scores, the exact k-th order
-// statistic threshold, the power count — is invariant under row permutation
-// of the case matrix (see DESIGN.md); only the full-membership combination's
-// discriminability order is row-order sensitive, and that one is built in
-// canonical member order outside the stack.
-type PatternStack struct {
-	cols, wpc int
-	rows      int
-	bits      []uint64 // column-major, capRows capacity per column
-	capRows   int
-	blocks    []patternBlock
-	zero, one []float64 // all-zero representatives for Matrix views
-}
-
-type patternBlock struct {
-	id    int // caller's member index
-	start int // first row of the block
-	rows  int
-}
-
-// NewPatternStack sizes a stack for up to capRows total rows across cols
-// columns.
-func NewPatternStack(capRows, cols int) *PatternStack {
-	if capRows < 0 || cols < 0 {
-		capRows, cols = 0, 0
-	}
-	wpc := (capRows + 63) / 64
-	return &PatternStack{
-		cols:    cols,
-		wpc:     wpc,
-		capRows: capRows,
-		bits:    make([]uint64, cols*wpc),
-		zero:    make([]float64, cols),
-		one:     make([]float64, cols),
-	}
-}
-
-// Rows returns the current number of stacked rows.
-func (s *PatternStack) Rows() int { return s.rows }
-
-// Members returns the ids of the currently stacked blocks, in stack order.
-func (s *PatternStack) Members() []int {
-	ids := make([]int, len(s.blocks))
-	for i, b := range s.blocks {
-		ids[i] = b.id
-	}
-	return ids
-}
-
-// Reset empties the stack, clearing every used bit.
-func (s *PatternStack) Reset() {
-	if s.rows > 0 {
-		for j := 0; j < s.cols; j++ {
-			span := s.bits[j*s.wpc : (j+1)*s.wpc]
-			clearRange(span, 0, s.rows)
-		}
-	}
-	s.rows = 0
-	s.blocks = s.blocks[:0]
-}
-
-// Push appends a member's pattern as the stack's new tail block.
-func (s *PatternStack) Push(id int, part *BitMatrix) error {
-	if part.cols != s.cols {
-		return fmt.Errorf("%w: pattern has %d columns, stack %d", ErrShapeMismatch, part.cols, s.cols)
-	}
-	if s.rows+part.rows > s.capRows {
-		return fmt.Errorf("lrtest: pattern stack overflow: pushed pattern exceeds row capacity")
-	}
-	for _, b := range s.blocks {
-		if b.id == id {
-			return fmt.Errorf("lrtest: pattern stack already holds member %d", id)
-		}
-	}
-	if part.rows > 0 {
-		for j := 0; j < s.cols; j++ {
-			span := s.bits[j*s.wpc : (j+1)*s.wpc]
-			spliceWords(span, s.rows, part.bits[j*part.wpc:(j+1)*part.wpc], part.rows, false)
-		}
-	}
-	s.blocks = append(s.blocks, patternBlock{id: id, start: s.rows, rows: part.rows})
-	s.rows += part.rows
-	return nil
-}
-
-// Remove splices the block pushed under id out of the stack, sliding later
-// blocks down and clearing the vacated tail rows.
-func (s *PatternStack) Remove(id int) error {
-	at := -1
-	for i, b := range s.blocks {
-		if b.id == id {
-			at = i
-			break
-		}
-	}
-	if at < 0 {
-		return fmt.Errorf("lrtest: pattern stack holds no member %d", id)
-	}
-	blk := s.blocks[at]
-	tail := s.rows - (blk.start + blk.rows) // rows above the removed block
-	if blk.rows > 0 {
-		for j := 0; j < s.cols; j++ {
-			span := s.bits[j*s.wpc : (j+1)*s.wpc]
-			if tail > 0 {
-				shiftDown(span, blk.start, blk.start+blk.rows, tail)
-			}
-			clearRange(span, blk.start+tail, blk.rows)
-		}
-	}
-	s.blocks = append(s.blocks[:at], s.blocks[at+1:]...)
-	for i := at; i < len(s.blocks); i++ {
-		s.blocks[i].start -= blk.rows
-	}
-	s.rows -= blk.rows
-	return nil
-}
-
-// Matrix returns the stacked rows as a genotype bit-pattern. The view shares
-// the stack's bit storage: it is valid until the next Push/Remove/Reset, and
-// matrices reskinned from it share the same lifetime. The view's words-per-
-// column stride is the stack's capacity stride; all kernel consumers iterate
-// rows through the stride, so the padding words are never read.
-func (s *PatternStack) Matrix() *BitMatrix {
-	return &BitMatrix{rows: s.rows, cols: s.cols, wpc: s.wpc, zero: s.zero, one: s.one, bits: s.bits}
-}
-
-// shiftDown moves n bits of span from srcOff down to dstOff (dstOff <
-// srcOff), leaving the source tail bits unchanged for the caller to clear.
-func shiftDown(span []uint64, dstOff, srcOff, n int) {
-	for n > 0 {
-		sw, ss := srcOff>>6, uint(srcOff)&63
-		take := 64 - int(ss)
-		if take > n {
-			take = n
-		}
-		v := (span[sw] >> ss) & ones(take)
-		dw, ds := dstOff>>6, uint(dstOff)&63
-		// Clear the destination bits, then OR the chunk in (may straddle two
-		// words).
-		lowTake := 64 - int(ds)
-		if lowTake > take {
-			lowTake = take
-		}
-		span[dw] = span[dw]&^(ones(lowTake)<<ds) | (v&ones(lowTake))<<ds
-		if take > lowTake {
-			rest := take - lowTake
-			span[dw+1] = span[dw+1]&^ones(rest) | v>>uint(lowTake)
-		}
-		srcOff += take
-		dstOff += take
-		n -= take
-	}
-}
-
-// clearRange zeroes n bits of span starting at bit offset off.
-func clearRange(span []uint64, off, n int) {
-	for n > 0 {
-		w, sh := off>>6, uint(off)&63
-		take := 64 - int(sh)
-		if take > n {
-			take = n
-		}
-		span[w] &^= ones(take) << sh
-		off += take
-		n -= take
-	}
 }
 
 // --- pattern wire codec ---
@@ -304,35 +128,4 @@ func decodePattern(b []byte, wantCols int) (*BitMatrix, error) {
 		}
 	}
 	return m, nil
-}
-
-// ConcatBitPatterns concatenates genotype bit-patterns row-wise in argument
-// order, preserving orientation — unlike MergeBits, whose representative
-// normalization is undefined on patterns (their zero and one representatives
-// are equal). The result has the canonical words-per-column stride, so it is
-// safe to feed to row-order-sensitive consumers like
-// DiscriminabilityOrderBit.
-func ConcatBitPatterns(parts ...*BitMatrix) (*BitMatrix, error) {
-	cols, rows := 0, 0
-	if len(parts) > 0 {
-		cols = parts[0].cols
-	}
-	for _, p := range parts {
-		if p.cols != cols {
-			return nil, fmt.Errorf("%w: %d vs %d columns", ErrShapeMismatch, p.cols, cols)
-		}
-		rows += p.rows
-	}
-	out := NewBitMatrix(rows, cols)
-	off := 0
-	for _, p := range parts {
-		if p.rows == 0 {
-			continue
-		}
-		for j := 0; j < cols; j++ {
-			spliceWords(out.bits[j*out.wpc:(j+1)*out.wpc], off, p.bits[j*p.wpc:(j+1)*p.wpc], p.rows, false)
-		}
-		off += p.rows
-	}
-	return out, nil
 }

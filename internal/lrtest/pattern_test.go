@@ -1,6 +1,7 @@
 package lrtest
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -61,6 +62,36 @@ func TestBuildBitPatternReskinMatchesBuildBit(t *testing.T) {
 	}
 }
 
+// ConcatBitPatterns concatenates genotype bit-patterns row-wise in argument
+// order, preserving orientation — unlike MergeBits, whose representative
+// normalization is undefined on patterns (their zero and one representatives
+// are equal). Reskinned, it is the case matrix a selection over the same
+// parts (SelectSafeParts, DiscriminabilityOrderParts) must match bit for bit.
+func ConcatBitPatterns(parts ...*BitMatrix) (*BitMatrix, error) {
+	cols, rows := 0, 0
+	if len(parts) > 0 {
+		cols = parts[0].cols
+	}
+	for _, p := range parts {
+		if p.cols != cols {
+			return nil, fmt.Errorf("%w: %d vs %d columns", ErrShapeMismatch, p.cols, cols)
+		}
+		rows += p.rows
+	}
+	out := NewBitMatrix(rows, cols)
+	off := 0
+	for _, p := range parts {
+		if p.rows == 0 {
+			continue
+		}
+		for j := 0; j < cols; j++ {
+			spliceWords(out.bits[j*out.wpc:(j+1)*out.wpc], off, p.bits[j*p.wpc:(j+1)*p.wpc], p.rows, false)
+		}
+		off += p.rows
+	}
+	return out, nil
+}
+
 func TestConcatBitPatternsMatchesMergeBits(t *testing.T) {
 	ratios := patRatios(9, 3)
 	var parts []*BitMatrix
@@ -92,135 +123,6 @@ func TestConcatBitPatternsMatchesMergeBits(t *testing.T) {
 	}
 	if !got.Equal(want) {
 		t.Fatal("reskinned concatenation differs from MergeBits of skinned parts")
-	}
-}
-
-// TestPatternStackDeltaWalk drives a stack through pushes and removals and
-// checks after every step that the stacked matrix decodes identically to a
-// fresh concatenation of the live blocks (up to the row permutation the
-// stack's slide-down removal induces — blocks keep stack order, so the
-// expected layout is reproducible).
-func TestPatternStackDeltaWalk(t *testing.T) {
-	const cols = 7
-	members := make([]*BitMatrix, 6)
-	rowsOf := []int{3, 64, 1, 65, 0, 31}
-	for i := range members {
-		pat, err := BuildBitPattern(newPatGenotypes(rowsOf[i], cols, int64(20+i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		members[i] = pat
-	}
-	total := 0
-	for _, r := range rowsOf {
-		total += r
-	}
-	st := NewPatternStack(total, cols)
-
-	live := []int{} // member ids in stack order
-	check := func() {
-		t.Helper()
-		var parts []*BitMatrix
-		for _, id := range live {
-			parts = append(parts, members[id])
-		}
-		want, err := ConcatBitPatterns(parts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := st.Matrix()
-		if got.Rows() != want.Rows() || (want.Rows() > 0 && got.Cols() != want.Cols()) {
-			t.Fatalf("stack is %dx%d, want %dx%d", got.Rows(), got.Cols(), want.Rows(), want.Cols())
-		}
-		for j := 0; j < cols; j++ {
-			for i := 0; i < want.Rows(); i++ {
-				if got.bit(i, j) != want.bit(i, j) {
-					t.Fatalf("cell (%d,%d) = %d, want %d (live %v)", i, j, got.bit(i, j), want.bit(i, j), live)
-				}
-			}
-		}
-		// Padding above the used rows must be clear so future pushes splice
-		// onto zeroed ground.
-		for j := 0; j < cols; j++ {
-			span := st.bits[j*st.wpc : (j+1)*st.wpc]
-			for i := st.rows; i < st.capRows; i++ {
-				if span[i>>6]>>(uint(i)&63)&1 != 0 {
-					t.Fatalf("dirty padding bit at (%d,%d)", i, j)
-				}
-			}
-		}
-	}
-
-	push := func(id int) {
-		t.Helper()
-		if err := st.Push(id, members[id]); err != nil {
-			t.Fatal(err)
-		}
-		live = append(live, id)
-		check()
-	}
-	remove := func(id int) {
-		t.Helper()
-		if err := st.Remove(id); err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range live {
-			if v == id {
-				live = append(live[:i], live[i+1:]...)
-				break
-			}
-		}
-		check()
-	}
-
-	push(0)
-	push(1)
-	push(2)
-	remove(1) // middle block, word-straddling slide
-	push(3)
-	remove(0) // head block
-	push(4)   // zero-row block
-	push(5)
-	remove(5) // tail block
-	push(1)
-	remove(4)
-	remove(2)
-	remove(3)
-	remove(1)
-	if st.Rows() != 0 || len(st.Members()) != 0 {
-		t.Fatalf("stack not empty after removing all: %d rows, members %v", st.Rows(), st.Members())
-	}
-	push(3)
-	st.Reset()
-	live = live[:0]
-	check()
-	push(1)
-}
-
-func TestPatternStackErrors(t *testing.T) {
-	pat, err := BuildBitPattern(newPatGenotypes(10, 4, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewPatternStack(15, 4)
-	if err := st.Push(0, pat); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Push(0, pat); err == nil {
-		t.Fatal("duplicate member id must fail")
-	}
-	if err := st.Push(1, pat); err == nil {
-		t.Fatal("capacity overflow must fail")
-	}
-	if err := st.Remove(9); err == nil {
-		t.Fatal("removing an absent member must fail")
-	}
-	wrong, err := BuildBitPattern(newPatGenotypes(2, 5, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Push(2, wrong); err == nil {
-		t.Fatal("column mismatch must fail")
 	}
 }
 

@@ -111,13 +111,85 @@ func (s *Selector) powerEval(params Params, refRows int) *powerEval {
 // deterministic, so a centralized evaluation and a distributed one over the
 // merged federation matrices return the same subset.
 func (s *Selector) SelectSafeBitWithOrder(caseLR, refLR *BitMatrix, params Params, order []int) (Result, error) {
+	return s.selectSafe([]*BitMatrix{caseLR}, refLR, params, order)
+}
+
+// SelectSafeParts is SelectSafeBitWithOrder with the case side given as
+// genotype patterns stacked row-wise in argument order, every cell decoded
+// through ratios: bit for bit the selection of their concatenation reskinned
+// with ratios, without building it. Phase 3 passes a combination's member
+// patterns in canonical member order.
+func (s *Selector) SelectSafeParts(caseParts []*BitMatrix, ratios LogRatios, refLR *BitMatrix, params Params, order []int) (Result, error) {
+	cases, err := skinParts(caseParts, ratios)
+	if err != nil {
+		return Result{}, err
+	}
+	return s.selectSafe(cases, refLR, params, order)
+}
+
+// skinParts returns views of parts whose cell bits decode through ratios:
+// what Reskin returns, sharing the representatives instead of copying them,
+// so the views are valid while ratios is unchanged.
+func skinParts(parts []*BitMatrix, ratios LogRatios) ([]*BitMatrix, error) {
+	cols := len(ratios.Minor)
+	if len(ratios.Major) != cols {
+		return nil, fmt.Errorf("%w: %d minor vs %d major log ratios", ErrShapeMismatch, cols, len(ratios.Major))
+	}
+	views := make([]*BitMatrix, len(parts))
+	for i, p := range parts {
+		if p.cols != cols {
+			return nil, fmt.Errorf("%w: case part %d has %d columns, log ratios %d", ErrShapeMismatch, i, p.cols, cols)
+		}
+		views[i] = &BitMatrix{rows: p.rows, cols: cols, wpc: p.wpc, bits: p.bits, zero: ratios.Major, one: ratios.Minor}
+	}
+	return views, nil
+}
+
+// The case side of a selection is a list of matrices stacked row-wise: one
+// for a merged matrix, one per member pattern in Phase 3. Part p's rows are
+// the case score buffers' [off, off+p.rows), where off is the rows of the
+// parts before it; each part is scored into its own slice by the same
+// per-row additions a single matrix gets, and the hits of the parts add up.
+
+// caseRows returns the rows of the parts stacked.
+func caseRows(cases []*BitMatrix) int {
+	n := 0
+	for _, p := range cases {
+		n += p.rows
+	}
+	return n
+}
+
+// addColumnParts is addColumn over the stacked parts.
+func addColumnParts(cases []*BitMatrix, dst, base []float64, j int) {
+	off := 0
+	for _, p := range cases {
+		p.addColumn(dst[off:], base[off:], j)
+		off += p.rows
+	}
+}
+
+// addColumnCountParts is addColumnCount over the stacked parts.
+func addColumnCountParts(cases []*BitMatrix, dst, base []float64, j int, tau float64) int {
+	hits, off := 0, 0
+	for _, p := range cases {
+		hits += p.addColumnCount(dst[off:], base[off:], j, tau)
+		off += p.rows
+	}
+	return hits
+}
+
+// selectSafe is the admission search over the stacked case parts.
+func (s *Selector) selectSafe(cases []*BitMatrix, refLR *BitMatrix, params Params, order []int) (Result, error) {
 	if err := params.Validate(); err != nil {
 		return Result{}, err
 	}
-	if caseLR.Cols() != refLR.Cols() {
-		return Result{}, fmt.Errorf("%w: case %d vs reference %d columns", ErrShapeMismatch, caseLR.Cols(), refLR.Cols())
+	cols := refLR.Cols()
+	for _, p := range cases {
+		if p.Cols() != cols {
+			return Result{}, fmt.Errorf("%w: case %d vs reference %d columns", ErrShapeMismatch, p.Cols(), cols)
+		}
 	}
-	cols := caseLR.Cols()
 	if cols == 0 {
 		return Result{Safe: []int{}}, nil
 	}
@@ -125,12 +197,13 @@ func (s *Selector) SelectSafeBitWithOrder(caseLR, refLR *BitMatrix, params Param
 		return Result{}, err
 	}
 	if !params.Oblivious {
-		return s.selectSafeBitBand(caseLR, refLR, params, order), nil
+		return s.selectSafeBitBand(cases, refLR, params, order), nil
 	}
 
-	caseScores := sized(s.caseScores, caseLR.Rows())
+	caseN := caseRows(cases)
+	caseScores := sized(s.caseScores, caseN)
 	refScores := sized(s.refScores, refLR.Rows())
-	candCase := sized(s.candCase, caseLR.Rows())
+	candCase := sized(s.candCase, caseN)
 	candRef := sized(s.candRef, refLR.Rows())
 	// The accumulated bases start at zero; the candidate buffers are fully
 	// overwritten by addColumn before being read.
@@ -140,7 +213,7 @@ func (s *Selector) SelectSafeBitWithOrder(caseLR, refLR *BitMatrix, params Param
 
 	res := Result{Safe: make([]int, 0, cols)}
 	for _, j := range order {
-		caseLR.addColumn(candCase, caseScores, j)
+		addColumnParts(cases, candCase, caseScores, j)
 		refLR.addColumn(candRef, refScores, j)
 		power := eval.power(candCase, candRef)
 		res.Iterations++
@@ -174,9 +247,10 @@ func (s *Selector) SelectSafeBitWithOrder(caseLR, refLR *BitMatrix, params Param
 // order statistic of a multiset is a single well-defined value no matter how
 // it is found. The oblivious path keeps the streaming top-k filter — the
 // band is chosen by comparing score values, which oblivious mode forbids.
-func (s *Selector) selectSafeBitBand(caseLR, refLR *BitMatrix, params Params, order []int) Result {
-	caseScores := sized(s.caseScores, caseLR.Rows())
-	candCase := sized(s.candCase, caseLR.Rows())
+func (s *Selector) selectSafeBitBand(cases []*BitMatrix, refLR *BitMatrix, params Params, order []int) Result {
+	caseN := caseRows(cases)
+	caseScores := sized(s.caseScores, caseN)
+	candCase := sized(s.candCase, caseN)
 	clear(caseScores)
 	refN := refLR.Rows()
 	refScores := sized(s.refScores, refN)
@@ -189,13 +263,13 @@ func (s *Selector) selectSafeBitBand(caseLR, refLR *BitMatrix, params Params, or
 	}
 	tau := 0.0
 
-	res := Result{Safe: make([]int, 0, caseLR.Cols())}
+	res := Result{Safe: make([]int, 0, refLR.Cols())}
 	for _, j := range order {
 		candTau := math.Inf(1)
 		if refN > 0 {
 			candTau = refLR.addColumnKth(candRef, refScores, j, k, tau, s.band)
 		}
-		hits := caseLR.addColumnCount(candCase, caseScores, j, candTau)
+		hits := addColumnCountParts(cases, candCase, caseScores, j, candTau)
 		var power float64
 		if len(candCase) > 0 {
 			power = float64(hits) / float64(len(candCase))
@@ -220,13 +294,32 @@ func (s *Selector) selectSafeBitBand(caseLR, refLR *BitMatrix, params Params, or
 // identifying SNPs are considered first. Each mean sums its column's rows in
 // ascending order.
 func DiscriminabilityOrderBit(caseLR, refLR *BitMatrix) []int {
-	cols := caseLR.Cols()
+	return discriminabilityOrder([]*BitMatrix{caseLR}, refLR, caseLR.Cols())
+}
+
+// DiscriminabilityOrderParts is DiscriminabilityOrderBit with the case side
+// given as SelectSafeParts takes it: the order of the parts' concatenation
+// reskinned with ratios, bit for bit. A case mean sums its column over the
+// parts in argument order, rows ascending within each, so the parts must come
+// in the order the concatenation would stack them.
+func DiscriminabilityOrderParts(caseParts []*BitMatrix, ratios LogRatios, refLR *BitMatrix) ([]int, error) {
+	cases, err := skinParts(caseParts, ratios)
+	if err != nil {
+		return nil, err
+	}
+	if refLR.Cols() != len(ratios.Minor) {
+		return nil, fmt.Errorf("%w: reference %d columns, log ratios %d", ErrShapeMismatch, refLR.Cols(), len(ratios.Minor))
+	}
+	return discriminabilityOrder(cases, refLR, len(ratios.Minor)), nil
+}
+
+func discriminabilityOrder(cases []*BitMatrix, refLR *BitMatrix, cols int) []int {
 	type ranked struct {
 		j int
 		d float64
 	}
 	rs := make([]ranked, cols)
-	caseMeans, refMeans := columnMeansBit(caseLR), columnMeansBit(refLR)
+	caseMeans, refMeans := columnMeans(cases, cols), columnMeans([]*BitMatrix{refLR}, cols)
 	for j := 0; j < cols; j++ {
 		rs[j] = ranked{j: j, d: math.Abs(caseMeans[j] - refMeans[j])}
 	}
@@ -247,27 +340,40 @@ func DiscriminabilityOrderBit(caseLR, refLR *BitMatrix) []int {
 	return order
 }
 
-// columnMeansBit returns every column's mean, each summed over the rows in
-// ascending order. The vector kernel sums eight columns per lane group over
-// the whole words; each column's Go loop continues from there.
-func columnMeansBit(m *BitMatrix) []float64 {
-	means := make([]float64, m.cols)
-	if m.rows == 0 {
-		return means
-	}
-	done := columnSumsWords(m, means)
-	for j := range means {
-		v := [2]float64{m.zero[j], m.one[j]}
-		sum := means[j]
-		words := m.colWords(j)
-		for wi := done; wi < len(words); wi++ {
-			word := words[wi]
-			for n := min(64, m.rows-wi<<6); n > 0; n-- {
-				sum += v[word&1]
-				word >>= 1
-			}
+// columnMeans returns every column's mean over the parts stacked row-wise.
+// One running sum per column crosses the parts: within a part the vector
+// kernel adds the whole words, eight columns per lane group, onto the sums it
+// is handed, and the Go loop adds the partial last word; so each sum takes
+// the rows in ascending order of the stack, the additions a single matrix of
+// the stacked rows gets.
+func columnMeans(parts []*BitMatrix, cols int) []float64 {
+	sums := make([]float64, cols)
+	rows := 0
+	for _, m := range parts {
+		if m.rows == 0 {
+			continue
 		}
-		means[j] = sum / float64(m.rows)
+		rows += m.rows
+		done := columnSumsWords(m, sums)
+		for j := range sums {
+			v := [2]float64{m.zero[j], m.one[j]}
+			sum := sums[j]
+			words := m.colWords(j)
+			for wi := done; wi < len(words); wi++ {
+				word := words[wi]
+				for n := min(64, m.rows-wi<<6); n > 0; n-- {
+					sum += v[word&1]
+					word >>= 1
+				}
+			}
+			sums[j] = sum
+		}
 	}
-	return means
+	if rows == 0 {
+		return sums
+	}
+	for j := range sums {
+		sums[j] /= float64(rows)
+	}
+	return sums
 }

@@ -10,9 +10,8 @@ import (
 // TestAddColumnKthMatchesSort pins the band-selection threshold kernel
 // against a full sort of the same candidate scores, across random
 // admit/reject sequences: heavy ties, equal representatives (a zero-width
-// band), all-zero and all-one columns, the boundary ranks, row counts on both
-// sides of a word edge, and PatternStack-backed views whose column stride
-// exceeds the words the rows need. tau advances only on admission, so a
+// band), all-zero and all-one columns, the boundary ranks, and row counts on
+// both sides of a word edge. tau advances only on admission, so a
 // rejected candidate followed by an admitted one checks that it is carried
 // correctly.
 func TestAddColumnKthMatchesSort(t *testing.T) {
@@ -39,19 +38,6 @@ func TestAddColumnKthMatchesSort(t *testing.T) {
 				}
 			}
 		}
-		m := pattern
-		if trial%2 == 1 {
-			// The same bits behind a stack sized for more rows: wpc is the
-			// capacity stride, larger than (n+63)/64.
-			stack := NewPatternStack(n+64+rng.Intn(200), cols)
-			if err := stack.Push(0, pattern); err != nil {
-				t.Fatal(err)
-			}
-			m = stack.Matrix()
-			if m.wpc <= (n+63)/64 {
-				t.Fatalf("stack view has no spare stride: wpc %d for %d rows", m.wpc, n)
-			}
-		}
 		ratios := LogRatios{Minor: make([]float64, cols), Major: make([]float64, cols)}
 		for j := 0; j < cols; j++ {
 			ratios.Major[j] = reps[rng.Intn(len(reps))]
@@ -60,7 +46,7 @@ func TestAddColumnKthMatchesSort(t *testing.T) {
 				ratios.Minor[j] = ratios.Major[j]
 			}
 		}
-		m, err := m.Reskin(ratios)
+		m, err := pattern.Reskin(ratios)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,8 +175,31 @@ func benchPaths(b *testing.B, fn func(b *testing.B)) {
 	}
 }
 
+// phase3BenchParts is phase3BenchInputs with the case side as Phase 3
+// scores it: the cohort's cases split into k member patterns of equal
+// height, decoded through the log ratios.
+func phase3BenchParts(b testing.TB, k int) (parts []*BitMatrix, ratios LogRatios, refLR *BitMatrix) {
+	b.Helper()
+	cohort, ratios := testRatios(b, 390, 14860, 42)
+	n := cohort.Case.N()
+	for i := 0; i < k; i++ {
+		p, err := BuildBitPattern(rowRange{cohort.Case, i * n / k, (i+1)*n/k - i*n/k})
+		if err != nil {
+			b.Fatal(err)
+		}
+		parts = append(parts, p)
+	}
+	refLR, err := BuildBit(cohort.Reference, ratios)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return parts, ratios, refLR
+}
+
 // BenchmarkSelectSafeBit prices one direct-mode Phase-3 selection, the unit
-// the collusion driver repeats once per presumed-honest combination.
+// the collusion driver repeats once per presumed-honest combination: over a
+// merged case matrix, and as /parts5 over fed5_collusion's full membership,
+// five member patterns of 2,972 rows scored where they lie.
 func BenchmarkSelectSafeBit(b *testing.B) {
 	caseLR, refLR := phase3BenchInputs(b)
 	order := DiscriminabilityOrderBit(caseLR, refLR)
@@ -205,6 +214,25 @@ func BenchmarkSelectSafeBit(b *testing.B) {
 			}
 			benchSink = res.Power
 		}
+	})
+	b.Run("parts5", func(b *testing.B) {
+		parts, ratios, refLR := phase3BenchParts(b, 5)
+		order, err := DiscriminabilityOrderParts(parts, ratios, refLR)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchPaths(b, func(b *testing.B) {
+			sel := NewSelector()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := sel.SelectSafeParts(parts, ratios, refLR, DefaultParams(), order)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = res.Power
+			}
+		})
 	})
 }
 

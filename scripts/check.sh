@@ -172,8 +172,13 @@ echo "== Phase-3 vector kernels vs the Go loops (race, 3 runs) =="
 # The AVX-512 kernels against the Go loops they replace, bit for bit: the
 # kernels one by one over edge shapes, a paper-shape selection, a G=5
 # conservative assessment, and the fuzzer on arbitrary small matrices. On a
-# CPU without AVX-512F the vector legs skip with a log line.
-go test -race -count=3 -run '^(TestKernelsMatchGoLoops|TestBandKthMatchesSort|TestSelectionMatchesGoLoops|TestAssessmentMatchesGoLoops|FuzzKernels)$' ./internal/lrtest/
+# CPU without AVX-512F the vector legs skip with a log line. The case side
+# as member patterns scored where they lie must match their concatenation
+# (means, order, selection, both oblivious modes, both paths), and the
+# leader enclave must hold each member pattern once: no concatenation, no
+# per-worker copy.
+go test -race -count=3 -run '^(TestKernelsMatchGoLoops|TestBandKthMatchesSort|TestSelectionMatchesGoLoops|TestAssessmentMatchesGoLoops|TestPartsMatchConcatenation|TestSelectSafePartsRejectsShapes|FuzzKernels)$' ./internal/lrtest/
+go test -race -count=3 -run '^TestPhase3HoldsEachPatternOnce$' ./internal/core/
 go test -run '^$' -fuzz '^FuzzKernels$' -fuzztime 10s ./internal/lrtest/
 
 echo "== service smoke (daemon + drain) =="
@@ -207,7 +212,9 @@ echo "== bench smoke (1 iteration) =="
 go test -run '^$' -bench '^BenchmarkAblation' -benchtime 1x . >/dev/null
 # The per-layer Phase-3 benchmarks build their own paper-shape inputs (390
 # columns x 13,035 + 14,860 rows), which takes well under a second; each
-# has a /go and an /avx512 sub-benchmark.
+# has a /go and an /avx512 sub-benchmark, and BenchmarkSelectSafeBit a
+# /parts5 pair at fed5_collusion's shape: the case side as five member
+# patterns of 2,972 rows.
 go test -run '^$' -bench '^(BenchmarkSelectSafeBit|BenchmarkAddColumnKth|BenchmarkAddColumnCount|BenchmarkDiscriminabilityOrderBit)$' \
     -benchtime 1x ./internal/lrtest >/dev/null
 # The Phase-2 layer benchmark at a tenth of the paper's shape (1,000 SNPs x
