@@ -169,21 +169,15 @@ func BenchmarkAblationObliviousLRTest(b *testing.B) {
 }
 
 // BenchmarkAblationLRWireFormat compares the size of a dense float64
-// LR-matrix encoding against the two-values-per-column compact form the
-// federation transmits.
+// LR-matrix encoding against what a member ships in Phase 3: its genotype
+// pattern, one bit per cell and no representatives (EncodePatternWire).
 func BenchmarkAblationLRWireFormat(b *testing.B) {
 	w := bench.Workload{SNPs: 1000, Genomes: 7430, Scale: ablationScale}
 	cohort, err := bench.Cohort(w)
 	if err != nil {
 		b.Fatal(err)
 	}
-	caseFreq := genome.Frequencies(cohort.Case.AlleleCounts(), int64(cohort.Case.N()))
-	refFreq := genome.Frequencies(cohort.Reference.AlleleCounts(), int64(cohort.Reference.N()))
-	ratios, err := lrtest.NewLogRatios(caseFreq, refFreq)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := lrtest.BuildBit(cohort.Case, ratios)
+	m, err := lrtest.BuildBitPattern(cohort.Case)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -196,7 +190,7 @@ func BenchmarkAblationLRWireFormat(b *testing.B) {
 		b.ReportAllocs()
 		var n int
 		for i := 0; i < b.N; i++ {
-			n = len(m.EncodeWire())
+			n = len(m.EncodePatternWire())
 		}
 		b.ReportMetric(float64(n), "wire-bytes")
 	})

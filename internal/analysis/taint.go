@@ -169,7 +169,6 @@ func DefaultTaintSpec() *TaintSpec {
 			// allele, the unit the oblivious machinery exists to hide.
 			"(*gendpr/internal/genome.Matrix).Get":         ClassIndividual,
 			"(*gendpr/internal/genome.Matrix).GetBit":      ClassIndividual,
-			"gendpr/internal/lrtest.DecodeWireBit":         ClassIndividual,
 			"gendpr/internal/lrtest.DecodePatternWire":     ClassIndividual,
 			"gendpr/internal/lrtest.DecodePatternWireCols": ClassIndividual,
 			"gendpr/internal/seal.NewKey":                  ClassIndividual,

@@ -508,20 +508,15 @@ func (r *assessmentRun) phase1MAF(plan *latticePlan) ([]int, [][]int, error) {
 var errNeedsFetch = errors.New("core: pair statistics not in the frozen table")
 
 // ldSources returns one combination's pooled statistics, predictor and
-// prefetch for LDPhaseBatch. With fetch set they fill the table from the
-// subset's members as the scan needs: announced stretches as one batch per
-// member (prefetchPairs), and any contribution still missing pair by pair
-// (pooledPair). Without, they only read the table, and the scan stops with
-// errNeedsFetch at the first announcement or pooled query the table cannot
-// serve; a pair the table lacks is predicted settled independent, and since
-// every predicted pair is announced before it is examined, the stop follows
-// at that announcement.
+// prefetch for LDPhaseBatch. The pooled statistics are read from the table
+// alone: LDPhaseBatch announces every pair before it examines it. With fetch
+// set, an announcement has each member of the subset send what the table
+// lacks (prefetchPairs), so a pair still missing when examined is an internal
+// error. Without, nothing is fetched, and the scan stops with errNeedsFetch at
+// the first announcement the table cannot serve; a pair the table lacks is
+// predicted settled independent, and since every predicted pair is announced
+// before it is examined, the stop follows at that announcement.
 func (r *assessmentRun) ldSources(subset []int, fetch bool) (PairStatsFunc, PairPredictor, PairBatchFunc) {
-	if fetch {
-		pooled := func(a, b int) (genome.PairStats, error) { return r.pooledPair(subset, a, b) }
-		prefetch := func(pairs [][2]int) error { return r.prefetchPairs(subset, pairs) }
-		return pooled, r.predictPair, prefetch
-	}
 	t := r.pairs
 	pooled := func(a, b int) (genome.PairStats, error) {
 		if k, ok := t.lookup(a, b); ok {
@@ -529,7 +524,13 @@ func (r *assessmentRun) ldSources(subset []int, fetch bool) (PairStatsFunc, Pair
 				return s, nil
 			}
 		}
+		if fetch {
+			return genome.PairStats{}, fmt.Errorf("core: internal error: pair (%d,%d) examined before it was fetched", a, b)
+		}
 		return genome.PairStats{}, errNeedsFetch
+	}
+	if fetch {
+		return pooled, r.predictPair, func(pairs [][2]int) error { return r.prefetchPairs(subset, pairs) }
 	}
 	prefetch := func(pairs [][2]int) error {
 		for _, p := range pairs {
@@ -544,8 +545,7 @@ func (r *assessmentRun) ldSources(subset []int, fetch bool) (PairStatsFunc, Pair
 
 // prefetchPairs has each member of the subset send, in one batched request
 // and in parallel, the given pairs the table holds no contribution of it
-// for. A member that cannot batch is skipped; pooledPair fetches its pairs
-// one by one as the scan examines them.
+// for.
 func (r *assessmentRun) prefetchPairs(subset []int, pairs [][2]int) error {
 	if len(pairs) == 0 {
 		return nil
@@ -561,10 +561,6 @@ func (r *assessmentRun) prefetchPairs(subset []int, pairs [][2]int) error {
 	errs := make([]error, len(subset))
 	var wg sync.WaitGroup
 	for slot, i := range subset {
-		batcher, ok := r.members[i].inner.(BatchPairProvider)
-		if !ok {
-			continue
-		}
 		var missing [][2]int
 		var slots []*memberPair
 		for j, k := range keys {
@@ -578,7 +574,7 @@ func (r *assessmentRun) prefetchPairs(subset []int, pairs [][2]int) error {
 		}
 		slot, i := slot, i
 		r.pool.Go(&wg, func() {
-			stats, err := batcher.PairStatsBatch(missing)
+			stats, err := r.members[i].inner.PairStatsBatch(missing)
 			if err == nil && len(stats) != len(missing) {
 				err = fmt.Errorf("core: batch returned %d entries for %d pairs", len(stats), len(missing))
 			}
@@ -596,44 +592,6 @@ func (r *assessmentRun) prefetchPairs(subset []int, pairs [][2]int) error {
 	}
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// pooledPair is the subset's pooled statistics for one pair, fetching in
-// parallel any member contribution the table lacks.
-func (r *assessmentRun) pooledPair(subset []int, a, b int) (genome.PairStats, error) {
-	k, err := r.pairEntry(a, b)
-	if err != nil {
-		return genome.PairStats{}, err
-	}
-	if s, ok := r.pairs.pooled(k, subset); ok {
-		return s, nil
-	}
-	errs := make([]error, len(subset))
-	var wg sync.WaitGroup
-	for slot, i := range subset {
-		m := r.pairs.member(k, i)
-		if m.have {
-			continue
-		}
-		slot, i := slot, i
-		r.pool.Go(&wg, func() {
-			s, err := r.members[i].inner.PairStats(a, b)
-			if err == nil {
-				err = checkPairStats(s, a, b, r.counts[i], r.caseNs[i])
-			}
-			if err != nil {
-				errs[slot] = memberErr(i, PhaseLD, "pair stats: %w", err)
-				return
-			}
-			m.s, m.have = s, true
-		})
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return genome.PairStats{}, err
-	}
-	s, _ := r.pairs.pooled(k, subset)
-	return s, nil
 }
 
 func (r *assessmentRun) phase2LD(plan *latticePlan, lPrime []int) ([]int, [][]int, error) {

@@ -205,6 +205,49 @@ func TestObliviousMemberPrimitives(t *testing.T) {
 	}
 }
 
+// TestObliviousMemberPairStatsBatch: a batch is the member's per-pair
+// PairStats in request order, repeated and reversed pairs included, and a
+// batch holding an out-of-range pair fails whole. Two members loaded from the
+// same seed end the batch and the pairs one by one with the same stash size:
+// a batch is the same sequence of ORAM accesses.
+func TestObliviousMemberPairStatsBatch(t *testing.T) {
+	cohort := testCohort(t, 40, 70, 71)
+	batched, err := NewObliviousMember(cohort.Case, rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := NewObliviousMember(cohort.Case, rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := [][2]int{{3, 17}, {0, 39}, {17, 3}, {5, 5}, {3, 17}, {38, 2}}
+	got, err := batched.PairStatsBatch(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(pairs) {
+		t.Fatalf("%d entries for %d pairs", len(got), len(pairs))
+	}
+	for i, p := range pairs {
+		want, err := single.PairStats(p[0], p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want {
+			t.Errorf("pair %v: batch %+v, per pair %+v", p, got[i], want)
+		}
+	}
+	if a, b := batched.store.StashSize(), single.store.StashSize(); a != b {
+		t.Errorf("stash after the batch %d, after the pairs one by one %d", a, b)
+	}
+	if stats, err := batched.PairStatsBatch([][2]int{{1, 2}, {0, 40}}); err == nil {
+		t.Errorf("batch with an out-of-range pair answered %v", stats)
+	}
+	if stats, err := batched.PairStatsBatch(nil); err != nil || len(stats) != 0 {
+		t.Errorf("empty batch: %v, %v", stats, err)
+	}
+}
+
 func TestNaiveDivergesFromCentralized(t *testing.T) {
 	cohort := testCohort(t, 150, 360, 17)
 	cfg := DefaultConfig()
@@ -482,7 +525,7 @@ func (c *countingBatchMember) PairStatsBatch(pairs [][2]int) ([]genome.PairStats
 // TestPhase2LDUsesBatchPath is the Phase-2 batching regression test: every
 // pair the LD scan examines — the predicted closure fetched up front AND any
 // stretch where the exact statistics lead the scan out of it — must reach
-// members through PairStatsBatch, never through per-pair fallbacks. Seed 17 is
+// members through PairStatsBatch, never pair by pair through PairStats. Seed 17 is
 // a cohort whose reference panel alone predicts the whole scan; on seed 10 the
 // panel's decision at its own size misses six times, and all six pairs are
 // open in the band up to the pooled size, so the closure holds them: one

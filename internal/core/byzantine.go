@@ -279,19 +279,11 @@ func lieJointCount(s genome.PairStats) genome.PairStats {
 	return s
 }
 
-// PairStatsBatch implements BatchPairProvider by routing every pair through
+// PairStatsBatch implements Provider by routing every pair through
 // PairStats, so the per-call trigger and the perturbation apply identically
-// whether the leader batches or not.
+// to a batch and to a single pair.
 func (b *ByzantineProvider) PairStatsBatch(pairs [][2]int) ([]genome.PairStats, error) {
-	out := make([]genome.PairStats, len(pairs))
-	for i, p := range pairs {
-		s, err := b.PairStats(p[0], p[1])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = s
-	}
-	return out, nil
+	return statsPerPair(pairs, b.PairStats)
 }
 
 // skewPairStats nudges one marginal while preserving every invariant
@@ -368,7 +360,6 @@ func (b *ByzantineProvider) AuditSummary() ([]int64, int64, error) {
 }
 
 var (
-	_ Provider          = (*ByzantineProvider)(nil)
-	_ BatchPairProvider = (*ByzantineProvider)(nil)
-	_ SummaryAuditor    = (*ByzantineProvider)(nil)
+	_ Provider       = (*ByzantineProvider)(nil)
+	_ SummaryAuditor = (*ByzantineProvider)(nil)
 )

@@ -28,8 +28,9 @@ func seededMatrix(n, l int, density float64, seed int64) *genome.Matrix {
 
 // TestGatherMatchesSelectColumnsBuildBit pins the protocol path's column
 // gather to the reference it replaced: over seeded random shapes and column
-// lists, LRPattern and BuildLRBitMatrix must be byte-for-byte what
-// BuildBitPattern / BuildBit produce from SelectColumns.
+// lists, LRPattern and BuildLRBitMatrix must be what BuildBitPattern /
+// BuildBit produce from SelectColumns: the same cells (Equal) from the same
+// bits (their pattern wire bytes).
 func TestGatherMatchesSelectColumnsBuildBit(t *testing.T) {
 	const l = 97
 	for _, n := range []int{1, 63, 64, 65, 4953} {
@@ -65,10 +66,7 @@ func TestGatherMatchesSelectColumnsBuildBit(t *testing.T) {
 			if !gotPat.IsPattern() {
 				t.Errorf("n=%d %s: gathered pattern carries representatives", n, name)
 			}
-			// EncodeWire is value-oriented and collapses a pattern's equal
-			// representatives; the pattern codec carries the words verbatim.
-			if !bytes.Equal(gotPat.EncodePatternWire(), wantPat.EncodePatternWire()) ||
-				!bytes.Equal(gotPat.EncodeWire(), wantPat.EncodeWire()) {
+			if !bytes.Equal(gotPat.EncodePatternWire(), wantPat.EncodePatternWire()) || !gotPat.Equal(wantPat) {
 				t.Errorf("n=%d %s: gathered pattern differs from BuildBitPattern(SelectColumns)", n, name)
 			}
 
@@ -80,8 +78,7 @@ func TestGatherMatchesSelectColumnsBuildBit(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d %s: BuildLRBitMatrix: %v", n, name, err)
 			}
-			if !bytes.Equal(gotLR.EncodeWire(), wantLR.EncodeWire()) ||
-				!bytes.Equal(gotLR.EncodePatternWire(), wantLR.EncodePatternWire()) {
+			if !gotLR.Equal(wantLR) || !bytes.Equal(gotLR.EncodePatternWire(), wantLR.EncodePatternWire()) {
 				t.Errorf("n=%d %s: gathered LR-matrix differs from BuildBit(SelectColumns)", n, name)
 			}
 		}

@@ -25,18 +25,19 @@ type Provider interface {
 	PairStats(a, b int) (genome.PairStats, error)
 	// LRMatrix builds the member's local LR-matrix over the given columns
 	// (original SNP indices) using the pooled frequencies broadcast by the
-	// leader. The matrix travels bit-packed end to end: members build it
-	// packed and the wire format ships it packed. The assessment itself
-	// asks for patterns (PatternProvider) and skins them leader-side.
+	// leader. No assessment calls it: Phase 3 asks for patterns
+	// (PatternProvider) and skins them leader-side.
 	LRMatrix(cols []int, caseFreq, refFreq []float64) (*lrtest.BitMatrix, error)
+	// BatchPairProvider ships the member's Phase 2 input.
+	BatchPairProvider
 	// PatternProvider ships the member's Phase 3 input.
 	PatternProvider
 }
 
-// BatchPairProvider is an optional Provider extension: the leader prefetches
-// many pair statistics in one round trip (one request per member per LD
-// sweep instead of one per pair), which cuts the protocol's message count by
-// orders of magnitude over wide-area links.
+// BatchPairProvider answers many pair statistics in one round trip: the
+// leader prefetches every pair an LD sweep examines with one request per
+// member, which cuts the protocol's message count by orders of magnitude over
+// wide-area links. Every Provider is one.
 type BatchPairProvider interface {
 	// PairStatsBatch returns one statistics entry per requested pair, in
 	// order.
@@ -76,10 +77,7 @@ type LocalMember struct {
 	shard *genome.Matrix
 }
 
-var (
-	_ Provider          = (*LocalMember)(nil)
-	_ BatchPairProvider = (*LocalMember)(nil)
-)
+var _ Provider = (*LocalMember)(nil)
 
 // NewLocalMember wraps a genotype shard. The shard must not be written
 // afterwards (see DESIGN.md, "Prepared genotypes").
@@ -106,11 +104,17 @@ func (m *LocalMember) PairStats(a, b int) (genome.PairStats, error) {
 	return m.shard.PairStats(a, b), nil
 }
 
-// PairStatsBatch implements BatchPairProvider.
+// PairStatsBatch implements Provider.
 func (m *LocalMember) PairStatsBatch(pairs [][2]int) ([]genome.PairStats, error) {
+	return statsPerPair(pairs, m.PairStats)
+}
+
+// statsPerPair answers a pair batch one pair at a time through stats, in
+// request order.
+func statsPerPair(pairs [][2]int, stats func(a, b int) (genome.PairStats, error)) ([]genome.PairStats, error) {
 	out := make([]genome.PairStats, len(pairs))
 	for i, p := range pairs {
-		s, err := m.PairStats(p[0], p[1])
+		s, err := stats(p[0], p[1])
 		if err != nil {
 			return nil, err
 		}
@@ -137,9 +141,9 @@ func (m *LocalMember) LRPattern(cols []int) (*lrtest.BitMatrix, error) {
 	return p, nil
 }
 
-// checkPatternRequest validates a pattern request's column list the way
-// checkLRRequest validates a full Phase 3 broadcast: members distrust the
-// leader symmetrically even when no frequencies travel.
+// checkPatternRequest validates a Phase 3 request's column list against a
+// shard of l SNPs. Members distrust the leader symmetrically: out-of-range or
+// duplicate columns are rejected before any local genotype is touched.
 func checkPatternRequest(l int, cols []int) error {
 	seen := make(map[int]bool, len(cols))
 	for _, c := range cols {
@@ -154,21 +158,17 @@ func checkPatternRequest(l int, cols []int) error {
 	return nil
 }
 
-// checkLRRequest validates the leader's Phase 3 broadcast against a shard of
-// l SNPs. Members distrust the leader symmetrically: out-of-range or
-// duplicate columns and non-finite or out-of-range frequencies are rejected
-// before any local genotype is touched.
-func checkLRRequest(l int, cols []int, caseFreq, refFreq []float64) (lrtest.LogRatios, error) {
-	if len(cols) != len(caseFreq) || len(cols) != len(refFreq) {
-		return lrtest.LogRatios{}, fmt.Errorf("core: %d columns vs %d/%d frequencies", len(cols), len(caseFreq), len(refFreq))
+// lrRatios checks the frequency vectors of an LR-matrix request over cols
+// columns — one entry per column, none NaN or outside [0, 1] — and derives
+// their log ratios.
+func lrRatios(cols int, caseFreq, refFreq []float64) (lrtest.LogRatios, error) {
+	if cols != len(caseFreq) || cols != len(refFreq) {
+		return lrtest.LogRatios{}, fmt.Errorf("core: %d columns vs %d/%d frequencies", cols, len(caseFreq), len(refFreq))
 	}
-	if err := checkPatternRequest(l, cols); err != nil {
-		return lrtest.LogRatios{}, err
-	}
-	if err := validateFrequencies(caseFreq, len(cols)); err != nil {
+	if err := validateFrequencies(caseFreq, cols); err != nil {
 		return lrtest.LogRatios{}, fmt.Errorf("core: case frequencies: %w", err)
 	}
-	if err := validateFrequencies(refFreq, len(cols)); err != nil {
+	if err := validateFrequencies(refFreq, cols); err != nil {
 		return lrtest.LogRatios{}, fmt.Errorf("core: reference frequencies: %w", err)
 	}
 	ratios, err := lrtest.NewLogRatios(caseFreq, refFreq)
@@ -178,13 +178,32 @@ func checkLRRequest(l int, cols []int, caseFreq, refFreq []float64) (lrtest.LogR
 	return ratios, nil
 }
 
+// PatternLRMatrix is Provider.LRMatrix for a provider that ships genotype
+// patterns: the frequency vectors pass lrRatios, then p's pattern over cols
+// (whose request checks the columns) is skinned through their log ratios.
+// The result equals BuildLRBitMatrix over the same shard cell for cell.
+func PatternLRMatrix(p PatternProvider, cols []int, caseFreq, refFreq []float64) (*lrtest.BitMatrix, error) {
+	ratios, err := lrRatios(len(cols), caseFreq, refFreq)
+	if err != nil {
+		return nil, err
+	}
+	pat, err := p.LRPattern(cols)
+	if err != nil {
+		return nil, err
+	}
+	return pat.Reskin(ratios)
+}
+
 // BuildLRBitMatrix is the member-side Phase 3 computation: restrict the
 // local genotypes to the broadcast SNP columns and fill in Equation 1
 // contributions using the pooled frequency vectors, stored as one bit per
 // cell plus two representatives per column gathered from the matrix's
 // column-major bits.
 func BuildLRBitMatrix(g *genome.Matrix, cols []int, caseFreq, refFreq []float64) (*lrtest.BitMatrix, error) {
-	ratios, err := checkLRRequest(g.L(), cols, caseFreq, refFreq)
+	if err := checkPatternRequest(g.L(), cols); err != nil {
+		return nil, err
+	}
+	ratios, err := lrRatios(len(cols), caseFreq, refFreq)
 	if err != nil {
 		return nil, err
 	}

@@ -80,7 +80,7 @@ func RunNaive(shards []*genome.Matrix, reference *genome.Matrix, cfg Config) (*R
 		start = time.Now()
 		caseFreq := Frequencies(localCounts, localN, lDouble)
 		refFreq := Frequencies(refCounts, refN, lDouble)
-		ratios, err := checkLRRequest(s.L(), lDouble, caseFreq, refFreq)
+		ratios, err := lrRatios(len(lDouble), caseFreq, refFreq)
 		if err != nil {
 			return nil, fmt.Errorf("core: naive member %d: %w", i, err)
 		}

@@ -126,25 +126,22 @@ func (m *ObliviousMember) PairStats(a, b int) (genome.PairStats, error) {
 	}, nil
 }
 
-// LRMatrix implements Provider: the retained columns are fetched through the
-// ORAM, so which SNPs survived to Phase 3 stays hidden from the host. Each
-// ORAM block is already the column's genotype bitset, so it packs into the
-// bit-matrix verbatim — no per-cell decode and no dense intermediate. The
-// request passes the same column and frequency checks as LocalMember's.
-func (m *ObliviousMember) LRMatrix(cols []int, caseFreq, refFreq []float64) (*lrtest.BitMatrix, error) {
-	ratios, err := checkLRRequest(m.l, cols, caseFreq, refFreq)
-	if err != nil {
-		return nil, err
-	}
-	return lrtest.BuildBitFromColumnBytes(m.n, ratios, func(j int) ([]byte, error) {
-		return m.column(cols[j])
-	})
+// PairStatsBatch implements Provider: PairStats pair by pair, two ORAM
+// accesses each, in request order.
+func (m *ObliviousMember) PairStatsBatch(pairs [][2]int) ([]genome.PairStats, error) {
+	return statsPerPair(pairs, m.PairStats)
 }
 
-// LRPattern implements Provider: the same ORAM column walk as
-// LRMatrix, packed with zero representatives. The access trace is identical
-// to an LRMatrix request over the same columns, so shipping a pattern leaks
-// nothing an LR-matrix would not.
+// LRMatrix implements Provider: the pattern over cols, skinned through the
+// frequencies' log ratios (PatternLRMatrix).
+func (m *ObliviousMember) LRMatrix(cols []int, caseFreq, refFreq []float64) (*lrtest.BitMatrix, error) {
+	return PatternLRMatrix(m, cols, caseFreq, refFreq)
+}
+
+// LRPattern implements Provider: the retained columns are fetched through
+// the ORAM, so which SNPs survived to Phase 3 stays hidden from the host. Each
+// ORAM block is already the column's genotype bitset, so it packs into the
+// pattern verbatim — no per-cell decode and no dense intermediate.
 func (m *ObliviousMember) LRPattern(cols []int) (*lrtest.BitMatrix, error) {
 	if err := checkPatternRequest(m.l, cols); err != nil {
 		return nil, err

@@ -93,8 +93,7 @@ func validatePairConsistency(s genome.PairStats, a, b int, counts []int64, caseN
 // validatePatternCounts cross-checks a genotype bit-pattern against the
 // member's reported Phase 1 counts: a pattern column's popcount is the
 // member's minor-allele carrier count for that SNP. Valid only for
-// genotype-oriented patterns (the LRPattern contract); the LRMatrix path
-// cannot use it because a wire-decoded matrix's bit polarity is arbitrary.
+// genotype-oriented patterns (the LRPattern contract).
 func validatePatternCounts(p *lrtest.BitMatrix, cols []int, counts []int64) error {
 	for j, snp := range cols {
 		if snp < 0 || snp >= len(counts) {
@@ -127,7 +126,7 @@ func validateLRMatrix(lr *lrtest.BitMatrix, rows int64, cols int) error {
 	return nil
 }
 
-// validateFrequencies checks a broadcast frequency vector member-side: the
+// validateFrequencies checks a frequency vector of an LR-matrix request: the
 // expected length and finite entries in [0,1].
 func validateFrequencies(freq []float64, cols int) error {
 	if len(freq) != cols {

@@ -269,10 +269,11 @@ func TestAttestationRejectsWrongCode(t *testing.T) {
 	<-done
 }
 
-// TestV1PeerRefusedAtAttestation: a member still running the v1 message
-// formats (fixed-width counts, five sums per pair, int64 result lists)
-// attests a different code identity, so the leader refuses it at the
-// measurement pin — before any counts or pair frame could be misread.
+// TestV1PeerRefusedAtAttestation: a member still running an older message
+// format — v1's fixed-width counts, five sums per pair and int64 result
+// lists, or v2's frequency vectors in every Phase-3 request and one-pair
+// kinds — attests a different code identity, so the leader refuses it at the
+// measurement pin, before any frame could be misread.
 func TestV1PeerRefusedAtAttestation(t *testing.T) {
 	cohort := testCohort(t, 30, 40, 3)
 	authority, err := attest.NewAuthority()
@@ -284,54 +285,34 @@ func TestV1PeerRefusedAtAttestation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	platformM, _ := enclave.NewPlatform()
-	v1, err := platformM.Load([]byte("gendpr-federation-enclave-v1"), enclave.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	member := &Member{id: "old", shard: cohort.Case, enclave: v1, authority: authority}
+	for _, identity := range []string{"gendpr-federation-enclave-v1", "gendpr-federation-enclave-v2"} {
+		platformM, _ := enclave.NewPlatform()
+		old, err := platformM.Load([]byte(identity), enclave.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		member := &Member{id: "old", shard: cohort.Case, enclave: old, authority: authority}
 
-	leaderEnd, memberEnd := transport.Pipe()
-	served := make(chan error, 1)
-	go func() { served <- member.ServeContext(context.Background(), memberEnd, ServeOptions{}) }()
-	_, err = leader.RunLinksContext(context.Background(), []MemberLink{{Conn: leaderEnd, Name: "old"}}, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{}, RunOptions{})
-	if !errors.Is(err, attest.ErrMeasurementMismatch) || errors.Is(err, ErrProtocol) {
-		t.Fatalf("leader: %v, want a measurement mismatch and no protocol error", err)
-	}
-	leaderEnd.Close()
-	// This stand-in pins this build's measurement itself, so it sees the
-	// leader hang up rather than a mismatch; either way it served nothing.
-	if err := <-served; err == nil {
-		t.Fatal("v1 member finished a session")
+		leaderEnd, memberEnd := transport.Pipe()
+		served := make(chan error, 1)
+		go func() { served <- member.ServeContext(context.Background(), memberEnd, ServeOptions{}) }()
+		_, err = leader.RunLinksContext(context.Background(), []MemberLink{{Conn: leaderEnd, Name: "old"}}, cohort.Reference, core.DefaultConfig(), core.CollusionPolicy{}, RunOptions{})
+		if !errors.Is(err, attest.ErrMeasurementMismatch) || errors.Is(err, ErrProtocol) {
+			t.Fatalf("%s leader: %v, want a measurement mismatch and no protocol error", identity, err)
+		}
+		leaderEnd.Close()
+		// This stand-in pins this build's measurement itself, so it sees the
+		// leader hang up rather than a mismatch; either way it served nothing.
+		if err := <-served; err == nil {
+			t.Fatalf("%s member finished a session", identity)
+		}
 	}
 }
 
 func TestMemberRejectsMalformedRequests(t *testing.T) {
 	cohort := testCohort(t, 30, 40, 3)
-	authority, err := attest.NewAuthority()
-	if err != nil {
-		t.Fatal(err)
-	}
-	platform, _ := enclave.NewPlatform()
-	member, err := NewMember("m", cohort.Case, platform, authority)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaderPlatform, _ := enclave.NewPlatform()
-	leaderEnc, err := leaderPlatform.Load(CodeIdentity, enclave.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	leaderEnd, memberEnd := transport.Pipe()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- member.ServeContext(context.Background(), memberEnd, ServeOptions{}) }()
-
-	conn, err := attestConn(context.Background(), leaderEnd, authority, leaderEnc, true, 0)
-	if err != nil {
-		t.Fatalf("attest: %v", err)
-	}
-	// Send a pair request asking for an out-of-range SNP: an index its
+	conn := memberSession(t, cohort.Case, nil)
+	// Send a one-pair batch asking for an out-of-range SNP: an index its
 	// packed width carries but the member's shard does not have.
 	l := cohort.Case.L()
 	width := wire.Width(int64(l) - 1)
@@ -342,13 +323,7 @@ func TestMemberRejectsMalformedRequests(t *testing.T) {
 	req := wire.NewEncoder(16)
 	req.Uint64(1)
 	req.Packed([]int64{0, beyond}, width)
-	if err := conn.Send(transport.Message{Kind: KindPairRequest, Payload: req.Bytes()}); err != nil {
-		t.Fatal(err)
-	}
-	reply, err := conn.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
+	reply := ask(t, conn, KindPairBatchRequest, req.Bytes())
 	if reply.Kind != KindError {
 		t.Fatalf("reply kind %d, want KindError", reply.Kind)
 	}
@@ -357,22 +332,10 @@ func TestMemberRejectsMalformedRequests(t *testing.T) {
 	}
 
 	// The attested session survives the malformed request: a valid query
-	// must still be answered, and only shutdown ends the loop cleanly.
-	if err := conn.Send(transport.Message{Kind: KindCountsRequest}); err != nil {
-		t.Fatal(err)
-	}
-	reply, err = conn.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Kind != KindCountsReply {
+	// must still be answered, and only shutdown (memberSession's cleanup)
+	// ends the loop cleanly.
+	if reply := ask(t, conn, KindCountsRequest, nil); reply.Kind != KindCountsReply {
 		t.Fatalf("post-error reply kind %d, want KindCountsReply", reply.Kind)
-	}
-	if err := conn.Send(transport.Message{Kind: KindShutdown}); err != nil {
-		t.Fatal(err)
-	}
-	if serveErr := <-serveDone; serveErr != nil {
-		t.Fatalf("member did not keep serving past a malformed request: %v", serveErr)
 	}
 }
 

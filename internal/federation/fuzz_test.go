@@ -59,8 +59,8 @@ func FuzzDecodeCounts(f *testing.F) {
 	})
 }
 
-// FuzzDecodePairRequest: a one-pair request (KindPairRequest) against a
-// shard of fuzzed width; accepted payloads round-trip.
+// FuzzDecodePairRequest: a one-pair batch request against a shard of fuzzed
+// width; accepted payloads round-trip.
 func FuzzDecodePairRequest(f *testing.F) {
 	f.Add(mustEncode(encodePairBatchRequest([][2]int{{3, 7}}, 10)), uint32(10))
 	f.Add([]byte{}, uint32(1))
@@ -145,14 +145,14 @@ func FuzzDecodePairBatchReply(f *testing.F) {
 
 // FuzzDecodeLRRequest: accepted payloads round-trip.
 func FuzzDecodeLRRequest(f *testing.F) {
-	f.Add(encodeLRRequest([]int{1, 2}, []float64{0.1, 0.2}, []float64{0.3, 0.4}))
-	f.Add(encodeLRRequest(nil, nil, nil))
+	f.Add(encodeLRRequest([]int{1, 2}))
+	f.Add(encodeLRRequest(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cols, cf, rf, err := decodeLRRequest(data)
+		cols, err := decodeLRRequest(data)
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(encodeLRRequest(cols, cf, rf), data) {
+		if !bytes.Equal(encodeLRRequest(cols), data) {
 			t.Fatalf("LR request round trip diverged for %x", data)
 		}
 	})

@@ -246,7 +246,6 @@ type ledgerKey struct {
 
 var (
 	_ core.Provider           = (*remoteProvider)(nil)
-	_ core.BatchPairProvider  = (*remoteProvider)(nil)
 	_ core.SummaryAuditor     = (*remoteProvider)(nil)
 	_ core.RejoinableProvider = (*remoteProvider)(nil)
 	_ core.SummarySeeder      = (*remoteProvider)(nil)
@@ -498,7 +497,7 @@ func phaseForKind(kind uint16) string {
 	switch kind {
 	case KindCountsRequest:
 		return core.PhaseSummary
-	case KindPairRequest, KindPairBatchRequest:
+	case KindPairBatchRequest:
 		return core.PhaseLD
 	case KindLRRequest:
 		return core.PhaseLR
@@ -512,8 +511,6 @@ func queryLabel(kind uint16) string {
 	switch kind {
 	case KindCountsRequest:
 		return "counts"
-	case KindPairRequest:
-		return "pair"
 	case KindPairBatchRequest:
 		return "pair-batch"
 	case KindLRRequest:
@@ -632,34 +629,29 @@ func (r *remoteProvider) SeedSummary(counts []int64, caseN int64) {
 	}
 }
 
+// PairStats is a batch of one.
 func (r *remoteProvider) PairStats(a, b int) (genome.PairStats, error) {
-	stats, err := r.pairStats(KindPairRequest, KindPairReply, [][2]int{{a, b}})
+	stats, err := r.PairStatsBatch([][2]int{{a, b}})
 	if err != nil {
 		return genome.PairStats{}, err
 	}
 	return stats[0], nil
 }
 
-// PairStatsBatch implements core.BatchPairProvider: one round trip for a
-// whole LD sweep's worth of pairs.
+// PairStatsBatch asks the member for the pairs' joint counts in one round
+// trip and completes each into its sufficient statistics from the member's
+// Phase-1 summary, which every assessment path loads (Phase 1) or seeds
+// (resume) before Phase 2; without one no index is in range and the request
+// is refused unsent. The leader validates the result: a joint count outside
+// the bounds its marginals allow is a Byzantine contribution.
 func (r *remoteProvider) PairStatsBatch(pairs [][2]int) ([]genome.PairStats, error) {
-	return r.pairStats(KindPairBatchRequest, KindPairBatchReply, pairs)
-}
-
-// pairStats asks the member for the pairs' joint counts and completes each
-// into its sufficient statistics from the member's Phase-1 summary, which
-// every assessment path loads (Phase 1) or seeds (resume) before Phase 2;
-// without one no index is in range and the request is refused unsent. The
-// leader validates the result: a joint count outside the bounds its
-// marginals allow is a Byzantine contribution.
-func (r *remoteProvider) pairStats(kind, replyKind uint16, pairs [][2]int) ([]genome.PairStats, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	req, err := encodePairBatchRequest(pairs, len(r.counts))
 	if err != nil {
 		return nil, err
 	}
-	payload, err := r.roundTripLocked(transport.Message{Kind: kind, Payload: req}, replyKind)
+	payload, err := r.roundTripLocked(transport.Message{Kind: KindPairBatchRequest, Payload: req}, KindPairBatchReply)
 	if err != nil {
 		return nil, err
 	}
@@ -677,31 +669,16 @@ func (r *remoteProvider) pairStats(kind, replyKind uint16, pairs [][2]int) ([]ge
 	return stats, nil
 }
 
+// LRMatrix is the member's pattern skinned leader-side (core.PatternLRMatrix):
+// the frequencies never leave the leader.
 func (r *remoteProvider) LRMatrix(cols []int, caseFreq, refFreq []float64) (*lrtest.BitMatrix, error) {
-	payload, err := r.roundTrip(transport.Message{Kind: KindLRRequest, Payload: encodeLRRequest(cols, caseFreq, refFreq)}, KindLRReply)
-	if err != nil {
-		return nil, err
-	}
-	// Decode straight into the bit-packed form: the leader enclave never
-	// materializes a member's dense LR-matrix.
-	m, err := lrtest.DecodeWireBit(payload)
-	if err != nil {
-		return nil, fmt.Errorf("federation: member %s LR-matrix: %w", r.name, err)
-	}
-	return m, nil
+	return core.PatternLRMatrix(r, cols, caseFreq, refFreq)
 }
 
-// LRPattern implements core.Provider over the existing Phase 3 wire
-// kinds: a frequency-free KindLRRequest asks for the genotype bit-pattern.
+// LRPattern asks the member for its genotype pattern over cols, and accepts
+// only a pattern of exactly that many columns.
 func (r *remoteProvider) LRPattern(cols []int) (*lrtest.BitMatrix, error) {
-	if len(cols) == 0 {
-		// A zero-column pattern request is indistinguishable on the wire from
-		// an empty LR-matrix request, and the replies agree shape-for-shape
-		// (an LR-matrix with no columns carries no representatives), so reuse
-		// the matrix path.
-		return r.LRMatrix(nil, nil, nil)
-	}
-	payload, err := r.roundTrip(transport.Message{Kind: KindLRRequest, Payload: encodeLRRequest(cols, nil, nil)}, KindLRReply)
+	payload, err := r.roundTrip(transport.Message{Kind: KindLRRequest, Payload: encodeLRRequest(cols)}, KindLRReply)
 	if err != nil {
 		return nil, err
 	}

@@ -161,12 +161,12 @@ func (m *Member) handle(local core.Provider, msg transport.Message) (*transport.
 		}
 		return &transport.Message{Kind: KindCountsReply, Payload: payload}, false, nil
 
-	case KindPairRequest, KindPairBatchRequest:
+	case KindPairBatchRequest:
 		pairs, err := decodePairBatchRequest(msg.Payload, m.shard.L())
 		if err != nil {
 			return nil, false, err
 		}
-		stats, err := pairStatsBatch(local, pairs)
+		stats, err := local.PairStatsBatch(pairs)
 		if err != nil {
 			return nil, false, err
 		}
@@ -178,33 +178,18 @@ func (m *Member) handle(local core.Provider, msg transport.Message) (*transport.
 		if err != nil {
 			return nil, false, err
 		}
-		replyKind := KindPairBatchReply
-		if msg.Kind == KindPairRequest {
-			replyKind = KindPairReply
-		}
-		return &transport.Message{Kind: replyKind, Payload: payload}, false, nil
+		return &transport.Message{Kind: KindPairBatchReply, Payload: payload}, false, nil
 
 	case KindLRRequest:
-		cols, caseFreq, refFreq, err := decodeLRRequest(msg.Payload)
+		cols, err := decodeLRRequest(msg.Payload)
 		if err != nil {
 			return nil, false, err
 		}
-		if len(caseFreq) == 0 && len(refFreq) == 0 && len(cols) > 0 {
-			// A frequency-free request over a non-empty column list asks for
-			// the genotype bit-pattern: the combination-lattice leader skins
-			// it locally per collusion combination instead of requesting one
-			// full LR-matrix per combination.
-			p, err := local.LRPattern(cols)
-			if err != nil {
-				return nil, false, err
-			}
-			return &transport.Message{Kind: KindLRReply, Payload: p.EncodePatternWire()}, false, nil
-		}
-		lr, err := local.LRMatrix(cols, caseFreq, refFreq)
+		p, err := local.LRPattern(cols)
 		if err != nil {
 			return nil, false, err
 		}
-		return &transport.Message{Kind: KindLRReply, Payload: lr.EncodeWire()}, false, nil
+		return &transport.Message{Kind: KindLRReply, Payload: p.EncodePatternWire()}, false, nil
 
 	case KindResult:
 		afterMAF, afterLD, safe, err := decodeResult(msg.Payload, m.shard.L())
@@ -222,21 +207,4 @@ func (m *Member) handle(local core.Provider, msg transport.Message) (*transport.
 	default:
 		return nil, false, fmt.Errorf("%w: unexpected message kind %d", ErrProtocol, msg.Kind)
 	}
-}
-
-// pairStatsBatch answers a batch request through the provider's batch fast
-// path when it has one, or pair by pair otherwise.
-func pairStatsBatch(p core.Provider, pairs [][2]int) ([]genome.PairStats, error) {
-	if bp, ok := p.(core.BatchPairProvider); ok {
-		return bp.PairStatsBatch(pairs)
-	}
-	out := make([]genome.PairStats, len(pairs))
-	for i, pr := range pairs {
-		s, err := p.PairStats(pr[0], pr[1])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = s
-	}
-	return out, nil
 }

@@ -1,7 +1,6 @@
 package federation
 
 import (
-	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -13,7 +12,6 @@ import (
 	"gendpr/internal/enclave/attest"
 	"gendpr/internal/genome"
 	"gendpr/internal/lrtest"
-	"gendpr/internal/transport"
 )
 
 // longLivedLeader builds the fixed leader gdo-0 of a three-GDO federation, as
@@ -100,7 +98,7 @@ type rewriteColumns struct {
 }
 
 func (r rewriteColumns) LRPattern(cols []int) (*lrtest.BitMatrix, error) {
-	return r.Provider.(core.PatternProvider).LRPattern(r.rewrite(append([]int(nil), cols...)))
+	return r.Provider.LRPattern(r.rewrite(append([]int(nil), cols...)))
 }
 
 // TestBadPatternColumnsAreErrorsNotPanics covers both ends of a bad Phase-3
@@ -143,65 +141,18 @@ func TestBadPatternColumnsAreErrorsNotPanics(t *testing.T) {
 	})
 
 	t.Run("member", func(t *testing.T) {
-		authority, err := attest.NewAuthority()
-		if err != nil {
-			t.Fatal(err)
-		}
-		platform, _ := enclave.NewPlatform()
-		member, err := NewMember("m", cohort.Case, platform, authority)
-		if err != nil {
-			t.Fatal(err)
-		}
-		leaderPlatform, _ := enclave.NewPlatform()
-		leaderEnc, err := leaderPlatform.Load(CodeIdentity, enclave.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		leaderEnd, memberEnd := transport.Pipe()
-		serveDone := make(chan error, 1)
-		go func() { serveDone <- member.ServeContext(context.Background(), memberEnd, ServeOptions{}) }()
-		conn, err := attestConn(context.Background(), leaderEnd, authority, leaderEnc, true, 0)
-		if err != nil {
-			t.Fatalf("attest: %v", err)
-		}
-
-		ask := func(payload []byte) transport.Message {
-			t.Helper()
-			if err := conn.Send(transport.Message{Kind: KindLRRequest, Payload: payload}); err != nil {
-				t.Fatal(err)
-			}
-			reply, err := conn.Recv()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return reply
-		}
+		conn := memberSession(t, cohort.Case, nil)
 		good := []int{3, 1, l - 1}
 		for name, rw := range rewrites {
-			cols := rw.rewrite(append([]int(nil), good...))
-			freq := make([]float64, len(cols))
-			for j := range freq {
-				freq[j] = 0.25
-			}
-			for form, payload := range map[string][]byte{
-				"pattern": encodeLRRequest(cols, nil, nil),
-				"matrix":  encodeLRRequest(cols, freq, freq),
-			} {
-				reply := ask(payload)
-				if reply.Kind != KindError || !strings.Contains(string(reply.Payload), rw.want) {
-					t.Errorf("%s %s request: reply kind %d %q, want KindError naming %q", name, form, reply.Kind, reply.Payload, rw.want)
-				}
+			reply := ask(t, conn, KindLRRequest, encodeLRRequest(rw.rewrite(append([]int(nil), good...))))
+			if reply.Kind != KindError || !strings.Contains(string(reply.Payload), rw.want) {
+				t.Errorf("%s request: reply kind %d %q, want KindError naming %q", name, reply.Kind, reply.Payload, rw.want)
 			}
 		}
 		// The session survives: the well-formed list is still answered.
-		if reply := ask(encodeLRRequest(good, nil, nil)); reply.Kind != KindLRReply {
+		if reply := ask(t, conn, KindLRRequest, encodeLRRequest(good)); reply.Kind != KindLRReply {
 			t.Fatalf("well-formed pattern request after the bad ones: reply kind %d", reply.Kind)
 		}
-		if err := conn.Send(transport.Message{Kind: KindShutdown}); err != nil {
-			t.Fatal(err)
-		}
-		if err := <-serveDone; err != nil {
-			t.Fatalf("member stopped serving: %v", err)
-		}
 	})
+
 }

@@ -28,14 +28,15 @@ const (
 	KindCountsRequest
 	// KindCountsReply carries caseLocalCounts and the local population size.
 	KindCountsReply
-	// KindPairRequest asks for the Phase 2 joint count of one pair.
+	// KindPairRequest once asked for one pair's joint count. Members no
+	// longer serve it: a single pair travels as a batch of one.
 	KindPairRequest
-	// KindPairReply carries one pair's joint count.
+	// KindPairReply once carried one pair's joint count; nothing sends it.
 	KindPairReply
-	// KindLRRequest broadcasts pooled frequencies and asks for the member's
-	// local LR-matrix over the given columns (Phase 3).
+	// KindLRRequest asks for the member's genotype pattern over the given
+	// columns (Phase 3).
 	KindLRRequest
-	// KindLRReply carries the serialized local LR-matrix.
+	// KindLRReply carries the serialized genotype pattern.
 	KindLRReply
 	// KindResult broadcasts the final selection to every member.
 	KindResult
@@ -52,10 +53,11 @@ const (
 
 // CodeIdentity is the code measured into every GenDPR enclave in this build.
 // Members only talk to peers attesting this exact measurement, so a peer
-// speaking another message format (v1 shipped fixed-width counts, five sums
-// per pair and int64 result lists) is refused at attestation, before any
-// frame of it is decoded.
-var CodeIdentity = []byte("gendpr-federation-enclave-v2")
+// speaking another message format is refused at attestation, before any
+// frame of it is decoded: v1 shipped fixed-width counts, five sums per pair
+// and int64 result lists; v2 sent two frequency vectors with each Phase-3
+// request and served the one-pair kinds.
+var CodeIdentity = []byte("gendpr-federation-enclave-v3")
 
 // ExpectedMeasurement returns the measurement every federation member pins.
 func ExpectedMeasurement() enclave.Measurement {
@@ -141,8 +143,8 @@ func decodeCounts(b []byte) ([]int64, int64, error) {
 // Phase 2 ships the joint count Σxy alone. For 0/1 genotypes the other
 // sufficient statistics of a pair (a, b) are the member's population and its
 // Phase-1 counts at a and b, which the leader already holds, so it rebuilds
-// them (genome.PairStatsFromCounts) instead of receiving them. The one-pair
-// kinds (KindPairRequest/KindPairReply) carry the batch forms with one pair.
+// them (genome.PairStatsFromCounts) instead of receiving them. A single pair
+// is a batch of one.
 
 // encodePairBatchRequest is the pair count followed by each pair's two SNP
 // indices packed at wire.Width(l−1), for a member of l SNPs.
@@ -212,23 +214,20 @@ func decodePairBatchReply(b []byte, n int64) ([]int64, error) {
 
 // --- LR codec ---
 
-func encodeLRRequest(cols []int, caseFreq, refFreq []float64) []byte {
-	e := wire.NewEncoder(24 + 24*len(cols))
+// encodeLRRequest is a pattern request: the column list, int64 each.
+func encodeLRRequest(cols []int) []byte {
+	e := wire.NewEncoder(8 + 8*len(cols))
 	e.Ints(cols)
-	e.Float64s(caseFreq)
-	e.Float64s(refFreq)
 	return e.Bytes()
 }
 
-func decodeLRRequest(b []byte) (cols []int, caseFreq, refFreq []float64, err error) {
+func decodeLRRequest(b []byte) ([]int, error) {
 	d := wire.NewDecoder(b)
-	cols = d.Ints()
-	caseFreq = d.Float64s()
-	refFreq = d.Float64s()
+	cols := d.Ints()
 	if err := d.Finish(); err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: LR request: %v", ErrProtocol, err)
+		return nil, fmt.Errorf("%w: LR request: %v", ErrProtocol, err)
 	}
-	return cols, caseFreq, refFreq, nil
+	return cols, nil
 }
 
 // --- Result codec ---

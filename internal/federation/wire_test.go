@@ -252,16 +252,26 @@ func TestPairBatchDecodersCheckLengthBeforeAllocating(t *testing.T) {
 	}
 }
 
+// TestLRRequestCodec: a pattern request is its column list alone, a length
+// and one int64 per column; a short payload or one with bytes after the list
+// is refused.
 func TestLRRequestCodec(t *testing.T) {
-	cols, caseFreq, refFreq, err := decodeLRRequest(encodeLRRequest([]int{3, 1}, []float64{0.5, 0.25}, []float64{0.75, 1}))
+	payload := encodeLRRequest([]int{3, 1})
+	if len(payload) != 8+2*8 {
+		t.Fatalf("two-column request is %d bytes, want 24", len(payload))
+	}
+	cols, err := decodeLRRequest(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cols) != 2 || cols[0] != 3 || caseFreq[1] != 0.25 || refFreq[0] != 0.75 {
-		t.Fatalf("LR request round trip: %v %v %v", cols, caseFreq, refFreq)
+	if len(cols) != 2 || cols[0] != 3 || cols[1] != 1 {
+		t.Fatalf("LR request round trip: %v", cols)
 	}
-	if _, _, _, err := decodeLRRequest([]byte{9}); err == nil {
-		t.Error("short LR request accepted")
+	if _, err := decodeLRRequest([]byte{9}); !errors.Is(err, ErrProtocol) {
+		t.Errorf("short LR request: %v", err)
+	}
+	if _, err := decodeLRRequest(append(payload, 0)); !errors.Is(err, ErrProtocol) {
+		t.Errorf("LR request with a trailing byte: %v", err)
 	}
 }
 

@@ -7,13 +7,6 @@ import (
 	"math/bits"
 )
 
-// Wire-format tags for serialized LR-matrices. Tag 1 was a dense float64
-// encoding; nothing writes it, and DecodeWireBit rejects it as unknown.
-const (
-	wireDense   = 1
-	wireCompact = 2
-)
-
 // ErrNotCompactable is returned when a column holds more than two distinct
 // values and so cannot be stored one bit per cell.
 var ErrNotCompactable = errors.New("lrtest: matrix column has more than two distinct values")
@@ -21,9 +14,8 @@ var ErrNotCompactable = errors.New("lrtest: matrix column has more than two dist
 // BitMatrix is the LR-matrix, stored by exploiting the structure of
 // Equation 1: every column holds at most two distinct values (the minor- and
 // major-allele contributions), so the matrix stores as one bit per cell plus
-// two float64 representatives per column — the in-memory analogue of the
-// compact wire format, roughly 60x smaller than a float64 per cell for the
-// paper's cohort sizes.
+// two float64 representatives per column, roughly 60x smaller than a float64
+// per cell for the paper's cohort sizes.
 //
 // Bits are stored column-major (column j occupies the words
 // bits[j*wpc:(j+1)*wpc], row i at bit i of that span) so the kernel's hot
@@ -305,8 +297,9 @@ func (m *BitMatrix) addColumnBand(dst, base []float64, j int, lo, hi float64, ba
 // bits carry genotype orientation (the LRPattern contract: a set bit records
 // the minor allele) this is the column's minor-allele carrier count, which
 // the leader cross-checks against the member's reported Phase 1 counts. The
-// count is representation-dependent and meaningless on matrices from
-// DecodeWireBit, whose bit polarity follows row-scan first-seen order.
+// count is representation-dependent: on a matrix whose representatives were
+// swapped and bits inverted (MergeBits's output may be one) it counts the
+// other allele.
 func (m *BitMatrix) ColumnOnes(j int) int {
 	if j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("lrtest: column %d out of range for %d columns", j, m.cols))
@@ -357,10 +350,12 @@ func (m *BitMatrix) Equal(o *BitMatrix) bool {
 	return true
 }
 
-// MergeBits concatenates bit-packed LR-matrices row-wise — the
-// leader-enclave merge of Phase 3 Step 3 — without decoding any cell. Parts may disagree on which representative a set bit denotes
-// (the compact wire format records them in row-scan first-seen order, which
-// varies per shard), so each part's column is first normalized: its *used*
+// MergeBits concatenates bit-packed LR-matrices row-wise without decoding
+// any cell: the merge of PAPER.md's Phase 3 Step 3, which no protocol path
+// performs (the leader scores the member patterns where they lie,
+// SelectSafeParts). Parts may disagree on which representative a set bit
+// denotes — swapped representatives over inverted bits decode to the same
+// cells — so each part's column is first normalized: its *used*
 // values — zero[j] if any bit is clear, one[j] if any is set — are matched
 // bitwise against the output column's representatives, and the part's words
 // are spliced in verbatim, inverted, or as a constant run accordingly. A
@@ -498,129 +493,6 @@ func spliceWords(dst []uint64, off int, src []uint64, n int, invert bool) {
 		}
 		rem -= take
 	}
-}
-
-// EncodeWire serializes the matrix in the compact wire format: the tag,
-// rows and cols as 8-byte big-endian integers, each column's two
-// representatives in row-scan first-seen order (a column with one effective
-// value repeats it), then one bit per cell in row-major order, set when the
-// cell holds the second representative. For a matrix with rows, the bytes
-// depend only on the cell values, not on which representative a set bit
-// denotes in memory.
-func (m *BitMatrix) EncodeWire() []byte {
-	bitBytes := (m.rows*m.cols + 7) / 8
-	buf := make([]byte, 0, 17+16*m.cols+bitBytes)
-	buf = append(buf, wireCompact)
-	var tmp [8]byte
-	appendU64 := func(v uint64) {
-		putUint64(tmp[:], v)
-		buf = append(buf, tmp[:]...)
-	}
-	appendU64(uint64(m.rows))
-	appendU64(uint64(m.cols))
-
-	// mode per column: 0 = all bits zero on the wire, 1 = copy column bits,
-	// 2 = invert column bits.
-	const (
-		wireZero = iota
-		wireCopy
-		wireInvert
-	)
-	modes := make([]byte, m.cols)
-	for j := 0; j < m.cols; j++ {
-		lo, hi := m.zero[j], m.one[j]
-		mode := byte(wireZero)
-		if m.rows > 0 {
-			span := m.bits[j*m.wpc : (j+1)*m.wpc]
-			set := popcount(span)
-			switch {
-			//gendpr:allow(floateq): the wire format collapses float-equal representatives into one value
-			case set == 0 || set == m.rows || lo == hi:
-				// Single effective value: the row-0 cell is recorded as lo
-				// and no bit is set.
-				v := [2]float64{lo, hi}
-				lo = v[m.bit(0, j)]
-				hi = lo
-			case m.bit(0, j) == 0:
-				// Row-scan first sees the clear-bit value: wire bits match
-				// the stored bits.
-				mode = wireCopy
-			default:
-				// Row-scan first sees the set-bit value: it becomes the wire
-				// lo, so wire bits are the stored bits inverted.
-				lo, hi = hi, lo
-				mode = wireInvert
-			}
-		}
-		modes[j] = mode
-		appendU64(math.Float64bits(lo))
-		appendU64(math.Float64bits(hi))
-	}
-	wire := make([]byte, bitBytes)
-	for j := 0; j < m.cols; j++ {
-		mode := modes[j]
-		if mode == wireZero {
-			continue
-		}
-		flip := uint64(0)
-		if mode == wireInvert {
-			flip = 1
-		}
-		w := m.bits[j*m.wpc : (j+1)*m.wpc]
-		for i := 0; i < m.rows; i++ {
-			if (w[i>>6]>>(uint(i)&63))&1 != flip {
-				idx := i*m.cols + j
-				wire[idx/8] |= 1 << (uint(idx) % 8)
-			}
-		}
-	}
-	return append(buf, wire...)
-}
-
-// DecodeWireBit decodes a compact wire-format LR-matrix (EncodeWire's
-// output) into the bit-packed form. Any other tag is an error.
-func DecodeWireBit(b []byte) (*BitMatrix, error) {
-	if len(b) == 0 {
-		return nil, errors.New("lrtest: empty wire encoding")
-	}
-	if b[0] != wireCompact {
-		return nil, fmt.Errorf("lrtest: unknown wire tag %d", b[0])
-	}
-	return bitFromCompactBytes(b[1:])
-}
-
-func bitFromCompactBytes(b []byte) (*BitMatrix, error) {
-	if len(b) < 16 {
-		return nil, errors.New("lrtest: compact encoding too short")
-	}
-	rows := int(getUint64(b[0:8]))
-	cols := int(getUint64(b[8:16]))
-	if rows < 0 || cols < 0 || rows > 1<<30 || cols > 1<<30 {
-		return nil, errors.New("lrtest: compact encoding has implausible shape")
-	}
-	bitBytes := (rows*cols + 7) / 8
-	want := 16 + 16*cols + bitBytes
-	if len(b) != want {
-		return nil, fmt.Errorf("lrtest: compact encoding has %d bytes, want %d", len(b), want)
-	}
-	m := NewBitMatrix(rows, cols)
-	for j := 0; j < cols; j++ {
-		m.zero[j] = math.Float64frombits(getUint64(b[16+16*j : 24+16*j]))
-		m.one[j] = math.Float64frombits(getUint64(b[24+16*j : 32+16*j]))
-	}
-	// Walk the payload's cells, not the claimed rows: a reply with no columns
-	// carries no cells whatever row count it states, and must decode in
-	// constant time.
-	wire := b[16+16*cols:]
-	for idx, i, j := 0, 0, 0; idx < rows*cols; idx++ {
-		if wire[idx>>3]&(1<<(uint(idx)&7)) != 0 {
-			m.bits[j*m.wpc+i>>6] |= 1 << (uint(i) & 63)
-		}
-		if j++; j == cols {
-			i, j = i+1, 0
-		}
-	}
-	return m, nil
 }
 
 // BuildBitFromColumnBytes builds a bit-packed LR-matrix from per-column

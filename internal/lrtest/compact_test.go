@@ -4,106 +4,91 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"gendpr/internal/genome"
 )
 
-func builtMatrix(t *testing.T, rows, cols int, seed int64) *BitMatrix {
-	t.Helper()
-	cohort, err := genome.Generate(genome.DefaultGeneratorConfig(cols, rows, seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	caseFreq := genome.Frequencies(cohort.Case.AlleleCounts(), int64(cohort.Case.N()))
-	refFreq := genome.Frequencies(cohort.Reference.AlleleCounts(), int64(cohort.Reference.N()))
-	ratios, err := NewLogRatios(caseFreq, refFreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := BuildBit(cohort.Case, ratios)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
+// The one Phase-3 wire format is the genotype pattern: a member ships its
+// pattern (EncodePatternWire) and the leader skins what it decodes through a
+// combination's log ratios. A member's LR-matrix therefore survives the wire
+// exactly when the decoded pattern, reskinned, is that matrix cell for cell.
 
-// wireRoundTrip encodes m, decodes the bytes and requires the same cells.
-func wireRoundTrip(t *testing.T, m *BitMatrix) {
+// wireRoundTrip ships g's pattern over the wire, decodes it against g's
+// column count, and requires the reskinned result to equal BuildBit(g, ratios).
+func wireRoundTrip(t *testing.T, g Genotypes, ratios LogRatios) {
 	t.Helper()
-	back, err := DecodeWireBit(m.EncodeWire())
+	pat, err := BuildBitPattern(g)
 	if err != nil {
-		t.Fatalf("%dx%d: DecodeWireBit: %v", m.Rows(), m.Cols(), err)
+		t.Fatal(err)
 	}
-	if !back.Equal(m) {
-		t.Fatalf("%dx%d: wire round trip is not bit-exact", m.Rows(), m.Cols())
+	dec, err := DecodePatternWireCols(pat.EncodePatternWire(), g.L())
+	if err != nil {
+		t.Fatalf("%dx%d: DecodePatternWireCols: %v", g.N(), g.L(), err)
+	}
+	got, err := dec.Reskin(ratios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := BuildBit(g, ratios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("%dx%d: wire round trip is not bit-exact", g.N(), g.L())
 	}
 }
 
 func TestCompactRoundTripExact(t *testing.T) {
-	wireRoundTrip(t, builtMatrix(t, 60, 45, 13))
+	cohort, ratios := testRatios(t, 45, 60, 13)
+	wireRoundTrip(t, cohort.Case, ratios)
 }
 
 func TestCompactMuchSmallerThanDense(t *testing.T) {
-	m := builtMatrix(t, 200, 100, 17)
-	compact := len(m.EncodeWire())
-	dense := 16 + 8*m.Rows()*m.Cols()
+	cohort, _ := testRatios(t, 100, 200, 17)
+	pat, err := BuildBitPattern(cohort.Case)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compact := len(pat.EncodePatternWire())
+	dense := 16 + 8*pat.Rows()*pat.Cols()
 	if compact*10 > dense {
 		t.Errorf("compact %d bytes vs dense %d: expected >10x reduction", compact, dense)
 	}
 }
 
-func TestEncodeWirePrefersCompact(t *testing.T) {
-	m := builtMatrix(t, 20, 10, 19)
-	if wire := m.EncodeWire(); wire[0] != wireCompact {
-		t.Fatalf("wire tag %d, want compact", wire[0])
-	}
-	wireRoundTrip(t, m)
-}
-
 func TestCompactEdgeShapes(t *testing.T) {
 	for _, shape := range [][2]int{{0, 0}, {1, 1}, {5, 0}, {0, 5}} {
-		wireRoundTrip(t, NewBitMatrix(shape[0], shape[1]))
+		wireRoundTrip(t, newPatGenotypes(shape[0], shape[1], 7), patRatios(shape[1], 8))
 	}
 }
 
+// TestCompactConstantColumn ships columns that decode to a single value: one
+// no individual carries, one every individual carries, and one whose two
+// representatives are equal (clamped frequencies). The pattern carries the
+// bits, not the values, so each still reskins to the member's matrix.
 func TestCompactConstantColumn(t *testing.T) {
-	// A column with a single distinct value (e.g. clamped frequencies).
-	m := NewBitMatrix(4, 2)
-	m.zero[0], m.one[0] = 2.5, 2.5
-	m.zero[1], m.one[1] = 0, 1
-	m.bits[1*m.wpc] = 0b1010
-	wireRoundTrip(t, m)
+	g := newPatGenotypes(4, 3, 9)
+	for i := range g.bits {
+		g.bits[i][0], g.bits[i][1] = false, true
+	}
+	g.bits[1][2], g.bits[3][2] = true, false
+	ratios := patRatios(3, 10)
+	ratios.Minor[2] = ratios.Major[2]
+	wireRoundTrip(t, g, ratios)
 }
 
-func TestDecodeWireRejectsGarbage(t *testing.T) {
-	if _, err := DecodeWireBit(nil); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := DecodeWireBit([]byte{99, 1, 2}); err == nil {
-		t.Error("unknown tag accepted")
-	}
-	if _, err := DecodeWireBit([]byte{wireCompact, 1, 2}); err == nil {
-		t.Error("short compact body accepted")
-	}
-	wire := builtMatrix(t, 10, 5, 23).EncodeWire()
-	if _, err := DecodeWireBit(wire[:len(wire)-1]); err == nil {
-		t.Error("truncated compact body accepted")
-	}
-}
-
-// TestDecodeZeroColumnsIsConstantTime: a 17-byte reply stating 2³⁰ rows and
-// no columns is a well-formed empty matrix, and decoding it must not walk the
-// stated rows; a 17-byte pattern stating 2³⁰ × 2³⁰ cells must be rejected
-// before anything the size of that shape is allocated.
+// TestDecodeZeroColumnsIsConstantTime: a 17-byte pattern stating 2³⁰ rows and
+// no columns — a member's reply when no SNP survived Phase 2 — is a
+// well-formed empty matrix, and decoding it must not walk the stated rows; a
+// 17-byte pattern stating 2³⁰ × 2³⁰ cells must be rejected before anything
+// the size of that shape is allocated.
 func TestDecodeZeroColumnsIsConstantTime(t *testing.T) {
 	wire := make([]byte, 17)
-	wire[0] = wireCompact
+	wire[0] = wirePatternTag
 	putUint64(wire[1:], 1<<30)
 	start := time.Now()
-	m, err := DecodeWireBit(wire)
+	m, err := DecodePatternWireCols(wire, 0)
 	elapsed := time.Since(start)
 	if err != nil {
-		t.Fatalf("DecodeWireBit: %v", err)
+		t.Fatalf("DecodePatternWireCols: %v", err)
 	}
 	if m.Rows() != 1<<30 || m.Cols() != 0 {
 		t.Errorf("decoded %d×%d, want %d×0", m.Rows(), m.Cols(), 1<<30)

@@ -11,10 +11,11 @@ import (
 )
 
 // This file is the dense reference the bit-packed LR-matrix is tested
-// against: Equation 1 written out as one float64 per cell, the compact wire
+// against: Equation 1 written out as one float64 per cell, the pattern wire
 // format encoded from its definition, and SecureGenome's greedy LR-test run
 // over the cells with every candidate rescored from scratch and thresholded
-// by a full sort. It shares nothing with BitMatrix but LogRatios and Power.
+// by a full sort. It shares nothing with BitMatrix but LogRatios, Power and
+// the pattern tag.
 
 // denseLR is an LR-matrix with one float64 per cell, row-major.
 type denseLR struct {
@@ -94,29 +95,25 @@ func (d denseLR) mean(j int) float64 {
 	return sum / float64(d.rows)
 }
 
-// wire is the compact wire encoding: the tag, rows and cols big-endian, per
-// column the first row's value and the column's other value (the first
-// again when there is none), then one bit per cell in row-major order, set
-// when the cell is not the first row's value.
-func (d denseLR) wire() []byte {
-	buf := binary.BigEndian.AppendUint64([]byte{wireCompact}, uint64(d.rows))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(d.cols))
-	bits := make([]byte, (d.rows*d.cols+7)/8)
-	for j := 0; j < d.cols; j++ {
-		var lo, hi float64
-		for i := 0; i < d.rows; i++ {
-			switch v := d.cells[i*d.cols+j]; {
-			case i == 0:
-				lo, hi = v, v
-			case v != lo:
-				hi = v
-				bits[(i*d.cols+j)/8] |= 1 << ((i*d.cols + j) % 8)
+// patternWire is the pattern wire encoding of g: the tag, rows and cols
+// big-endian, then for each column its (rows+63)/64 words big-endian, bit i
+// of the column's span set when individual i carries the minor allele.
+func patternWire(g Genotypes) []byte {
+	buf := binary.BigEndian.AppendUint64([]byte{wirePatternTag}, uint64(g.N()))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(g.L()))
+	words := make([]uint64, (g.N()+63)/64)
+	for j := 0; j < g.L(); j++ {
+		clear(words)
+		for i := 0; i < g.N(); i++ {
+			if g.Get(i, j) {
+				words[i/64] |= 1 << (i % 64)
 			}
 		}
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(lo))
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(hi))
+		for _, w := range words {
+			buf = binary.BigEndian.AppendUint64(buf, w)
+		}
 	}
-	return append(buf, bits...)
+	return buf
 }
 
 // sortedThreshold is the (1−α) quantile of scores taken from a full sort.
@@ -229,9 +226,8 @@ func TestMergeBitsMatchesDenseMerge(t *testing.T) {
 }
 
 // TestMergeBitsNormalizesRepresentatives merges parts that disagree on which
-// representative a set bit denotes — the situation DecodeWireBit produces,
-// because the compact wire format records representatives in row-scan
-// first-seen order, which varies per shard.
+// representative a set bit denotes: every other part has its representatives
+// swapped and its bits inverted, which decodes to the same cells.
 func TestMergeBitsNormalizesRepresentatives(t *testing.T) {
 	cohort, ratios := testRatios(t, 40, 260, 17)
 	shards, err := cohort.Partition(4)
@@ -242,11 +238,14 @@ func TestMergeBitsNormalizesRepresentatives(t *testing.T) {
 	bitParts := make([]*BitMatrix, len(shards))
 	for i, s := range shards {
 		denseParts[i] = buildDense(s, ratios)
-		// Round-trip through the wire so each part's zero/one assignment
-		// follows its own first-seen order, not the BuildBit orientation.
-		built, _ := BuildBit(s, ratios)
-		if bitParts[i], err = DecodeWireBit(built.EncodeWire()); err != nil {
+		if bitParts[i], err = BuildBit(s, ratios); err != nil {
 			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			bitParts[i] = inverted(bitParts[i])
+			if !denseOf(bitParts[i]).equal(denseParts[i]) {
+				t.Fatal("inverting a part changed its cells")
+			}
 		}
 	}
 	got, err := MergeBits(bitParts...)
@@ -254,8 +253,24 @@ func TestMergeBitsNormalizesRepresentatives(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !denseOf(got).equal(mergeDense(denseParts...)) {
-		t.Fatal("merge of wire-decoded parts differs from dense concatenation")
+		t.Fatal("merge of parts with swapped representatives differs from dense concatenation")
 	}
+}
+
+// inverted returns m with each column's representatives swapped and its bits
+// inverted (tail bits kept clear): the same cells, the other representation.
+func inverted(m *BitMatrix) *BitMatrix {
+	out := NewBitMatrix(m.rows, m.cols)
+	copy(out.zero, m.one)
+	copy(out.one, m.zero)
+	for j := 0; j < m.cols; j++ {
+		for i := 0; i < m.rows; i++ {
+			if m.bit(i, j) == 0 {
+				out.bits[j*out.wpc+i>>6] |= 1 << (uint(i) & 63)
+			}
+		}
+	}
+	return out
 }
 
 func TestMergeBitsHandlesConstantColumns(t *testing.T) {
@@ -290,63 +305,44 @@ func TestMergeBitsHandlesConstantColumns(t *testing.T) {
 	}
 }
 
+// TestBitMatrixEncodeWireByteIdentical pins the bytes a member ships in
+// Phase 3, its genotype pattern, to the format's definition.
 func TestBitMatrixEncodeWireByteIdentical(t *testing.T) {
-	cohort, ratios := testRatios(t, 50, 240, 23)
-	bit, _ := BuildBit(cohort.Case, ratios)
-	if !bytes.Equal(bit.EncodeWire(), buildDense(cohort.Case, ratios).wire()) {
-		t.Fatal("BitMatrix wire bytes differ from the format's definition")
-	}
-}
-
-func TestBitMatrixEncodeWireEdgeShapes(t *testing.T) {
-	cases := []*BitMatrix{
-		NewBitMatrix(0, 0),
-		NewBitMatrix(0, 3),
-		NewBitMatrix(4, 0),
-		NewBitMatrix(5, 2), // all-zero cells: single-valued columns
-	}
-	// Single-valued columns whose representatives differ: all bits clear in
-	// column 0, all set in column 1.
-	constant := NewBitMatrix(3, 2)
-	constant.zero[0], constant.one[0] = 2.25, 7
-	constant.zero[1], constant.one[1] = 5, -1.5
-	constant.bits[1*constant.wpc] = 0b111
-	// A column whose first row carries the set-bit value exercises the
-	// inverted wire mapping.
-	flipped := NewBitMatrix(3, 1)
-	flipped.zero[0], flipped.one[0] = 3, 9
-	flipped.bits[0] = 0b101
-	cases = append(cases, constant, flipped)
-	for i, m := range cases {
-		if !bytes.Equal(m.EncodeWire(), denseOf(m).wire()) {
-			t.Fatalf("case %d: wire bytes differ from the format's definition", i)
-		}
-	}
-}
-
-func TestDecodeWireBitRoundTrip(t *testing.T) {
-	cohort, ratios := testRatios(t, 45, 230, 27)
-	built, _ := BuildBit(cohort.Case, ratios)
-	wire := built.EncodeWire()
-	bit, err := DecodeWireBit(wire)
+	cohort, _ := testRatios(t, 50, 240, 23)
+	pat, err := BuildBitPattern(cohort.Case)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bit.Equal(built) || !denseOf(bit).equal(buildDense(cohort.Case, ratios)) {
-		t.Fatal("compact wire decode differs from the encoded matrix")
+	if !bytes.Equal(pat.EncodePatternWire(), patternWire(cohort.Case)) {
+		t.Fatal("pattern wire bytes differ from the format's definition")
 	}
-	// Tag 1, the retired dense encoding, is an unknown tag.
-	if _, err := DecodeWireBit(append([]byte{wireDense}, wire[1:]...)); err == nil {
-		t.Fatal("dense-tag payload must fail")
+}
+
+// TestBitMatrixEncodeWireEdgeShapes is the same at the shapes where the
+// layout has edges: no rows or no columns, a partial last word, a column no
+// individual carries and one every individual carries.
+func TestBitMatrixEncodeWireEdgeShapes(t *testing.T) {
+	full := newPatGenotypes(65, 2, 3)
+	for i := range full.bits {
+		full.bits[i][0], full.bits[i][1] = false, true
 	}
-	if _, err := DecodeWireBit(nil); err == nil {
-		t.Fatal("empty payload must fail")
+	cases := []*patGenotypes{
+		newPatGenotypes(0, 0, 1),
+		newPatGenotypes(0, 3, 1),
+		newPatGenotypes(4, 0, 1),
+		newPatGenotypes(5, 2, 1),
+		newPatGenotypes(63, 3, 2),
+		newPatGenotypes(64, 3, 2),
+		full,
 	}
-	if _, err := DecodeWireBit([]byte{99}); err == nil {
-		t.Fatal("unknown tag must fail")
-	}
-	if _, err := DecodeWireBit([]byte{wireCompact, 1, 2}); err == nil {
-		t.Fatal("truncated compact payload must fail")
+	for i, g := range cases {
+		pat, err := BuildBitPattern(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(pat.EncodePatternWire(), patternWire(g)) {
+			t.Fatalf("case %d (%dx%d): pattern wire bytes differ from the format's definition", i, g.N(), g.L())
+		}
 	}
 }
 

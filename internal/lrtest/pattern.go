@@ -46,12 +46,11 @@ func (m *BitMatrix) IsPattern() bool {
 
 // --- pattern wire codec ---
 
-// wirePatternTag identifies the orientation-preserving pattern encoding. The
-// compact LR-matrix codec (EncodeWire) is value-oriented: it re-derives each
-// column's bit meaning from the representatives, and a pattern's
-// representatives are all equal (zero), which that codec would collapse to a
-// constant column and drop the genotype bits. Patterns therefore ship under
-// their own tag with the column-major words verbatim.
+// wirePatternTag identifies the pattern encoding, the one Phase-3 reply a
+// member ships: the column-major words verbatim, so the bits keep their
+// genotype orientation. Tags 1 and 2 were LR-matrix encodings that carried
+// representatives; nothing writes them, and the decoder rejects them as
+// unknown.
 const wirePatternTag = 3
 
 // EncodePatternWire serializes a genotype bit-pattern: tag, rows, cols, then

@@ -166,7 +166,7 @@ func TestDecodePatternWireRejectsMalformed(t *testing.T) {
 	enc := pat.EncodePatternWire()
 	cases := map[string][]byte{
 		"empty":        {},
-		"wrong tag":    append([]byte{wireCompact}, enc[1:]...),
+		"wrong tag":    append([]byte{2}, enc[1:]...), // a retired LR-matrix tag
 		"truncated":    enc[:len(enc)-1],
 		"extended":     append(append([]byte{}, enc...), 0),
 		"short header": enc[:9],

@@ -167,6 +167,11 @@ echo "== packed wire decoders (fuzz) =="
 # payloads, so the packed forms must be canonical).
 go test -run '^$' -fuzz '^FuzzDecodeCounts$' -fuzztime 10s ./internal/federation/
 go test -run '^$' -fuzz '^FuzzDecodePairBatchReply$' -fuzztime 10s ./internal/federation/
+# The one decoder of a member's Phase-3 bytes in the leader: no panic, an
+# accepted payload is a pattern (zero representatives, tail bits clear) whose
+# re-encoding decodes back equal, and a payload stating another column count
+# than the request's is rejected before anything of its shape is allocated.
+go test -run '^$' -fuzz '^FuzzDecodePatternWire$' -fuzztime 10s ./internal/lrtest/
 
 echo "== Phase-3 vector kernels vs the Go loops (race, 3 runs) =="
 # The AVX-512 kernels against the Go loops they replace, bit for bit: the
