@@ -230,18 +230,17 @@ func DefaultTaintSpec() *TaintSpec {
 			// declared as sources (lrtest wire decoders, genome matrix
 			// parsers). Without this the shared Decoder buffer smears
 			// per-individual taint onto every decoded aggregate module-wide.
-			"(*gendpr/internal/wire.Decoder).Uint64":   DeclassRelease,
-			"(*gendpr/internal/wire.Decoder).Int64":    DeclassRelease,
-			"(*gendpr/internal/wire.Decoder).Int":      DeclassRelease,
-			"(*gendpr/internal/wire.Decoder).Float64":  DeclassRelease,
-			"(*gendpr/internal/wire.Decoder).Bool":     DeclassRelease,
-			"(*gendpr/internal/wire.Decoder).Blob":     DeclassRelease,
-			"(*gendpr/internal/wire.Decoder).String":   DeclassRelease,
-			"(*gendpr/internal/wire.Decoder).Int64s":   DeclassRelease,
-			"(*gendpr/internal/wire.Decoder).Ints":     DeclassRelease,
-			"(*gendpr/internal/wire.Decoder).Float64s": DeclassRelease,
-			"(*gendpr/internal/wire.Decoder).Packed":   DeclassRelease,
-			"(*gendpr/internal/wire.Decoder).Bitmap":   DeclassRelease,
+			"(*gendpr/internal/wire.Decoder).Uint64":  DeclassRelease,
+			"(*gendpr/internal/wire.Decoder).Int64":   DeclassRelease,
+			"(*gendpr/internal/wire.Decoder).Int":     DeclassRelease,
+			"(*gendpr/internal/wire.Decoder).Float64": DeclassRelease,
+			"(*gendpr/internal/wire.Decoder).Bool":    DeclassRelease,
+			"(*gendpr/internal/wire.Decoder).Blob":    DeclassRelease,
+			"(*gendpr/internal/wire.Decoder).String":  DeclassRelease,
+			"(*gendpr/internal/wire.Decoder).Int64s":  DeclassRelease,
+			"(*gendpr/internal/wire.Decoder).Ints":    DeclassRelease,
+			"(*gendpr/internal/wire.Decoder).Packed":  DeclassRelease,
+			"(*gendpr/internal/wire.Decoder).Bitmap":  DeclassRelease,
 			// Public derivations of key material.
 			"(*gendpr/internal/seal.KeyPair).PublicBytes": DeclassRelease,
 			"(*gendpr/internal/seal.SigningKey).Sign":     DeclassRelease,

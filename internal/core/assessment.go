@@ -18,9 +18,9 @@ import (
 var ErrNoMembers = errors.New("core: assessment needs at least one member")
 
 const (
-	bytesPerCount    = 8
-	bytesPerPairStat = 48
-	lrMatrixOverhead = 16
+	bytesPerCount      = 8
+	bytesPerJointCount = 8
+	lrMatrixOverhead   = 16
 )
 
 // RunAssessment executes the GenDPR verification pipeline: Phase 1 (MAF),
@@ -301,25 +301,25 @@ func (r *assessmentRun) freeLR(n int64) {
 }
 
 // pairEntry returns the table index of a pair's entry. The first touch
-// computes the reference panel's statistics — the single counts are known
-// from Phase 1, so that is one PairCount column pass — and the panel's LD
-// decision across the band, and accounts the pair's leader-side footprint
-// once: the reference contribution plus one per member.
+// computes the reference panel's joint count — one PairCount column pass —
+// and the panel's LD decision across the band, and accounts the pair's
+// leader-side footprint once: one joint count for the panel and one per
+// member.
 func (r *assessmentRun) pairEntry(a, b int) (int, error) {
 	if k, ok := r.pairs.lookup(a, b); ok {
 		return k, nil
 	}
-	if err := r.alloc(bytesPerPairStat * int64(len(r.members)+1)); err != nil {
+	if err := r.alloc(bytesPerJointCount * int64(len(r.members)+1)); err != nil {
 		return 0, err
 	}
-	return r.pairs.add(a, b, r.ref.PairStats(a, b), r.cfg.LDCutoff), nil
+	return r.pairs.add(a, b, r.ref.PairCount(a, b), r.cfg.LDCutoff), nil
 }
 
 // releasePairs ends the pair statistics' life at the Phase-2 boundary, once
 // recordLD has taken L″: Phase 3 never reads a pair, so the table is dropped
 // and the bytes pairEntry accounted for it are returned.
 func (r *assessmentRun) releasePairs() {
-	r.free(int64(len(r.pairs.entries)) * bytesPerPairStat * int64(len(r.members)+1))
+	r.free(int64(len(r.pairs.entries)) * bytesPerJointCount * int64(len(r.members)+1))
 	r.pairs = nil
 }
 
@@ -401,11 +401,7 @@ func (r *assessmentRun) collectSummaries() error {
 	r.cs.recordSummaries(r.counts, r.caseNs)
 	r.refCounts = r.ref.AlleleCounts()
 	r.refN = int64(r.ref.N())
-	fullN := r.refN
-	for _, n := range r.caseNs {
-		fullN += n
-	}
-	r.pairs = newPairTable(len(r.refCounts), len(r.members), fullN)
+	r.pairs = newPairTable(r.refCounts, r.refN, r.counts, r.caseNs)
 	return nil
 }
 
@@ -520,7 +516,7 @@ func (r *assessmentRun) ldSources(subset []int, fetch bool) (PairStatsFunc, Pair
 	t := r.pairs
 	pooled := func(a, b int) (genome.PairStats, error) {
 		if k, ok := t.lookup(a, b); ok {
-			if s, ok := t.pooled(k, subset); ok {
+			if s, ok := t.pooled(k, a, b, subset); ok {
 				return s, nil
 			}
 		}
@@ -545,7 +541,8 @@ func (r *assessmentRun) ldSources(subset []int, fetch bool) (PairStatsFunc, Pair
 
 // prefetchPairs has each member of the subset send, in one batched request
 // and in parallel, the given pairs the table holds no contribution of it
-// for.
+// for. A member's statistics are checked whole, marginals against its
+// Phase-1 summary included, before the table keeps their joint count.
 func (r *assessmentRun) prefetchPairs(subset []int, pairs [][2]int) error {
 	if len(pairs) == 0 {
 		return nil
@@ -562,11 +559,11 @@ func (r *assessmentRun) prefetchPairs(subset []int, pairs [][2]int) error {
 	var wg sync.WaitGroup
 	for slot, i := range subset {
 		var missing [][2]int
-		var slots []*memberPair
+		var slots []*int64
 		for j, k := range keys {
-			if m := r.pairs.member(k, i); !m.have {
+			if xy := r.pairs.member(k, i); *xy < 0 {
 				missing = append(missing, pairs[j])
-				slots = append(slots, m)
+				slots = append(slots, xy)
 			}
 		}
 		if len(missing) == 0 {
@@ -585,8 +582,8 @@ func (r *assessmentRun) prefetchPairs(subset []int, pairs [][2]int) error {
 				errs[slot] = memberErr(i, PhaseLD, "pair prefetch: %w", err)
 				return
 			}
-			for j, m := range slots {
-				m.s, m.have = stats[j], true
+			for j, xy := range slots {
+				*xy = stats[j].SumXY
 			}
 		})
 	}
@@ -630,9 +627,11 @@ func (r *assessmentRun) phase2LD(plan *latticePlan, lPrime []int) ([]int, [][]in
 	start = time.Now()
 	announced, pairs := ldClosure(lPrime, r.predictPair, pvals)
 	r.addTiming(&r.report.Timings.LD, start)
-	if err := r.alloc(int64(max(len(lPrime), announced.n)) * bytesPerCount); err != nil {
+	closure := int64(max(len(lPrime), announced.n)) * bytesPerCount
+	if err := r.alloc(closure); err != nil {
 		return nil, nil, err
 	}
+	defer r.free(closure) // announced is dead once the phase returns
 	start = time.Now()
 	err = r.prefetchPairs(plan.chains[0].head, pairs)
 	r.addTiming(&r.report.Timings.DataAggregation, start)
@@ -713,12 +712,18 @@ func bitLRBytes(rows, cols int64) int64 {
 	return lrMatrixOverhead + 8*((rows+63)/64)*cols + 16*cols
 }
 
+// refViewBytes is the protected-memory footprint of the reference pattern,
+// a view over the panel's columns (viewLR): one word offset and two float64
+// representatives per column.
+func refViewBytes(cols int64) int64 { return 24 * cols }
+
 // phase3LR is Phase 3 over the combination lattice. Each member ships its
 // genotype bit-pattern once; every combination is then scored leader-side
 // over its members' patterns where they lie, in canonical member order,
 // decoded through the combination's log ratios (lrtest.SelectSafeParts): no
-// combination's case matrix is ever assembled, so the enclave holds the
-// reference pattern, each member pattern once and the representatives.
+// combination's case matrix is ever assembled, so the enclave holds each
+// member pattern once and the representatives, and the reference pattern is
+// a view over the panel.
 //
 // Selections are bit-identical to merging per-combination member LR-matrices
 // (TestPhase3BitKernelGolden and TestLatticeMatchesLegacyGolden pin them to
@@ -732,8 +737,11 @@ func (r *assessmentRun) phase3LR(plan *latticePlan, lDouble []int) ([]int, [][]i
 	}
 	per := make([][]int, plan.count)
 
-	// The reference pattern lives for the whole phase.
-	refBytes := bitLRBytes(r.refN, int64(len(lDouble)))
+	// The reference pattern lives for the whole phase. It is a view over the
+	// panel's L″ columns where they lie, and the panel is outside the ledger
+	// (DESIGN.md §5d): the phase holds the view's word offsets and
+	// representatives, never a copy of the cells.
+	refBytes := refViewBytes(int64(len(lDouble)))
 	if err := r.allocLR(refBytes); err != nil {
 		return nil, nil, 0, err
 	}
@@ -754,12 +762,16 @@ func (r *assessmentRun) phase3LR(plan *latticePlan, lDouble []int) ([]int, [][]i
 	refFreq := Frequencies(r.refCounts, r.refN, lDouble)
 	r.addTiming(&r.report.Timings.Indexing, start)
 	start = time.Now()
-	refPattern, err := BuildLRBitMatrix(r.ref, lDouble, caseFreq, refFreq)
-	r.addTiming(&r.report.Timings.LRTest, start)
+	ratios, err := lrRatios(len(lDouble), caseFreq, refFreq)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	order, fullPower, err := r.phase3Full(full, lDouble, caseFreq, refFreq, refPattern, ps, per)
+	refPattern, err := viewLR(r.ref, lDouble, ratios)
+	r.addTiming(&r.report.Timings.LRTest, start)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("core: reference LR view: %w", err)
+	}
+	order, fullPower, err := r.phase3Full(full, lDouble, ratios, refPattern, ps, per)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -776,7 +788,7 @@ func (r *assessmentRun) phase3LR(plan *latticePlan, lDouble []int) ([]int, [][]i
 // phase3Full evaluates the full-membership combination into per[0] and
 // returns its power and the admission order (see LRPhaseBit), derived
 // once here and shared with every collusion combination.
-func (r *assessmentRun) phase3Full(subset []int, lDouble []int, caseFreq, refFreq []float64, refLR *lrtest.BitMatrix, ps *patternSet, per [][]int) ([]int, float64, error) {
+func (r *assessmentRun) phase3Full(subset []int, lDouble []int, ratios lrtest.LogRatios, refLR *lrtest.BitMatrix, ps *patternSet, per [][]int) ([]int, float64, error) {
 	if err := r.ctxErr(); err != nil {
 		return nil, 0, err
 	}
@@ -814,7 +826,8 @@ func (r *assessmentRun) phase3Full(subset []int, lDouble []int, caseFreq, refFre
 		return nil, 0, err
 	}
 	r.addTiming(&r.report.Timings.DataAggregation, start)
-	// The log ratios are the one thing this combination adds to the enclave.
+	// The log ratios (phase3LR built the reference view with them) are the
+	// one thing this combination adds to the enclave.
 	ratioBytes := 16 * int64(len(lDouble))
 	if err := r.allocLR(ratioBytes); err != nil {
 		return nil, 0, err
@@ -822,10 +835,6 @@ func (r *assessmentRun) phase3Full(subset []int, lDouble []int, caseFreq, refFre
 	defer r.freeLR(ratioBytes)
 
 	start = time.Now()
-	ratios, err := lrtest.NewLogRatios(caseFreq, refFreq)
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: log ratios: %w", err)
-	}
 	// The parts come in canonical member order: the discriminability order
 	// is row-order sensitive.
 	order, err := lrtest.DiscriminabilityOrderParts(parts, ratios, refLR)

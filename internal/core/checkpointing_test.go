@@ -286,14 +286,15 @@ func logPairs(providers []Provider) ([]Provider, []*pairLog) {
 	return out, logs
 }
 
-// TestPairBytesReleasedAtPhase2Boundary pins the pair statistics' lifetime
-// in the leader enclave: every pair Phase 2 touched is accounted at 48 B for
-// the reference panel's contribution plus 48 B per member's, and those bytes
-// are held exactly until the Phase-2 save. At the first Phase-3 save the
-// enclave holds less than at the Phase-2 save by exactly the pair bytes, once
-// what Phase 3 has accounted by then is added back: the reference pattern,
-// one pattern per member, and the full membership's log ratios. No merged
-// case matrix is held: the members' patterns are scored where they lie.
+// TestPairBytesReleasedAtPhase2Boundary pins the lifetime of Phase 2's
+// leader-side state in the enclave. Every pair Phase 2 touched is accounted
+// at 8 B for the reference panel's joint count plus 8 B per member's, and
+// the scan's closure at 8 B per announced state, at least one per L′ column;
+// both are held exactly until the Phase-2 save. At the first Phase-3 save the
+// enclave holds the count vectors and what Phase 3 has accounted by then and
+// nothing else: the reference view's offsets and representatives, one
+// pattern per member, and the full membership's log ratios. No merged case
+// matrix is held: the members' patterns are scored where they lie.
 func TestPairBytesReleasedAtPhase2Boundary(t *testing.T) {
 	providers, ref, names := conservativeG5(t)
 	providers, logs := logPairs(providers)
@@ -316,10 +317,11 @@ func TestPairBytesReleasedAtPhase2Boundary(t *testing.T) {
 			atFirstLR = leader.MemoryUsed()
 		}
 	}}
-	if _, err := RunAssessment(providers, ref, DefaultConfig(), CollusionPolicy{Conservative: true}, leader, AssessmentOptions{
+	rep, err := RunAssessment(providers, ref, DefaultConfig(), CollusionPolicy{Conservative: true}, leader, AssessmentOptions{
 		ProviderNames: names,
 		Checkpoints:   store,
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if atLD < 0 || atFirstLR < 0 {
@@ -332,17 +334,22 @@ func TestPairBytesReleasedAtPhase2Boundary(t *testing.T) {
 			touched[pair] = true
 		}
 	}
-	pairBytes := int64(len(touched)) * bytesPerPairStat * int64(len(providers)+1)
-	phase3 := bitLRBytes(int64(ref.N()), cols) + 16*cols
-	for _, n := range caseNs {
-		phase3 += bitLRBytes(n, cols)
-	}
 	if len(touched) == 0 {
 		t.Fatal("degenerate fixture: Phase 2 touched no pair")
 	}
-	if want := atLD - pairBytes + phase3; atFirstLR != want {
-		t.Errorf("enclave holds %d B at the first Phase-3 save, want %d (%d at the Phase-2 save − %d B for %d pairs + %d B of Phase 3)",
-			atFirstLR, want, atLD, pairBytes, len(touched), phase3)
+	countBytes := int64(len(providers)) * int64(ref.L()) * bytesPerCount
+	pairBytes := int64(len(touched)) * bytesPerJointCount * int64(len(providers)+1)
+	if closure, floor := atLD-countBytes-pairBytes, int64(len(rep.Selection.AfterMAF))*bytesPerCount; closure < floor || closure%bytesPerCount != 0 {
+		t.Errorf("enclave holds %d B at the Phase-2 save: %d B of counts + %d B for %d pairs leaves %d B for the closure, want a multiple of %d of at least %d",
+			atLD, countBytes, pairBytes, len(touched), closure, bytesPerCount, floor)
+	}
+	phase3 := refViewBytes(cols) + 16*cols
+	for _, n := range caseNs {
+		phase3 += bitLRBytes(n, cols)
+	}
+	if want := countBytes + phase3; atFirstLR != want {
+		t.Errorf("enclave holds %d B at the first Phase-3 save, want %d (%d B of counts + %d B of Phase 3)",
+			atFirstLR, want, countBytes, phase3)
 	}
 	if atFirstLR >= atLD {
 		t.Errorf("enclave holds %d B at the first Phase-3 save, not less than the %d B at the Phase-2 save", atFirstLR, atLD)

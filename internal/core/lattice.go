@@ -168,12 +168,16 @@ func walkInOrder(chains []latticeChain, fn func(ch *latticeChain) error) error {
 // pairTable is Phase 2's one store of pair statistics, owned by the run and
 // released at the Phase-2 boundary (assessmentRun.releasePairs). The pooled
 // statistics of a combination decompose into the reference panel's
-// contribution plus one contribution per presumed-honest member, so an entry
-// holds the reference contribution with the panel's LD decision across the
-// pooled sizes from the panel's to the full membership's (bandDecision, the
-// predictor) and one validated contribution per member with a have bit; a
-// pooled query from any combination of any chain is a lookup plus at most k
-// integer adds.
+// contribution plus one contribution per presumed-honest member, and of a
+// contribution only the joint count Σxy is the pair's own: its population and
+// marginals are the contributor's Phase-1 size and counts, and for binary
+// genotypes its squares equal its marginals — what prefetchPairs checks a
+// member's statistics against before one is stored (checkPairStats). So an
+// entry holds the panel's joint count with the panel's LD decision across
+// the pooled sizes from the panel's to the full membership's (bandDecision,
+// the predictor), and one validated joint count per member; a pooled query
+// from any combination of any chain is a lookup plus at most k integer adds
+// per sum.
 //
 // Entries are indexed by the pair's second column: the LD scan asks each
 // column with one survivor in the common case, so a lookup is one array
@@ -183,28 +187,37 @@ func walkInOrder(chains []latticeChain, fn func(ch *latticeChain) error) error {
 // the re-runs of the chains that stopped — and the collusion chains running
 // concurrently in between only read it (phase2LD).
 type pairTable struct {
-	g        int
-	fullN    int64            // the full membership's pooled size, the band's top
-	bySecond []int32          // index+1 of the first entry per second column, 0 for none
-	more     map[uint64]int32 // index of each further entry sharing a second column
-	entries  []pairEntry
-	members  []memberPair // g per entry: entry k's are members[k*g : (k+1)*g]
+	g         int
+	fullN     int64            // the full membership's pooled size, the band's top
+	refN      int64            // the panel's size
+	refCounts []int64          // the panel's Phase-1 counts
+	counts    [][]int64        // each member's validated Phase-1 counts
+	caseNs    []int64          // each member's validated population size
+	bySecond  []int32          // index+1 of the first entry per second column, 0 for none
+	more      map[uint64]int32 // index of each further entry sharing a second column
+	entries   []pairEntry
+	// members holds g joint counts per entry, entry k's at
+	// members[k*g : (k+1)*g], each −1 until that member's is fetched.
+	members []int64
 }
 
 type pairEntry struct {
 	a         int32
-	dependent bool // the panel's LD decision at its own size
-	open      bool // whether that decision flips by the full membership's size
-	ref       genome.PairStats
+	dependent bool  // the panel's LD decision at its own size
+	open      bool  // whether that decision flips by the full membership's size
+	xy        int64 // the panel's joint count
 }
 
-type memberPair struct {
-	s    genome.PairStats
-	have bool
-}
-
-func newPairTable(cols, g int, fullN int64) *pairTable {
-	return &pairTable{g: g, fullN: fullN, bySecond: make([]int32, cols)}
+// newPairTable returns an empty table over the run's Phase-1 summaries.
+func newPairTable(refCounts []int64, refN int64, counts [][]int64, caseNs []int64) *pairTable {
+	fullN := refN
+	for _, n := range caseNs {
+		fullN += n
+	}
+	return &pairTable{
+		g: len(counts), fullN: fullN, refN: refN, refCounts: refCounts, counts: counts, caseNs: caseNs,
+		bySecond: make([]int32, len(refCounts)),
+	}
 }
 
 // lookup returns the index of the entry for the pair (a, b).
@@ -216,13 +229,16 @@ func (t *pairTable) lookup(a, b int) (int, bool) {
 	return int(k), ok
 }
 
-// add stores a new entry with no member contribution yet and returns its
-// index.
-func (t *pairTable) add(a, b int, ref genome.PairStats, cutoff float64) int {
+// add stores a new entry for (a, b) with the panel's joint count xy and no
+// member contribution yet, and returns its index.
+func (t *pairTable) add(a, b int, xy int64, cutoff float64) int {
 	k := len(t.entries)
+	ref := genome.PairStatsFromCounts(t.refN, t.refCounts[a], t.refCounts[b], xy)
 	dependent, open := bandDecision(ref, t.fullN, cutoff)
-	t.entries = append(t.entries, pairEntry{a: int32(a), dependent: dependent, open: open, ref: ref})
-	t.members = append(t.members, make([]memberPair, t.g)...)
+	t.entries = append(t.entries, pairEntry{a: int32(a), dependent: dependent, open: open, xy: xy})
+	for i := 0; i < t.g; i++ {
+		t.members = append(t.members, -1)
+	}
 	if t.bySecond[b] == 0 {
 		t.bySecond[b] = int32(k + 1)
 	} else {
@@ -244,22 +260,25 @@ func (t *pairTable) predict(a, b int) (dependent, open bool) {
 	return t.entries[k].dependent, t.entries[k].open
 }
 
-// member returns member i's contribution slot in entry k.
-func (t *pairTable) member(k, i int) *memberPair { return &t.members[k*t.g+i] }
+// member returns member i's joint-count slot in entry k, −1 while missing.
+func (t *pairTable) member(k, i int) *int64 { return &t.members[k*t.g+i] }
 
-// pooled sums entry k over subset: the reference contribution, then the
-// members' in subset order. It reports false when a member's contribution is
-// missing.
-func (t *pairTable) pooled(k int, subset []int) (genome.PairStats, bool) {
-	s := t.entries[k].ref
+// pooled returns the statistics of the pair (a, b), entry k, pooled over the
+// panel and subset: the summed sizes, Phase-1 counts and joint counts. It
+// reports false when a member's joint count is missing.
+func (t *pairTable) pooled(k, a, b int, subset []int) (genome.PairStats, bool) {
+	n, x, y, xy := t.refN, t.refCounts[a], t.refCounts[b], t.entries[k].xy
 	per := t.members[k*t.g : (k+1)*t.g]
 	for _, i := range subset {
-		if !per[i].have {
+		if per[i] < 0 {
 			return genome.PairStats{}, false
 		}
-		s = s.Add(per[i].s)
+		n += t.caseNs[i]
+		x += t.counts[i][a]
+		y += t.counts[i][b]
+		xy += per[i]
 	}
-	return s, true
+	return genome.PairStatsFromCounts(n, x, y, xy), true
 }
 
 // patternSet holds the members' genotype bit-patterns for one Phase 3: each

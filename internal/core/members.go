@@ -224,7 +224,18 @@ func gatherLR(g *genome.Matrix, cols []int, ratios lrtest.LogRatios) (*lrtest.Bi
 	if err != nil {
 		return nil, err
 	}
-	return lrtest.BitFromColumnWords(g.N(), words, ratios)
+	return lrtest.BitFromColumnWords(g.N(), words, nil, ratios)
+}
+
+// viewLR is gatherLR without the copy: a matrix whose columns are g's own
+// words, viewed in place (genome.Matrix.ColumnSpans). It holds one word offset
+// and two representatives per column, and is valid while g is not written.
+func viewLR(g *genome.Matrix, cols []int, ratios lrtest.LogRatios) (*lrtest.BitMatrix, error) {
+	words, offs, err := g.ColumnSpans(cols)
+	if err != nil {
+		return nil, err
+	}
+	return lrtest.BitFromColumnWords(g.N(), words, offs, ratios)
 }
 
 // pairKey packs a column pair into one map key: an 8-byte key hashes and

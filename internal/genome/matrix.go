@@ -224,6 +224,22 @@ func (m *Matrix) Gather(cols []int) ([]uint64, error) {
 	return out, nil
 }
 
+// ColumnSpans is Gather without the copy: it returns the matrix's own word
+// buffer and, for each of cols, the index in it of that column's first word,
+// so column cols[j] is words[offs[j]:offs[j]+(N()+63)/64] in Gather's layout.
+// The words are shared, not copied: the caller must only read them, and
+// only while the matrix is not written.
+func (m *Matrix) ColumnSpans(cols []int) (words []uint64, offs []int, err error) {
+	offs = make([]int, len(cols))
+	for j, l := range cols {
+		if l < 0 || l >= m.l {
+			return nil, nil, fmt.Errorf("%w: SNP outside the matrix's %d columns", ErrIndexOutOfRange, m.l)
+		}
+		offs[j] = l * m.wpc
+	}
+	return m.words, offs, nil
+}
+
 // SelectColumns returns a new matrix restricted to the given SNP positions,
 // in the given order. It is used to project a dataset onto a retained SNP
 // subset (L', L”) between protocol phases.

@@ -17,12 +17,14 @@ var ErrNotCompactable = errors.New("lrtest: matrix column has more than two dist
 // two float64 representatives per column, roughly 60x smaller than a float64
 // per cell for the paper's cohort sizes.
 //
-// Bits are stored column-major (column j occupies the words
-// bits[j*wpc:(j+1)*wpc], row i at bit i of that span) so the kernel's hot
-// loops — ScoreSubset, the greedy admission scan, discriminability means —
-// are stride-1 passes over a column's words. Unused tail bits of each
-// column's last word are always zero; every constructor maintains this
-// invariant.
+// Bits are stored column-major (column j occupies the wpc words
+// bits[start(j):start(j)+wpc], row i at bit i of that span) so the kernel's
+// hot loops — ScoreSubset, the greedy admission scan, discriminability means
+// — are stride-1 passes over a column's words. A matrix owns its columns
+// back to back (start(j) = j·wpc), or is a view over scattered columns of a
+// wider buffer it shares, one word offset per column (BitFromColumnWords).
+// Unused tail bits of each column's last word are always zero; every
+// constructor maintains this invariant.
 //
 // Cell (i,j) decodes to one[j] when its bit is set and zero[j] otherwise.
 // All per-cell arithmetic iterates rows in ascending order and decodes cells
@@ -40,7 +42,8 @@ type BitMatrix struct {
 	one []float64 // per-column value decoded for a set bit
 	// bits carries one cell per individual per SNP: per-individual secret.
 	//gendpr:secret(individual)
-	bits []uint64 // column-major cell bits, cols*wpc words
+	bits []uint64 // column-major cell bits: cols*wpc words, or a view's shared buffer
+	off  []int    // a view's per-column word offsets into bits; nil when the columns are back to back
 }
 
 // NewBitMatrix allocates a rows-by-cols bit-packed LR-matrix whose cells all
@@ -76,14 +79,39 @@ func (m *BitMatrix) At(i, j int) float64 {
 }
 
 func (m *BitMatrix) bit(i, j int) uint64 {
-	return (m.bits[j*m.wpc+i>>6] >> (uint(i) & 63)) & 1
+	return (m.column(j)[i>>6] >> (uint(i) & 63)) & 1
 }
 
-// SizeBytes returns the in-memory footprint of the packed cells and column
-// representatives — the quantity enclave memory accounting charges for
-// holding the matrix.
+// start returns the index in bits of column j's first word.
+func (m *BitMatrix) start(j int) int {
+	if m.off != nil {
+		return m.off[j]
+	}
+	return j * m.wpc
+}
+
+// column returns the wpc = (rows+63)/64 words holding column j's cell bits.
+func (m *BitMatrix) column(j int) []uint64 {
+	s := m.start(j)
+	return m.bits[s : s+m.wpc]
+}
+
+// withReps returns a matrix sharing m's cell bits (and a view's offsets) that
+// decodes them through zero and one.
+func (m *BitMatrix) withReps(zero, one []float64) *BitMatrix {
+	return &BitMatrix{rows: m.rows, cols: m.cols, wpc: m.wpc, bits: m.bits, off: m.off, zero: zero, one: one}
+}
+
+// SizeBytes returns the in-memory footprint the matrix holds — its packed
+// cells, or a view's word offsets instead of the cells it shares, plus the
+// column representatives — the quantity enclave memory accounting charges
+// for holding the matrix.
 func (m *BitMatrix) SizeBytes() int64 {
-	return int64(len(m.bits))*8 + int64(len(m.zero))*8 + int64(len(m.one))*8
+	cells := int64(len(m.bits)) * 8
+	if m.off != nil {
+		cells = int64(len(m.off)) * 8
+	}
+	return cells + int64(len(m.zero))*8 + int64(len(m.one))*8
 }
 
 // RepsFinite reports whether every column representative (the two decoded
@@ -129,21 +157,43 @@ func BuildBit(g Genotypes, ratios LogRatios) (*BitMatrix, error) {
 }
 
 // BitFromColumnWords is BuildBit for genotypes that are already packed
-// column-major: words holds len(ratios.Minor) columns of (rows+63)/64 words
-// each, row i at bit i of its column's span, a set bit recording the minor
-// allele — the layout genome.Matrix.Gather returns. The matrix adopts
-// words without copying, so the caller must not retain it, and each column's
-// tail bits (rows..64·wpc) must already be zero, as genome.Matrix keeps them;
-// the result is then bit-identical to BuildBit over the same genotypes.
-func BitFromColumnWords(rows int, words []uint64, ratios LogRatios) (*BitMatrix, error) {
-	m := &BitMatrix{rows: rows, cols: len(ratios.Minor), wpc: (rows + 63) / 64, bits: words}
-	if rows < 0 || len(ratios.Major) != m.cols || len(words) != m.cols*m.wpc {
-		return nil, fmt.Errorf("%w: %d column words for %d rows x %d/%d frequency entries",
-			ErrShapeMismatch, len(words), rows, len(ratios.Minor), len(ratios.Major))
+// column-major: each of the len(ratios.Minor) columns is (rows+63)/64 words
+// of words, row i at bit i of its span, a set bit recording the minor allele
+// — the layout of a genome.Matrix. With offs nil the columns lie back to back,
+// as genome.Matrix.Gather returns them; otherwise offs[j] is the index in
+// words of column j's first word, and the matrix is a view over scattered
+// columns of words — a genome.Matrix's own buffer, say. Either way the matrix
+// adopts words and offs without copying, so the caller must not modify them
+// while it is in use, and each column's tail bits (rows..64·wpc) must already
+// be zero, as genome.Matrix keeps them; the result is then bit-identical to
+// BuildBit over the same genotypes.
+func BitFromColumnWords(rows int, words []uint64, offs []int, ratios LogRatios) (*BitMatrix, error) {
+	m := &BitMatrix{rows: rows, cols: len(ratios.Minor), wpc: (rows + 63) / 64, bits: words, off: offs}
+	if rows < 0 || len(ratios.Major) != m.cols || !m.spansFit() {
+		return nil, fmt.Errorf("%w: %d column words for %d rows x %d/%d frequency entries (%d offsets)",
+			ErrShapeMismatch, len(words), rows, len(ratios.Minor), len(ratios.Major), len(offs))
 	}
 	m.zero = append([]float64(nil), ratios.Major...)
 	m.one = append([]float64(nil), ratios.Minor...)
 	return m, nil
+}
+
+// spansFit reports whether every column's span lies inside bits: exactly
+// cols·wpc words for back-to-back columns, one in-range offset per column for
+// a view.
+func (m *BitMatrix) spansFit() bool {
+	if m.off == nil {
+		return len(m.bits) == m.cols*m.wpc
+	}
+	if len(m.off) != m.cols {
+		return false
+	}
+	for _, s := range m.off {
+		if s < 0 || s > len(m.bits)-m.wpc {
+			return false
+		}
+	}
+	return true
 }
 
 // Reskin returns a matrix sharing this matrix's cell bits but decoding them
@@ -152,17 +202,14 @@ func BitFromColumnWords(rows int, words []uint64, ratios LogRatios) (*BitMatrix,
 // genotype orientation (a set bit means the minor allele), i.e. matrices
 // from BuildBit or merges of them — which is exactly how the collusion
 // driver reuses one reference bit-pattern across every honest-subset
-// combination. The bits are shared read-only, so reskinned matrices are safe
-// to score from concurrently.
+// combination. The bits (and a view's offsets) are shared read-only, so
+// reskinned matrices are safe to score from concurrently.
 func (m *BitMatrix) Reskin(ratios LogRatios) (*BitMatrix, error) {
 	if m.cols != len(ratios.Minor) {
 		return nil, fmt.Errorf("%w: %d matrix columns vs %d frequency entries",
 			ErrShapeMismatch, m.cols, len(ratios.Minor))
 	}
-	out := &BitMatrix{rows: m.rows, cols: m.cols, wpc: m.wpc, bits: m.bits}
-	out.zero = append([]float64(nil), ratios.Major...)
-	out.one = append([]float64(nil), ratios.Minor...)
-	return out, nil
+	return m.withReps(append([]float64(nil), ratios.Major...), append([]float64(nil), ratios.Minor...)), nil
 }
 
 // ScoreSubset sums each row's contributions over the given column subset,
@@ -189,11 +236,6 @@ func (m *BitMatrix) ScoreSubset(cols []int) []float64 {
 // its row; the Go loop then continues from the word the kernel stopped at,
 // which is word 0 when useAVX512 is false.
 
-// colWords returns the (rows+63)/64 words holding column j's cell bits.
-func (m *BitMatrix) colWords(j int) []uint64 {
-	return m.bits[j*m.wpc:][:(m.rows+63)>>6]
-}
-
 // wordRows returns the up to 64 entries of a per-row vector that word wi of a
 // column covers.
 func wordRows(s []float64, wi int) []float64 {
@@ -206,7 +248,7 @@ func wordRows(s []float64, wi int) []float64 {
 func (m *BitMatrix) addColumn(dst, base []float64, j int) {
 	v := [2]float64{m.zero[j], m.one[j]}
 	base, dst = base[:m.rows], dst[:m.rows]
-	for wi, word := range m.colWords(j) {
+	for wi, word := range m.column(j) {
 		x := wordRows(base, wi)
 		d := wordRows(dst, wi)[:len(x)]
 		for i, b := range x {
@@ -223,7 +265,7 @@ func (m *BitMatrix) addColumn(dst, base []float64, j int) {
 func (m *BitMatrix) addColumnCount(dst, base []float64, j int, tau float64) int {
 	v := [2]float64{m.zero[j], m.one[j]}
 	base, dst = base[:m.rows], dst[:m.rows]
-	words := m.colWords(j)
+	words := m.column(j)
 	hits, done := addCountWords(dst, base, words, v[0], v[1], tau)
 	for wi := done; wi < len(words); wi++ {
 		word := words[wi]
@@ -266,7 +308,7 @@ func (m *BitMatrix) addColumnKth(dst, base []float64, j, k int, tau float64, ban
 func (m *BitMatrix) addColumnBand(dst, base []float64, j int, lo, hi float64, band []float64) (below, nb int) {
 	v := [2]float64{m.zero[j], m.one[j]}
 	base, dst, band = base[:m.rows], dst[:m.rows], band[:m.rows]
-	words := m.colWords(j)
+	words := m.column(j)
 	below, nb, done := addBandWords(dst, base, band, words, v[0], v[1], lo, hi)
 	for wi := done; wi < len(words); wi++ {
 		word := words[wi]
@@ -304,7 +346,7 @@ func (m *BitMatrix) ColumnOnes(j int) int {
 	if j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("lrtest: column %d out of range for %d columns", j, m.cols))
 	}
-	return popcount(m.bits[j*m.wpc : (j+1)*m.wpc])
+	return popcount(m.column(j))
 }
 
 // FlipBit inverts the cell bit at (i, j). It exists for fault injection —
@@ -314,7 +356,7 @@ func (m *BitMatrix) FlipBit(i, j int) {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("lrtest: index (%d,%d) out of range for %dx%d bit matrix", i, j, m.rows, m.cols))
 	}
-	m.bits[j*m.wpc+i>>6] ^= 1 << (uint(i) & 63)
+	m.column(j)[i>>6] ^= 1 << (uint(i) & 63)
 }
 
 // Column returns a copy of column j as dense values.
@@ -392,13 +434,13 @@ func MergeBits(ms ...*BitMatrix) (*BitMatrix, error) {
 			seen++
 			return uint64(seen - 1), nil
 		}
-		span := out.bits[j*out.wpc : (j+1)*out.wpc]
+		span := out.column(j)
 		off := 0
 		for _, m := range ms {
 			if m.rows == 0 {
 				continue
 			}
-			part := m.bits[j*m.wpc : (j+1)*m.wpc]
+			part := m.column(j)
 			set := popcount(part)
 			var zeroBit, oneBit uint64 = 0, 1
 			var err error
@@ -513,7 +555,7 @@ func BuildBitFromColumnBytes(rows int, ratios LogRatios, column func(j int) ([]b
 		if len(col) < want {
 			return nil, fmt.Errorf("lrtest: column %d has %d bytes for %d rows", j, len(col), rows)
 		}
-		span := m.bits[j*m.wpc : (j+1)*m.wpc]
+		span := m.column(j)
 		for b := 0; b < want; b++ {
 			span[b>>3] |= uint64(col[b]) << (uint(b) & 7 * 8)
 		}

@@ -122,7 +122,7 @@ func TestBitFromColumnWordsAdopts(t *testing.T) {
 	// 65 rows: two words per column, one live bit in the second.
 	ratios := LogRatios{Minor: []float64{0.5, -0.25}, Major: []float64{-0.125, 2}}
 	words := []uint64{^uint64(0), 1, 1, 0}
-	m, err := BitFromColumnWords(65, words, ratios)
+	m, err := BitFromColumnWords(65, words, nil, ratios)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,12 +141,12 @@ func TestBitFromColumnWordsAdopts(t *testing.T) {
 	}
 
 	for name, bad := range map[string]func() (*BitMatrix, error){
-		"short words": func() (*BitMatrix, error) { return BitFromColumnWords(65, words[:3], ratios) },
+		"short words": func() (*BitMatrix, error) { return BitFromColumnWords(65, words[:3], nil, ratios) },
 		"ragged ratios": func() (*BitMatrix, error) {
-			return BitFromColumnWords(65, words, LogRatios{Minor: ratios.Minor, Major: ratios.Major[:1]})
+			return BitFromColumnWords(65, words, nil, LogRatios{Minor: ratios.Minor, Major: ratios.Major[:1]})
 		},
-		"negative rows":  func() (*BitMatrix, error) { return BitFromColumnWords(-1, nil, LogRatios{}) },
-		"words, no cols": func() (*BitMatrix, error) { return BitFromColumnWords(65, words, LogRatios{}) },
+		"negative rows":  func() (*BitMatrix, error) { return BitFromColumnWords(-1, nil, nil, LogRatios{}) },
+		"words, no cols": func() (*BitMatrix, error) { return BitFromColumnWords(65, words, nil, LogRatios{}) },
 	} {
 		if _, err := bad(); err == nil {
 			t.Errorf("%s accepted", name)

@@ -53,13 +53,15 @@ func addCountAVX512(dst, base *float64, words *uint64, n int, zero, one, tau flo
 func addBandAVX512(dst, base, band *float64, words *uint64, n int, zero, one, lo, hi float64) (below, nb int)
 
 // columnSumsAVX512 adds columns ja..ja+7 and jb..jb+7 over their first n
-// words onto sums, one lane per column, rows in ascending order. The sums it
-// is handed are where each lane starts, so a sum runs on across the parts of
-// a stacked case side. Bit l of keep (A) and of keep>>8 (B) stores lane l's
-// sum; a cleared bit leaves sums as it was.
+// words onto sums, one lane per column, rows in ascending order. Lane l of
+// group A reads column ja+l's words from bits[offs[l]:] and of group B
+// column jb+l's from bits[offs[8+l]:], so the columns need not be adjacent.
+// The sums it is handed are where each lane starts, so a sum runs on across
+// the parts of a stacked case side. Bit l of keep (A) and of keep>>8 (B)
+// stores lane l's sum; a cleared bit leaves sums as it was.
 //
 //go:noescape
-func columnSumsAVX512(sums, zero, one *float64, bits *uint64, wpc, n, ja, jb, keep int)
+func columnSumsAVX512(sums, zero, one *float64, bits *uint64, offs *int, n, ja, jb, keep int)
 
 // addCountWords runs the vector part of addColumnCount: dst and base hold
 // the column's rows, words its bit span.
@@ -92,13 +94,17 @@ func columnSumsWords(m *BitMatrix, sums []float64) (done int) {
 		return 0
 	}
 	last := m.cols - 8
+	var offs [16]int // the two groups' column starts in m.bits
 	for j := 0; j < m.cols; j += 16 {
 		// Columns below j are summed by an earlier call. Within one call
 		// the two groups may share columns: both start from the same sums
 		// and store the same values.
 		ja, jb := min(j, last), min(j+8, last)
+		for l := 0; l < 8; l++ {
+			offs[l], offs[8+l] = m.start(ja+l), m.start(jb+l)
+		}
 		keep := (0xff<<max(0, j-ja))&0xff | (0xff<<max(0, j-jb))&0xff<<8
-		columnSumsAVX512(&sums[0], &m.zero[0], &m.one[0], &m.bits[0], m.wpc, n, ja, jb, keep)
+		columnSumsAVX512(&sums[0], &m.zero[0], &m.one[0], &m.bits[0], &offs[0], n, ja, jb, keep)
 	}
 	return n
 }

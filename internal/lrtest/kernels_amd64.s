@@ -5,17 +5,6 @@
 // columnSumsAVX512, on one column), in the scalar loop's order, so results
 // are bit-identical to the Go loops in bitmatrix.go and selectbit.go.
 
-// lanes holds the qword lane numbers 0..7.
-DATA lanes<>+0(SB)/8, $0
-DATA lanes<>+8(SB)/8, $1
-DATA lanes<>+16(SB)/8, $2
-DATA lanes<>+24(SB)/8, $3
-DATA lanes<>+32(SB)/8, $4
-DATA lanes<>+40(SB)/8, $5
-DATA lanes<>+48(SB)/8, $6
-DATA lanes<>+56(SB)/8, $7
-GLOBL lanes<>(SB), RODATA|NOPTR, $64
-
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX
@@ -158,13 +147,13 @@ kthdone:
 	VADDPD Z2, Z16, Z16 \
 	VADDPD Z3, Z17, Z17
 
-// func columnSumsAVX512(sums, zero, one *float64, bits *uint64, wpc, n, ja, jb, keep int)
+// func columnSumsAVX512(sums, zero, one *float64, bits *uint64, offs *int, n, ja, jb, keep int)
 TEXT ·columnSumsAVX512(SB), NOSPLIT, $0-72
 	MOVQ sums+0(FP), DI
 	MOVQ zero+8(FP), SI
 	MOVQ one+16(FP), DX
 	MOVQ bits+24(FP), BX
-	MOVQ wpc+32(FP), R8
+	MOVQ offs+32(FP), R8
 	MOVQ n+40(FP), CX
 	MOVQ ja+48(FP), R9
 	MOVQ jb+56(FP), R10
@@ -175,18 +164,9 @@ TEXT ·columnSumsAVX512(SB), NOSPLIT, $0-72
 	VMOVUPD (SI)(R10*8), Z22
 	VMOVUPD (DX)(R10*8), Z23
 
-	// Gather indices: lane l of a group reads word (j+l)·wpc + w.
-	VPBROADCASTQ R8, Z24
-	VMOVDQU64 lanes<>(SB), Z25
-	VPMULUDQ Z25, Z24, Z24
-	MOVQ R9, AX
-	IMULQ R8, AX
-	VPBROADCASTQ AX, Z25
-	VPADDQ Z24, Z25, Z25
-	MOVQ R10, AX
-	IMULQ R8, AX
-	VPBROADCASTQ AX, Z26
-	VPADDQ Z24, Z26, Z26
+	// Gather indices: lane l reads word offs[l] + w (A), offs[8+l] + w (B).
+	VMOVDQU64 (R8), Z25
+	VMOVDQU64 64(R8), Z26
 
 	MOVQ $1, AX
 	VPBROADCASTQ AX, Z27

@@ -58,7 +58,7 @@ const wirePatternTag = 3
 // zero by the pattern invariant, and the receiving leader derives real
 // representatives per combination via Reskin.
 func (m *BitMatrix) EncodePatternWire() []byte {
-	buf := make([]byte, 0, 17+8*len(m.bits))
+	buf := make([]byte, 0, 17+8*m.cols*m.wpc)
 	buf = append(buf, wirePatternTag)
 	var tmp [8]byte
 	appendU64 := func(v uint64) {
@@ -67,8 +67,10 @@ func (m *BitMatrix) EncodePatternWire() []byte {
 	}
 	appendU64(uint64(m.rows))
 	appendU64(uint64(m.cols))
-	for _, w := range m.bits {
-		appendU64(w)
+	for j := 0; j < m.cols; j++ {
+		for _, w := range m.column(j) {
+			appendU64(w)
+		}
 	}
 	return buf
 }

@@ -140,7 +140,7 @@ func skinParts(parts []*BitMatrix, ratios LogRatios) ([]*BitMatrix, error) {
 		if p.cols != cols {
 			return nil, fmt.Errorf("%w: case part %d has %d columns, log ratios %d", ErrShapeMismatch, i, p.cols, cols)
 		}
-		views[i] = &BitMatrix{rows: p.rows, cols: cols, wpc: p.wpc, bits: p.bits, zero: ratios.Major, one: ratios.Minor}
+		views[i] = p.withReps(ratios.Major, ratios.Minor)
 	}
 	return views, nil
 }
@@ -358,7 +358,7 @@ func columnMeans(parts []*BitMatrix, cols int) []float64 {
 		for j := range sums {
 			v := [2]float64{m.zero[j], m.one[j]}
 			sum := sums[j]
-			words := m.colWords(j)
+			words := m.column(j)
 			for wi := done; wi < len(words); wi++ {
 				word := words[wi]
 				for n := min(64, m.rows-wi<<6); n > 0; n-- {

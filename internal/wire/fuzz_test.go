@@ -11,7 +11,7 @@ import (
 func FuzzDecoder(f *testing.F) {
 	e := NewEncoder(0)
 	e.Uint64(42)
-	e.Float64s([]float64{1, 2})
+	e.Int64s([]int64{1, 2})
 	e.String("x")
 	f.Add(e.Bytes())
 	f.Add([]byte{})
@@ -20,7 +20,7 @@ func FuzzDecoder(f *testing.F) {
 		d := NewDecoder(data)
 		_ = d.Uint64()
 		_ = d.Int64s()
-		_ = d.Float64s()
+		_ = d.Float64()
 		_ = d.Blob()
 		_ = d.String()
 		_ = d.Bool()

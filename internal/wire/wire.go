@@ -113,14 +113,6 @@ func (e *Encoder) Ints(v []int) {
 	}
 }
 
-// Float64s appends a length-prefixed float64 slice.
-func (e *Encoder) Float64s(v []float64) {
-	e.Uint64(uint64(len(v)))
-	for _, x := range v {
-		e.Float64(x)
-	}
-}
-
 // Width is the packed width, in bits, of a value known to lie in [0, hi]:
 // bits.Len64(hi), and at least 1, so n values always take at least n bits
 // and a claimed n can be held against the bytes that arrived. A negative hi
@@ -323,22 +315,6 @@ func (d *Decoder) Ints() []int {
 	out := make([]int, n)
 	for i := range out {
 		out[i] = d.Int()
-	}
-	return out
-}
-
-// Float64s reads a length-prefixed float64 slice.
-func (d *Decoder) Float64s() []float64 {
-	n := d.sliceLen()
-	if d.err != nil || len(d.buf)-d.off < n*8 {
-		if d.err == nil {
-			d.err = ErrShortBuffer
-		}
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.Float64()
 	}
 	return out
 }

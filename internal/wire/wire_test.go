@@ -21,7 +21,6 @@ func TestRoundTripAllTypes(t *testing.T) {
 	e.String("gendpr")
 	e.Int64s([]int64{-1, 0, 1})
 	e.Ints([]int{7, 8})
-	e.Float64s([]float64{0.5, -0.5})
 
 	d := NewDecoder(e.Bytes())
 	if got := d.Uint64(); got != math.MaxUint64 {
@@ -50,9 +49,6 @@ func TestRoundTripAllTypes(t *testing.T) {
 	}
 	if got := d.Ints(); len(got) != 2 || got[1] != 8 {
 		t.Errorf("Ints=%v", got)
-	}
-	if got := d.Float64s(); len(got) != 2 || got[0] != 0.5 {
-		t.Errorf("Float64s=%v", got)
 	}
 	if err := d.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)
@@ -94,7 +90,6 @@ func TestDecoderHostileSliceLength(t *testing.T) {
 	for _, read := range []func(*Decoder){
 		func(d *Decoder) { d.Int64s() },
 		func(d *Decoder) { d.Ints() },
-		func(d *Decoder) { d.Float64s() },
 		func(d *Decoder) { d.Blob() },
 	} {
 		d := NewDecoder(e.Bytes())
@@ -117,15 +112,11 @@ func TestDecoderSliceLengthBeyondPayload(t *testing.T) {
 func TestEmptySlices(t *testing.T) {
 	e := NewEncoder(0)
 	e.Int64s(nil)
-	e.Float64s([]float64{})
 	e.Ints(nil)
 	e.Blob(nil)
 	d := NewDecoder(e.Bytes())
 	if v := d.Int64s(); len(v) != 0 {
 		t.Errorf("Int64s=%v", v)
-	}
-	if v := d.Float64s(); len(v) != 0 {
-		t.Errorf("Float64s=%v", v)
 	}
 	if v := d.Ints(); len(v) != 0 {
 		t.Errorf("Ints=%v", v)
@@ -139,11 +130,11 @@ func TestEmptySlices(t *testing.T) {
 }
 
 func TestQuickRoundTrip(t *testing.T) {
-	f := func(a uint64, b int64, fs []float64, is []int64, s string, blob []byte) bool {
+	f := func(a uint64, b int64, fl float64, is []int64, s string, blob []byte) bool {
 		e := NewEncoder(0)
 		e.Uint64(a)
 		e.Int64(b)
-		e.Float64s(fs)
+		e.Float64(fl)
 		e.Int64s(is)
 		e.String(s)
 		e.Blob(blob)
@@ -151,14 +142,8 @@ func TestQuickRoundTrip(t *testing.T) {
 		if d.Uint64() != a || d.Int64() != b {
 			return false
 		}
-		gf := d.Float64s()
-		if len(gf) != len(fs) {
+		if gf := d.Float64(); math.Float64bits(gf) != math.Float64bits(fl) {
 			return false
-		}
-		for i := range fs {
-			if gf[i] != fs[i] && !(math.IsNaN(gf[i]) && math.IsNaN(fs[i])) {
-				return false
-			}
 		}
 		gi := d.Int64s()
 		if len(gi) != len(is) {
@@ -182,7 +167,7 @@ func TestQuickRoundTrip(t *testing.T) {
 func TestEncoderDeterministic(t *testing.T) {
 	build := func() []byte {
 		e := NewEncoder(0)
-		e.Float64s([]float64{1.5, 2.5})
+		e.Float64(1.5)
 		e.String("x")
 		return e.Bytes()
 	}
