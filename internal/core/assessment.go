@@ -31,9 +31,10 @@ const (
 // come from.
 //
 // Member-side computations (count vectors, pair statistics, genotype
-// patterns) are requested concurrently, mirroring the real deployment where
-// each GDO works on its own machine — the reason the paper's running time
-// drops as the federation grows.
+// patterns) are requested concurrently, one goroutine per member whatever
+// GOMAXPROCS is, mirroring the real deployment where each GDO works on its
+// own machine — the reason the paper's running time drops as the federation
+// grows.
 //
 // When the policy tolerates colluders, the full-membership evaluation is
 // always included alongside the C(G, G−f) honest subsets, so the released
@@ -335,7 +336,8 @@ func (r *assessmentRun) predictPair(a, b int) (dependent, open bool) {
 
 // collectSummaries gathers each member's count vector and population size —
 // the pre-processing summary-statistics step of Section 5.2. Members compute
-// in parallel on their own premises.
+// in parallel on their own premises, each asked on its own goroutine: a
+// member fan-out waits on the network, not on the leader's CPUs.
 func (r *assessmentRun) collectSummaries() error {
 	start := time.Now()
 	defer r.addTiming(&r.report.Timings.DataAggregation, start)
@@ -364,8 +366,9 @@ func (r *assessmentRun) collectSummaries() error {
 
 		var wg sync.WaitGroup
 		for i, m := range r.members {
-			i, m := i, m
-			r.pool.Go(&wg, func() {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
 				counts, err := m.Counts()
 				if err != nil {
 					errs[i] = memberErr(i, PhaseSummary, "counts: %w", err)
@@ -378,7 +381,7 @@ func (r *assessmentRun) collectSummaries() error {
 				}
 				r.counts[i] = counts
 				r.caseNs[i] = n
-			})
+			}()
 		}
 		wg.Wait()
 		if err := errors.Join(errs...); err != nil {
@@ -569,8 +572,9 @@ func (r *assessmentRun) prefetchPairs(subset []int, pairs [][2]int) error {
 		if len(missing) == 0 {
 			continue
 		}
-		slot, i := slot, i
-		r.pool.Go(&wg, func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			stats, err := r.members[i].inner.PairStatsBatch(missing)
 			if err == nil && len(stats) != len(missing) {
 				err = fmt.Errorf("core: batch returned %d entries for %d pairs", len(stats), len(missing))
@@ -585,7 +589,7 @@ func (r *assessmentRun) prefetchPairs(subset []int, pairs [][2]int) error {
 			for j, xy := range slots {
 				*xy = stats[j].SumXY
 			}
-		})
+		}()
 	}
 	wg.Wait()
 	return errors.Join(errs...)
@@ -811,15 +815,16 @@ func (r *assessmentRun) phase3Full(subset []int, lDouble []int, ratios lrtest.Lo
 	errs := make([]error, len(subset))
 	var wg sync.WaitGroup
 	for slot, i := range subset {
-		slot, i := slot, i
-		r.pool.Go(&wg, func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			p, err := ps.get(i)
 			if err != nil {
 				errs[slot] = err
 				return
 			}
 			parts[slot] = p
-		})
+		}()
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {

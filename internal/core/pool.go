@@ -7,49 +7,25 @@ import (
 	"sync/atomic"
 )
 
-// workPool bounds the leader's goroutine fan-out. The assessment driver
-// spawns work at several nesting levels — one task per collusion combination,
-// and inside each one task per member — so an unbounded `go` per unit of work
-// multiplies into C(G, G−f)·G goroutines all contending for the same CPUs.
-// The pool caps concurrently running tasks at GOMAXPROCS; when no slot is
-// free the submitting goroutine runs the task inline instead of blocking,
-// which keeps nested submissions (a combination task spawning member tasks)
-// deadlock-free by construction.
+// workPool bounds the leader's CPU work: the collusion chains of Phases 2
+// and 3 run on at most GOMAXPROCS workers (RunStealing), and the lattice plan
+// is cut to that many. Member fan-outs do not go through it — they wait on
+// the network, not on the leader's CPUs, so each member gets its own
+// goroutine.
 type workPool struct {
-	sem chan struct{}
+	workers int
 }
 
 func newWorkPool(size int) *workPool {
-	if size < 1 {
-		size = 1
-	}
-	return &workPool{sem: make(chan struct{}, size)}
+	return &workPool{workers: max(size, 1)}
 }
 
 func defaultWorkPool() *workPool {
 	return newWorkPool(runtime.GOMAXPROCS(0))
 }
 
-// Go runs fn, on a pooled goroutine when a slot is free and inline otherwise,
-// and tracks completion through wg so callers retain their familiar
-// wg.Add/Wait structure.
-func (p *workPool) Go(wg *sync.WaitGroup, fn func()) {
-	wg.Add(1)
-	select {
-	case p.sem <- struct{}{}:
-		go func() {
-			defer wg.Done()
-			defer func() { <-p.sem }()
-			fn()
-		}()
-	default:
-		fn()
-		wg.Done()
-	}
-}
-
 // size returns the pool's concurrency cap.
-func (p *workPool) size() int { return cap(p.sem) }
+func (p *workPool) size() int { return p.workers }
 
 // RunStealing evaluates n indivisible tasks across up to workers goroutines
 // with work stealing. Each worker owns a contiguous slice of the task range

@@ -106,6 +106,11 @@ type Offer struct {
 	Quote   Quote
 	ECDHPub []byte
 	Nonce   [nonceSize]byte
+	// Request names the first request the offering side makes without a
+	// further message: the peer answers it straight after its own offer.
+	// Zero names none. It is bound into the quote's report data, so a
+	// request kind changed in flight fails verification.
+	Request uint16
 }
 
 // Handshake holds one side's ephemeral state.
@@ -114,10 +119,16 @@ type Handshake struct {
 	offer   Offer
 }
 
-// NewHandshake prepares an attested handshake for the enclave: it generates
-// an ephemeral ECDH key and a nonce, and obtains a quote whose report data
-// binds both.
+// NewHandshake prepares an attested handshake for the enclave whose offer
+// names no request.
 func NewHandshake(a *Authority, e *enclave.Enclave) (*Handshake, error) {
+	return NewRequestHandshake(a, e, 0)
+}
+
+// NewRequestHandshake prepares an attested handshake for the enclave: it
+// generates an ephemeral ECDH key and a nonce, and obtains a quote whose
+// report data binds both and the request the offer names.
+func NewRequestHandshake(a *Authority, e *enclave.Enclave, request uint16) (*Handshake, error) {
 	kp, err := seal.NewKeyPair()
 	if err != nil {
 		return nil, fmt.Errorf("attest: handshake key: %w", err)
@@ -127,22 +138,24 @@ func NewHandshake(a *Authority, e *enclave.Enclave) (*Handshake, error) {
 		return nil, fmt.Errorf("attest: handshake nonce: %w", err)
 	}
 	pub := kp.PublicBytes()
-	rd := reportDataFor(pub, nonce)
+	rd := reportDataFor(pub, nonce, request)
 	return &Handshake{
 		keyPair: kp,
 		offer: Offer{
 			Quote:   a.Quote(e, rd),
 			ECDHPub: pub,
 			Nonce:   nonce,
+			Request: request,
 		},
 	}, nil
 }
 
-func reportDataFor(pub []byte, nonce [nonceSize]byte) [sha256.Size]byte {
+func reportDataFor(pub []byte, nonce [nonceSize]byte, request uint16) [sha256.Size]byte {
 	h := sha256.New()
-	h.Write([]byte("gendpr-handshake-v1|"))
+	h.Write([]byte("gendpr-handshake-v2|"))
 	h.Write(pub)
 	h.Write(nonce[:])
+	h.Write([]byte{byte(request >> 8), byte(request)})
 	var rd [sha256.Size]byte
 	copy(rd[:], h.Sum(nil))
 	return rd
@@ -152,13 +165,13 @@ func reportDataFor(pub []byte, nonce [nonceSize]byte) [sha256.Size]byte {
 func (h *Handshake) Offer() Offer { return h.offer }
 
 // Complete verifies the peer's offer (quote signature, expected measurement,
-// report-data binding) and derives the shared session key. Both sides derive
+// report-data binding of its key, nonce and request) and derives the shared session key. Both sides derive
 // the same key regardless of who initiated.
 func (h *Handshake) Complete(authority ed25519.PublicKey, peer Offer, expected enclave.Measurement) ([]byte, error) {
 	if err := VerifyQuote(authority, peer.Quote, expected); err != nil {
 		return nil, err
 	}
-	if reportDataFor(peer.ECDHPub, peer.Nonce) != peer.Quote.ReportData {
+	if reportDataFor(peer.ECDHPub, peer.Nonce, peer.Request) != peer.Quote.ReportData {
 		return nil, ErrReportDataMismatch
 	}
 	// Symmetric transcript: order the two (nonce, pub) pairs canonically so

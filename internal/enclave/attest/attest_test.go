@@ -169,3 +169,36 @@ func TestHandshakeRejectsReplayedNonce(t *testing.T) {
 		t.Fatalf("modified nonce accepted: %v", err)
 	}
 }
+
+func TestHandshakeBindsRequest(t *testing.T) {
+	// The request an offer names is part of the attested report data: the
+	// genuine one completes, and one changed in flight — named, cleared or
+	// swapped — breaks the binding.
+	f := newFixture(t)
+	ha, err := NewHandshake(f.authority, f.encA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb, err := NewRequestHandshake(f.authority, f.encB, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hb.Offer().Request; got != 2 {
+		t.Fatalf("offer names request %d, want 2", got)
+	}
+	if _, err := ha.Complete(f.authority.PublicKey(), hb.Offer(), f.encB.Measurement()); err != nil {
+		t.Fatalf("genuine request offer rejected: %v", err)
+	}
+	for _, request := range []uint16{0, 3, 0x0200} {
+		offer := hb.Offer()
+		offer.Request = request
+		if _, err := ha.Complete(f.authority.PublicKey(), offer, f.encB.Measurement()); !errors.Is(err, ErrReportDataMismatch) {
+			t.Errorf("request changed to %d accepted: %v", request, err)
+		}
+	}
+	cleared := ha.Offer()
+	cleared.Request = 2
+	if _, err := hb.Complete(f.authority.PublicKey(), cleared, f.encA.Measurement()); !errors.Is(err, ErrReportDataMismatch) {
+		t.Errorf("request added in flight accepted: %v", err)
+	}
+}

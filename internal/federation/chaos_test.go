@@ -129,19 +129,30 @@ func runGuarded(t *testing.T, f *chaosFixture, channel memberChannel, policy cor
 }
 
 // chaosPoints enumerates one fault point per phase and direction. Delay
-// points carry the sleep that must trip the RPC deadline.
-func chaosPoints(short bool) []transport.FaultPoint {
+// points carry the sleep that must trip the RPC deadline. Phase 1 sends no
+// request of its own: it rides the leader's attestation offer, and the
+// member's reply follows its offer. A failed first handshake is never
+// retried, so a run that must rescue itself (rescue) faults Phase 1 on the
+// reply, and a degrading run on the leader's offer too.
+func chaosPoints(short, rescue bool) []transport.FaultPoint {
 	send := func(kind uint16, fk transport.FaultKind) transport.FaultPoint {
 		return transport.FaultPoint{Op: transport.FaultSend, Kind: fk, MsgKind: kind, Delay: chaosDelay}
 	}
 	recv := func(kind uint16, fk transport.FaultKind) transport.FaultPoint {
 		return transport.FaultPoint{Op: transport.FaultRecv, Kind: fk, MsgKind: kind, Delay: chaosDelay}
 	}
+	// phase1 faults Phase 1's leader-side step.
+	phase1 := func(fk transport.FaultKind) transport.FaultPoint {
+		if rescue {
+			return recv(KindCountsReply, fk)
+		}
+		return send(KindAttestOffer, fk)
+	}
 	if short {
 		// The smoke subset: one teardown and one lossy point per direction,
 		// touching Phase 1 and Phase 3.
 		return []transport.FaultPoint{
-			send(KindCountsRequest, transport.FaultClose),
+			phase1(transport.FaultClose),
 			send(KindLRRequest, transport.FaultDrop),
 			recv(KindCountsReply, transport.FaultDrop),
 			recv(KindLRReply, transport.FaultClose),
@@ -149,8 +160,10 @@ func chaosPoints(short bool) []transport.FaultPoint {
 	}
 	var points []transport.FaultPoint
 	for _, fk := range []transport.FaultKind{transport.FaultError, transport.FaultClose, transport.FaultDrop} {
+		if !rescue {
+			points = append(points, phase1(fk))
+		}
 		points = append(points,
-			send(KindCountsRequest, fk),
 			send(KindPairBatchRequest, fk),
 			send(KindLRRequest, fk),
 			recv(KindCountsReply, fk),
@@ -159,9 +172,9 @@ func chaosPoints(short bool) []transport.FaultPoint {
 		)
 	}
 	// Delay faults sleep for real, so cover one per direction instead of the
-	// full matrix: a slow request send and a late Phase 3 reply.
+	// full matrix: a slow Phase-1 step and a late Phase 3 reply.
 	points = append(points,
-		send(KindCountsRequest, transport.FaultDelay),
+		phase1(transport.FaultDelay),
 		recv(KindLRReply, transport.FaultDelay),
 	)
 	return points
@@ -177,7 +190,7 @@ func TestChaosRescue(t *testing.T) {
 		policies = append(policies, core.CollusionPolicy{F: 1})
 	}
 	for _, policy := range policies {
-		for _, point := range chaosPoints(testing.Short()) {
+		for _, point := range chaosPoints(testing.Short(), true) {
 			name := fmt.Sprintf("F%d/%s", policy.F, point)
 			t.Run(name, func(t *testing.T) {
 				inj := &chaosInjector{point: point}
@@ -214,7 +227,7 @@ func TestChaosDegrade(t *testing.T) {
 		policies = append(policies, core.CollusionPolicy{F: 1})
 	}
 	for _, policy := range policies {
-		for _, point := range chaosPoints(testing.Short()) {
+		for _, point := range chaosPoints(testing.Short(), false) {
 			name := fmt.Sprintf("F%d/%s", policy.F, point)
 			t.Run(name, func(t *testing.T) {
 				inj := &chaosInjector{point: point}

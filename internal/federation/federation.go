@@ -140,8 +140,9 @@ func RunInProcess(ctx context.Context, shards []*genome.Matrix, reference *genom
 
 // RunOverTCP runs the same federation across loopback TCP sockets: each
 // member listens on an ephemeral port and keeps accepting connections until
-// it serves a clean shutdown or its listener closes, so a tolerant leader's
-// redial after a connection drop reaches a live serving loop.
+// a session ends with the leader's result or its listener closes, so a
+// tolerant leader's redial after a connection drop reaches a live serving
+// loop.
 func RunOverTCP(ctx context.Context, shards []*genome.Matrix, reference *genome.Matrix, cfg core.Config, policy core.CollusionPolicy, opts RunOptions) (*Result, error) {
 	return runElection(ctx, shards, reference, cfg, policy, opts, tcpChannel, chaosHooks{})
 }
@@ -209,7 +210,7 @@ func pipeChannel(m *Member, s *sessions, _ RunOptions) (func() (transport.Conn, 
 }
 
 // tcpChannel listens on a loopback port and serves one session at a time
-// until a session ends in a clean shutdown or the listener closes.
+// until a session ends with the leader's result or the listener closes.
 func tcpChannel(m *Member, s *sessions, opts RunOptions) (func() (transport.Conn, error), func(), error) {
 	listener, err := transport.Listen("127.0.0.1:0")
 	if err != nil {

@@ -259,10 +259,10 @@ func TestAttestationRejectsWrongCode(t *testing.T) {
 	goodEnd, evilEnd := transport.Pipe()
 	done := make(chan error, 1)
 	go func() {
-		_, err := attestConn(context.Background(), evilEnd, authority, evil, false, 0)
+		_, _, err := attestMember(context.Background(), evilEnd, authority, evil, 0)
 		done <- err
 	}()
-	if _, err := attestConn(context.Background(), goodEnd, authority, good, true, 0); !errors.Is(err, attest.ErrMeasurementMismatch) {
+	if _, err := attestLeader(context.Background(), goodEnd, authority, good, 0, 0); !errors.Is(err, attest.ErrMeasurementMismatch) {
 		t.Fatalf("good side: %v, want measurement mismatch", err)
 	}
 	goodEnd.Close()
@@ -271,9 +271,10 @@ func TestAttestationRejectsWrongCode(t *testing.T) {
 
 // TestV1PeerRefusedAtAttestation: a member still running an older message
 // format — v1's fixed-width counts, five sums per pair and int64 result
-// lists, or v2's frequency vectors in every Phase-3 request and one-pair
-// kinds — attests a different code identity, so the leader refuses it at the
-// measurement pin, before any frame could be misread.
+// lists, v2's frequency vectors in every Phase-3 request and one-pair kinds,
+// or v3's summary request after the handshake and shutdown message — attests
+// a different code identity, so the leader refuses it at the measurement pin,
+// before any frame could be misread.
 func TestV1PeerRefusedAtAttestation(t *testing.T) {
 	cohort := testCohort(t, 30, 40, 3)
 	authority, err := attest.NewAuthority()
@@ -285,7 +286,7 @@ func TestV1PeerRefusedAtAttestation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, identity := range []string{"gendpr-federation-enclave-v1", "gendpr-federation-enclave-v2"} {
+	for _, identity := range []string{"gendpr-federation-enclave-v1", "gendpr-federation-enclave-v2", "gendpr-federation-enclave-v3"} {
 		platformM, _ := enclave.NewPlatform()
 		old, err := platformM.Load([]byte(identity), enclave.Config{})
 		if err != nil {
@@ -332,7 +333,7 @@ func TestMemberRejectsMalformedRequests(t *testing.T) {
 	}
 
 	// The attested session survives the malformed request: a valid query
-	// must still be answered, and only shutdown (memberSession's cleanup)
+	// must still be answered, and only the result (memberSession's cleanup)
 	// ends the loop cleanly.
 	if reply := ask(t, conn, KindCountsRequest, nil); reply.Kind != KindCountsReply {
 		t.Fatalf("post-error reply kind %d, want KindCountsReply", reply.Kind)
@@ -363,7 +364,7 @@ func TestLeaderSurfacesMemberDropout(t *testing.T) {
 			t.Errorf("load: %v", err)
 			return
 		}
-		if _, err := attestConn(context.Background(), memberEnd, authority, enc, false, 0); err != nil {
+		if _, _, err := attestMember(context.Background(), memberEnd, authority, enc, 0); err != nil {
 			t.Errorf("attest: %v", err)
 			return
 		}
@@ -477,15 +478,17 @@ func TestFederationPhase2MessageCount(t *testing.T) {
 		KindPairBatchReply:   2,
 		KindPairRequest:      0,
 		KindPairReply:        0,
-		KindCountsRequest:    2,
+		KindCountsRequest:    0, // named by the leader's offer instead
+		KindCountsReply:      2,
 		KindLRRequest:        2,
+		KindShutdown:         0, // the result ends each session
 	} {
 		if kinds[kind] != want {
 			t.Errorf("kind %d: %d message(s), want %d", kind, kinds[kind], want)
 		}
 	}
-	if got := res.Traffic.TotalMessages; got != 20 {
-		t.Errorf("transport.Meter counted %d messages in all, want 20", got)
+	if got := res.Traffic.TotalMessages; got != 16 {
+		t.Errorf("transport.Meter counted %d messages in all, want 16", got)
 	}
 }
 
@@ -542,7 +545,7 @@ func TestFederationConservativeMessageCount(t *testing.T) {
 		}
 		for kind, want := range map[uint16]int{
 			KindAttestOffer:      8, // four remote members, both directions
-			KindCountsRequest:    4,
+			KindCountsRequest:    0, // named by the leader's offer instead
 			KindCountsReply:      4,
 			KindPairRequest:      0,
 			KindPairReply:        0,
@@ -551,14 +554,14 @@ func TestFederationConservativeMessageCount(t *testing.T) {
 			KindLRRequest:        4,
 			KindLRReply:          4,
 			KindResult:           4,
-			KindShutdown:         4,
+			KindShutdown:         0, // the result ends each session
 		} {
 			if kinds[kind] != want {
 				t.Errorf("GOMAXPROCS %d: kind %d: %d message(s), want %d", procs, kind, kinds[kind], want)
 			}
 		}
-		if got := res.Traffic.TotalMessages; got != 124 {
-			t.Errorf("GOMAXPROCS %d: transport.Meter counted %d messages in all, want 124", procs, got)
+		if got := res.Traffic.TotalMessages; got != 116 {
+			t.Errorf("GOMAXPROCS %d: transport.Meter counted %d messages in all, want 116", procs, got)
 		}
 	}
 }

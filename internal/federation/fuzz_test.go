@@ -20,16 +20,21 @@ func FuzzDecodeOffer(f *testing.F) {
 	copy(o.Quote.Measurement[:], bytes.Repeat([]byte{0xAB}, len(o.Quote.Measurement)))
 	o.Quote.Signature = []byte("sig")
 	o.ECDHPub = []byte("pubkey")
-	f.Add(encodeOffer(o))
+	f.Add(encodeOffer(o, false))
+	o.Request = KindCountsRequest
+	f.Add(encodeOffer(o, true))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := decodeOffer(data)
-		if err != nil {
-			return
-		}
-		if !bytes.Equal(encodeOffer(got), data) {
-			t.Fatalf("offer round trip diverged for %x", data)
+		// The same bytes read as the leader's offer and as a member's.
+		for _, leader := range []bool{true, false} {
+			got, err := decodeOffer(data, leader)
+			if err != nil {
+				continue
+			}
+			if !bytes.Equal(encodeOffer(got, leader), data) {
+				t.Fatalf("offer round trip (leader %v) diverged for %x", leader, data)
+			}
 		}
 	})
 }

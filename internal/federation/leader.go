@@ -62,18 +62,21 @@ type MemberLink struct {
 	Redial func() (transport.Conn, error)
 }
 
-// RunLinksContext attests every member connection, executes the assessment
-// over the federation (leader shard plus remote members), broadcasts the
-// final selection, and shuts the members down. The initial link connections
-// stay owned by the caller; connections the leader itself re-establishes via
-// link.Redial are closed before returning.
+// RunLinksContext executes the assessment over the federation (leader shard
+// plus remote members) and broadcasts the final selection, which ends each
+// member's session. Each member connection is attested on first use: on a
+// cold run its handshake carries the Phase-1 summary request, and on a replay
+// that asks members nothing, the result broadcast. The initial link
+// connections stay owned by the caller; connections the leader itself
+// re-establishes via link.Redial are closed before returning.
 //
 // opts sets the fault-tolerance envelope: per-exchange deadlines, retry with
 // redial and re-attestation, and quorum degradation. The zero RunOptions
-// waits forever, never retries, and aborts on any member failure. When
-// opts.MinQuorum is positive, the returned Report may list excluded members
-// in Report.Excluded; entries are provider indices where 0 is the leader's
-// own shard and i+1 is links[i].
+// waits forever, never retries, and aborts on any member failure. A failed
+// first handshake is never retried: it aborts the run, or under
+// opts.MinQuorum excludes the member. When opts.MinQuorum is positive, the
+// returned Report may list excluded members in Report.Excluded; entries are
+// provider indices where 0 is the leader's own shard and i+1 is links[i].
 //
 // Cancelling ctx interrupts in-flight member exchanges and retry backoffs,
 // and the assessment aborts at the next phase boundary with ctx.Err(); a nil
@@ -87,9 +90,10 @@ func (l *Leader) RunLinksContext(ctx context.Context, links []MemberLink, refere
 			name:   link.Name,
 			ctx:    ctx,
 			opts:   opts,
+			link:   link.Conn,
 			redial: link.Redial,
-			attest: func(raw transport.Conn) (*transport.SecureConn, error) {
-				return attestConn(ctx, raw, l.authority, l.enclave, true, opts.RPCTimeout)
+			attest: func(raw transport.Conn, request uint16) (*transport.SecureConn, error) {
+				return attestLeader(ctx, raw, l.authority, l.enclave, request, opts.RPCTimeout)
 			},
 		}
 		if opts.OnEvent != nil {
@@ -97,22 +101,6 @@ func (l *Leader) RunLinksContext(ctx context.Context, links []MemberLink, refere
 			r.emit = func(event string) {
 				opts.OnEvent(MemberEvent{Member: name, Event: event})
 			}
-		}
-		conn, err := r.attest(link.Conn)
-		if err != nil {
-			err = fmt.Errorf("federation: leader attesting member %s: %w", link.Name, err)
-			if opts.MinQuorum <= 0 {
-				return nil, err
-			}
-			// Degradation is on: carry the member in the failed state so the
-			// assessment can exclude it instead of aborting the federation.
-			// r.conn stays nil — a member without an attested channel is
-			// never sent anything (the health gate precedes every exchange),
-			// and the caller keeps ownership of the raw connection.
-			r.health = HealthFailed
-			r.failCause = err
-		} else {
-			r.conn = conn
 		}
 		remotes[i] = r
 	}
@@ -173,20 +161,27 @@ func (l *Leader) RunLinksContext(ctx context.Context, links []MemberLink, refere
 	if err != nil {
 		return nil, err
 	}
+	// Every member gets the result at once.
+	errs := make([]error, len(remotes))
+	var wg sync.WaitGroup
 	for i, r := range remotes {
 		if excluded[i+1] {
 			continue
 		}
-		err := r.notify(
-			transport.Message{Kind: KindResult, Payload: payload},
-			transport.Message{Kind: KindShutdown},
-		)
-		if err != nil && opts.MinQuorum <= 0 {
-			return nil, fmt.Errorf("federation: broadcasting result to member %s: %w", links[i].Name, err)
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = r.notify(transport.Message{Kind: KindResult, Payload: payload})
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
 		// Under degradation a member that cannot receive its copy of the
 		// result does not invalidate the leader's report; its serving loop
 		// terminates when the connection closes.
+		if err != nil && opts.MinQuorum <= 0 {
+			return nil, fmt.Errorf("federation: broadcasting result to member %s: %w", links[i].Name, err)
+		}
 	}
 	return report, nil
 }
@@ -198,11 +193,16 @@ func (l *Leader) RunLinksContext(ctx context.Context, links []MemberLink, refere
 // requests on the shared connection, and guards the health state machine
 // (healthy → retrying → failed) plus the reconnect cycle.
 type remoteProvider struct {
-	name   string
-	ctx    context.Context // run context; nil means never canceled
-	opts   RunOptions
+	name string
+	ctx  context.Context // run context; nil means never canceled
+	opts RunOptions
+	// link is the caller's raw connection until its first handshake; the
+	// caller keeps owning it.
+	link   transport.Conn
 	redial func() (transport.Conn, error)
-	attest func(raw transport.Conn) (*transport.SecureConn, error)
+	// attest runs the leader's side of the handshake on a raw connection,
+	// its offer naming request (0 for none).
+	attest func(raw transport.Conn, request uint16) (*transport.SecureConn, error)
 	// emit, when non-nil, reports transport-level health transitions
 	// ("retrying", "healthy", "failed"). It may be called with r.mu held.
 	emit func(event string)
@@ -212,7 +212,7 @@ type remoteProvider struct {
 	// *transport.SecureConn, never the bare Conn interface: every payload a
 	// remoteProvider sends carries privacy-bearing intermediates, and the
 	// secretflow analyzer uses this type as the proof they leave encrypted.
-	// It is nil exactly when health is HealthFailed from construction.
+	// It is nil until the first handshake, and stays nil after a failed one.
 	conn      *transport.SecureConn
 	owned     bool // conn was created by reconnect, not by the caller
 	health    Health
@@ -315,11 +315,43 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
+// offerRequest is the request a handshake's offer names: the summary query,
+// the one request that can ride a handshake, or none.
+func offerRequest(summary bool) uint16 {
+	if summary {
+		return KindCountsRequest
+	}
+	return 0
+}
+
+// firstHandshakeLocked attests the caller's link, the offer naming the
+// summary query when summary is set. A failed first handshake is final: it
+// fails the run, or under quorum degradation the member, which is then never
+// sent anything (the health gate precedes every exchange), and the caller
+// keeps the raw connection.
+func (r *remoteProvider) firstHandshakeLocked(summary bool) error {
+	raw := r.link
+	r.link = nil
+	secure, err := r.attest(raw, offerRequest(summary))
+	if err == nil {
+		r.conn = secure
+		return nil
+	}
+	err = fmt.Errorf("federation: leader attesting member %s: %w", r.name, err)
+	r.health = HealthFailed
+	r.failCause = err
+	if r.opts.MinQuorum <= 0 {
+		return err
+	}
+	return r.memberFailed(err)
+}
+
 // reconnectLocked replaces the broken connection with a freshly redialed and
-// re-attested one. The old channel is always abandoned: after a lost or
-// faulted message its AEAD sequence numbers are desynchronized, so replies
-// could never authenticate again.
-func (r *remoteProvider) reconnectLocked() error {
+// re-attested one, the offer naming the summary query when summary is set.
+// The old channel is always abandoned: after a lost or faulted message its
+// AEAD sequence numbers are desynchronized, so replies could never
+// authenticate again.
+func (r *remoteProvider) reconnectLocked(summary bool) error {
 	if r.conn != nil {
 		_ = r.conn.Close()
 	}
@@ -327,7 +359,7 @@ func (r *remoteProvider) reconnectLocked() error {
 	if err != nil {
 		return fmt.Errorf("redial: %w", err)
 	}
-	secure, err := r.attest(raw)
+	secure, err := r.attest(raw, offerRequest(summary))
 	if err != nil {
 		_ = raw.Close()
 		return fmt.Errorf("re-attest: %w", err)
@@ -347,6 +379,13 @@ func (r *remoteProvider) exchangeLocked(req transport.Message, wantKind uint16) 
 	if err := transport.SendContext(r.ctx, r.conn, req, r.opts.RPCTimeout); err != nil {
 		return nil, fmt.Errorf("federation: member %s send: %w", r.name, err)
 	}
+	return r.recvLocked(wantKind)
+}
+
+// recvLocked receives one reply of wantKind under the per-operation
+// deadline: the answer to a request just sent, or to the one a handshake's
+// offer named. Callers hold r.mu.
+func (r *remoteProvider) recvLocked(wantKind uint16) ([]byte, error) {
 	reply, err := transport.RecvContext(r.ctx, r.conn, r.opts.RPCTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("federation: member %s recv: %w", r.name, err)
@@ -363,9 +402,12 @@ func (r *remoteProvider) exchangeLocked(req transport.Message, wantKind uint16) 
 
 // roundTripLocked is the retry engine: exchange, and on transport failure
 // back off, redial, re-attest, and re-issue until the budget runs out and
-// the member is declared failed. Every successful reply passes through the
-// digest ledger, and every reconnect replays an already-answered query as an
-// equivocation audit. Callers hold r.mu.
+// the member is declared failed. The first exchange attests the caller's
+// link, and the summary query, the one request that can ride a handshake,
+// is then never sent: the member answers it straight after its offer. Every
+// successful reply passes through the digest ledger, and every reconnect
+// that follows a loaded summary replays it as an equivocation audit on the
+// new handshake. Callers hold r.mu.
 func (r *remoteProvider) roundTripLocked(req transport.Message, wantKind uint16) ([]byte, error) {
 	if r.health == HealthByzantine {
 		return nil, r.failCause
@@ -373,8 +415,12 @@ func (r *remoteProvider) roundTripLocked(req transport.Message, wantKind uint16)
 	if r.health == HealthFailed {
 		return nil, r.memberFailed(r.failCause)
 	}
+	rides := req.Kind == KindCountsRequest
 	var lastErr error
 	for attempt := 0; ; attempt++ {
+		// named: this attempt's handshake named the summary request, which
+		// the member answers unasked.
+		named := false
 		if attempt > 0 {
 			if r.redial == nil || attempt > r.opts.MaxRetries {
 				r.health = HealthFailed
@@ -391,19 +437,35 @@ func (r *remoteProvider) roundTripLocked(req transport.Message, wantKind uint16)
 				// unwrapped so the run aborts rather than degrades.
 				return nil, err
 			}
-			if err := r.reconnectLocked(); err != nil {
+			named = rides || r.summaryLoaded
+			if err := r.reconnectLocked(named); err != nil {
 				lastErr = err
 				continue
 			}
-			if err := r.auditReconnectLocked(); err != nil {
-				if !retryable(err) {
-					return nil, err
+			// A summary request's own reply is its audit (the ledger check
+			// below); any other request waits for the audit first.
+			if r.summaryLoaded && !rides {
+				if err := r.auditReconnectLocked(); err != nil {
+					if !retryable(err) {
+						return nil, err
+					}
+					lastErr = err
+					continue
 				}
-				lastErr = err
-				continue
+			}
+		} else if r.conn == nil {
+			named = rides
+			if err := r.firstHandshakeLocked(named); err != nil {
+				return nil, err
 			}
 		}
-		payload, err := r.exchangeLocked(req, wantKind)
+		var payload []byte
+		var err error
+		if named && rides {
+			payload, err = r.recvLocked(wantKind)
+		} else {
+			payload, err = r.exchangeLocked(req, wantKind)
+		}
 		if err == nil {
 			if lerr := r.checkLedgerLocked(req, payload); lerr != nil {
 				return nil, lerr
@@ -474,17 +536,15 @@ func (r *remoteProvider) checkLedgerLocked(req transport.Message, payload []byte
 	return err
 }
 
-// auditReconnectLocked re-issues an already-answered query on the freshly
-// attested channel before trusting it with new work: a member (or an
+// auditReconnectLocked receives the member's answer to the summary query a
+// reconnect's offer named and checks it against the ledger before the
+// freshly attested channel is trusted with new work: a member (or an
 // on-path adversary holding its keys) that answered honestly before the
 // redial and differently after is caught here, not silently re-admitted.
 // The summary query is the cheapest replay and is always the first thing a
 // member ever answered. Callers hold r.mu.
 func (r *remoteProvider) auditReconnectLocked() error {
-	if !r.summaryLoaded {
-		return nil
-	}
-	payload, err := r.exchangeLocked(transport.Message{Kind: KindCountsRequest}, KindCountsReply)
+	payload, err := r.recvLocked(KindCountsReply)
 	if err != nil {
 		return err
 	}
@@ -526,19 +586,22 @@ func (r *remoteProvider) roundTrip(req transport.Message, wantKind uint16) ([]by
 	return r.roundTripLocked(req, wantKind)
 }
 
-// notify delivers fire-and-forget messages (result broadcast, shutdown)
-// under the send deadline. A failed member is skipped silently: it already
-// missed the protocol.
-func (r *remoteProvider) notify(msgs ...transport.Message) error {
+// notify delivers a fire-and-forget message (the result broadcast) under the
+// send deadline, attesting the caller's link first if nothing else has. A
+// failed member is skipped: it already missed the protocol.
+func (r *remoteProvider) notify(m transport.Message) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.health == HealthFailed || r.health == HealthByzantine {
 		return r.memberFailed(r.failCause)
 	}
-	for _, m := range msgs {
-		if err := transport.SendContext(r.ctx, r.conn, m, r.opts.RPCTimeout); err != nil {
-			return fmt.Errorf("federation: member %s send: %w", r.name, err)
+	if r.conn == nil {
+		if err := r.firstHandshakeLocked(false); err != nil {
+			return err
 		}
+	}
+	if err := transport.SendContext(r.ctx, r.conn, m, r.opts.RPCTimeout); err != nil {
+		return fmt.Errorf("federation: member %s send: %w", r.name, err)
 	}
 	return nil
 }
@@ -556,7 +619,7 @@ func (r *remoteProvider) Rejoin() error {
 	if r.redial == nil {
 		return fmt.Errorf("federation: member %s cannot rejoin: no redial path", r.name)
 	}
-	if err := r.reconnectLocked(); err != nil {
+	if err := r.reconnectLocked(false); err != nil {
 		return fmt.Errorf("federation: member %s rejoin: %w", r.name, err)
 	}
 	r.health = HealthHealthy

@@ -93,13 +93,15 @@ type ServeOptions struct {
 	IdleTimeout time.Duration
 }
 
-// ServeContext attests the connection to the leader and answers requests
-// until the leader sends a shutdown or the connection closes. It returns nil
-// on a clean shutdown. Malformed requests — decode failures, protocol
-// violations, out-of-range queries — are answered with KindError and the loop
-// keeps serving: a single bad request must not tear down an attested session
-// the leader may still need. Teardown is reserved for transport failures,
-// where the channel itself is gone.
+// ServeContext attests the connection to the leader, answers the request its
+// offer named, if any, and then answers requests until the leader's result
+// arrives or the connection closes. It returns nil once the result is in. A
+// failed attestation closes raw without sending anything on it.
+// Malformed requests — decode failures, protocol violations, out-of-range
+// queries — are answered with KindError and the loop keeps serving: a single
+// bad request must not tear down an attested session the leader may still
+// need. Teardown is reserved for transport failures, where the channel itself
+// is gone.
 //
 // opts.IdleTimeout bounds the wait for each leader message. Cancelling ctx
 // interrupts an in-flight attestation step, receive, or reply, and the loop
@@ -107,11 +109,36 @@ type ServeOptions struct {
 // shuts down cleanly on a signal while parked waiting for the next leader
 // request.
 func (m *Member) ServeContext(ctx context.Context, raw transport.Conn, opts ServeOptions) error {
-	conn, err := attestConn(ctx, raw, m.authority, m.enclave, false, opts.IdleTimeout)
+	conn, summary, err := attestMember(ctx, raw, m.authority, m.enclave, opts.IdleTimeout)
 	if err != nil {
+		// Hang up: a leader whose offer was refused hears nothing from this
+		// member but the closed connection.
+		_ = raw.Close()
 		return fmt.Errorf("federation: member %s: %w", m.id, err)
 	}
 	local := m.provider()
+	// respond answers one request and reports whether the session is over.
+	respond := func(msg transport.Message) (bool, error) {
+		reply, done, err := m.handle(local, msg)
+		if err != nil {
+			reply = &transport.Message{Kind: KindError, Payload: []byte(err.Error())}
+		}
+		if reply != nil {
+			if sendErr := transport.SendContext(ctx, conn, *reply, 0); sendErr != nil {
+				if err != nil {
+					return false, fmt.Errorf("federation: member %s reporting %q: %w", m.id, err, sendErr)
+				}
+				return false, fmt.Errorf("federation: member %s send: %w", m.id, sendErr)
+			}
+		}
+		return done, nil
+	}
+	if summary {
+		// The leader's summary request rode its offer: answer it unasked.
+		if _, err := respond(transport.Message{Kind: KindCountsRequest}); err != nil {
+			return err
+		}
+	}
 	for {
 		msg, err := transport.RecvContext(ctx, conn, opts.IdleTimeout)
 		if err != nil {
@@ -123,21 +150,9 @@ func (m *Member) ServeContext(ctx context.Context, raw transport.Conn, opts Serv
 			}
 			return fmt.Errorf("federation: member %s recv: %w", m.id, err)
 		}
-		reply, done, err := m.handle(local, msg)
-		if err != nil {
-			sendErr := transport.SendContext(ctx, conn, transport.Message{Kind: KindError, Payload: []byte(err.Error())}, 0)
-			if sendErr != nil {
-				return fmt.Errorf("federation: member %s reporting %q: %w", m.id, err, sendErr)
-			}
-			continue
-		}
-		if reply != nil {
-			if err := transport.SendContext(ctx, conn, *reply, 0); err != nil {
-				return fmt.Errorf("federation: member %s send: %w", m.id, err)
-			}
-		}
-		if done {
-			return nil
+		done, err := respond(msg)
+		if err != nil || done {
+			return err
 		}
 	}
 }
@@ -199,9 +214,7 @@ func (m *Member) handle(local core.Provider, msg transport.Message) (*transport.
 		m.mu.Lock()
 		m.result = &core.Selection{AfterMAF: afterMAF, AfterLD: afterLD, Safe: safe}
 		m.mu.Unlock()
-		return nil, false, nil
-
-	case KindShutdown:
+		// The result is the leader's last word: the session ends with it.
 		return nil, true, nil
 
 	default:

@@ -21,8 +21,8 @@ import (
 
 // memberSession serves shard from a member enclave over an attested pipe and
 // returns the leader's end, with every message kind it sends or receives
-// counted into kinds. Cleanup shuts the member down and requires a clean
-// exit.
+// counted into kinds. Cleanup ends the session with a result and requires a
+// clean exit.
 func memberSession(t *testing.T, shard *genome.Matrix, kinds map[uint16]int) *transport.SecureConn {
 	t.Helper()
 	authority, err := attest.NewAuthority()
@@ -46,12 +46,17 @@ func memberSession(t *testing.T, shard *genome.Matrix, kinds map[uint16]int) *tr
 	if kinds != nil {
 		raw = kindCounter{Conn: leaderEnd, mu: new(sync.Mutex), kinds: kinds}
 	}
-	conn, err := attestConn(context.Background(), raw, authority, leaderEnc, true, 0)
+	conn, err := attestLeader(context.Background(), raw, authority, leaderEnc, 0, 0)
 	if err != nil {
 		t.Fatalf("attest: %v", err)
 	}
 	t.Cleanup(func() {
-		if err := conn.Send(transport.Message{Kind: KindShutdown}); err != nil {
+		// The result ends the session.
+		result, err := encodeResult(nil, nil, nil, shard.L())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Send(transport.Message{Kind: KindResult, Payload: result}); err != nil {
 			t.Error(err)
 		}
 		if err := <-served; err != nil {

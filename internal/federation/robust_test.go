@@ -17,8 +17,9 @@ import (
 )
 
 // tcpMember starts one member on an ephemeral TCP port with a resilient
-// accept loop (serves until a clean shutdown or the listener closes) and
-// returns its listener address plus a cleanup func that waits for the loop.
+// accept loop (serves until a session ends with the leader's result or the
+// listener closes) and returns its listener address plus a cleanup func that
+// waits for the loop.
 func tcpMember(t *testing.T, id string, shard *genome.Matrix, authority *attest.Authority) (string, func()) {
 	t.Helper()
 	platform, err := enclave.NewPlatform()
@@ -159,7 +160,7 @@ func TestHungMemberCompletesWithinRPCTimeout(t *testing.T) {
 			t.Errorf("load: %v", err)
 			return
 		}
-		conn, err := attestConn(context.Background(), memberEnd, authority, enc, false, 0)
+		conn, _, err := attestMember(context.Background(), memberEnd, authority, enc, 0)
 		if err != nil {
 			t.Errorf("attest: %v", err)
 			return
@@ -254,7 +255,7 @@ func TestMemberServeIdleTimeout(t *testing.T) {
 	go func() {
 		serveDone <- member.ServeContext(context.Background(), memberEnd, ServeOptions{IdleTimeout: 100 * time.Millisecond})
 	}()
-	if _, err := attestConn(context.Background(), leaderEnd, authority, leaderEnc, true, 0); err != nil {
+	if _, err := attestLeader(context.Background(), leaderEnd, authority, leaderEnc, 0, 0); err != nil {
 		t.Fatalf("attest: %v", err)
 	}
 	// The leader goes silent; the member must give up on its own.

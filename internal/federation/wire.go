@@ -10,6 +10,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"gendpr/internal/enclave"
@@ -25,6 +26,8 @@ const (
 	// plaintext message; its integrity is enforced by quote verification).
 	KindAttestOffer uint16 = iota + 1
 	// KindCountsRequest asks a member for its Phase 1 summary statistics.
+	// A cold run never sends it: the leader's attestation offer names it, and
+	// the member answers straight after its own offer.
 	KindCountsRequest
 	// KindCountsReply carries caseLocalCounts and the local population size.
 	KindCountsReply
@@ -38,11 +41,13 @@ const (
 	KindLRRequest
 	// KindLRReply carries the serialized genotype pattern.
 	KindLRReply
-	// KindResult broadcasts the final selection to every member.
+	// KindResult broadcasts the final selection to every member and ends
+	// its session.
 	KindResult
 	// KindError reports a member-side failure to the leader.
 	KindError
-	// KindShutdown ends the member's serving loop.
+	// KindShutdown once ended the member's serving loop; KindResult ends it
+	// now, and nothing sends it.
 	KindShutdown
 	// KindPairBatchRequest asks for many pairs' joint counts in one round
 	// trip.
@@ -56,8 +61,9 @@ const (
 // speaking another message format is refused at attestation, before any
 // frame of it is decoded: v1 shipped fixed-width counts, five sums per pair
 // and int64 result lists; v2 sent two frequency vectors with each Phase-3
-// request and served the one-pair kinds.
-var CodeIdentity = []byte("gendpr-federation-enclave-v3")
+// request and served the one-pair kinds; v3 sent the summary request as its
+// own message after the handshake and ended every session with a shutdown.
+var CodeIdentity = []byte("gendpr-federation-enclave-v4")
 
 // ExpectedMeasurement returns the measurement every federation member pins.
 func ExpectedMeasurement() enclave.Measurement {
@@ -69,18 +75,25 @@ func ExpectedMeasurement() enclave.Measurement {
 var ErrProtocol = errors.New("federation: protocol violation")
 
 // --- Offer codec ---
+//
+// The leader's offer ends with the request kind it names (attest.Offer's
+// Request, zero for none); a member's offer names nothing and has no such
+// field. The decoder is told which side sent the offer.
 
-func encodeOffer(o attest.Offer) []byte {
+func encodeOffer(o attest.Offer, leader bool) []byte {
 	e := wire.NewEncoder(256)
 	e.Blob(o.Quote.Measurement[:])
 	e.Blob(o.Quote.ReportData[:])
 	e.Blob(o.Quote.Signature)
 	e.Blob(o.ECDHPub)
 	e.Blob(o.Nonce[:])
+	if leader {
+		e.Uint64(uint64(o.Request))
+	}
 	return e.Bytes()
 }
 
-func decodeOffer(b []byte) (attest.Offer, error) {
+func decodeOffer(b []byte, leader bool) (attest.Offer, error) {
 	d := wire.NewDecoder(b)
 	var o attest.Offer
 	meas := d.Blob()
@@ -88,17 +101,25 @@ func decodeOffer(b []byte) (attest.Offer, error) {
 	sig := d.Blob()
 	pub := d.Blob()
 	nonce := d.Blob()
+	var request uint64
+	if leader {
+		request = d.Uint64()
+	}
 	if err := d.Finish(); err != nil {
 		return attest.Offer{}, fmt.Errorf("%w: offer: %v", ErrProtocol, err)
 	}
 	if len(meas) != len(o.Quote.Measurement) || len(rd) != len(o.Quote.ReportData) || len(nonce) != len(o.Nonce) {
 		return attest.Offer{}, fmt.Errorf("%w: offer field sizes", ErrProtocol)
 	}
+	if request > math.MaxUint16 {
+		return attest.Offer{}, fmt.Errorf("%w: offer names request kind %d", ErrProtocol, request)
+	}
 	copy(o.Quote.Measurement[:], meas)
 	copy(o.Quote.ReportData[:], rd)
 	o.Quote.Signature = append([]byte(nil), sig...)
 	o.ECDHPub = append([]byte(nil), pub...)
 	copy(o.Nonce[:], nonce)
+	o.Request = uint16(request)
 	return o, nil
 }
 
@@ -256,48 +277,75 @@ func decodeResult(b []byte, l int) (afterMAF, afterLD, safe []int, err error) {
 	return afterMAF, afterLD, safe, nil
 }
 
-// attestConn performs the mutual-attestation handshake over a raw
-// connection and returns the encrypted channel. sendFirst breaks the
-// symmetry: the leader offers first, members answer. Each handshake send and
-// receive must complete within timeout (zero waits forever), so a silent or
-// stalled peer cannot wedge the attesting side, and cancelling ctx interrupts
-// an in-flight step.
-func attestConn(ctx context.Context, raw transport.Conn, authority *attest.Authority, enc *enclave.Enclave, sendFirst bool, timeout time.Duration) (*transport.SecureConn, error) {
-	hs, err := attest.NewHandshake(authority, enc)
+// The mutual-attestation handshake is two plaintext offers, the leader's
+// first. Each handshake send and receive must complete within timeout (zero
+// waits forever), so a silent or stalled peer cannot wedge the attesting
+// side, and cancelling ctx interrupts an in-flight step.
+
+// attestLeader runs the leader's side of the handshake over a raw
+// connection and returns the encrypted channel. Its offer names request,
+// which the member answers straight after its own offer without a request
+// message: only the payload-free summary query (KindCountsRequest) may ride,
+// and zero names none.
+func attestLeader(ctx context.Context, raw transport.Conn, authority *attest.Authority, enc *enclave.Enclave, request uint16, timeout time.Duration) (*transport.SecureConn, error) {
+	hs, err := attest.NewRequestHandshake(authority, enc, request)
 	if err != nil {
 		return nil, fmt.Errorf("federation: handshake: %w", err)
 	}
-	send := func() error {
-		//gendpr:allow(secretflow): the attestation offer is public handshake material (ECDH public key, nonce, measurement) and must travel before the secure channel exists
-		return transport.SendContext(ctx, raw, transport.Message{Kind: KindAttestOffer, Payload: encodeOffer(hs.Offer())}, timeout)
+	if err := sendOffer(ctx, raw, hs.Offer(), true, timeout); err != nil {
+		return nil, err
 	}
-	recv := func() (attest.Offer, error) {
-		m, err := transport.RecvContext(ctx, raw, timeout)
-		if err != nil {
-			return attest.Offer{}, fmt.Errorf("federation: handshake recv: %w", err)
-		}
-		if m.Kind != KindAttestOffer {
-			return attest.Offer{}, fmt.Errorf("%w: expected attestation offer, got kind %d", ErrProtocol, m.Kind)
-		}
-		return decodeOffer(m.Payload)
+	peer, err := recvOffer(ctx, raw, false, timeout)
+	if err != nil {
+		return nil, err
 	}
+	return completeHandshake(raw, hs, authority, peer)
+}
 
-	var peer attest.Offer
-	if sendFirst {
-		if err := send(); err != nil {
-			return nil, err
-		}
-		if peer, err = recv(); err != nil {
-			return nil, err
-		}
-	} else {
-		if peer, err = recv(); err != nil {
-			return nil, err
-		}
-		if err := send(); err != nil {
-			return nil, err
-		}
+// attestMember runs a member's side of the handshake and returns the
+// encrypted channel and whether the leader's offer named the summary request.
+// The leader's offer is verified before the member's own goes out, so a
+// member sends nothing to a peer that failed attestation or named a request
+// it may not.
+func attestMember(ctx context.Context, raw transport.Conn, authority *attest.Authority, enc *enclave.Enclave, timeout time.Duration) (*transport.SecureConn, bool, error) {
+	hs, err := attest.NewHandshake(authority, enc)
+	if err != nil {
+		return nil, false, fmt.Errorf("federation: handshake: %w", err)
 	}
+	peer, err := recvOffer(ctx, raw, true, timeout)
+	if err != nil {
+		return nil, false, err
+	}
+	conn, err := completeHandshake(raw, hs, authority, peer)
+	if err != nil {
+		return nil, false, err
+	}
+	if peer.Request != 0 && peer.Request != KindCountsRequest {
+		return nil, false, fmt.Errorf("%w: offer names request kind %d; only the summary request rides the handshake", ErrProtocol, peer.Request)
+	}
+	if err := sendOffer(ctx, raw, hs.Offer(), false, timeout); err != nil {
+		return nil, false, err
+	}
+	return conn, peer.Request == KindCountsRequest, nil
+}
+
+func sendOffer(ctx context.Context, raw transport.Conn, o attest.Offer, leader bool, timeout time.Duration) error {
+	//gendpr:allow(secretflow): the attestation offer is public handshake material (ECDH public key, nonce, measurement, named request kind) and must travel before the secure channel exists
+	return transport.SendContext(ctx, raw, transport.Message{Kind: KindAttestOffer, Payload: encodeOffer(o, leader)}, timeout)
+}
+
+func recvOffer(ctx context.Context, raw transport.Conn, leader bool, timeout time.Duration) (attest.Offer, error) {
+	m, err := transport.RecvContext(ctx, raw, timeout)
+	if err != nil {
+		return attest.Offer{}, fmt.Errorf("federation: handshake recv: %w", err)
+	}
+	if m.Kind != KindAttestOffer {
+		return attest.Offer{}, fmt.Errorf("%w: expected attestation offer, got kind %d", ErrProtocol, m.Kind)
+	}
+	return decodeOffer(m.Payload, leader)
+}
+
+func completeHandshake(raw transport.Conn, hs *attest.Handshake, authority *attest.Authority, peer attest.Offer) (*transport.SecureConn, error) {
 	key, err := hs.Complete(authority.PublicKey(), peer, ExpectedMeasurement())
 	if err != nil {
 		return nil, fmt.Errorf("federation: attestation: %w", err)

@@ -26,27 +26,37 @@ func TestOfferCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs, err := attest.NewHandshake(authority, enc)
+	hs, err := attest.NewRequestHandshake(authority, enc, KindCountsRequest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	offer := hs.Offer()
-	got, err := decodeOffer(encodeOffer(offer))
-	if err != nil {
-		t.Fatalf("decodeOffer: %v", err)
+	for _, leader := range []bool{true, false} {
+		got, err := decodeOffer(encodeOffer(offer, leader), leader)
+		if err != nil {
+			t.Fatalf("decodeOffer (leader %v): %v", leader, err)
+		}
+		if got.Quote.Measurement != offer.Quote.Measurement ||
+			got.Quote.ReportData != offer.Quote.ReportData ||
+			got.Nonce != offer.Nonce {
+			t.Fatal("offer round trip lost fields")
+		}
+		if string(got.Quote.Signature) != string(offer.Quote.Signature) ||
+			string(got.ECDHPub) != string(offer.ECDHPub) {
+			t.Fatal("offer round trip lost byte fields")
+		}
+		// Only the leader's offer carries the request it names.
+		if want := map[bool]uint16{true: KindCountsRequest, false: 0}[leader]; got.Request != want {
+			t.Fatalf("leader %v: decoded request %d, want %d", leader, got.Request, want)
+		}
+		// The decoded offer must still verify.
+		if err := attest.VerifyQuote(authority.PublicKey(), got.Quote, enc.Measurement()); err != nil {
+			t.Fatalf("decoded quote failed verification: %v", err)
+		}
 	}
-	if got.Quote.Measurement != offer.Quote.Measurement ||
-		got.Quote.ReportData != offer.Quote.ReportData ||
-		got.Nonce != offer.Nonce {
-		t.Fatal("offer round trip lost fields")
-	}
-	if string(got.Quote.Signature) != string(offer.Quote.Signature) ||
-		string(got.ECDHPub) != string(offer.ECDHPub) {
-		t.Fatal("offer round trip lost byte fields")
-	}
-	// The decoded offer must still verify.
-	if err := attest.VerifyQuote(authority.PublicKey(), got.Quote, enc.Measurement()); err != nil {
-		t.Fatalf("decoded quote failed verification: %v", err)
+	// The request field is 8 bytes, on the leader's offer only.
+	if d := len(encodeOffer(offer, true)) - len(encodeOffer(offer, false)); d != 8 {
+		t.Fatalf("the leader's offer is %d bytes longer than a member's, want 8", d)
 	}
 }
 
@@ -54,14 +64,21 @@ func TestDecodeOfferMalformed(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":     {},
 		"garbage":   {1, 2, 3, 4},
-		"truncated": encodeOffer(attest.Offer{})[:10],
+		"truncated": encodeOffer(attest.Offer{}, true)[:10],
+		// A member's offer read as a leader's lacks the request field, and a
+		// leader's read as a member's has eight bytes too many.
+		"no request":  encodeOffer(attest.Offer{}, false),
+		"request u64": append(encodeOffer(attest.Offer{}, false), 0, 0, 0, 0, 0, 1, 0, 0),
 	}
 	for name, b := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := decodeOffer(b); err == nil {
+			if _, err := decodeOffer(b, true); err == nil {
 				t.Fatal("malformed offer accepted")
 			}
 		})
+	}
+	if _, err := decodeOffer(encodeOffer(attest.Offer{}, true), false); err == nil {
+		t.Fatal("a member's offer with a request field accepted")
 	}
 }
 

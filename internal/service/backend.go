@@ -216,34 +216,40 @@ func NewInProcessBackend(shards []*genome.Matrix, reference *genome.Matrix, opts
 // NewTCPDialer returns a LinkDialer that connects to standalone member nodes
 // (cmd/gendpr-node) for every run, each link redialing its address on
 // failure. Both modes of cmd/gendpr-leader dial through it. Member names are
-// the addresses, matching the CLI's checkpoint identities.
+// the addresses, matching the CLI's checkpoint identities. The members are
+// dialed concurrently and the links keep the address order; when any dial
+// fails, every connection that opened is closed and the first failure in
+// address order is returned.
 func NewTCPDialer(addrs []string, dialTimeout time.Duration) LinkDialer {
 	if dialTimeout <= 0 {
 		dialTimeout = transport.DefaultDialTimeout
 	}
 	return func() ([]federation.MemberLink, func(), error) {
-		links := make([]federation.MemberLink, 0, len(addrs))
-		conns := make([]transport.Conn, 0, len(addrs))
+		links := make([]federation.MemberLink, len(addrs))
+		errs := make([]error, len(addrs))
+		var wg sync.WaitGroup
+		for i, addr := range addrs {
+			dial := func() (transport.Conn, error) { return transport.DialTimeout(addr, dialTimeout) }
+			links[i] = federation.MemberLink{Name: addr, Redial: dial}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				links[i].Conn, errs[i] = dial()
+			}()
+		}
+		wg.Wait()
 		cleanup := func() {
-			for _, c := range conns {
-				_ = c.Close()
+			for _, l := range links {
+				if l.Conn != nil {
+					_ = l.Conn.Close()
+				}
 			}
 		}
-		for _, addr := range addrs {
-			addr := addr
-			conn, err := transport.DialTimeout(addr, dialTimeout)
+		for _, err := range errs {
 			if err != nil {
 				cleanup()
 				return nil, nil, err
 			}
-			conns = append(conns, conn)
-			links = append(links, federation.MemberLink{
-				Conn: conn,
-				Name: addr,
-				Redial: func() (transport.Conn, error) {
-					return transport.DialTimeout(addr, dialTimeout)
-				},
-			})
 		}
 		return links, cleanup, nil
 	}
