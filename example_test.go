@@ -3,7 +3,6 @@ package gendpr_test
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"gendpr"
 )
@@ -52,23 +51,3 @@ func ExampleAssessCentralized() {
 	fmt.Println(distributed.Selection.Equal(central.Selection))
 	// Output: true
 }
-
-// ExampleBuildHybridRelease covers the paper's Section 5.5 extension:
-// noise-free statistics over the safe subset, Laplace-perturbed statistics
-// over the rest.
-func ExampleBuildHybridRelease() {
-	counts := []int64{30, 60, 90}
-	release, err := gendpr.BuildHybridRelease(counts, 300, []int{1}, gendpr.DPParams{Epsilon: 1}, newDeterministicRand())
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, snp := range release.SNPs {
-		fmt.Printf("SNP %d noised=%v\n", snp.SNP, snp.Noised)
-	}
-	// Output:
-	// SNP 0 noised=true
-	// SNP 1 noised=false
-	// SNP 2 noised=true
-}
-
-func newDeterministicRand() *rand.Rand { return rand.New(rand.NewSource(7)) }

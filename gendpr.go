@@ -27,11 +27,8 @@ package gendpr
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"gendpr/internal/core"
-	"gendpr/internal/dynamic"
-	"gendpr/internal/enclave"
 	"gendpr/internal/federation"
 	"gendpr/internal/genome"
 	"gendpr/internal/lrtest"
@@ -58,10 +55,6 @@ type (
 	Matrix = genome.Matrix
 	// GeneratorConfig controls synthetic cohort generation.
 	GeneratorConfig = genome.GeneratorConfig
-	// DPParams configures the hybrid differential-privacy release.
-	DPParams = core.DPParams
-	// HybridRelease is a full publication over the desired SNP set.
-	HybridRelease = core.HybridRelease
 	// FederationResult is the outcome of a middleware (networked) run.
 	FederationResult = federation.Result
 	// RunOptions configures the fault-tolerance envelope of a federation
@@ -128,13 +121,6 @@ func AssessFederatedTCP(shards []*Matrix, reference *Matrix, cfg Config, policy 
 	return federation.RunOverTCP(context.Background(), shards, reference, cfg, policy, opts)
 }
 
-// BuildHybridRelease publishes statistics over every desired SNP: exact over
-// the safe subset, Laplace-perturbed elsewhere (the paper's Section 5.5
-// extension).
-func BuildHybridRelease(caseCounts []int64, caseN int64, safe []int, params DPParams, rng *rand.Rand) (*HybridRelease, error) {
-	return core.BuildHybridRelease(caseCounts, caseN, safe, params, rng)
-}
-
 // Adversary models the paper's membership-inference attacker: it holds a
 // victim genotype, the released case allele frequencies, and a reference
 // panel, and decides membership with a calibrated likelihood-ratio test.
@@ -184,27 +170,4 @@ func BuildRelease(studyID string, cohort *Cohort, report *Report, cfg Config, po
 			Colluders:      colluders,
 		},
 	)
-}
-
-// DynamicManager coordinates DyPS-style dynamic releases: new genome batches
-// arrive over time, each epoch re-assesses the cumulative cohort, and SNPs
-// that turn unsafe after publication are frozen rather than silently
-// re-released.
-type DynamicManager = dynamic.Manager
-
-// EpochReport describes one dynamic-release epoch.
-type EpochReport = dynamic.EpochReport
-
-// NewDynamicManager creates a dynamic release manager for a federation of g
-// GDOs, backed by a fresh rollback-protected state enclave.
-func NewDynamicManager(g int, reference *Matrix, cfg Config, policy CollusionPolicy) (*DynamicManager, error) {
-	platform, err := enclave.NewPlatform()
-	if err != nil {
-		return nil, fmt.Errorf("gendpr: %w", err)
-	}
-	enc, err := platform.Load([]byte("gendpr-dynamic-state-v1"), enclave.Config{})
-	if err != nil {
-		return nil, fmt.Errorf("gendpr: %w", err)
-	}
-	return dynamic.NewManager(g, reference, cfg, policy, enc)
 }

@@ -1,7 +1,6 @@
 package gendpr_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"gendpr"
@@ -129,36 +128,5 @@ func TestPublicBuildRelease(t *testing.T) {
 		if !safe[s.SNP] {
 			t.Errorf("release contains unsafe SNP %d", s.SNP)
 		}
-	}
-}
-
-func TestPublicDynamicManager(t *testing.T) {
-	cohort := publicCohort(t, 80, 200, 93)
-	mgr, err := gendpr.NewDynamicManager(2, cohort.Reference, gendpr.DefaultConfig(), gendpr.CollusionPolicy{})
-	if err != nil {
-		t.Fatalf("NewDynamicManager: %v", err)
-	}
-	if err := mgr.AddBatch(0, cohort.Case.SelectRows(0, 100)); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := mgr.Assess()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Epoch != 1 || rep.Genomes != 100 {
-		t.Errorf("epoch=%d genomes=%d", rep.Epoch, rep.Genomes)
-	}
-}
-
-func TestPublicHybridRelease(t *testing.T) {
-	cohort := publicCohort(t, 60, 150, 89)
-	counts := cohort.Case.AlleleCounts()
-	rel, err := gendpr.BuildHybridRelease(counts, int64(cohort.Case.N()), []int{1, 2, 3},
-		gendpr.DPParams{Epsilon: 1}, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatalf("BuildHybridRelease: %v", err)
-	}
-	if len(rel.SNPs) != 60 {
-		t.Errorf("released %d SNPs, want 60", len(rel.SNPs))
 	}
 }

@@ -313,11 +313,9 @@ func scopedFiles(a *Analyzer, pkg *Package) []*ast.File {
 // the mapping from each analyzer to the paper's threat model.
 func DefaultAnalyzers() []*Analyzer {
 	privacyCritical := []Scope{
-		{PathPrefix: "gendpr/internal/oram"},
 		{PathPrefix: "gendpr/internal/oblivious"},
 		{PathPrefix: "gendpr/internal/enclave"},
 		{PathPrefix: "gendpr/internal/crand"},
-		{PathPrefix: "gendpr/internal/core", Files: []string{"oblivious_member.go"}},
 	}
 	floatCutoffs := []Scope{
 		{PathPrefix: "gendpr/internal/stats"},

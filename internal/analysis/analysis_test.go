@@ -326,7 +326,7 @@ func TestLoadModuleSelf(t *testing.T) {
 	for i, p := range mod.Packages {
 		index[p.Path] = i
 	}
-	for _, need := range []string{"gendpr/internal/oram", "gendpr/internal/transport", "gendpr/internal/federation", "gendpr/internal/analysis"} {
+	for _, need := range []string{"gendpr/internal/oblivious", "gendpr/internal/transport", "gendpr/internal/federation", "gendpr/internal/analysis"} {
 		if _, ok := index[need]; !ok {
 			t.Errorf("package %s not loaded", need)
 		}
@@ -336,7 +336,7 @@ func TestLoadModuleSelf(t *testing.T) {
 	}
 	for _, p := range mod.Packages {
 		switch p.Path {
-		case "gendpr/internal/oram", "gendpr/internal/transport", "gendpr/internal/federation",
+		case "gendpr/internal/oblivious", "gendpr/internal/transport", "gendpr/internal/federation",
 			"gendpr/internal/stats", "gendpr/internal/lrtest", "gendpr/internal/core":
 			if len(p.TypeErrors) > 0 {
 				t.Errorf("%s has type errors: %v", p.Path, p.TypeErrors[0])

@@ -6,7 +6,7 @@ import (
 
 // forbiddenRandImports are the predictable-PRNG packages the privacy-critical
 // code must never use: a seeded generator lets a colluding host replay
-// enclave randomness (ORAM leaf remaps, oblivious shuffles, key material),
+// enclave randomness (oblivious shuffles, key material, backoff jitter),
 // voiding the access-pattern and unlinkability arguments of the paper's
 // threat model.
 var forbiddenRandImports = map[string]bool{
@@ -17,7 +17,7 @@ var forbiddenRandImports = map[string]bool{
 // NewCryptoRand returns the analyzer forbidding math/rand imports inside the
 // given privacy-critical scopes. Test files are exempt by construction (the
 // loader never parses them); production code injects randomness through
-// interfaces like oram.Rand backed by internal/crand.
+// a source backed by internal/crand.
 func NewCryptoRand(scopes []Scope) *Analyzer {
 	return &Analyzer{
 		Name:   "cryptorand",

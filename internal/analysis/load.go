@@ -30,7 +30,7 @@ var ErrNoModule = errors.New("analysis: not a module root (no go.mod)")
 // files are excluded: the invariants guard production code, and tests
 // legitimately use deterministic randomness and exact comparisons.
 type Package struct {
-	// Path is the import path ("gendpr/internal/oram").
+	// Path is the import path ("gendpr/internal/oblivious").
 	Path string
 	// Dir is the absolute directory.
 	Dir string

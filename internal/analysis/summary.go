@@ -214,7 +214,7 @@ type funcAnalysis struct {
 	// is not a sanctioned barrier — per-individual taint must not steer
 	// control flow or memory addressing here. obvBarrier functions skip both
 	// the checks and the obvParams bookkeeping (their body IS the sanctioned
-	// constant-time or ORAM primitive).
+	// constant-time primitive).
 	obvScope   bool
 	obvBarrier bool
 
@@ -270,7 +270,7 @@ func newFuncAnalysis(eng *taintEngine, fd *funcDecl, report bool) *funcAnalysis 
 	// per-individual data is assumed to carry it: the scope exists because
 	// such data is processed there, and waiting for a concretely tainted
 	// call site would leave intra-scope leaks (a branch on a genotype bit in
-	// the ORAM loader) invisible when every caller lives outside the scope.
+	// a scoped loader) invisible when every caller lives outside the scope.
 	// Reporting pass only — seeding summaries would smear concrete class
 	// taint onto every caller module-wide.
 	if report && fa.obvScope {

@@ -102,33 +102,23 @@ type ObliviousSpec struct {
 	Scopes []Scope
 	// Barriers are the sanctioned data-oblivious primitives, keyed like
 	// every other engine table by types.Func.FullName. Their bodies are
-	// exempt (the branch/index inside IS the constant-time or ORAM
+	// exempt (the branch/index inside IS the constant-time
 	// implementation) and taint handed to them does not propagate blame to
 	// callers. The //gendpr:oblivious annotation extends this table.
 	Barriers map[string]bool
 }
 
 // DefaultObliviousSpec returns GenDPR's oblivious-execution policy: the
-// enclave-resident packages that implement Path ORAM and the oblivious
-// Provider, with the ORAM access path and the constant-time select/compare
+// enclave-resident packages that implement the oblivious selection
+// primitives and the enclave itself, with the constant-time select/compare
 // helpers as sanctioned barriers.
 func DefaultObliviousSpec() *ObliviousSpec {
 	return &ObliviousSpec{
 		Scopes: []Scope{
-			{PathPrefix: "gendpr/internal/oram"},
 			{PathPrefix: "gendpr/internal/oblivious"},
 			{PathPrefix: "gendpr/internal/enclave"},
-			{PathPrefix: "gendpr/internal/core", Files: []string{"oblivious_member.go"}},
 		},
 		Barriers: map[string]bool{
-			// The ORAM access path: its stash walk and position-map reads
-			// are the oblivious storage primitive itself; every real access
-			// touches a full root-to-leaf path regardless of the index.
-			"(*gendpr/internal/oram.ORAM).access": true,
-			"(*gendpr/internal/oram.ORAM).Read":   true,
-			"(*gendpr/internal/oram.ORAM).Write":  true,
-			"(*gendpr/internal/oram.Store).Get":   true,
-			"(*gendpr/internal/oram.Store).Put":   true,
 			// Constant-time selection over secret operands.
 			"gendpr/internal/oblivious.Select64":    true,
 			"gendpr/internal/oblivious.SelectFloat": true,
@@ -186,15 +176,12 @@ func DefaultTaintSpec() *TaintSpec {
 			"gendpr/internal/genome.PairStatsFromCounts":    ClassAggregate,
 			// The Provider contract: its accessors return cohort-level
 			// statistics regardless of how the implementation stores the
-			// shard (LocalMember pre-aggregates, ObliviousMember popcounts
-			// ORAM columns). LRMatrix is deliberately absent — its result
-			// is a per-individual matrix and stays ClassIndividual.
+			// shard. LRMatrix is deliberately absent — its result is a
+			// per-individual matrix and stays ClassIndividual.
 			"(gendpr/internal/core.Provider).Counts":                  ClassAggregate,
 			"(gendpr/internal/core.Provider).CaseN":                   ClassAggregate,
 			"(gendpr/internal/core.Provider).PairStats":               ClassAggregate,
 			"(gendpr/internal/core.BatchPairProvider).PairStatsBatch": ClassAggregate,
-			"(*gendpr/internal/core.ObliviousMember).Counts":          ClassAggregate,
-			"(*gendpr/internal/core.ObliviousMember).PairStats":       ClassAggregate,
 			"gendpr/internal/lrtest.NewLogRatios":                     ClassAggregate,
 			"gendpr/internal/lrtest.Threshold":                        ClassAggregate,
 			"gendpr/internal/lrtest.Power":                            ClassAggregate,
@@ -211,15 +198,13 @@ func DefaultTaintSpec() *TaintSpec {
 		},
 		Declassifiers: map[string]DeclassMode{
 			// Sealing: AEAD protection for enclave egress.
-			"gendpr/internal/seal.Encrypt":                     DeclassSeal,
-			"(*gendpr/internal/enclave.Enclave).Seal":          DeclassSeal,
-			"(*gendpr/internal/enclave.Enclave).SealVersioned": DeclassSeal,
+			"gendpr/internal/seal.Encrypt":            DeclassSeal,
+			"(*gendpr/internal/enclave.Enclave).Seal": DeclassSeal,
 			// Unsealing inside the trust boundary: decrypted payloads are
 			// re-classified by the decoder that parses them (the decoder
 			// sources above), not by the ciphertext they came from.
-			"gendpr/internal/seal.Decrypt":                       DeclassRelease,
-			"(*gendpr/internal/enclave.Enclave).Unseal":          DeclassRelease,
-			"(*gendpr/internal/enclave.Enclave).UnsealVersioned": DeclassRelease,
+			"gendpr/internal/seal.Decrypt":              DeclassRelease,
+			"(*gendpr/internal/enclave.Enclave).Unseal": DeclassRelease,
 			// Release boundary: the safe-selection result and the release
 			// document are the assessed product the protocol publishes.
 			"(*gendpr/internal/lrtest.Selector).SelectSafeBitWithOrder": DeclassRelease,
@@ -939,10 +924,10 @@ func NewCheckpointPlain(reg *TaintRegistry) *Analyzer {
 // memory addressing inside the access-pattern-critical packages: a
 // ClassIndividual-tainted value must not decide a branch, bound a loop,
 // index memory, size an allocation or feed a panic, except inside a declared
-// oblivious barrier (constant-time selects, the ORAM access path).
+// oblivious barrier (constant-time selects and compares).
 func NewObliviousFlow(reg *TaintRegistry) *Analyzer {
 	return taintAnalyzer("obliviousflow",
-		"inside enclave-resident oblivious code, per-individual data must not decide branches, bound loops, or address memory except through declared constant-time or ORAM barriers",
+		"inside enclave-resident oblivious code, per-individual data must not decide branches, bound loops, or address memory except through declared constant-time barriers",
 		reg)
 }
 

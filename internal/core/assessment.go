@@ -412,29 +412,51 @@ func (r *assessmentRun) collectSummaries() error {
 // whose provider chain can bypass its caches (SummaryAuditor) re-answers the
 // summary query, and the reply's digest must match the checkpointed one.
 // Members inside the leader's trust domain (LocalMember shards) have no
-// auditor and are skipped.
+// auditor and are skipped. On a resume the audit is each member's first
+// contact, so the members are challenged at once, like Phase 1's cold
+// fan-out; the lowest-index failure is returned, the member a serial walk
+// would have blamed.
 func (r *assessmentRun) auditSeededSummaries(counts [][]int64, caseNs []int64) error {
 	if !r.audit || len(counts) != len(r.members) || len(caseNs) != len(r.members) {
 		return nil
 	}
+	errs := make([]error, len(r.members))
+	var wg sync.WaitGroup
 	for i, m := range r.members {
-		fresh, caseN, err := m.AuditSummary()
-		if errors.Is(err, errAuditUnsupported) {
-			continue
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = auditSummary(i, m, counts[i], caseNs[i])
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
-			return memberErr(i, PhaseSummary, "summary audit: %w", err)
+			return err
 		}
-		prior, _ := DigestSummary(counts[i], caseNs[i]) // validated, so it has a wire form
-		observed, err := DigestSummary(fresh, caseN)
-		if err != nil {
-			return memberErr(i, PhaseSummary, "summary audit: %w", err)
-		}
-		if prior != observed {
-			return memberErr(i, PhaseSummary, "resume audit: %w", &EquivocationError{
-				Phase: PhaseSummary, Query: "summary", Prior: prior[:], Observed: observed[:],
-			})
-		}
+	}
+	return nil
+}
+
+// auditSummary challenges member i to reproduce the summary it reported
+// before the resume.
+func auditSummary(i int, m *cachedProvider, counts []int64, caseN int64) error {
+	fresh, freshN, err := m.AuditSummary()
+	if errors.Is(err, errAuditUnsupported) {
+		return nil
+	}
+	if err != nil {
+		return memberErr(i, PhaseSummary, "summary audit: %w", err)
+	}
+	prior, _ := DigestSummary(counts, caseN) // validated, so it has a wire form
+	observed, err := DigestSummary(fresh, freshN)
+	if err != nil {
+		return memberErr(i, PhaseSummary, "summary audit: %w", err)
+	}
+	if prior != observed {
+		return memberErr(i, PhaseSummary, "resume audit: %w", &EquivocationError{
+			Phase: PhaseSummary, Query: "summary", Prior: prior[:], Observed: observed[:],
+		})
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -144,108 +143,6 @@ func TestConservativeMode(t *testing.T) {
 	// Phase 1 intersection nests inside f=1's (later phases walk different
 	// survivor chains and need not nest).
 	assertSubset(t, rep.Selection.AfterMAF, fixed.Selection.AfterMAF, "conservative MAF ⊆ f=1 MAF")
-}
-
-func TestObliviousMemberMatchesLocalMember(t *testing.T) {
-	cohort := testCohort(t, 90, 240, 67)
-	shards := shardsOf(t, cohort, 3)
-
-	plainProviders := make([]Provider, len(shards))
-	oblivProviders := make([]Provider, len(shards))
-	for i, s := range shards {
-		plainProviders[i] = NewLocalMember(s)
-		om, err := NewObliviousMember(s, rand.New(rand.NewSource(int64(i)+1)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		oblivProviders[i] = om
-	}
-	plain, err := RunAssessment(plainProviders, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	obliv, err := RunAssessment(oblivProviders, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, AssessmentOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plain.Selection.Equal(obliv.Selection) {
-		t.Errorf("oblivious members selected %v, plain members %v", obliv.Selection, plain.Selection)
-	}
-}
-
-func TestObliviousMemberPrimitives(t *testing.T) {
-	cohort := testCohort(t, 40, 70, 69)
-	member, err := NewObliviousMember(cohort.Case, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCounts := cohort.Case.AlleleCounts()
-	gotCounts, err := member.Counts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for l := range wantCounts {
-		if gotCounts[l] != wantCounts[l] {
-			t.Fatalf("column %d: ORAM count %d, direct %d", l, gotCounts[l], wantCounts[l])
-		}
-	}
-	want := cohort.Case.PairStats(3, 17)
-	got, err := member.PairStats(3, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("ORAM pair stats %+v, direct %+v", got, want)
-	}
-	if _, err := member.PairStats(0, 40); err == nil {
-		t.Error("out-of-range pair accepted")
-	}
-	if _, err := NewObliviousMember(nil, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("nil shard accepted")
-	}
-}
-
-// TestObliviousMemberPairStatsBatch: a batch is the member's per-pair
-// PairStats in request order, repeated and reversed pairs included, and a
-// batch holding an out-of-range pair fails whole. Two members loaded from the
-// same seed end the batch and the pairs one by one with the same stash size:
-// a batch is the same sequence of ORAM accesses.
-func TestObliviousMemberPairStatsBatch(t *testing.T) {
-	cohort := testCohort(t, 40, 70, 71)
-	batched, err := NewObliviousMember(cohort.Case, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := NewObliviousMember(cohort.Case, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := [][2]int{{3, 17}, {0, 39}, {17, 3}, {5, 5}, {3, 17}, {38, 2}}
-	got, err := batched.PairStatsBatch(pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(pairs) {
-		t.Fatalf("%d entries for %d pairs", len(got), len(pairs))
-	}
-	for i, p := range pairs {
-		want, err := single.PairStats(p[0], p[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i] != want {
-			t.Errorf("pair %v: batch %+v, per pair %+v", p, got[i], want)
-		}
-	}
-	if a, b := batched.store.StashSize(), single.store.StashSize(); a != b {
-		t.Errorf("stash after the batch %d, after the pairs one by one %d", a, b)
-	}
-	if stats, err := batched.PairStatsBatch([][2]int{{1, 2}, {0, 40}}); err == nil {
-		t.Errorf("batch with an out-of-range pair answered %v", stats)
-	}
-	if stats, err := batched.PairStatsBatch(nil); err != nil || len(stats) != 0 {
-		t.Errorf("empty batch: %v, %v", stats, err)
-	}
 }
 
 func TestNaiveDivergesFromCentralized(t *testing.T) {

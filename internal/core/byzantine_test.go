@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"gendpr/internal/checkpoint"
 	"gendpr/internal/genome"
@@ -321,6 +323,84 @@ func TestResumeAuditCatchesEquivocation(t *testing.T) {
 	}
 	if len(st.Blamed) != 1 || st.Blamed[0].Kind != BlameEquivocation || st.Blamed[0].Member != "gdo-3" {
 		t.Errorf("checkpointed blame = %+v, want the gdo-3 equivocation", st.Blamed)
+	}
+}
+
+// auditBarrier releases the summary audits of a resumed run only once every
+// auditable member has been challenged, or fails them all when the deadline
+// passes first.
+type auditBarrier struct {
+	mu      sync.Mutex
+	pending int
+	all     chan struct{}
+	expired <-chan time.Time
+}
+
+// barrierAuditor answers the summary audit honestly, but only once the
+// barrier opens: a leader that challenges members one after another never
+// gets its first answer before the deadline.
+type barrierAuditor struct {
+	*LocalMember
+	b *auditBarrier
+}
+
+func (p *barrierAuditor) AuditSummary() ([]int64, int64, error) {
+	p.b.mu.Lock()
+	p.b.pending--
+	if p.b.pending == 0 {
+		close(p.b.all)
+	}
+	p.b.mu.Unlock()
+	select {
+	case <-p.b.all:
+	case <-p.b.expired:
+		return nil, 0, errors.New("audit answered alone: the other members were not challenged")
+	}
+	counts, err := p.Counts()
+	if err != nil {
+		return nil, 0, err
+	}
+	caseN, err := p.CaseN()
+	return counts, caseN, err
+}
+
+// TestResumeAuditChallengesMembersAtOnce: a resumed Byzantine-aware run
+// challenges its auditable members concurrently. The auditors of G−1 members
+// answer only after all of them have been called, so a serial audit loop
+// runs into the deadline and loses members the concurrent one keeps.
+func TestResumeAuditChallengesMembersAtOnce(t *testing.T) {
+	const g = 5
+	cohort := testCohort(t, 80, 250, 61)
+	shards := shardsOf(t, cohort, g)
+	store := keepStore{checkpoint.NewMemStore()}
+	honest := make([]Provider, g)
+	for i, s := range shards {
+		honest[i] = NewLocalMember(s)
+	}
+	opts := AssessmentOptions{ProviderNames: []string{"gdo-0", "gdo-1", "gdo-2", "gdo-3", "gdo-4"}, Checkpoints: store}
+	want, err := RunAssessment(honest, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, opts)
+	if err != nil {
+		t.Fatalf("seeding run: %v", err)
+	}
+
+	b := &auditBarrier{pending: g - 1, all: make(chan struct{}), expired: time.After(10 * time.Second)}
+	resumed := []Provider{NewLocalMember(shards[0])}
+	for _, s := range shards[1:] {
+		resumed = append(resumed, &barrierAuditor{LocalMember: NewLocalMember(s), b: b})
+	}
+	opts.Resilience = Resilience{MinQuorum: 2, Byzantine: true}
+	rep, err := RunAssessment(resumed, cohort.Reference, DefaultConfig(), CollusionPolicy{}, nil, opts)
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if len(rep.Excluded) != 0 || len(rep.Blamed) != 0 {
+		t.Fatalf("Excluded = %v, Blamed = %+v: an honest federation lost members to the audit", rep.Excluded, rep.Blamed)
+	}
+	if !rep.Resumed {
+		t.Error("the second run did not resume from the checkpoint")
+	}
+	if !rep.Selection.Equal(want.Selection) {
+		t.Errorf("resumed selection %v != seeding run %v", rep.Selection, want.Selection)
 	}
 }
 

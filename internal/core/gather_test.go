@@ -85,16 +85,12 @@ func TestGatherMatchesSelectColumnsBuildBit(t *testing.T) {
 	}
 }
 
-// TestGatherRejectsBadColumns: both member kinds answer out-of-range and
-// duplicate columns, and NaN or out-of-range frequencies, with an error, and
-// nothing reaches a panic.
+// TestGatherRejectsBadColumns: a member answers out-of-range and duplicate
+// columns, and NaN or out-of-range frequencies, with an error, and nothing
+// reaches a panic.
 func TestGatherRejectsBadColumns(t *testing.T) {
 	g := seededMatrix(10, 8, 0.5, 1)
-	oblivious, err := NewObliviousMember(g, rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	members := map[string]Provider{"local": NewLocalMember(g), "oblivious": oblivious}
+	members := map[string]Provider{"local": NewLocalMember(g)}
 	for name, m := range members {
 		for _, cols := range [][]int{{8}, {-1}, {0, 8}, {3, 3}} {
 			if _, err := m.LRPattern(cols); err == nil {

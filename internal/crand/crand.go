@@ -1,8 +1,8 @@
 // Package crand provides cryptographically secure random sources for the
 // privacy-critical components. The paper's threat model (Section 4) assumes
-// colluding GDOs cannot predict enclave-internal randomness: ORAM leaf
-// remapping, oblivious shuffles, and leader election must therefore draw
-// from crypto/rand, never from a seeded PRNG an adversary could rewind.
+// colluding GDOs cannot predict enclave-internal randomness, so enclave code
+// draws from crypto/rand, never from a seeded PRNG an adversary could
+// rewind. Its caller is the federation's reconnect-backoff jitter.
 //
 // The package exposes the same minimal Intn contract *math/rand.Rand
 // satisfies, so tests keep deterministic seeded sources while production
@@ -19,12 +19,10 @@ import (
 )
 
 // Source draws uniform integers from crypto/rand.Reader through a buffered
-// reader, amortizing the read syscall over many small draws (Path ORAM does
-// one Intn per access; unbuffered crypto/rand reads would dominate).
+// reader, amortizing the read syscall over many small draws.
 //
 // Source is NOT safe for concurrent use, matching *math/rand.Rand; callers
-// that share one across goroutines must serialize access. ORAM already
-// serializes all accesses, so its Source needs no extra locking.
+// that share one across goroutines must serialize access.
 type Source struct {
 	r io.Reader
 }
@@ -32,13 +30,6 @@ type Source struct {
 // New returns a crypto/rand-backed Source.
 func New() *Source {
 	return &Source{r: bufio.NewReaderSize(rand.Reader, 512)}
-}
-
-// NewFromReader returns a Source drawing from an arbitrary entropy stream.
-// It exists for tests that need reproducible "crypto" randomness; production
-// code should call New.
-func NewFromReader(r io.Reader) *Source {
-	return &Source{r: r}
 }
 
 // Uint64 returns a uniform 64-bit value. It panics when the entropy source

@@ -69,14 +69,14 @@ func TestIntnUniform(t *testing.T) {
 func TestRejectionSampling(t *testing.T) {
 	// limit for n=3 is (2^64/3)*3 - 1 = 2^64 - 2, so only 2^64-1 rejects.
 	buf := append(bytes.Repeat([]byte{0xFF}, 8), 0, 0, 0, 0, 0, 0, 0, 5)
-	s := NewFromReader(bytes.NewReader(buf))
+	s := &Source{r: bytes.NewReader(buf)}
 	if v := s.Intn(3); v != 5%3 {
 		t.Fatalf("rejection sampling: got %d, want %d", v, 5%3)
 	}
 }
 
 func TestEntropyFailurePanics(t *testing.T) {
-	s := NewFromReader(bytes.NewReader(nil)) // immediate EOF
+	s := &Source{r: bytes.NewReader(nil)} // immediate EOF
 	defer func() {
 		if recover() == nil {
 			t.Fatal("exhausted entropy source did not panic")

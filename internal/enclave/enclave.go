@@ -6,8 +6,7 @@
 //   - a code identity (measurement) that remote parties can verify,
 //   - sealed storage bound to the platform and the measurement
 //     (AES-256-GCM under an HKDF-derived sealing key),
-//   - bounded protected memory with explicit accounting (the EPC limit), and
-//   - monotonic counters for rollback protection of sealed state.
+//   - bounded protected memory with explicit accounting (the EPC limit).
 //
 // The substitution is documented in DESIGN.md; protocol logic never peeks
 // behind this interface.
@@ -40,10 +39,6 @@ var (
 	// ErrOutOfMemory is returned when an allocation would exceed the
 	// enclave's protected-memory limit.
 	ErrOutOfMemory = errors.New("enclave: protected memory limit exceeded")
-
-	// ErrRollback is returned when sealed state fails its monotonic-counter
-	// freshness check.
-	ErrRollback = errors.New("enclave: sealed state is stale (rollback detected)")
 
 	// ErrSealedCorrupt is returned when sealed data fails authentication.
 	ErrSealedCorrupt = errors.New("enclave: sealed data failed authentication")
@@ -87,7 +82,6 @@ type Enclave struct {
 	memLimit int64
 	memUsed  int64
 	memPeak  int64
-	counters map[string]uint64
 }
 
 // Config tunes enclave creation.
@@ -115,7 +109,6 @@ func (p *Platform) Load(codeIdentity []byte, cfg Config) (*Enclave, error) {
 		measurement: m,
 		sealKey:     key,
 		memLimit:    limit,
-		counters:    make(map[string]uint64),
 	}, nil
 }
 
@@ -178,28 +171,6 @@ func (e *Enclave) PagedPeak() int64 {
 	return e.memPeak - EPCSize
 }
 
-// ResetPeak clears the high-water mark (used between experiment runs).
-func (e *Enclave) ResetPeak() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.memPeak = e.memUsed
-}
-
-// sealedHeader binds sealed blobs to a named monotonic counter value.
-type sealedHeader struct {
-	name  string
-	epoch uint64
-}
-
-func (h sealedHeader) aad() []byte {
-	buf := make([]byte, 8+len(h.name))
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(h.epoch >> (56 - 8*i))
-	}
-	copy(buf[8:], h.name)
-	return buf
-}
-
 // Seal encrypts data under the enclave's sealing key. Only an enclave with
 // the same measurement on the same platform can unseal it.
 func (e *Enclave) Seal(data []byte) ([]byte, error) {
@@ -213,54 +184,4 @@ func (e *Enclave) Unseal(blob []byte) ([]byte, error) {
 		return nil, ErrSealedCorrupt
 	}
 	return pt, nil
-}
-
-// SealVersioned seals data bound to the next epoch of the named monotonic
-// counter, advancing the counter. UnsealVersioned later rejects blobs sealed
-// at earlier epochs, detecting state rollback.
-func (e *Enclave) SealVersioned(name string, data []byte) ([]byte, error) {
-	e.mu.Lock()
-	e.counters[name]++
-	epoch := e.counters[name]
-	e.mu.Unlock()
-	h := sealedHeader{name: name, epoch: epoch}
-	body, err := seal.Encrypt(e.sealKey, data, h.aad())
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 8, 8+len(body))
-	for i := 0; i < 8; i++ {
-		out[i] = byte(epoch >> (56 - 8*i))
-	}
-	return append(out, body...), nil
-}
-
-// UnsealVersioned opens a versioned blob, enforcing counter freshness.
-func (e *Enclave) UnsealVersioned(name string, blob []byte) ([]byte, error) {
-	if len(blob) < 8 {
-		return nil, ErrSealedCorrupt
-	}
-	var epoch uint64
-	for i := 0; i < 8; i++ {
-		epoch = epoch<<8 | uint64(blob[i])
-	}
-	e.mu.Lock()
-	current := e.counters[name]
-	e.mu.Unlock()
-	if epoch < current {
-		return nil, ErrRollback
-	}
-	h := sealedHeader{name: name, epoch: epoch}
-	pt, err := seal.Decrypt(e.sealKey, blob[8:], h.aad())
-	if err != nil {
-		return nil, ErrSealedCorrupt
-	}
-	return pt, nil
-}
-
-// Counter returns the current value of a named monotonic counter.
-func (e *Enclave) Counter(name string) uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.counters[name]
 }

@@ -19,7 +19,7 @@ var ErrNotCompactable = errors.New("lrtest: matrix column has more than two dist
 //
 // Bits are stored column-major (column j occupies the wpc words
 // bits[start(j):start(j)+wpc], row i at bit i of that span) so the kernel's
-// hot loops — ScoreSubset, the greedy admission scan, discriminability means
+// hot loops — the greedy admission scan, discriminability means
 // — are stride-1 passes over a column's words. A matrix owns its columns
 // back to back (start(j) = j·wpc), or is a view over scattered columns of a
 // wider buffer it shares, one word offset per column (BitFromColumnWords).
@@ -210,20 +210,6 @@ func (m *BitMatrix) Reskin(ratios LogRatios) (*BitMatrix, error) {
 			ErrShapeMismatch, m.cols, len(ratios.Minor))
 	}
 	return m.withReps(append([]float64(nil), ratios.Major...), append([]float64(nil), ratios.Minor...)), nil
-}
-
-// ScoreSubset sums each row's contributions over the given column subset,
-// producing per-individual LR statistics: columns accumulate in subset order
-// and rows ascending.
-func (m *BitMatrix) ScoreSubset(cols []int) []float64 {
-	scores := make([]float64, m.rows)
-	for _, j := range cols {
-		if j < 0 || j >= m.cols {
-			panic(fmt.Sprintf("lrtest: column %d out of range for %d columns", j, m.cols))
-		}
-		m.addColumn(scores, scores, j)
-	}
-	return scores
 }
 
 // The column kernels below walk a column one 64-row word at a time: the word
@@ -535,33 +521,4 @@ func spliceWords(dst []uint64, off int, src []uint64, n int, invert bool) {
 		}
 		rem -= take
 	}
-}
-
-// BuildBitFromColumnBytes builds a bit-packed LR-matrix from per-column
-// genotype bitsets — rows bits each, little-endian bytes, bit i set when
-// individual i carries the minor allele — as produced by an ORAM column
-// store. Tail bits beyond rows in the final byte are masked off, so callers
-// need not sanitize them.
-func BuildBitFromColumnBytes(rows int, ratios LogRatios, column func(j int) ([]byte, error)) (*BitMatrix, error) {
-	m := NewBitMatrix(rows, len(ratios.Minor))
-	copy(m.zero, ratios.Major)
-	copy(m.one, ratios.Minor)
-	want := (rows + 7) / 8
-	for j := 0; j < m.cols; j++ {
-		col, err := column(j)
-		if err != nil {
-			return nil, err
-		}
-		if len(col) < want {
-			return nil, fmt.Errorf("lrtest: column %d has %d bytes for %d rows", j, len(col), rows)
-		}
-		span := m.column(j)
-		for b := 0; b < want; b++ {
-			span[b>>3] |= uint64(col[b]) << (uint(b) & 7 * 8)
-		}
-		if tail := rows & 63; tail != 0 {
-			span[len(span)-1] &= ones(tail)
-		}
-	}
-	return m, nil
 }

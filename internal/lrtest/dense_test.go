@@ -181,7 +181,7 @@ func TestBitMatrixScoreSubsetMatchesDense(t *testing.T) {
 	bit, _ := BuildBit(cohort.Case, ratios)
 	subset := []int{0, 5, 5, 89, 44}
 	want := dense.scores(subset)
-	got := bit.ScoreSubset(subset)
+	got := scoreSubset(bit, subset)
 	for i := range want {
 		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
 			t.Fatalf("score %d: %v vs %v (not bit-identical)", i, got[i], want[i])
@@ -378,7 +378,7 @@ func TestSelectSafeBitMatchesDense(t *testing.T) {
 }
 
 // TestEvaluateBitMatchesDense checks the power of a fixed subset: scores
-// from BitMatrix.ScoreSubset thresholded by quickselect, against dense
+// from scoreSubset thresholded by quickselect, against dense
 // scores thresholded by a full sort.
 func TestEvaluateBitMatchesDense(t *testing.T) {
 	cohort, ratios := testRatios(t, 55, 250, 41)
@@ -387,7 +387,7 @@ func TestEvaluateBitMatchesDense(t *testing.T) {
 	subset := []int{3, 11, 30, 54}
 	want := Power(buildDense(cohort.Case, ratios).scores(subset),
 		sortedThreshold(buildDense(cohort.Reference, ratios).scores(subset), 0.1))
-	got := Power(caseBit.ScoreSubset(subset), Threshold(refBit.ScoreSubset(subset), 0.1))
+	got := Power(scoreSubset(caseBit, subset), Threshold(scoreSubset(refBit, subset), 0.1))
 	if math.Float64bits(want) != math.Float64bits(got) {
 		t.Fatalf("bit power %v vs dense %v", got, want)
 	}

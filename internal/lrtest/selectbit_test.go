@@ -247,7 +247,7 @@ func BenchmarkAddColumnKth(b *testing.B) {
 	}
 	n := refLR.Rows()
 	k := thresholdIndex(n, DefaultParams().Alpha)
-	base := refLR.ScoreSubset(res.Safe)
+	base := scoreSubset(refLR, res.Safe)
 	tau := Threshold(base, DefaultParams().Alpha)
 	dst, band := make([]float64, n), make([]float64, n)
 	benchPaths(b, func(b *testing.B) {

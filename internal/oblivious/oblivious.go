@@ -100,26 +100,6 @@ func bitonicMergePow2(v []float64, up bool) {
 	bitonicMergePow2(v[half:], up)
 }
 
-// Quantile returns the q-quantile of the scores (0 < q <= 1) using an
-// oblivious sort followed by a fixed-position read: the access trace is
-// independent of the score values. The input is not modified.
-func Quantile(scores []float64, q float64) float64 {
-	if len(scores) == 0 {
-		return math.Inf(1)
-	}
-	sorted := make([]float64, len(scores))
-	copy(sorted, scores)
-	BitonicSort(sorted)
-	idx := int(math.Ceil(float64(len(sorted))*q)) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
 // CountGreater returns how many values exceed the threshold using a
 // branchless accumulation: every element is loaded and combined identically.
 func CountGreater(scores []float64, threshold float64) int {
@@ -162,9 +142,6 @@ func NewTopK(k int) *TopK {
 	t.Reset()
 	return t
 }
-
-// K returns the filter's capacity.
-func (t *TopK) K() int { return t.k }
 
 // Reset forgets all pushed values so the filter can be reused without
 // reallocating its buffers.

@@ -56,7 +56,7 @@ func TestTopKMatchesQuantile(t *testing.T) {
 		k := n - idx
 		filt := NewTopK(k)
 		filt.Push(scores)
-		if got, want := filt.KthLargest(k), Quantile(scores, q); math.Float64bits(got) != math.Float64bits(want) {
+		if got, want := filt.KthLargest(k), quantile(scores, q); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("trial %d (n=%d q=%v): TopK=%v, Quantile=%v", trial, n, q, got, want)
 		}
 	}

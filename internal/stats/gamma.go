@@ -17,27 +17,6 @@ const (
 	gammaMaxIter = 500
 )
 
-// RegularizedGammaP computes the regularized lower incomplete gamma function
-// P(a, x) = gamma(a, x) / Gamma(a) for a > 0, x >= 0.
-func RegularizedGammaP(a, x float64) (float64, error) {
-	switch {
-	case a <= 0 || math.IsNaN(a) || math.IsNaN(x):
-		return 0, ErrBadArgument
-	case x < 0:
-		return 0, ErrBadArgument
-	case x == 0:
-		return 0, nil
-	}
-	if x < a+1 {
-		return gammaSeries(a, x)
-	}
-	q, err := gammaContinuedFraction(a, x)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - q, nil
-}
-
 // RegularizedGammaQ computes the regularized upper incomplete gamma function
 // Q(a, x) = 1 - P(a, x).
 func RegularizedGammaQ(a, x float64) (float64, error) {

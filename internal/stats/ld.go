@@ -16,23 +16,12 @@ import (
 // independence (p = 1).
 var ErrDegeneratePair = errors.New("stats: degenerate SNP pair (zero variance)")
 
-// R2FromStats computes the squared Pearson correlation between two SNPs from
-// pooled sufficient statistics (the quantities GDO enclaves outsource during
-// Phase 2). For binary genotypes this equals the contingency-table r^2 of
-// Section 3.1. Degenerate input (empty pool or monomorphic SNP) yields 0;
-// use R2FromStatsChecked to distinguish that from a genuine zero.
-func R2FromStats(s genome.PairStats) float64 {
-	r2, err := R2FromStatsChecked(s)
-	if err != nil {
-		return 0
-	}
-	return r2
-}
-
-// R2FromStatsChecked is R2FromStats with an explicit degenerate-input signal:
-// it returns ErrDegeneratePair when the correlation is mathematically
-// undefined (N == 0, or either SNP has zero variance in the pool) instead of
-// folding those cases into r^2 = 0.
+// R2FromStatsChecked computes the squared Pearson correlation between two
+// SNPs from pooled sufficient statistics (the quantities GDO enclaves
+// outsource during Phase 2). For binary genotypes this equals the
+// contingency-table r^2 of Section 3.1. It returns ErrDegeneratePair when
+// the correlation is mathematically undefined (N == 0, or either SNP has zero
+// variance in the pool) instead of folding those cases into r^2 = 0.
 func R2FromStatsChecked(s genome.PairStats) (float64, error) {
 	n := float64(s.N)
 	if n == 0 {
@@ -52,17 +41,6 @@ func R2FromStatsChecked(s genome.PairStats) (float64, error) {
 		r2 = 1
 	}
 	return r2, nil
-}
-
-// PairTableFromStats reconstructs the pairwise contingency table of Table 2b
-// from binary-genotype sufficient statistics.
-func PairTableFromStats(s genome.PairStats) PairTable {
-	return PairTable{
-		C11: s.SumXY,
-		C10: s.SumX - s.SumXY,
-		C01: s.SumY - s.SumXY,
-		C00: s.N - s.SumX - s.SumY + s.SumXY,
-	}
 }
 
 // LDPValue returns the chi-square(1) p-value for the hypothesis that two

@@ -11,18 +11,6 @@ func MAF(count, total int64) float64 {
 	return float64(count) / float64(total)
 }
 
-// FilterMAF returns the indices (into counts) of SNPs whose pooled frequency
-// is at least cutoff — the SNPs Phase 1 retains in L'.
-func FilterMAF(counts []int64, total int64, cutoff float64) []int {
-	kept := make([]int, 0, len(counts))
-	for l, c := range counts {
-		if MAF(c, total) >= cutoff {
-			kept = append(kept, l)
-		}
-	}
-	return kept
-}
-
 // SumCounts adds per-SNP count vectors elementwise, the leader-enclave
 // aggregation of Phase 1. It returns an error when vector lengths disagree
 // (a malformed or tampered GDO contribution); summing zero vectors yields nil.

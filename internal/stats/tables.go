@@ -86,24 +86,6 @@ func (t SingleTable) AssocPValue(paperForm bool) (float64, error) {
 	return ChiSquareSurvival(x, 1)
 }
 
-// ChiSquareYates computes the Pearson statistic with Yates' continuity
-// correction, the conservative variant GWAS tooling applies to small counts.
-func (t SingleTable) ChiSquareYates() float64 {
-	a, b := float64(t.CaseMinor), float64(t.ControlMinor)
-	c, d := float64(t.CaseMajor), float64(t.ControlMajor)
-	n := a + b + c + d
-	r1, r2 := a+b, c+d
-	c1, c2 := a+c, b+d
-	if r1 == 0 || r2 == 0 || c1 == 0 || c2 == 0 {
-		return 0
-	}
-	det := math.Abs(a*d-b*c) - n/2
-	if det < 0 {
-		det = 0
-	}
-	return n * det * det / (r1 * r2 * c1 * c2)
-}
-
 // OddsRatio returns the allelic odds ratio (case odds of carrying the minor
 // allele over control odds), with the Haldane-Anscombe 0.5 correction when
 // any cell is empty. A monomorphic table returns 1 (no association).
@@ -120,36 +102,4 @@ func (t SingleTable) OddsRatio() float64 {
 		d += 0.5
 	}
 	return (a * d) / (b * c)
-}
-
-// PairTable is the pairwise contingency table of the paper's Table 2b over
-// two SNP positions: counts of the four minor/major combinations.
-type PairTable struct {
-	C00 int64 // major, major
-	C01 int64 // major at l1, minor at l2
-	C10 int64 // minor at l1, major at l2
-	C11 int64 // minor, minor
-}
-
-// Totals returns the margins (C0-, C1-, C-0, C-1) and the grand total.
-func (t PairTable) Totals() (r0, r1, c0, c1, n int64) {
-	r0 = t.C00 + t.C01
-	r1 = t.C10 + t.C11
-	c0 = t.C00 + t.C10
-	c1 = t.C01 + t.C11
-	n = r0 + r1
-	return
-}
-
-// R2 computes the linkage-disequilibrium statistic of Section 3.1:
-// r^2 = (C00*C11 - C01*C10)^2 / (C0-*C1-*C-0*C-1). Degenerate tables (an
-// empty margin, meaning one SNP is monomorphic) yield 0.
-func (t PairTable) R2() float64 {
-	r0, r1, c0, c1, _ := t.Totals()
-	den := float64(r0) * float64(r1) * float64(c0) * float64(c1)
-	if den == 0 {
-		return 0
-	}
-	det := float64(t.C00)*float64(t.C11) - float64(t.C01)*float64(t.C10)
-	return det * det / den
 }

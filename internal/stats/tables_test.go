@@ -96,32 +96,6 @@ func TestAssocPValue(t *testing.T) {
 	}
 }
 
-func TestChiSquareYates(t *testing.T) {
-	tab := SingleTable{CaseMinor: 10, ControlMinor: 20, CaseMajor: 30, ControlMajor: 40}
-	plain := tab.ChiSquare()
-	yates := tab.ChiSquareYates()
-	if yates >= plain {
-		t.Errorf("Yates correction must shrink the statistic: %v >= %v", yates, plain)
-	}
-	if yates <= 0 {
-		t.Errorf("Yates statistic %v, want > 0", yates)
-	}
-	// Hand-computed: |ad-bc| = 200, n/2 = 50 → det 150.
-	want := 100.0 * 150 * 150 / (30.0 * 70 * 40 * 60)
-	if !almostEqual(yates, want, 1e-12) {
-		t.Errorf("Yates=%v, want %v", yates, want)
-	}
-	// Correction larger than |ad−bc| clamps to zero.
-	small := SingleTable{CaseMinor: 1, ControlMinor: 1, CaseMajor: 1, ControlMajor: 1}
-	if got := small.ChiSquareYates(); got != 0 {
-		t.Errorf("clamped statistic %v, want 0", got)
-	}
-	degenerate := SingleTable{CaseMajor: 5, ControlMajor: 5}
-	if got := degenerate.ChiSquareYates(); got != 0 {
-		t.Errorf("degenerate %v, want 0", got)
-	}
-}
-
 func TestOddsRatio(t *testing.T) {
 	tab := SingleTable{CaseMinor: 20, CaseMajor: 80, ControlMinor: 10, ControlMajor: 90}
 	want := (20.0 * 90) / (10.0 * 80)
@@ -145,12 +119,56 @@ func TestOddsRatio(t *testing.T) {
 	}
 }
 
+// pairTable is the pairwise contingency table of the paper's Table 2b over
+// two SNP positions, the oracle the sufficient-statistic r^2 is checked
+// against: counts of the four minor/major combinations.
+type pairTable struct {
+	C00 int64 // major, major
+	C01 int64 // major at l1, minor at l2
+	C10 int64 // minor at l1, major at l2
+	C11 int64 // minor, minor
+}
+
+// Totals returns the margins (C0-, C1-, C-0, C-1) and the grand total.
+func (t pairTable) Totals() (r0, r1, c0, c1, n int64) {
+	r0 = t.C00 + t.C01
+	r1 = t.C10 + t.C11
+	c0 = t.C00 + t.C10
+	c1 = t.C01 + t.C11
+	n = r0 + r1
+	return
+}
+
+// R2 computes the linkage-disequilibrium statistic of Section 3.1:
+// r^2 = (C00*C11 - C01*C10)^2 / (C0-*C1-*C-0*C-1). Degenerate tables (an
+// empty margin, meaning one SNP is monomorphic) yield 0.
+func (t pairTable) R2() float64 {
+	r0, r1, c0, c1, _ := t.Totals()
+	den := float64(r0) * float64(r1) * float64(c0) * float64(c1)
+	if den == 0 {
+		return 0
+	}
+	det := float64(t.C00)*float64(t.C11) - float64(t.C01)*float64(t.C10)
+	return det * det / den
+}
+
+// pairTableFromStats reconstructs the pairwise contingency table of Table 2b
+// from binary-genotype sufficient statistics.
+func pairTableFromStats(s genome.PairStats) pairTable {
+	return pairTable{
+		C11: s.SumXY,
+		C10: s.SumX - s.SumXY,
+		C01: s.SumY - s.SumXY,
+		C00: s.N - s.SumX - s.SumY + s.SumXY,
+	}
+}
+
 func TestPairTableR2PerfectCorrelation(t *testing.T) {
-	tab := PairTable{C00: 50, C11: 50}
+	tab := pairTable{C00: 50, C11: 50}
 	if got := tab.R2(); !almostEqual(got, 1, 1e-12) {
 		t.Errorf("perfect correlation r2=%v, want 1", got)
 	}
-	anti := PairTable{C01: 50, C10: 50}
+	anti := pairTable{C01: 50, C10: 50}
 	if got := anti.R2(); !almostEqual(got, 1, 1e-12) {
 		t.Errorf("perfect anti-correlation r2=%v, want 1", got)
 	}
@@ -158,14 +176,14 @@ func TestPairTableR2PerfectCorrelation(t *testing.T) {
 
 func TestPairTableR2Independence(t *testing.T) {
 	// Independent: cell counts proportional to margin products.
-	tab := PairTable{C00: 36, C01: 24, C10: 24, C11: 16}
+	tab := pairTable{C00: 36, C01: 24, C10: 24, C11: 16}
 	if got := tab.R2(); !almostEqual(got, 0, 1e-12) {
 		t.Errorf("independent table r2=%v, want 0", got)
 	}
 }
 
 func TestPairTableR2Degenerate(t *testing.T) {
-	tab := PairTable{C00: 100} // both SNPs monomorphic
+	tab := pairTable{C00: 100} // both SNPs monomorphic
 	if got := tab.R2(); got != 0 {
 		t.Errorf("degenerate r2=%v, want 0", got)
 	}
@@ -184,8 +202,8 @@ func TestR2FromStatsMatchesTable(t *testing.T) {
 		m.Set(i, 1, p[1])
 	}
 	s := m.PairStats(0, 1)
-	tab := PairTableFromStats(s)
-	var want PairTable
+	tab := pairTableFromStats(s)
+	var want pairTable
 	for _, p := range pattern {
 		switch {
 		case !p[0] && !p[1]:
@@ -199,10 +217,14 @@ func TestR2FromStatsMatchesTable(t *testing.T) {
 		}
 	}
 	if tab != want {
-		t.Fatalf("PairTableFromStats=%+v, want %+v", tab, want)
+		t.Fatalf("pairTableFromStats=%+v, want %+v", tab, want)
 	}
-	if !almostEqual(R2FromStats(s), tab.R2(), 1e-12) {
-		t.Errorf("sufficient-statistic r2 %v != table r2 %v", R2FromStats(s), tab.R2())
+	r2, err := R2FromStatsChecked(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !almostEqual(r2, tab.R2(), 1e-12) {
+		t.Errorf("sufficient-statistic r2 %v != table r2 %v", r2, tab.R2())
 	}
 }
 
@@ -246,9 +268,6 @@ func TestLDPValueDegeneratePairs(t *testing.T) {
 			if _, err := R2FromStatsChecked(tc.s); !errors.Is(err, ErrDegeneratePair) {
 				t.Errorf("R2FromStatsChecked error = %v, want ErrDegeneratePair", err)
 			}
-			if r2 := R2FromStats(tc.s); r2 != 0 {
-				t.Errorf("R2FromStats = %v, want 0 for degenerate input", r2)
-			}
 		})
 	}
 }
@@ -259,8 +278,8 @@ func TestR2FromStatsCheckedPolymorphicPair(t *testing.T) {
 	if err != nil {
 		t.Fatalf("R2FromStatsChecked: %v", err)
 	}
-	if r2 != R2FromStats(s) {
-		t.Errorf("checked r2 %v != unchecked %v", r2, R2FromStats(s))
+	if want := pairTableFromStats(s).R2(); !almostEqual(r2, want, 1e-12) {
+		t.Errorf("r2 %v != table r2 %v", r2, want)
 	}
 	if math.IsNaN(r2) || r2 <= 0 || r2 > 1 {
 		t.Errorf("r2 = %v out of range", r2)
@@ -288,7 +307,9 @@ func TestQuickAggregatedPairStatsExact(t *testing.T) {
 			agg = agg.Add(s.PairStats(1, 4))
 		}
 		want := m.PairStats(1, 4)
-		return agg == want && R2FromStats(agg) == R2FromStats(want)
+		r2Agg, errAgg := R2FromStatsChecked(agg)
+		r2Want, errWant := R2FromStatsChecked(want)
+		return agg == want && r2Agg == r2Want && (errAgg == nil) == (errWant == nil)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -320,20 +341,6 @@ func TestMAF(t *testing.T) {
 	}
 	if got := MAF(5, 0); got != 0 {
 		t.Errorf("MAF with total 0 = %v, want 0", got)
-	}
-}
-
-func TestFilterMAF(t *testing.T) {
-	counts := []int64{1, 5, 10, 50}
-	kept := FilterMAF(counts, 100, 0.05)
-	want := []int{1, 2, 3}
-	if len(kept) != len(want) {
-		t.Fatalf("kept %v, want %v", kept, want)
-	}
-	for i := range want {
-		if kept[i] != want[i] {
-			t.Fatalf("kept %v, want %v", kept, want)
-		}
 	}
 }
 

@@ -81,14 +81,18 @@ grep -rEoh --include='*.go' --exclude='*_test.go' --exclude-dir=testdata \
 
 echo "== size (advisory, no gate) =="
 # The "less code" figures ROADMAP.md and CHANGES.md quote: non-test lines of
-# the protocol packages and the lint suite, exported funcs per package, and
-# the suppression count. Nothing here fails the gate; a change that claims to
+# the protocol packages and the lint suite, the module's total non-test lines
+# outside benchmark/ and testdata/, exported funcs per package, and the
+# suppression count. Nothing here fails the gate; a change that claims to
 # shrink the code quotes these lines rather than hand counts.
 for dir in internal/core internal/federation internal/lrtest internal/checkpoint internal/genome \
     internal/transport internal/service internal/analysis cmd/gendpr-lint; do
     lines=$(find "$dir" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l | tr -d ' ')
     echo "  non-test lines $dir: $lines"
 done
+total=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' ! -path './.git/*' \
+    -exec cat {} + | wc -l | tr -d ' ')
+echo "  non-test lines outside benchmark/ and testdata/: $total"
 go list -f '{{.ImportPath}} {{.Dir}}' ./... | while read -r pkg dir; do
     funcs=$(find "$dir" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec grep -hE '^func (\([^)]*\) )?[A-Z]' {} + | wc -l | tr -d ' ')
     if [ "$funcs" -gt 0 ]; then
